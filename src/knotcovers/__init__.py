@@ -44,6 +44,7 @@ from .lambdamat import (
     varsigma_p,
 )
 from .seifert import (
+    Knot,
     KnotRecord,
     NotUnimodularAtOne,
     OddSize,
@@ -60,7 +61,6 @@ from .seifert import (
 from .branched import (
     BranchedReport,
     NotPRegular,
-    alexander_growth_rate,
     branched_report,
     casson_growth,
     casson_walker,
@@ -84,7 +84,6 @@ from .graphs import (
     count_admissible,
     disjoint_union,
     eyes_graph,
-    lift_p,
     liftres_check,
     liftres_sweep,
     phi_R,

@@ -1,10 +1,11 @@
 """Self-test harness: the acceptance criteria for the whole package.
 
-Each criterion is a function that raises AssertionError on failure.  The
-runner times them, prints one pass/fail line per criterion, and reports
-overall success.  ``inject_corruption=True`` deliberately flips one
-frozen expected value (the 2-fold branched cover torsion of the trefoil)
-to prove this harness actually detects violations.
+Each criterion is a function that raises AssertionError on failure,
+through ``check`` rather than ``assert`` so that it still fails under
+``python -O``.  The runner times them, prints one pass/fail line per
+criterion, and reports overall success.  ``inject_corruption=True``
+deliberately flips one frozen expected value (the 2-fold branched cover
+torsion of the trefoil) to prove this harness actually detects violations.
 
 Frozen expected values were computed independently before the
 implementations existed (by hand where small, by direct defining sums
@@ -32,6 +33,8 @@ from .exactalg import (
 from .lambdamat import (
     LambdaMatrix,
     SingularEvaluation,
+    normalized_determinant,
+    rational_det,
     subst_cycle,
     subst_twisted,
     twisted_cycle_matrix,
@@ -39,14 +42,13 @@ from .lambdamat import (
     varsigma_p,
 )
 from .seifert import (
+    Knot,
     alexander,
-    clover_matrix,
     congruence_identity_check,
     corpus_records,
     random_seifert,
     signature_function,
 )
-from .lambdamat import normalized_determinant
 from .branched import (
     casson_growth,
     casson_walker,
@@ -58,9 +60,9 @@ from .branched import (
 )
 from .theta import ThetaClass, res_p_theta
 from .graphs import (
+    count_admissible,
     disjoint_union,
     eyes_graph,
-    lift_p,
     liftres_check,
     liftres_sweep,
     theta_graph,
@@ -108,6 +110,12 @@ class AcceptanceContext:
         return self._random_corpus
 
 
+def check(ok: bool, detail="") -> None:
+    """``assert ok, detail`` that ``python -O`` does not strip."""
+    if not ok:
+        raise AssertionError(detail)
+
+
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -115,7 +123,7 @@ class AcceptanceContext:
 def criterion_01(ctx: AcceptanceContext):
     """Clover congruence identity holds exactly on the random corpus."""
     for A in ctx.random_corpus():
-        assert congruence_identity_check(A), "congruence identity failed for %r" % (A,)
+        check(congruence_identity_check(A), "congruence identity failed for %r" % (A,))
 
 
 def criterion_02(ctx: AcceptanceContext):
@@ -124,23 +132,25 @@ def criterion_02(ctx: AcceptanceContext):
     import cmath
 
     for A in ctx.random_corpus():
-        W = clover_matrix(A)
-        delta = alexander(A)
-        assert normalized_determinant(W) == delta, "determinant route mismatch"
+        K = Knot(A)
+        W = K.clover
+        delta = K.delta
+        check(normalized_determinant(W) == delta, "determinant route mismatch")
         for p in range(2, 11):
             for k in range(1, p):
                 w = cmath.exp(2j * cmath.pi * k / p)
                 if abs(delta.evaluate(w)) < 1e-7:
                     # singular root: both routes must refuse
-                    for fn in (lambda: varsigma_at(W, k, p), lambda: signature_function(A, k, p)):
+                    for fn in (lambda: varsigma_at(W, k, p), lambda: signature_function(K, k, p)):
                         try:
                             fn()
                             raise AssertionError("missing singularity guard at k/p=%d/%d" % (k, p))
                         except SingularEvaluation:
                             pass
                     continue
-                assert varsigma_at(W, k, p) == signature_function(A, k, p), (
-                    "signature mismatch at k/p=%d/%d" % (k, p)
+                check(
+                    varsigma_at(W, k, p) == signature_function(K, k, p),
+                    "signature mismatch at k/p=%d/%d" % (k, p),
                 )
 
 
@@ -149,34 +159,34 @@ def criterion_03(ctx: AcceptanceContext):
     p <= 10 on the bundled corpus, and matches frozen trefoil values."""
     exp = ctx.expected["trefoil_varsigma"]
     for rec in corpus_records():
-        A = rec.seifert
-        if not A:
-            continue
-        W = clover_matrix(A)
+        knot = Knot(rec.seifert)
+        W = knot.clover
         for p in range(2, 11):
-            if not is_p_regular(A, p):
+            if not is_p_regular(knot, p):
                 continue
             exact = varsigma_p(W, p)
             by_roots = sum(varsigma_at(W, k, p) for k in range(0, p))
-            assert exact == by_roots, "%s p=%d: %d vs %d" % (rec.name, p, exact, by_roots)
-            assert exact == total_sigma_p(A, p, method="exact")
+            check(exact == by_roots, "%s p=%d: %d vs %d" % (rec.name, p, exact, by_roots))
+            check(total_sigma_p(knot, p) == exact, "%s p=%d: production route" % (rec.name, p))
         if rec.name == "trefoil":
             for p, want in exp.items():
-                assert varsigma_p(W, p) == want, "trefoil varsigma_%d" % p
+                check(varsigma_p(W, p) == want, "trefoil varsigma_%d" % p)
 
 
 def criterion_04(ctx: AcceptanceContext):
     """Torsion order: resultant route equals |det| of the substituted
     clover form for regular p <= 12 on the corpus; frozen trefoil spots."""
     for rec in corpus_records():
-        A = rec.seifert
+        knot = Knot(rec.seifert)
         for p in range(2, 13):
-            if not is_p_regular(A, p):
+            if not is_p_regular(knot, p):
                 continue
-            torsion_order(A, p, check_det=True)  # asserts the two routes agree
+            beta = torsion_order(knot, p)
+            det = rational_det(subst_cycle(knot.clover, p).entries)
+            check(abs(det) == beta, "%s p=%d: %s vs %d" % (rec.name, p, det, beta))
     for p, want in ctx.expected["trefoil_beta"].items():
         got = torsion_order([[-1, 1], [0, -1]], p)
-        assert got == want, "trefoil beta_%d = %d, expected %d" % (p, got, want)
+        check(got == want, "trefoil beta_%d = %d, expected %d" % (p, got, want))
 
 
 def criterion_05(ctx: AcceptanceContext):
@@ -184,13 +194,13 @@ def criterion_05(ctx: AcceptanceContext):
     a decreasing error envelope along p = 50, 100, 200, 500."""
     A = [[1, 1], [0, -1]]
     m = ctx.expected["figure8_growth"]
-    assert abs(mahler_measure(alexander(A)) - m) < 1e-9
+    check(abs(mahler_measure(alexander(A)) - m) < 1e-9)
     rows = torsion_growth(A, 500, ps=[50, 100, 200, 500])
-    assert [r[0] for r in rows] == [50, 100, 200, 500], "figure-8 must be regular at all p"
+    check([r[0] for r in rows] == [50, 100, 200, 500], "figure-8 must be regular at all p")
     errs = [abs(r[2] - m) for r in rows]
     for a, b in zip(errs, errs[1:]):
-        assert b <= a + 1e-12, "error envelope must decrease: %r" % (errs,)
-    assert errs[-1] <= 0.05, "final ratio too far from the Mahler measure"
+        check(b <= a + 1e-12, "error envelope must decrease: %r" % (errs,))
+    check(errs[-1] <= 0.05, "final ratio too far from the Mahler measure")
 
 
 def criterion_06(ctx: AcceptanceContext):
@@ -201,17 +211,17 @@ def criterion_06(ctx: AcceptanceContext):
     for G0 in (theta_graph(), eyes_graph()):
         for p in (2, 3, 5):
             for beads in product(range(p), repeat=len(G0.edges)):
-                assert liftres_check(G0.with_beads(beads), p), (G0, p, beads)
+                check(liftres_check(G0.with_beads(beads), p), (G0, p, beads))
     th2 = disjoint_union(theta_graph(), theta_graph())
     for beads in product(range(2), repeat=6):
-        assert liftres_check(th2.with_beads(beads), 2), beads
+        check(liftres_check(th2.with_beads(beads), 2), beads)
     for p in (2, 3, 5):
         cases, failures = liftres_sweep(th2, p)
-        assert cases == p ** 6 and failures == 0, (p, cases, failures)
+        check(cases == p ** 6 and failures == 0, (p, cases, failures))
     # spot-check the per-case route where the sweep was vectorized
     for _ in range(60):
         beads = [rng.randrange(5) for _ in range(6)]
-        assert liftres_check(th2.with_beads(beads), 5), beads
+        check(liftres_check(th2.with_beads(beads), 5), beads)
 
 
 def criterion_07(ctx: AcceptanceContext):
@@ -222,7 +232,7 @@ def criterion_07(ctx: AcceptanceContext):
     for G in graphs:
         b = G.b0
         for p in range(1, 8):
-            assert lift_p(G, p) == p ** b, (G, p)
+            check(count_admissible(G, p) == p ** b, (G, p))
 
 
 def criterion_08(ctx: AcceptanceContext):
@@ -242,7 +252,7 @@ def criterion_08(ctx: AcceptanceContext):
             want = res_p_theta(Q, p)
             for M in moved:
                 got = res_p_theta(M, p)
-                assert got == want, (Q.terms, p, got, want)
+                check(got == want, (Q.terms, p, got, want))
 
 
 def criterion_09(ctx: AcceptanceContext):
@@ -251,7 +261,7 @@ def criterion_09(ctx: AcceptanceContext):
     and monomial classes; the trefoil signature average is -4/3."""
     sa = signature_average([[-1, 1], [0, -1]])
     want = float(ctx.expected["trefoil_signature_average"])
-    assert abs(sa - want) <= 1e-9, sa
+    check(abs(sa - want) <= 1e-9, sa)
     qs = [
         ThetaClass.zero(),
         ThetaClass.constant(1),
@@ -260,15 +270,13 @@ def criterion_09(ctx: AcceptanceContext):
     ]
     p = 200
     for rec in corpus_records():
-        A = rec.seifert
-        if not A:
-            continue
-        assert is_p_regular(A, p), "%s must be regular at %d" % (rec.name, p)
+        knot = Knot(rec.seifert)
+        check(is_p_regular(knot, p), "%s must be regular at %d" % (rec.name, p))
         for Q in qs:
-            cw = casson_walker(A, Q, p)
-            cg = casson_growth(A, Q)
+            cw = casson_walker(knot, Q, p)
+            cg = casson_growth(knot, Q)
             err = abs(float(cw) / p - cg)
-            assert err <= 0.02, "%s: |%s/%d - %s| = %g" % (rec.name, cw, p, cg, err)
+            check(err <= 0.02, "%s: |%s/%d - %s| = %g" % (rec.name, cw, p, cg, err))
 
 
 def criterion_10(ctx: AcceptanceContext):
@@ -288,8 +296,8 @@ def criterion_10(ctx: AcceptanceContext):
         upow = upow * u
         acc = acc + upow * Fraction((-1) ** (k + 1), k)
     other = [acc.coeffs[2 * n] / 2 for n in range(1, 5)]
-    assert got == other, "two log algorithms disagree: %r vs %r" % (got, other)
-    assert got == ctx.expected["wheels"], "frozen wheels values: %r" % (got,)
+    check(got == other, "two log algorithms disagree: %r vs %r" % (got, other))
+    check(got == ctx.expected["wheels"], "frozen wheels values: %r" % (got,))
 
 
 def criterion_11(ctx: AcceptanceContext):
@@ -314,12 +322,13 @@ def criterion_11(ctx: AcceptanceContext):
         for p in (2, 3, 5):
             P, Qp = denominator_to_tp(r, p)
             Qp_tp = LaurentPoly({p * e: c for e, c in Qp.coeffs.items()})
-            assert r.num * Qp_tp == P * r.den, "rewrite not identical: %s, p=%d" % (r, p)
-            assert all(e % p == 0 for e in Qp_tp.coeffs), "Qp(t^p) support off the p-grid"
+            check(r.num * Qp_tp == P * r.den, "rewrite not identical: %s, p=%d" % (r, p))
+            check(all(e % p == 0 for e in Qp_tp.coeffs), "Qp(t^p) support off the p-grid")
             z = Fraction(rng.randint(2, 7), rng.randint(8, 11))
             if r.den.evaluate(z) != 0 and Qp_tp.evaluate(z) != 0:
-                assert r.evaluate(z) == P.evaluate(z) / Qp_tp.evaluate(z), (
-                    "evaluation mismatch at %s" % z
+                check(
+                    r.evaluate(z) == P.evaluate(z) / Qp_tp.evaluate(z),
+                    "evaluation mismatch at %s" % z,
                 )
 
 
@@ -330,8 +339,8 @@ def criterion_12(ctx: AcceptanceContext):
     t = LaurentPoly.t()
     for p in range(1, 9):
         T = twisted_cycle_matrix(p)
-        assert T ** p == LambdaMatrix.identity(p) * t, "T_t^%d != t I" % p
-        assert T @ T.bar_transpose() == LambdaMatrix.identity(p), p
+        check(T ** p == LambdaMatrix.identity(p) * t, "T_t^%d != t I" % p)
+        check(T @ T.bar_transpose() == LambdaMatrix.identity(p), p)
     rng = random.Random(ctx.seed + 12)
     for _ in range(50):
         n = rng.randint(1, 4)
@@ -345,13 +354,14 @@ def criterion_12(ctx: AcceptanceContext):
             ]
         )
         W = M + M.bar_transpose()
-        assert W.is_hermitian
+        check(W.is_hermitian)
         p = rng.choice([2, 3, 4, 5])
         Tw = subst_twisted(W, p)
-        assert Tw.is_hermitian, "twisted substitution must stay Hermitian"
+        check(Tw.is_hermitian, "twisted substitution must stay Hermitian")
         S = subst_cycle(W, p)
-        assert tuple(tuple(r) for r in Tw.eval_at_one()) == S.entries, (
-            "twisted substitution at t = 1 must match the cycle substitution"
+        check(
+            tuple(tuple(r) for r in Tw.eval_at_one()) == S.entries,
+            "twisted substitution at t = 1 must match the cycle substitution",
         )
 
 

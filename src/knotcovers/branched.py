@@ -1,7 +1,8 @@
 """Invariants of the p-fold cyclic branched covers of a knot.
 
-Everything is driven by a Seifert matrix A (banded basis, see seifert.py)
-and, for the Casson-Walker combination, a 2-loop class Q.
+Everything is driven by a Seifert matrix A (banded basis, see seifert.py),
+raw or as a ``Knot``, and, for the Casson-Walker combination, a 2-loop
+class Q.
 
 For p-regular p (no root of the Alexander polynomial at a p-th root of
 unity):
@@ -15,8 +16,8 @@ unity):
   substitution, which the test suite verifies for every small p.
 * ``torsion_order(A, p)`` -- the order of the first homology of the
   branched cover: the product of |Alexander| over the p-th roots of
-  unity, computed as an exact cyclotomic norm (resultant form) and
-  cross-checked against |det| of the substituted clover form.
+  unity: the exact cyclotomic norm (resultant form) that also decides
+  p-regularity.  Tests check it against |det| of the substituted clover form.
 * ``casson_walker(A, Q, p)`` -- (1/3) res_p(Q) + (1/8) total_sigma_p.
 
 Their growth as p -> infinity:
@@ -40,9 +41,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactalg import LaurentPoly, cyclotomic_norm, mahler_measure
-from .lambdamat import rational_det, subst_cycle, varsigma_p
-from .seifert import alexander, clover_matrix, sigma_at_omega, validate_seifert
+from .exactalg import LaurentPoly, cyclotomic_norm
+from .lambdamat import varsigma_p
+from .seifert import Knot, KnotLike, sigma_at_omega
 from .theta import QSingularAtP, ThetaClass, res_p_theta, torus_average
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "total_sigma_p",
     "torsion_order",
     "torsion_growth",
-    "alexander_growth_rate",
     "signature_average",
     "casson_walker",
     "casson_growth",
@@ -62,91 +62,62 @@ __all__ = [
 # exact congruence diagonalization is cubic in 2g*p; beyond this cap the
 # per-root route gives the same integer in linear time
 _EXACT_SIGMA_CAP = 64
-_DET_ORACLE_CAP = 80
 
 
 class NotPRegular(ValueError):
     """The Alexander polynomial vanishes at some p-th root of unity."""
 
 
-def is_p_regular(A: Sequence[Sequence[int]], p: int) -> bool:
+def is_p_regular(A: KnotLike, p: int) -> bool:
     """True when no p-th root of unity is a root of alexander(A)."""
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    return cyclotomic_norm(alexander(A), p) != 0
+    return Knot.of(A).norm(p) != 0
 
 
-def _require_regular(A, p):
-    if not is_p_regular(A, p):
+def _regular_norm(knot: Knot, p: int) -> Fraction:
+    norm = knot.norm(p)
+    if norm == 0:
         raise NotPRegular("Alexander polynomial vanishes at a %d-th root of unity" % p)
+    return norm
 
 
-def total_sigma_p(A: Sequence[Sequence[int]], p: int, method: str = "auto") -> int:
+def total_sigma_p(A: KnotLike, p: int) -> int:
     """Sum of the signature function over all p-th roots of unity.
 
-    method:
-      "exact" -- inertia of the clover form evaluated at the p-cycle
-                 matrix, minus p times the inertia at 1 (all rational
-                 arithmetic);
-      "roots" -- sum the per-root signatures k = 1..p-1 (the root at 1
-                 contributes 0); each summand is an exact integer
-                 recovered from a small Hermitian eigenproblem;
-      "auto"  -- "exact" while the substituted matrix stays small,
-                 "roots" beyond that.
+    While the substituted matrix is small (2g * p <= 64) this is the
+    inertia of the clover form evaluated at the p-cycle matrix, minus p
+    times the inertia at 1, all in rational arithmetic.  Beyond that it is
+    the sum of the per-root signatures k = 1..p-1 (the root at 1
+    contributes 0), each an exact integer recovered from a small Hermitian
+    eigenproblem.
     """
-    A = validate_seifert(A)
-    _require_regular(A, p)
-    n = len(A)
-    if n == 0:
-        return 0
-    if method == "auto":
-        method = "exact" if n * p <= _EXACT_SIGMA_CAP else "roots"
-    if method == "exact":
-        return varsigma_p(clover_matrix(A), p)
-    if method == "roots":
-        total = 0
-        for k in range(1, p):
-            total += sigma_at_omega(A, cmath.exp(2j * cmath.pi * k / p))
-        return total
-    raise ValueError("unknown method %r" % method)
+    knot = Knot.of(A)
+    _regular_norm(knot, p)
+    if len(knot.seifert) * p <= _EXACT_SIGMA_CAP:
+        return varsigma_p(knot.clover, p)
+    return sum(sigma_at_omega(knot, cmath.exp(2j * cmath.pi * k / p)) for k in range(1, p))
 
 
-def torsion_order(A: Sequence[Sequence[int]], p: int, check_det: bool | None = None) -> int:
+def torsion_order(A: KnotLike, p: int) -> int:
     """Order of the torsion homology of the p-fold branched cover:
-    |prod over p-th roots of unity of alexander(A)|, an exact integer.
-
-    check_det: also compute |det| of the clover form evaluated at the
-    p-cycle matrix and assert agreement (the two routes share no code).
-    Defaults to on while the substituted matrix is small.
-    """
-    A = validate_seifert(A)
-    _require_regular(A, p)
-    delta = alexander(A)
-    norm = cyclotomic_norm(delta, p)
-    assert norm.denominator == 1 and norm != 0
-    beta = abs(int(norm))
-    if check_det is None:
-        check_det = len(A) * p <= _DET_ORACLE_CAP
-    if check_det and len(A) > 0:
-        S = subst_cycle(clover_matrix(A), p)
-        det = rational_det(S.entries)
-        assert det.denominator == 1
-        assert abs(int(det)) == beta, "resultant and determinant routes disagree"
-    return beta
+    |prod over p-th roots of unity of alexander(A)|, an exact integer."""
+    norm = _regular_norm(Knot.of(A), p)
+    if norm.denominator != 1:
+        raise ArithmeticError("the cyclotomic norm of an integer polynomial must be an integer")
+    return abs(norm.numerator)
 
 
 def torsion_growth(
-    A: Sequence[Sequence[int]], pmax: int, ps: Sequence[int] | None = None
+    A: KnotLike, pmax: int, ps: Sequence[int] | None = None
 ) -> list[tuple[int, int, float]]:
     """Rows (p, torsion order, log(order)/p) for regular p <= pmax.
 
     Irregular p are skipped; log(order)/p converges to the Mahler measure
-    of the Alexander polynomial.
+    of the Alexander polynomial.  The norms are not kept on the Knot: they
+    grow linearly in p and only one is needed at a time.
     """
-    A = validate_seifert(A)
     if pmax < 1:
         raise ValueError("pmax must be >= 1")
-    delta = alexander(A)
+    delta = Knot.of(A).delta
     rows = []
     candidates = ps if ps is not None else range(1, pmax + 1)
     for p in candidates:
@@ -156,11 +127,6 @@ def torsion_growth(
         beta = abs(int(norm))
         rows.append((p, beta, math.log(beta) / p))
     return rows
-
-
-def alexander_growth_rate(A: Sequence[Sequence[int]], tol: float = 1e-9) -> float:
-    """Limit of log(torsion)/p: the Mahler measure of alexander(A)."""
-    return mahler_measure(alexander(A), tol)
 
 
 def _unit_circle_root_angles(delta: LaurentPoly, root_tol: float = 1e-8) -> list[float]:
@@ -184,7 +150,7 @@ def _unit_circle_root_angles(delta: LaurentPoly, root_tol: float = 1e-8) -> list
     return merged
 
 
-def signature_average(A: Sequence[Sequence[int]], tol: float = 1e-9) -> float:
+def signature_average(A: KnotLike, tol: float = 1e-9) -> float:
     """Average of the signature function over the unit circle.
 
     The function is constant on each arc between consecutive roots of the
@@ -192,10 +158,8 @@ def signature_average(A: Sequence[Sequence[int]], tol: float = 1e-9) -> float:
     integral is exact-by-structure: evaluate at one midpoint per arc and
     weight by arc length over 2 pi.  Root locations are numeric.
     """
-    A = validate_seifert(A)
-    if len(A) == 0:
-        return 0.0
-    angles = _unit_circle_root_angles(alexander(A))
+    knot = Knot.of(A)
+    angles = _unit_circle_root_angles(knot.delta)
     if not angles:
         return 0.0
     bounds = [0.0] + angles + [2.0 * math.pi]
@@ -206,29 +170,28 @@ def signature_average(A: Sequence[Sequence[int]], tol: float = 1e-9) -> float:
         mid = (lo + hi) / 2.0
         if mid < 1e-9 or 2.0 * math.pi - mid < 1e-9:
             continue
-        sig = sigma_at_omega(A, cmath.exp(1j * mid), tol)
+        sig = sigma_at_omega(knot, cmath.exp(1j * mid), tol)
         total += sig * (hi - lo)
     return total / (2.0 * math.pi)
 
 
-def casson_walker(
-    A: Sequence[Sequence[int]], Q: ThetaClass, p: int, tol: float = 1e-9
-):
-    """(1/3) res_p(Q) + (1/8) total_sigma_p(A, p).
-
-    Exact Fraction when Q has polynomial slots, float otherwise.  Raises
-    NotPRegular / QSingularAtP when either ingredient degenerates at p.
-    """
-    A = validate_seifert(A)
-    _require_regular(A, p)
-    res = res_p_theta(Q, p)
-    sig = total_sigma_p(A, p)
+def _casson(res, sig: int):
     if isinstance(res, Fraction):
         return res / 3 + Fraction(sig, 8)
     return res / 3.0 + sig / 8.0
 
 
-def casson_growth(A: Sequence[Sequence[int]], Q: ThetaClass, tol: float = 1e-9) -> float:
+def casson_walker(A: KnotLike, Q: ThetaClass, p: int):
+    """(1/3) res_p(Q) + (1/8) total_sigma_p(A, p).
+
+    Exact Fraction when Q has polynomial slots, float otherwise.  Raises
+    NotPRegular / QSingularAtP when either ingredient degenerates at p.
+    """
+    sig = total_sigma_p(A, p)
+    return _casson(res_p_theta(Q, p), sig)
+
+
+def casson_growth(A: KnotLike, Q: ThetaClass, tol: float = 1e-9) -> float:
     """Limit of casson_walker(A, Q, p)/p as p grows:
     (1/3) torus_average(Q) + (1/8) signature_average(A)."""
     avg = torus_average(Q, tol)
@@ -250,20 +213,17 @@ class BranchedReport:
 
 
 def branched_report(
-    A: Sequence[Sequence[int]],
-    ps: Sequence[int],
-    Q: ThetaClass | None = None,
-    tol: float = 1e-9,
+    A: KnotLike, ps: Sequence[int], Q: ThetaClass | None = None
 ) -> list[BranchedReport]:
     """One row per requested p; irregular p yield a flagged empty row."""
-    A = validate_seifert(A)
+    knot = Knot.of(A)
     out = []
     for p in ps:
-        if not is_p_regular(A, p):
+        if not is_p_regular(knot, p):
             out.append(BranchedReport(p=p, regular=False))
             continue
-        sig = total_sigma_p(A, p)
-        beta = torsion_order(A, p)
+        sig = total_sigma_p(knot, p)
+        beta = torsion_order(knot, p)
         row = BranchedReport(
             p=p,
             regular=True,
@@ -273,14 +233,8 @@ def branched_report(
         )
         if Q is not None:
             try:
-                res = res_p_theta(Q, p)
+                row.casson = _casson(res_p_theta(Q, p), sig)
             except QSingularAtP:
-                res = None  # 2-loop part degenerates at this p; leave blank
-            if res is not None:
-                row.casson = (
-                    res / 3 + Fraction(sig, 8)
-                    if isinstance(res, Fraction)
-                    else res / 3.0 + sig / 8.0
-                )
+                pass  # 2-loop part degenerates at this p; leave blank
         out.append(row)
     return out

@@ -31,21 +31,14 @@ from fractions import Fraction
 
 from .exactalg import LaurentPoly, SingularAtOne, mahler_measure
 from .lambdamat import AtOne, SingularEvaluation, normalized_determinant
-from .seifert import (
-    KnotRecord,
-    alexander,
-    clover_matrix,
-    corpus_records,
-    seifert_genus,
-    signature_function,
-    validate_seifert,
-)
+from .seifert import Knot, KnotRecord, corpus_records, signature_function
 from .branched import (
     branched_report,
     casson_growth,
     is_p_regular,
     signature_average,
     torsion_growth,
+    total_sigma_p,
 )
 from .theta import QSingularAtP, SingularOnTorus, ThetaClass, res_p_theta, torus_average
 from .graphs import BeadedGraph, disjoint_union, eyes_graph, liftres_sweep, theta_graph
@@ -96,7 +89,7 @@ def _load_knot(args) -> KnotRecord:
         with open(args.file) as fh:
             obj = json.load(fh)
         if isinstance(obj, list):
-            return KnotRecord(name=args.file, seifert=validate_seifert(obj))
+            return KnotRecord(name=args.file, seifert=obj)
         return KnotRecord.from_json(obj)
     raise ValueError("pass --knot NAME or --file SEIFERT.json")
 
@@ -160,25 +153,32 @@ def _emit_rows(args, columns: list[str], rows: list[list], summary: dict | None 
     """Render rows in the requested format to stdout or --out."""
     fmt = args.format
     lines: list[str] = []
-    if fmt == "csv":
-        lines.append(",".join(columns))
-        lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    elif fmt == "json":
-        payload = {
-            "columns": columns,
-            "rows": [[_json_cell(v) for v in row] for row in rows],
-        }
-        if summary:
-            payload.update({k: _json_cell(v) for k, v in summary.items()})
-        lines.append(json.dumps(payload, indent=2))
-    else:
-        cells = [columns] + [[_cell(v) for v in row] for row in rows]
-        widths = [max(len(r[i]) for r in cells) for i in range(len(columns))]
-        for r in cells:
-            lines.append("  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip())
-        if summary:
-            lines.append("")
-            lines.extend("%s = %s" % (k, _cell(v)) for k, v in summary.items())
+    # beta_p outgrows Python's int-to-str digit limit at large p; lift it
+    # while rendering only, so input parsing keeps the default
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "csv":
+            lines.append(",".join(columns))
+            lines.extend(",".join(_cell(v) for v in row) for row in rows)
+        elif fmt == "json":
+            payload = {
+                "columns": columns,
+                "rows": [[_json_cell(v) for v in row] for row in rows],
+            }
+            if summary:
+                payload.update({k: _json_cell(v) for k, v in summary.items()})
+            lines.append(json.dumps(payload, indent=2))
+        else:
+            cells = [columns] + [[_cell(v) for v in row] for row in rows]
+            widths = [max(len(r[i]) for r in cells) for i in range(len(columns))]
+            for r in cells:
+                lines.append("  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip())
+            if summary:
+                lines.append("")
+                lines.extend("%s = %s" % (k, _cell(v)) for k, v in summary.items())
+    finally:
+        sys.set_int_max_str_digits(limit)
     _write_out(args, "\n".join(lines) + "\n")
 
 
@@ -202,24 +202,23 @@ def _write_out(args, text: str):
 
 def cmd_alexander(args) -> int:
     rec = _load_knot(args)
-    A = rec.seifert
-    delta = alexander(A)
+    knot = Knot(rec.seifert)
+    delta = knot.delta
     rows = [
         ["name", rec.name],
         ["alexander", str(delta)],
-        ["genus", seifert_genus(A)],
+        ["genus", knot.genus],
         ["determinant", abs(delta.evaluate(Fraction(-1)))],
         ["mahler", mahler_measure(delta)],
     ]
-    if A:
-        rows.insert(2, ["clover_determinant", str(normalized_determinant(clover_matrix(A)))])
+    if knot.seifert:
+        rows.insert(2, ["clover_determinant", str(normalized_determinant(knot.clover))])
     _emit_rows(args, ["field", "value"], rows)
     return EXIT_OK
 
 
 def cmd_signature(args) -> int:
-    rec = _load_knot(args)
-    A = rec.seifert
+    knot = Knot(_load_knot(args).seifert)
     ps = _parse_ps(args.p)
     if len(ps) != 1:
         raise ValueError("signature takes a single --p, not a range")
@@ -228,16 +227,14 @@ def cmd_signature(args) -> int:
     usable = 0
     for k in range(1, p):
         try:
-            sig = signature_function(A, k, p, tol=args.tol)
+            sig = signature_function(knot, k, p, tol=args.tol)
             usable += 1
         except SingularEvaluation:
             sig = None  # Alexander root on the unit circle: jump point
         rows.append([k, Fraction(k, p), sig])
     summary = {}
-    if is_p_regular(A, p):
-        from .branched import total_sigma_p
-
-        summary["total_sigma_p"] = total_sigma_p(A, p)
+    if is_p_regular(knot, p):
+        summary["total_sigma_p"] = total_sigma_p(knot, p)
     if not rows:
         raise _DomainEmpty("p = 1 has no interior roots of unity")
     _emit_rows(args, ["k", "k/p", "signature"], rows, summary)
@@ -248,7 +245,7 @@ def cmd_branched(args) -> int:
     rec = _load_knot(args)
     Q = _pick_q(args, rec)
     ps = _parse_ps(args.p)
-    reports = branched_report(rec.seifert, ps, Q=Q, tol=args.tol)
+    reports = branched_report(Knot(rec.seifert), ps, Q=Q)
     columns = ["p", "regular", "sigma_p", "beta_p", "log_beta_over_p"]
     if Q is not None:
         columns.append("casson")
@@ -266,23 +263,23 @@ def cmd_branched(args) -> int:
 
 def cmd_growth(args) -> int:
     rec = _load_knot(args)
-    A = rec.seifert
+    knot = Knot(rec.seifert)
     Q = _pick_q(args, rec)
     ps = _parse_ps(args.ps) if args.ps else None
     pmax = args.pmax if args.pmax else (max(ps) if ps else 100)
-    triples = torsion_growth(A, pmax, ps=ps)
+    triples = torsion_growth(knot, pmax, ps=ps)
     if not triples:
         raise _DomainEmpty("no regular p in the requested range")
     if args.plot_data:
         _emit_pairs(args, [(p, ratio) for p, _, ratio in triples])
         return EXIT_OK
     summary = {
-        "mahler": mahler_measure(alexander(A)),
-        "signature_average": signature_average(A, tol=args.tol),
+        "mahler": mahler_measure(knot.delta),
+        "signature_average": signature_average(knot, tol=args.tol),
     }
     if Q is not None:
         try:
-            summary["casson_growth"] = casson_growth(A, Q, tol=args.tol)
+            summary["casson_growth"] = casson_growth(knot, Q, tol=args.tol)
         except SingularOnTorus:
             summary["casson_growth"] = None  # 2-loop class has poles on the torus
     _emit_rows(args, ["p", "beta_p", "log_beta_over_p"], [list(t) for t in triples], summary)

@@ -449,7 +449,8 @@ def _subresultant_res(A: list[Fraction], B: list[Fraction]) -> Fraction:
             da = len(A) - 1
             h = B[0] ** da / h ** (da - 1) if da >= 1 else h
             res = s * h
-            assert res.denominator == 1, "subresultant PRS left a denominator"
+            if res.denominator != 1:
+                raise ArithmeticError("subresultant PRS left a denominator")
             return res
 
 
@@ -753,12 +754,12 @@ def denominator_to_tp(r: RatFun, p: int) -> tuple[LaurentPoly, LaurentPoly]:
 # Mahler measure (numeric path)
 
 
-def mahler_measure(f: LaurentPoly, tol: float = 1e-9) -> float:
+def mahler_measure(f: LaurentPoly) -> float:
     """log of the Mahler measure of f: log|lc| + sum over roots outside
     the unit circle of log|root|.
 
     Roots come from the numpy companion-matrix eigenvalue solver, so this
-    is a numeric path; tol only guards the degenerate-input check.
+    is a numeric path.
     """
     if f.is_zero:
         raise ValueError("Mahler measure of the zero polynomial")
@@ -772,7 +773,7 @@ def mahler_measure(f: LaurentPoly, tol: float = 1e-9) -> float:
         a = abs(z)
         if a > 1.0:
             total += math.log(a)
-    assert math.isfinite(total), tol
+    assert math.isfinite(total)
     return total
 
 

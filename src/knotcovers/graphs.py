@@ -7,7 +7,7 @@ standing for a power of the deck variable t.
 
 Two quantities are attached for each p >= 1:
 
-* the state sum ``lift_p`` / ``count_admissible``: colorings of the
+* the state sum ``count_admissible``: colorings of the
   vertices by Z_p such that along every edge (tail -> head, bead m) the
   colors satisfy head = tail + m mod p.  The count is p^(number of
   components) when every cycle monodromy vanishes mod p and 0 otherwise,
@@ -45,7 +45,6 @@ __all__ = [
     "eyes_graph",
     "disjoint_union",
     "count_admissible",
-    "lift_p",
     "automorphisms",
     "fundamental_cycles",
     "cycle_monodromies",
@@ -236,11 +235,6 @@ def count_admissible(G: BeadedGraph, p: int) -> int:
                 elif color[w] != expected:
                     return 0
     return p ** comps
-
-
-def lift_p(G: BeadedGraph, p: int) -> int:
-    """Value of the lift state sum: admissible colorings with weight 1."""
-    return count_admissible(G, p)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +474,7 @@ def res_p_graph(
 
 def liftres_check(G: BeadedGraph, p: int, forest: Sequence[int] | None = None) -> bool:
     """Exact agreement of the lift count with the residue of the symbol."""
-    return Fraction(lift_p(G, p)) == res_p_graph(phi_R(G, forest), G, p)
+    return Fraction(count_admissible(G, p)) == res_p_graph(phi_R(G, forest), G, p)
 
 
 def liftres_sweep(
@@ -503,7 +497,8 @@ def liftres_sweep(
     D = _aut_cycle_matrices(G, cycles, auts)
     total = p ** E
     if max_cases is not None and max_cases < total:
-        assert rng is not None, "sampling needs an rng"
+        if rng is None:
+            raise ValueError("sampling needs an rng")
         tuples = np.array(
             [[rng.randrange(p) for _ in range(E)] for _ in range(max_cases)],
             dtype=np.int64,

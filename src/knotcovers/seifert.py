@@ -22,6 +22,9 @@ form Hermitian and is checked at construction).
   (1 - t^-1) A + (1 - t) A^T, which is why the clover form computes both
   the Alexander polynomial and the signature function.
 
+Each function above takes a raw matrix or a ``Knot``, which validates it
+once and derives Delta, the clover form and Delta's cyclotomic norms once.
+
 Knot records (name + Seifert matrix + optional 2-loop class) are the JSON
 interchange format; a small bundled corpus ships with the package.
 """
@@ -33,12 +36,13 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from typing import Sequence
 
 import numpy as np
 
-from .exactalg import LaurentPoly
+from .exactalg import LaurentPoly, cyclotomic_norm
 from .lambdamat import (
     AtOne,
     LambdaMatrix,
@@ -53,7 +57,8 @@ __all__ = [
     "OddSize",
     "NotUnimodularAtOne",
     "validate_seifert",
-    "seifert_genus",
+    "Knot",
+    "KnotLike",
     "alexander",
     "canonical_symmetric",
     "clover_matrix",
@@ -97,25 +102,93 @@ def validate_seifert(A: Sequence[Sequence[int]]) -> list[list[int]]:
         raise NotUnimodularAtOne("det(A - A^T) != 1")
     return rows
 
-def seifert_genus(A: Sequence[Sequence[int]]) -> int:
-    return len(A) // 2
+
+class Knot:
+    """A validated Seifert matrix with the values the per-cover invariants
+    read from it, each derived on first use and kept: the Alexander
+    polynomial ``delta``, the clover form ``clover`` and the cyclotomic
+    norms ``norm(p)`` of delta.  Functions taking a matrix coerce it with
+    ``Knot.of``."""
+
+    def __init__(self, A: Sequence[Sequence[int]]):
+        self.seifert = validate_seifert(A)
+        self._norms: dict[int, Fraction] = {}
+
+    @classmethod
+    def of(cls, A: "KnotLike") -> "Knot":
+        return A if isinstance(A, Knot) else cls(A)
+
+    @property
+    def genus(self) -> int:
+        return len(self.seifert) // 2
+
+    @cached_property
+    def delta(self) -> LaurentPoly:
+        """t^-g det(A - t A^T); see ``alexander``."""
+        A = self.seifert
+        n = len(A)
+        t = LaurentPoly.t()
+        M = LambdaMatrix([[A[i][j] - t * A[j][i] for j in range(n)] for i in range(n)])
+        d = M.det().shift(-self.genus)
+        if d.eval_one() != 1 or not d.is_bar_symmetric:
+            raise ArithmeticError("t^-g det(A - t A^T) must be bar-symmetric with value 1 at t = 1")
+        return d
+
+    @cached_property
+    def clover(self) -> LambdaMatrix:
+        """The Hermitian clover form; see ``clover_matrix``."""
+        A = self.seifert
+        g = self.genus
+        t = LaurentPoly.t()
+        ti = t ** -1
+        one = LaurentPoly.one()
+        lxx = [[LaurentPoly.const(A[i][j]) for j in range(g)] for i in range(g)]
+        lxy = [[A[i][g + j] for j in range(g)] for i in range(g)]
+        lyx = [[A[g + i][j] + (1 if i == j else 0) for j in range(g)] for i in range(g)]
+        lyy = [[A[g + i][g + j] for j in range(g)] for i in range(g)]
+        rows = []
+        for i in range(g):
+            row = list(lxx[i])
+            for j in range(g):
+                e = (one - ti) * lxy[i][j]
+                if i == j:
+                    e = e - one
+                row.append(e)
+            rows.append(row)
+        for i in range(g):
+            row = []
+            for j in range(g):
+                e = (one - t) * lyx[i][j]
+                if i == j:
+                    e = e - one
+                row.append(e)
+            for j in range(g):
+                row.append((2 - t - ti) * lyy[i][j])
+            rows.append(row)
+        W = LambdaMatrix(rows)
+        if not W.is_hermitian:
+            raise NotHermitian(
+                "Seifert matrix is not in a banded surface basis; clover form degenerates"
+            )
+        if abs(rational_det(W.eval_at_one())) != 1:
+            raise ArithmeticError("clover form must be unimodular at 1")
+        return W
+
+    def norm(self, p: int) -> Fraction:
+        """prod over the p-th roots of unity w of delta(w): zero exactly
+        when p is irregular, else +-|H_1| of the p-fold branched cover."""
+        if p not in self._norms:
+            self._norms[p] = cyclotomic_norm(self.delta, p)
+        return self._norms[p]
 
 
-def alexander(A: Sequence[Sequence[int]]) -> LaurentPoly:
-    """Symmetrized Alexander polynomial t^-g det(A - t A^T).
+KnotLike = Knot | Sequence[Sequence[int]]
 
-    With det(A - A^T) = 1 this normalization satisfies alexander(1) = 1
-    and bar-symmetry on the nose, no further unit fixing needed.
-    """
-    A = validate_seifert(A)
-    n = len(A)
-    g = n // 2
-    t = LaurentPoly.t()
-    M = LambdaMatrix([[A[i][j] - t * A[j][i] for j in range(n)] for i in range(n)])
-    d = M.det().shift(-g)
-    assert d.eval_one() == 1, "det(A - A^T) = 1 forces value 1 at t = 1"
-    assert d.is_bar_symmetric, "t^-g det(A - t A^T) must be bar-symmetric"
-    return d
+
+def alexander(A: KnotLike) -> LaurentPoly:
+    """Symmetrized Alexander polynomial t^-g det(A - t A^T); det(A - A^T) = 1
+    makes it bar-symmetric with value 1 at t = 1, no unit fixing needed."""
+    return Knot.of(A).delta
 
 
 def canonical_symmetric(f: LaurentPoly) -> LaurentPoly:
@@ -135,57 +208,24 @@ def canonical_symmetric(f: LaurentPoly) -> LaurentPoly:
     return g
 
 
-def clover_matrix(A: Sequence[Sequence[int]]) -> LambdaMatrix:
+def clover_matrix(A: KnotLike) -> LambdaMatrix:
     """Hermitian clover form of a banded-basis Seifert matrix.
 
     Raises NotHermitian when A is valid but not in the banded basis
     (the construction needs Axy^T = Ayx + I and symmetric diagonal
     blocks).
     """
-    A = validate_seifert(A)
-    g = len(A) // 2
-    t = LaurentPoly.t()
-    ti = t ** -1
-    one = LaurentPoly.one()
-    lxx = [[LaurentPoly.const(A[i][j]) for j in range(g)] for i in range(g)]
-    lxy = [[A[i][g + j] for j in range(g)] for i in range(g)]
-    lyx = [[A[g + i][j] + (1 if i == j else 0) for j in range(g)] for i in range(g)]
-    lyy = [[A[g + i][g + j] for j in range(g)] for i in range(g)]
-    rows = []
-    for i in range(g):
-        row = list(lxx[i])
-        for j in range(g):
-            e = (one - ti) * lxy[i][j]
-            if i == j:
-                e = e - one
-            row.append(e)
-        rows.append(row)
-    for i in range(g):
-        row = []
-        for j in range(g):
-            e = (one - t) * lyx[i][j]
-            if i == j:
-                e = e - one
-            row.append(e)
-        for j in range(g):
-            row.append((2 - t - ti) * lyy[i][j])
-        rows.append(row)
-    W = LambdaMatrix(rows)
-    if not W.is_hermitian:
-        raise NotHermitian(
-            "Seifert matrix is not in a banded surface basis; clover form degenerates"
-        )
-    assert abs(rational_det(W.eval_at_one())) == 1, "clover form must be unimodular at 1"
-    return W
+    return Knot.of(A).clover
 
 
-def congruence_identity_check(A: Sequence[Sequence[int]]) -> bool:
+def congruence_identity_check(A: KnotLike) -> bool:
     """Exact check that diag((1-t) I, I) W diag((1-t^-1) I, I) equals
     (1 - t^-1) A + (1 - t) A^T for the clover form W of A."""
-    A = validate_seifert(A)
+    knot = Knot.of(A)
+    A = knot.seifert
     n = len(A)
-    g = n // 2
-    W = clover_matrix(A)
+    g = knot.genus
+    W = knot.clover
     t = LaurentPoly.t()
     ti = t ** -1
     one = LaurentPoly.one()
@@ -206,12 +246,10 @@ def congruence_identity_check(A: Sequence[Sequence[int]]) -> bool:
     return lhs == rhs
 
 
-def sigma_at_omega(A: Sequence[Sequence[int]], omega: complex, tol: float = 1e-9) -> int:
+def sigma_at_omega(A: KnotLike, omega: complex, tol: float = 1e-9) -> int:
     """Signature of (1 - conj(w)) A + (1 - w) A^T at a unit-circle w != 1."""
-    A = validate_seifert(A)
+    A = Knot.of(A).seifert
     n = len(A)
-    if n == 0:
-        return 0
     wbar = complex(omega).conjugate()
     M = np.empty((n, n), dtype=complex)
     for i in range(n):
@@ -220,7 +258,7 @@ def sigma_at_omega(A: Sequence[Sequence[int]], omega: complex, tol: float = 1e-9
     return complex_signature(M, tol)
 
 
-def signature_function(A: Sequence[Sequence[int]], k: int, p: int, tol: float = 1e-9) -> int:
+def signature_function(A: KnotLike, k: int, p: int, tol: float = 1e-9) -> int:
     """Equivariant signature at w = e^(2 pi i k / p).
 
     Raises AtOne for k = 0 mod p (the form vanishes identically there)

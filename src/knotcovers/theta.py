@@ -163,7 +163,8 @@ class ThetaClass:
         return ThetaClass([(t.f * m, t.g * m, t.h * m, t.c) for t in self.terms])
 
     def permuted(self, perm: Sequence[int]) -> "ThetaClass":
-        assert sorted(perm) == [0, 1, 2]
+        if sorted(perm) != [0, 1, 2]:
+            raise ValueError("perm must be a permutation of (0, 1, 2)")
         out = []
         for t in self.terms:
             slots = (t.f, t.g, t.h)
@@ -302,7 +303,8 @@ def res_p_theta(Q: ThetaClass, p: int):
         idx = (np.arange(p)[:, None] + np.arange(p)[None, :]) % p
         total += float(t.c) * np.sum(F[:, None] * G[None, :] * Hinv[idx])
     total /= p
-    assert abs(total.imag) <= 1e-7 * max(1.0, abs(total)), "residue should be real"
+    if abs(total.imag) > 1e-7 * max(1.0, abs(total)):
+        raise ArithmeticError("residue should be real")
     return float(total.real)
 
 
@@ -377,5 +379,6 @@ def torus_average(Q: ThetaClass, tol: float = 1e-9):
         epsabs=max(tol, 1e-10),
         epsrel=1e-8,
     )
-    assert err < 1e-5 * max(1.0, abs(val)) + 1e-6, "quadrature did not converge"
+    if err >= 1e-5 * max(1.0, abs(val)) + 1e-6:
+        raise ArithmeticError("quadrature did not converge")
     return val / (4.0 * np.pi ** 2)

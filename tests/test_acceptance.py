@@ -2,8 +2,12 @@
 pass/fail line, and the harness must turn red under injected corruption."""
 
 import io
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -66,3 +70,19 @@ def test_injected_corruption_turns_the_gate_red():
     ok = run_selftest(criteria=[4], inject_corruption=True, stream=buf)
     assert ok is False
     assert "FAIL" in buf.getvalue()
+
+
+def test_injected_corruption_fails_under_python_O():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = ["selftest", "--criteria", "4", "--inject-corruption"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "knotcovers.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert re.search(r"criterion\s+4: FAIL", proc.stdout)

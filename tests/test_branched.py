@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import knotcovers.seifert
 from knotcovers.branched import (
     BranchedReport,
     NotPRegular,
-    alexander_growth_rate,
     branched_report,
     casson_growth,
     casson_walker,
@@ -18,7 +18,16 @@ from knotcovers.branched import (
     torsion_order,
     total_sigma_p,
 )
+from knotcovers.exactalg import mahler_measure
+from knotcovers.lambdamat import LambdaMatrix, rational_det, subst_cycle, varsigma_p
+from knotcovers.seifert import alexander, clover_matrix, corpus_records, signature_function
 from knotcovers.theta import ThetaClass
+
+
+def by_roots(A, p):
+    """Per-root oracle for total_sigma_p: the signature function summed
+    over the p-th roots of unity other than 1."""
+    return sum(signature_function(A, k, p) for k in range(1, p))
 
 
 class TestRegularity:
@@ -40,10 +49,12 @@ class TestTorsion:
         assert [torsion_order(figure8, p) for p in (2, 3, 4, 5)] == [5, 16, 45, 121]
 
     def test_both_routes_agree_on_corpus(self, trefoil, figure8):
+        # oracle: |det| of the clover form at the p-cycle matrix
         for A in (trefoil, figure8):
             for p in range(2, 9):
                 if is_p_regular(A, p):
-                    torsion_order(A, p, check_det=True)
+                    det = rational_det(subst_cycle(clover_matrix(A), p).entries)
+                    assert abs(det) == torsion_order(A, p)
 
     def test_irregular_p_rejected(self, trefoil):
         with pytest.raises(NotPRegular):
@@ -54,7 +65,7 @@ class TestTorsion:
         assert [r[0] for r in rows] == [1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 13]
 
     def test_growth_limit_is_mahler(self, figure8):
-        m = alexander_growth_rate(figure8)
+        m = mahler_measure(alexander(figure8))
         assert m == pytest.approx(math.log((3 + math.sqrt(5)) / 2), abs=1e-12)
         rows = torsion_growth(figure8, 60, ps=[30, 60])
         assert rows[-1][2] == pytest.approx(m, abs=1e-9)
@@ -64,23 +75,48 @@ class TestTotalSignature:
     def test_methods_agree(self, trefoil, figure8):
         for A in (trefoil, figure8):
             for p in (2, 3, 5, 8):
-                assert total_sigma_p(A, p, method="exact") == total_sigma_p(
-                    A, p, method="roots"
-                )
+                got = total_sigma_p(A, p)
+                assert got == varsigma_p(clover_matrix(A), p)
+                assert got == by_roots(A, p)
 
     def test_trefoil_values(self, trefoil):
         assert [total_sigma_p(trefoil, p) for p in (2, 3, 4, 5)] == [-2, -4, -6, -8]
 
-    def test_large_p_uses_roots_route(self, figure8):
-        # auto dispatch must stay fast and match the known figure-8 pattern:
-        # sigma is -2 on the middle third of the circle
+    def test_large_p_uses_roots_route(self, trefoil, figure8):
+        # past 2g * p = 64 the production route sums per-root signatures and
+        # must stay fast.  The figure-8 has no roots on the unit circle, so
+        # sigma vanishes there; the trefoil's sigma is -2 on the middle
+        # arc (1/6, 5/6), which holds 22 of the 33rd roots of unity.
         got = total_sigma_p(figure8, 201)
-        by_roots = total_sigma_p(figure8, 201, method="roots")
-        assert got == by_roots
+        assert got == by_roots(figure8, 201) == 0
+        got = total_sigma_p(trefoil, 33)
+        assert got == varsigma_p(clover_matrix(trefoil), 33) == by_roots(trefoil, 33) == -44
 
     def test_irregular_p_rejected(self, trefoil):
         with pytest.raises(NotPRegular):
             total_sigma_p(trefoil, 6)
+
+
+class TestDerivedOnce:
+    def test_report_derives_delta_once_and_each_norm_once(self, monkeypatch):
+        dets, norms = [], []
+        det, norm = LambdaMatrix.det, knotcovers.seifert.cyclotomic_norm
+
+        def counted_det(M):
+            dets.append(M.n)
+            return det(M)
+
+        def counted_norm(f, p):
+            norms.append(p)
+            return norm(f, p)
+
+        monkeypatch.setattr(LambdaMatrix, "det", counted_det)
+        monkeypatch.setattr(knotcovers.seifert, "cyclotomic_norm", counted_norm)
+        (rec,) = [r for r in corpus_records() if r.name == "random-g3-a"]
+        rows = branched_report(rec.seifert, range(2, 21))
+        assert [r.p for r in rows] == list(range(2, 21))
+        assert dets == [6]
+        assert norms == list(range(2, 21))
 
 
 class TestAverages:

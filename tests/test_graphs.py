@@ -13,7 +13,6 @@ from knotcovers.graphs import (
     disjoint_union,
     eyes_graph,
     fundamental_cycles,
-    lift_p,
     liftres_check,
     liftres_sweep,
     phi_R,
@@ -78,7 +77,7 @@ class TestLiftCounts:
     def test_beadless_lift_is_p_power(self):
         G = disjoint_union(theta_graph(), eyes_graph())
         for p in range(1, 7):
-            assert lift_p(G, p) == p ** 2
+            assert count_admissible(G, p) == p ** 2
 
     def test_lift_count_is_all_or_nothing_per_component(self):
         G = theta_graph().with_beads([1, 0, 0])
@@ -148,6 +147,8 @@ class TestLiftResIdentity:
         th2 = disjoint_union(theta_graph(), theta_graph())
         cases, failures = liftres_sweep(th2, 7, max_cases=50, rng=rng)
         assert cases == 50 and failures == 0
+        with pytest.raises(ValueError):
+            liftres_sweep(th2, 7, max_cases=50)
 
     def test_push_preserves_everything(self):
         G = theta_graph().with_beads([1, 2, 3])

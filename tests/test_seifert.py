@@ -8,6 +8,7 @@ import pytest
 from knotcovers.exactalg import LaurentPoly
 from knotcovers.lambdamat import AtOne, NotHermitian, SingularEvaluation
 from knotcovers.seifert import (
+    Knot,
     KnotRecord,
     NotUnimodularAtOne,
     OddSize,
@@ -17,7 +18,6 @@ from knotcovers.seifert import (
     congruence_identity_check,
     corpus_records,
     random_seifert,
-    seifert_genus,
     sigma_at_omega,
     signature_function,
     validate_seifert,
@@ -74,8 +74,8 @@ class TestAlexander:
             assert d.is_bar_symmetric
 
     def test_genus(self, trefoil):
-        assert seifert_genus(trefoil) == 1
-        assert seifert_genus([]) == 0
+        assert Knot(trefoil).genus == 1
+        assert Knot([]).genus == 0
 
     def test_canonical_symmetric_centers_and_signs(self):
         f = (one + t) * (one + t)  # centered rep is t^-1 + 2 + t
@@ -83,6 +83,21 @@ class TestAlexander:
         assert g == t ** -1 + 2 * one + t
         with pytest.raises(ValueError):
             canonical_symmetric(one + t)  # odd span: no symmetric representative
+
+
+class TestKnot:
+    def test_derives_each_value_once_and_functions_accept_it(self, figure8):
+        knot = Knot(figure8)
+        assert Knot.of(knot) is knot
+        assert alexander(knot) is knot.delta == alexander(figure8)
+        assert clover_matrix(knot) is knot.clover == clover_matrix(figure8)
+        # |H_1| of the 2- and 3-fold covers of the figure-8: 5 and 16
+        assert [abs(knot.norm(p)) for p in (2, 3)] == [5, 16]
+        assert sigma_at_omega(knot, -1) == sigma_at_omega(figure8, -1)
+
+    def test_validates_on_construction(self):
+        with pytest.raises(OddSize):
+            Knot([[1]])
 
 
 class TestCloverForm:

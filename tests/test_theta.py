@@ -69,6 +69,8 @@ class TestSymmetryMoves:
                 for perm in permutations(range(3)):
                     assert res_p_theta(Q.permuted(perm), p) == base
                 assert res_p_theta(Q.barred(), p) == base
+        with pytest.raises(ValueError):
+            Q.permuted([0, 0, 1])
 
     def test_symmetrize_is_projection(self):
         Q = _mono(1, 2, 3, 12)
