@@ -15,9 +15,10 @@ unity):
   in p.  The two routes agree by the block diagonalization of the cycle
   substitution, which the test suite verifies for every small p.
 * ``torsion_order(A, p)`` -- the order of the first homology of the
-  branched cover: the product of |Alexander| over the p-th roots of
-  unity: the exact cyclotomic norm (resultant form) that also decides
-  p-regularity.  Tests check it against |det| of the substituted clover form.
+  branched cover, ``Knot.beta(p)``: |det(Gamma^p - (Gamma - I)^p)| from
+  Seifert's integer presentation, which is 0 exactly when p is irregular.
+  Tests check it against the resultant form of the product of Alexander
+  over the p-th roots of unity and |det| of the substituted clover form.
 * ``casson_walker(A, Q, p)`` -- (1/3) res_p(Q) + (1/8) total_sigma_p.
 
 Their growth as p -> infinity:
@@ -41,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactalg import LaurentPoly, cyclotomic_norm
+from .exactalg import LaurentPoly
 from .lambdamat import varsigma_p
 from .seifert import Knot, KnotLike, sigma_at_omega
 from .theta import QSingularAtP, ThetaClass, res_p_theta, torus_average
@@ -70,14 +71,14 @@ class NotPRegular(ValueError):
 
 def is_p_regular(A: KnotLike, p: int) -> bool:
     """True when no p-th root of unity is a root of alexander(A)."""
-    return Knot.of(A).norm(p) != 0
+    return Knot.of(A).beta(p) != 0
 
 
-def _regular_norm(knot: Knot, p: int) -> Fraction:
-    norm = knot.norm(p)
-    if norm == 0:
+def _regular_beta(knot: Knot, p: int) -> int:
+    beta = knot.beta(p)
+    if beta == 0:
         raise NotPRegular("Alexander polynomial vanishes at a %d-th root of unity" % p)
-    return norm
+    return beta
 
 
 def total_sigma_p(A: KnotLike, p: int) -> int:
@@ -91,7 +92,7 @@ def total_sigma_p(A: KnotLike, p: int) -> int:
     eigenproblem.
     """
     knot = Knot.of(A)
-    _regular_norm(knot, p)
+    _regular_beta(knot, p)
     if len(knot.seifert) * p <= _EXACT_SIGMA_CAP:
         return varsigma_p(knot.clover, p)
     return sum(sigma_at_omega(knot, cmath.exp(2j * cmath.pi * k / p)) for k in range(1, p))
@@ -100,10 +101,7 @@ def total_sigma_p(A: KnotLike, p: int) -> int:
 def torsion_order(A: KnotLike, p: int) -> int:
     """Order of the torsion homology of the p-fold branched cover:
     |prod over p-th roots of unity of alexander(A)|, an exact integer."""
-    norm = _regular_norm(Knot.of(A), p)
-    if norm.denominator != 1:
-        raise ArithmeticError("the cyclotomic norm of an integer polynomial must be an integer")
-    return abs(norm.numerator)
+    return _regular_beta(Knot.of(A), p)
 
 
 def torsion_growth(
@@ -112,19 +110,18 @@ def torsion_growth(
     """Rows (p, torsion order, log(order)/p) for regular p <= pmax.
 
     Irregular p are skipped; log(order)/p converges to the Mahler measure
-    of the Alexander polynomial.  The norms are not kept on the Knot: they
-    grow linearly in p and only one is needed at a time.
+    of the Alexander polynomial.  ``Knot.beta`` advances its matrix powers
+    from the previous p, so an ascending ladder costs one step per p.
     """
     if pmax < 1:
         raise ValueError("pmax must be >= 1")
-    delta = Knot.of(A).delta
+    knot = Knot.of(A)
     rows = []
     candidates = ps if ps is not None else range(1, pmax + 1)
     for p in candidates:
-        norm = cyclotomic_norm(delta, p)
-        if norm == 0:
+        beta = knot.beta(p)
+        if beta == 0:
             continue
-        beta = abs(int(norm))
         rows.append((p, beta, math.log(beta) / p))
     return rows
 

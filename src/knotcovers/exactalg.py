@@ -461,7 +461,8 @@ def _subresultant_res(A: list[Fraction], B: list[Fraction]) -> Fraction:
 def _powmod_x(p: int, modulus: list[Fraction]) -> list[Fraction]:
     """x^p mod modulus (monic, ascending) by square and multiply."""
     d = len(modulus) - 1
-    assert d >= 1 and modulus[-1] == 1
+    if d < 1 or modulus[-1] != 1:
+        raise ValueError("modulus must be monic of degree >= 1")
 
     def mulmod(a, b):
         prod = _poly_mul(a, b)
@@ -684,18 +685,20 @@ def _companion(monic: list[Fraction]) -> list[list[Fraction]]:
 
 
 def _mat_mul(A, B):
-    n = len(A)
-    return [[sum((A[i][k] * B[k][j] for k in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
+    cols = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
 
 
 def _mat_pow(M, p: int):
+    """M^p by square and multiply, skipping the square after the top bit."""
     n = len(M)
-    R = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    R = [[int(i == j) for j in range(n)] for i in range(n)]
     while p:
         if p & 1:
             R = _mat_mul(R, M)
-        M = _mat_mul(M, M)
         p >>= 1
+        if p:
+            M = _mat_mul(M, M)
     return R
 
 
@@ -773,7 +776,8 @@ def mahler_measure(f: LaurentPoly) -> float:
         a = abs(z)
         if a > 1.0:
             total += math.log(a)
-    assert math.isfinite(total)
+    if not math.isfinite(total):
+        raise ArithmeticError("Mahler measure must be finite")
     return total
 
 
@@ -892,5 +896,6 @@ def wheels_coefficients(nmax: int) -> list[Fraction]:
     f = PowerSeries(cs, order)
     g = f.log() * Fraction(1, 2)
     out = [g.coeffs[2 * n] for n in range(1, nmax + 1)]
-    assert all(g.coeffs[2 * n + 1] == 0 for n in range(0, nmax)), "odd part must vanish"
+    if any(g.coeffs[2 * n + 1] != 0 for n in range(0, nmax)):
+        raise ArithmeticError("odd part must vanish")
     return out

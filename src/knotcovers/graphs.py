@@ -308,7 +308,8 @@ def automorphisms(G: BeadedGraph) -> list[GraphAut]:
                     eperm[e_idx] = f_idx
                     flips[e_idx] = fl
             out.append(GraphAut(tuple(vperm), tuple(eperm), tuple(flips)))
-    assert out, "identity must always be present"
+    if not out:
+        raise ArithmeticError("identity must always be present")
     return out
 
 

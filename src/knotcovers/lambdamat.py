@@ -175,7 +175,8 @@ def signature_exact(S: "SymRatMatrix | Sequence[Sequence[Fraction]]") -> tuple[i
     M = [[Fraction(x) for x in row] for row in rows]
     for i in range(n):
         for j in range(i):
-            assert M[i][j] == M[j][i], "signature_exact needs a symmetric matrix"
+            if M[i][j] != M[j][i]:
+                raise ValueError("signature_exact needs a symmetric matrix")
     plus = minus = zero = 0
     k = 0
     while k < n:
@@ -218,7 +219,8 @@ def signature_exact(S: "SymRatMatrix | Sequence[Sequence[Fraction]]") -> tuple[i
         _sym_swap(M, k + 1, j)
         b = M[k][k + 1]
         d = M[k + 1][k + 1]
-        assert M[k][k] == 0 and b != 0
+        if M[k][k] != 0 or b == 0:
+            raise ArithmeticError("hyperbolic pivot must be [[0, b], [b, d]] with b != 0")
         plus += 1
         minus += 1
         us = [M[i2][k] for i2 in range(k + 2, n)]
@@ -234,7 +236,8 @@ def signature_exact(S: "SymRatMatrix | Sequence[Sequence[Fraction]]") -> tuple[i
             M[a][k] = M[k][a] = Fraction(0)
             M[a][k + 1] = M[k + 1][a] = Fraction(0)
         k += 2
-    assert plus + minus + zero == n
+    if plus + minus + zero != n:
+        raise ArithmeticError("inertia must count every dimension once")
     return plus, minus, zero
 
 
@@ -251,9 +254,9 @@ def _sym_swap(M, a, b):
 
 
 class LambdaMatrix:
-    """Square matrix of Laurent polynomials."""
+    """Square matrix of Laurent polynomials; keeps sigma(W(1)) once computed."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "entries", "_sigma_one")
 
     def __init__(self, rows: Sequence[Sequence]):
         ent = []
@@ -270,6 +273,7 @@ class LambdaMatrix:
                 raise ValueError("matrix must be square")
         self.n = n
         self.entries = tuple(ent)
+        self._sigma_one: int | None = None
 
     @classmethod
     def identity(cls, n: int) -> "LambdaMatrix":
@@ -507,7 +511,8 @@ def subst_twisted(W: LambdaMatrix, p: int) -> LambdaMatrix:
                         {w: c}
                     )
     out = LambdaMatrix(rows)
-    assert out.is_hermitian
+    if not out.is_hermitian:
+        raise ArithmeticError("twisted substitution of a Hermitian matrix must be Hermitian")
     return out
 
 
@@ -533,10 +538,12 @@ def complex_signature(H: np.ndarray, tol: float = 1e-9) -> int:
 
 
 def _sigma_at_one(W: LambdaMatrix) -> int:
-    plus, minus, null = signature_exact(SymRatMatrix(W.eval_at_one()))
-    if null:
-        raise SingularEvaluation("W(1) is singular")
-    return plus - minus
+    if W._sigma_one is None:
+        plus, minus, null = signature_exact(SymRatMatrix(W.eval_at_one()))
+        if null:
+            raise SingularEvaluation("W(1) is singular")
+        W._sigma_one = plus - minus
+    return W._sigma_one
 
 
 def varsigma_at(W: LambdaMatrix, k: int, p: int, tol: float = 1e-9) -> int:

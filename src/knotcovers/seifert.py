@@ -23,7 +23,8 @@ form Hermitian and is checked at construction).
   the Alexander polynomial and the signature function.
 
 Each function above takes a raw matrix or a ``Knot``, which validates it
-once and derives Delta, the clover form and Delta's cyclotomic norms once.
+once and derives Delta and the clover form once.  ``Knot.beta(p)`` reads
+|H_1| of the p-fold branched cover off Seifert's integer presentation.
 
 Knot records (name + Seifert matrix + optional 2-loop class) are the JSON
 interchange format; a small bundled corpus ships with the package.
@@ -42,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactalg import LaurentPoly, cyclotomic_norm
+from .exactalg import LaurentPoly, _mat_mul, _mat_pow
 from .lambdamat import (
     AtOne,
     LambdaMatrix,
@@ -106,13 +107,13 @@ def validate_seifert(A: Sequence[Sequence[int]]) -> list[list[int]]:
 class Knot:
     """A validated Seifert matrix with the values the per-cover invariants
     read from it, each derived on first use and kept: the Alexander
-    polynomial ``delta``, the clover form ``clover`` and the cyclotomic
-    norms ``norm(p)`` of delta.  Functions taking a matrix coerce it with
-    ``Knot.of``."""
+    polynomial ``delta``, the clover form ``clover``, the integer matrix
+    ``gamma`` and the last power pair behind ``beta(p)``.  Functions taking
+    a matrix coerce it with ``Knot.of``."""
 
     def __init__(self, A: Sequence[Sequence[int]]):
         self.seifert = validate_seifert(A)
-        self._norms: dict[int, Fraction] = {}
+        self._ladder: tuple | None = None  # (p, Gamma^p, (Gamma - I)^p, beta_p)
 
     @classmethod
     def of(cls, A: "KnotLike") -> "Knot":
@@ -174,12 +175,41 @@ class Knot:
             raise ArithmeticError("clover form must be unimodular at 1")
         return W
 
-    def norm(self, p: int) -> Fraction:
-        """prod over the p-th roots of unity w of delta(w): zero exactly
-        when p is irregular, else +-|H_1| of the p-fold branched cover."""
-        if p not in self._norms:
-            self._norms[p] = cyclotomic_norm(self.delta, p)
-        return self._norms[p]
+    @cached_property
+    def gamma(self) -> list[list[int]]:
+        """Seifert's Gamma = A S^-1 with S = A - A^T; integral since det S = 1."""
+        A = self.seifert
+        n = len(A)
+        # Gauss-Jordan on [S | I]; det S = 1 guarantees a pivot in each column
+        M = [[Fraction(A[i][j] - A[j][i]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
+             for i in range(n)]
+        for k in range(n):
+            piv = next(i for i in range(k, n) if M[i][k])
+            M[k], M[piv] = M[piv], M[k]
+            prow = [x / M[k][k] for x in M[k]]
+            M = [prow if i == k else [x - r[k] * y for x, y in zip(r, prow)] for i, r in enumerate(M)]
+        if any(x.denominator != 1 for row in M for x in row):
+            raise ArithmeticError("(A - A^T)^-1 must be integral when det(A - A^T) = 1")
+        return _mat_mul(A, [[int(x) for x in row[n:]] for row in M])
+
+    def beta(self, p: int) -> int:
+        """|det(Gamma^p - (Gamma - I)^p)|, the order of H_1 of the p-fold
+        branched cover (Seifert 1935; Rolfsen, *Knots and Links*, ch. 8), in
+        any basis; 0 exactly when p is irregular.  The last p and its two
+        powers are kept, so ascending p cost one step of products each; a
+        smaller p starts again from the identity."""
+        if p < 1:
+            raise ValueError("p must be a positive integer")
+        G = self.gamma
+        last = self._ladder
+        q, Gq, Hq, beta = last if last and last[0] <= p else (0, _mat_pow(G, 0), _mat_pow(G, 0), 1)
+        if q < p:
+            H = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(G)]
+            Gq = _mat_mul(Gq, _mat_pow(G, p - q))
+            Hq = _mat_mul(Hq, _mat_pow(H, p - q))
+            beta = abs(int(rational_det([[a - b for a, b in zip(r, s)] for r, s in zip(Gq, Hq)])))
+            self._ladder = (p, Gq, Hq, beta)
+        return beta
 
 
 KnotLike = Knot | Sequence[Sequence[int]]

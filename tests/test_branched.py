@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import knotcovers.exactalg
 import knotcovers.seifert
 from knotcovers.branched import (
     BranchedReport,
@@ -18,9 +19,15 @@ from knotcovers.branched import (
     torsion_order,
     total_sigma_p,
 )
-from knotcovers.exactalg import mahler_measure
+from knotcovers.exactalg import cyclotomic_norm, mahler_measure
 from knotcovers.lambdamat import LambdaMatrix, rational_det, subst_cycle, varsigma_p
-from knotcovers.seifert import alexander, clover_matrix, corpus_records, signature_function
+from knotcovers.seifert import (
+    Knot,
+    alexander,
+    clover_matrix,
+    corpus_records,
+    signature_function,
+)
 from knotcovers.theta import ThetaClass
 
 
@@ -49,14 +56,17 @@ class TestTorsion:
         assert [torsion_order(figure8, p) for p in (2, 3, 4, 5)] == [5, 16, 45, 121]
 
     def test_both_routes_agree_on_corpus(self, trefoil, figure8):
-        # oracle: |det| of the clover form at the p-cycle matrix
+        # oracles: |det| of the clover form at the p-cycle matrix, and the
+        # cyclotomic norm of the Alexander polynomial (resultant route)
         for A in (trefoil, figure8):
             for p in range(2, 9):
                 if is_p_regular(A, p):
                     det = rational_det(subst_cycle(clover_matrix(A), p).entries)
                     assert abs(det) == torsion_order(A, p)
+                    assert abs(cyclotomic_norm(alexander(A), p)) == torsion_order(A, p)
 
     def test_irregular_p_rejected(self, trefoil):
+        assert Knot(trefoil).beta(6) == 0 == cyclotomic_norm(alexander(trefoil), 6)
         with pytest.raises(NotPRegular):
             torsion_order(trefoil, 6)
 
@@ -98,25 +108,36 @@ class TestTotalSignature:
 
 
 class TestDerivedOnce:
-    def test_report_derives_delta_once_and_each_norm_once(self, monkeypatch):
-        dets, norms = [], []
-        det, norm = LambdaMatrix.det, knotcovers.seifert.cyclotomic_norm
+    def test_report_computes_each_beta_once_and_no_delta(self, monkeypatch):
+        (rec,) = [r for r in corpus_records() if r.name == "random-g3-a"]
+        dets, rdets, norms = [], [], []
+        det, rdet, norm = LambdaMatrix.det, knotcovers.seifert.rational_det, cyclotomic_norm
 
         def counted_det(M):
             dets.append(M.n)
             return det(M)
+
+        def counted_rdet(rows):
+            rdets.append(len(rows))
+            return rdet(rows)
 
         def counted_norm(f, p):
             norms.append(p)
             return norm(f, p)
 
         monkeypatch.setattr(LambdaMatrix, "det", counted_det)
-        monkeypatch.setattr(knotcovers.seifert, "cyclotomic_norm", counted_norm)
-        (rec,) = [r for r in corpus_records() if r.name == "random-g3-a"]
+        monkeypatch.setattr(knotcovers.seifert, "rational_det", counted_rdet)
+        monkeypatch.setattr(knotcovers.exactalg, "cyclotomic_norm", counted_norm)
         rows = branched_report(rec.seifert, range(2, 21))
         assert [r.p for r in rows] == list(range(2, 21))
-        assert dets == [6]
-        assert norms == list(range(2, 21))
+        # beta_p comes from Gamma, so no row needs the Alexander polynomial
+        assert dets == []
+        # validate_seifert, the clover form's unimodularity check, then one
+        # det(Gamma^p - (Gamma - I)^p) per p
+        assert rdets == [6] * (2 + 19)
+        for module in (knotcovers.seifert, knotcovers.branched):
+            assert not hasattr(module, "cyclotomic_norm")
+        assert norms == []
 
 
 class TestAverages:

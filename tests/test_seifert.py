@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from knotcovers.exactalg import LaurentPoly
+from knotcovers.exactalg import LaurentPoly, cyclotomic_norm
 from knotcovers.lambdamat import AtOne, NotHermitian, SingularEvaluation
 from knotcovers.seifert import (
     Knot,
@@ -92,12 +92,49 @@ class TestKnot:
         assert alexander(knot) is knot.delta == alexander(figure8)
         assert clover_matrix(knot) is knot.clover == clover_matrix(figure8)
         # |H_1| of the 2- and 3-fold covers of the figure-8: 5 and 16
-        assert [abs(knot.norm(p)) for p in (2, 3)] == [5, 16]
+        assert [knot.beta(p) for p in (2, 3)] == [5, 16]
         assert sigma_at_omega(knot, -1) == sigma_at_omega(figure8, -1)
 
     def test_validates_on_construction(self):
         with pytest.raises(OddSize):
             Knot([[1]])
+
+
+def resultant_beta(A, p):
+    """Oracle for Knot.beta: |cyclotomic norm of the Alexander polynomial|."""
+    return abs(cyclotomic_norm(alexander(A), p))
+
+
+class TestSeifertPresentation:
+    def test_any_basis_gives_the_same_beta(self, rng):
+        # A -> P^T A P with a unimodular P that mixes x_1 into y_1 and
+        # swaps x_2, y_2: still a Seifert matrix of the same knot, not banded
+        A = random_seifert(2, rng)
+        P = [[1, 0, 0, 0], [0, 0, 0, 1], [2, 0, 1, 0], [0, 1, 0, 0]]
+        B = [[sum(P[k][i] * A[k][l] * P[l][j] for k in range(4) for l in range(4))
+              for j in range(4)] for i in range(4)]
+        with pytest.raises(NotHermitian):
+            clover_matrix(B)
+        knot = Knot(B)
+        assert [knot.beta(p) for p in range(1, 16)] == [resultant_beta(A, p) for p in range(1, 16)]
+
+    def test_large_p_on_genus_three(self, rng):
+        A = random_seifert(3, rng)
+        knot = Knot(A)
+        for p in (257, 1000):
+            assert knot.beta(p) == resultant_beta(A, p)
+
+    def test_ladder_restarts_out_of_order_and_repeats(self, trefoil, figure8, rng):
+        for A in (trefoil, figure8, random_seifert(2, rng)):
+            knot = Knot(A)
+            ps = [5, 9, 9, 3, 12, 12, 1, 7, 2, 30]
+            assert [knot.beta(p) for p in ps] == [resultant_beta(A, p) for p in ps]
+
+    def test_unknot_and_p_one(self, trefoil):
+        assert [Knot([]).beta(p) for p in (1, 2, 7)] == [1, 1, 1]
+        assert Knot(trefoil).beta(1) == 1
+        with pytest.raises(ValueError):
+            Knot(trefoil).beta(0)
 
 
 class TestCloverForm:
