@@ -160,7 +160,7 @@ def criterion_03(ctx: AcceptanceContext):
     p <= 10 on the bundled corpus, and matches frozen trefoil values."""
     exp = ctx.expected["trefoil_varsigma"]
     for rec in corpus_records():
-        knot = Knot(rec.seifert)
+        knot = rec.knot
         W = knot.clover
         for p in range(2, 11):
             if not is_p_regular(knot, p):
@@ -179,7 +179,7 @@ def criterion_04(ctx: AcceptanceContext):
     for p <= 12 on the corpus, zeros (irregular p) included, and |det| of
     the substituted clover form at regular p; frozen trefoil spots."""
     for rec in corpus_records():
-        knot = Knot(rec.seifert)
+        knot = rec.knot
         for p in range(2, 13):
             beta = knot.beta(p)
             norm = cyclotomic_norm(knot.delta, p)
@@ -274,7 +274,7 @@ def criterion_09(ctx: AcceptanceContext):
     ]
     p = 200
     for rec in corpus_records():
-        knot = Knot(rec.seifert)
+        knot = rec.knot
         check(is_p_regular(knot, p), "%s must be regular at %d" % (rec.name, p))
         for Q in qs:
             cw = casson_walker(knot, Q, p)

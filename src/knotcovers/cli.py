@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .exactalg import LaurentPoly, SingularAtOne, mahler_measure
 from .lambdamat import AtOne, SingularEvaluation, normalized_determinant
-from .seifert import Knot, KnotRecord, corpus_records, signature_function
+from .seifert import KnotRecord, corpus_records, signature_function
 from .branched import (
     branched_report,
     casson_growth,
@@ -202,7 +202,7 @@ def _write_out(args, text: str):
 
 def cmd_alexander(args) -> int:
     rec = _load_knot(args)
-    knot = Knot(rec.seifert)
+    knot = rec.knot
     delta = knot.delta
     rows = [
         ["name", rec.name],
@@ -218,7 +218,7 @@ def cmd_alexander(args) -> int:
 
 
 def cmd_signature(args) -> int:
-    knot = Knot(_load_knot(args).seifert)
+    knot = _load_knot(args).knot
     ps = _parse_ps(args.p)
     if len(ps) != 1:
         raise ValueError("signature takes a single --p, not a range")
@@ -245,7 +245,7 @@ def cmd_branched(args) -> int:
     rec = _load_knot(args)
     Q = _pick_q(args, rec)
     ps = _parse_ps(args.p)
-    reports = branched_report(Knot(rec.seifert), ps, Q=Q)
+    reports = branched_report(rec.knot, ps, Q=Q)
     columns = ["p", "regular", "sigma_p", "beta_p", "log_beta_over_p"]
     if Q is not None:
         columns.append("casson")
@@ -263,7 +263,7 @@ def cmd_branched(args) -> int:
 
 def cmd_growth(args) -> int:
     rec = _load_knot(args)
-    knot = Knot(rec.seifert)
+    knot = rec.knot
     Q = _pick_q(args, rec)
     ps = _parse_ps(args.ps) if args.ps else None
     pmax = args.pmax if args.pmax else (max(ps) if ps else 100)

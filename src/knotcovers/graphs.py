@@ -24,17 +24,23 @@ Two quantities are attached for each p >= 1:
 
 ``liftres_check`` verifies that the two agree -- exactly, term by term --
 and ``liftres_sweep`` runs the comparison over every bead tuple in
-{0..p-1}^(#edges), vectorizing the residue side over tuples via the same
-per-automorphism cycle matrices that ``phi_R`` uses.
+{0..p-1}^(#edges), or a seeded sample of them, a chunk of tuples at a
+time.  Its residue side rests on one certificate per graph: every
+automorphism acts on the cycle lattice by a unimodular matrix, so all of
+them share the kernel of the fundamental-cycle matrix mod p, and the
+average over the group is one kernel test.  Its lift side replays the
+coloring propagation of ``count_admissible`` as column operations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
+
+from .lambdamat import rational_det
 
 __all__ = [
     "TooLarge",
@@ -56,6 +62,11 @@ __all__ = [
 ]
 
 _VERTEX_CAP = 8
+# bead tuples one liftres_sweep may check: admits theta^3 at p = 5 (5^9,
+# about 1.95M) and refuses it at p = 7 (40M); and tuples per numpy batch,
+# which keeps a batch's temporaries at a few hundred KB
+_SWEEP_CAP = 1 << 22
+_CHUNK = 1 << 12
 
 
 class TooLarge(ValueError):
@@ -407,23 +418,13 @@ def cycle_monodromies(
     return tuple(sum(c * beads[e] for e, c in cyc.items()) for cyc in cycles)
 
 
-def _aut_cycle_matrices(
-    G: BeadedGraph, cycles: Sequence[Mapping[int, int]], auts: Sequence[GraphAut]
-) -> np.ndarray:
+def _aut_cycle_matrices(C: np.ndarray, auts: Sequence[GraphAut]) -> np.ndarray:
     """Integer tensor D[a][i][e] with the property that the i-th cycle
     monodromy of the beads pushed forward by automorphism a equals
-    sum_e D[a][i][e] * bead_e."""
-    E = len(G.edges)
-    D = np.zeros((len(auts), len(cycles), E), dtype=np.int64)
-    for ai, aut in enumerate(auts):
-        for e in range(E):
-            target = aut.eperm[e]
-            sgn = -1 if aut.flips[e] else 1
-            for ci, cyc in enumerate(cycles):
-                c = cyc.get(target)
-                if c:
-                    D[ai, ci, e] = sgn * c
-    return D
+    sum_e D[a][i][e] * bead_e, for the cycle matrix C[i][e]."""
+    eperm = np.array([aut.eperm for aut in auts], dtype=np.int64).reshape(len(auts), -1)
+    sign = np.where(np.array([aut.flips for aut in auts], dtype=bool), -1, 1)
+    return C[:, eperm].transpose(1, 0, 2) * sign.reshape(len(auts), 1, -1)
 
 
 def phi_R(
@@ -478,6 +479,105 @@ def liftres_check(G: BeadedGraph, p: int, forest: Sequence[int] | None = None) -
     return Fraction(count_admissible(G, p)) == res_p_graph(phi_R(G, forest), G, p)
 
 
+class _Plan(NamedTuple):
+    """The coloring propagation of ``count_admissible`` with the beads left
+    open.  A step (w, v, edge, sign) reads color[w] = color[v] + sign *
+    bead[edge] mod p: ``sets`` fill in the colors in traversal order,
+    ``checks`` are every other edge incidence, and ``comps`` counts the
+    components, each of which shifts freely."""
+
+    n_vertices: int
+    sets: list[tuple[int, int, int, int]]
+    checks: list[tuple[int, int, int, int]]
+    comps: int
+
+
+def _coloring_plan(G: BeadedGraph) -> _Plan:
+    """Walk the graph as ``count_admissible`` does; which incidence sets
+    a color and which checks one depends on the topology alone."""
+    n = G.n_vertices
+    incident: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for idx, e in enumerate(G.edges):
+        incident[e.tail].append((idx, e.head, +1))
+        incident[e.head].append((idx, e.tail, -1))
+    colored = [False] * n
+    sets, checks = [], []
+    comps = 0
+    for start in range(n):
+        if colored[start]:
+            continue
+        comps += 1
+        colored[start] = True
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for idx, w, sign in incident[v]:
+                if colored[w]:
+                    checks.append((w, v, idx, sign))
+                else:
+                    colored[w] = True
+                    sets.append((w, v, idx, sign))
+                    stack.append(w)
+    return _Plan(n, sets, checks, comps)
+
+
+def _colorable(plan: _Plan, beads: np.ndarray, p: int) -> np.ndarray:
+    """Per bead tuple (row), whether a Z_p coloring exists: the lift
+    count is p^comps where True and 0 where False."""
+    colors = np.zeros((beads.shape[0], plan.n_vertices), dtype=np.int64)
+    for w, v, e, s in plan.sets:
+        colors[:, w] = (colors[:, v] + s * beads[:, e]) % p
+    w, v, e, s = np.array(plan.checks, dtype=np.int64).reshape(-1, 4).T
+    return ((colors[:, v] + s * beads[:, e] - colors[:, w]) % p == 0).all(axis=1)
+
+
+def _certified_cycle_matrix(G: BeadedGraph) -> np.ndarray:
+    """The fundamental-cycle matrix C (b1 x E), once every automorphism a
+    is shown to act on the cycle lattice by a unimodular U_a.
+
+    C is the identity on the non-forest edges, so U_a can only be the
+    non-forest columns of D[a]; the certificate is D[a] == U_a C and
+    det U_a = +-1, exactly.  Then D[a] x = 0 mod p iff C x = 0 mod p, for
+    every p, and phi_R's average over the group is the single test
+    C x = 0 mod p.  ArithmeticError if any automorphism fails."""
+    nonforest, cycles = fundamental_cycles(G)
+    C = np.zeros((len(cycles), len(G.edges)), dtype=np.int64)
+    for i, cyc in enumerate(cycles):
+        for e, c in cyc.items():
+            C[i, e] = c
+    D = _aut_cycle_matrices(C, automorphisms(G))
+    U = D[:, :, nonforest]
+    if not np.array_equal(D, U @ C):
+        raise ArithmeticError("an automorphism does not act on the cycle lattice")
+    for u in {u.tobytes(): u for u in U}.values():
+        if abs(rational_det(u.tolist())) != 1:
+            raise ArithmeticError("an automorphism acts on the cycle lattice with det != +-1")
+    return C
+
+
+def _cycles_vanish(C: np.ndarray, beads: np.ndarray, p: int) -> np.ndarray:
+    """Per bead tuple (row), whether every cycle monodromy is 0 mod p."""
+    return ((beads @ C.T) % p == 0).all(axis=1)
+
+
+def _bead_chunks(p: int, E: int, max_cases: int | None, rng) -> Iterator[np.ndarray]:
+    """Bead tuples in int64 blocks of at most _CHUNK rows: all of
+    {0..p-1}^E in lexicographic order (mixed-radix digits of a running
+    index) when max_cases is None, else max_cases rows of E
+    ``rng.randrange(p)`` draws each, drawn row by row."""
+    if max_cases is None:
+        total = p ** E
+        place = p ** np.arange(E - 1, -1, -1, dtype=np.int64)
+        for start in range(0, total, _CHUNK):
+            index = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+            yield index[:, None] // place % p
+    else:
+        for start in range(0, max_cases, _CHUNK):
+            n = min(_CHUNK, max_cases - start)
+            draws = [rng.randrange(p) for _ in range(n * E)]
+            yield np.array(draws, dtype=np.int64).reshape(n, E)
+
+
 def liftres_sweep(
     G: BeadedGraph,
     p: int,
@@ -486,39 +586,43 @@ def liftres_sweep(
 ) -> tuple[int, int]:
     """Compare lift count against residue for bead tuples in {0..p-1}^E.
 
-    Exhaustive by default.  The residue side is evaluated for all tuples
-    at once from the per-automorphism cycle matrices (the same data
-    phi_R uses); the lift side runs the independent coloring propagation
-    per tuple.  When max_cases is given and smaller than p^E, a random
-    sample of that size is used instead.  Returns (cases, failures).
+    Exhaustive by default; when max_cases is given and smaller than p^E,
+    a sample of that size drawn from rng.  On a tuple x both sides are 0
+    or p^b0: the lift count when the coloring plan of ``count_admissible``
+    goes through, and the residue p^b0 * hits / |Aut| when C x = 0 mod p
+    (the certificate makes hits = |Aut| or 0).  Each side is evaluated
+    independently over chunks of tuples.  Returns (cases, failures).
+
+    ValueError for p outside 1..2^63 / (E + 2) - 1, for max_cases below
+    1, for sampling without an rng, and, before any work, for more than
+    _SWEEP_CAP cases.
     """
     E = len(G.edges)
-    auts = automorphisms(G)
-    _, cycles = fundamental_cycles(G)
-    D = _aut_cycle_matrices(G, cycles, auts)
+    # int64 must hold a cycle's sum of up to E beads below p, and a color
+    # check's sum of three values below p
+    pmax = 2 ** 63 // (E + 2) - 1
+    if not 1 <= p <= pmax:
+        raise ValueError("p must lie in 1..%d, where the int64 batches stay exact" % pmax)
+    if max_cases is not None and max_cases < 1:
+        raise ValueError("max_cases (--max-cases) must be at least 1, got %d" % max_cases)
     total = p ** E
-    if max_cases is not None and max_cases < total:
-        if rng is None:
-            raise ValueError("sampling needs an rng")
-        tuples = np.array(
-            [[rng.randrange(p) for _ in range(E)] for _ in range(max_cases)],
-            dtype=np.int64,
+    if max_cases is not None and max_cases >= total:
+        max_cases = None
+    if max_cases is not None and rng is None:
+        raise ValueError("sampling needs an rng")
+    ncase = total if max_cases is None else max_cases
+    if ncase > _SWEEP_CAP:
+        raise ValueError(
+            "%d bead tuples exceed the sweep cap of %d; sample fewer with --max-cases"
+            % (ncase, _SWEEP_CAP)
         )
-    else:
-        tuples = np.array(list(product(range(p), repeat=E)), dtype=np.int64)
-    ncase = tuples.shape[0]
-    hits = np.zeros(ncase, dtype=np.int64)
-    for ai in range(D.shape[0]):
-        mono = tuples @ D[ai].T
-        hits += np.all(mono % p == 0, axis=1)
-    # residue * |Aut| = hits * p^b0  (all integers; compare cross-multiplied)
-    pb0 = p ** G.b0
-    naut = len(auts)
+    C = _certified_cycle_matrix(G)
+    plan = _coloring_plan(G)
+    if plan.comps != G.b0:
+        raise ArithmeticError("the coloring plan must visit every component once")
     failures = 0
-    for row, h in zip(tuples, hits):
-        left = count_admissible(G.with_beads([int(x) for x in row]), p)
-        if left * naut != int(h) * pb0:
-            failures += 1
+    for beads in _bead_chunks(p, E, max_cases, rng):
+        failures += int(np.count_nonzero(_colorable(plan, beads, p) != _cycles_vanish(C, beads, p)))
     return ncase, failures
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import cmath
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
@@ -328,15 +328,19 @@ def random_seifert(g: int, rng: random.Random, bound: int = 3) -> list[list[int]
 @dataclass
 class KnotRecord:
     """A named knot presented by a Seifert matrix, with an optional
-    2-loop class used by the Casson-Walker computations."""
+    2-loop class used by the Casson-Walker computations.  The matrix is
+    validated once, into ``knot``, whose normalized rows ``seifert`` then
+    holds."""
 
     name: str
     seifert: list[list[int]]
     q2loop: "ThetaClass | None" = None
     provenance: str | None = None
+    knot: Knot = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.seifert = validate_seifert(self.seifert)
+        self.knot = Knot(self.seifert)
+        self.seifert = self.knot.seifert
 
     def to_json(self) -> dict:
         obj: dict = {"name": self.name, "seifert": self.seifert}

@@ -1,5 +1,6 @@
 """Cyclic branched cover invariants: torsion, signatures, Casson-Walker."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from knotcovers.branched import (
     torsion_order,
     total_sigma_p,
 )
+from knotcovers.cli import main
 from knotcovers.exactalg import cyclotomic_norm, mahler_measure
 from knotcovers.lambdamat import LambdaMatrix, rational_det, subst_cycle, varsigma_p
 from knotcovers.seifert import (
@@ -138,6 +140,27 @@ class TestDerivedOnce:
         for module in (knotcovers.seifert, knotcovers.branched):
             assert not hasattr(module, "cyclotomic_norm")
         assert norms == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["branched", "--p", "2..6"], ["growth", "--pmax", "12"]],
+        ids=["branched", "growth"],
+    )
+    def test_cli_validates_the_seifert_matrix_once(self, argv, monkeypatch, tmp_path, capsys):
+        (rec,) = [r for r in corpus_records() if r.name == "random-g3-a"]
+        f = tmp_path / "knot.json"
+        f.write_text(json.dumps(rec.seifert))
+        calls = []
+        validate = knotcovers.seifert.validate_seifert
+
+        def counted_validate(A):
+            calls.append(len(A))
+            return validate(A)
+
+        monkeypatch.setattr(knotcovers.seifert, "validate_seifert", counted_validate)
+        assert main(argv + ["--file", str(f)]) == 0
+        capsys.readouterr()
+        assert calls == [6]
 
 
 class TestAverages:

@@ -1,9 +1,14 @@
 """Beaded trivalent graphs: lifts, automorphisms, symbols, residues."""
 
+import json
+import random
 from itertools import product
 
+import numpy as np
 import pytest
 
+import knotcovers.graphs as graphs
+from knotcovers.cli import main
 from knotcovers.graphs import (
     BeadedGraph,
     Edge,
@@ -20,6 +25,45 @@ from knotcovers.graphs import (
     res_p_graph,
     theta_graph,
 )
+
+
+THETA, EYES = theta_graph(), eyes_graph()
+SWEEP_GRAPHS = {
+    "theta": THETA,
+    "eyes": EYES,
+    "theta-theta": disjoint_union(THETA, THETA),
+    "theta-eyes": disjoint_union(THETA, EYES),
+}
+
+
+def _all_tuples(G, p):
+    return np.array(list(product(range(p), repeat=len(G.edges))), dtype=np.int64)
+
+
+def _loop_cycle_matrices(G, cycles, auts):
+    """Oracle for the automorphism tensor: D[a][i][e] entry by entry."""
+    E = len(G.edges)
+    D = np.zeros((len(auts), len(cycles), E), dtype=np.int64)
+    for ai, aut in enumerate(auts):
+        for e in range(E):
+            target = aut.eperm[e]
+            sgn = -1 if aut.flips[e] else 1
+            for ci, cyc in enumerate(cycles):
+                c = cyc.get(target)
+                if c:
+                    D[ai, ci, e] = sgn * c
+    return D
+
+
+def _per_automorphism_hits(G, tuples, p):
+    """Oracle for the residue side: one matmul per automorphism, counting
+    the automorphisms whose pushed-forward monodromies all vanish mod p."""
+    _, cycles = fundamental_cycles(G)
+    D = _loop_cycle_matrices(G, cycles, automorphisms(G))
+    hits = np.zeros(tuples.shape[0], dtype=np.int64)
+    for Da in D:
+        hits += np.all((tuples @ Da.T) % p == 0, axis=1)
+    return hits
 
 
 def _brute_lift_count(G, p):
@@ -158,3 +202,169 @@ class TestLiftResIdentity:
             for p in (2, 3, 5):
                 assert count_admissible(H, p) == count_admissible(G, p)
                 assert res_p_graph(phi_R(H), H, p) == res_p_graph(phi_R(G), G, p)
+
+
+class TestSweepEngine:
+    """The batched sweep against the per-automorphism loop and the scalar
+    lift counts it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
+    def test_automorphism_tensor_matches_loop(self, name):
+        G = SWEEP_GRAPHS[name]
+        auts = automorphisms(G)
+        C = graphs._certified_cycle_matrix(G)
+        _, cycles = fundamental_cycles(G)
+        want = _loop_cycle_matrices(G, cycles, auts)
+        assert np.array_equal(graphs._aut_cycle_matrices(C, auts), want)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
+    def test_residue_side_matches_per_automorphism_loop(self, name):
+        G = SWEEP_GRAPHS[name]
+        naut = len(automorphisms(G))
+        C = graphs._certified_cycle_matrix(G)
+        for p in range(1, 6):
+            tuples = _all_tuples(G, p)
+            hits = _per_automorphism_hits(G, tuples, p)
+            assert set(np.unique(hits)) <= {0, naut}
+            assert np.array_equal(naut * graphs._cycles_vanish(C, tuples, p), hits)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
+    def test_batched_coloring_matches_scalar_lift_counts(self, name):
+        G = SWEEP_GRAPHS[name]
+        plan = graphs._coloring_plan(G)
+        assert plan.comps == G.b0
+        for p in range(1, 6 if len(G.edges) == 3 else 4):
+            tuples = _all_tuples(G, p)
+            lifts = np.where(graphs._colorable(plan, tuples, p), p ** plan.comps, 0)
+            for row, lift in zip(tuples.tolist(), lifts.tolist()):
+                H = G.with_beads(row)
+                assert lift == count_admissible(H, p) == _brute_lift_count(H, p), (row, p)
+
+    def test_chunks_enumerate_in_product_order(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_CHUNK", 7)
+        for p, E in ((3, 3), (2, 6), (5, 2), (1, 4)):
+            blocks = list(graphs._bead_chunks(p, E, None, None))
+            assert all(b.shape[0] <= 7 for b in blocks)
+            got = np.concatenate(blocks).tolist()
+            assert got == [list(t) for t in product(range(p), repeat=E)]
+
+    def test_samples_keep_the_draw_order(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_CHUNK", 7)
+        draws = random.Random(5)
+        want = [[draws.randrange(7) for _ in range(6)] for _ in range(50)]
+        got = np.concatenate(list(graphs._bead_chunks(7, 6, 50, random.Random(5))))
+        assert got.tolist() == want
+
+    def test_sweep_across_chunk_boundaries(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_CHUNK", 7)
+        assert liftres_sweep(SWEEP_GRAPHS["theta-eyes"], 3) == (729, 0)
+
+    def test_theta_cubed_exhaustive(self):
+        assert liftres_sweep(disjoint_union(THETA, THETA, THETA), 3) == (19683, 0)
+
+    def test_dropping_one_edges_checks_is_detected(self, monkeypatch):
+        G = SWEEP_GRAPHS["theta-theta"]
+        plan = graphs._coloring_plan(G)
+        tree = {e for _, _, e, _ in plan.sets}
+        cotree = sorted(set(range(len(G.edges))) - tree)
+        assert len(cotree) == G.b1
+        for k in cotree:
+            partial = plan._replace(checks=[c for c in plan.checks if c[2] != k])
+            monkeypatch.setattr(graphs, "_coloring_plan", lambda G, partial=partial: partial)
+            cases, failures = liftres_sweep(G, 4)
+            assert cases == 4 ** 6 and failures > 0, k
+
+    @pytest.mark.parametrize("corrupt", ["entry", "scale"])
+    def test_corrupted_automorphism_tensor_raises(self, monkeypatch, corrupt):
+        G = SWEEP_GRAPHS["theta-theta"]
+        nonforest, _ = fundamental_cycles(G)
+        forest_edge = min(set(range(len(G.edges))) - set(nonforest))
+        tensor = graphs._aut_cycle_matrices
+
+        def corrupted(C, auts):
+            D = tensor(C, auts)
+            if corrupt == "entry":
+                D[5, 0, forest_edge] += 1  # D[a] leaves the row space of C
+            else:
+                D[5] *= 2  # D[a] = (2 U_a) C, and det(2 U_a) = 16
+            return D
+
+        monkeypatch.setattr(graphs, "_aut_cycle_matrices", corrupted)
+        with pytest.raises(ArithmeticError):
+            liftres_sweep(G, 2)
+
+    def test_no_per_tuple_graphs_or_lift_counts(self, monkeypatch):
+        counts = {"count_admissible": 0, "BeadedGraph": 0}
+        scalar, init = graphs.count_admissible, BeadedGraph.__init__
+
+        def counted_scalar(G, p):
+            counts["count_admissible"] += 1
+            return scalar(G, p)
+
+        def counted_init(self, *args, **kwargs):
+            counts["BeadedGraph"] += 1
+            init(self, *args, **kwargs)
+
+        G = SWEEP_GRAPHS["theta-theta"]
+        monkeypatch.setattr(graphs, "count_admissible", counted_scalar)
+        monkeypatch.setattr(BeadedGraph, "__init__", counted_init)
+        assert liftres_sweep(G, 3) == (729, 0)
+        assert liftres_sweep(G, 5, max_cases=100, rng=random.Random(1)) == (100, 0)
+        assert counts == {"count_admissible": 0, "BeadedGraph": 0}
+
+
+class TestSweepLimits:
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_max_cases_below_one(self, bad, rng):
+        with pytest.raises(ValueError, match="max_cases"):
+            liftres_sweep(THETA, 3, max_cases=bad, rng=rng)
+
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_cli_max_cases_below_one(self, capsys, bad):
+        code = main(["liftres", "--graph", "theta", "--p", "3", "--max-cases", bad])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "max_cases" in err and "matmul" not in err
+
+    @pytest.mark.parametrize("p", [0, 2 ** 63 // 5, 2 ** 64])
+    def test_p_outside_the_int64_range(self, capsys, p, rng):
+        with pytest.raises(ValueError, match="p must lie"):
+            liftres_sweep(THETA, p, max_cases=10, rng=rng)
+        if p:
+            assert main(["liftres", "--graph", "theta", "--p", str(p), "--max-cases", "10"]) == 2
+            assert "p must lie" in capsys.readouterr().err
+
+    def test_largest_p_in_range(self, rng):
+        p = 2 ** 63 // 5 - 1
+        assert liftres_sweep(THETA, p, max_cases=200, rng=rng) == (200, 0)
+        plan, C = graphs._coloring_plan(THETA), graphs._certified_cycle_matrix(THETA)
+        beads = np.array([[p - 1, p - 1, p - 1], [0, p - 1, 1]], dtype=np.int64)
+        assert graphs._colorable(plan, beads, p).tolist() == [True, False]
+        assert graphs._cycles_vanish(C, beads, p).tolist() == [True, False]
+
+    def test_cap_admits_theta_cubed_at_5_only(self):
+        assert 5 ** 9 <= graphs._SWEEP_CAP < 7 ** 9
+
+    def test_oversized_sweeps_refused_before_work(self, monkeypatch, rng):
+        def no_work(G):
+            raise AssertionError("the sweep started work")
+
+        monkeypatch.setattr(graphs, "automorphisms", no_work)
+        monkeypatch.setattr(graphs, "_coloring_plan", no_work)
+        G = disjoint_union(THETA, THETA, THETA)
+        with pytest.raises(ValueError, match="--max-cases"):
+            liftres_sweep(G, 7)
+        with pytest.raises(ValueError, match="--max-cases"):
+            liftres_sweep(G, 7, max_cases=graphs._SWEEP_CAP + 1, rng=rng)
+
+    def test_cli_refuses_theta_cubed_at_7(self, capsys, monkeypatch, tmp_path):
+        def no_work(G):
+            raise AssertionError("the sweep started work")
+
+        monkeypatch.setattr(graphs, "automorphisms", no_work)
+        f = tmp_path / "theta3.json"
+        f.write_text(json.dumps(disjoint_union(THETA, THETA, THETA).to_json()))
+        code = main(["liftres", "--file", str(f), "--p", "7"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--max-cases" in captured.err
