@@ -1,19 +1,16 @@
 """Invariants of the p-fold cyclic branched covers of a knot.
 
-Everything is driven by a Seifert matrix A (banded basis, see seifert.py),
-raw or as a ``Knot``, and, for the Casson-Walker combination, a 2-loop
-class Q.
+Everything is driven by a Seifert matrix A in any basis, raw or as a
+``Knot``, and, for the Casson-Walker combination, a 2-loop class Q.
 
 For p-regular p (no root of the Alexander polynomial at a p-th root of
 unity):
 
 * ``total_sigma_p(A, p)`` -- the total equivariant signature, the sum of
-  the signature function over all p-th roots of unity.  Computed exactly
-  by substituting the p-cycle matrix into the clover form and taking the
-  exact inertia; for large p an equivalent per-root summation (each
-  summand an integer from the numeric eigensolver) keeps the cost linear
-  in p.  The two routes agree by the block diagonalization of the cycle
-  substitution, which the test suite verifies for every small p.
+  the signature function over the p-th roots of unity, one 2g x 2g numeric
+  Hermitian eigenproblem per root, so the cost is linear in p.  Its oracle
+  is the exact inertia of the clover form at the p-cycle matrix
+  (``lambdamat.varsigma_p``), compared in selftest criterion 3 and tests.
 * ``torsion_order(A, p)`` -- the order of the first homology of the
   branched cover, ``Knot.beta(p)``: |det(Gamma^p - (Gamma - I)^p)| from
   Seifert's integer presentation, which is 0 exactly when p is irregular.
@@ -27,8 +24,9 @@ Their growth as p -> infinity:
   Mahler measure of the Alexander polynomial;
 * ``signature_average`` integrates the signature function over the unit
   circle exactly-by-structure: the function is constant on the arcs cut
-  out by the roots of the Alexander polynomial, so one evaluation per arc
-  midpoint, weighted by arc length, is the full integral;
+  out by the distinct roots of the Alexander polynomial, so one
+  evaluation per arc midpoint, weighted by arc length, is the full
+  integral;
 * ``casson_growth`` -- (1/3) torus_average(Q) + (1/8) signature_average.
 """
 
@@ -42,8 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactalg import LaurentPoly
-from .lambdamat import varsigma_p
+from .exactalg import LaurentPoly, _squarefree_parts
 from .seifert import Knot, KnotLike, sigma_at_omega
 from .theta import QSingularAtP, ThetaClass, res_p_theta, torus_average
 
@@ -60,9 +57,8 @@ __all__ = [
     "branched_report",
 ]
 
-# exact congruence diagonalization is cubic in 2g*p; beyond this cap the
-# per-root route gives the same integer in linear time
-_EXACT_SIGMA_CAP = 64
+# a root of the square-free part of Delta this close to |t| = 1 is on it
+_ON_CIRCLE = 1e-8
 
 
 class NotPRegular(ValueError):
@@ -82,19 +78,11 @@ def _regular_beta(knot: Knot, p: int) -> int:
 
 
 def total_sigma_p(A: KnotLike, p: int) -> int:
-    """Sum of the signature function over all p-th roots of unity.
-
-    While the substituted matrix is small (2g * p <= 64) this is the
-    inertia of the clover form evaluated at the p-cycle matrix, minus p
-    times the inertia at 1, all in rational arithmetic.  Beyond that it is
-    the sum of the per-root signatures k = 1..p-1 (the root at 1
-    contributes 0), each an exact integer recovered from a small Hermitian
-    eigenproblem.
-    """
+    """Sum of the signature function over the p-th roots of unity k = 1..p-1
+    (the root at 1 contributes 0), each an integer from a 2g x 2g Hermitian
+    eigenproblem in any basis; NotPRegular if Delta vanishes at one."""
     knot = Knot.of(A)
     _regular_beta(knot, p)
-    if len(knot.seifert) * p <= _EXACT_SIGMA_CAP:
-        return varsigma_p(knot.clover, p)
     return sum(sigma_at_omega(knot, cmath.exp(2j * cmath.pi * k / p)) for k in range(1, p))
 
 
@@ -126,34 +114,24 @@ def torsion_growth(
     return rows
 
 
-def _unit_circle_root_angles(delta: LaurentPoly, root_tol: float = 1e-8) -> list[float]:
-    """Angles in (0, 2 pi) of the unit-circle roots of delta (numeric)."""
-    fhat = delta.shift(-delta.min_exp)
-    asc, _ = fhat._ascending()
-    if len(asc) == 1:
-        return []
-    roots = np.roots([float(c) for c in reversed(asc)])
-    angles = []
-    for z in roots:
-        if abs(abs(z) - 1.0) < root_tol:
-            a = math.atan2(z.imag, z.real) % (2.0 * math.pi)
-            if a > root_tol:
-                angles.append(a)
-    angles.sort()
-    merged: list[float] = []
-    for a in angles:
-        if not merged or a - merged[-1] > root_tol:
-            merged.append(a)
-    return merged
+def _unit_circle_root_angles(delta: LaurentPoly) -> list[float]:
+    """Sorted angles in (0, 2 pi) of the distinct unit-circle roots of
+    delta (numeric, on its square-free part; delta(1) = 1 excludes 0)."""
+    return sorted(
+        math.atan2(z.imag, z.real) % (2.0 * math.pi)
+        for part in _squarefree_parts(delta)[:1]
+        for z in np.roots([float(c) for c in reversed(part)])
+        if abs(abs(z) - 1.0) < _ON_CIRCLE
+    )
 
 
-def signature_average(A: KnotLike, tol: float = 1e-9) -> float:
+def signature_average(A: KnotLike) -> float:
     """Average of the signature function over the unit circle.
 
-    The function is constant on each arc between consecutive roots of the
-    Alexander polynomial (and vanishes on the arcs adjacent to 1), so the
-    integral is exact-by-structure: evaluate at one midpoint per arc and
-    weight by arc length over 2 pi.  Root locations are numeric.
+    The function is constant on each arc between consecutive distinct
+    roots of the Alexander polynomial (and vanishes on the arcs adjacent
+    to 1), so the integral is exact-by-structure: evaluate at one midpoint
+    per arc and weight by arc length over 2 pi.  Root locations are numeric.
     """
     knot = Knot.of(A)
     angles = _unit_circle_root_angles(knot.delta)
@@ -162,13 +140,8 @@ def signature_average(A: KnotLike, tol: float = 1e-9) -> float:
     bounds = [0.0] + angles + [2.0 * math.pi]
     total = 0.0
     for lo, hi in zip(bounds, bounds[1:]):
-        if hi - lo < 1e-12:
-            continue
         mid = (lo + hi) / 2.0
-        if mid < 1e-9 or 2.0 * math.pi - mid < 1e-9:
-            continue
-        sig = sigma_at_omega(knot, cmath.exp(1j * mid), tol)
-        total += sig * (hi - lo)
+        total += sigma_at_omega(knot, cmath.exp(1j * mid)) * (hi - lo)
     return total / (2.0 * math.pi)
 
 
@@ -188,11 +161,10 @@ def casson_walker(A: KnotLike, Q: ThetaClass, p: int):
     return _casson(res_p_theta(Q, p), sig)
 
 
-def casson_growth(A: KnotLike, Q: ThetaClass, tol: float = 1e-9) -> float:
+def casson_growth(A: KnotLike, Q: ThetaClass) -> float:
     """Limit of casson_walker(A, Q, p)/p as p grows:
     (1/3) torus_average(Q) + (1/8) signature_average(A)."""
-    avg = torus_average(Q, tol)
-    return float(avg) / 3.0 + signature_average(A, tol) / 8.0
+    return float(torus_average(Q)) / 3.0 + signature_average(A) / 8.0
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .exactalg import LaurentPoly, SingularAtOne, mahler_measure
 from .lambdamat import AtOne, SingularEvaluation, normalized_determinant
-from .seifert import KnotRecord, corpus_records, signature_function
+from .seifert import KnotRecord, corpus_record, signature_function
 from .branched import (
     branched_report,
     casson_growth,
@@ -80,11 +80,7 @@ def _parse_ps(text: str) -> list[int]:
 
 def _load_knot(args) -> KnotRecord:
     if getattr(args, "knot", None):
-        for rec in corpus_records():
-            if rec.name == args.knot:
-                return rec
-        names = ", ".join(r.name for r in corpus_records())
-        raise ValueError("unknown corpus knot %r (have: %s)" % (args.knot, names))
+        return corpus_record(args.knot)
     if getattr(args, "file", None):
         with open(args.file) as fh:
             obj = json.load(fh)
@@ -227,7 +223,7 @@ def cmd_signature(args) -> int:
     usable = 0
     for k in range(1, p):
         try:
-            sig = signature_function(knot, k, p, tol=args.tol)
+            sig = signature_function(knot, k, p)
             usable += 1
         except SingularEvaluation:
             sig = None  # Alexander root on the unit circle: jump point
@@ -275,11 +271,11 @@ def cmd_growth(args) -> int:
         return EXIT_OK
     summary = {
         "mahler": mahler_measure(knot.delta),
-        "signature_average": signature_average(knot, tol=args.tol),
+        "signature_average": signature_average(knot),
     }
     if Q is not None:
         try:
-            summary["casson_growth"] = casson_growth(knot, Q, tol=args.tol)
+            summary["casson_growth"] = casson_growth(knot, Q)
         except SingularOnTorus:
             summary["casson_growth"] = None  # 2-loop class has poles on the torus
     _emit_rows(args, ["p", "beta_p", "log_beta_over_p"], [list(t) for t in triples], summary)
@@ -302,7 +298,7 @@ def cmd_residue(args) -> int:
         rows.append([p, val])
     summary = {}
     try:
-        summary["torus_average"] = torus_average(Q, tol=args.tol)
+        summary["torus_average"] = torus_average(Q)
     except SingularOnTorus:
         summary["torus_average"] = None
     _emit_rows(args, ["p", "res_p"], rows, summary)
@@ -346,7 +342,6 @@ def _add_knot_flags(sp):
 def _add_common_flags(sp):
     sp.add_argument("--format", choices=["table", "csv", "json"], default="table")
     sp.add_argument("--out", help="write output to this file instead of stdout")
-    sp.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -383,6 +383,22 @@ def poly_gcd(f: "LaurentPoly | Sequence[Scalar]", g: "LaurentPoly | Sequence[Sca
     return LaurentPoly.from_coeffs([c / lead for c in a])
 
 
+def _squarefree_parts(f: "LaurentPoly | Sequence[Scalar]") -> list[list[Fraction]]:
+    """Parts s_j = h_j / h_(j+1) of the chain h_0 = f (unit stripped),
+    h_(j+1) = gcd(h_j, h_j'): s_j holds the roots of multiplicity > j, once
+    each, and s_0 s_1 ... = f, so a root finder never sees a repeated root."""
+    h = _as_ascending(f)
+    parts = []
+    while len(h) > 1:
+        nxt = _as_ascending(poly_gcd(h, [i * c for i, c in enumerate(h)][1:]))
+        q, r = _poly_divmod(h, nxt)
+        if r:
+            raise ArithmeticError("a polynomial must be divisible by its gcd with its derivative")
+        parts.append(q)
+        h = nxt
+    return parts
+
+
 def _as_ascending(f) -> list[Fraction]:
     """Dense ascending coefficients of f with any unit t^k stripped off."""
     if isinstance(f, LaurentPoly):
@@ -759,23 +775,20 @@ def denominator_to_tp(r: RatFun, p: int) -> tuple[LaurentPoly, LaurentPoly]:
 
 def mahler_measure(f: LaurentPoly) -> float:
     """log of the Mahler measure of f: log|lc| + sum over roots outside
-    the unit circle of log|root|.
+    the unit circle, with multiplicity, of log|root|.
 
     Roots come from the numpy companion-matrix eigenvalue solver, so this
-    is a numeric path.
+    is a numeric path; it runs on each square-free part of f, because a
+    root of multiplicity m would split off by about eps^(1/m).
     """
     if f.is_zero:
         raise ValueError("Mahler measure of the zero polynomial")
-    fhat = _trim(f.shift(-f.min_exp)._ascending()[0])
-    d = len(fhat) - 1
-    total = math.log(abs(fhat[-1]))
-    if d == 0:
-        return total
-    roots = np.roots([float(c) for c in reversed(fhat)])
-    for z in roots:
-        a = abs(z)
-        if a > 1.0:
-            total += math.log(a)
+    total = math.log(abs(_as_ascending(f)[-1]))
+    for part in _squarefree_parts(f):
+        for z in np.roots([float(c) for c in reversed(part)]):
+            a = abs(z)
+            if a > 1.0:
+                total += math.log(a)
     if not math.isfinite(total):
         raise ArithmeticError("Mahler measure must be finite")
     return total

@@ -19,7 +19,9 @@ Signatures of rational symmetric matrices are computed exactly by
 congruence (diagonalization with symmetric pivoting and hyperbolic 2x2
 blocks), so every signature here is an honest integer.  Evaluation at
 points of the unit circle other than +-1 is a numeric path using numpy's
-Hermitian eigensolver, guarded by a tolerance.
+Hermitian eigensolver above a fixed eigenvalue floor ``_EIG_FLOOR``; the
+production ``branched.total_sigma_p`` sums such per-root signatures, and
+the exact cycle substitution ``varsigma_p`` is its oracle.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ __all__ = [
     "varsigma_p",
     "complex_signature",
 ]
+
+
+_EIG_FLOOR = 1e-9  # |eigenvalue| at or below this counts as zero: the form is singular
 
 
 class NotHermitian(ValueError):
@@ -520,10 +525,11 @@ def subst_twisted(W: LambdaMatrix, p: int) -> LambdaMatrix:
 # signatures
 
 
-def complex_signature(H: np.ndarray, tol: float = 1e-9) -> int:
+def complex_signature(H: np.ndarray) -> int:
     """Signature of a complex Hermitian matrix (numeric path).
 
-    Raises SingularEvaluation when any eigenvalue sits within tol of 0.
+    Raises SingularEvaluation when any eigenvalue sits within _EIG_FLOOR
+    of 0.
     """
     n = H.shape[0]
     if n == 0:
@@ -532,7 +538,7 @@ def complex_signature(H: np.ndarray, tol: float = 1e-9) -> int:
     if not np.allclose(H, Hs, atol=1e-8):
         raise NotHermitian("numeric matrix is not Hermitian")
     eigs = np.linalg.eigvalsh(Hs)
-    if np.any(np.abs(eigs) <= tol):
+    if np.any(np.abs(eigs) <= _EIG_FLOOR):
         raise SingularEvaluation("eigenvalue within tolerance of zero")
     return int(np.sum(eigs > 0) - np.sum(eigs < 0))
 
@@ -546,7 +552,7 @@ def _sigma_at_one(W: LambdaMatrix) -> int:
     return W._sigma_one
 
 
-def varsigma_at(W: LambdaMatrix, k: int, p: int, tol: float = 1e-9) -> int:
+def varsigma_at(W: LambdaMatrix, k: int, p: int) -> int:
     """sigma(W(w)) - sigma(W(1)) for w = e^(2 pi i k/p).
 
     At w = 1 the difference is identically zero, so k = 0 mod p returns 0.
@@ -564,7 +570,7 @@ def varsigma_at(W: LambdaMatrix, k: int, p: int, tol: float = 1e-9) -> int:
         if null:
             raise SingularEvaluation("W(-1) is singular")
         return plus - minus - base
-    sig = complex_signature(W.eval_unit(k, p), tol)
+    sig = complex_signature(W.eval_unit(k, p))
     return sig - base
 
 

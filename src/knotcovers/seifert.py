@@ -69,6 +69,7 @@ __all__ = [
     "random_seifert",
     "KnotRecord",
     "corpus_records",
+    "corpus_record",
     "load_record",
 ]
 
@@ -276,19 +277,14 @@ def congruence_identity_check(A: KnotLike) -> bool:
     return lhs == rhs
 
 
-def sigma_at_omega(A: KnotLike, omega: complex, tol: float = 1e-9) -> int:
+def sigma_at_omega(A: KnotLike, omega: complex) -> int:
     """Signature of (1 - conj(w)) A + (1 - w) A^T at a unit-circle w != 1."""
     A = Knot.of(A).seifert
-    n = len(A)
-    wbar = complex(omega).conjugate()
-    M = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            M[i, j] = (1 - wbar) * A[i][j] + (1 - omega) * A[j][i]
-    return complex_signature(M, tol)
+    M = np.array(A, dtype=float).reshape(len(A), len(A))
+    return complex_signature((1 - complex(omega).conjugate()) * M + (1 - omega) * M.T)
 
 
-def signature_function(A: KnotLike, k: int, p: int, tol: float = 1e-9) -> int:
+def signature_function(A: KnotLike, k: int, p: int) -> int:
     """Equivariant signature at w = e^(2 pi i k / p).
 
     Raises AtOne for k = 0 mod p (the form vanishes identically there)
@@ -298,7 +294,7 @@ def signature_function(A: KnotLike, k: int, p: int, tol: float = 1e-9) -> int:
         raise ValueError("p must be a positive integer")
     if k % p == 0:
         raise AtOne("signature function is excluded at w = 1")
-    return sigma_at_omega(A, cmath.exp(2j * cmath.pi * (k % p) / p), tol)
+    return sigma_at_omega(A, cmath.exp(2j * cmath.pi * (k % p) / p))
 
 
 def random_seifert(g: int, rng: random.Random, bound: int = 3) -> list[list[int]]:
@@ -366,15 +362,27 @@ def load_record(path) -> KnotRecord:
         return KnotRecord.from_json(json.load(fh))
 
 
-def corpus_records() -> list[KnotRecord]:
-    """All knot records bundled with the package, standard knots first."""
+def _corpus_json() -> list[dict]:
+    """The raw JSON of every bundled record, standard knots first."""
     pkg = resources.files(__package__) / "corpus"
     out = []
     for entry in sorted(pkg.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".json"):
             data = json.loads(entry.read_text(encoding="utf-8"))
-            records = data if isinstance(data, list) else [data]
-            out.extend(KnotRecord.from_json(r) for r in records)
+            out.extend(data if isinstance(data, list) else [data])
     order = {"unknot": 0, "trefoil": 1, "figure8": 2}
-    out.sort(key=lambda r: (order.get(r.name, 10), r.name))
+    out.sort(key=lambda r: (order.get(r["name"], 10), r["name"]))
     return out
+
+
+def corpus_records() -> list[KnotRecord]:
+    """All knot records bundled with the package, standard knots first."""
+    return [KnotRecord.from_json(r) for r in _corpus_json()]
+
+
+def corpus_record(name: str) -> KnotRecord:
+    """The bundled record called ``name``; only that one is validated."""
+    objs = {obj["name"]: obj for obj in _corpus_json()}
+    if name not in objs:
+        raise ValueError("unknown corpus knot %r (have: %s)" % (name, ", ".join(objs)))
+    return KnotRecord.from_json(objs[name])

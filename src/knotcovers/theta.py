@@ -39,7 +39,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .exactalg import LaurentPoly, RatFun, poly_gcd, regular_at_p
+from .exactalg import LaurentPoly, RatFun, _squarefree_parts, poly_gcd, regular_at_p
 
 __all__ = [
     "QSingularAtP",
@@ -49,6 +49,12 @@ __all__ = [
     "res_p_theta",
     "torus_average",
 ]
+
+
+_COMPARE_TOL = 1e-9  # relative agreement that counts as equal in functionally_equal
+_QUAD_EPSABS = 1e-9  # absolute error target of the torus quadrature
+# the pole guard: circle points per slot denominator, smallest |value| allowed
+_GUARD_GRID, _GUARD_FLOOR = 1024, 1e-6
 
 
 class QSingularAtP(ValueError):
@@ -203,9 +209,7 @@ class ThetaClass:
         """Symmetrized evaluation; invariant of the class in the quotient."""
         return self.symmetrize().evaluate_raw(z1, z2)
 
-    def functionally_equal(
-        self, other: "ThetaClass", tol: float = 1e-9, ps: Sequence[int] = (1, 2, 3, 5, 7)
-    ) -> bool:
+    def functionally_equal(self, other: "ThetaClass", ps: Sequence[int] = (1, 2, 3, 5, 7)) -> bool:
         """Equality in the quotient, tested functionally: residues at small
         p plus symmetrized evaluation at a fixed sample of torus points."""
         for p in ps:
@@ -214,7 +218,7 @@ class ThetaClass:
             if isinstance(a, Fraction) and isinstance(b, Fraction):
                 if a != b:
                     return False
-            elif abs(complex(a) - complex(b)) > tol * max(1.0, abs(complex(a))):
+            elif abs(complex(a) - complex(b)) > _COMPARE_TOL * max(1.0, abs(complex(a))):
                 return False
         angles = [0.7, 1.9, 2.51, 4.13]
         for u in angles:
@@ -223,7 +227,7 @@ class ThetaClass:
                 z2 = cmath.exp(1j * v)
                 a = self.evaluate_sym(z1, z2)
                 b = other.evaluate_sym(z1, z2)
-                if abs(a - b) > tol * max(1.0, abs(a)):
+                if abs(a - b) > _COMPARE_TOL * max(1.0, abs(a)):
                     return False
         return True
 
@@ -313,7 +317,7 @@ def _has_unit_circle_root(q: LaurentPoly) -> bool:
 
     A real polynomial shares its unit-circle roots with its reversal
     t^d q(1/t), so they all divide gcd(q, reversal); the gcd is small, and
-    checking its roots numerically is then reliable.
+    checking the roots of its square-free part numerically is then reliable.
     """
     qhat = q.shift(-q.min_exp)
     d = qhat.max_exp
@@ -323,13 +327,12 @@ def _has_unit_circle_root(q: LaurentPoly) -> bool:
     g = poly_gcd(qhat, rev)
     if g.is_zero or g.max_exp == 0:
         return False
-    asc, _ = g._ascending()
-    roots = np.roots([float(c) for c in reversed(asc)])
+    roots = np.roots([float(c) for c in reversed(_squarefree_parts(g)[0])])
     return bool(np.any(np.abs(np.abs(roots) - 1.0) < 1e-6))
 
 
-def _torus_singularity_guard(Q: ThetaClass, grid: int = 1024, floor: float = 1e-6):
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+def _torus_singularity_guard(Q: ThetaClass):
+    thetas = np.linspace(0.0, 2.0 * np.pi, _GUARD_GRID, endpoint=False)
     circle = np.exp(1j * thetas)
     for t in Q.terms:
         for slot in (t.f, t.g, t.h):
@@ -338,11 +341,11 @@ def _torus_singularity_guard(Q: ThetaClass, grid: int = 1024, floor: float = 1e-
             if _has_unit_circle_root(slot.den):
                 raise SingularOnTorus("slot denominator vanishes on |t| = 1")
             vals = np.array([slot.den.evaluate(z) for z in circle])
-            if np.min(np.abs(vals)) < floor:
+            if np.min(np.abs(vals)) < _GUARD_FLOOR:
                 raise SingularOnTorus("slot denominator nearly vanishes on |t| = 1")
 
 
-def torus_average(Q: ThetaClass, tol: float = 1e-9):
+def torus_average(Q: ThetaClass):
     """Average of f(w1) g(w2) h((w1 w2)^-1) over the unit 2-torus.
 
     Polynomial slots: the average of a monomial w1^(a-c) w2^(b-c) is the
@@ -376,7 +379,7 @@ def torus_average(Q: ThetaClass, tol: float = 1e-9):
         2.0 * np.pi,
         0.0,
         2.0 * np.pi,
-        epsabs=max(tol, 1e-10),
+        epsabs=_QUAD_EPSABS,
         epsrel=1e-8,
     )
     if err >= 1e-5 * max(1.0, abs(val)) + 1e-6:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import knotcovers.exactalg
+import knotcovers.lambdamat
 import knotcovers.seifert
 from knotcovers.branched import (
     BranchedReport,
@@ -37,6 +38,19 @@ def by_roots(A, p):
     """Per-root oracle for total_sigma_p: the signature function summed
     over the p-th roots of unity other than 1."""
     return sum(signature_function(A, k, p) for k in range(1, p))
+
+
+def block_sum(*mats):
+    """Seifert matrix of the connected sum: the block-diagonal sum.  Its
+    basis is x_1, y_1, x_2, y_2, ..., so it is not banded."""
+    n = sum(len(A) for A in mats)
+    out = [[0] * n for _ in range(n)]
+    off = 0
+    for A in mats:
+        for i, row in enumerate(A):
+            out[off + i][off:off + len(A)] = row
+        off += len(A)
+    return out
 
 
 class TestRegularity:
@@ -95,8 +109,8 @@ class TestTotalSignature:
         assert [total_sigma_p(trefoil, p) for p in (2, 3, 4, 5)] == [-2, -4, -6, -8]
 
     def test_large_p_uses_roots_route(self, trefoil, figure8):
-        # past 2g * p = 64 the production route sums per-root signatures and
-        # must stay fast.  The figure-8 has no roots on the unit circle, so
+        # the production route sums per-root signatures and must stay fast
+        # at large p.  The figure-8 has no roots on the unit circle, so
         # sigma vanishes there; the trefoil's sigma is -2 on the middle
         # arc (1/6, 5/6), which holds 22 of the 33rd roots of unity.
         got = total_sigma_p(figure8, 201)
@@ -107,6 +121,25 @@ class TestTotalSignature:
     def test_irregular_p_rejected(self, trefoil):
         with pytest.raises(NotPRegular):
             total_sigma_p(trefoil, 6)
+
+    def test_sizes_the_exact_route_used_to_serve(self):
+        # the largest regular p with 2g * p <= 64 on each corpus knot of
+        # genus >= 1: the per-root sum against the exact cycle substitution
+        for rec in corpus_records():
+            if rec.knot.genus == 0:
+                continue
+            p = 64 // len(rec.seifert)
+            while not is_p_regular(rec.knot, p):
+                p -= 1
+            assert total_sigma_p(rec.knot, p) == varsigma_p(rec.knot.clover, p), rec.name
+
+    def test_connected_sums_add(self, trefoil, figure8):
+        # block sums are valid Seifert matrices outside the banded basis,
+        # where the clover form does not exist; sigma_p adds under #
+        for parts in ((trefoil, trefoil), (trefoil, figure8), (trefoil, trefoil, trefoil)):
+            A = block_sum(*parts)
+            for p in (2, 3, 5, 7):
+                assert total_sigma_p(A, p) == sum(total_sigma_p(B, p) for B in parts)
 
 
 class TestDerivedOnce:
@@ -130,26 +163,41 @@ class TestDerivedOnce:
         monkeypatch.setattr(LambdaMatrix, "det", counted_det)
         monkeypatch.setattr(knotcovers.seifert, "rational_det", counted_rdet)
         monkeypatch.setattr(knotcovers.exactalg, "cyclotomic_norm", counted_norm)
+        exact = []
+        signature_exact = knotcovers.lambdamat.signature_exact
+
+        def counted_exact(S):
+            exact.append(S)
+            return signature_exact(S)
+
+        monkeypatch.setattr(knotcovers.lambdamat, "signature_exact", counted_exact)
         rows = branched_report(rec.seifert, range(2, 21))
         assert [r.p for r in rows] == list(range(2, 21))
         # beta_p comes from Gamma, so no row needs the Alexander polynomial
         assert dets == []
-        # validate_seifert, the clover form's unimodularity check, then one
-        # det(Gamma^p - (Gamma - I)^p) per p
-        assert rdets == [6] * (2 + 19)
+        # validate_seifert, then one det(Gamma^p - (Gamma - I)^p) per p; sigma_p
+        # is a per-root sum, so neither the clover form nor exact inertia runs
+        assert rdets == [6] * (1 + 19)
+        assert exact == []
         for module in (knotcovers.seifert, knotcovers.branched):
             assert not hasattr(module, "cyclotomic_norm")
         assert norms == []
 
     @pytest.mark.parametrize(
         "argv",
-        [["branched", "--p", "2..6"], ["growth", "--pmax", "12"]],
-        ids=["branched", "growth"],
+        [
+            ["branched", "--p", "2..6"],
+            ["growth", "--pmax", "12"],
+            ["branched", "--p", "2..6", "--knot", "random-g3-a"],
+        ],
+        ids=["branched", "growth", "branched-corpus"],
     )
     def test_cli_validates_the_seifert_matrix_once(self, argv, monkeypatch, tmp_path, capsys):
-        (rec,) = [r for r in corpus_records() if r.name == "random-g3-a"]
-        f = tmp_path / "knot.json"
-        f.write_text(json.dumps(rec.seifert))
+        if "--knot" not in argv:
+            (rec,) = [r for r in corpus_records() if r.name == "random-g3-a"]
+            f = tmp_path / "knot.json"
+            f.write_text(json.dumps(rec.seifert))
+            argv = argv + ["--file", str(f)]
         calls = []
         validate = knotcovers.seifert.validate_seifert
 
@@ -158,7 +206,7 @@ class TestDerivedOnce:
             return validate(A)
 
         monkeypatch.setattr(knotcovers.seifert, "validate_seifert", counted_validate)
-        assert main(argv + ["--file", str(f)]) == 0
+        assert main(argv) == 0
         capsys.readouterr()
         assert calls == [6]
 
@@ -174,6 +222,33 @@ class TestAverages:
 
     def test_unknot(self):
         assert signature_average([]) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("copies", [2, 3, 4])
+    def test_repeated_circle_roots(self, trefoil, copies):
+        # Delta of T#...#T is Delta_T^copies, a repeated pair of circle
+        # roots; the average adds under #, -4/3 per trefoil
+        A = block_sum(*[trefoil] * copies)
+        assert alexander(A) == alexander(trefoil) ** copies
+        assert signature_average(A) == pytest.approx(-4.0 * copies / 3.0, abs=1e-9)
+
+    def test_mixed_connected_sum(self, trefoil, figure8):
+        # the figure-8 adds 0, the trefoil -4/3
+        A = block_sum(trefoil, figure8, trefoil)
+        assert signature_average(A) == pytest.approx(-8.0 / 3.0, abs=1e-9)
+
+
+class TestMahlerOfRepeatedRoots:
+    def test_figure8_squared(self, figure8):
+        # log Mahler adds under #: twice log((3 + sqrt 5)/2)
+        A = block_sum(figure8, figure8)
+        assert alexander(A) == alexander(figure8) ** 2
+        want = 2 * math.log((3 + math.sqrt(5)) / 2)
+        assert mahler_measure(alexander(A)) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("power", [2, 3, 6])
+    def test_trefoil_powers_are_zero(self, trefoil, power):
+        # every root of Delta_T is on the unit circle
+        assert mahler_measure(alexander(trefoil) ** power) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCassonWalker:

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from knotcovers.branched import total_sigma_p
 from knotcovers.exactalg import LaurentPoly, cyclotomic_norm
-from knotcovers.lambdamat import AtOne, NotHermitian, SingularEvaluation
+from knotcovers.lambdamat import AtOne, NotHermitian, SingularEvaluation, varsigma_p
 from knotcovers.seifert import (
     Knot,
     KnotRecord,
@@ -117,6 +118,11 @@ class TestSeifertPresentation:
             clover_matrix(B)
         knot = Knot(B)
         assert [knot.beta(p) for p in range(1, 16)] == [resultant_beta(A, p) for p in range(1, 16)]
+        # sigma_p needs no banded basis either: the exact oracle on A's clover form
+        W = clover_matrix(A)
+        for p in range(1, 16):
+            if knot.beta(p):
+                assert total_sigma_p(knot, p) == varsigma_p(W, p), p
 
     def test_large_p_on_genus_three(self, rng):
         A = random_seifert(3, rng)

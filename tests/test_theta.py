@@ -138,6 +138,15 @@ class TestTorusAverage:
         with pytest.raises(SingularOnTorus):
             torus_average(Q)
 
+    @pytest.mark.parametrize("power", [2, 3, 4])
+    def test_repeated_poles_found_exactly_on_the_circle(self, power):
+        # a root of multiplicity m leaves np.roots about eps^(1/m) off the
+        # circle; found on the square-free part, it is on it, not near it
+        f = RatFun(one, (t ** 2 + t + one) ** power)
+        Q = ThetaClass([(f, RatFun.from_poly(one), RatFun.from_poly(one), Fraction(1))])
+        with pytest.raises(SingularOnTorus, match="denominator vanishes on"):
+            torus_average(Q)
+
 
 def _grid_average(Q, n=128):
     import cmath
