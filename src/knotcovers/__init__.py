@@ -10,8 +10,9 @@ trivalent graphs machine-checks the compatibility of lifting diagrams to
 cyclic covers with taking residues of their rational symbols.
 
 Exact arithmetic everywhere a theorem is checked; floating point only in
-clearly flagged numeric paths (root finding, quadrature, eigenvalues at
-irrational points of the unit circle).
+clearly flagged numeric paths (root finding, the FFT torus average of a
+rational 2-loop class, eigenvalues at irrational points of the unit
+circle).
 """
 
 from .exactalg import (

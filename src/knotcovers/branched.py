@@ -16,7 +16,8 @@ unity):
   Seifert's integer presentation, which is 0 exactly when p is irregular.
   Tests check it against the resultant form of the product of Alexander
   over the p-th roots of unity and |det| of the substituted clover form.
-* ``casson_walker(A, Q, p)`` -- (1/3) res_p(Q) + (1/8) total_sigma_p.
+* ``casson_walker(A, Q, p)`` -- (1/3) res_p(Q) + (1/8) total_sigma_p, an
+  exact Fraction for every 2-loop class.
 
 Their growth as p -> infinity:
 
@@ -145,17 +146,15 @@ def signature_average(A: KnotLike) -> float:
     return total / (2.0 * math.pi)
 
 
-def _casson(res, sig: int):
-    if isinstance(res, Fraction):
-        return res / 3 + Fraction(sig, 8)
-    return res / 3.0 + sig / 8.0
+def _casson(res: Fraction, sig: int) -> Fraction:
+    return res / 3 + Fraction(sig, 8)
 
 
-def casson_walker(A: KnotLike, Q: ThetaClass, p: int):
-    """(1/3) res_p(Q) + (1/8) total_sigma_p(A, p).
+def casson_walker(A: KnotLike, Q: ThetaClass, p: int) -> Fraction:
+    """(1/3) res_p(Q) + (1/8) total_sigma_p(A, p), an exact Fraction.
 
-    Exact Fraction when Q has polynomial slots, float otherwise.  Raises
-    NotPRegular / QSingularAtP when either ingredient degenerates at p.
+    Raises NotPRegular / QSingularAtP when either ingredient degenerates
+    at p.
     """
     sig = total_sigma_p(A, p)
     return _casson(res_p_theta(Q, p), sig)
@@ -178,7 +177,7 @@ class BranchedReport:
     sigma_p: int | None = None
     beta_p: int | None = None
     log_beta_over_p: float | None = None
-    casson: "Fraction | float | None" = None
+    casson: Fraction | None = None
 
 
 def branched_report(

@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from .exactalg import LaurentPoly, SingularAtOne, mahler_measure
-from .lambdamat import AtOne, SingularEvaluation, normalized_determinant
+from .lambdamat import AtOne, NotHermitian, SingularEvaluation, normalized_determinant
 from .seifert import KnotRecord, corpus_record, signature_function
 from .branched import (
     branched_report,
@@ -207,8 +207,11 @@ def cmd_alexander(args) -> int:
         ["determinant", abs(delta.evaluate(Fraction(-1)))],
         ["mahler", mahler_measure(delta)],
     ]
-    if knot.seifert:
-        rows.insert(2, ["clover_determinant", str(normalized_determinant(knot.clover))])
+    try:
+        if knot.seifert:
+            rows.insert(2, ["clover_determinant", str(normalized_determinant(knot.clover))])
+    except NotHermitian:
+        pass  # valid, but not in a banded basis: there is no clover form
     _emit_rows(args, ["field", "value"], rows)
     return EXIT_OK
 

@@ -3,11 +3,14 @@ signatures, and the Hermitian clover form attached to a genus-g surface.
 
 Conventions
 -----------
-A Seifert matrix here is an integer 2g x 2g matrix A, given in a banded
-surface basis x_1..x_g, y_1..y_g, so the intersection pairing A - A^T is
-the standard symplectic matrix [[0, I], [-I, 0]] (validation only requires
-det(A - A^T) = 1; the banded block structure is what makes the clover
-form Hermitian and is checked at construction).
+A Seifert matrix here is an integer 2g x 2g matrix A in any basis of the
+surface's first homology; validation requires det(A - A^T) = 1, and
+Delta, the signature function and beta_p need nothing more.  Only the
+clover form needs a banded surface basis x_1..x_g, y_1..y_g, in which the
+intersection pairing A - A^T is the standard symplectic matrix
+[[0, I], [-I, 0]]: that block structure is what makes the clover form
+Hermitian, and ``Knot.clover`` raises NotHermitian on first use when it
+is missing.
 
 * ``alexander(A)`` = t^-g det(A - t A^T), which is automatically
   bar-symmetric and takes the value 1 at t = 1.

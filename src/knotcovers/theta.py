@@ -18,28 +18,27 @@ The two quantities consumed downstream:
 
 * ``res_p_theta(Q, p)`` -- the finite residue
   (1/p) * sum over p-th roots w1, w2 of f(w1) g(w2) h((w1 w2)^-1),
-  exact (Fraction) when every slot is polynomial, complex-sum numeric
-  otherwise.
+  an exact Fraction for every class.
 * ``torus_average(Q)`` -- the limiting average over the 2-torus, exact
-  diagonal-coefficient sum for polynomial slots, adaptive quadrature
-  otherwise.
+  diagonal-coefficient sum for polynomial slots, FFT trapezoid otherwise.
 
-For polynomial slots both are exact and res_p/p converges to the torus
-average with an O(1/p) tail that vanishes outright once p exceeds the
-exponent spread.
+res_p/p converges to the torus average: for polynomial slots the tail
+vanishes outright once p exceeds the exponent spread, for rational slots
+it decays geometrically with the distance of the poles from the circle.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
+import math
 from fractions import Fraction
 from itertools import permutations
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .exactalg import LaurentPoly, RatFun, _squarefree_parts, poly_gcd, regular_at_p
+from .exactalg import LaurentPoly, RatFun, _squarefree_parts, denominator_to_tp, poly_gcd
 
 __all__ = [
     "QSingularAtP",
@@ -52,9 +51,8 @@ __all__ = [
 
 
 _COMPARE_TOL = 1e-9  # relative agreement that counts as equal in functionally_equal
-_QUAD_EPSABS = 1e-9  # absolute error target of the torus quadrature
-# the pole guard: circle points per slot denominator, smallest |value| allowed
-_GUARD_GRID, _GUARD_FLOOR = 1024, 1e-6
+_TAIL_RATIO = 1e-13  # torus_average: Fourier tail at |r| >= N/4 vs the largest coefficient
+_GRID_CAP = 2 ** 20  # torus_average: the largest trapezoid grid tried
 
 
 class QSingularAtP(ValueError):
@@ -213,12 +211,7 @@ class ThetaClass:
         """Equality in the quotient, tested functionally: residues at small
         p plus symmetrized evaluation at a fixed sample of torus points."""
         for p in ps:
-            a = res_p_theta(self, p)
-            b = res_p_theta(other, p)
-            if isinstance(a, Fraction) and isinstance(b, Fraction):
-                if a != b:
-                    return False
-            elif abs(complex(a) - complex(b)) > _COMPARE_TOL * max(1.0, abs(complex(a))):
+            if res_p_theta(self, p) != res_p_theta(other, p):
                 return False
         angles = [0.7, 1.9, 2.51, 4.13]
         for u in angles:
@@ -263,53 +256,52 @@ class ThetaClass:
 # residues and averages
 
 
-def _check_regular_at_p(Q: ThetaClass, p: int):
-    for t in Q.terms:
-        for slot in (t.f, t.g, t.h):
-            if not regular_at_p(slot, p):
-                raise QSingularAtP("slot denominator vanishes at a %d-th root of unity" % p)
+def _residue_classes(slot: RatFun, p: int) -> tuple[dict[int, int], Fraction]:
+    """Integers n and a scale s with slot(w) = s * sum_r n[r] w^r at every
+    p-th root of unity w: the periodised coefficients, summed as integers
+    over one denominator.  A rational slot is first rewritten as
+    P(t) / Qp(t^p) (``denominator_to_tp``); Qp(w^p) = Qp(1), which is 0
+    exactly when a p-th root of unity is a pole."""
+    P, q1 = slot.num, 1
+    if not slot.is_polynomial:
+        P, Qp = denominator_to_tp(slot, p)
+        q1 = Qp.eval_one()
+        if q1 == 0:
+            raise QSingularAtP("slot denominator vanishes at a %d-th root of unity" % p)
+    coeffs = P.coeffs
+    d = math.lcm(*(v.denominator for v in coeffs.values()))
+    n: dict[int, int] = {}
+    for e, v in coeffs.items():
+        n[e % p] = n.get(e % p, 0) + v.numerator * (d // v.denominator)
+    return n, Fraction(1, d) / q1
 
 
-def res_p_theta(Q: ThetaClass, p: int):
-    """(1/p) sum over p-th roots w1, w2 of f(w1) g(w2) h((w1 w2)^-1).
+def res_p_theta(Q: ThetaClass, p: int) -> Fraction:
+    """(1/p) sum over p-th roots w1, w2 of f(w1) g(w2) h((w1 w2)^-1), exact.
 
-    Exact Fraction when every slot is a Laurent polynomial: collapsing the
-    root sums leaves p * sum over coefficient triples with all exponents
-    congruent mod p.  Otherwise a numeric complex double sum (the
-    imaginary part cancels by conjugation symmetry).
+    With the periodised coefficients F, G, H of the slots the root sums
+    collapse: h enters through (w1 w2)^-r, so only r = a = b mod p
+    survives, and each term gives p * c * sum_r F_r G_r H_r.  Raises
+    QSingularAtP when some slot has a pole at a p-th root of unity.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    _check_regular_at_p(Q, p)
-    if Q.is_polynomial:
-        total = Fraction(0)
-        for t in Q.terms:
-            F = [Fraction(0)] * p
-            G = [Fraction(0)] * p
-            for e, v in t.f.num.coeffs.items():
-                F[e % p] += v
-            for e, v in t.g.num.coeffs.items():
-                G[e % p] += v
-            acc = Fraction(0)
-            # h enters through (w1 w2)^-e, so the surviving triples have
-            # a = b = e mod p
-            for e, v in t.h.num.coeffs.items():
-                r = e % p
-                acc += v * F[r] * G[r]
-            total += t.c * acc * p
-        return total
-    roots = [cmath.exp(2j * cmath.pi * k / p) for k in range(p)]
-    total = 0j
+    rational: dict[RatFun, tuple[dict[int, int], Fraction]] = {}  # one rewrite per slot
+
+    def classes(slot):
+        if slot.is_polynomial:
+            return _residue_classes(slot, p)
+        if slot not in rational:
+            rational[slot] = _residue_classes(slot, p)
+        return rational[slot]
+
+    total = Fraction(0)
     for t in Q.terms:
-        F = np.array([t.f.evaluate(z) for z in roots])
-        G = np.array([t.g.evaluate(z) for z in roots])
-        Hinv = np.array([t.h.evaluate(1.0 / z) for z in roots])
-        idx = (np.arange(p)[:, None] + np.arange(p)[None, :]) % p
-        total += float(t.c) * np.sum(F[:, None] * G[None, :] * Hinv[idx])
-    total /= p
-    if abs(total.imag) > 1e-7 * max(1.0, abs(total)):
-        raise ArithmeticError("residue should be real")
-    return float(total.real)
+        (F, sf), (G, sg), (H, sh) = classes(t.f), classes(t.g), classes(t.h)
+        acc = sum(v * F.get(r, 0) * G.get(r, 0) for r, v in H.items())
+        if acc:
+            total += t.c * sf * sg * sh * acc
+    return total * p
 
 
 def _has_unit_circle_root(q: LaurentPoly) -> bool:
@@ -331,28 +323,28 @@ def _has_unit_circle_root(q: LaurentPoly) -> bool:
     return bool(np.any(np.abs(np.abs(roots) - 1.0) < 1e-6))
 
 
-def _torus_singularity_guard(Q: ThetaClass):
-    thetas = np.linspace(0.0, 2.0 * np.pi, _GUARD_GRID, endpoint=False)
-    circle = np.exp(1j * thetas)
-    for t in Q.terms:
-        for slot in (t.f, t.g, t.h):
-            if slot.is_polynomial:
-                continue
-            if _has_unit_circle_root(slot.den):
-                raise SingularOnTorus("slot denominator vanishes on |t| = 1")
-            vals = np.array([slot.den.evaluate(z) for z in circle])
-            if np.min(np.abs(vals)) < _GUARD_FLOOR:
-                raise SingularOnTorus("slot denominator nearly vanishes on |t| = 1")
+def _fourier(slot: RatFun, w: np.ndarray) -> np.ndarray:
+    """Laurent coefficients of the slot on |t| = 1 from its values at the
+    N-th roots of unity w, aliased mod N: entry k is the sum of the
+    coefficients of t^r over r = k mod N."""
+    N = len(w)
+    asc, m = slot.num._ascending()
+    num = np.polyval([float(c) for c in reversed(asc)], w) * w[(np.arange(N) * m) % N]
+    den = np.polyval([float(c) for c in reversed(slot.den._ascending()[0])], w)  # q(0) != 0
+    return np.fft.fft(num / den) / N
 
 
 def torus_average(Q: ThetaClass):
     """Average of f(w1) g(w2) h((w1 w2)^-1) over the unit 2-torus.
 
-    Polynomial slots: the average of a monomial w1^(a-c) w2^(b-c) is the
-    indicator a = b = c, so the answer is the exact diagonal sum
-    sum_m f_m g_m h_m.  Otherwise: scipy adaptive quadrature of the real
-    part (the imaginary part integrates to zero), guarded against poles
-    on the torus.
+    The average of w1^(a-e) w2^(b-e) is the indicator a = b = e, so the
+    answer is the diagonal sum over r of f_r g_r h_r of the slots' Laurent
+    coefficients.  Polynomial slots: an exact Fraction.  Otherwise a float
+    (the limit is irrational in general): the N-point trapezoid rule, the
+    same sum over FFT coefficients mod N, with N doubled from 64 until each
+    slot's coefficients at |r| >= N/4 are below _TAIL_RATIO of its largest.
+    A pole on the circle (found exactly) or a grid past _GRID_CAP (a pole
+    that near it) raises SingularOnTorus.
     """
     if Q.is_polynomial:
         total = Fraction(0)
@@ -366,22 +358,19 @@ def torus_average(Q: ThetaClass):
                     acc += v * gc[m] * hc[m]
             total += t.c * acc
         return total
-    from scipy.integrate import dblquad
-
-    _torus_singularity_guard(Q)
-
-    def integrand(u, v):
-        return Q.evaluate_raw(cmath.exp(1j * u), cmath.exp(1j * v)).real
-
-    val, err = dblquad(
-        integrand,
-        0.0,
-        2.0 * np.pi,
-        0.0,
-        2.0 * np.pi,
-        epsabs=_QUAD_EPSABS,
-        epsrel=1e-8,
-    )
-    if err >= 1e-5 * max(1.0, abs(val)) + 1e-6:
-        raise ArithmeticError("quadrature did not converge")
-    return val / (4.0 * np.pi ** 2)
+    slots = {slot for t in Q.terms for slot in (t.f, t.g, t.h)}
+    if any(_has_unit_circle_root(slot.den) for slot in slots):
+        raise SingularOnTorus("slot denominator vanishes on |t| = 1")
+    N = 64
+    while True:
+        w = np.exp(2j * np.pi * np.arange(N) / N)
+        coeffs = {slot: _fourier(slot, w) for slot in slots}
+        mags = [np.abs(c) for c in coeffs.values()]
+        if all(a[N // 4 : 3 * N // 4 + 1].max() <= _TAIL_RATIO * a.max() for a in mags):
+            break
+        N *= 2
+        if N > _GRID_CAP:
+            raise SingularOnTorus("slot coefficients do not decay within %d points: "
+                                  "a pole (nearly) on |t| = 1" % _GRID_CAP)
+    total = sum(float(t.c) * np.sum(coeffs[t.f] * coeffs[t.g] * coeffs[t.h]) for t in Q.terms)
+    return float(total.real)

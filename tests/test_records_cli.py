@@ -3,6 +3,7 @@
 import json
 
 from knotcovers.cli import main
+from knotcovers.exactalg import LaurentPoly
 
 
 def run(capsys, *argv):
@@ -30,6 +31,18 @@ class TestAlexanderCommand:
         code, out, _ = run(capsys, "alexander", "--file", str(f))
         assert code == 0
         assert "t^-1 - 1 + t" in out
+
+    def test_non_banded_matrix_from_file(self, capsys, tmp_path):
+        # the block sum of two trefoil matrices is a valid Seifert matrix
+        # outside the banded basis; Delta multiplies under connected sum
+        f = tmp_path / "tt.json"
+        f.write_text("[[-1, 1, 0, 0], [0, -1, 0, 0], [0, 0, -1, 1], [0, 0, 0, -1]]")
+        code, out, _ = run(capsys, "alexander", "--file", str(f), "--format", "json")
+        assert code == 0
+        delta_t = LaurentPoly({-1: 1, 0: -1, 1: 1})
+        rows = dict((r[0], r[1]) for r in json.loads(out)["rows"])
+        assert rows["alexander"] == str(delta_t * delta_t)
+        assert "clover_determinant" not in rows
 
     def test_unknown_knot_is_invalid_input(self, capsys):
         code, _, err = run(capsys, "alexander", "--knot", "nope")

@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from knotcovers.exactalg import LaurentPoly, RatFun
+from knotcovers.exactalg import LaurentPoly, RatFun, cyclotomic_norm
 from knotcovers.theta import (
     QSingularAtP,
     SingularOnTorus,
@@ -20,6 +20,24 @@ one = LaurentPoly.one()
 
 def _mono(a, b, c, coeff=1):
     return ThetaClass.monomial(a, b, c, Fraction(coeff))
+
+
+# pole outside the circle, inside it, a reciprocal pair (3 +- sqrt 5)/2, a
+# double pole, and a class mixing polynomial and rational terms
+RATIONAL_CLASSES = {
+    "t-2": [(RatFun(one, t - 2 * one),) * 3 + (Fraction(1),)],
+    "3t-1": [(RatFun(t, 3 * t - one), RatFun(one, 3 * t - one), RatFun(t ** 2, 3 * t - one),
+              Fraction(-2))],
+    "t2-3t+1": [(RatFun(t, t ** 2 - 3 * t + one), RatFun(one + t),
+                 RatFun(one, t ** 2 - 3 * t + one), Fraction(2, 3))],
+    "(3-t)^2": [(RatFun(one, (3 * one - t) ** 2), RatFun(t ** 2),
+                 RatFun(one - t, (3 * one - t) ** 2), Fraction(-1, 2))],
+    "mixed": [
+        (RatFun(one, t - 2 * one), RatFun(t), RatFun(t ** -2 + t), Fraction(1)),
+        (RatFun(t), RatFun(t ** 3), RatFun(t ** 3), Fraction(5, 7)),
+        (RatFun(t ** -1), RatFun(one, 3 * t - one), RatFun(one), Fraction(-3)),
+    ],
+}
 
 
 class TestCanonicalForm:
@@ -93,11 +111,12 @@ class TestResidue:
         assert res_p_theta(_mono(0, 1, 0), 2) == 0
 
     def test_matches_numeric_route_for_rational_slots(self):
-        f = RatFun(one, t - 2 * one)
-        Q = ThetaClass([(f, f, f, Fraction(1))])
-        for p in (2, 3):
-            exactish = res_p_theta(Q, p)
-            assert exactish == pytest.approx(_brute_res(Q, p), abs=1e-9)
+        for name, terms in RATIONAL_CLASSES.items():
+            Q = ThetaClass(terms)
+            for p in range(1, 41):
+                got = res_p_theta(Q, p)
+                assert isinstance(got, Fraction), (name, p)
+                assert float(got) == pytest.approx(_brute_res(Q, p), rel=1e-9, abs=1e-9), (name, p)
 
     def test_singular_at_p_raises(self):
         f = RatFun(one, t ** 2 + t + one)
@@ -105,6 +124,22 @@ class TestResidue:
         with pytest.raises(QSingularAtP):
             res_p_theta(Q, 3)
         assert res_p_theta(Q, 2) is not None  # fine away from the bad roots
+        # a pole at a p-th root of unity is a zero of the cyclotomic norm
+        # prod_{w^p = 1} den(w), computed here by resultant; the poles 3 and
+        # 1/2 are off the circle, so that happens exactly when period | p
+        for den, period in [((t ** 2 + t + one) * (3 * one - t), 3),
+                            ((t ** 2 + one) * (2 * t - one), 4)]:
+            f = RatFun(t, den)
+            Q = ThetaClass([(f, RatFun(t + one), f, Fraction(2, 3))])
+            singular = []
+            for p in range(1, 37):
+                if cyclotomic_norm(den, p) == 0:
+                    singular.append(p)
+                    with pytest.raises(QSingularAtP):
+                        res_p_theta(Q, p)
+                else:
+                    assert isinstance(res_p_theta(Q, p), Fraction)
+            assert singular == list(range(period, 37, period))
 
 
 def _brute_res(Q, p):
@@ -126,11 +161,26 @@ class TestTorusAverage:
         assert torus_average(Q) == Fraction(3, 2)
 
     def test_quadrature_matches_exact(self):
-        # rational slots take the quadrature path; a trapezoid grid is an
-        # independent oracle (exponentially accurate on smooth integrands)
-        f = RatFun(one, t - 2 * one)
+        # rational slots take the FFT trapezoid path; a direct trapezoid
+        # grid is an independent oracle (exponentially accurate on smooth
+        # integrands)
+        for name, terms in RATIONAL_CLASSES.items():
+            Q = ThetaClass(terms)
+            assert torus_average(Q) == pytest.approx(_grid_average(Q), abs=1e-12), name
+
+    @pytest.mark.parametrize("a", [Fraction(2), Fraction(11, 10), Fraction(101, 100)])
+    def test_closed_form_for_a_simple_pole(self, a):
+        # f = g = h = 1/(t - a) has coefficients -a^-(r+1) for r >= 0, so the
+        # diagonal sum is -sum_r a^(-3(r+1)) = -1/(a^3 - 1)
+        f = RatFun(one, t - a * one)
         Q = ThetaClass([(f, f, f, Fraction(1))])
-        assert torus_average(Q) == pytest.approx(_grid_average(Q), abs=1e-6)
+        assert torus_average(Q) == pytest.approx(-1 / (float(a) ** 3 - 1), rel=1e-12, abs=0)
+
+    def test_pole_too_near_the_circle_rejected(self):
+        f = RatFun(one, t - Fraction(1000001, 1000000) * one)
+        Q = ThetaClass([(f, f, f, Fraction(1))])
+        with pytest.raises(SingularOnTorus):
+            torus_average(Q)
 
     def test_poles_on_torus_rejected(self):
         f = RatFun(one, t ** 2 + t + one)

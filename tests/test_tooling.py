@@ -3,9 +3,12 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import knotcovers
 
 SRC = Path(knotcovers.__file__).parent
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def test_no_assert_in_production_code():
@@ -31,3 +34,27 @@ def test_no_tolerance_parameters():
         if isinstance(node, ast.arg) and (node.arg == "tol" or node.arg.endswith("_tol"))
     ]
     assert found == []
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    return []
+
+
+def test_no_scipy():
+    # numpy is the only dependency: no scipy import anywhere in the
+    # package (also not deferred inside a function) and none declared
+    found = [
+        "%s:%d %s" % (path.name, node.lineno, name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in _imported_modules(node)
+        if name.split(".")[0] == "scipy"
+    ]
+    assert found == []
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    deps = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["dependencies"]
+    assert deps and not [d for d in deps if d.lower().startswith("scipy")]
