@@ -199,7 +199,7 @@ def criterion_05(ctx: AcceptanceContext):
     A = [[1, 1], [0, -1]]
     m = ctx.expected["figure8_growth"]
     check(abs(mahler_measure(alexander(A)) - m) < 1e-9)
-    rows = torsion_growth(A, 500, ps=[50, 100, 200, 500])
+    rows = torsion_growth(A, [50, 100, 200, 500])
     check([r[0] for r in rows] == [50, 100, 200, 500], "figure-8 must be regular at all p")
     errs = [abs(r[2] - m) for r in rows]
     for a, b in zip(errs, errs[1:]):

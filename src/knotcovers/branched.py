@@ -37,11 +37,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-import numpy as np
-
-from .exactalg import LaurentPoly, _squarefree_parts
 from .seifert import Knot, KnotLike, sigma_at_omega
 from .theta import QSingularAtP, ThetaClass, res_p_theta, torus_average
 
@@ -57,10 +54,6 @@ __all__ = [
     "BranchedReport",
     "branched_report",
 ]
-
-# a root of the square-free part of Delta this close to |t| = 1 is on it
-_ON_CIRCLE = 1e-8
-
 
 class NotPRegular(ValueError):
     """The Alexander polynomial vanishes at some p-th root of unity."""
@@ -93,21 +86,16 @@ def torsion_order(A: KnotLike, p: int) -> int:
     return _regular_beta(Knot.of(A), p)
 
 
-def torsion_growth(
-    A: KnotLike, pmax: int, ps: Sequence[int] | None = None
-) -> list[tuple[int, int, float]]:
-    """Rows (p, torsion order, log(order)/p) for regular p <= pmax.
+def torsion_growth(A: KnotLike, ps: Iterable[int]) -> list[tuple[int, int, float]]:
+    """Rows (p, torsion order, log(order)/p) for the regular p in ``ps``.
 
     Irregular p are skipped; log(order)/p converges to the Mahler measure
     of the Alexander polynomial.  ``Knot.beta`` advances its matrix powers
     from the previous p, so an ascending ladder costs one step per p.
     """
-    if pmax < 1:
-        raise ValueError("pmax must be >= 1")
     knot = Knot.of(A)
     rows = []
-    candidates = ps if ps is not None else range(1, pmax + 1)
-    for p in candidates:
+    for p in ps:
         beta = knot.beta(p)
         if beta == 0:
             continue
@@ -115,35 +103,10 @@ def torsion_growth(
     return rows
 
 
-def _unit_circle_root_angles(delta: LaurentPoly) -> list[float]:
-    """Sorted angles in (0, 2 pi) of the distinct unit-circle roots of
-    delta (numeric, on its square-free part; delta(1) = 1 excludes 0)."""
-    return sorted(
-        math.atan2(z.imag, z.real) % (2.0 * math.pi)
-        for part in _squarefree_parts(delta)[:1]
-        for z in np.roots([float(c) for c in reversed(part)])
-        if abs(abs(z) - 1.0) < _ON_CIRCLE
-    )
-
-
 def signature_average(A: KnotLike) -> float:
-    """Average of the signature function over the unit circle.
-
-    The function is constant on each arc between consecutive distinct
-    roots of the Alexander polynomial (and vanishes on the arcs adjacent
-    to 1), so the integral is exact-by-structure: evaluate at one midpoint
-    per arc and weight by arc length over 2 pi.  Root locations are numeric.
-    """
-    knot = Knot.of(A)
-    angles = _unit_circle_root_angles(knot.delta)
-    if not angles:
-        return 0.0
-    bounds = [0.0] + angles + [2.0 * math.pi]
-    total = 0.0
-    for lo, hi in zip(bounds, bounds[1:]):
-        mid = (lo + hi) / 2.0
-        total += sigma_at_omega(knot, cmath.exp(1j * mid)) * (hi - lo)
-    return total / (2.0 * math.pi)
+    """Average of the signature function over the unit circle, derived once
+    per knot; see ``Knot.signature_average``."""
+    return Knot.of(A).signature_average
 
 
 def _casson(res: Fraction, sig: int) -> Fraction:

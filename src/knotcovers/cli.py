@@ -264,9 +264,9 @@ def cmd_growth(args) -> int:
     rec = _load_knot(args)
     knot = rec.knot
     Q = _pick_q(args, rec)
-    ps = _parse_ps(args.ps) if args.ps else None
-    pmax = args.pmax if args.pmax else (max(ps) if ps else 100)
-    triples = torsion_growth(knot, pmax, ps=ps)
+    if args.pmax < 1:
+        raise ValueError("pmax must be >= 1")
+    triples = torsion_growth(knot, _parse_ps(args.ps) if args.ps else range(1, args.pmax + 1))
     if not triples:
         raise _DomainEmpty("no regular p in the requested range")
     if args.plot_data:
@@ -375,8 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("growth", help="torsion growth toward the Mahler measure")
     _add_knot_flags(sp)
     _add_common_flags(sp)
-    sp.add_argument("--pmax", type=int, help="largest cover degree")
-    sp.add_argument("--ps", help="explicit degrees instead of 2..pmax")
+    degrees = sp.add_mutually_exclusive_group()
+    degrees.add_argument("--pmax", type=int, default=100, help="degrees 1..PMAX (default 100)")
+    degrees.add_argument("--ps", help="explicit degrees instead of 1..pmax")
     sp.add_argument("--q", help="JSON file with a 2-loop class")
     sp.add_argument(
         "--plot-data", action="store_true", help='emit bare "p ratio" pairs only'

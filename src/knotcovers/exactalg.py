@@ -140,10 +140,6 @@ class LaurentPoly:
         return max(self._c)
 
     @property
-    def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self._c.values())
-
-    @property
     def is_unit_monomial(self) -> bool:
         return len(self._c) == 1
 
@@ -718,14 +714,17 @@ def _mat_pow(M, p: int):
     return R
 
 
-def _charpoly(M) -> list[Fraction]:
-    """Characteristic polynomial det(sI - M), ascending, by Faddeev-LeVerrier."""
+def _charpoly(M) -> list:
+    """Characteristic polynomial det(sI - M), ascending, by Faddeev-LeVerrier;
+    int coefficients for an integer M, whose traces make each -tr/k exact."""
     d = len(M)
-    cs = [Fraction(1)]
-    N = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    integral = all(isinstance(x, int) for row in M for x in row)
+    cs = [1]
+    N = [[int(i == j) for j in range(d)] for i in range(d)]
     for k in range(1, d + 1):
         MN = _mat_mul(M, N)
-        ck = -sum((MN[i][i] for i in range(d)), Fraction(0)) / k
+        tr = sum(MN[i][i] for i in range(d))
+        ck = -tr // k if integral else Fraction(-tr, k)
         cs.append(ck)
         for i in range(d):
             MN[i][i] += ck

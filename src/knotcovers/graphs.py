@@ -161,9 +161,6 @@ class BeadedGraph:
     def euler(self) -> int:
         return self.n_vertices - len(self.edges)
 
-    def topology_key(self) -> tuple:
-        return (self.n_vertices, tuple((e.tail, e.head) for e in self.edges))
-
     def to_json(self) -> dict:
         return {
             "vertices": self.n_vertices,

@@ -153,12 +153,6 @@ class SymRatMatrix:
             return NotImplemented
         return self.entries == other.entries
 
-    def det(self) -> Fraction:
-        return rational_det(self.entries)
-
-    def signature(self) -> tuple[int, int, int]:
-        return signature_exact(self)
-
     def __repr__(self) -> str:
         return "SymRatMatrix(%r)" % [[str(x) for x in row] for row in self.entries]
 
@@ -285,9 +279,6 @@ class LambdaMatrix:
         one, zero = LaurentPoly.one(), LaurentPoly.zero()
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries[i][j]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LambdaMatrix):
             return NotImplemented
@@ -344,9 +335,6 @@ class LambdaMatrix:
             m >>= 1
         return out
 
-    def transpose(self) -> "LambdaMatrix":
-        return LambdaMatrix([[self.entries[j][i] for j in range(self.n)] for i in range(self.n)])
-
     def bar_transpose(self) -> "LambdaMatrix":
         return LambdaMatrix(
             [[self.entries[j][i].bar() for j in range(self.n)] for i in range(self.n)]
@@ -359,10 +347,6 @@ class LambdaMatrix:
                 if self.entries[i][j] != self.entries[j][i].bar():
                     return False
         return True
-
-    @property
-    def is_integral(self) -> bool:
-        return all(e.is_integral for row in self.entries for e in row)
 
     def det(self) -> LaurentPoly:
         """Exact determinant via fraction-free Bareiss over the Laurent ring."""

@@ -13,7 +13,8 @@ Hermitian, and ``Knot.clover`` raises NotHermitian on first use when it
 is missing.
 
 * ``alexander(A)`` = t^-g det(A - t A^T), which is automatically
-  bar-symmetric and takes the value 1 at t = 1.
+  bar-symmetric and takes the value 1 at t = 1; ``Knot.delta`` reads it
+  off the characteristic polynomial of Seifert's integer matrix Gamma.
 * ``signature_function(A, k, p)`` is the signature of
   (1 - conj(w)) A + (1 - w) A^T at w = e^(2 pi i k / p); w = 1 is a
   removable but excluded point (AtOne).
@@ -26,8 +27,9 @@ is missing.
   the Alexander polynomial and the signature function.
 
 Each function above takes a raw matrix or a ``Knot``, which validates it
-once and derives Delta and the clover form once.  ``Knot.beta(p)`` reads
-|H_1| of the p-fold branched cover off Seifert's integer presentation.
+once and derives Gamma, Delta and the clover form once, Gamma and Delta
+by integer arithmetic alone.  ``Knot.beta(p)`` reads |H_1| of the p-fold
+branched cover off Seifert's integer presentation.
 
 Knot records (name + Seifert matrix + optional 2-loop class) are the JSON
 interchange format; a small bundled corpus ships with the package.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactalg import LaurentPoly, _mat_mul, _mat_pow
+from .exactalg import LaurentPoly, _charpoly, _mat_mul, _mat_pow, _squarefree_parts
 from .lambdamat import (
     AtOne,
     LambdaMatrix,
@@ -110,10 +113,10 @@ def validate_seifert(A: Sequence[Sequence[int]]) -> list[list[int]]:
 
 class Knot:
     """A validated Seifert matrix with the values the per-cover invariants
-    read from it, each derived on first use and kept: the Alexander
-    polynomial ``delta``, the clover form ``clover``, the integer matrix
-    ``gamma`` and the last power pair behind ``beta(p)``.  Functions taking
-    a matrix coerce it with ``Knot.of``."""
+    read from it, each derived on first use and kept: the integer matrix
+    ``gamma``, the Alexander polynomial ``delta``, the clover form
+    ``clover``, the ``signature_average`` and the last power pair behind
+    ``beta(p)``.  Functions taking a matrix coerce it with ``Knot.of``."""
 
     def __init__(self, A: Sequence[Sequence[int]]):
         self.seifert = validate_seifert(A)
@@ -129,12 +132,14 @@ class Knot:
 
     @cached_property
     def delta(self) -> LaurentPoly:
-        """t^-g det(A - t A^T); see ``alexander``."""
-        A = self.seifert
-        n = len(A)
-        t = LaurentPoly.t()
-        M = LambdaMatrix([[A[i][j] - t * A[j][i] for j in range(n)] for i in range(n)])
-        d = M.det().shift(-self.genus)
+        """t^-g det(A - t A^T); see ``alexander``.  A - t A^T equals
+        ((1 - t) Gamma + t I) S with det S = 1, so for chi = det(xI - Gamma)
+        it is t^-g sum_k chi_k t^k (t - 1)^(2g - k)."""
+        chi = _charpoly(self.gamma)
+        n = len(chi) - 1
+        coeffs = [(-1) ** (n - e) * sum(chi[k] * math.comb(n - k, e - k) for k in range(e + 1))
+                  for e in range(n + 1)]
+        d = LaurentPoly.from_coeffs(coeffs, -self.genus)
         if d.eval_one() != 1 or not d.is_bar_symmetric:
             raise ArithmeticError("t^-g det(A - t A^T) must be bar-symmetric with value 1 at t = 1")
         return d
@@ -181,20 +186,42 @@ class Knot:
 
     @cached_property
     def gamma(self) -> list[list[int]]:
-        """Seifert's Gamma = A S^-1 with S = A - A^T; integral since det S = 1."""
+        """Seifert's Gamma = A S^-1 with S = A - A^T, by fraction-free
+        Gauss-Jordan on the integer block [S | I]; every division by the
+        previous pivot is exact, and it ends at [d I | d S^-1], d = +-det S."""
         A = self.seifert
         n = len(A)
-        # Gauss-Jordan on [S | I]; det S = 1 guarantees a pivot in each column
-        M = [[Fraction(A[i][j] - A[j][i]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
+        M = [[A[i][j] - A[j][i] for j in range(n)] + [int(i == j) for j in range(n)]
              for i in range(n)]
+        d = 1
         for k in range(n):
             piv = next(i for i in range(k, n) if M[i][k])
             M[k], M[piv] = M[piv], M[k]
-            prow = [x / M[k][k] for x in M[k]]
-            M = [prow if i == k else [x - r[k] * y for x, y in zip(r, prow)] for i, r in enumerate(M)]
-        if any(x.denominator != 1 for row in M for x in row):
+            prow, pk = M[k], M[k][k]
+            M = [prow if i == k else [(pk * x - r[k] * y) // d for x, y in zip(r, prow)]
+                 for i, r in enumerate(M)]
+            d = pk
+        if abs(d) != 1:
             raise ArithmeticError("(A - A^T)^-1 must be integral when det(A - A^T) = 1")
-        return _mat_mul(A, [[int(x) for x in row[n:]] for row in M])
+        return _mat_mul(A, [[d * x for x in row[n:]] for row in M])
+
+    @cached_property
+    def signature_average(self) -> float:
+        """Average of the signature function over the unit circle.
+
+        The function is constant on each arc between consecutive distinct
+        roots of Delta (and vanishes on the arcs adjacent to 1), so the
+        integral is exact-by-structure: evaluate at one midpoint per arc and
+        weight by arc length over 2 pi.  Root locations are numeric."""
+        angles = _unit_circle_root_angles(self.delta)
+        if not angles:
+            return 0.0
+        bounds = [0.0] + angles + [2.0 * math.pi]
+        total = 0.0
+        for lo, hi in zip(bounds, bounds[1:]):
+            mid = (lo + hi) / 2.0
+            total += sigma_at_omega(self, cmath.exp(1j * mid)) * (hi - lo)
+        return total / (2.0 * math.pi)
 
     def beta(self, p: int) -> int:
         """|det(Gamma^p - (Gamma - I)^p)|, the order of H_1 of the p-fold
@@ -218,10 +245,26 @@ class Knot:
 
 KnotLike = Knot | Sequence[Sequence[int]]
 
+# a root of the square-free part of Delta this close to |t| = 1 is on it
+_ON_CIRCLE = 1e-8
+
+
+def _unit_circle_root_angles(delta: LaurentPoly) -> list[float]:
+    """Sorted angles in (0, 2 pi) of the distinct unit-circle roots of
+    delta (numeric, on its square-free part; delta(1) = 1 excludes 0)."""
+    return sorted(
+        math.atan2(z.imag, z.real) % (2.0 * math.pi)
+        for part in _squarefree_parts(delta)[:1]
+        for z in np.roots([float(c) for c in reversed(part)])
+        if abs(abs(z) - 1.0) < _ON_CIRCLE
+    )
+
 
 def alexander(A: KnotLike) -> LaurentPoly:
     """Symmetrized Alexander polynomial t^-g det(A - t A^T); det(A - A^T) = 1
-    makes it bar-symmetric with value 1 at t = 1, no unit fixing needed."""
+    makes it bar-symmetric with value 1 at t = 1, no unit fixing needed.
+    Derived from ``Knot.gamma`` (see ``Knot.delta``); the clover form's
+    Bareiss determinant ``normalized_determinant`` is the oracle route."""
     return Knot.of(A).delta
 
 

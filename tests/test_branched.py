@@ -87,13 +87,13 @@ class TestTorsion:
             torsion_order(trefoil, 6)
 
     def test_growth_rows_skip_irregular(self, trefoil):
-        rows = torsion_growth(trefoil, 13)
+        rows = torsion_growth(trefoil, range(1, 14))
         assert [r[0] for r in rows] == [1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 13]
 
     def test_growth_limit_is_mahler(self, figure8):
         m = mahler_measure(alexander(figure8))
         assert m == pytest.approx(math.log((3 + math.sqrt(5)) / 2), abs=1e-12)
-        rows = torsion_growth(figure8, 60, ps=[30, 60])
+        rows = torsion_growth(figure8, [30, 60])
         assert rows[-1][2] == pytest.approx(m, abs=1e-9)
 
 
@@ -209,6 +209,21 @@ class TestDerivedOnce:
         assert main(argv) == 0
         capsys.readouterr()
         assert calls == [6]
+
+    def test_growth_finds_the_circle_roots_once(self, monkeypatch, capsys):
+        # the summary's signature average and casson_growth (on the trefoil
+        # record's own 2-loop class) share one Knot value
+        calls = []
+        angles = knotcovers.seifert._unit_circle_root_angles
+
+        def counted_angles(delta):
+            calls.append(delta)
+            return angles(delta)
+
+        monkeypatch.setattr(knotcovers.seifert, "_unit_circle_root_angles", counted_angles)
+        assert main(["growth", "--knot", "trefoil", "--pmax", "12", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["casson_growth"] is not None
+        assert len(calls) == 1
 
 
 class TestAverages:

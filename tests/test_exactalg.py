@@ -10,6 +10,7 @@ from knotcovers.exactalg import (
     PowerSeries,
     RatFun,
     SingularAtOne,
+    _charpoly,
     cyclotomic_norm,
     denominator_to_tp,
     lp_eval_unit,
@@ -166,6 +167,22 @@ class TestRatFun:
         r = RatFun(t + one, t - 2 * one)
         assert RatFun.from_json(r.to_json()) == r
         assert RatFun.from_json({"1": "1"}) == RatFun(t)
+
+
+class TestCharpoly:
+    def test_integer_matrix_keeps_int_coefficients(self):
+        # trace 4, principal 2x2 minors 5 - 2 - 4 = -1, det -7:
+        # det(sI - M) = s^3 - 4 s^2 - s + 7
+        M = [[2, 1, 0], [1, 3, 1], [0, 1, -1]]
+        chi = _charpoly(M)
+        assert chi == [7, -1, -4, 1]
+        assert all(type(c) is int for c in chi)
+        assert _charpoly([]) == [1]
+
+    def test_rational_matrix_is_exact(self):
+        # det(sI - M) = s^2 - (1/2 + 1/3) s + 1/6 - 1/4
+        M = [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]]
+        assert _charpoly(M) == [Fraction(-1, 12), Fraction(-5, 6), 1]
 
 
 class TestDenominatorToTp:

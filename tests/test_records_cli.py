@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from knotcovers.cli import main
 from knotcovers.exactalg import LaurentPoly
 
@@ -114,6 +116,14 @@ class TestGrowthCommand:
         assert code == 0
         assert "mahler = 0.962423650119" in out
         assert "signature_average = 0" in out
+
+    def test_pmax_and_ps_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["growth", "--knot", "figure8", "--pmax", "5", "--ps", "10"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        code, _, err = run(capsys, "growth", "--knot", "figure8", "--pmax", "0")
+        assert code == 2 and "pmax" in err
 
     def test_plot_data_pairs(self, capsys):
         code, out, _ = run(

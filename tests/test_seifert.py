@@ -1,13 +1,20 @@
 """Seifert matrices, Alexander polynomials, clover forms, the corpus."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from knotcovers.branched import total_sigma_p
-from knotcovers.exactalg import LaurentPoly, cyclotomic_norm
-from knotcovers.lambdamat import AtOne, NotHermitian, SingularEvaluation, varsigma_p
+from knotcovers.exactalg import LaurentPoly, _mat_mul, cyclotomic_norm
+from knotcovers.lambdamat import (
+    AtOne,
+    LambdaMatrix,
+    NotHermitian,
+    SingularEvaluation,
+    varsigma_p,
+)
 from knotcovers.seifert import (
     Knot,
     KnotRecord,
@@ -141,6 +148,116 @@ class TestSeifertPresentation:
         assert Knot(trefoil).beta(1) == 1
         with pytest.raises(ValueError):
             Knot(trefoil).beta(0)
+
+
+def laurent_bareiss(A):
+    """Oracle for Knot.delta: t^-g det(A - t A^T) by the Laurent-ring Bareiss."""
+    n = len(A)
+    M = LambdaMatrix([[A[i][j] - t * A[j][i] for j in range(n)] for i in range(n)])
+    return M.det().shift(-(n // 2))
+
+
+def conjugate(A, P):
+    """P^T A P: the Seifert matrix of the same knot in another basis."""
+    return _mat_mul(_mat_mul([list(col) for col in zip(*P)], A), P)
+
+
+def random_unimodular(n, rng):
+    """An integer matrix of determinant +-1 from random column operations."""
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        for row in P:
+            row[j] += c * row[i]
+        if rng.random() < 0.3:
+            for row in P:
+                row[i], row[j] = row[j], row[i]
+    return P
+
+
+def block_sum(*mats):
+    """Seifert matrix of the connected sum, in a basis that is not banded."""
+    n = sum(len(A) for A in mats)
+    out = [[0] * n for _ in range(n)]
+    off = 0
+    for A in mats:
+        for i, row in enumerate(A):
+            out[off + i][off:off + len(A)] = row
+        off += len(A)
+    return out
+
+
+def torus_seifert(a, b):
+    """-V_a (x) V_b, the Seifert form of x^a + y^b (Sebastiani-Thom), with
+    V_k the (k-1) x (k-1) matrix with 1 on the diagonal and -1 above it."""
+    def V(k):
+        return [[1 if i == j else -1 if j == i + 1 else 0 for j in range(k - 1)] for i in range(k - 1)]
+
+    Va, Vb, m = V(a), V(b), b - 1
+    n = (a - 1) * m
+    return [[-Va[i // m][j // m] * Vb[i % m][j % m] for j in range(n)] for i in range(n)]
+
+
+class TestDeltaFromGamma:
+    def test_matches_bareiss_on_corpus(self):
+        for rec in corpus_records():
+            assert rec.knot.delta == laurent_bareiss(rec.seifert), rec.name
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_matches_bareiss_on_random_banded(self, g, rng):
+        for _ in range(8):
+            A = random_seifert(g, rng)
+            assert Knot(A).delta == laurent_bareiss(A)
+
+    def test_matches_bareiss_on_non_banded_conjugates(self, rng):
+        for _ in range(12):
+            A = random_seifert(rng.choice([1, 2, 3]), rng)
+            B = conjugate(A, random_unimodular(len(A), rng))
+            assert Knot(B).delta == laurent_bareiss(B) == Knot(A).delta
+
+    def test_matches_bareiss_on_block_sums(self, trefoil, figure8):
+        dt, df = alexander(trefoil), alexander(figure8)
+        for mats, want in (((trefoil, trefoil), dt * dt), ((trefoil, figure8), dt * df)):
+            A = block_sum(*mats)
+            assert Knot(A).delta == laurent_bareiss(A) == want
+
+    def test_gamma_is_an_integer_solution(self, rng):
+        mats = [rec.seifert for rec in corpus_records()]
+        mats += [conjugate(A, random_unimodular(len(A), rng))
+                 for A in (random_seifert(g, rng) for g in (1, 2, 3))]
+        for A in mats:
+            G = Knot(A).gamma
+            S = [[A[i][j] - A[j][i] for j in range(len(A))] for i in range(len(A))]
+            assert all(type(x) is int for row in G for x in row)
+            assert _mat_mul(G, S) == A
+
+    def test_delta_makes_no_laurent_determinant(self, monkeypatch):
+        calls = []
+        det = LambdaMatrix.det
+
+        def counted_det(M):
+            calls.append(M.n)
+            return det(M)
+
+        monkeypatch.setattr(LambdaMatrix, "det", counted_det)
+        for A in [rec.seifert for rec in corpus_records()] + [torus_seifert(3, 4)]:
+            Knot(A).delta
+        assert calls == []
+        laurent_bareiss(torus_seifert(3, 4))  # the counter does see the oracle
+        assert calls == [6]
+
+
+@pytest.mark.parametrize("a, b", [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (5, 6), (7, 8)])
+def test_torus_knots_match_theory(a, b):
+    knot = Knot(torus_seifert(a, b))
+    assert knot.genus == (a - 1) * (b - 1) // 2
+    num = (t ** (a * b) - one) * (t - one)
+    den = (t ** a - one) * (t ** b - one)
+    assert knot.delta == canonical_symmetric(num.divexact(den))
+    # Sigma(a, b, p) is a homology sphere when a, b and p are pairwise coprime
+    ps = [p for p in range(2, 14) if math.gcd(p, a) == 1 == math.gcd(p, b)]
+    assert ps and [knot.beta(p) for p in ps] == [1] * len(ps)
 
 
 class TestCloverForm:

@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import doctest
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import knotcovers
 
 SRC = Path(knotcovers.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_no_assert_in_production_code():
@@ -58,3 +61,18 @@ def test_no_scipy():
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     deps = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["dependencies"]
     assert deps and not [d for d in deps if d.lower().startswith("scipy")]
+
+
+def test_readme_examples():
+    # the library tour runs as written: every ```python block of README.md
+    # is a doctest, in file order, sharing one namespace
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    assert blocks
+    parser, runner = doctest.DocTestParser(), doctest.DocTestRunner()
+    report, globs = [], {}
+    for i, block in enumerate(blocks):
+        runner.run(parser.get_doctest(block, globs, "README.md[%d]" % i, str(README), 0),
+                   out=report.append)
+    assert runner.tries > 0
+    assert runner.failures == 0, "".join(report)
