@@ -137,10 +137,11 @@ def criterion_02(ctx: AcceptanceContext):
         W = K.clover
         delta = K.delta
         check(normalized_determinant(W) == delta, "determinant route mismatch")
+        terms = [(e, float(c)) for e, c in delta.coeffs.items()]
         for p in range(2, 11):
             for k in range(1, p):
                 w = cmath.exp(2j * cmath.pi * k / p)
-                if abs(delta.evaluate(w)) < 1e-7:
+                if abs(sum(c * w ** e for e, c in terms)) < 1e-7:
                     # singular root: both routes must refuse
                     for fn in (lambda: varsigma_at(W, k, p), lambda: signature_function(K, k, p)):
                         try:

@@ -7,8 +7,9 @@ For p-regular p (no root of the Alexander polynomial at a p-th root of
 unity):
 
 * ``total_sigma_p(A, p)`` -- the total equivariant signature, the sum of
-  the signature function over the p-th roots of unity, one 2g x 2g numeric
-  Hermitian eigenproblem per root, so the cost is linear in p.  Its oracle
+  the signature function over the p-th roots of unity: the roots go in
+  stacks of ``_CHUNK``, one numpy eigensolve of 2g x 2g Hermitian forms
+  per stack, so the cost is linear in p and the memory flat.  Its oracle
   is the exact inertia of the clover form at the p-cycle matrix
   (``lambdamat.varsigma_p``), compared in selftest criterion 3 and tests.
 * ``torsion_order(A, p)`` -- the order of the first homology of the
@@ -33,11 +34,12 @@ Their growth as p -> infinity:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .seifert import Knot, KnotLike, sigma_at_omega
 from .theta import QSingularAtP, ThetaClass, res_p_theta, torus_average
@@ -54,6 +56,10 @@ __all__ = [
     "BranchedReport",
     "branched_report",
 ]
+
+# roots of unity per stacked eigensolve, the size graphs streams bead tuples in
+_CHUNK = 1 << 12
+
 
 class NotPRegular(ValueError):
     """The Alexander polynomial vanishes at some p-th root of unity."""
@@ -73,11 +79,21 @@ def _regular_beta(knot: Knot, p: int) -> int:
 
 def total_sigma_p(A: KnotLike, p: int) -> int:
     """Sum of the signature function over the p-th roots of unity k = 1..p-1
-    (the root at 1 contributes 0), each an integer from a 2g x 2g Hermitian
-    eigenproblem in any basis; NotPRegular if Delta vanishes at one."""
+    (the root at 1 contributes 0), in any basis, one stacked eigensolve per
+    _CHUNK roots; NotPRegular if Delta vanishes at one."""
     knot = Knot.of(A)
     _regular_beta(knot, p)
-    return sum(sigma_at_omega(knot, cmath.exp(2j * cmath.pi * k / p)) for k in range(1, p))
+    return _sigma_sum(knot, p)
+
+
+def _sigma_sum(knot: Knot, p: int) -> int:
+    """``total_sigma_p`` without its regularity test."""
+    total = 0
+    for lo in range(1, p, _CHUNK):
+        k = np.arange(lo, min(lo + _CHUNK, p))
+        # the same floats as signature_function's cmath.exp(2j * pi * k / p)
+        total += int(np.sum(sigma_at_omega(knot, np.exp(1j * (2 * np.pi * k / p)))))
+    return total
 
 
 def torsion_order(A: KnotLike, p: int) -> int:

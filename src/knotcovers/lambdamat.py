@@ -18,9 +18,11 @@ t by a p-th root of the identity in matrix form:
 Signatures of rational symmetric matrices are computed exactly by
 congruence (diagonalization with symmetric pivoting and hyperbolic 2x2
 blocks), so every signature here is an honest integer.  Evaluation at
-points of the unit circle other than +-1 is a numeric path using numpy's
-Hermitian eigensolver above a fixed eigenvalue floor ``_EIG_FLOOR``; the
-production ``branched.total_sigma_p`` sums such per-root signatures, and
+points of the unit circle other than +-1 is a numeric path: W(z) comes
+from a float coefficient tensor, and ``complex_signature`` counts
+eigenvalue signs above a fixed floor ``_EIG_FLOOR`` for one matrix or a
+stack of them in one numpy eigensolve.  The production
+``branched.total_sigma_p`` sums such signatures in stacks of roots, and
 the exact cycle substitution ``varsigma_p`` is its oracle.
 """
 
@@ -253,9 +255,10 @@ def _sym_swap(M, a, b):
 
 
 class LambdaMatrix:
-    """Square matrix of Laurent polynomials; keeps sigma(W(1)) once computed."""
+    """Square matrix of Laurent polynomials; keeps, once computed, whether
+    it is Hermitian, sigma(W(+-1)) and its float coefficient tensor."""
 
-    __slots__ = ("n", "entries", "_sigma_one")
+    __slots__ = ("n", "entries", "_hermitian", "_sigma_exact", "_float_coeffs")
 
     def __init__(self, rows: Sequence[Sequence]):
         ent = []
@@ -272,7 +275,9 @@ class LambdaMatrix:
                 raise ValueError("matrix must be square")
         self.n = n
         self.entries = tuple(ent)
-        self._sigma_one: int | None = None
+        self._hermitian: bool | None = None
+        self._sigma_exact: dict[int, int | None] = {}  # w = +-1 -> sigma(W(w)), None if singular
+        self._float_coeffs: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def identity(cls, n: int) -> "LambdaMatrix":
@@ -342,11 +347,10 @@ class LambdaMatrix:
 
     @property
     def is_hermitian(self) -> bool:
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.entries[i][j] != self.entries[j][i].bar():
-                    return False
-        return True
+        if self._hermitian is None:
+            E, n = self.entries, self.n
+            self._hermitian = all(E[i][j] == E[j][i].bar() for i in range(n) for j in range(n))
+        return self._hermitian
 
     def det(self) -> LaurentPoly:
         """Exact determinant via fraction-free Bareiss over the Laurent ring."""
@@ -379,13 +383,14 @@ class LambdaMatrix:
         return [[e.eval_one() for e in row] for row in self.entries]
 
     def eval_complex(self, z: complex) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for i in range(self.n):
-            for j in range(self.n):
-                e = self.entries[i][j]
-                if not e.is_zero:
-                    out[i, j] = e.evaluate(z)
-        return out
+        """W(z) = sum_e C_e z^e from the float tensor C[e, i, j], built once
+        (stored with i, j flattened)."""
+        if self._float_coeffs is None:
+            exps = sorted({e for row in self.entries for x in row for e in x.coeffs})
+            C = [[float(x.coeff(e)) for row in self.entries for x in row] for e in exps]
+            self._float_coeffs = (np.array(exps, dtype=int), np.reshape(C, (len(exps), self.n**2)))
+        exps, C = self._float_coeffs
+        return (complex(z) ** exps @ C).reshape(self.n, self.n)
 
     def eval_unit(self, k: int, p: int) -> np.ndarray:
         return self.eval_complex(cmath.exp(2j * cmath.pi * (k % p) / p))
@@ -509,53 +514,50 @@ def subst_twisted(W: LambdaMatrix, p: int) -> LambdaMatrix:
 # signatures
 
 
-def complex_signature(H: np.ndarray) -> int:
-    """Signature of a complex Hermitian matrix (numeric path).
-
-    Raises SingularEvaluation when any eigenvalue sits within _EIG_FLOOR
-    of 0.
-    """
-    n = H.shape[0]
-    if n == 0:
-        return 0
-    Hs = (H + H.conj().T) / 2.0
-    if not np.allclose(H, Hs, atol=1e-8):
+def complex_signature(H: np.ndarray) -> "int | np.ndarray":
+    """Signature of a complex Hermitian matrix (numeric path): an int for
+    one n x n matrix, an int array for an (m, n, n) stack in one eigensolve.
+    Raises NotHermitian / SingularEvaluation when any slice would (an
+    eigenvalue within _EIG_FLOOR of 0 is singular)."""
+    Hs = (H + np.conj(np.swapaxes(H, -1, -2))) / 2.0
+    # np.allclose(H, Hs, atol=1e-8) over every slice at once
+    if not (np.abs(H - Hs) <= 1e-8 + 1e-5 * np.abs(Hs)).all():
         raise NotHermitian("numeric matrix is not Hermitian")
     eigs = np.linalg.eigvalsh(Hs)
-    if np.any(np.abs(eigs) <= _EIG_FLOOR):
+    if (np.abs(eigs) <= _EIG_FLOOR).any():
         raise SingularEvaluation("eigenvalue within tolerance of zero")
-    return int(np.sum(eigs > 0) - np.sum(eigs < 0))
+    sig = (eigs > 0).sum(axis=-1) - (eigs < 0).sum(axis=-1)
+    return int(sig) if sig.ndim == 0 else sig
 
 
-def _sigma_at_one(W: LambdaMatrix) -> int:
-    if W._sigma_one is None:
-        plus, minus, null = signature_exact(SymRatMatrix(W.eval_at_one()))
-        if null:
-            raise SingularEvaluation("W(1) is singular")
-        W._sigma_one = plus - minus
-    return W._sigma_one
+def _sigma_exact_at(W: LambdaMatrix, w: int) -> int:
+    """sigma(W(w)) at w = +-1 by exact congruence, kept on W (a singular
+    W(w) too, so that every call raises SingularEvaluation)."""
+    if w not in W._sigma_exact:
+        S = SymRatMatrix([[e.evaluate(w) for e in row] for row in W.entries])
+        plus, minus, null = signature_exact(S)
+        W._sigma_exact[w] = None if null else plus - minus
+    sig = W._sigma_exact[w]
+    if sig is None:
+        raise SingularEvaluation("W(%d) is singular" % w)
+    return sig
 
 
 def varsigma_at(W: LambdaMatrix, k: int, p: int) -> int:
     """sigma(W(w)) - sigma(W(1)) for w = e^(2 pi i k/p).
 
     At w = 1 the difference is identically zero, so k = 0 mod p returns 0.
-    Other roots go through the numeric Hermitian eigensolver; the exact
-    route (varsigma_p) sums these over all p-th roots at once.
+    At w = -1 both signatures are exact; other roots go through the
+    numeric Hermitian eigensolver.  The exact route (varsigma_p) sums
+    these over all p-th roots at once.
     """
     _require_hermitian(W)
     if k % p == 0:
         return 0
-    base = _sigma_at_one(W)
+    base = _sigma_exact_at(W, 1)
     if 2 * (k % p) == p:
-        plus, minus, null = signature_exact(
-            SymRatMatrix([[e.evaluate(Fraction(-1)) for e in row] for row in W.entries])
-        )
-        if null:
-            raise SingularEvaluation("W(-1) is singular")
-        return plus - minus - base
-    sig = complex_signature(W.eval_unit(k, p))
-    return sig - base
+        return _sigma_exact_at(W, -1) - base
+    return complex_signature(W.eval_unit(k, p)) - base
 
 
 def varsigma_p(W: LambdaMatrix, p: int) -> int:
@@ -571,4 +573,4 @@ def varsigma_p(W: LambdaMatrix, p: int) -> int:
     plus, minus, null = signature_exact(S)
     if null:
         raise SingularEvaluation("W(T) is singular: some p-th root is not regular")
-    return (plus - minus) - p * _sigma_at_one(W)
+    return (plus - minus) - p * _sigma_exact_at(W, 1)

@@ -120,6 +120,7 @@ class Knot:
 
     def __init__(self, A: Sequence[Sequence[int]]):
         self.seifert = validate_seifert(A)
+        self._float = np.array(self.seifert, dtype=float).reshape(2 * self.genus, 2 * self.genus)
         self._ladder: tuple | None = None  # (p, Gamma^p, (Gamma - I)^p, beta_p)
 
     @classmethod
@@ -211,17 +212,16 @@ class Knot:
 
         The function is constant on each arc between consecutive distinct
         roots of Delta (and vanishes on the arcs adjacent to 1), so the
-        integral is exact-by-structure: evaluate at one midpoint per arc and
-        weight by arc length over 2 pi.  Root locations are numeric."""
+        integral is exact-by-structure: evaluate at one midpoint per arc, all
+        in one stacked call, and weight by arc length over 2 pi.  Root
+        locations are numeric."""
         angles = _unit_circle_root_angles(self.delta)
         if not angles:
             return 0.0
         bounds = [0.0] + angles + [2.0 * math.pi]
-        total = 0.0
-        for lo, hi in zip(bounds, bounds[1:]):
-            mid = (lo + hi) / 2.0
-            total += sigma_at_omega(self, cmath.exp(1j * mid)) * (hi - lo)
-        return total / (2.0 * math.pi)
+        arcs = list(zip(bounds, bounds[1:]))
+        sigs = sigma_at_omega(self, np.exp(1j * np.array([(lo + hi) / 2.0 for lo, hi in arcs])))
+        return sum(int(s) * (hi - lo) for s, (lo, hi) in zip(sigs, arcs)) / (2.0 * math.pi)
 
     def beta(self, p: int) -> int:
         """|det(Gamma^p - (Gamma - I)^p)|, the order of H_1 of the p-fold
@@ -323,11 +323,13 @@ def congruence_identity_check(A: KnotLike) -> bool:
     return lhs == rhs
 
 
-def sigma_at_omega(A: KnotLike, omega: complex) -> int:
-    """Signature of (1 - conj(w)) A + (1 - w) A^T at a unit-circle w != 1."""
-    A = Knot.of(A).seifert
-    M = np.array(A, dtype=float).reshape(len(A), len(A))
-    return complex_signature((1 - complex(omega).conjugate()) * M + (1 - omega) * M.T)
+def sigma_at_omega(A: KnotLike, omega: "complex | np.ndarray") -> "int | np.ndarray":
+    """Signature of (1 - conj(w)) A + (1 - w) A^T at a unit-circle w != 1:
+    an int for a scalar w, an int array for an array of w, all of whose
+    forms go through one stacked eigensolve."""
+    M = Knot.of(A)._float
+    w = np.asarray(omega, dtype=complex)[..., None, None]
+    return complex_signature((1 - w.conj()) * M + (1 - w) * M.T)
 
 
 def signature_function(A: KnotLike, k: int, p: int) -> int:

@@ -72,17 +72,31 @@ def test_injected_corruption_turns_the_gate_red():
     assert "FAIL" in buf.getvalue()
 
 
-def test_injected_corruption_fails_under_python_O():
+def _selftest_under_python_O(*argv):
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    argv = ["selftest", "--criteria", "4", "--inject-corruption"]
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "knotcovers.cli", *argv],
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "knotcovers.cli", "selftest", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def test_injected_corruption_fails_under_python_O():
+    proc = _selftest_under_python_O("--criteria", "4", "--inject-corruption")
     assert proc.returncode == 1
     assert re.search(r"criterion\s+4: FAIL", proc.stdout)
+
+
+def test_signature_criteria_pass_under_python_O():
+    # the cached Hermitian checks, sigma(W(+-1)) and the stacked
+    # eigensolves raise explicitly, so these criteria still check under -O
+    proc = _selftest_under_python_O("--criteria", "2,3,9,12")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    passed = [re.match(r"criterion\s+(\d+): PASS", ln) for ln in lines]
+    assert [int(m.group(1)) for m in passed if m] == [2, 3, 9, 12]
+    assert len(lines) == 4

@@ -4,8 +4,10 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import knotcovers.branched
 import knotcovers.exactalg
 import knotcovers.lambdamat
 import knotcovers.seifert
@@ -23,12 +25,19 @@ from knotcovers.branched import (
 )
 from knotcovers.cli import main
 from knotcovers.exactalg import cyclotomic_norm, mahler_measure
-from knotcovers.lambdamat import LambdaMatrix, rational_det, subst_cycle, varsigma_p
+from knotcovers.lambdamat import (
+    LambdaMatrix,
+    SingularEvaluation,
+    rational_det,
+    subst_cycle,
+    varsigma_p,
+)
 from knotcovers.seifert import (
     Knot,
     alexander,
     clover_matrix,
     corpus_records,
+    random_seifert,
     signature_function,
 )
 from knotcovers.theta import ThetaClass
@@ -140,6 +149,56 @@ class TestTotalSignature:
             A = block_sum(*parts)
             for p in (2, 3, 5, 7):
                 assert total_sigma_p(A, p) == sum(total_sigma_p(B, p) for B in parts)
+
+
+class TestStackedRoots:
+    CHUNK = knotcovers.branched._CHUNK
+
+    def test_per_root_oracle_on_corpus_random_knots_and_sums(self, rng, trefoil):
+        knots = [rec.knot for rec in corpus_records()]
+        knots += [Knot(random_seifert(rng.randint(1, 3), rng)) for _ in range(40)]
+        knots.append(Knot(block_sum(trefoil, trefoil)))
+        for knot in knots:
+            for p in range(2, 14):
+                if is_p_regular(knot, p):
+                    assert total_sigma_p(knot, p) == by_roots(knot, p), (knot.seifert, p)
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            return fn(*args)
+        except SingularEvaluation:
+            return "singular"
+
+    @pytest.mark.parametrize("extra", [0, 1, CHUNK + 1])
+    def test_chunk_boundaries(self, extra, trefoil):
+        # p = chunk, chunk + 1 and 2 chunk + 1 without beta_p: the stacked
+        # sum against signature_function one root at a time
+        p = self.CHUNK + extra
+        names = {"trefoil", "random-g2-c", "random-g3-a"}
+        knots = [rec.knot for rec in corpus_records() if rec.name in names]
+        knots.append(Knot(block_sum(trefoil, trefoil)))
+        for knot in knots:
+            got = self._outcome(knotcovers.branched._sigma_sum, knot, p)
+            assert got == self._outcome(by_roots, knot, p), (knot.seifert, p)
+
+    def test_one_eigensolve_per_chunk(self, monkeypatch, figure8, trefoil):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(H):
+            calls.append(H.shape)
+            return eigvalsh(H)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        for p in (2, 7, self.CHUNK, self.CHUNK + 1, self.CHUNK + 2, 2 * self.CHUNK + 1):
+            del calls[:]
+            total_sigma_p(figure8, p)
+            assert len(calls) == -(-(p - 1) // self.CHUNK), p
+            assert sum(shape[0] for shape in calls) == p - 1
+        del calls[:]
+        assert signature_average(block_sum(trefoil, trefoil)) == pytest.approx(-8 / 3)
+        assert len(calls) == 1
 
 
 class TestDerivedOnce:

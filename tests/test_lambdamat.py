@@ -9,6 +9,7 @@ import pytest
 from knotcovers.exactalg import LaurentPoly
 from knotcovers.lambdamat import (
     LambdaMatrix,
+    NotHermitian,
     SingularEvaluation,
     SymRatMatrix,
     complex_signature,
@@ -99,6 +100,77 @@ class TestLambdaMatrix:
         assert M[0][0] == pytest.approx(2j)
         assert M[1][1] == pytest.approx(1 / 2j)
 
+    def test_eval_complex_matches_per_entry_evaluation(self, rng):
+        for _ in range(25):
+            n = rng.randint(0, 5)
+            W = LambdaMatrix(
+                [
+                    [
+                        LaurentPoly(
+                            {
+                                e: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                for e in range(-3, 4)
+                                if rng.random() < 0.5
+                            }
+                        )
+                        for _ in range(n)
+                    ]
+                    for _ in range(n)
+                ]
+            )
+            off_circle = complex(rng.uniform(0.5, 2), rng.uniform(-2, 2))
+            for z in (cmath.exp(1j * rng.uniform(0, 7)), off_circle):
+                want = np.array([[e.evaluate(z) for e in row] for row in W.entries], dtype=complex)
+                got = W.eval_complex(z)
+                assert got.shape == (n, n)
+                scale = max(1.0, np.abs(want).max(initial=0.0))
+                assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
+
+    def test_cached_hermitian_check_stays_false(self):
+        W = LambdaMatrix([[one, t], [t, one]])
+        for _ in range(2):
+            assert W.is_hermitian is False
+            W.eval_complex(1j)
+            with pytest.raises(NotHermitian):
+                varsigma_at(W, 1, 3)
+        assert LambdaMatrix([[one, t], [t.bar(), one]]).is_hermitian is True
+
+
+def _random_hermitian_stack(np_rng, m, n):
+    X = np_rng.normal(size=(m, n, n)) + 1j * np_rng.normal(size=(m, n, n))
+    return X + np.conj(np.swapaxes(X, -1, -2))
+
+
+class TestStackedComplexSignature:
+    def test_stack_equals_loop_over_slices(self):
+        np_rng = np.random.default_rng(7)
+        for m, n in ((1, 1), (5, 2), (40, 4), (200, 6), (3, 0)):
+            H = _random_hermitian_stack(np_rng, m, n)
+            got = complex_signature(H)
+            assert isinstance(got, np.ndarray) and got.shape == (m,)
+            want = [complex_signature(H[i]) for i in range(m)]
+            assert all(isinstance(x, int) for x in want)
+            assert got.tolist() == want
+
+    def test_one_bad_slice_raises(self):
+        np_rng = np.random.default_rng(11)
+        for bad in (0, 17, 39):
+            H = _random_hermitian_stack(np_rng, 40, 4)
+            skew = H.copy()
+            skew[bad, 0, 1] += 1e-3
+            with pytest.raises(NotHermitian):
+                complex_signature(skew[bad])
+            with pytest.raises(NotHermitian):
+                complex_signature(skew)
+            singular = H.copy()
+            singular[bad] = 0.0
+            singular[bad, 1, 1] = 1.0
+            with pytest.raises(SingularEvaluation):
+                complex_signature(singular[bad])
+            with pytest.raises(SingularEvaluation):
+                complex_signature(singular)
+            assert complex_signature(np.delete(singular, bad, axis=0)).shape == (39,)
+
 
 class TestCycleSubstitution:
     def test_plain_cycle_matrix_is_cyclic_permutation(self):
@@ -162,6 +234,20 @@ class TestSignaturesOfCloverForms:
         H = W.eval_complex(cmath.exp(1j * cmath.pi))
         eigs = np.linalg.eigvalsh(np.array(H, dtype=complex))
         assert got == int((eigs > 0).sum()) - int((eigs < 0).sum())
+
+    @pytest.mark.parametrize("k,p", [(1, 2), (2, 4), (3, 6)])
+    def test_singular_minus_one_raises_on_every_call(self, k, p):
+        W = LambdaMatrix([[2 * one + t + t.bar()]])  # 4 at t = 1, 0 at t = -1
+        for _ in range(3):
+            with pytest.raises(SingularEvaluation):
+                varsigma_at(W, k, p)
+        assert varsigma_at(W, 1, 3) == 0
+
+    def test_singular_one_raises_on_every_call(self):
+        W = LambdaMatrix([[2 * one - t - t.bar()]])  # 0 at t = 1
+        for k, p in ((1, 3), (1, 2), (1, 3)):
+            with pytest.raises(SingularEvaluation):
+                varsigma_at(W, k, p)
 
     def test_normalized_determinant_is_symmetric_and_one_at_one(self, figure8):
         d = normalized_determinant(clover_matrix(figure8))
