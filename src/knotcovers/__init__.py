@@ -34,7 +34,6 @@ from .lambdamat import (
     LambdaMatrix,
     NotHermitian,
     SingularEvaluation,
-    SymRatMatrix,
     cycle_matrix,
     normalized_determinant,
     signature_exact,

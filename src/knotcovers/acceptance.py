@@ -187,7 +187,7 @@ def criterion_04(ctx: AcceptanceContext):
             check(abs(norm) == beta, "%s p=%d: resultant %s vs %d" % (rec.name, p, norm, beta))
             if beta == 0:
                 continue  # irregular p: W(T) is singular
-            det = rational_det(subst_cycle(knot.clover, p).entries)
+            det = rational_det(subst_cycle(knot.clover, p))
             check(abs(det) == beta, "%s p=%d: det %s vs %d" % (rec.name, p, det, beta))
     for p, want in ctx.expected["trefoil_beta"].items():
         got = torsion_order([[-1, 1], [0, -1]], p)
@@ -365,7 +365,7 @@ def criterion_12(ctx: AcceptanceContext):
         check(Tw.is_hermitian, "twisted substitution must stay Hermitian")
         S = subst_cycle(W, p)
         check(
-            tuple(tuple(r) for r in Tw.eval_at_one()) == S.entries,
+            tuple(tuple(r) for r in Tw.eval_at_one()) == S,
             "twisted substitution at t = 1 must match the cycle substitution",
         )
 

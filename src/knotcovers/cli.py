@@ -38,7 +38,6 @@ from .branched import (
     is_p_regular,
     signature_average,
     torsion_growth,
-    total_sigma_p,
 )
 from .theta import QSingularAtP, SingularOnTorus, ThetaClass, res_p_theta, torus_average
 from .graphs import BeadedGraph, disjoint_union, eyes_graph, liftres_sweep, theta_graph
@@ -223,21 +222,22 @@ def cmd_signature(args) -> int:
         raise ValueError("signature takes a single --p, not a range")
     (p,) = ps
     rows = []
-    usable = 0
     for k in range(1, p):
         try:
             sig = signature_function(knot, k, p)
-            usable += 1
         except SingularEvaluation:
             sig = None  # Alexander root on the unit circle: jump point
         rows.append([k, Fraction(k, p), sig])
+    sigs = [row[2] for row in rows if row[2] is not None]
     summary = {}
-    if is_p_regular(knot, p):
-        summary["total_sigma_p"] = total_sigma_p(knot, p)
+    if is_p_regular(knot, p):  # total_sigma_p from the rows, each root solved once
+        if len(sigs) < len(rows):
+            raise SingularEvaluation("a p-th root of unity is numerically singular at regular p")
+        summary["total_sigma_p"] = sum(sigs)
     if not rows:
         raise _DomainEmpty("p = 1 has no interior roots of unity")
     _emit_rows(args, ["k", "k/p", "signature"], rows, summary)
-    return EXIT_OK if usable else EXIT_DOMAIN
+    return EXIT_OK if sigs else EXIT_DOMAIN
 
 
 def cmd_branched(args) -> int:

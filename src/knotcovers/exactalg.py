@@ -285,6 +285,12 @@ class LaurentPoly:
             raise ValueError("inexact Laurent division")
         return LaurentPoly.from_coeffs(q, amin - bmin)
 
+    def __floordiv__(self, other) -> "LaurentPoly":
+        """``divexact``, with an int or Fraction taken as a constant."""
+        if isinstance(other, (int, Fraction)):
+            other = LaurentPoly.const(other)
+        return self.divexact(other)
+
     def _ascending(self) -> tuple[list[Fraction], int]:
         """Coefficients c_{min}..c_{max} as a dense ascending list."""
         m, M = self.min_exp, self.max_exp
@@ -697,8 +703,9 @@ def _companion(monic: list[Fraction]) -> list[list[Fraction]]:
 
 
 def _mat_mul(A, B):
+    """A B over any ring (int, Fraction, LaurentPoly), skipping zero products."""
     cols = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
+    return [[sum(a * b for a, b in zip(row, col) if a and b) for col in cols] for row in A]
 
 
 def _mat_pow(M, p: int):

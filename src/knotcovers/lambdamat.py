@@ -10,11 +10,15 @@ t by a p-th root of the identity in matrix form:
 
 * ``cycle_matrix(p)`` -- the permutation matrix T with ones on the
   superdiagonal and in the lower-left corner; T^p = I, and T^-1 = T^T.
-  ``subst_cycle(W, p)`` yields an np x np rational symmetric matrix.
+  ``subst_cycle(W, p)`` yields the rows of an np x np rational symmetric
+  matrix.
 * ``twisted_cycle_matrix(p)`` -- the same shape but with t in the corner;
   (T_t)^p = t I and the inverse is the bar-conjugate transpose.
   ``subst_twisted(W, p)`` stays a Hermitian Lambda-matrix.
 
+Every exact determinant is one fraction-free kernel, ``_bareiss``, over
+the integers (``rational_det``) or the Laurent ring (``LambdaMatrix.det``);
+products and powers reuse ``exactalg._mat_mul`` and ``_mat_pow``.
 Signatures of rational symmetric matrices are computed exactly by
 congruence (diagonalization with symmetric pivoting and hyperbolic 2x2
 blocks), so every signature here is an honest integer.  Evaluation at
@@ -29,18 +33,18 @@ the exact cycle substitution ``varsigma_p`` is its oracle.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .exactalg import LaurentPoly, SingularAtOne
+from .exactalg import LaurentPoly, SingularAtOne, _mat_mul, _mat_pow
 
 __all__ = [
     "NotHermitian",
     "SingularEvaluation",
     "AtOne",
-    "SymRatMatrix",
     "LambdaMatrix",
     "signature_exact",
     "rational_det",
@@ -71,95 +75,54 @@ class AtOne(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact rational symmetric matrices
+# exact determinants and inertia
+
+
+def _bareiss(M: list[list]):
+    """Determinant of the square list-of-lists M (n >= 0) by fraction-free
+    Bareiss elimination, in place, over any ring whose ``//`` divides
+    exactly (int, LaurentPoly): each one-step division is exact, so every
+    entry stays in the ring."""
+    n = len(M)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not M[k][k]:
+            for i in range(k + 1, n):
+                if M[i][k]:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return M[k][k]  # a zero column: the zero of the ring
+        pk, row_k = M[k][k], M[k]
+        for i in range(k + 1, n):
+            mik, row_i = M[i][k], M[i]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pk - mik * row_k[j]) // prev
+        prev = pk
+    return sign * M[n - 1][n - 1] if n else 1
 
 
 def rational_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a rational matrix by fraction-free Bareiss elimination.
+    """Determinant of a rational matrix by ``_bareiss`` over the integers.
 
-    Integer inputs stay integer throughout (the one-step divisions are
-    exact), which keeps the large block determinants fast.
+    Integer inputs are eliminated as they are, which keeps the large block
+    determinants fast; otherwise the matrix is scaled by the lcm L of its
+    denominators and the determinant divided by L^n.
     """
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
     allint = all(
         (isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1))
         for row in rows
         for x in row
     )
     if allint:
-        M = [[int(x) for x in row] for row in rows]
-        prev = 1
-        sign = 1
-        for k in range(n - 1):
-            if M[k][k] == 0:
-                for i in range(k + 1, n):
-                    if M[i][k] != 0:
-                        M[k], M[i] = M[i], M[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            pk = M[k][k]
-            for i in range(k + 1, n):
-                mik = M[i][k]
-                row_i = M[i]
-                row_k = M[k]
-                for j in range(k + 1, n):
-                    row_i[j] = (row_i[j] * pk - mik * row_k[j]) // prev
-            prev = pk
-        return Fraction(sign * M[n - 1][n - 1])
-    M = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    sign = 1
-    for k in range(n):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pk = M[k][k]
-        det *= pk
-        for i in range(k + 1, n):
-            f = M[i][k] / pk
-            if f:
-                for j in range(k, n):
-                    M[i][j] -= f * M[k][j]
-    return sign * det
+        return Fraction(_bareiss([[int(x) for x in row] for row in rows]))
+    F = [[Fraction(x) for x in row] for row in rows]
+    L = math.lcm(*(x.denominator for row in F for x in row))
+    return Fraction(_bareiss([[int(x * L) for x in row] for row in F]), L ** len(F))
 
 
-class SymRatMatrix:
-    """Symmetric matrix over Q; rows are tuples of Fractions."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, rows: Sequence[Sequence[Fraction]]):
-        n = len(rows)
-        ent = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        for row in ent:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if ent[i][j] != ent[j][i]:
-                    raise ValueError("matrix must be symmetric")
-        self.n = n
-        self.entries = ent
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymRatMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return "SymRatMatrix(%r)" % [[str(x) for x in row] for row in self.entries]
-
-
-def signature_exact(S: "SymRatMatrix | Sequence[Sequence[Fraction]]") -> tuple[int, int, int]:
+def signature_exact(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
     """Inertia (n_plus, n_minus, n_zero) of a rational symmetric matrix.
 
     Congruence diagonalization over Q: nonzero diagonal entries are used
@@ -168,12 +131,10 @@ def signature_exact(S: "SymRatMatrix | Sequence[Sequence[Fraction]]") -> tuple[i
     [[0, b], [b, d]] has determinant -b^2 < 0 and contributes one plus and
     one minus.  Congruence preserves inertia, so the count is exact.
     """
-    if isinstance(S, SymRatMatrix):
-        rows = S.entries
-    else:
-        rows = S
     n = len(rows)
     M = [[Fraction(x) for x in row] for row in rows]
+    if any(len(row) != n for row in M):
+        raise ValueError("signature_exact needs a square matrix")
     for i in range(n):
         for j in range(i):
             if M[i][j] != M[j][i]:
@@ -312,33 +273,12 @@ class LambdaMatrix:
     def __matmul__(self, other: "LambdaMatrix") -> "LambdaMatrix":
         if self.n != other.n:
             raise ValueError("size mismatch")
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = LaurentPoly.zero()
-                for k in range(n):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero or b.is_zero:
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
-        return LambdaMatrix(rows)
+        return LambdaMatrix(_mat_mul(self.entries, other.entries))
 
     def __pow__(self, m: int) -> "LambdaMatrix":
         if m < 0:
             raise ValueError("negative matrix power not supported")
-        out = LambdaMatrix.identity(self.n)
-        base = self
-        while m:
-            if m & 1:
-                out = out @ base
-            base = base @ base
-            m >>= 1
-        return out
+        return LambdaMatrix(_mat_pow(self.entries, m))
 
     def bar_transpose(self) -> "LambdaMatrix":
         return LambdaMatrix(
@@ -353,31 +293,8 @@ class LambdaMatrix:
         return self._hermitian
 
     def det(self) -> LaurentPoly:
-        """Exact determinant via fraction-free Bareiss over the Laurent ring."""
-        n = self.n
-        if n == 0:
-            return LaurentPoly.one()
-        M = [list(row) for row in self.entries]
-        sign = 1
-        prev = LaurentPoly.one()
-        for k in range(n - 1):
-            if M[k][k].is_zero:
-                for i in range(k + 1, n):
-                    if not M[i][k].is_zero:
-                        M[k], M[i] = M[i], M[k]
-                        sign = -sign
-                        break
-                else:
-                    return LaurentPoly.zero()
-            pk = M[k][k]
-            for i in range(k + 1, n):
-                mik = M[i][k]
-                for j in range(k + 1, n):
-                    num = M[i][j] * pk - mik * M[k][j]
-                    M[i][j] = num.divexact(prev) if not num.is_zero else LaurentPoly.zero()
-            prev = pk
-        d = M[n - 1][n - 1]
-        return d if sign == 1 else -d
+        """Exact determinant, ``_bareiss`` over the Laurent ring."""
+        return _bareiss([list(row) for row in self.entries]) if self.n else LaurentPoly.one()
 
     def eval_at_one(self) -> list[list[Fraction]]:
         return [[e.eval_one() for e in row] for row in self.entries]
@@ -456,8 +373,9 @@ def _require_hermitian(W: LambdaMatrix):
         raise NotHermitian("matrix is not bar-Hermitian")
 
 
-def subst_cycle(W: LambdaMatrix, p: int) -> SymRatMatrix:
-    """Substitute the p-cycle matrix for t in a Hermitian W.
+def subst_cycle(W: LambdaMatrix, p: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Substitute the p-cycle matrix for t in a Hermitian W: the rows of an
+    np x np rational symmetric matrix.
 
     Block (i, j) becomes w_ij(T); since T^m is the permutation shifting
     indices by m mod p, entry (a, b) of that block collects the
@@ -477,7 +395,10 @@ def subst_cycle(W: LambdaMatrix, p: int) -> SymRatMatrix:
             for a in range(p):
                 for b in range(p):
                     rows[i * p + a][j * p + b] = residues[(b - a) % p]
-    return SymRatMatrix(rows)
+    out = tuple(tuple(row) for row in rows)
+    if any(out[i][j] != out[j][i] for i in range(N) for j in range(i)):
+        raise ArithmeticError("cycle substitution of a Hermitian matrix must be symmetric")
+    return out
 
 
 def subst_twisted(W: LambdaMatrix, p: int) -> LambdaMatrix:
@@ -534,8 +455,7 @@ def _sigma_exact_at(W: LambdaMatrix, w: int) -> int:
     """sigma(W(w)) at w = +-1 by exact congruence, kept on W (a singular
     W(w) too, so that every call raises SingularEvaluation)."""
     if w not in W._sigma_exact:
-        S = SymRatMatrix([[e.evaluate(w) for e in row] for row in W.entries])
-        plus, minus, null = signature_exact(S)
+        plus, minus, null = signature_exact([[e.evaluate(w) for e in row] for row in W.entries])
         W._sigma_exact[w] = None if null else plus - minus
     sig = W._sigma_exact[w]
     if sig is None:
@@ -569,8 +489,7 @@ def varsigma_p(W: LambdaMatrix, p: int) -> int:
     be invertible at some p-th root).
     """
     _require_hermitian(W)
-    S = subst_cycle(W, p)
-    plus, minus, null = signature_exact(S)
+    plus, minus, null = signature_exact(subst_cycle(W, p))
     if null:
         raise SingularEvaluation("W(T) is singular: some p-th root is not regular")
     return (plus - minus) - p * _sigma_exact_at(W, 1)

@@ -339,25 +339,18 @@ def torus_average(Q: ThetaClass):
 
     The average of w1^(a-e) w2^(b-e) is the indicator a = b = e, so the
     answer is the diagonal sum over r of f_r g_r h_r of the slots' Laurent
-    coefficients.  Polynomial slots: an exact Fraction.  Otherwise a float
-    (the limit is irrational in general): the N-point trapezoid rule, the
-    same sum over FFT coefficients mod N, with N doubled from 64 until each
-    slot's coefficients at |r| >= N/4 are below _TAIL_RATIO of its largest.
-    A pole on the circle (found exactly) or a grid past _GRID_CAP (a pole
-    that near it) raises SingularOnTorus.
+    coefficients.  Polynomial slots: the exact Fraction res_p / p at p one
+    past the spread of all slot exponents, which no p-th root aliases.
+    Otherwise a float (the limit is irrational in general): the N-point
+    trapezoid rule, the same sum over FFT coefficients mod N, with N doubled
+    from 64 until each slot's coefficients at |r| >= N/4 are below
+    _TAIL_RATIO of its largest.  A pole on the circle (found exactly) or a
+    grid past _GRID_CAP (a pole that near it) raises SingularOnTorus.
     """
     if Q.is_polynomial:
-        total = Fraction(0)
-        for t in Q.terms:
-            fc = t.f.num.coeffs
-            gc = t.g.num.coeffs
-            hc = t.h.num.coeffs
-            acc = Fraction(0)
-            for m, v in fc.items():
-                if m in gc and m in hc:
-                    acc += v * gc[m] * hc[m]
-            total += t.c * acc
-        return total
+        nums = [slot.num for t in Q.terms for slot in (t.f, t.g, t.h)]
+        p = max(f.max_exp for f in nums) - min(f.min_exp for f in nums) + 1 if nums else 1
+        return res_p_theta(Q, p) / p
     slots = {slot for t in Q.terms for slot in (t.f, t.g, t.h)}
     if any(_has_unit_circle_root(slot.den) for slot in slots):
         raise SingularOnTorus("slot denominator vanishes on |t| = 1")

@@ -2,6 +2,7 @@
 
 import cmath
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from knotcovers.lambdamat import (
     LambdaMatrix,
     NotHermitian,
     SingularEvaluation,
-    SymRatMatrix,
     complex_signature,
     cycle_matrix,
     normalized_determinant,
@@ -47,13 +47,99 @@ class TestRationalDet:
         assert rational_det(M) == Fraction(1, 6) - 1
 
 
+def _leibniz(M):
+    """Determinant as the signed sum over permutations (1 for n = 0)."""
+    n = len(M)
+    total = 0
+    for perm in permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        for i in range(n):
+            term = term * M[i][perm[i]]
+        total = total + term
+    return total
+
+
+def _random_square(rng, n, entry, zero, shape):
+    """A random n x n matrix with some zero entries; shape "pivot" zeroes
+    the first column above its last row, so elimination must swap rows,
+    "singular" repeats the first row and "column" zeroes the first column."""
+    M = [[entry() if rng.random() < 0.7 else zero for _ in range(n)] for _ in range(n)]
+    if shape == "pivot" and n >= 2:
+        for i in range(n - 1):
+            M[i][0] = zero
+        M[-1][0] = entry() or 1
+    elif shape == "singular" and n >= 2:
+        M[-1] = list(M[0])
+    elif shape == "column":
+        for row in M:
+            row[0] = zero
+    return M
+
+
+def _random_laurent(rng):
+    return LaurentPoly({e: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                        for e in range(-2, 3) if rng.random() < 0.5})
+
+
+SHAPES = ("dense", "pivot", "singular", "column")
+
+
+class TestDeterminantKernel:
+    """rational_det and LambdaMatrix.det share one Bareiss elimination;
+    the Leibniz permutation sum is the independent route."""
+
+    def test_integer_and_fraction_matrices(self, rng):
+        entries = [lambda: rng.randint(-5, 5),
+                   lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))]
+        for _ in range(40):
+            for shape in SHAPES:
+                for entry in entries:
+                    M = _random_square(rng, rng.randint(0, 4), entry, 0, shape)
+                    want = _leibniz(M)
+                    assert rational_det(M) == want
+
+    def test_laurent_matrices(self, rng):
+        zero = LaurentPoly.zero()
+        for _ in range(15):
+            for shape in SHAPES:
+                M = _random_square(rng, rng.randint(0, 4), lambda: _random_laurent(rng), zero, shape)
+                assert LambdaMatrix(M).det() == _leibniz(M)
+
+
+class TestProductAndPower:
+    def test_matmul_and_pow_match_the_entrywise_definition(self, rng):
+        zero = LaurentPoly.zero()
+        for _ in range(8):
+            n = rng.randint(1, 3)
+            A, B = (_random_square(rng, n, lambda: _random_laurent(rng), zero, "dense")
+                    for _ in range(2))
+
+            def product(X, Y):
+                return [[sum((X[i][k] * Y[k][j] for k in range(n)), zero) for j in range(n)]
+                        for i in range(n)]
+
+            assert LambdaMatrix(A) @ LambdaMatrix(B) == LambdaMatrix(product(A, B))
+            power = [[one if i == j else zero for j in range(n)] for i in range(n)]
+            for m in range(6):
+                if m in (0, 1, 5):
+                    assert LambdaMatrix(A) ** m == LambdaMatrix(power), m
+                power = product(power, A)
+
+
 class TestSignatureExact:
+    def test_rejects_non_square_and_non_symmetric_lists(self):
+        for rows in ([[1, 2], [2]], [[1, 2, 3], [2, 1, 0]]):
+            with pytest.raises(ValueError, match="square"):
+                signature_exact(rows)
+        with pytest.raises(ValueError, match="symmetric"):
+            signature_exact([[1, 2], [3, 1]])
+
     def test_diagonal(self):
-        S = SymRatMatrix([[2, 0, 0], [0, -3, 0], [0, 0, 0]])
+        S = [[2, 0, 0], [0, -3, 0], [0, 0, 0]]
         assert signature_exact(S) == (1, 1, 1)
 
     def test_hyperbolic_block(self):
-        S = SymRatMatrix([[0, 5], [5, 0]])
+        S = [[0, 5], [5, 0]]
         assert signature_exact(S) == (1, 1, 0)
 
     def test_matches_numpy_inertia_on_random_matrices(self, rng):
@@ -67,7 +153,7 @@ class TestSignatureExact:
                 int((eigs < -1e-8).sum()),
                 int((np.abs(eigs) <= 1e-8).sum()),
             )
-            assert signature_exact(SymRatMatrix(S)) == want
+            assert signature_exact(S) == want
 
 
 class TestLambdaMatrix:
@@ -184,7 +270,7 @@ class TestCycleSubstitution:
         # with m = b - a mod p
         W = LambdaMatrix([[2 * one + t + t.bar()]])
         S = subst_cycle(W, 3)
-        assert S.entries == (
+        assert S == (
             (Fraction(2), Fraction(1), Fraction(1)),
             (Fraction(1), Fraction(2), Fraction(1)),
             (Fraction(1), Fraction(1), Fraction(2)),
@@ -203,7 +289,7 @@ class TestCycleSubstitution:
             p = rng.choice([2, 3, 4])
             Tw = subst_twisted(W, p)
             assert Tw.is_hermitian
-            assert tuple(tuple(r) for r in Tw.eval_at_one()) == subst_cycle(W, p).entries
+            assert tuple(tuple(r) for r in Tw.eval_at_one()) == subst_cycle(W, p)
 
 
 class TestSignaturesOfCloverForms:

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+import knotcovers.cli
+import knotcovers.seifert
 from knotcovers.cli import main
 from knotcovers.exactalg import LaurentPoly
+from knotcovers.lambdamat import SingularEvaluation
 
 
 def run(capsys, *argv):
@@ -71,6 +74,30 @@ class TestSignatureCommand:
     def test_range_rejected(self, capsys):
         code, _, err = run(capsys, "signature", "--knot", "trefoil", "--p", "2..4")
         assert code == 2
+
+    def test_total_is_the_sum_of_the_rows_each_root_solved_once(self, capsys, monkeypatch):
+        solves = []
+        real = knotcovers.seifert.complex_signature
+        monkeypatch.setattr(knotcovers.seifert, "complex_signature",
+                            lambda H: solves.append(H.shape) or real(H))
+        code, out, _ = run(capsys, "signature", "--knot", "trefoil", "--p", "5", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["total_sigma_p"] == sum(row[2] for row in payload["rows"]) == -8
+        assert solves == [(2, 2)] * 4
+
+    def test_blank_row_at_regular_p_is_an_error(self, capsys, monkeypatch):
+        real = knotcovers.cli.signature_function
+
+        def singular_at_first_root(knot, k, p):
+            if k == 1:
+                raise SingularEvaluation("forced")
+            return real(knot, k, p)
+
+        monkeypatch.setattr(knotcovers.cli, "signature_function", singular_at_first_root)
+        code, _, err = run(capsys, "signature", "--knot", "trefoil", "--p", "5")
+        assert code == 2
+        assert "singular" in err
 
 
 class TestBranchedCommand:

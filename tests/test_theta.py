@@ -155,10 +155,41 @@ def _brute_res(Q, p):
     return total / p
 
 
+def _diagonal_sum(Q):
+    """Independent route for a polynomial class: sum over terms of
+    c * sum_r f_r g_r h_r over the slots' Laurent coefficients."""
+    total = Fraction(0)
+    for term in Q.terms:
+        fc, gc, hc = term.f.num.coeffs, term.g.num.coeffs, term.h.num.coeffs
+        total += term.c * sum(v * gc[m] * hc[m] for m, v in fc.items() if m in gc and m in hc)
+    return total
+
+
+def _random_poly(rng):
+    return LaurentPoly({e: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                        for e in range(-4, 5) if rng.random() < 0.4})
+
+
 class TestTorusAverage:
     def test_exact_for_polynomial_classes(self):
         Q = _mono(1, 1, 1, Fraction(3, 2)) + _mono(0, 2, -1, Fraction(-1, 3))
         assert torus_average(Q) == Fraction(3, 2)
+        assert torus_average(ThetaClass.zero()) == 0
+
+    def test_polynomial_classes_match_the_diagonal_sum(self, rng):
+        # res_p / p past the exponent spread against the diagonal
+        # coefficient sum, on random classes whose slots share exponents
+        for _ in range(50):
+            Q = ThetaClass(
+                [
+                    (_random_poly(rng), _random_poly(rng), _random_poly(rng),
+                     Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                    for _ in range(rng.randint(1, 3))
+                ]
+            )
+            got = torus_average(Q)
+            assert isinstance(got, Fraction)
+            assert got == _diagonal_sum(Q)
 
     def test_quadrature_matches_exact(self):
         # rational slots take the FFT trapezoid path; a direct trapezoid

@@ -2,7 +2,9 @@
 
 import ast
 import doctest
+import importlib
 import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import knotcovers
 SRC = Path(knotcovers.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = Path(__file__).resolve().parents[1] / "README.md"
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def test_no_assert_in_production_code():
@@ -76,3 +79,20 @@ def test_readme_examples():
                    out=report.append)
     assert runner.tries > 0
     assert runner.failures == 0, "".join(report)
+
+
+def test_traced_bindings_exist():
+    # the benchmark's span tracer wraps these names by lookup; a refactor
+    # that drops or renames one must fail here, not in a traced bench run
+    targets = runpy.run_path(str(TRACER))["TARGETS"]
+    missing = []
+    for modname, names in targets.items():
+        module = importlib.import_module("knotcovers." + modname)
+        for name in names:
+            *path, attr = name.split(".")  # "Class.method" for methods
+            owner = module
+            for part in path:
+                owner = getattr(owner, part, None)
+            if not callable(getattr(owner, attr, None)):
+                missing.append("%s.%s" % (modname, name))
+    assert missing == []
