@@ -17,7 +17,6 @@ circle).
 
 from .exactalg import (
     LaurentPoly,
-    PowerSeries,
     RatFun,
     SingularAtOne,
     cyclotomic_norm,

@@ -7,12 +7,10 @@ Everything an abelian knot invariant needs downstream lives here:
 * ``RatFun`` -- fractions n(t)/q(t) whose denominator does not vanish at
   t = 1 (the localization of Z[t, t^-1] at the augmentation ideal).  The
   canonical form has q an ordinary polynomial with q(0) != 0 and q(1) = 1.
-* ``PowerSeries`` -- truncated power series over Q, enough for exact
-  log/exp manipulations of even series.
 * resultants by the subresultant remainder sequence, cyclotomic norms
   prod_{w^p=1} f(w), rewriting of denominators into polynomials in t^p,
   Mahler measures, and the coefficients of the wheels generating series
-  (1/2) log(sinh(x/2)/(x/2)).
+  (1/2) log(sinh(x/2)/(x/2)) from Bernoulli numbers.
 
 All core arithmetic is exact (int / fractions.Fraction).  Floating point
 enters only in clearly named numeric helpers (root finding for the Mahler
@@ -24,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -32,7 +30,6 @@ __all__ = [
     "SingularAtOne",
     "LaurentPoly",
     "RatFun",
-    "PowerSeries",
     "resultant",
     "poly_gcd",
     "cyclotomic_norm",
@@ -607,7 +604,7 @@ class RatFun:
 
     @property
     def is_polynomial(self) -> bool:
-        return self.den == LaurentPoly.one()
+        return self.den._c == {0: 1}
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, LaurentPoly)):
@@ -710,6 +707,8 @@ def _mat_mul(A, B):
 
 def _mat_pow(M, p: int):
     """M^p by square and multiply, skipping the square after the top bit."""
+    if p < 0:
+        raise ValueError("negative matrix power not supported")
     n = len(M)
     R = [[int(i == j) for j in range(n)] for i in range(n)]
     while p:
@@ -801,120 +800,22 @@ def mahler_measure(f: LaurentPoly) -> float:
 
 
 # ---------------------------------------------------------------------------
-# truncated power series
-
-
-class PowerSeries:
-    """Power series over Q truncated at a fixed order (kept mod x^(order+1))."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs: Iterable[Scalar], order: int):
-        order = int(order)
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        cs = [_frac(c) for c in coeffs][: order + 1]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        self.order = order
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        return cls([1], order)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], n)
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries([a - b for a, b in zip(self.coeffs, other.coeffs)], n)
-
-    def __mul__(self, other) -> "PowerSeries":
-        if isinstance(other, (int, Fraction)):
-            return PowerSeries([c * _frac(other) for c in self.coeffs], self.order)
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs[: n + 1 - i]):
-                out[i + j] += a * b
-        return PowerSeries(out, n)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "PowerSeries":
-        a = self.coeffs
-        if not a[0]:
-            raise ZeroDivisionError("constant term is zero")
-        b = [Fraction(0)] * (self.order + 1)
-        b[0] = 1 / a[0]
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                acc += a[k] * b[n - k]
-            b[n] = -acc / a[0]
-        return PowerSeries(b, self.order)
-
-    def derivative(self) -> "PowerSeries":
-        if self.order == 0:
-            return PowerSeries.zero(0)
-        return PowerSeries([i * c for i, c in enumerate(self.coeffs)][1:], self.order - 1)
-
-    def integrate(self) -> "PowerSeries":
-        out = [Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)]
-        return PowerSeries(out, self.order + 1)
-
-    def log(self) -> "PowerSeries":
-        """log of a series with constant term 1, via integrate(f'/f)."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log needs constant term 1")
-        return (self.derivative() * self.inverse()).integrate()
-
-    def exp(self) -> "PowerSeries":
-        """exp of a series with constant term 0, by the ODE g' = f' g."""
-        a = self.coeffs
-        if a[0]:
-            raise ValueError("exp needs constant term 0")
-        g = [Fraction(0)] * (self.order + 1)
-        g[0] = Fraction(1)
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                acc += k * a[k] * g[n - k]
-            g[n] = acc / n
-        return PowerSeries(g, self.order)
-
-    def __repr__(self) -> str:
-        return "PowerSeries(%s, order=%d)" % ([str(c) for c in self.coeffs], self.order)
+# wheels
 
 
 def wheels_coefficients(nmax: int) -> list[Fraction]:
     """Exact coefficients b_2, b_4, ..., b_{2 nmax} of the even series
     sum b_{2n} x^(2n) = (1/2) log( sinh(x/2) / (x/2) ).
 
-    sinh(x/2)/(x/2) = sum_k x^(2k) / (4^k (2k+1)!) is expanded exactly and
-    the log is taken by the derivative/integral route.
+    log(sinh(x/2)/(x/2)) = sum_{n>=1} B_{2n} x^(2n) / (2n (2n)!), so
+    b_{2n} = B_{2n} / (4n (2n)!), with the Bernoulli numbers B_m from
+    sum_{k<=m} C(m+1, k) B_k = 0 and B_0 = 1.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    order = 2 * nmax
-    cs = []
-    for k in range(0, nmax + 1):
-        cs.extend([Fraction(1, 4 ** k * math.factorial(2 * k + 1)), Fraction(0)])
-    f = PowerSeries(cs, order)
-    g = f.log() * Fraction(1, 2)
-    out = [g.coeffs[2 * n] for n in range(1, nmax + 1)]
-    if any(g.coeffs[2 * n + 1] != 0 for n in range(0, nmax)):
-        raise ArithmeticError("odd part must vanish")
-    return out
+    B = [Fraction(1)]
+    for m in range(1, 2 * nmax + 1):
+        B.append(-sum(math.comb(m + 1, k) * b for k, b in enumerate(B)) / (m + 1))
+    if any(B[3::2]):
+        raise ArithmeticError("odd Bernoulli numbers past B_1 must vanish")
+    return [B[2 * n] / (4 * n * math.factorial(2 * n)) for n in range(1, nmax + 1)]

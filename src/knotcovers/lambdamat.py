@@ -20,12 +20,12 @@ Every exact determinant is one fraction-free kernel, ``_bareiss``, over
 the integers (``rational_det``) or the Laurent ring (``LambdaMatrix.det``);
 products and powers reuse ``exactalg._mat_mul`` and ``_mat_pow``.
 Signatures of rational symmetric matrices are computed exactly by
-congruence (diagonalization with symmetric pivoting and hyperbolic 2x2
-blocks), so every signature here is an honest integer.  Evaluation at
-points of the unit circle other than +-1 is a numeric path: W(z) comes
-from a float coefficient tensor, and ``complex_signature`` counts
-eigenvalue signs above a fixed floor ``_EIG_FLOOR`` for one matrix or a
-stack of them in one numpy eigensolve.  The production
+congruence (diagonalization with symmetric 1x1 pivoting), so every
+signature here is an honest integer.  Evaluation at points of the unit
+circle other than +-1 is a numeric path: W(z) comes from a float
+coefficient tensor, and ``complex_signature`` counts eigenvalue signs
+above a fixed floor ``_EIG_FLOOR`` for one matrix or a stack of them in
+one numpy eigensolve.  The production
 ``branched.total_sigma_p`` sums such signatures in stacks of roots, and
 the exact cycle substitution ``varsigma_p`` is its oracle.
 """
@@ -110,6 +110,8 @@ def rational_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     determinants fast; otherwise the matrix is scaled by the lcm L of its
     denominators and the determinant divided by L^n.
     """
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("rational_det needs a square matrix")
     allint = all(
         (isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1))
         for row in rows
@@ -125,11 +127,13 @@ def rational_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 def signature_exact(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
     """Inertia (n_plus, n_minus, n_zero) of a rational symmetric matrix.
 
-    Congruence diagonalization over Q: nonzero diagonal entries are used
-    as 1x1 pivots (Schur complement update); when the active diagonal is
-    all zero but some off-diagonal entry b survives, the hyperbolic block
-    [[0, b], [b, d]] has determinant -b^2 < 0 and contributes one plus and
-    one minus.  Congruence preserves inertia, so the count is exact.
+    Congruence diagonalization over Q with 1x1 pivots only: a nonzero
+    diagonal entry d of the active block is swapped to the corner and
+    eliminated by the Schur complement update.  When the active diagonal
+    is all zero but some M[i][j] = b != 0, adding row j to row i and column
+    j to column i (congruence by a determinant-1 elementary matrix) makes
+    M[i][i] = 2b the pivot.  By Sylvester's law of inertia the signs of
+    the pivots, plus the size of the zero block left at the end, are exact.
     """
     n = len(rows)
     M = [[Fraction(x) for x in row] for row in rows]
@@ -139,68 +143,34 @@ def signature_exact(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
         for j in range(i):
             if M[i][j] != M[j][i]:
                 raise ValueError("signature_exact needs a symmetric matrix")
-    plus = minus = zero = 0
-    k = 0
-    while k < n:
-        piv = next((i for i in range(k, n) if M[i][i] != 0), None)
-        if piv is not None:
-            _sym_swap(M, k, piv)
-            d = M[k][k]
-            if d > 0:
-                plus += 1
-            else:
-                minus += 1
-            col = [M[i][k] for i in range(k + 1, n)]
-            for i in range(k + 1, n):
-                ci = col[i - k - 1]
-                if not ci:
-                    continue
-                for j in range(i, n):
-                    upd = M[i][j] - ci * col[j - k - 1] / d
-                    M[i][j] = upd
-                    M[j][i] = upd
-            for i in range(k + 1, n):
-                M[i][k] = M[k][i] = Fraction(0)
-            k += 1
-            continue
-        off = None
-        for i in range(k, n):
-            for j in range(i + 1, n):
-                if M[i][j] != 0:
-                    off = (i, j)
-                    break
-            if off:
-                break
-        if off is None:
-            zero += n - k
-            break
-        i, j = off
-        # k <= i < j, so after moving row/col i to k the witness sits at
-        # (k, j) with j >= k + 1, and the second swap parks it at (k, k+1)
-        _sym_swap(M, k, i)
-        _sym_swap(M, k + 1, j)
-        b = M[k][k + 1]
-        d = M[k + 1][k + 1]
-        if M[k][k] != 0 or b == 0:
-            raise ArithmeticError("hyperbolic pivot must be [[0, b], [b, d]] with b != 0")
-        plus += 1
-        minus += 1
-        us = [M[i2][k] for i2 in range(k + 2, n)]
-        vs = [M[i2][k + 1] for i2 in range(k + 2, n)]
-        for a in range(k + 2, n):
-            ua, va = us[a - k - 2], vs[a - k - 2]
-            for bcol in range(a, n):
-                ub, vb = us[bcol - k - 2], vs[bcol - k - 2]
-                upd = M[a][bcol] - (va * ub + ua * vb) / b + d * ua * ub / (b * b)
-                M[a][bcol] = upd
-                M[bcol][a] = upd
-        for a in range(k + 2, n):
-            M[a][k] = M[k][a] = Fraction(0)
-            M[a][k + 1] = M[k + 1][a] = Fraction(0)
-        k += 2
-    if plus + minus + zero != n:
-        raise ArithmeticError("inertia must count every dimension once")
-    return plus, minus, zero
+    plus = minus = 0
+    for k in range(n):
+        piv = next((i for i in range(k, n) if M[i][i]), None)
+        if piv is None:
+            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if M[i][j]), None)
+            if off is None:
+                return plus, minus, n - k
+            piv, j = off
+            row_p, row_j = M[piv], M[j]
+            for c in range(k, n):
+                row_p[c] += row_j[c]
+            for row in M[k:]:
+                row[piv] += row[j]
+        _sym_swap(M, k, piv)
+        row_k = M[k]
+        d = row_k[k]
+        if d > 0:
+            plus += 1
+        else:
+            minus += 1
+        for i in range(k + 1, n):
+            if not row_k[i]:
+                continue
+            r, row_i = row_k[i] / d, M[i]
+            for j in range(i, n):
+                row_i[j] -= r * row_k[j]
+                M[j][i] = row_i[j]
+    return plus, minus, 0
 
 
 def _sym_swap(M, a, b):
@@ -276,8 +246,6 @@ class LambdaMatrix:
         return LambdaMatrix(_mat_mul(self.entries, other.entries))
 
     def __pow__(self, m: int) -> "LambdaMatrix":
-        if m < 0:
-            raise ValueError("negative matrix power not supported")
         return LambdaMatrix(_mat_pow(self.entries, m))
 
     def bar_transpose(self) -> "LambdaMatrix":

@@ -30,7 +30,6 @@ it decays geometrically with the distance of the poles from the circle.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -70,37 +69,29 @@ class ThetaTerm(NamedTuple):
     c: Fraction
 
 
-def _term_key(t: ThetaTerm) -> str:
-    return json.dumps(
-        [t.f.to_json(), t.g.to_json(), t.h.to_json()], sort_keys=True, separators=(",", ":")
-    )
-
-
 class ThetaClass:
     """Finite rational combination of slot triples (f, g, h)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Sequence[tuple] = ()):  # (f, g, h, c) tuples
-        merged: dict[str, ThetaTerm] = {}
+        # a one-element list per triple, so each term hashes its slots once
+        merged: dict[tuple[RatFun, RatFun, RatFun], list[Fraction]] = {}
         for f, g, h, c in terms:
             f = f if isinstance(f, RatFun) else RatFun(f)
             g = g if isinstance(g, RatFun) else RatFun(g)
             h = h if isinstance(h, RatFun) else RatFun(h)
-            c = Fraction(c)
-            if not c or f.num.is_zero or g.num.is_zero or h.num.is_zero:
+            if f.num.is_zero or g.num.is_zero or h.num.is_zero:
                 continue
-            t = ThetaTerm(f, g, h, c)
-            k = _term_key(t)
-            if k in merged:
-                c = merged[k].c + c
-                if c:
-                    merged[k] = merged[k]._replace(c=c)
-                else:
-                    del merged[k]
-            else:
-                merged[k] = t
-        self.terms = tuple(merged[k] for k in sorted(merged))
+            merged.setdefault((f, g, h), [Fraction(0)])[0] += Fraction(c)
+        # a canonical order (it fixes float summation order): by each slot's
+        # sorted (exponent, coefficient) pairs, numerator then denominator
+        order = sorted(
+            ((fgh, c) for fgh, (c,) in merged.items() if c),
+            key=lambda item: [(sorted(s.num.coeffs.items()), sorted(s.den.coeffs.items()))
+                              for s in item[0]],
+        )
+        self.terms = tuple(ThetaTerm(*fgh, c) for fgh, c in order)
 
     # -- constructors -------------------------------------------------------
 

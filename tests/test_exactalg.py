@@ -7,7 +7,6 @@ import pytest
 
 from knotcovers.exactalg import (
     LaurentPoly,
-    PowerSeries,
     RatFun,
     SingularAtOne,
     _charpoly,
@@ -229,16 +228,18 @@ class TestMahler:
         assert mahler_measure(t ** -1 - one + t) == pytest.approx(0.0, abs=1e-9)
 
 
-class TestPowerSeries:
-    def test_log_exp_roundtrip(self):
-        f = PowerSeries([1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24)], 4)
-        assert f.log().exp() == f
+def _series_log(f, order):
+    """log f for a list f with f[0] = 1, truncated at x^order: the
+    integral of f'/f, with 1/f by the power-series reciprocal recurrence."""
+    inv = [Fraction(1)]
+    for n in range(1, order + 1):
+        inv.append(-sum(f[k] * inv[n - k] for k in range(1, n + 1)))
+    df = [k * f[k] for k in range(1, order + 1)]
+    quot = [sum(df[i] * inv[m - i] for i in range(m + 1)) for m in range(order)]
+    return [Fraction(0)] + [c / (m + 1) for m, c in enumerate(quot)]
 
-    def test_inverse(self):
-        f = PowerSeries([1, -1], 5)  # 1 - x
-        geo = PowerSeries([1] * 6, 5)
-        assert f.inverse() == geo
 
+class TestWheels:
     def test_wheels_frozen_values(self):
         assert wheels_coefficients(4) == [
             Fraction(1, 48),
@@ -246,3 +247,17 @@ class TestPowerSeries:
             Fraction(1, 362880),
             Fraction(-1, 19353600),
         ]
+
+    def test_closed_form_matches_the_series_log(self):
+        nmax, order = 12, 24
+        f = [Fraction(0)] * (order + 1)
+        for k in range(nmax + 1):  # sinh(x/2)/(x/2) = sum x^(2k) / (4^k (2k+1)!)
+            f[2 * k] = Fraction(1, 4 ** k * math.factorial(2 * k + 1))
+        g = _series_log(f, order)
+        assert not any(g[1::2])
+        assert wheels_coefficients(nmax) == [g[2 * n] / 2 for n in range(1, nmax + 1)]
+
+    def test_needs_a_positive_order(self):
+        with pytest.raises(ValueError):
+            wheels_coefficients(0)
+

@@ -7,7 +7,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from knotcovers.exactalg import LaurentPoly
+from knotcovers.exactalg import LaurentPoly, _mat_pow
 from knotcovers.lambdamat import (
     LambdaMatrix,
     NotHermitian,
@@ -45,6 +45,11 @@ class TestRationalDet:
     def test_fraction_entries(self):
         M = [[Fraction(1, 2), 1], [1, Fraction(1, 3)]]
         assert rational_det(M) == Fraction(1, 6) - 1
+
+    def test_rejects_non_square_lists(self):
+        for rows in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3]]):
+            with pytest.raises(ValueError, match="rational_det needs a square matrix"):
+                rational_det(rows)
 
 
 def _leibniz(M):
@@ -125,6 +130,11 @@ class TestProductAndPower:
                     assert LambdaMatrix(A) ** m == LambdaMatrix(power), m
                 power = product(power, A)
 
+    def test_negative_power_rejected_by_both_entry_points(self):
+        for power in (lambda: _mat_pow([[1]], -1), lambda: LambdaMatrix.identity(2) ** -1):
+            with pytest.raises(ValueError, match="negative matrix power not supported"):
+                power()
+
 
 class TestSignatureExact:
     def test_rejects_non_square_and_non_symmetric_lists(self):
@@ -139,21 +149,37 @@ class TestSignatureExact:
         assert signature_exact(S) == (1, 1, 1)
 
     def test_hyperbolic_block(self):
-        S = [[0, 5], [5, 0]]
-        assert signature_exact(S) == (1, 1, 0)
+        assert signature_exact([[0, 5], [5, 0]]) == (1, 1, 0)
+        assert signature_exact([[0, 1, 0], [1, 0, 0], [0, 0, 0]]) == (1, 1, 1)
+
+    @staticmethod
+    def _numpy_inertia(S):
+        eigs = np.linalg.eigvalsh(np.array(S, dtype=float))
+        return (
+            int((eigs > 1e-8).sum()),
+            int((eigs < -1e-8).sum()),
+            int((np.abs(eigs) <= 1e-8).sum()),
+        )
 
     def test_matches_numpy_inertia_on_random_matrices(self, rng):
         for _ in range(40):
             n = rng.randint(1, 7)
             B = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             S = [[B[i][j] + B[j][i] for j in range(n)] for i in range(n)]
-            eigs = np.linalg.eigvalsh(np.array(S, dtype=float))
-            want = (
-                int((eigs > 1e-8).sum()),
-                int((eigs < -1e-8).sum()),
-                int((np.abs(eigs) <= 1e-8).sum()),
-            )
-            assert signature_exact(S) == want
+            assert signature_exact(S) == self._numpy_inertia(S)
+
+    def test_matches_numpy_inertia_with_zero_diagonals(self, rng):
+        # a zero diagonal forces the row-and-column addition before a pivot;
+        # half the matrices have rational entries, a third are sparse
+        for trial in range(600):
+            n = rng.randint(2, 8)
+            den = (lambda: rng.randint(1, 5)) if trial % 2 else (lambda: 1)
+            S = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if trial % 3 or rng.random() < 0.3:
+                        S[i][j] = S[j][i] = Fraction(rng.randint(-4, 4), den())
+            assert signature_exact(S) == self._numpy_inertia(S), S
 
 
 class TestLambdaMatrix:

@@ -53,6 +53,15 @@ class TestCanonicalForm:
     def test_scale(self):
         assert _mono(0, 0, 0).scale(Fraction(5)) == _mono(0, 0, 0, 5)
 
+    def test_term_order_sorts_slot_coefficients(self):
+        # first slots t^-1 < -1/(2 - t) < t by their (exponent, coefficient)
+        # pairs, whatever order the terms come in
+        terms = RATIONAL_CLASSES["mixed"]
+        for perm in permutations(terms):
+            Q = ThetaClass(list(perm))
+            assert [term.c for term in Q.terms] == [-3, 1, Fraction(5, 7)]
+            assert [term.f for term in Q.terms] == [RatFun(t ** -1), terms[0][0], RatFun(t)]
+
     def test_is_polynomial(self):
         assert _mono(1, -2, 3).is_polynomial
         f = RatFun(one, t - 2 * one)
