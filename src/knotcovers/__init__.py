@@ -21,7 +21,6 @@ from .exactalg import (
     SingularAtOne,
     cyclotomic_norm,
     denominator_to_tp,
-    lp_eval_unit,
     mahler_measure,
     poly_gcd,
     regular_at_p,
@@ -48,11 +47,9 @@ from .seifert import (
     NotUnimodularAtOne,
     OddSize,
     alexander,
-    canonical_symmetric,
     clover_matrix,
     congruence_identity_check,
     corpus_records,
-    load_record,
     random_seifert,
     signature_function,
     validate_seifert,
@@ -86,7 +83,6 @@ from .graphs import (
     liftres_check,
     liftres_sweep,
     phi_R,
-    push_at_vertex,
     res_p_graph,
     theta_graph,
 )

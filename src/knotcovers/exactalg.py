@@ -3,7 +3,10 @@
 Everything an abelian knot invariant needs downstream lives here:
 
 * ``LaurentPoly`` -- sparse Laurent polynomials over Q with the bar
-  involution t -> t^-1.
+  involution t -> t^-1.  A coefficient is an ``int`` whenever it is
+  integral and a ``fractions.Fraction`` only otherwise, so Z[t, t^-1]
+  (Delta, the clover form, every determinant of it) is integer arithmetic
+  throughout; every quotient of coefficients goes through ``_qdiv``.
 * ``RatFun`` -- fractions n(t)/q(t) whose denominator does not vanish at
   t = 1 (the localization of Z[t, t^-1] at the augmentation ideal).  The
   canonical form has q an ordinary polynomial with q(0) != 0 and q(1) = 1.
@@ -12,14 +15,13 @@ Everything an abelian knot invariant needs downstream lives here:
   Mahler measures, and the coefficients of the wheels generating series
   (1/2) log(sinh(x/2)/(x/2)) from Bernoulli numbers.
 
-All core arithmetic is exact (int / fractions.Fraction).  Floating point
-enters only in clearly named numeric helpers (root finding for the Mahler
-measure, unit-circle evaluation at irrational angles).
+All core arithmetic is exact (int, and Fraction where it must be).
+Floating point enters only in clearly named numeric helpers (root finding
+for the Mahler measure, unit-circle evaluation at irrational angles).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -34,7 +36,6 @@ __all__ = [
     "poly_gcd",
     "cyclotomic_norm",
     "regular_at_p",
-    "lp_eval_unit",
     "denominator_to_tp",
     "mahler_measure",
     "wheels_coefficients",
@@ -47,11 +48,25 @@ class SingularAtOne(ValueError):
     """A denominator vanishes at t = 1, so the fraction is not local."""
 
 
-def _frac(x: Scalar) -> Fraction:
-    """Coerce to Fraction.  Floats are rejected on purpose."""
+def _frac(x: Scalar) -> "int | Fraction":
+    """Coerce to an exact coefficient: an int when integral, else a Fraction.
+    Floats are rejected on purpose."""
+    if type(x) is int:
+        return x
     if isinstance(x, float):
         raise TypeError("refusing float coefficient %r; pass Fraction or str" % x)
-    return Fraction(x)
+    if type(x) is not Fraction:  # str, bool, numpy integers: made of plain ints
+        x = Fraction(x)
+        x = Fraction(int(x.numerator), int(x.denominator))
+    return x.numerator if x.denominator == 1 else x
+
+
+def _qdiv(a, b) -> "int | Fraction":
+    """The exact quotient a / b: an int when b divides a, else a Fraction
+    (never the float of ``int / int``)."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _frac(Fraction(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -61,22 +76,23 @@ def _frac(x: Scalar) -> Fraction:
 class LaurentPoly:
     """Sparse Laurent polynomial sum_e c_e t^e with c_e in Q.
 
-    The coefficient dict is canonical: no zero coefficients are stored, so
-    equality and hashing are structural.  Instances are treated as
-    immutable.
+    The coefficient dict is canonical: no zero coefficients are stored, and
+    each one is an int when integral (``_frac``), so equality and hashing
+    are structural.  Instances are treated as immutable, which lets the
+    hash be computed once, on first use.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_hash")
 
     def __init__(self, coeffs: Mapping[int, Scalar] | None = None):
-        c: dict[int, Fraction] = {}
+        c: dict[int, int | Fraction] = {}
         if coeffs:
             for e, v in coeffs.items():
                 v = _frac(v)
                 if v:
                     e = int(e)
                     if e in c:
-                        v = c[e] + v
+                        v = _frac(c[e] + v)
                         if v:
                             c[e] = v
                         else:
@@ -114,11 +130,11 @@ class LaurentPoly:
     # -- structure ----------------------------------------------------------
 
     @property
-    def coeffs(self) -> dict[int, Fraction]:
+    def coeffs(self) -> dict[int, int | Fraction]:
         return dict(self._c)
 
-    def coeff(self, e: int) -> Fraction:
-        return self._c.get(e, Fraction(0))
+    def coeff(self, e: int) -> int | Fraction:
+        return self._c.get(e, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -151,7 +167,11 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self._c.items()))
+            return self._hash
 
     # -- ring operations ----------------------------------------------------
 
@@ -162,9 +182,9 @@ class LaurentPoly:
             return NotImplemented
         c = dict(self._c)
         for e, v in other._c.items():
-            s = c.get(e, Fraction(0)) + v
+            s = c.get(e, 0) + v
             if s:
-                c[e] = s
+                c[e] = _frac(s)
             elif e in c:
                 del c[e]
         out = LaurentPoly.__new__(LaurentPoly)
@@ -192,21 +212,17 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             v = _frac(other)
             out = LaurentPoly.__new__(LaurentPoly)
-            out._c = {e: c * v for e, c in self._c.items()} if v else {}
+            out._c = {e: _frac(c * v) for e, c in self._c.items()} if v else {}
             return out
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        c: dict[int, Fraction] = {}
+        c: dict[int, int | Fraction] = {}
         for e1, v1 in self._c.items():
             for e2, v2 in other._c.items():
                 e = e1 + e2
-                s = c.get(e, Fraction(0)) + v1 * v2
-                if s:
-                    c[e] = s
-                elif e in c:
-                    del c[e]
+                c[e] = c.get(e, 0) + v1 * v2
         out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
+        out._c = {e: _frac(v) for e, v in c.items() if v}
         return out
 
     __rmul__ = __mul__
@@ -217,7 +233,7 @@ class LaurentPoly:
             if not self.is_unit_monomial:
                 raise ValueError("negative power of a non-monomial")
             ((e, v),) = self._c.items()
-            return LaurentPoly({e * n: v ** n})
+            return LaurentPoly({e * n: _qdiv(1, v ** -n)})
         out = LaurentPoly.one()
         base = self
         while n:
@@ -264,8 +280,8 @@ class LaurentPoly:
             total += float(v) * z ** e
         return total
 
-    def eval_one(self) -> Fraction:
-        return sum(self._c.values(), Fraction(0))
+    def eval_one(self) -> int | Fraction:
+        return _frac(sum(self._c.values()))
 
     # -- exact division -----------------------------------------------------
 
@@ -288,10 +304,10 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         return self.divexact(other)
 
-    def _ascending(self) -> tuple[list[Fraction], int]:
+    def _ascending(self) -> tuple[list, int]:
         """Coefficients c_{min}..c_{max} as a dense ascending list."""
         m, M = self.min_exp, self.max_exp
-        out = [Fraction(0)] * (M - m + 1)
+        out = [0] * (M - m + 1)
         for e, v in self._c.items():
             out[e - m] = v
         return out, m
@@ -328,19 +344,20 @@ class LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers (ascending coefficient lists over Q)
+# dense polynomial helpers (ascending coefficient lists over Q, ints where
+# integral)
 
 
-def _trim(p: list[Fraction]) -> list[Fraction]:
+def _trim(p: list) -> list:
     while p and not p[-1]:
         p.pop()
     return p
 
 
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+def _poly_mul(a: Sequence, b: Sequence) -> list:
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
@@ -349,7 +366,7 @@ def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     return _trim(out)
 
 
-def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
+def _poly_divmod(a: Sequence, b: Sequence):
     """Quotient and remainder of dense polynomials over Q."""
     b = _trim(list(b))
     if not b:
@@ -358,10 +375,10 @@ def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
     _trim(r)
     db = len(b) - 1
     lb = b[-1]
-    q = [Fraction(0)] * max(0, len(r) - db)
+    q = [0] * max(0, len(r) - db)
     while len(r) - 1 >= db and r:
         k = len(r) - 1 - db
-        c = r[-1] / lb
+        c = _qdiv(r[-1], lb)
         q[k] = c
         for i in range(db + 1):
             r[k + i] -= c * b[i]
@@ -379,10 +396,10 @@ def poly_gcd(f: "LaurentPoly | Sequence[Scalar]", g: "LaurentPoly | Sequence[Sca
     if not a:
         return LaurentPoly.zero()
     lead = a[-1]
-    return LaurentPoly.from_coeffs([c / lead for c in a])
+    return LaurentPoly.from_coeffs([_qdiv(c, lead) for c in a])
 
 
-def _squarefree_parts(f: "LaurentPoly | Sequence[Scalar]") -> list[list[Fraction]]:
+def _squarefree_parts(f: "LaurentPoly | Sequence[Scalar]") -> list[list]:
     """Parts s_j = h_j / h_(j+1) of the chain h_0 = f (unit stripped),
     h_(j+1) = gcd(h_j, h_j'): s_j holds the roots of multiplicity > j, once
     each, and s_0 s_1 ... = f, so a root finder never sees a repeated root."""
@@ -398,7 +415,7 @@ def _squarefree_parts(f: "LaurentPoly | Sequence[Scalar]") -> list[list[Fraction
     return parts
 
 
-def _as_ascending(f) -> list[Fraction]:
+def _as_ascending(f) -> list:
     """Dense ascending coefficients of f with any unit t^k stripped off."""
     if isinstance(f, LaurentPoly):
         if f.is_zero:
@@ -425,27 +442,26 @@ def resultant(f, g) -> Fraction:
         return Fraction(0)
     da, db = len(a) - 1, len(b) - 1
     if da == 0:
-        return a[0] ** db
+        return Fraction(a[0] ** db)
     if db == 0:
-        return b[0] ** da
+        return Fraction(b[0] ** da)
     # scale to integer coefficients; Res(c*f, d*g) = c^db d^da Res(f, g)
     ca = math.lcm(*(c.denominator for c in a))
     cb = math.lcm(*(c.denominator for c in b))
-    A = [c * ca for c in a]
-    B = [c * cb for c in b]
+    A = [_frac(c * ca) for c in a]
+    B = [_frac(c * cb) for c in b]
     res = _subresultant_res(A, B)
     return res / (Fraction(ca) ** db * Fraction(cb) ** da)
 
 
-def _subresultant_res(A: list[Fraction], B: list[Fraction]) -> Fraction:
+def _subresultant_res(A: list[int], B: list[int]) -> int:
     """Resultant of integer polynomials via the subresultant PRS."""
     s = 1
     if len(A) < len(B):
         if ((len(A) - 1) * (len(B) - 1)) % 2 == 1:
             s = -s
         A, B = B, A
-    g = Fraction(1)
-    h = Fraction(1)
+    g = h = 1
     while True:
         da, db = len(A) - 1, len(B) - 1
         if da % 2 == 1 and db % 2 == 1:
@@ -455,16 +471,16 @@ def _subresultant_res(A: list[Fraction], B: list[Fraction]) -> Fraction:
         R = [c * B[-1] ** (delta + 1) for c in A]
         _, R = _poly_divmod(R, B)
         if not R:
-            return Fraction(0)
+            return 0
         A = B
-        B = [c / (g * h ** delta) for c in R]
+        B = [_qdiv(c, g * h ** delta) for c in R]
         g = A[-1]
-        h = h ** (1 - delta) * g ** delta if delta <= 1 else g ** delta / h ** (delta - 1)
+        h = h ** (1 - delta) * g ** delta if delta <= 1 else _qdiv(g ** delta, h ** (delta - 1))
         if len(B) - 1 == 0:
             da = len(A) - 1
-            h = B[0] ** da / h ** (da - 1) if da >= 1 else h
+            h = _qdiv(B[0] ** da, h ** (da - 1)) if da >= 1 else h
             res = s * h
-            if res.denominator != 1:
+            if type(res) is not int:
                 raise ArithmeticError("subresultant PRS left a denominator")
             return res
 
@@ -473,7 +489,7 @@ def _subresultant_res(A: list[Fraction], B: list[Fraction]) -> Fraction:
 # cyclotomic norms and unit-circle evaluation
 
 
-def _powmod_x(p: int, modulus: list[Fraction]) -> list[Fraction]:
+def _powmod_x(p: int, modulus: list) -> list:
     """x^p mod modulus (monic, ascending) by square and multiply."""
     d = len(modulus) - 1
     if d < 1 or modulus[-1] != 1:
@@ -484,8 +500,8 @@ def _powmod_x(p: int, modulus: list[Fraction]) -> list[Fraction]:
         _, r = _poly_divmod(prod, modulus)
         return r
 
-    result = [Fraction(1)]
-    base = [Fraction(0), Fraction(1)]
+    result = [1]
+    base = [0, 1]
     _, base = _poly_divmod(base, modulus)
     n = p
     while n:
@@ -516,13 +532,13 @@ def cyclotomic_norm(f: LaurentPoly, p: int) -> Fraction:
     if d == 0:
         return unit * fhat[0] ** p
     lc = fhat[-1]
-    monic = [c / lc for c in fhat]
+    monic = [_qdiv(c, lc) for c in fhat]
     r = _powmod_x(p, monic)
     r = list(r)
     if r:
         r[0] -= 1
     else:
-        r = [Fraction(-1)]
+        r = [-1]
     _trim(r)
     if not r:
         return Fraction(0)  # fhat divides x^p - 1
@@ -540,18 +556,6 @@ def regular_at_p(f: "LaurentPoly | RatFun", p: int) -> bool:
     if isinstance(f, RatFun):
         return cyclotomic_norm(f.den, p) != 0
     return cyclotomic_norm(f, p) != 0
-
-
-def lp_eval_unit(f: LaurentPoly, k: int, p: int):
-    """f(e^(2 pi i k / p)).  Exact Fraction when the root is +-1."""
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    k %= p
-    if k == 0:
-        return f.eval_one()
-    if 2 * k == p:
-        return f.evaluate(Fraction(-1))
-    return f.evaluate(cmath.exp(2j * cmath.pi * k / p))
 
 
 # ---------------------------------------------------------------------------
@@ -595,12 +599,8 @@ class RatFun:
         q1 = q.eval_one()
         if q1 == 0:
             raise SingularAtOne("denominator vanishes at t = 1")
-        self.num = n.shift(shift) * (1 / q1)
-        self.den = q * (1 / q1)
-
-    @classmethod
-    def from_poly(cls, f: LaurentPoly) -> "RatFun":
-        return cls(f, LaurentPoly.one())
+        self.num = n.shift(shift) * _qdiv(1, q1)
+        self.den = q * _qdiv(1, q1)
 
     @property
     def is_polynomial(self) -> bool:
@@ -689,11 +689,11 @@ def _as_ratfun(x) -> RatFun:
 # rewriting denominators as polynomials in t^p
 
 
-def _companion(monic: list[Fraction]) -> list[list[Fraction]]:
+def _companion(monic: list) -> list[list]:
     d = len(monic) - 1
-    M = [[Fraction(0)] * d for _ in range(d)]
+    M = [[0] * d for _ in range(d)]
     for i in range(1, d):
-        M[i][i - 1] = Fraction(1)
+        M[i][i - 1] = 1
     for i in range(d):
         M[i][d - 1] = -monic[i]
     return M
@@ -758,8 +758,8 @@ def denominator_to_tp(r: RatFun, p: int) -> tuple[LaurentPoly, LaurentPoly]:
     d = len(qhat) - 1
     lc = qhat[-1]
     if d == 0:
-        return r.num * (1 / lc), LaurentPoly.one()
-    monic = [c / lc for c in qhat]
+        return r.num * _qdiv(1, lc), LaurentPoly.one()
+    monic = [_qdiv(c, lc) for c in qhat]
     M = _mat_pow(_companion(monic), p)
     chi = _charpoly(M)
     qp = [c * lc ** p for c in chi]

@@ -35,6 +35,7 @@ coloring propagation of ``count_admissible`` as column operations.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -58,7 +59,6 @@ __all__ = [
     "res_p_graph",
     "liftres_check",
     "liftres_sweep",
-    "push_at_vertex",
 ]
 
 _VERTEX_CAP = 8
@@ -113,10 +113,6 @@ class BeadedGraph:
     @property
     def beads(self) -> tuple[int, ...]:
         return tuple(e.bead for e in self.edges)
-
-    @property
-    def is_beadless(self) -> bool:
-        return all(e.bead == 0 for e in self.edges)
 
     def with_beads(self, beads: Sequence[int]) -> "BeadedGraph":
         if len(beads) != len(self.edges):
@@ -249,21 +245,26 @@ def count_admissible(G: BeadedGraph, p: int) -> int:
 # automorphisms
 
 
-def automorphisms(G: BeadedGraph) -> list[GraphAut]:
+def automorphisms(G: BeadedGraph) -> tuple[GraphAut, ...]:
     """All automorphisms of the underlying graph (beads ignored).
 
     An automorphism is a vertex bijection plus a compatible edge
     bijection; an edge may land on its image with reversed orientation
     (flip), and a loop can map to itself either way, so loops contribute
     a factor of two each.  Brute force over vertex permutations -- fine
-    for the handful of vertices these graphs have, guarded by TooLarge.
+    for the handful of vertices these graphs have, guarded by TooLarge --
+    once per topology (vertex count and edge endpoints), kept as a tuple.
     """
-    n = G.n_vertices
-    if n > _VERTEX_CAP:
+    if G.n_vertices > _VERTEX_CAP:
         raise TooLarge("automorphism search capped at %d vertices" % _VERTEX_CAP)
+    return _automorphisms(G.n_vertices, tuple((e.tail, e.head) for e in G.edges))
+
+
+@lru_cache(maxsize=64)
+def _automorphisms(n: int, ends: tuple[tuple[int, int], ...]) -> tuple[GraphAut, ...]:
     classes: dict[tuple[int, int], list[int]] = {}
-    for idx, e in enumerate(G.edges):
-        key = (min(e.tail, e.head), max(e.tail, e.head))
+    for idx, (tail, head) in enumerate(ends):
+        key = (min(tail, head), max(tail, head))
         classes.setdefault(key, []).append(idx)
     keys = sorted(classes)
     out: list[GraphAut] = []
@@ -288,17 +289,16 @@ def automorphisms(G: BeadedGraph) -> list[GraphAut]:
                 flipchoices: list[list[bool]] = []
                 feasible = True
                 for e_idx, f_idx in zip(src, assign):
-                    e = G.edges[e_idx]
-                    f = G.edges[f_idx]
-                    img = (vperm[e.tail], vperm[e.head])
-                    if e.tail == e.head:
-                        if f.tail != f.head or f.tail != img[0]:
+                    e, f = ends[e_idx], ends[f_idx]
+                    img = (vperm[e[0]], vperm[e[1]])
+                    if e[0] == e[1]:
+                        if f[0] != f[1] or f[0] != img[0]:
                             feasible = False
                             break
                         flipchoices.append([False, True])
-                    elif img == (f.tail, f.head):
+                    elif img == f:
                         flipchoices.append([False])
-                    elif img == (f.head, f.tail):
+                    elif img == f[::-1]:
                         flipchoices.append([True])
                     else:
                         feasible = False
@@ -309,8 +309,8 @@ def automorphisms(G: BeadedGraph) -> list[GraphAut]:
                     opts.append((assign, combo))
             per_class.append(opts)
         for choice in product(*per_class):
-            eperm = [0] * len(G.edges)
-            flips = [False] * len(G.edges)
+            eperm = [0] * len(ends)
+            flips = [False] * len(ends)
             for key, (assign, combo) in zip(keys, choice):
                 for e_idx, f_idx, fl in zip(classes[key], assign, combo):
                     eperm[e_idx] = f_idx
@@ -318,7 +318,7 @@ def automorphisms(G: BeadedGraph) -> list[GraphAut]:
             out.append(GraphAut(tuple(vperm), tuple(eperm), tuple(flips)))
     if not out:
         raise ArithmeticError("identity must always be present")
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +439,14 @@ def phi_R(
     _, cycles = fundamental_cycles(G, forest)
     auts = automorphisms(G)
     beads = G.beads
-    coeff = Fraction(1, len(auts))
-    out: dict[tuple[int, ...], Fraction] = {}
+    hits: dict[tuple[int, ...], int] = {}
     for aut in auts:
         pushed = [0] * len(beads)
         for e, m in enumerate(beads):
             pushed[aut.eperm[e]] = -m if aut.flips[e] else m
         exps = cycle_monodromies(pushed, cycles)
-        out[exps] = out.get(exps, Fraction(0)) + coeff
-    return {k: v for k, v in out.items() if v}
+        hits[exps] = hits.get(exps, 0) + 1
+    return {k: Fraction(v, len(auts)) for k, v in hits.items()}
 
 
 def res_p_graph(
@@ -621,21 +620,3 @@ def liftres_sweep(
     for beads in _bead_chunks(p, E, max_cases, rng):
         failures += int(np.count_nonzero(_colorable(plan, beads, p) != _cycles_vanish(C, beads, p)))
     return ncase, failures
-
-
-def push_at_vertex(G: BeadedGraph, v: int) -> BeadedGraph:
-    """Slide a unit bead through vertex v: every non-loop edge entering v
-    gains +1 on its bead, every one leaving v loses 1, loops at v are
-    untouched.  Lift counts and cycle monodromies are invariant."""
-    if not 0 <= v < G.n_vertices:
-        raise ValueError("vertex out of range")
-    edges = []
-    for e in G.edges:
-        m = e.bead
-        if e.tail != e.head:
-            if e.head == v:
-                m += 1
-            if e.tail == v:
-                m -= 1
-        edges.append((e.tail, e.head, m))
-    return BeadedGraph(G.n_vertices, edges)

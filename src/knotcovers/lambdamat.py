@@ -11,7 +11,7 @@ t by a p-th root of the identity in matrix form:
 * ``cycle_matrix(p)`` -- the permutation matrix T with ones on the
   superdiagonal and in the lower-left corner; T^p = I, and T^-1 = T^T.
   ``subst_cycle(W, p)`` yields the rows of an np x np rational symmetric
-  matrix.
+  matrix, integer rows for W over Z[t, t^-1].
 * ``twisted_cycle_matrix(p)`` -- the same shape but with t in the corner;
   (T_t)^p = t I and the inverse is the bar-conjugate transpose.
   ``subst_twisted(W, p)`` stays a Hermitian Lambda-matrix.
@@ -19,9 +19,9 @@ t by a p-th root of the identity in matrix form:
 Every exact determinant is one fraction-free kernel, ``_bareiss``, over
 the integers (``rational_det``) or the Laurent ring (``LambdaMatrix.det``);
 products and powers reuse ``exactalg._mat_mul`` and ``_mat_pow``.
-Signatures of rational symmetric matrices are computed exactly by
-congruence (diagonalization with symmetric 1x1 pivoting), so every
-signature here is an honest integer.  Evaluation at points of the unit
+Signatures of rational symmetric matrices are computed exactly, in
+integers, by a symmetric fraction-free elimination with 1x1 pivots
+(``signature_exact``), so every signature here is an honest integer.  Evaluation at points of the unit
 circle other than +-1 is a numeric path: W(z) comes from a float
 coefficient tensor, and ``complex_signature`` counts eigenvalue signs
 above a fixed floor ``_EIG_FLOOR`` for one matrix or a stack of them in
@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactalg import LaurentPoly, SingularAtOne, _mat_mul, _mat_pow
+from .exactalg import LaurentPoly, SingularAtOne, _frac, _mat_mul, _mat_pow, _qdiv
 
 __all__ = [
     "NotHermitian",
@@ -103,47 +103,50 @@ def _bareiss(M: list[list]):
     return sign * M[n - 1][n - 1] if n else 1
 
 
-def rational_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a rational matrix by ``_bareiss`` over the integers.
+def _integral(rows: Sequence[Sequence], name: str) -> tuple[list[list[int]], int]:
+    """(L * rows as int lists, L) for a square rational matrix, L the lcm
+    of its denominators; integer input is kept as it is (L = 1)."""
+    M = [[_frac(x) for x in row] for row in rows]
+    if any(len(row) != len(M) for row in M):
+        raise ValueError("%s needs a square matrix" % name)
+    L = math.lcm(*(x.denominator for row in M for x in row))
+    if L != 1:
+        M = [[int(x * L) for x in row] for row in M]
+    return M, L
 
-    Integer inputs are eliminated as they are, which keeps the large block
-    determinants fast; otherwise the matrix is scaled by the lcm L of its
-    denominators and the determinant divided by L^n.
-    """
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError("rational_det needs a square matrix")
-    allint = all(
-        (isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1))
-        for row in rows
-        for x in row
-    )
-    if allint:
-        return Fraction(_bareiss([[int(x) for x in row] for row in rows]))
-    F = [[Fraction(x) for x in row] for row in rows]
-    L = math.lcm(*(x.denominator for row in F for x in row))
-    return Fraction(_bareiss([[int(x * L) for x in row] for row in F]), L ** len(F))
+
+def rational_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a rational matrix by ``_bareiss`` over the integers,
+    of the matrix scaled by the lcm L of its denominators, divided by L^n."""
+    M, L = _integral(rows, "rational_det")
+    return Fraction(_bareiss(M), L ** len(M))
 
 
 def signature_exact(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
     """Inertia (n_plus, n_minus, n_zero) of a rational symmetric matrix.
 
-    Congruence diagonalization over Q with 1x1 pivots only: a nonzero
-    diagonal entry d of the active block is swapped to the corner and
-    eliminated by the Schur complement update.  When the active diagonal
-    is all zero but some M[i][j] = b != 0, adding row j to row i and column
-    j to column i (congruence by a determinant-1 elementary matrix) makes
-    M[i][i] = 2b the pivot.  By Sylvester's law of inertia the signs of
-    the pivots, plus the size of the zero block left at the end, are exact.
+    The matrix is scaled by the lcm L > 0 of its denominators, which keeps
+    the inertia, and eliminated by symmetric fraction-free Bareiss with
+    1x1 pivots: a nonzero diagonal entry of the active block is swapped
+    to the corner, and every active entry stays a bordered minor, an
+    integer, divided exactly by the previous pivot.  The pivots d_k are
+    the leading principal minors of a congruent matrix, so the k-th LDL^T
+    pivot d_k / d_(k-1) has the sign sign(d_k) sign(d_(k-1)), d_0 = 1.
+    When the active diagonal is all zero but some M[i][j] = b != 0, adding
+    row j to row i and column j to column i (congruence by a
+    determinant-1 elementary matrix, which adds bordered minors to
+    bordered minors) makes M[i][i] = 2b the pivot.  By Sylvester's law of
+    inertia the pivot signs, plus the size of the zero block left at the
+    end, are exact.
     """
-    n = len(rows)
-    M = [[Fraction(x) for x in row] for row in rows]
-    if any(len(row) != n for row in M):
-        raise ValueError("signature_exact needs a square matrix")
+    M, _ = _integral(rows, "signature_exact")
+    n = len(M)
     for i in range(n):
         for j in range(i):
             if M[i][j] != M[j][i]:
                 raise ValueError("signature_exact needs a symmetric matrix")
     plus = minus = 0
+    prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if M[i][i]), None)
         if piv is None:
@@ -159,17 +162,15 @@ def signature_exact(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
         _sym_swap(M, k, piv)
         row_k = M[k]
         d = row_k[k]
-        if d > 0:
+        if (d > 0) == (prev > 0):
             plus += 1
         else:
             minus += 1
         for i in range(k + 1, n):
-            if not row_k[i]:
-                continue
-            r, row_i = row_k[i] / d, M[i]
+            r, row_i = row_k[i], M[i]
             for j in range(i, n):
-                row_i[j] -= r * row_k[j]
-                M[j][i] = row_i[j]
+                row_i[j] = M[j][i] = (row_i[j] * d - r * row_k[j]) // prev
+        prev = d
     return plus, minus, 0
 
 
@@ -304,7 +305,7 @@ def normalized_determinant(W: LambdaMatrix) -> LaurentPoly:
     d1 = d.eval_one()
     if d1 == 0:
         raise SingularAtOne("determinant vanishes at t = 1")
-    return d * (1 / d1)
+    return d * _qdiv(1, d1)
 
 
 # ---------------------------------------------------------------------------
@@ -343,27 +344,31 @@ def _require_hermitian(W: LambdaMatrix):
 
 def subst_cycle(W: LambdaMatrix, p: int) -> tuple[tuple[Fraction, ...], ...]:
     """Substitute the p-cycle matrix for t in a Hermitian W: the rows of an
-    np x np rational symmetric matrix.
+    np x np rational symmetric matrix, of ints when W is integral.
 
     Block (i, j) becomes w_ij(T); since T^m is the permutation shifting
     indices by m mod p, entry (a, b) of that block collects the
-    coefficients of w_ij in exponents congruent to b - a mod p.
+    coefficients of w_ij in exponents congruent to b - a mod p: row a of
+    the block is those residues rotated right by a.
     """
     _require_hermitian(W)
     if p < 1:
         raise ValueError("p must be a positive integer")
-    n = W.n
-    N = n * p
-    rows = [[Fraction(0)] * N for _ in range(N)]
-    for i in range(n):
-        for j in range(n):
-            residues = [Fraction(0)] * p
-            for e, c in W.entries[i][j].coeffs.items():
+    N = W.n * p
+    blocks = []
+    for row in W.entries:
+        residue_row = []
+        for x in row:
+            residues = [0] * p
+            for e, c in x.coeffs.items():
                 residues[e % p] += c
-            for a in range(p):
-                for b in range(p):
-                    rows[i * p + a][j * p + b] = residues[(b - a) % p]
-    out = tuple(tuple(row) for row in rows)
+            residue_row.append(residues)
+        blocks.append(residue_row)
+    out = tuple(
+        tuple(c for res in residue_row for c in res[p - a:] + res[:p - a])
+        for residue_row in blocks
+        for a in range(p)
+    )
     if any(out[i][j] != out[j][i] for i in range(N) for j in range(i)):
         raise ArithmeticError("cycle substitution of a Hermitian matrix must be symmetric")
     return out
@@ -420,10 +425,15 @@ def complex_signature(H: np.ndarray) -> "int | np.ndarray":
 
 
 def _sigma_exact_at(W: LambdaMatrix, w: int) -> int:
-    """sigma(W(w)) at w = +-1 by exact congruence, kept on W (a singular
-    W(w) too, so that every call raises SingularEvaluation)."""
+    """sigma(W(w)) at w = +-1 by exact inertia, kept on W (a singular W(w)
+    too, so that every call raises SingularEvaluation).  W(1) sums each
+    entry's coefficients, W(-1) sums them with alternating signs."""
     if w not in W._sigma_exact:
-        plus, minus, null = signature_exact([[e.evaluate(w) for e in row] for row in W.entries])
+        rows = W.eval_at_one() if w == 1 else [
+            [sum(-c if e % 2 else c for e, c in x.coeffs.items()) for x in row]
+            for row in W.entries
+        ]
+        plus, minus, null = signature_exact(rows)
         W._sigma_exact[w] = None if null else plus - minus
     sig = W._sigma_exact[w]
     if sig is None:

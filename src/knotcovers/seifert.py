@@ -67,7 +67,6 @@ __all__ = [
     "Knot",
     "KnotLike",
     "alexander",
-    "canonical_symmetric",
     "clover_matrix",
     "congruence_identity_check",
     "signature_function",
@@ -76,7 +75,6 @@ __all__ = [
     "KnotRecord",
     "corpus_records",
     "corpus_record",
-    "load_record",
 ]
 
 
@@ -268,23 +266,6 @@ def alexander(A: KnotLike) -> LaurentPoly:
     return Knot.of(A).delta
 
 
-def canonical_symmetric(f: LaurentPoly) -> LaurentPoly:
-    """The representative of f's unit class { +-t^k f } that is
-    bar-symmetric with positive value at 1.  Raises if none exists."""
-    if f.is_zero:
-        return f
-    s = f.min_exp + f.max_exp
-    if s % 2 != 0:
-        raise ValueError("no symmetric representative: odd exponent span")
-    g = f.shift(-s // 2)
-    v = g.eval_one()
-    if v < 0:
-        g = -g
-    if not g.is_bar_symmetric:
-        raise ValueError("unit class contains no bar-symmetric element")
-    return g
-
-
 def clover_matrix(A: KnotLike) -> LambdaMatrix:
     """Hermitian clover form of a banded-basis Seifert matrix.
 
@@ -403,11 +384,6 @@ class KnotRecord:
             q2loop=ThetaClass.from_json(q) if q is not None else None,
             provenance=obj.get("provenance"),
         )
-
-
-def load_record(path) -> KnotRecord:
-    with open(path, "r", encoding="utf-8") as fh:
-        return KnotRecord.from_json(json.load(fh))
 
 
 def _corpus_json() -> list[dict]:

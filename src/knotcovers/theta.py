@@ -37,7 +37,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .exactalg import LaurentPoly, RatFun, _squarefree_parts, denominator_to_tp, poly_gcd
+from .exactalg import LaurentPoly, RatFun, _qdiv, _squarefree_parts, denominator_to_tp, poly_gcd
 
 __all__ = [
     "QSingularAtP",
@@ -247,7 +247,7 @@ class ThetaClass:
 # residues and averages
 
 
-def _residue_classes(slot: RatFun, p: int) -> tuple[dict[int, int], Fraction]:
+def _residue_classes(slot: RatFun, p: int) -> tuple[dict[int, int], "int | Fraction"]:
     """Integers n and a scale s with slot(w) = s * sum_r n[r] w^r at every
     p-th root of unity w: the periodised coefficients, summed as integers
     over one denominator.  A rational slot is first rewritten as
@@ -264,7 +264,7 @@ def _residue_classes(slot: RatFun, p: int) -> tuple[dict[int, int], Fraction]:
     n: dict[int, int] = {}
     for e, v in coeffs.items():
         n[e % p] = n.get(e % p, 0) + v.numerator * (d // v.denominator)
-    return n, Fraction(1, d) / q1
+    return n, _qdiv(1, d * q1)
 
 
 def res_p_theta(Q: ThetaClass, p: int) -> Fraction:

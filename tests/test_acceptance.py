@@ -92,11 +92,14 @@ def test_injected_corruption_fails_under_python_O():
 
 
 def test_signature_criteria_pass_under_python_O():
-    # the cached Hermitian checks, sigma(W(+-1)) and the stacked
-    # eigensolves raise explicitly, so these criteria still check under -O
-    proc = _selftest_under_python_O("--criteria", "2,3,9,10,12")
+    # the cached Hermitian checks, sigma(W(+-1)), the stacked eigensolves
+    # and the integer kernels (Bareiss inertia and determinants, the
+    # subresultant PRS, exact division) raise explicitly, so these
+    # criteria still check under -O
+    criteria = [1, 2, 3, 4, 8, 9, 10, 11, 12]
+    proc = _selftest_under_python_O("--criteria", ",".join(map(str, criteria)))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.strip().splitlines()
     passed = [re.match(r"criterion\s+(\d+): PASS", ln) for ln in lines]
-    assert [int(m.group(1)) for m in passed if m] == [2, 3, 9, 10, 12]
-    assert len(lines) == 5
+    assert [int(m.group(1)) for m in passed if m] == criteria
+    assert len(lines) == len(criteria)

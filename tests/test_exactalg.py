@@ -12,7 +12,6 @@ from knotcovers.exactalg import (
     _charpoly,
     cyclotomic_norm,
     denominator_to_tp,
-    lp_eval_unit,
     mahler_measure,
     poly_gcd,
     regular_at_p,
@@ -63,11 +62,6 @@ class TestLaurentPoly:
         assert f.eval_one() == 1
         assert abs(f.evaluate(complex(-1.0)) - (-3.0)) < 1e-12
 
-    def test_eval_unit_exact(self):
-        f = t ** -1 - one + t
-        assert lp_eval_unit(f, 1, 2) == -3  # at -1
-        assert lp_eval_unit(f, 0, 1) == 1  # at +1
-
     def test_divexact(self):
         f = (t + one) * (t - one)
         assert f.divexact(t + one) == t - one
@@ -95,6 +89,103 @@ class TestLaurentPoly:
         f = LaurentPoly({-1: Fraction(1, 3), 4: -2})
         assert LaurentPoly.from_json(f.to_json()) == f
         assert f.to_json() == {"-1": "1/3", "4": "-2"}
+
+
+def _canonical(x):
+    """An exact coefficient in its canonical type: an int when integral,
+    a Fraction with a denominator above 1 otherwise (never a float)."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def _stored_canonically(f):
+    return all(_canonical(c) for c in f.coeffs.values())
+
+
+def _random_poly(rng, rational, lo=-3, hi=3):
+    den = (lambda: rng.randint(1, 4)) if rational else (lambda: 1)
+    return LaurentPoly({e: Fraction(rng.randint(-4, 4), den()) for e in range(lo, hi + 1)
+                        if rng.random() < 0.6})
+
+
+class TestIntegerCoefficients:
+    """Integral coefficients are stored as ints, whatever their origin, so
+    arithmetic over Z[t, t^-1] never builds a Fraction."""
+
+    def test_integer_inputs_keep_int_coefficients(self, rng):
+        for _ in range(200):
+            f, g = _random_poly(rng, False), _random_poly(rng, False)
+            out = [f + g, f - g, f * g, -f, 3 * f, f.bar(), f.shift(rng.randint(-4, 4)), f ** 3]
+            if g:
+                out.append((f * g).divexact(g))
+                assert out[-1] == f
+            for h in out:
+                assert all(type(c) is int for c in h.coeffs.values()), h
+            assert type(f.eval_one()) is int and type(f.coeff(99)) is int
+
+    def test_integral_fractions_are_stored_as_ints(self, rng):
+        half = LaurentPoly({0: Fraction(1, 2), 1: Fraction(-3, 2)})
+        import numpy as np
+
+        assert LaurentPoly({0: Fraction(4, 2), 1: "6/3"}).coeffs == {0: 2, 1: 2}
+        big = LaurentPoly({0: np.int64(2) ** 62, 1: True})
+        assert all(type(c) is int for c in big.coeffs.values())
+        assert (big * big).coeff(0) == 2 ** 124  # no int64 wraparound
+        assert all(type(c) is int for c in (2 * half).coeffs.values())
+        assert all(type(c) is int for c in (half + half).coeffs.values())
+        assert type((half * 2).eval_one()) is int
+        for _ in range(200):
+            f, g = _random_poly(rng, True), _random_poly(rng, True)
+            for h in (f + g, f - g, f * g, Fraction(2, 3) * f, f.bar()):
+                assert _stored_canonically(h), h
+            if g:
+                assert (f * g).divexact(g) == f
+
+    def test_negative_power_is_an_exact_fraction(self):
+        (c,) = ((2 * t) ** -1).coeffs.values()
+        assert type(c) is Fraction and c == Fraction(1, 2)
+        assert ((2 * t) ** -1).coeffs == {-1: Fraction(1, 2)}
+        assert (t ** -3).coeffs == {-3: 1} and type((t ** -3).coeff(-3)) is int
+        assert ((-2 * t) ** -2).coeffs == {-2: Fraction(1, 4)}
+
+    def test_hash_is_kept_and_agrees_across_coefficient_types(self):
+        f = LaurentPoly({0: Fraction(4, 2), 3: Fraction(1, 3)})
+        g = LaurentPoly({0: 2, 3: "1/3"})
+        assert f == g and hash(f) == hash(g) == hash(f)
+        assert len({f, g, f * 1}) == 1
+
+    def test_no_float_from_gcd_resultant_norm_and_rewriting(self, rng):
+        for trial in range(80):
+            rational = trial % 2 == 1
+            f, g = _random_poly(rng, rational, 0, 4), _random_poly(rng, rational, 0, 3)
+            if not f or not g:
+                continue
+            gcd = poly_gcd(f, g)
+            assert _stored_canonically(gcd) and (f.divexact(gcd) * gcd == f if gcd else True)
+            res = resultant(f, g)
+            assert type(res) is Fraction and res == _sylvester_resultant(f, g)
+            for p in (1, 2, 3, 6):
+                assert type(cyclotomic_norm(f, p)) is Fraction
+            den = g - LaurentPoly.const(g.eval_one() - 1)  # value 1 at t = 1
+            if den.is_zero or den.coeff(0) == 0:
+                continue
+            r = RatFun(f, den)
+            assert _stored_canonically(r.num) and _stored_canonically(r.den)
+            for p in (2, 3):
+                P, Qp = denominator_to_tp(r, p)
+                assert _stored_canonically(P) and _stored_canonically(Qp)
+
+
+def _sylvester_resultant(f, g):
+    """Res(f, g) of the unit-stripped polynomials, as ``resultant`` takes
+    them, by the determinant of the Sylvester matrix (the oracle)."""
+    from knotcovers.lambdamat import rational_det
+
+    a = [f.coeff(e) for e in range(f.max_exp, f.min_exp - 1, -1)]
+    b = [g.coeff(e) for e in range(g.max_exp, g.min_exp - 1, -1)]
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b + [0] * (m - 1 - i) for i in range(m)]
+    return rational_det(rows)
 
 
 class TestResultant:

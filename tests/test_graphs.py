@@ -21,7 +21,6 @@ from knotcovers.graphs import (
     liftres_check,
     liftres_sweep,
     phi_R,
-    push_at_vertex,
     res_p_graph,
     theta_graph,
 )
@@ -55,6 +54,19 @@ def _loop_cycle_matrices(G, cycles, auts):
     return D
 
 
+def push_at_vertex(G, v):
+    """Slide a unit bead through vertex v: every non-loop edge entering v
+    gains +1 on its bead, every one leaving v loses 1, loops at v are
+    untouched.  Lift counts and cycle monodromies are invariant."""
+    edges = []
+    for e in G.edges:
+        m = e.bead
+        if e.tail != e.head:
+            m += (e.head == v) - (e.tail == v)
+        edges.append((e.tail, e.head, m))
+    return BeadedGraph(G.n_vertices, edges)
+
+
 def _per_automorphism_hits(G, tuples, p):
     """Oracle for the residue side: one matmul per automorphism, counting
     the automorphisms whose pushed-forward monodromies all vanish mod p."""
@@ -80,7 +92,7 @@ class TestGraphBasics:
         G = theta_graph()
         assert G.n_vertices == 2 and len(G.edges) == 3
         assert G.b0 == 1 and G.b1 == 2
-        assert G.is_beadless
+        assert G.beads == (0, 0, 0)
 
     def test_eyes_shape(self):
         G = eyes_graph()
@@ -99,7 +111,7 @@ class TestGraphBasics:
     def test_with_beads(self):
         G = theta_graph().with_beads([1, 2, 0])
         assert [e.bead for e in G.edges] == [1, 2, 0]
-        assert not G.is_beadless
+        assert G.beads == (1, 2, 0)
 
     def test_json_roundtrip(self):
         G = eyes_graph().with_beads([3, 1, 4])
@@ -141,6 +153,14 @@ class TestAutomorphisms:
             a.vperm == tuple(range(2)) and a.eperm == tuple(range(3)) and not any(a.flips)
             for a in auts
         )
+
+    def test_computed_once_per_topology(self):
+        # beads are ignored, so every bead tuple shares one immutable tuple
+        auts = automorphisms(THETA)
+        assert isinstance(auts, tuple)
+        assert automorphisms(THETA.with_beads([1, 4, 2])) is auts
+        assert automorphisms(BeadedGraph.from_json(THETA.to_json())) is auts
+        assert automorphisms(EYES) is not auts and len(automorphisms(EYES)) == 8
 
 
 class TestSymbols:

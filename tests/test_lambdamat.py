@@ -7,6 +7,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+import knotcovers.lambdamat as lambdamat
 from knotcovers.exactalg import LaurentPoly, _mat_pow
 from knotcovers.lambdamat import (
     LambdaMatrix,
@@ -23,7 +24,7 @@ from knotcovers.lambdamat import (
     varsigma_at,
     varsigma_p,
 )
-from knotcovers.seifert import clover_matrix
+from knotcovers.seifert import clover_matrix, corpus_records
 
 t = LaurentPoly.t()
 one = LaurentPoly.one()
@@ -136,6 +137,40 @@ class TestProductAndPower:
                 power()
 
 
+def _fraction_congruence(rows):
+    """Inertia by congruence diagonalization over Q (the oracle): 1x1
+    pivots with Schur complement updates in Fractions, and a zero active
+    diagonal repaired by adding row and column j to row and column i."""
+    n = len(rows)
+    M = [[Fraction(x) for x in row] for row in rows]
+    plus = minus = 0
+    for k in range(n):
+        piv = next((i for i in range(k, n) if M[i][i]), None)
+        if piv is None:
+            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if M[i][j]), None)
+            if off is None:
+                return plus, minus, n - k
+            piv, j = off
+            for c in range(k, n):
+                M[piv][c] += M[j][c]
+            for row in M[k:]:
+                row[piv] += row[j]
+        M[k], M[piv] = M[piv], M[k]
+        for row in M:
+            row[k], row[piv] = row[piv], row[k]
+        row_k = M[k]
+        d = row_k[k]
+        plus, minus = (plus + 1, minus) if d > 0 else (plus, minus + 1)
+        for i in range(k + 1, n):
+            if not row_k[i]:
+                continue
+            r, row_i = row_k[i] / d, M[i]
+            for j in range(i, n):
+                row_i[j] -= r * row_k[j]
+                M[j][i] = row_i[j]
+    return plus, minus, 0
+
+
 class TestSignatureExact:
     def test_rejects_non_square_and_non_symmetric_lists(self):
         for rows in ([[1, 2], [2]], [[1, 2, 3], [2, 1, 0]]):
@@ -180,6 +215,75 @@ class TestSignatureExact:
                     if trial % 3 or rng.random() < 0.3:
                         S[i][j] = S[j][i] = Fraction(rng.randint(-4, 4), den())
             assert signature_exact(S) == self._numpy_inertia(S), S
+
+    def test_integer_bareiss_matches_fraction_congruence_and_numpy(self, rng):
+        # zero diagonals force the repair, rational entries the scaling by
+        # the lcm of the denominators, a repeated row and column a kernel
+        for trial in range(1500):
+            n = rng.randint(1, 8)
+            den = (lambda: rng.randint(1, 6)) if trial % 2 else (lambda: 1)
+            S = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    if rng.random() < 0.6 and (i != j or trial % 3):
+                        S[i][j] = S[j][i] = Fraction(rng.randint(-5, 5), den())
+            if trial % 5 == 0 and n >= 2:
+                S[-1] = list(S[0])
+                for i in range(n):
+                    S[i][-1] = S[-1][i]
+            want = _fraction_congruence(S)
+            assert signature_exact(S) == want == self._numpy_inertia(S), S
+
+    def test_corpus_cycle_substitutions_match_fraction_congruence(self):
+        # irregular p leave a kernel, so singular matrices are covered too
+        for rec in corpus_records():
+            W = rec.knot.clover
+            if not W.n:
+                assert signature_exact(subst_cycle(W, 3)) == (0, 0, 0)  # the unknot
+                continue
+            for p in range(1, 11):
+                S = subst_cycle(W, p)
+                assert signature_exact(S) == _fraction_congruence(S) == self._numpy_inertia(S), (
+                    rec.name, p)
+
+    def test_exact_signs_at_plus_and_minus_one_match_eigenvalues(self, rng):
+        # sigma(W(1)) from eval_at_one, sigma(W(-1)) from the alternating
+        # coefficient sum, on Hermitian forms with rational coefficients
+        checked = 0
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            M = LambdaMatrix([[_random_laurent(rng) for _ in range(n)] for _ in range(n)])
+            W = M + M.bar_transpose()
+            for w in (1, -1):
+                eigs = np.linalg.eigvalsh(W.eval_complex(w))
+                if np.abs(eigs).min() < 1e-9:
+                    with pytest.raises(SingularEvaluation):
+                        lambdamat._sigma_exact_at(W, w)
+                    continue
+                want = int((eigs > 0).sum()) - int((eigs < 0).sum())
+                assert lambdamat._sigma_exact_at(W, w) == want
+                checked += 1
+        assert checked > 60
+
+
+class TestIntegerEntries:
+    """Over Z[t, t^-1] the exact kernels build no Fraction."""
+
+    def test_det_and_cycle_substitution_keep_int_entries(self, rng):
+        zero = LaurentPoly.zero()
+        for _ in range(30):
+            M = _random_square(rng, rng.randint(1, 4),
+                               lambda: LaurentPoly({e: rng.randint(-3, 3) for e in range(-2, 3)}),
+                               zero, rng.choice(SHAPES))
+            d = LambdaMatrix(M).det()
+            assert d == _leibniz(M)
+            assert all(type(c) is int for c in d.coeffs.values())
+        for rec in corpus_records():
+            W = rec.knot.clover
+            assert all(type(c) is int for row in W.entries for x in row for c in x.coeffs.values())
+            assert all(type(c) is int for c in W.det().coeffs.values())
+            for p in (2, 5):
+                assert all(type(x) is int for row in subst_cycle(W, p) for x in row)
 
 
 class TestLambdaMatrix:

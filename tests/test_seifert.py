@@ -21,7 +21,6 @@ from knotcovers.seifert import (
     NotUnimodularAtOne,
     OddSize,
     alexander,
-    canonical_symmetric,
     clover_matrix,
     congruence_identity_check,
     corpus_records,
@@ -33,6 +32,21 @@ from knotcovers.seifert import (
 
 t = LaurentPoly.t()
 one = LaurentPoly.one()
+
+
+def canonical_symmetric(f):
+    """The representative of f's unit class { +-t^k f } that is
+    bar-symmetric with positive value at 1; the oracle that centres a
+    determinant computed up to a unit.  Raises if none exists."""
+    s = f.min_exp + f.max_exp
+    if s % 2 != 0:
+        raise ValueError("no symmetric representative: odd exponent span")
+    g = f.shift(-s // 2)
+    if g.eval_one() < 0:
+        g = -g
+    if not g.is_bar_symmetric:
+        raise ValueError("unit class contains no bar-symmetric element")
+    return g
 
 
 class TestValidation:

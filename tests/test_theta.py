@@ -233,7 +233,7 @@ class TestTorusAverage:
         # a root of multiplicity m leaves np.roots about eps^(1/m) off the
         # circle; found on the square-free part, it is on it, not near it
         f = RatFun(one, (t ** 2 + t + one) ** power)
-        Q = ThetaClass([(f, RatFun.from_poly(one), RatFun.from_poly(one), Fraction(1))])
+        Q = ThetaClass([(f, RatFun(one), RatFun(one), Fraction(1))])
         with pytest.raises(SingularOnTorus, match="denominator vanishes on"):
             torus_average(Q)
 
