@@ -425,19 +425,27 @@ def _as_ascending(f) -> list:
     return _trim([_frac(c) for c in f])
 
 
+def _dense(f) -> list:
+    """``_as_ascending`` without the unit stripping: a LaurentPoly from
+    degree 0, so a factor t^k stays as k leading zeros."""
+    if isinstance(f, LaurentPoly) and not f.is_zero:
+        return [f.coeff(e) for e in range(f.max_exp + 1)]
+    return _as_ascending(f)
+
+
 def resultant(f, g) -> Fraction:
     """Res(f, g) for univariate polynomials over Q.
 
     Accepts LaurentPoly (negative exponents are rejected) or ascending
-    coefficient sequences.  Computed by the subresultant polynomial
-    remainder sequence, which keeps every intermediate value integral once
-    the inputs are scaled to Z[x].
+    coefficient sequences, both taken as given: a factor t^k counts.
+    Computed by the subresultant polynomial remainder sequence, which keeps
+    every intermediate value integral once the inputs are scaled to Z[x].
     """
     for h in (f, g):
         if isinstance(h, LaurentPoly) and not h.is_zero and h.min_exp < 0:
             raise ValueError("resultant needs ordinary polynomials, got negative exponents")
-    a = _as_ascending(f)
-    b = _as_ascending(g)
+    a = _dense(f)
+    b = _dense(g)
     if not a or not b:
         return Fraction(0)
     da, db = len(a) - 1, len(b) - 1

@@ -67,6 +67,9 @@ _VERTEX_CAP = 8
 # which keeps a batch's temporaries at a few hundred KB
 _SWEEP_CAP = 1 << 22
 _CHUNK = 1 << 12
+# topology -> certified cycle matrix (see _certified_cycle_matrix), a few
+# hundred bytes each, kept for the life of the process
+_CERTIFIED: dict[tuple, np.ndarray] = {}
 
 
 class TooLarge(ValueError):
@@ -257,7 +260,12 @@ def automorphisms(G: BeadedGraph) -> tuple[GraphAut, ...]:
     """
     if G.n_vertices > _VERTEX_CAP:
         raise TooLarge("automorphism search capped at %d vertices" % _VERTEX_CAP)
-    return _automorphisms(G.n_vertices, tuple((e.tail, e.head) for e in G.edges))
+    return _automorphisms(*_topology(G))
+
+
+def _topology(G: BeadedGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The cache key of per-topology data: vertex count and edge endpoints."""
+    return G.n_vertices, tuple((e.tail, e.head) for e in G.edges)
 
 
 @lru_cache(maxsize=64)
@@ -535,7 +543,11 @@ def _certified_cycle_matrix(G: BeadedGraph) -> np.ndarray:
     non-forest columns of D[a]; the certificate is D[a] == U_a C and
     det U_a = +-1, exactly.  Then D[a] x = 0 mod p iff C x = 0 mod p, for
     every p, and phi_R's average over the group is the single test
-    C x = 0 mod p.  ArithmeticError if any automorphism fails."""
+    C x = 0 mod p.  ArithmeticError if any automorphism fails.  Certified
+    once per topology and kept read-only in _CERTIFIED."""
+    key = _topology(G)
+    if key in _CERTIFIED:
+        return _CERTIFIED[key]
     nonforest, cycles = fundamental_cycles(G)
     C = np.zeros((len(cycles), len(G.edges)), dtype=np.int64)
     for i, cyc in enumerate(cycles):
@@ -548,6 +560,8 @@ def _certified_cycle_matrix(G: BeadedGraph) -> np.ndarray:
     for u in {u.tobytes(): u for u in U}.values():
         if abs(rational_det(u.tolist())) != 1:
             raise ArithmeticError("an automorphism acts on the cycle lattice with det != +-1")
+    C.flags.writeable = False
+    _CERTIFIED[key] = C
     return C
 
 

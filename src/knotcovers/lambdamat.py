@@ -25,14 +25,14 @@ integers, by a symmetric fraction-free elimination with 1x1 pivots
 circle other than +-1 is a numeric path: W(z) comes from a float
 coefficient tensor, and ``complex_signature`` counts eigenvalue signs
 above a fixed floor ``_EIG_FLOOR`` for one matrix or a stack of them in
-one numpy eigensolve.  The production
-``branched.total_sigma_p`` sums such signatures in stacks of roots, and
-the exact cycle substitution ``varsigma_p`` is its oracle.
+one numpy eigensolve; ``varsigma_at`` takes arrays of roots into one such
+stack.  The production ``branched.total_sigma_p`` sums such signatures in
+stacks of roots, and the exact cycle substitution ``varsigma_p`` is its
+oracle.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -268,18 +268,17 @@ class LambdaMatrix:
     def eval_at_one(self) -> list[list[Fraction]]:
         return [[e.eval_one() for e in row] for row in self.entries]
 
-    def eval_complex(self, z: complex) -> np.ndarray:
+    def eval_complex(self, z: "complex | np.ndarray") -> np.ndarray:
         """W(z) = sum_e C_e z^e from the float tensor C[e, i, j], built once
-        (stored with i, j flattened)."""
+        (stored with i, j flattened): one n x n matrix for a scalar z, a
+        stack of shape z.shape + (n, n) for an array of z."""
         if self._float_coeffs is None:
             exps = sorted({e for row in self.entries for x in row for e in x.coeffs})
             C = [[float(x.coeff(e)) for row in self.entries for x in row] for e in exps]
             self._float_coeffs = (np.array(exps, dtype=int), np.reshape(C, (len(exps), self.n**2)))
         exps, C = self._float_coeffs
-        return (complex(z) ** exps @ C).reshape(self.n, self.n)
-
-    def eval_unit(self, k: int, p: int) -> np.ndarray:
-        return self.eval_complex(cmath.exp(2j * cmath.pi * (k % p) / p))
+        z = np.asarray(z, dtype=complex)
+        return (z[..., None] ** exps @ C).reshape(z.shape + (self.n, self.n))
 
     def to_json(self) -> dict:
         return {
@@ -441,21 +440,34 @@ def _sigma_exact_at(W: LambdaMatrix, w: int) -> int:
     return sig
 
 
-def varsigma_at(W: LambdaMatrix, k: int, p: int) -> int:
+def varsigma_at(W: LambdaMatrix, k: "int | np.ndarray", p: "int | np.ndarray"
+                ) -> "int | np.ndarray":
     """sigma(W(w)) - sigma(W(1)) for w = e^(2 pi i k/p).
 
-    At w = 1 the difference is identically zero, so k = 0 mod p returns 0.
-    At w = -1 both signatures are exact; other roots go through the
-    numeric Hermitian eigensolver.  The exact route (varsigma_p) sums
-    these over all p-th roots at once.
+    k and p are ints or int arrays (int64) that broadcast together: an
+    int for scalars, an int array of the broadcast shape otherwise.  At
+    w = 1 the difference is identically zero, so k = 0 mod p gives 0.  At
+    w = -1 (k = p/2 mod p) both signatures are exact; every other root
+    goes into one stacked numeric Hermitian eigensolve.
+    SingularEvaluation if any root is singular.  The exact route
+    (varsigma_p) sums these over all p-th roots at once.
     """
     _require_hermitian(W)
-    if k % p == 0:
-        return 0
-    base = _sigma_exact_at(W, 1)
-    if 2 * (k % p) == p:
-        return _sigma_exact_at(W, -1) - base
-    return complex_signature(W.eval_unit(k, p)) - base
+    k, p = np.broadcast_arrays(np.asarray(k, dtype=np.int64), np.asarray(p, dtype=np.int64))
+    if (p < 1).any():
+        raise ValueError("p must be a positive integer")
+    r = k % p
+    out = np.zeros(r.shape, dtype=int)
+    if r.any():
+        base = _sigma_exact_at(W, 1)
+        half = r == p - r  # 2r = p without overflow
+        if half.any():
+            out[half] = _sigma_exact_at(W, -1) - base
+        rest = (r != 0) & ~half
+        if rest.any():
+            w = np.exp(1j * (2 * np.pi * r[rest] / p[rest]))
+            out[rest] = complex_signature(W.eval_complex(w)) - base
+    return int(out) if out.ndim == 0 else out
 
 
 def varsigma_p(W: LambdaMatrix, p: int) -> int:

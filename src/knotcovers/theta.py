@@ -52,6 +52,10 @@ __all__ = [
 _COMPARE_TOL = 1e-9  # relative agreement that counts as equal in functionally_equal
 _TAIL_RATIO = 1e-13  # torus_average: Fourier tail at |r| >= N/4 vs the largest coefficient
 _GRID_CAP = 2 ** 20  # torus_average: the largest trapezoid grid tried
+# torus_average refuses up front a pole whose geometric tail would still be
+# above _TAIL_RATIO on a grid this many times _GRID_CAP; the margin covers a
+# pole with a small residue, whose tail is that much smaller than rho alone says
+_REFUSE_MARGIN = 8
 
 
 class QSingularAtP(ValueError):
@@ -336,7 +340,10 @@ def torus_average(Q: ThetaClass):
     trapezoid rule, the same sum over FFT coefficients mod N, with N doubled
     from 64 until each slot's coefficients at |r| >= N/4 are below
     _TAIL_RATIO of its largest.  A pole on the circle (found exactly) or a
-    grid past _GRID_CAP (a pole that near it) raises SingularOnTorus.
+    grid past _GRID_CAP (a pole that near it) raises SingularOnTorus, the
+    latter before any FFT when a denominator root of modulus r makes the
+    tail rho^(N/4), rho = min(r, 1/r), outlast _REFUSE_MARGIN * _GRID_CAP
+    points (a pole within about 1.4e-5 of the circle).
     """
     if Q.is_polynomial:
         nums = [slot.num for t in Q.terms for slot in (t.f, t.g, t.h)]
@@ -345,6 +352,12 @@ def torus_average(Q: ThetaClass):
     slots = {slot for t in Q.terms for slot in (t.f, t.g, t.h)}
     if any(_has_unit_circle_root(slot.den) for slot in slots):
         raise SingularOnTorus("slot denominator vanishes on |t| = 1")
+    moduli = np.abs(np.concatenate([np.roots([float(c) for c in reversed(slot.den._ascending()[0])])
+                                    for slot in slots if not slot.is_polynomial]))
+    rho = np.minimum(moduli, 1 / moduli).max(initial=0.0)  # q(0) != 0: no zero root
+    if rho ** (_REFUSE_MARGIN * _GRID_CAP / 4) > _TAIL_RATIO:
+        raise SingularOnTorus("a slot pole lies within %.1e of |t| = 1: its coefficients "
+                              "would not decay within %d points" % (1 - rho, _GRID_CAP))
     N = 64
     while True:
         w = np.exp(2j * np.pi * np.arange(N) / N)

@@ -1,6 +1,7 @@
 """Acceptance gate: every criterion must pass, with an explicit printed
 pass/fail line, and the harness must turn red under injected corruption."""
 
+import cmath
 import io
 import os
 import re
@@ -9,9 +10,15 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from knotcovers.acceptance import CRITERIA, AcceptanceContext, run_selftest
+import knotcovers.acceptance as acceptance
+import knotcovers.branched as branched
+import knotcovers.lambdamat as lambdamat
+import knotcovers.seifert as seifert
+from knotcovers.acceptance import CRITERIA, AcceptanceContext, criterion_02, run_selftest
+from knotcovers.seifert import Knot
 
 _BUDGETS = {
     1: 10.0,
@@ -72,12 +79,86 @@ def test_injected_corruption_turns_the_gate_red():
     assert "FAIL" in buf.getvalue()
 
 
-def _selftest_under_python_O(*argv):
+def _install_wrong_slice(setattr_):
+    """Negate the Seifert route's signature at the one root k/p = 3/7
+    wherever the selftest stacks it: criterion 2's comparison and the
+    production sum total_sigma_p of criterion 3.  The trefoil's value
+    there is -2, so both criteria must see it."""
+    real = acceptance.sigma_at_omega
+    target = cmath.exp(2j * cmath.pi * 3 / 7)
+
+    def wrong(A, omega):
+        omega = np.asarray(omega)
+        sig = real(A, omega)
+        flipped = np.where(np.abs(omega - target) < 1e-12, -sig, sig)
+        return flipped if flipped.ndim else int(flipped)
+
+    setattr_(acceptance, "sigma_at_omega", wrong)
+    setattr_(branched, "sigma_at_omega", wrong)
+
+
+def test_one_wrong_root_fails_the_stacked_cross_check(monkeypatch):
+    _install_wrong_slice(monkeypatch.setattr)
+    with pytest.raises(AssertionError, match=r"signature mismatch at k/p=3/7$"):
+        criterion_02(AcceptanceContext())
+    buf = io.StringIO()
+    assert run_selftest(criteria=[2, 3], stream=buf) is False
+    lines = buf.getvalue().splitlines()
+    assert re.match(r"criterion\s+2: FAIL .* k/p=3/7$", lines[0]), lines[0]
+    assert re.match(r"criterion\s+3: FAIL .* p=7: production route$", lines[1]), lines[1]
+
+
+def test_one_wrong_clover_root_fails_criteria_2_and_3(monkeypatch):
+    real = acceptance.varsigma_at
+
+    def wrong(W, k, p):
+        out = real(W, k, p)
+        hit = np.broadcast_to((np.asarray(k) == 3) & (np.asarray(p) == 7), np.shape(out))
+        return np.where(hit, -out, out) if np.ndim(out) else (-out if hit else out)
+
+    monkeypatch.setattr(acceptance, "varsigma_at", wrong)
+    buf = io.StringIO()
+    assert run_selftest(criteria=[2, 3], stream=buf) is False
+    lines = buf.getvalue().splitlines()
+    assert re.match(r"criterion\s+2: FAIL .* k/p=3/7$", lines[0]), lines[0]
+    assert re.match(r"criterion\s+3: FAIL .* p=7: -?\d+ vs -?\d+$", lines[1]), lines[1]
+
+
+def test_criterion_2_stacks_each_route_once_per_knot(monkeypatch):
+    # every complex_signature call, from either route, is counted; a
+    # singular root costs one refused call per route
+    calls = []
+    real = lambdamat.complex_signature
+
+    def counted(H):
+        calls.append(H.shape)
+        return real(H)
+
+    monkeypatch.setattr(lambdamat, "complex_signature", counted)
+    monkeypatch.setattr(seifert, "complex_signature", counted)
+    ctx = AcceptanceContext()
+    criterion_02(ctx)
+    singular = 0
+    for A in ctx.random_corpus():
+        terms = Knot(A).delta.coeffs.items()
+        for p in range(2, 11):
+            for k in range(1, p):
+                w = cmath.exp(2j * cmath.pi * k / p)
+                singular += abs(sum(float(c) * w ** e for e, c in terms)) < 1e-7
+    knots = len(ctx.random_corpus())
+    assert singular > 0
+    assert len(calls) <= 2 * knots + 2 * singular
+    # no regular root leaves either route: 45 roots per knot, of which the
+    # 5 at w = -1 are exact on the clover route
+    assert sum(shape[0] for shape in calls if len(shape) == 3) >= (40 + 45) * knots - 2 * singular
+
+
+def _python_O(*argv):
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run(
-        [sys.executable, "-O", "-m", "knotcovers.cli", "selftest", *argv],
+        [sys.executable, "-O", *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -86,9 +167,26 @@ def _selftest_under_python_O(*argv):
 
 
 def test_injected_corruption_fails_under_python_O():
-    proc = _selftest_under_python_O("--criteria", "4", "--inject-corruption")
+    proc = _python_O("-m", "knotcovers.cli", "selftest", "--criteria", "4", "--inject-corruption")
     assert proc.returncode == 1
     assert re.search(r"criterion\s+4: FAIL", proc.stdout)
+
+
+def test_wrong_root_fails_criteria_2_and_3_under_python_O():
+    # the stacked comparisons raise through check, not assert
+    script = (
+        "import sys; sys.path.insert(0, %r)\n"
+        "import test_acceptance\n"
+        "test_acceptance._install_wrong_slice(setattr)\n"
+        "from knotcovers.acceptance import run_selftest\n"
+        "sys.exit(0 if run_selftest(criteria=[2, 3]) else 1)\n"
+    ) % str(Path(__file__).resolve().parent)
+    proc = _python_O("-c", script)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) == 2
+    assert re.match(r"criterion\s+2: FAIL .* k/p=3/7$", lines[0]), lines[0]
+    assert re.match(r"criterion\s+3: FAIL .* p=7: production route$", lines[1]), lines[1]
 
 
 def test_signature_criteria_pass_under_python_O():
@@ -97,7 +195,7 @@ def test_signature_criteria_pass_under_python_O():
     # subresultant PRS, exact division) raise explicitly, so these
     # criteria still check under -O
     criteria = [1, 2, 3, 4, 8, 9, 10, 11, 12]
-    proc = _selftest_under_python_O("--criteria", ",".join(map(str, criteria)))
+    proc = _python_O("-m", "knotcovers.cli", "selftest", "--criteria", ",".join(map(str, criteria)))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.strip().splitlines()
     passed = [re.match(r"criterion\s+(\d+): PASS", ln) for ln in lines]

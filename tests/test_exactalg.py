@@ -176,12 +176,12 @@ class TestIntegerCoefficients:
 
 
 def _sylvester_resultant(f, g):
-    """Res(f, g) of the unit-stripped polynomials, as ``resultant`` takes
-    them, by the determinant of the Sylvester matrix (the oracle)."""
+    """Res(f, g) of the polynomials as given, a factor t^k included, by
+    the determinant of the Sylvester matrix (the oracle)."""
     from knotcovers.lambdamat import rational_det
 
-    a = [f.coeff(e) for e in range(f.max_exp, f.min_exp - 1, -1)]
-    b = [g.coeff(e) for e in range(g.max_exp, g.min_exp - 1, -1)]
+    a = [f.coeff(e) for e in range(f.max_exp, -1, -1)]
+    b = [g.coeff(e) for e in range(g.max_exp, -1, -1)]
     m, n = len(a) - 1, len(b) - 1
     rows = [[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
     rows += [[0] * i + b + [0] * (m - 1 - i) for i in range(m)]
@@ -198,6 +198,18 @@ class TestResultant:
     def test_known_value(self):
         # Res(x^2 - 1, x^2 - 4) = prod of root differences = 9
         assert resultant(t ** 2 - one, t ** 2 - 4 * one) == 9
+
+    def test_powers_of_t_count(self, rng):
+        # t^k is a root 0 of multiplicity k, not a unit: Res(f, t g) = f(0) Res(f, g)
+        f, g = -4 * t ** 3 + t ** 2 - 2 * one, -t ** 2 - 2 * t
+        assert resultant(f, g) == _sylvester_resultant(f, g) == 68
+        assert resultant(f, g) == -resultant(f, -t - 2 * one) * f.coeff(0)
+        assert resultant(t ** 2, 3 * one) == 9 and resultant(t, t + one) == 1
+        for _ in range(100):
+            f, g = _random_poly(rng, False, 0, 4), _random_poly(rng, True, 0, 3)
+            if f and g:
+                for a, b in ((f, t ** 2 * g), (t * f, g), (t * f, t * g)):
+                    assert resultant(a, b) == _sylvester_resultant(a, b)
 
     def test_common_root_gives_zero(self):
         f = t ** 2 - 3 * t + 2

@@ -310,8 +310,33 @@ class TestSweepEngine:
             return D
 
         monkeypatch.setattr(graphs, "_aut_cycle_matrices", corrupted)
+        monkeypatch.setattr(graphs, "_CERTIFIED", {})  # certify afresh
         with pytest.raises(ArithmeticError):
             liftres_sweep(G, 2)
+        assert graphs._CERTIFIED == {}
+
+    def test_certificate_checked_once_per_topology(self, monkeypatch):
+        calls = []
+        tensor = graphs._aut_cycle_matrices
+
+        def counted(C, auts):
+            calls.append(len(auts))
+            return tensor(C, auts)
+
+        monkeypatch.setattr(graphs, "_aut_cycle_matrices", counted)
+        monkeypatch.setattr(graphs, "_CERTIFIED", {})
+        G = SWEEP_GRAPHS["theta-theta"]
+        for p in (2, 3, 4):
+            assert liftres_sweep(G, p) == (p ** 6, 0)
+        assert liftres_sweep(G.with_beads([1, 2, 3, 4, 5, 6]), 5, max_cases=50,
+                             rng=random.Random(2)) == (50, 0)
+        assert calls == [len(automorphisms(G))]
+        C = graphs._certified_cycle_matrix(G)
+        assert graphs._certified_cycle_matrix(BeadedGraph.from_json(G.to_json())) is C
+        with pytest.raises(ValueError):
+            C[0, 0] = 7  # read-only: no caller can corrupt the kept certificate
+        assert liftres_sweep(THETA, 3) == (27, 0)
+        assert len(calls) == 2 and len(graphs._CERTIFIED) == 2
 
     def test_no_per_tuple_graphs_or_lift_counts(self, monkeypatch):
         counts = {"count_admissible": 0, "BeadedGraph": 0}

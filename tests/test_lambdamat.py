@@ -24,7 +24,7 @@ from knotcovers.lambdamat import (
     varsigma_at,
     varsigma_p,
 )
-from knotcovers.seifert import clover_matrix, corpus_records
+from knotcovers.seifert import Knot, clover_matrix, corpus_records, random_seifert
 
 t = LaurentPoly.t()
 one = LaurentPoly.one()
@@ -464,6 +464,64 @@ class TestSignaturesOfCloverForms:
         for k, p in ((1, 3), (1, 2), (1, 3)):
             with pytest.raises(SingularEvaluation):
                 varsigma_at(W, k, p)
+
+    def test_array_equals_scalar_root_by_root(self, rng):
+        # mixed p = 2..12 in one call, k = 0 mod p and 2k = p included
+        ks = np.concatenate([np.arange(-1, p + 2) for p in range(2, 13)])
+        ps = np.concatenate([np.full(p + 3, p) for p in range(2, 13)])
+        knots = [rec.knot for rec in corpus_records()]
+        knots += [Knot(random_seifert(rng.randint(1, 3), rng)) for _ in range(50)]
+        singular_seen = 0
+        for K in knots:
+            W = K.clover
+            want, regular = [], []
+            for k, p in zip(ks.tolist(), ps.tolist()):
+                try:
+                    want.append(varsigma_at(W, k, p))
+                    regular.append(True)
+                except SingularEvaluation:
+                    regular.append(False)
+            regular = np.array(regular)
+            got = varsigma_at(W, ks[regular], ps[regular])
+            assert isinstance(got, np.ndarray) and got.tolist() == want
+            assert all(type(x) is int for x in want)
+            if not regular.all():
+                singular_seen += 1
+                with pytest.raises(SingularEvaluation):
+                    varsigma_at(W, ks, ps)
+        assert singular_seen > 0
+
+    def test_array_shapes_broadcast(self, trefoil):
+        W = clover_matrix(trefoil)
+        assert varsigma_at(W, np.arange(5), 5).tolist() == [0, -2, -2, -2, -2]
+        grid = varsigma_at(W, np.arange(4)[:, None], np.array([4, 5, 7]))
+        assert grid.shape == (4, 3)
+        for k in range(4):
+            assert grid[k].tolist() == [varsigma_at(W, k, p) for p in (4, 5, 7)]
+        assert varsigma_at(W, np.array([], dtype=int), 5).shape == (0,)
+        assert type(varsigma_at(W, np.int64(1), np.int64(3))) is int
+        with pytest.raises(ValueError, match="positive"):
+            varsigma_at(W, np.arange(3), np.array([3, 0, 3]))
+        # int64 throughout: the half root of p = 2^62 is found without overflow
+        assert varsigma_at(W, 3 * 2 ** 61, 2 ** 62) == varsigma_at(W, 1, 2) == -2
+        with pytest.raises(OverflowError):
+            varsigma_at(W, 1, 2 ** 63)
+
+    def test_one_singular_root_in_an_array_raises(self, trefoil):
+        W = clover_matrix(trefoil)
+        ks, ps = np.array([1, 2, 1, 3, 4]), np.array([5, 5, 6, 7, 9])  # 1/6 kills the trefoil form
+        with pytest.raises(SingularEvaluation):
+            varsigma_at(W, ks, ps)
+        keep = np.arange(5) != 2
+        assert varsigma_at(W, ks[keep], ps[keep]).tolist() == [-2, -2, -2, -2]
+
+    def test_eval_complex_stacks(self, figure8):
+        W = clover_matrix(figure8)
+        zs = np.exp(1j * np.linspace(0.1, 6.0, 12)).reshape(3, 4)
+        stack = W.eval_complex(zs)
+        assert stack.shape == (3, 4, W.n, W.n)
+        for idx in np.ndindex(3, 4):  # one matmul against many: equal up to summation order
+            assert np.abs(stack[idx] - W.eval_complex(zs[idx])).max() <= 1e-13
 
     def test_normalized_determinant_is_symmetric_and_one_at_one(self, figure8):
         d = normalized_determinant(clover_matrix(figure8))

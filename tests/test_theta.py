@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+import knotcovers.theta as theta
 from knotcovers.exactalg import LaurentPoly, RatFun, cyclotomic_norm
 from knotcovers.theta import (
     QSingularAtP,
@@ -221,6 +222,33 @@ class TestTorusAverage:
         Q = ThetaClass([(f, f, f, Fraction(1))])
         with pytest.raises(SingularOnTorus):
             torus_average(Q)
+
+    def test_near_pole_refused_before_any_fft(self, monkeypatch):
+        # at 1e-6 from the circle the tail would need about 1.2e8 points;
+        # the doubling loop used to reach 2^20 (160 MB) before giving up
+        calls = []
+        fourier = theta._fourier
+        monkeypatch.setattr(theta, "_fourier", lambda *a: calls.append(1) or fourier(*a))
+        for a in (Fraction(1000001, 1000000), Fraction(1000000, 1000001)):
+            f = RatFun(one, t - a * one)
+            Q = ThetaClass([(f, f, f, Fraction(1))])
+            with pytest.raises(SingularOnTorus, match="pole lies within"):
+                torus_average(Q)
+        assert calls == []
+        # a pole 1e-3 off the circle still converges, through the FFT
+        f = RatFun(one, t - Fraction(1001, 1000) * one)
+        Q = ThetaClass([(f, f, f, Fraction(1))])
+        assert torus_average(Q) == pytest.approx(-1 / (1.001 ** 3 - 1), rel=1e-9)
+        assert calls
+
+    def test_rational_class_of_the_growth_benchmark(self):
+        # f = 1/(3 - t) has coefficients 3^-(r+1) for r >= 0; g and h share
+        # only r = 1, so the diagonal sum is c g_1 h_1 / 9
+        f = RatFun(one, 3 * one - t)
+        for c, g1, g2, h1, h2 in ((1, 2, -3, 3, -1), (3, -1, 1, -2, 2)):
+            Q = ThetaClass([(f, RatFun(g1 * t + g2 * t ** 2), RatFun(h2 * t ** -2 + h1 * t),
+                             Fraction(c))])
+            assert torus_average(Q) == pytest.approx(c * g1 * h1 / 9, rel=1e-12)
 
     def test_poles_on_torus_rejected(self):
         f = RatFun(one, t ** 2 + t + one)
