@@ -393,9 +393,14 @@ def run_selftest(
     inject_corruption: bool = False,
     stream=None,
 ) -> bool:
-    """Run acceptance criteria; print one line per criterion; True iff all pass."""
+    """Run acceptance criteria; print one line per criterion; True iff all
+    pass.  ValueError for a number that names no criterion, before any runs."""
     import sys
 
+    unknown = sorted(set(criteria or ()) - {num for num, _, _ in CRITERIA})
+    if unknown:
+        raise ValueError("no criterion numbered %s (have 1..%d)"
+                         % (", ".join(map(str, unknown)), len(CRITERIA)))
     out = stream if stream is not None else sys.stdout
     ctx = AcceptanceContext(corrupt=inject_corruption)
     ok_all = True

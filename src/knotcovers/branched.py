@@ -14,9 +14,12 @@ unity):
   (``lambdamat.varsigma_p``), compared in selftest criterion 3 and tests.
 * ``torsion_order(A, p)`` -- the order of the first homology of the
   branched cover, ``Knot.beta(p)``: |det(Gamma^p - (Gamma - I)^p)| from
-  Seifert's integer presentation, which is 0 exactly when p is irregular.
-  Tests check it against the resultant form of the product of Alexander
-  over the p-th roots of unity and |det| of the substituted clover form.
+  Seifert's integer presentation, which is 0 exactly when p is irregular,
+  computed as the norm of x^p - (x - 1)^p in Z[x]/chi with chi Gamma's
+  characteristic polynomial (the one Delta is read from).  Tests check it
+  against the matrix powers themselves, the resultant form of the
+  product of Alexander over the p-th roots of unity and |det| of the
+  substituted clover form.
 * ``casson_walker(A, Q, p)`` -- (1/3) res_p(Q) + (1/8) total_sigma_p, an
   exact Fraction for every 2-loop class.
 
@@ -106,8 +109,9 @@ def torsion_growth(A: KnotLike, ps: Iterable[int]) -> list[tuple[int, int, float
     """Rows (p, torsion order, log(order)/p) for the regular p in ``ps``.
 
     Irregular p are skipped; log(order)/p converges to the Mahler measure
-    of the Alexander polynomial.  ``Knot.beta`` advances its matrix powers
-    from the previous p, so an ascending ladder costs one step per p.
+    of the Alexander polynomial.  ``Knot.beta`` advances its residues
+    mod chi from the previous p, so an ascending ladder costs one shift
+    and reduction per p and one 2g x 2g determinant.
     """
     knot = Knot.of(A)
     rows = []

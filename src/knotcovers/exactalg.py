@@ -10,10 +10,12 @@ Everything an abelian knot invariant needs downstream lives here:
 * ``RatFun`` -- fractions n(t)/q(t) whose denominator does not vanish at
   t = 1 (the localization of Z[t, t^-1] at the augmentation ideal).  The
   canonical form has q an ordinary polynomial with q(0) != 0 and q(1) = 1.
-* resultants by the subresultant remainder sequence, cyclotomic norms
-  prod_{w^p=1} f(w), rewriting of denominators into polynomials in t^p,
-  Mahler measures, and the coefficients of the wheels generating series
-  (1/2) log(sinh(x/2)/(x/2)) from Bernoulli numbers.
+* resultants by the subresultant remainder sequence, powers modulo a
+  monic polynomial (``_powmod``, shared by cyclotomic norms and
+  ``Knot.beta``), cyclotomic norms prod_{w^p=1} f(w), rewriting of
+  denominators into polynomials in t^p, Mahler measures, and the
+  coefficients of the wheels generating series (1/2) log(sinh(x/2)/(x/2))
+  from Bernoulli numbers.
 
 All core arithmetic is exact (int, and Fraction where it must be).
 Floating point enters only in clearly named numeric helpers (root finding
@@ -497,27 +499,34 @@ def _subresultant_res(A: list[int], B: list[int]) -> int:
 # cyclotomic norms and unit-circle evaluation
 
 
-def _powmod_x(p: int, modulus: list) -> list:
-    """x^p mod modulus (monic, ascending) by square and multiply."""
-    d = len(modulus) - 1
-    if d < 1 or modulus[-1] != 1:
-        raise ValueError("modulus must be monic of degree >= 1")
+def _mulmod(a: Sequence, b: Sequence, modulus: Sequence) -> list:
+    """a b mod modulus, trimmed."""
+    return _poly_divmod(_poly_mul(a, b), modulus)[1]
 
-    def mulmod(a, b):
-        prod = _poly_mul(a, b)
-        _, r = _poly_divmod(prod, modulus)
-        return r
 
-    result = [1]
-    base = [0, 1]
-    _, base = _poly_divmod(base, modulus)
-    n = p
-    while n:
-        if n & 1:
-            result = mulmod(result, base)
-        base = mulmod(base, base)
-        n >>= 1
-    return result
+def _powmod(base: Sequence, p: int, modulus: Sequence) -> list:
+    """base^p mod modulus (monic, ascending) by square and multiply,
+    starting from the first factor; trimmed, so [] is the zero residue."""
+    if not modulus or modulus[-1] != 1:
+        raise ValueError("modulus must be monic")
+    if p < 0:
+        raise ValueError("negative power not supported")
+    base = _poly_divmod(base, modulus)[1]
+    result = None
+    while True:
+        if p & 1:
+            result = base if result is None else _mulmod(result, base, modulus)
+        p >>= 1
+        if not p:
+            return _poly_divmod([1], modulus)[1] if result is None else result
+        base = _mulmod(base, base, modulus)
+
+
+def _mulx_mod(a: list, modulus: Sequence) -> list:
+    """x a mod a monic modulus of degree d >= 1, for a residue given by all
+    d of its coefficients: one shift and one reduction of the top term."""
+    top = a[-1]
+    return [-top * modulus[0]] + [c - top * m for c, m in zip(a, modulus[1:-1])]
 
 
 def cyclotomic_norm(f: LaurentPoly, p: int) -> Fraction:
@@ -541,8 +550,7 @@ def cyclotomic_norm(f: LaurentPoly, p: int) -> Fraction:
         return unit * fhat[0] ** p
     lc = fhat[-1]
     monic = [_qdiv(c, lc) for c in fhat]
-    r = _powmod_x(p, monic)
-    r = list(r)
+    r = _powmod([0, 1], p, monic)
     if r:
         r[0] -= 1
     else:
@@ -714,18 +722,20 @@ def _mat_mul(A, B):
 
 
 def _mat_pow(M, p: int):
-    """M^p by square and multiply, skipping the square after the top bit."""
+    """M^p by square and multiply, starting from the first factor and
+    skipping the square after the top bit; the rows returned are new lists
+    (``_bareiss`` eliminates in place), the identity for p = 0."""
     if p < 0:
         raise ValueError("negative matrix power not supported")
-    n = len(M)
-    R = [[int(i == j) for j in range(n)] for i in range(n)]
-    while p:
+    R = None
+    while True:
         if p & 1:
-            R = _mat_mul(R, M)
+            R = [list(row) for row in M] if R is None else _mat_mul(R, M)
         p >>= 1
-        if p:
-            M = _mat_mul(M, M)
-    return R
+        if not p:
+            n = len(M)
+            return [[int(i == j) for j in range(n)] for i in range(n)] if R is None else R
+        M = _mat_mul(M, M)
 
 
 def _charpoly(M) -> list:

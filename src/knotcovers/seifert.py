@@ -27,9 +27,12 @@ is missing.
   the Alexander polynomial and the signature function.
 
 Each function above takes a raw matrix or a ``Knot``, which validates it
-once and derives Gamma, Delta and the clover form once, Gamma and Delta
-by integer arithmetic alone.  ``Knot.beta(p)`` reads |H_1| of the p-fold
-branched cover off Seifert's integer presentation.
+once and derives Gamma, its characteristic polynomial chi, Delta and the
+clover form once, Gamma, chi and Delta by integer arithmetic alone.
+``Knot.beta(p)`` reads |H_1| of the p-fold branched cover off Seifert's
+integer presentation Gamma^p - (Gamma - I)^p, as the norm of
+x^p - (x - 1)^p in Z[x]/chi: the same chi as Delta, and no matrix power;
+the matrix-power determinant is its oracle in the tests.
 
 Knot records (name + Seifert matrix + optional 2-loop class) are the JSON
 interchange format; a small bundled corpus ships with the package.
@@ -49,12 +52,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactalg import LaurentPoly, _charpoly, _mat_mul, _mat_pow, _squarefree_parts
+from .exactalg import LaurentPoly, _charpoly, _mat_mul, _mulx_mod, _powmod, _squarefree_parts
 from .lambdamat import (
     AtOne,
     LambdaMatrix,
     NotHermitian,
     SingularEvaluation,
+    _bareiss,
     complex_signature,
     rational_det,
 )
@@ -112,14 +116,17 @@ def validate_seifert(A: Sequence[Sequence[int]]) -> list[list[int]]:
 class Knot:
     """A validated Seifert matrix with the values the per-cover invariants
     read from it, each derived on first use and kept: the integer matrix
-    ``gamma``, the Alexander polynomial ``delta``, the clover form
-    ``clover``, the ``signature_average`` and the last power pair behind
-    ``beta(p)``.  Functions taking a matrix coerce it with ``Knot.of``."""
+    ``gamma``, its characteristic polynomial ``charpoly`` (shared by
+    ``delta`` and ``beta``), the Alexander polynomial ``delta``, the clover
+    form ``clover``, the ``signature_average`` and the last p with its
+    residue pair behind ``beta(p)``.  Functions taking a matrix coerce it
+    with ``Knot.of``."""
 
     def __init__(self, A: Sequence[Sequence[int]]):
         self.seifert = validate_seifert(A)
         self._float = np.array(self.seifert, dtype=float).reshape(2 * self.genus, 2 * self.genus)
-        self._ladder: tuple | None = None  # (p, Gamma^p, (Gamma - I)^p, beta_p)
+        # (p, x^p mod chi, (x - 1)^p mod chi, beta_p), residues as 2g ints
+        self._ladder: tuple | None = None
 
     @classmethod
     def of(cls, A: "KnotLike") -> "Knot":
@@ -130,11 +137,17 @@ class Knot:
         return len(self.seifert) // 2
 
     @cached_property
+    def charpoly(self) -> list[int]:
+        """chi = det(xI - Gamma), monic, ascending integer coefficients; the
+        one characteristic polynomial behind both ``delta`` and ``beta``."""
+        return _charpoly(self.gamma)
+
+    @cached_property
     def delta(self) -> LaurentPoly:
         """t^-g det(A - t A^T); see ``alexander``.  A - t A^T equals
         ((1 - t) Gamma + t I) S with det S = 1, so for chi = det(xI - Gamma)
         it is t^-g sum_k chi_k t^k (t - 1)^(2g - k)."""
-        chi = _charpoly(self.gamma)
+        chi = self.charpoly
         n = len(chi) - 1
         coeffs = [(-1) ** (n - e) * sum(chi[k] * math.comb(n - k, e - k) for k in range(e + 1))
                   for e in range(n + 1)]
@@ -224,20 +237,35 @@ class Knot:
     def beta(self, p: int) -> int:
         """|det(Gamma^p - (Gamma - I)^p)|, the order of H_1 of the p-fold
         branched cover (Seifert 1935; Rolfsen, *Knots and Links*, ch. 8), in
-        any basis; 0 exactly when p is irregular.  The last p and its two
-        powers are kept, so ascending p cost one step of products each; a
-        smaller p starts again from the identity."""
+        any basis; 0 exactly when p is irregular.
+
+        Computed in Z[x]/chi, chi = ``charpoly``: by Cayley-Hamilton
+        r_p = x^p - (x - 1)^p mod chi has r_p(Gamma) = Gamma^p - (Gamma - I)^p,
+        so beta_p = |prod r_p(lambda_i)| is |det| of multiplication by r_p,
+        one integer Bareiss on the 2g rows x^i r_p mod chi.  The last p, its
+        residues x^p, (x - 1)^p mod chi and beta_p are kept: p + 1 costs one
+        shift and reduction of each, and any other p starts again from 1 by
+        square and multiply mod chi."""
         if p < 1:
             raise ValueError("p must be a positive integer")
-        G = self.gamma
+        if not self.genus:
+            return 1
+        chi = self.charpoly
+        n = len(chi) - 1
         last = self._ladder
-        q, Gq, Hq, beta = last if last and last[0] <= p else (0, _mat_pow(G, 0), _mat_pow(G, 0), 1)
-        if q < p:
-            H = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(G)]
-            Gq = _mat_mul(Gq, _mat_pow(G, p - q))
-            Hq = _mat_mul(Hq, _mat_pow(H, p - q))
-            beta = abs(int(rational_det([[a - b for a, b in zip(r, s)] for r, s in zip(Gq, Hq)])))
-            self._ladder = (p, Gq, Hq, beta)
+        if last and last[0] == p:
+            return last[3]
+        if last and last[0] == p - 1:
+            xq, hq = _mulx_mod(last[1], chi), _mulx_mod(last[2], chi)
+            hq = [a - b for a, b in zip(hq, last[2])]
+        else:
+            xq, hq = (_powmod(base, p, chi) for base in ([0, 1], [-1, 1]))
+            xq, hq = xq + [0] * (n - len(xq)), hq + [0] * (n - len(hq))
+        rows = [[a - b for a, b in zip(xq, hq)]]
+        while len(rows) < n:
+            rows.append(_mulx_mod(rows[-1], chi))
+        beta = abs(_bareiss(rows))
+        self._ladder = (p, xq, hq, beta)
         return beta
 
 

@@ -203,9 +203,11 @@ class TestStackedRoots:
 
 class TestDerivedOnce:
     def test_report_computes_each_beta_once_and_no_delta(self, monkeypatch):
-        (rec,) = [r for r in corpus_records() if r.name == "random-g3-a"]
-        dets, rdets, norms = [], [], []
+        recs = [r for r in corpus_records() if r.name in ("trefoil", "random-g3-a")]
+        dets, rdets, norms, bdets, charpolys, stray_muls = [], [], [], [], [], []
         det, rdet, norm = LambdaMatrix.det, knotcovers.seifert.rational_det, cyclotomic_norm
+        bareiss, charpoly = knotcovers.seifert._bareiss, knotcovers.seifert._charpoly
+        mat_mul, in_charpoly = knotcovers.exactalg._mat_mul, []
 
         def counted_det(M):
             dets.append(M.n)
@@ -219,9 +221,28 @@ class TestDerivedOnce:
             norms.append(p)
             return norm(f, p)
 
+        def counted_bareiss(M):
+            bdets.append(len(M))
+            return bareiss(M)
+
+        def counted_charpoly(M):
+            charpolys.append(len(M))
+            in_charpoly.append(True)
+            try:
+                return charpoly(M)
+            finally:
+                in_charpoly.pop()
+
+        def counted_mul(A, B):
+            if not in_charpoly:
+                stray_muls.append(len(A))
+            return mat_mul(A, B)
+
         monkeypatch.setattr(LambdaMatrix, "det", counted_det)
         monkeypatch.setattr(knotcovers.seifert, "rational_det", counted_rdet)
         monkeypatch.setattr(knotcovers.exactalg, "cyclotomic_norm", counted_norm)
+        monkeypatch.setattr(knotcovers.seifert, "_bareiss", counted_bareiss)
+        monkeypatch.setattr(knotcovers.seifert, "_charpoly", counted_charpoly)
         exact = []
         signature_exact = knotcovers.lambdamat.signature_exact
 
@@ -230,14 +251,28 @@ class TestDerivedOnce:
             return signature_exact(S)
 
         monkeypatch.setattr(knotcovers.lambdamat, "signature_exact", counted_exact)
-        rows = branched_report(rec.seifert, range(2, 21))
-        assert [r.p for r in rows] == list(range(2, 21))
-        # beta_p comes from Gamma, so no row needs the Alexander polynomial
-        assert dets == []
-        # validate_seifert, then one det(Gamma^p - (Gamma - I)^p) per p; sigma_p
-        # is a per-root sum, so neither the clover form nor exact inertia runs
-        assert rdets == [6] * (1 + 19)
-        assert exact == []
+        for rec in recs:
+            assert rec.knot.gamma  # the ladder starts once Gamma exists
+        monkeypatch.setattr(knotcovers.exactalg, "_mat_mul", counted_mul)
+        monkeypatch.setattr(knotcovers.seifert, "_mat_mul", counted_mul)
+        irregular = {"trefoil": [6, 12, 18], "random-g3-a": []}
+        for rec in recs:
+            n = len(rec.seifert)
+            bdets.clear()
+            charpolys.clear()
+            rows = branched_report(rec.knot, range(2, 21))
+            assert [r.p for r in rows] == list(range(2, 21))
+            assert [r.p for r in rows if not r.regular] == irregular[rec.name]
+            # beta_p comes from Gamma's characteristic polynomial, so no row
+            # needs the Alexander polynomial or a Laurent determinant
+            assert dets == []
+            # one 2g x 2g integer determinant per p, regular or not, and no
+            # matrix product outside the one charpoly; sigma_p is a per-root
+            # sum, so neither the clover form nor exact inertia runs
+            assert bdets == [n] * 19, rec.name
+            assert charpolys == [n] and stray_muls == [], rec.name
+            assert rdets == [] and exact == []
+        assert not hasattr(knotcovers.seifert, "_mat_pow")
         for module in (knotcovers.seifert, knotcovers.branched):
             assert not hasattr(module, "cyclotomic_norm")
         assert norms == []

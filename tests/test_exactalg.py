@@ -5,11 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+import knotcovers.exactalg
 from knotcovers.exactalg import (
     LaurentPoly,
     RatFun,
     SingularAtOne,
     _charpoly,
+    _companion,
+    _mat_mul,
+    _mat_pow,
+    _mulmod,
+    _mulx_mod,
+    _powmod,
     cyclotomic_norm,
     denominator_to_tp,
     mahler_measure,
@@ -295,6 +302,70 @@ class TestCharpoly:
         # det(sI - M) = s^2 - (1/2 + 1/3) s + 1/6 - 1/4
         M = [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]]
         assert _charpoly(M) == [Fraction(-1, 12), Fraction(-5, 6), 1]
+
+
+class TestModularPowers:
+    @staticmethod
+    def _at_companion(b, C):
+        """b(C) by Horner's rule."""
+        d = len(C)
+        out = [[0] * d for _ in range(d)]
+        for c in reversed(b):
+            out = [[x + c * (i == j) for j, x in enumerate(row)]
+                   for i, row in enumerate(_mat_mul(out, C))]
+        return out
+
+    def test_powmod_is_the_first_column_of_the_companion_power(self, rng):
+        # C multiplies by x on the basis 1, x, ..., x^(d-1) of Q[x]/chi, so
+        # b(C)^p e_0 holds the coefficients of b^p mod chi
+        for d in (1, 2, 3, 5):
+            chi = [rng.randint(-3, 3) for _ in range(d)] + [1]
+            C = _companion(chi)
+            for b in ([0, 1], [-1, 1], [rng.randint(-2, 2) for _ in range(d + 2)]):
+                bC = self._at_companion(b, C)
+                for p in (0, 1, 2, 3, 7, 64, 101):
+                    r = _powmod(b, p, chi)
+                    column = [row[0] for row in _mat_pow(bC, p)]
+                    assert r + [0] * (d - len(r)) == column, (chi, b, p)
+
+    def test_rational_modulus_and_zero_residue(self):
+        chi = [Fraction(1, 2), Fraction(-3, 2), 1]  # (x - 1)(x - 1/2)
+        r = _powmod([0, 1], 5, chi)  # x^5 = a x + b, through the roots 1 and 1/2
+        assert r == [Fraction(-15, 16), Fraction(31, 16)]
+        assert _powmod([-1, 1], 3, [1, -2, 1]) == []  # (x - 1)^2 divides (x - 1)^3
+        assert _powmod([2], 0, [1]) == []  # the zero ring: every residue is 0
+
+    def test_mulx_mod_is_one_modular_multiplication_by_x(self, rng):
+        for d in (1, 2, 4):
+            chi = [rng.randint(-3, 3) for _ in range(d)] + [1]
+            a = [rng.randint(-9, 9) for _ in range(d)]
+            r = _mulmod(a, [0, 1], chi)
+            assert _mulx_mod(a, chi) == r + [0] * (d - len(r))
+
+    def test_powmod_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="monic"):
+            _powmod([0, 1], 3, [1, 2])
+        with pytest.raises(ValueError, match="negative"):
+            _powmod([0, 1], -1, [1, 1])
+
+    def test_mat_pow_starts_from_the_first_factor_and_copies(self, monkeypatch):
+        products = []
+        mat_mul = _mat_mul
+
+        def counted(A, B):
+            products.append(len(A))
+            return mat_mul(A, B)
+
+        monkeypatch.setattr(knotcovers.exactalg, "_mat_mul", counted)
+        M = [[1, 2], [3, 4]]
+        powers = [_mat_pow(M, p) for p in (0, 1, 2, 5)]
+        assert powers[:3] == [[[1, 0], [0, 1]], M, [[7, 10], [15, 22]]]
+        assert powers[3] == mat_mul(mat_mul(powers[2], powers[2]), M)
+        # p = 1 and 2 cost no and one product, 5 = 101b two squares and one product
+        assert products == [2] * (0 + 1 + 3)
+        assert not any(r is s for P in powers for r in P for s in M)
+        powers[1][0][0] = 99  # _bareiss eliminates in place
+        assert M == [[1, 2], [3, 4]]
 
 
 class TestDenominatorToTp:

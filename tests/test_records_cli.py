@@ -229,6 +229,13 @@ class TestSelftestCommand:
         assert out.count("PASS") == 2
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("criteria, unknown", [("13", "13"), ("0", "0"), ("1,99", "99")])
+    def test_unknown_criterion_is_refused_before_any_runs(self, capsys, criteria, unknown):
+        code, out, err = run(capsys, "selftest", "--criteria", criteria)
+        assert code == 2
+        assert out == ""
+        assert "no criterion numbered %s (have 1..12)" % unknown in err
+
     def test_corruption_is_detected(self, capsys):
         code, out, _ = run(capsys, "selftest", "--criteria", "4", "--inject-corruption")
         assert code == 1

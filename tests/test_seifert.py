@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+import knotcovers.seifert
 from knotcovers.branched import total_sigma_p
-from knotcovers.exactalg import LaurentPoly, _mat_mul, cyclotomic_norm
+from knotcovers.exactalg import LaurentPoly, _mat_mul, _mat_pow, cyclotomic_norm
 from knotcovers.lambdamat import (
     AtOne,
     LambdaMatrix,
     NotHermitian,
     SingularEvaluation,
+    rational_det,
     varsigma_p,
 )
 from knotcovers.seifert import (
@@ -127,7 +129,50 @@ def resultant_beta(A, p):
     return abs(cyclotomic_norm(alexander(A), p))
 
 
+def matrix_beta(A, p):
+    """Oracle for Knot.beta: Seifert's presentation matrix itself,
+    |det(Gamma^p - (Gamma - I)^p)| by matrix powers and ``rational_det``."""
+    G = Knot(A).gamma
+    H = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(G)]
+    Gp, Hp = _mat_pow(G, p), _mat_pow(H, p)
+    return abs(int(rational_det([[a - b for a, b in zip(r, s)] for r, s in zip(Gp, Hp)])))
+
+
+LADDERS = {
+    "ascending": list(range(1, 41)),
+    "descending": list(range(40, 0, -3)),
+    "repeated": [7, 7, 8, 8, 8, 3, 3, 1, 1],
+    "jumping": [1, 2, 64, 65, 500, 1000, 999, 1000, 2],
+}
+
+
 class TestSeifertPresentation:
+    @pytest.mark.parametrize("g", [0, 1, 2, 3, 4])
+    def test_matches_the_matrix_power_route_on_every_ladder(self, g, rng):
+        for A in (random_seifert(g, rng), random_seifert(g, rng)):
+            B = conjugate(A, random_unimodular(2 * g, rng))  # not banded
+            want = {p: matrix_beta(A, p) for ps in LADDERS.values() for p in ps}
+            assert want[2] == resultant_beta(A, 2) and want[1] == 1
+            for name, ps in LADDERS.items():
+                for M in (A, B):
+                    knot = Knot(M)
+                    assert [knot.beta(p) for p in ps] == [want[p] for p in ps], (g, name)
+
+    def test_delta_and_beta_share_one_charpoly(self, figure8, monkeypatch):
+        calls = []
+        charpoly = knotcovers.seifert._charpoly
+
+        def counted(M):
+            calls.append(len(M))
+            return charpoly(M)
+
+        monkeypatch.setattr(knotcovers.seifert, "_charpoly", counted)
+        knot = Knot(figure8)
+        ps = (3, 2, 40, 41)
+        assert [knot.beta(p) for p in ps] == [matrix_beta(figure8, p) for p in ps]
+        assert knot.delta == alexander(figure8) and knot.charpoly == [-1, -1, 1]
+        assert calls == [2, 2]  # this knot's once, then the fresh alexander(figure8)
+
     def test_any_basis_gives_the_same_beta(self, rng):
         # A -> P^T A P with a unimodular P that mixes x_1 into y_1 and
         # swaps x_2, y_2: still a Seifert matrix of the same knot, not banded
@@ -159,6 +204,10 @@ class TestSeifertPresentation:
 
     def test_unknot_and_p_one(self, trefoil):
         assert [Knot([]).beta(p) for p in (1, 2, 7)] == [1, 1, 1]
+        # a genus-1 surface of the unknot: Gamma is singular, x^2 = x mod chi
+        knot = Knot([[0, 1], [0, 0]])
+        assert knot.charpoly == [0, -1, 1]
+        assert [knot.beta(p) for p in (1, 2, 50, 51, 7)] == [1] * 5
         assert Knot(trefoil).beta(1) == 1
         with pytest.raises(ValueError):
             Knot(trefoil).beta(0)
