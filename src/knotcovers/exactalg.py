@@ -11,15 +11,18 @@ Everything an abelian knot invariant needs downstream lives here:
   t = 1 (the localization of Z[t, t^-1] at the augmentation ideal).  The
   canonical form has q an ordinary polynomial with q(0) != 0 and q(1) = 1.
 * resultants by the subresultant remainder sequence, powers modulo a
-  monic polynomial (``_powmod``, shared by cyclotomic norms and
-  ``Knot.beta``), cyclotomic norms prod_{w^p=1} f(w), rewriting of
-  denominators into polynomials in t^p, Mahler measures, and the
-  coefficients of the wheels generating series (1/2) log(sinh(x/2)/(x/2))
-  from Bernoulli numbers.
+  monic polynomial (``_powmod``, shared by cyclotomic norms,
+  ``denominator_to_tp`` and ``Knot.beta``) and the matrix of
+  multiplication in Q[x]/m (``_mul_rows``, shared by the last two);
+  cyclotomic norms prod_{w^p=1} f(w), rewriting of denominators into
+  polynomials in t^p, Mahler measures, and the coefficients of the wheels
+  generating series (1/2) log(sinh(x/2)/(x/2)) from Bernoulli numbers.
 
 All core arithmetic is exact (int, and Fraction where it must be).
-Floating point enters only in clearly named numeric helpers (root finding
-for the Mahler measure, unit-circle evaluation at irrational angles).
+Floating point enters only in clearly named numeric helpers: unit-circle
+evaluation at irrational angles, and ``_roots_by_part``, the package's one
+numeric root finder (the Mahler measure, the circle roots of Delta, the
+poles of 2-loop slots), with its one unit-circle test ``_ON_CIRCLE``.
 """
 
 from __future__ import annotations
@@ -58,7 +61,10 @@ def _frac(x: Scalar) -> "int | Fraction":
     if isinstance(x, float):
         raise TypeError("refusing float coefficient %r; pass Fraction or str" % x)
     if type(x) is not Fraction:  # str, bool, numpy integers: made of plain ints
-        x = Fraction(x)
+        try:
+            x = Fraction(x)
+        except ZeroDivisionError:  # "1/0"
+            raise ValueError("zero denominator in coefficient %r" % x) from None
         x = Fraction(int(x.numerator), int(x.denominator))
     return x.numerator if x.denominator == 1 else x
 
@@ -529,6 +535,17 @@ def _mulx_mod(a: list, modulus: Sequence) -> list:
     return [-top * modulus[0]] + [c - top * m for c, m in zip(a, modulus[1:-1])]
 
 
+def _mul_rows(r: Sequence, modulus: Sequence) -> list[list]:
+    """The rows x^i r mod a monic modulus of degree d >= 1, i < d, each with
+    all d coefficients: the matrix of multiplication by r on Q[x]/modulus,
+    whose determinant is the norm of r and whose characteristic polynomial
+    has the values of r at the roots of the modulus as its roots."""
+    rows = [list(r) + [0] * (len(modulus) - 1 - len(r))]
+    while len(rows) < len(modulus) - 1:
+        rows.append(_mulx_mod(rows[-1], modulus))
+    return rows
+
+
 def cyclotomic_norm(f: LaurentPoly, p: int) -> Fraction:
     """prod over all p-th roots of unity w of f(w), exactly.
 
@@ -682,7 +699,10 @@ class RatFun:
         if "num" not in obj:
             # bare exponent->coefficient map: a polynomial with denominator 1
             return cls(LaurentPoly.from_json(obj))
-        return cls(LaurentPoly.from_json(obj["num"]), LaurentPoly.from_json(obj.get("den", {"0": 1})))
+        den = LaurentPoly.from_json(obj.get("den", {"0": 1}))
+        if den.is_zero:
+            raise ValueError("zero denominator %r" % (obj["den"],))
+        return cls(LaurentPoly.from_json(obj["num"]), den)
 
     def __str__(self) -> str:
         if self.is_polynomial:
@@ -703,16 +723,6 @@ def _as_ratfun(x) -> RatFun:
 
 # ---------------------------------------------------------------------------
 # rewriting denominators as polynomials in t^p
-
-
-def _companion(monic: list) -> list[list]:
-    d = len(monic) - 1
-    M = [[0] * d for _ in range(d)]
-    for i in range(1, d):
-        M[i][i - 1] = 1
-    for i in range(d):
-        M[i][d - 1] = -monic[i]
-    return M
 
 
 def _mat_mul(A, B):
@@ -760,55 +770,53 @@ def _charpoly(M) -> list:
 def denominator_to_tp(r: RatFun, p: int) -> tuple[LaurentPoly, LaurentPoly]:
     """Rewrite r = P(t) / Qp(t^p) and return (P, Qp).
 
-    Qp(s) is the norm prod_{i<p} q(w^i t) of the denominator down to the
-    subring Q[t^p], computed exactly as lc(q)^p times the characteristic
-    polynomial of (multiplication by z^p) on Q[z]/q(z), with the sign
-    (-1)^((p+1) deg q) that matches the product over rotated arguments.
+    Qp(s) = |lc(q)|^p prod (s - a^p) over the roots a of the denominator q,
+    so q(t) divides Qp(t^p): the characteristic polynomial of multiplication
+    by z^p on Q[z]/q(z), the rows z^i (z^p mod q) (``_powmod``,
+    ``_mul_rows``), scaled to the positive leading coefficient |lc(q)|^p.
     P is then forced by exact division, so r == P / Qp(t^p) identically.
-    Qp is normalized to have a positive leading coefficient.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
     q = r.den
-    if q == LaurentPoly.one():
+    if q == LaurentPoly.one():  # canonical: q(1) = 1, so the only constant q
         return r.num, LaurentPoly.one()
     qhat = _trim(q._ascending()[0])
-    d = len(qhat) - 1
     lc = qhat[-1]
-    if d == 0:
-        return r.num * _qdiv(1, lc), LaurentPoly.one()
     monic = [_qdiv(c, lc) for c in qhat]
-    M = _mat_pow(_companion(monic), p)
-    chi = _charpoly(M)
-    qp = [c * lc ** p for c in chi]
-    if ((p + 1) * d) % 2 == 1:
-        qp = [-c for c in qp]
-    Qp = LaurentPoly.from_coeffs(qp)
-    if qp[-1] < 0:
-        Qp = -Qp
+    chi = _charpoly(_mul_rows(_powmod([0, 1], p, monic), monic))
+    Qp = LaurentPoly.from_coeffs([c * abs(lc) ** p for c in chi])
     Qp_tp = LaurentPoly({p * e: v for e, v in Qp.coeffs.items()})
-    cofactor = Qp_tp.divexact(q)
-    P = r.num * cofactor
-    return P, Qp
+    return r.num * Qp_tp.divexact(q), Qp
 
 
 # ---------------------------------------------------------------------------
-# Mahler measure (numeric path)
+# numeric roots: the Mahler measure and the unit circle
+
+# a root of a square-free part this close to |t| = 1 is on it
+_ON_CIRCLE = 1e-8
+
+
+def _roots_by_part(f: "LaurentPoly | Sequence[Scalar]") -> list[np.ndarray]:
+    """numpy roots of each square-free part of f (``_squarefree_parts``):
+    entry j holds the roots of multiplicity > j, once each, so entry 0 the
+    distinct roots.  A repeated root would split off by about eps^(1/m);
+    here every root is simple."""
+    return [np.roots([float(c) for c in reversed(part)]) for part in _squarefree_parts(f)]
 
 
 def mahler_measure(f: LaurentPoly) -> float:
     """log of the Mahler measure of f: log|lc| + sum over roots outside
     the unit circle, with multiplicity, of log|root|.
 
-    Roots come from the numpy companion-matrix eigenvalue solver, so this
-    is a numeric path; it runs on each square-free part of f, because a
-    root of multiplicity m would split off by about eps^(1/m).
+    Roots come from ``_roots_by_part``, so this is a numeric path; a root
+    of multiplicity m is counted once in each of the first m parts.
     """
     if f.is_zero:
         raise ValueError("Mahler measure of the zero polynomial")
     total = math.log(abs(_as_ascending(f)[-1]))
-    for part in _squarefree_parts(f):
-        for z in np.roots([float(c) for c in reversed(part)]):
+    for roots in _roots_by_part(f):
+        for z in roots:
             a = abs(z)
             if a > 1.0:
                 total += math.log(a)

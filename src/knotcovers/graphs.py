@@ -169,8 +169,9 @@ class BeadedGraph:
     @classmethod
     def from_json(cls, obj: Mapping) -> "BeadedGraph":
         return cls(
-            int(obj["vertices"]),
-            [(e["from"], e["to"], e.get("bead", 0)) for e in obj["edges"]],
+            _json_int(obj["vertices"], "vertices"),
+            [(_json_int(e["from"], "from"), _json_int(e["to"], "to"),
+              _json_int(e.get("bead", 0), "bead")) for e in obj["edges"]],
         )
 
     def __repr__(self) -> str:
@@ -178,6 +179,14 @@ class BeadedGraph:
             self.n_vertices,
             [(e.tail, e.head, e.bead) for e in self.edges],
         )
+
+
+def _json_int(v, key: str) -> int:
+    """The value v of a JSON field key, which must be an integer: a float,
+    bool or string is refused, not truncated or parsed."""
+    if type(v) is not int:
+        raise ValueError("%r must be an integer, got %r" % (key, v))
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactalg import LaurentPoly, _charpoly, _mat_mul, _mulx_mod, _powmod, _squarefree_parts
+from .exactalg import (_ON_CIRCLE, LaurentPoly, _charpoly, _mat_mul, _mul_rows, _mulx_mod,
+                       _powmod, _roots_by_part)
 from .lambdamat import (
     AtOne,
     LambdaMatrix,
@@ -225,8 +226,14 @@ class Knot:
         roots of Delta (and vanishes on the arcs adjacent to 1), so the
         integral is exact-by-structure: evaluate at one midpoint per arc, all
         in one stacked call, and weight by arc length over 2 pi.  Root
-        locations are numeric."""
-        angles = _unit_circle_root_angles(self.delta)
+        locations are numeric: the distinct roots of Delta within
+        ``_ON_CIRCLE`` of |t| = 1 (Delta(1) = 1 excludes angle 0)."""
+        angles = sorted(
+            math.atan2(z.imag, z.real) % (2.0 * math.pi)
+            for roots in _roots_by_part(self.delta)[:1]
+            for z in roots
+            if abs(abs(z) - 1.0) < _ON_CIRCLE
+        )
         if not angles:
             return 0.0
         bounds = [0.0] + angles + [2.0 * math.pi]
@@ -261,29 +268,12 @@ class Knot:
         else:
             xq, hq = (_powmod(base, p, chi) for base in ([0, 1], [-1, 1]))
             xq, hq = xq + [0] * (n - len(xq)), hq + [0] * (n - len(hq))
-        rows = [[a - b for a, b in zip(xq, hq)]]
-        while len(rows) < n:
-            rows.append(_mulx_mod(rows[-1], chi))
-        beta = abs(_bareiss(rows))
+        beta = abs(_bareiss(_mul_rows([a - b for a, b in zip(xq, hq)], chi)))
         self._ladder = (p, xq, hq, beta)
         return beta
 
 
 KnotLike = Knot | Sequence[Sequence[int]]
-
-# a root of the square-free part of Delta this close to |t| = 1 is on it
-_ON_CIRCLE = 1e-8
-
-
-def _unit_circle_root_angles(delta: LaurentPoly) -> list[float]:
-    """Sorted angles in (0, 2 pi) of the distinct unit-circle roots of
-    delta (numeric, on its square-free part; delta(1) = 1 excludes 0)."""
-    return sorted(
-        math.atan2(z.imag, z.real) % (2.0 * math.pi)
-        for part in _squarefree_parts(delta)[:1]
-        for z in np.roots([float(c) for c in reversed(part)])
-        if abs(abs(z) - 1.0) < _ON_CIRCLE
-    )
 
 
 def alexander(A: KnotLike) -> LaurentPoly:

@@ -37,7 +37,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .exactalg import LaurentPoly, RatFun, _qdiv, _squarefree_parts, denominator_to_tp, poly_gcd
+from .exactalg import (_ON_CIRCLE, LaurentPoly, RatFun, _frac, _qdiv, _roots_by_part,
+                       denominator_to_tp)
 
 __all__ = [
     "QSingularAtP",
@@ -238,7 +239,7 @@ class ThetaClass:
                     RatFun.from_json(t["f"]),
                     RatFun.from_json(t["g"]),
                     RatFun.from_json(t["h"]),
-                    Fraction(t["c"]),
+                    _frac(t["c"]),
                 )
             )
         return cls(terms)
@@ -299,25 +300,6 @@ def res_p_theta(Q: ThetaClass, p: int) -> Fraction:
     return total * p
 
 
-def _has_unit_circle_root(q: LaurentPoly) -> bool:
-    """Does q vanish somewhere on |t| = 1?
-
-    A real polynomial shares its unit-circle roots with its reversal
-    t^d q(1/t), so they all divide gcd(q, reversal); the gcd is small, and
-    checking the roots of its square-free part numerically is then reliable.
-    """
-    qhat = q.shift(-q.min_exp)
-    d = qhat.max_exp
-    if d == 0:
-        return False
-    rev = LaurentPoly({d - e: c for e, c in qhat.coeffs.items()})
-    g = poly_gcd(qhat, rev)
-    if g.is_zero or g.max_exp == 0:
-        return False
-    roots = np.roots([float(c) for c in reversed(_squarefree_parts(g)[0])])
-    return bool(np.any(np.abs(np.abs(roots) - 1.0) < 1e-6))
-
-
 def _fourier(slot: RatFun, w: np.ndarray) -> np.ndarray:
     """Laurent coefficients of the slot on |t| = 1 from its values at the
     N-th roots of unity w, aliased mod N: entry k is the sum of the
@@ -339,21 +321,22 @@ def torus_average(Q: ThetaClass):
     Otherwise a float (the limit is irrational in general): the N-point
     trapezoid rule, the same sum over FFT coefficients mod N, with N doubled
     from 64 until each slot's coefficients at |r| >= N/4 are below
-    _TAIL_RATIO of its largest.  A pole on the circle (found exactly) or a
-    grid past _GRID_CAP (a pole that near it) raises SingularOnTorus, the
-    latter before any FFT when a denominator root of modulus r makes the
-    tail rho^(N/4), rho = min(r, 1/r), outlast _REFUSE_MARGIN * _GRID_CAP
-    points (a pole within about 1.4e-5 of the circle).
+    _TAIL_RATIO of its largest.  The distinct denominator roots, found once
+    per slot (``_roots_by_part``), decide two SingularOnTorus refusals before
+    any FFT: a pole within ``_ON_CIRCLE`` of |t| = 1 is on it, and a pole of
+    modulus r whose tail rho^(N/4), rho = min(r, 1/r), would outlast
+    _REFUSE_MARGIN * _GRID_CAP points (within about 1.4e-5 of it) is too
+    near it.  A grid past _GRID_CAP raises SingularOnTorus as well.
     """
     if Q.is_polynomial:
         nums = [slot.num for t in Q.terms for slot in (t.f, t.g, t.h)]
         p = max(f.max_exp for f in nums) - min(f.min_exp for f in nums) + 1 if nums else 1
         return res_p_theta(Q, p) / p
     slots = {slot for t in Q.terms for slot in (t.f, t.g, t.h)}
-    if any(_has_unit_circle_root(slot.den) for slot in slots):
-        raise SingularOnTorus("slot denominator vanishes on |t| = 1")
-    moduli = np.abs(np.concatenate([np.roots([float(c) for c in reversed(slot.den._ascending()[0])])
+    moduli = np.abs(np.concatenate([_roots_by_part(slot.den)[0]
                                     for slot in slots if not slot.is_polynomial]))
+    if np.any(np.abs(moduli - 1.0) < _ON_CIRCLE):
+        raise SingularOnTorus("slot denominator vanishes on |t| = 1")
     rho = np.minimum(moduli, 1 / moduli).max(initial=0.0)  # q(0) != 0: no zero root
     if rho ** (_REFUSE_MARGIN * _GRID_CAP / 4) > _TAIL_RATIO:
         raise SingularOnTorus("a slot pole lies within %.1e of |t| = 1: its coefficients "

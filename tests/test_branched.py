@@ -308,13 +308,13 @@ class TestDerivedOnce:
         # the summary's signature average and casson_growth (on the trefoil
         # record's own 2-loop class) share one Knot value
         calls = []
-        angles = knotcovers.seifert._unit_circle_root_angles
+        roots_by_part = knotcovers.seifert._roots_by_part
 
-        def counted_angles(delta):
+        def counted_roots(delta):
             calls.append(delta)
-            return angles(delta)
+            return roots_by_part(delta)
 
-        monkeypatch.setattr(knotcovers.seifert, "_unit_circle_root_angles", counted_angles)
+        monkeypatch.setattr(knotcovers.seifert, "_roots_by_part", counted_roots)
         assert main(["growth", "--knot", "trefoil", "--pmax", "12", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["casson_growth"] is not None
         assert len(calls) == 1

@@ -11,12 +11,14 @@ from knotcovers.exactalg import (
     RatFun,
     SingularAtOne,
     _charpoly,
-    _companion,
+    _frac,
     _mat_mul,
     _mat_pow,
+    _mul_rows,
     _mulmod,
     _mulx_mod,
     _powmod,
+    _roots_by_part,
     cyclotomic_norm,
     denominator_to_tp,
     mahler_measure,
@@ -304,6 +306,18 @@ class TestCharpoly:
         assert _charpoly(M) == [Fraction(-1, 12), Fraction(-5, 6), 1]
 
 
+def _companion(monic: list) -> list[list]:
+    """The matrix of multiplication by x on Q[x]/monic, columns in the basis
+    1, x, ..., x^(d-1): the oracle builder for the quotient-ring routines."""
+    d = len(monic) - 1
+    M = [[0] * d for _ in range(d)]
+    for i in range(1, d):
+        M[i][i - 1] = 1
+    for i in range(d):
+        M[i][d - 1] = -monic[i]
+    return M
+
+
 class TestModularPowers:
     @staticmethod
     def _at_companion(b, C):
@@ -341,6 +355,16 @@ class TestModularPowers:
             a = [rng.randint(-9, 9) for _ in range(d)]
             r = _mulmod(a, [0, 1], chi)
             assert _mulx_mod(a, chi) == r + [0] * (d - len(r))
+
+    def test_mul_rows_are_the_multiples_by_powers_of_x(self, rng):
+        for d in (1, 2, 3, 5):
+            chi = [rng.randint(-3, 3) for _ in range(d)] + [1]
+            for r in ([], [1], [rng.randint(-5, 5) for _ in range(d)]):
+                rows = _mul_rows(r, chi)
+                assert len(rows) == d and all(len(row) == d for row in rows)
+                for i, row in enumerate(rows):
+                    want = _mulmod(r, [0] * i + [1], chi)
+                    assert row == want + [0] * (d - len(want)), (chi, r, i)
 
     def test_powmod_rejects_bad_input(self):
         with pytest.raises(ValueError, match="monic"):
@@ -393,6 +417,33 @@ class TestDenominatorToTp:
                 assert r.num * Qp_tp == P * r.den
 
 
+    def test_matches_the_companion_power_oracle(self, rng):
+        # Qp = |lc|^p det(sI - C^p) for the companion matrix C of the monic
+        # denominator: the characteristic polynomial of multiplication by
+        # z^p, from a matrix power instead of z^p mod q
+        cases = 0
+        while cases < 5:
+            d = rng.randint(1, 4)
+            den = LaurentPoly({e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                               for e in range(d + 1)})
+            if den.coeff(0) == 0 or den.coeff(d) == 0 or den.eval_one() == 0:
+                continue
+            num = LaurentPoly({e: rng.randint(-3, 3) for e in range(-2, 3)}) + one
+            r = RatFun(num, den)
+            if r.is_polynomial:
+                continue
+            cases += 1
+            qhat = [r.den.coeff(e) for e in range(r.den.max_exp + 1)]
+            lc = qhat[-1]
+            C = _companion([Fraction(c) / lc for c in qhat])
+            for p in range(1, 65):
+                P, Qp = denominator_to_tp(r, p)
+                want = [c * abs(lc) ** p for c in _charpoly(_mat_pow(C, p))]
+                assert Qp == LaurentPoly.from_coeffs(want), (r, p)
+                Qp_tp = LaurentPoly({p * e: c for e, c in Qp.coeffs.items()})
+                assert r.num * Qp_tp == P * r.den
+
+
 class TestMahler:
     def test_figure8(self):
         delta = -(t ** -1) + 3 * one - t
@@ -400,6 +451,31 @@ class TestMahler:
 
     def test_cyclotomic_gives_zero(self):
         assert mahler_measure(t ** -1 - one + t) == pytest.approx(0.0, abs=1e-9)
+
+
+class TestRootsByPart:
+    def test_each_part_holds_the_roots_of_higher_multiplicity_once(self):
+        # (t - 2)^3 (t + 1) (t^2 + t + 1)^2: parts of multiplicity > 0, > 1, > 2
+        f = (t - 2 * one) ** 3 * (t + one) * (t ** 2 + t + one) ** 2
+        parts = _roots_by_part(f.shift(-3))  # a unit t^k is stripped
+        w = complex(-0.5, math.sqrt(3) / 2)
+        for roots, want in zip(parts, ([2, -1, w, w.conjugate()], [2, w, w.conjugate()], [2])):
+            assert sorted(roots, key=lambda z: (z.real, z.imag)) == pytest.approx(
+                sorted(want, key=lambda z: (z.real, z.imag)), abs=1e-12)
+        assert len(parts) == 3
+        assert _roots_by_part(one) == []
+
+
+class TestInputBoundary:
+    def test_a_zero_denominator_is_a_value_error(self):
+        # ZeroDivisionError would escape the CLI's validation errors
+        with pytest.raises(ValueError, match="zero denominator"):
+            _frac("1/0")
+        for den in ({}, {"0": "0", "1": 0}, {"0": "1/0"}):
+            with pytest.raises(ValueError, match="zero denominator"):
+                RatFun.from_json({"num": {"0": "1"}, "den": den})
+        with pytest.raises(ValueError, match="zero denominator"):
+            LaurentPoly.from_json({"0": "3/0"})
 
 
 def _series_log(f, order):

@@ -119,6 +119,19 @@ class TestGraphBasics:
         assert back.n_vertices == G.n_vertices
         assert back.edges == G.edges
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None])
+    @pytest.mark.parametrize("field", ["vertices", "from", "to", "bead"])
+    def test_from_json_takes_only_json_ints(self, field, bad):
+        # int() would truncate 1.5 to 1 and accept True and "1", sweeping a
+        # graph nobody wrote
+        obj = theta_graph().to_json()
+        if field == "vertices":
+            obj[field] = bad
+        else:
+            obj["edges"][1][field] = bad
+        with pytest.raises(ValueError, match="'%s' must be an integer" % field):
+            BeadedGraph.from_json(obj)
+
 
 class TestLiftCounts:
     def test_matches_brute_force(self, rng):

@@ -204,6 +204,48 @@ class TestResidueCommand:
         assert code == 1
 
 
+_ZERO_DENOMINATORS = [
+    ({"num": {"0": "1"}, "den": {}}, "1"),
+    ({"num": {"0": "1"}, "den": {"0": "0", "1": 0}}, "1"),
+    ({"num": {"0": "1"}, "den": {"0": "1/0", "1": "1"}}, "1"),
+    ({"0": "1/0"}, "1"),
+    ({"0": "1"}, "1/0"),
+]
+
+
+class TestQFileBoundary:
+    """A malformed 2-loop class file is invalid input (exit 2), never a
+    traceback or the "domain degenerates" exit 1, for every --q command."""
+
+    COMMANDS = [
+        ["residue", "--p", "2..4"],
+        ["branched", "--knot", "trefoil", "--p", "2..4"],
+        ["growth", "--knot", "trefoil", "--pmax", "5"],
+    ]
+
+    @staticmethod
+    def _q_file(tmp_path, f, c):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"terms": [{"f": f, "g": {"1": "1"}, "h": {"0": "1"}, "c": c}]}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("f, c", _ZERO_DENOMINATORS)
+    def test_zero_denominator_is_invalid_input(self, capsys, tmp_path, command, f, c):
+        code, out, err = run(capsys, *command, "--q", self._q_file(tmp_path, f, c))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "zero denominator" in err
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_float_coefficient_is_refused(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, *command, "--q", self._q_file(tmp_path, {"1": "1"}, 0.1))
+        assert (code, out) == (2, "")
+        assert "refusing float coefficient 0.1" in err
+        for c in ("1/10", 3):  # strings and JSON ints still work
+            code, _, _ = run(capsys, *command, "--q", self._q_file(tmp_path, {"1": "1"}, c))
+            assert code == 0
+
+
 class TestLiftresCommand:
     def test_builtin_graph_sweep(self, capsys):
         code, out, _ = run(capsys, "liftres", "--graph", "eyes", "--p", "2..3")
@@ -220,6 +262,17 @@ class TestLiftresCommand:
         code, out, _ = run(capsys, "liftres", "--file", str(f), "--p", "3", "--format", "csv")
         assert code == 0
         assert out.strip().splitlines()[1] == "3,3,27,0"
+
+    def test_non_integer_bead_is_invalid_input(self, capsys, tmp_path):
+        from knotcovers.graphs import theta_graph
+
+        obj = theta_graph().with_beads([1, 2, 0]).to_json()
+        obj["edges"][0]["bead"] = 1.5
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "liftres", "--file", str(f), "--p", "3")
+        assert (code, out) == (2, "")
+        assert "'bead' must be an integer, got 1.5" in err
 
 
 class TestSelftestCommand:

@@ -42,6 +42,24 @@ def test_no_tolerance_parameters():
     assert found == []
 
 
+def test_numpy_roots_only_in_exactalg():
+    # exactalg._roots_by_part is the one numeric root finder, with the one
+    # unit-circle test _ON_CIRCLE; a second np.roots would fork both
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "exactalg.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr == "roots"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+            and any(alias.name == "roots" for alias in node.names))
+    ]
+    assert found == []
+    exactalg = (SRC / "exactalg.py").read_text(encoding="utf-8")
+    assert exactalg.count("np.roots(") == 1
+
+
 def _imported_modules(node):
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
