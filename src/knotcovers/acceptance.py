@@ -37,6 +37,7 @@ from .lambdamat import (
     SingularEvaluation,
     normalized_determinant,
     rational_det,
+    root_of_unity,
     subst_cycle,
     subst_twisted,
     twisted_cycle_matrix,
@@ -136,7 +137,7 @@ def criterion_02(ctx: AcceptanceContext):
     compared root by root, and each singular root refused by both."""
     ps = np.repeat(np.arange(2, 11), np.arange(1, 10))
     ks = np.concatenate([np.arange(1, p) for p in range(2, 11)])
-    ws = np.exp(1j * (2 * np.pi * ks / ps))  # the floats varsigma_at evaluates at
+    ws = root_of_unity(ks, ps)
     for A in ctx.random_corpus():
         K = Knot(A)
         W = K.clover

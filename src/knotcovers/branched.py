@@ -44,6 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .lambdamat import root_of_unity
 from .seifert import Knot, KnotLike, sigma_at_omega
 from .theta import QSingularAtP, ThetaClass, res_p_theta, torus_average
 
@@ -94,8 +95,7 @@ def _sigma_sum(knot: Knot, p: int) -> int:
     total = 0
     for lo in range(1, p, _CHUNK):
         k = np.arange(lo, min(lo + _CHUNK, p))
-        # the same floats as signature_function's cmath.exp(2j * pi * k / p)
-        total += int(np.sum(sigma_at_omega(knot, np.exp(1j * (2 * np.pi * k / p)))))
+        total += int(np.sum(sigma_at_omega(knot, root_of_unity(k, p))))
     return total
 
 
@@ -166,15 +166,17 @@ class BranchedReport:
 def branched_report(
     A: KnotLike, ps: Sequence[int], Q: ThetaClass | None = None
 ) -> list[BranchedReport]:
-    """One row per requested p; irregular p yield a flagged empty row."""
+    """One row per requested p; irregular p yield a flagged empty row.
+    Each row reads beta_p once: it decides regularity and is the torsion
+    order, and sigma_p is then the per-root sum without a second test."""
     knot = Knot.of(A)
     out = []
     for p in ps:
-        if not is_p_regular(knot, p):
+        beta = knot.beta(p)
+        if beta == 0:
             out.append(BranchedReport(p=p, regular=False))
             continue
-        sig = total_sigma_p(knot, p)
-        beta = torsion_order(knot, p)
+        sig = _sigma_sum(knot, p)
         row = BranchedReport(
             p=p,
             regular=True,

@@ -29,7 +29,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .exactalg import LaurentPoly, SingularAtOne, mahler_measure
+from .exactalg import SingularAtOne, mahler_measure
 from .lambdamat import AtOne, NotHermitian, SingularEvaluation, normalized_determinant
 from .seifert import KnotRecord, corpus_record, signature_function
 from .branched import (
@@ -137,11 +137,7 @@ def _cell(v) -> str:
 
 
 def _json_cell(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, LaurentPoly):
-        return str(v)
-    return v
+    return str(v) if isinstance(v, Fraction) else v
 
 
 def _emit_rows(args, columns: list[str], rows: list[list], summary: dict | None = None):
@@ -189,6 +185,16 @@ def _write_out(args, text: str):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _on_torus(fn, *args):
+    """fn(*args), or None for a blank cell when the 2-loop class has a pole
+    on (or too near) the torus; the refusal's reason goes to stderr."""
+    try:
+        return fn(*args)
+    except SingularOnTorus as e:
+        print("note: %s left blank: %s" % (fn.__name__, e), file=sys.stderr)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +283,7 @@ def cmd_growth(args) -> int:
         "signature_average": signature_average(knot),
     }
     if Q is not None:
-        try:
-            summary["casson_growth"] = casson_growth(knot, Q)
-        except SingularOnTorus:
-            summary["casson_growth"] = None  # 2-loop class has poles on the torus
+        summary["casson_growth"] = _on_torus(casson_growth, knot, Q)
     _emit_rows(args, ["p", "beta_p", "log_beta_over_p"], [list(t) for t in triples], summary)
     return EXIT_OK
 
@@ -300,10 +303,7 @@ def cmd_residue(args) -> int:
             val = None
         rows.append([p, val])
     summary = {}
-    try:
-        summary["torus_average"] = torus_average(Q)
-    except SingularOnTorus:
-        summary["torus_average"] = None
+    summary["torus_average"] = _on_torus(torus_average, Q)
     _emit_rows(args, ["p", "res_p"], rows, summary)
     if not usable:
         raise _DomainEmpty("the class degenerates at every requested p")
@@ -415,10 +415,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except _DomainEmpty as e:
-        print("domain: %s" % e, file=sys.stderr)
-        return EXIT_DOMAIN
-    except (SingularAtOne, AtOne, QSingularAtP, SingularOnTorus) as e:
+    except (_DomainEmpty, SingularAtOne, AtOne, QSingularAtP, SingularOnTorus) as e:
         print("domain: %s" % e, file=sys.stderr)
         return EXIT_DOMAIN
     except _VALIDATION_ERRORS as e:

@@ -55,12 +55,13 @@ class SingularAtOne(ValueError):
 
 def _frac(x: Scalar) -> "int | Fraction":
     """Coerce to an exact coefficient: an int when integral, else a Fraction.
-    Floats are rejected on purpose."""
+    Floats and booleans are rejected on purpose."""
     if type(x) is int:
         return x
-    if isinstance(x, float):
-        raise TypeError("refusing float coefficient %r; pass Fraction or str" % x)
-    if type(x) is not Fraction:  # str, bool, numpy integers: made of plain ints
+    if type(x) is not Fraction:  # str, numpy integers: made of plain ints
+        if isinstance(x, (float, bool, np.bool_)):
+            raise TypeError("refusing %s coefficient %r; pass Fraction or str"
+                            % (type(x).__name__, x))
         try:
             x = Fraction(x)
         except ZeroDivisionError:  # "1/0"

@@ -29,7 +29,8 @@ time.  Its residue side rests on one certificate per graph: every
 automorphism acts on the cycle lattice by a unimodular matrix, so all of
 them share the kernel of the fundamental-cycle matrix mod p, and the
 average over the group is one kernel test.  Its lift side replays the
-coloring propagation of ``count_admissible`` as column operations.
+same coloring plan as ``count_admissible`` (``_coloring_plan``, the one
+walk of the graph), as column operations over a chunk of tuples.
 """
 
 from __future__ import annotations
@@ -219,38 +220,21 @@ def disjoint_union(*graphs: BeadedGraph) -> BeadedGraph:
 
 def count_admissible(G: BeadedGraph, p: int) -> int:
     """Number of Z_p vertex colorings with head = tail + bead mod p on
-    every edge.  Propagates colors over a spanning tree and checks the
-    remaining edges; each component, when consistent, is free to shift by
-    a global constant, giving p^(b0)."""
+    every edge, for any p >= 1 in Python ints: the coloring plan
+    (``_coloring_plan``, the one walk of the graph) is replayed on G's
+    beads, its ``sets`` fill in the colors and any failing ``checks``
+    entry gives 0; otherwise each component shifts freely, giving
+    p^comps."""
     if p < 1:
         raise ValueError("p must be a positive integer")
-    n = G.n_vertices
-    color: list[int | None] = [None] * n
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for idx, e in enumerate(G.edges):
-        incident[e.tail].append((idx, +1))
-        incident[e.head].append((idx, -1))
-    comps = 0
-    for start in range(n):
-        if color[start] is not None:
-            continue
-        comps += 1
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for idx, orient in incident[v]:
-                e = G.edges[idx]
-                if orient == +1:
-                    w, expected = e.head, (color[v] + e.bead) % p
-                else:
-                    w, expected = e.tail, (color[v] - e.bead) % p
-                if color[w] is None:
-                    color[w] = expected
-                    stack.append(w)
-                elif color[w] != expected:
-                    return 0
-    return p ** comps
+    plan = _coloring_plan(G)
+    beads = G.beads
+    color = [0] * plan.n_vertices
+    for w, v, e, s in plan.sets:
+        color[w] = (color[v] + s * beads[e]) % p
+    if any((color[v] + s * beads[e] - color[w]) % p for w, v, e, s in plan.checks):
+        return 0
+    return p ** plan.comps
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +477,12 @@ def liftres_check(G: BeadedGraph, p: int, forest: Sequence[int] | None = None) -
 
 
 class _Plan(NamedTuple):
-    """The coloring propagation of ``count_admissible`` with the beads left
-    open.  A step (w, v, edge, sign) reads color[w] = color[v] + sign *
-    bead[edge] mod p: ``sets`` fill in the colors in traversal order,
-    ``checks`` are every other edge incidence, and ``comps`` counts the
-    components, each of which shifts freely."""
+    """The coloring propagation over G with the beads left open, the one
+    walk behind both ``count_admissible`` and ``liftres_sweep``'s lift side.
+    A step (w, v, edge, sign) reads color[w] = color[v] + sign * bead[edge]
+    mod p: ``sets`` fill in the colors in traversal order, ``checks`` are
+    every other edge incidence, and ``comps`` counts the components, each
+    of which shifts freely."""
 
     n_vertices: int
     sets: list[tuple[int, int, int, int]]
@@ -506,8 +491,9 @@ class _Plan(NamedTuple):
 
 
 def _coloring_plan(G: BeadedGraph) -> _Plan:
-    """Walk the graph as ``count_admissible`` does; which incidence sets
-    a color and which checks one depends on the topology alone."""
+    """Walk the graph once, depth first from the lowest uncolored vertex,
+    taking each vertex's incidences in edge order; which incidence sets a
+    color and which checks one depends on the topology alone."""
     n = G.n_vertices
     incident: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for idx, e in enumerate(G.edges):
@@ -607,7 +593,7 @@ def liftres_sweep(
 
     Exhaustive by default; when max_cases is given and smaller than p^E,
     a sample of that size drawn from rng.  On a tuple x both sides are 0
-    or p^b0: the lift count when the coloring plan of ``count_admissible``
+    or p^b0: the lift count when the coloring plan (``_coloring_plan``)
     goes through, and the residue p^b0 * hits / |Aut| when C x = 0 mod p
     (the certificate makes hits = |Aut| or 0).  Each side is evaluated
     independently over chunks of tuples.  Returns (cases, failures).

@@ -21,14 +21,15 @@ the integers (``rational_det``) or the Laurent ring (``LambdaMatrix.det``);
 products and powers reuse ``exactalg._mat_mul`` and ``_mat_pow``.
 Signatures of rational symmetric matrices are computed exactly, in
 integers, by a symmetric fraction-free elimination with 1x1 pivots
-(``signature_exact``), so every signature here is an honest integer.  Evaluation at points of the unit
-circle other than +-1 is a numeric path: W(z) comes from a float
-coefficient tensor, and ``complex_signature`` counts eigenvalue signs
-above a fixed floor ``_EIG_FLOOR`` for one matrix or a stack of them in
-one numpy eigensolve; ``varsigma_at`` takes arrays of roots into one such
-stack.  The production ``branched.total_sigma_p`` sums such signatures in
-stacks of roots, and the exact cycle substitution ``varsigma_p`` is its
-oracle.
+(``signature_exact``), so every signature here is an honest integer.
+Evaluation at points of the unit circle other than +-1 is a numeric path:
+W(z) comes from a float coefficient tensor, and ``complex_signature``
+counts eigenvalue signs above a fixed floor ``_EIG_FLOOR`` for one matrix
+or a stack of them in one numpy eigensolve; ``varsigma_at`` takes arrays
+of roots into one such stack.  ``root_of_unity`` is the package's one
+float formula for e^(2 pi i k/p).  The production
+``branched.total_sigma_p`` sums such signatures in stacks of roots, and
+the exact cycle substitution ``varsigma_p`` is its oracle.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ __all__ = [
     "subst_cycle",
     "subst_twisted",
     "normalized_determinant",
+    "root_of_unity",
     "varsigma_at",
     "varsigma_p",
     "complex_signature",
@@ -440,6 +442,13 @@ def _sigma_exact_at(W: LambdaMatrix, w: int) -> int:
     return sig
 
 
+def root_of_unity(k: "int | np.ndarray", p: "int | np.ndarray") -> "complex | np.ndarray":
+    """e^(2 pi i k/p) as complex floats, for ints or int arrays k, p: the
+    package's one formula for a numeric root of unity, so that every route
+    that compares or sums per-root signatures evaluates at the same floats."""
+    return np.exp(1j * (2 * np.pi * k / p))
+
+
 def varsigma_at(W: LambdaMatrix, k: "int | np.ndarray", p: "int | np.ndarray"
                 ) -> "int | np.ndarray":
     """sigma(W(w)) - sigma(W(1)) for w = e^(2 pi i k/p).
@@ -465,8 +474,7 @@ def varsigma_at(W: LambdaMatrix, k: "int | np.ndarray", p: "int | np.ndarray"
             out[half] = _sigma_exact_at(W, -1) - base
         rest = (r != 0) & ~half
         if rest.any():
-            w = np.exp(1j * (2 * np.pi * r[rest] / p[rest]))
-            out[rest] = complex_signature(W.eval_complex(w)) - base
+            out[rest] = complex_signature(W.eval_complex(root_of_unity(r[rest], p[rest]))) - base
     return int(out) if out.ndim == 0 else out
 
 

@@ -40,7 +40,6 @@ interchange format; a small bundled corpus ships with the package.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import random
@@ -62,6 +61,7 @@ from .lambdamat import (
     _bareiss,
     complex_signature,
     rational_det,
+    root_of_unity,
 )
 from .theta import ThetaClass
 
@@ -341,7 +341,7 @@ def signature_function(A: KnotLike, k: int, p: int) -> int:
         raise ValueError("p must be a positive integer")
     if k % p == 0:
         raise AtOne("signature function is excluded at w = 1")
-    return sigma_at_omega(A, cmath.exp(2j * cmath.pi * (k % p) / p))
+    return sigma_at_omega(A, root_of_unity(k % p, p))
 
 
 def random_seifert(g: int, rng: random.Random, bound: int = 3) -> list[list[int]]:

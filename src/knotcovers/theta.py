@@ -176,16 +176,15 @@ class ThetaClass:
         return ThetaClass([(t.f.bar(), t.g.bar(), t.h.bar(), t.c) for t in self.terms])
 
     def symmetrize(self) -> "ThetaClass":
-        """Average over the order-12 slot symmetry group (S3 x bar)."""
-        pieces = []
-        for perm in permutations(range(3)):
-            q = self.permuted(perm)
-            pieces.append(q)
-            pieces.append(q.barred())
-        total = ThetaClass.zero()
-        for q in pieces:
-            total = total + q
-        return total.scale(Fraction(1, 12))
+        """Average over the order-12 slot symmetry group (S3 x bar): the 12
+        images of every term, each with coefficient c/12, in one class."""
+        out = []
+        for t in self.terms:
+            c = t.c / 12
+            for slots in ((t.f, t.g, t.h), (t.f.bar(), t.g.bar(), t.h.bar())):
+                for perm in permutations(range(3)):
+                    out.append((slots[perm[0]], slots[perm[1]], slots[perm[2]], c))
+        return ThetaClass(out)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -277,6 +277,28 @@ class TestDerivedOnce:
             assert not hasattr(module, "cyclotomic_norm")
         assert norms == []
 
+    def test_report_reads_each_beta_once(self, monkeypatch):
+        # beta_p decides regularity and fills its column: one read per p,
+        # and none of the public wrappers that would each read it again
+        recs = [r for r in corpus_records() if r.name in ("trefoil", "random-g3-a")]
+        beta, calls = Knot.beta, []
+
+        def counted_beta(self, p):
+            calls.append(p)
+            return beta(self, p)
+
+        def refused(*args):
+            raise AssertionError("branched_report went through a wrapper")
+
+        monkeypatch.setattr(Knot, "beta", counted_beta)
+        for name in ("is_p_regular", "total_sigma_p", "torsion_order"):
+            monkeypatch.setattr(knotcovers.branched, name, refused)
+        for rec in recs:
+            calls.clear()
+            rows = branched_report(rec.knot, range(2, 21), Q=rec.q2loop)
+            assert calls == list(range(2, 21)), rec.name
+            assert [r.regular for r in rows] == [r.beta_p is not None for r in rows]
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import knotcovers.exactalg
@@ -133,10 +134,8 @@ class TestIntegerCoefficients:
 
     def test_integral_fractions_are_stored_as_ints(self, rng):
         half = LaurentPoly({0: Fraction(1, 2), 1: Fraction(-3, 2)})
-        import numpy as np
-
         assert LaurentPoly({0: Fraction(4, 2), 1: "6/3"}).coeffs == {0: 2, 1: 2}
-        big = LaurentPoly({0: np.int64(2) ** 62, 1: True})
+        big = LaurentPoly({0: np.int64(2) ** 62, 1: np.int8(1)})
         assert all(type(c) is int for c in big.coeffs.values())
         assert (big * big).coeff(0) == 2 ** 124  # no int64 wraparound
         assert all(type(c) is int for c in (2 * half).coeffs.values())
@@ -476,6 +475,16 @@ class TestInputBoundary:
                 RatFun.from_json({"num": {"0": "1"}, "den": den})
         with pytest.raises(ValueError, match="zero denominator"):
             LaurentPoly.from_json({"0": "3/0"})
+
+    @pytest.mark.parametrize("flag", [True, False, np.bool_(True), np.bool_(False)])
+    def test_a_boolean_is_refused_like_a_float(self, flag):
+        # Fraction(True) == 1 would load a JSON true as coefficient 1
+        with pytest.raises(TypeError, match="refusing bool_? coefficient"):
+            _frac(flag)
+        with pytest.raises(TypeError, match="refusing bool_? coefficient"):
+            LaurentPoly({0: 1, 1: flag})
+        with pytest.raises(TypeError):
+            LaurentPoly.from_json({"1": flag})
 
 
 def _series_log(f, order):

@@ -153,6 +153,34 @@ class TestLiftCounts:
         assert count_admissible(G, 2) == 0
         assert count_admissible(G.with_beads([2, 0, 0]), 2) == 2
 
+    def test_any_p_in_python_ints(self):
+        # far past int64: the scalar count replays the plan on Python ints
+        p = 2 ** 70 + 1
+        for a in (0, 7, -3, 2 ** 80):
+            assert count_admissible(theta_graph(a, a + p, a - p), p) == p
+            assert count_admissible(theta_graph(a, a + p + 1, a - p), p) == 0
+            assert count_admissible(theta_graph(a, a + p, a - p - 1), p) == 0
+        G = disjoint_union(theta_graph(1, 1 + p, 1 - p), eyes_graph(p, 5, -p))
+        assert count_admissible(G, p) == p ** 2
+        with pytest.raises(ValueError):
+            count_admissible(THETA, 0)
+
+    def test_replays_the_coloring_plan(self, monkeypatch):
+        # the plan is the one walk: drop one cotree edge's checks and the
+        # count on a tuple that violates only that edge must change
+        G = SWEEP_GRAPHS["theta-theta"]
+        plan = graphs._coloring_plan(G)
+        tree = {e for _, _, e, _ in plan.sets}
+        cotree = sorted(set(range(len(G.edges))) - tree)
+        assert len(cotree) == G.b1
+        for k in cotree:
+            H = G.with_beads([1 if e == k else 0 for e in range(len(G.edges))])
+            assert count_admissible(H, 4) == 0
+            partial = plan._replace(checks=[c for c in plan.checks if c[2] != k])
+            with monkeypatch.context() as m:
+                m.setattr(graphs, "_coloring_plan", lambda G, partial=partial: partial)
+                assert count_admissible(H, 4) == 16, k
+
 
 class TestAutomorphisms:
     def test_orders(self):

@@ -246,6 +246,41 @@ class TestQFileBoundary:
             assert code == 0
 
 
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("f, c", [({"1": "1"}, True), ({"1": "1"}, False),
+                                      ({"1": True}, "1"), ({"0": "1", "1": False}, "1")])
+    def test_boolean_coefficient_is_refused(self, capsys, tmp_path, command, f, c):
+        code, out, err = run(capsys, *command, "--q", self._q_file(tmp_path, f, c))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "refusing bool coefficient" in err
+
+
+# a slot pole within _ON_CIRCLE of |t| = 1, and one just outside it but too
+# near for the FFT grid: both are refused as SingularOnTorus
+_TORUS_REFUSALS = [("1000000001/1000000000", "vanishes on |t| = 1"),
+                   ("1000001/1000000", "a slot pole lies within")]
+
+
+class TestTorusRefusalNote:
+    """A class with a pole on (or too near) the torus leaves its average
+    blank with exit 0, as before, and says why on stderr."""
+
+    @pytest.mark.parametrize("pole, reason", _TORUS_REFUSALS)
+    @pytest.mark.parametrize("command, key", [
+        (["residue", "--p", "2..3"], "torus_average"),
+        (["growth", "--knot", "trefoil", "--pmax", "5"], "casson_growth"),
+    ], ids=["residue", "growth"])
+    def test_refusal_reason_reaches_stderr(self, capsys, tmp_path, command, key, pole, reason):
+        path = tmp_path / "q.json"
+        slot = {"num": {"0": "1"}, "den": {"0": "-" + pole, "1": "1"}}
+        path.write_text(json.dumps({"terms": [{"f": slot, "g": {"0": "1"}, "h": {"0": "1"},
+                                               "c": "1"}]}))
+        code, out, err = run(capsys, *command, "--q", str(path))
+        assert code == 0
+        assert out.splitlines()[-1] == "%s = " % key
+        assert err.count("\n") == 1 and err.startswith("note: ") and reason in err
+
+
 class TestLiftresCommand:
     def test_builtin_graph_sweep(self, capsys):
         code, out, _ = run(capsys, "liftres", "--graph", "eyes", "--p", "2..3")

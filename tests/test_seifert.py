@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import knotcovers.seifert
@@ -15,6 +16,7 @@ from knotcovers.lambdamat import (
     NotHermitian,
     SingularEvaluation,
     rational_det,
+    root_of_unity,
     varsigma_p,
 )
 from knotcovers.seifert import (
@@ -366,6 +368,24 @@ class TestSignatureFunction:
         for k, p in ((1, 3), (2, 5), (3, 7)):
             w = cmath.exp(2j * cmath.pi * k / p)
             assert sigma_at_omega(figure8, w) == signature_function(figure8, k, p)
+
+    def test_evaluates_at_the_one_root_float(self):
+        # signature rows, the branched per-root sum and selftest's stacked
+        # oracles all read e^(2 pi i k/p) from root_of_unity
+        for p in range(2, 31):
+            ks = np.arange(1, p)
+            ws = root_of_unity(ks, p)
+            assert [root_of_unity(k, p) for k in range(1, p)] == ws.tolist()
+            for rec in corpus_records():
+                K = rec.knot
+                for k, w in zip(ks.tolist(), ws):
+                    try:
+                        want = signature_function(K, k, p)
+                    except SingularEvaluation:
+                        with pytest.raises(SingularEvaluation):
+                            sigma_at_omega(K, w)
+                        continue
+                    assert sigma_at_omega(K, root_of_unity(k, p)) == want, (rec.name, k, p)
 
 
 class TestRecordsAndCorpus:

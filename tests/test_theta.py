@@ -106,6 +106,42 @@ class TestSymmetryMoves:
         assert S.symmetrize() == S
         assert res_p_theta(S, 3) == res_p_theta(Q, 3)
 
+    def test_symmetrize_builds_one_class_equal_to_the_twelve_sum(self, rng, monkeypatch):
+        def twelve_sum(Q):
+            # the oracle: 12 permuted and barred classes, added, then scaled
+            pieces = []
+            for perm in permutations(range(3)):
+                q = Q.permuted(perm)
+                pieces += [q, q.barred()]
+            total = ThetaClass.zero()
+            for q in pieces:
+                total = total + q
+            return total.scale(Fraction(1, 12))
+
+        def slot():
+            num = sum((rng.randint(-3, 3) * t ** e for e in range(-2, 3)), one)
+            if rng.random() < 0.5:
+                return RatFun(num)
+            return RatFun(num, rng.choice([t - 2 * one, 3 * t - one, t ** 2 - 3 * t + one]))
+
+        init, calls = ThetaClass.__init__, []
+
+        def counted_init(self, *args):
+            calls.append(1)
+            init(self, *args)
+
+        for _ in range(50):
+            Q = ThetaClass([(slot(), slot(), slot(),
+                             Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                            for _ in range(rng.randint(1, 3))])
+            want = twelve_sum(Q)
+            with monkeypatch.context() as m:
+                m.setattr(ThetaClass, "__init__", counted_init)
+                calls.clear()
+                got = Q.symmetrize()
+            assert calls == [1]
+            assert got == want and got.terms == want.terms
+
     def test_functionally_equal_catches_symmetry(self):
         Q = _mono(1, 2, 3)
         assert Q.functionally_equal(Q.pushed(1))

@@ -60,6 +60,39 @@ def test_numpy_roots_only_in_exactalg():
     assert exactalg.count("np.roots(") == 1
 
 
+def _root_of_unity_exps(tree):
+    """Line numbers of the np.exp / numpy.exp / cmath.exp calls in tree whose
+    argument mentions pi: each forms a root of unity as a float."""
+    def mentions_pi(node):
+        return any((isinstance(n, ast.Name) and n.id == "pi")
+                   or (isinstance(n, ast.Attribute) and n.attr == "pi") for n in ast.walk(node))
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "exp" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy", "cmath")
+            and any(mentions_pi(arg) for arg in node.args)]
+
+
+def test_roots_of_unity_only_in_the_helper():
+    # lambdamat.root_of_unity is the one float e^(2 pi i k/p): signature
+    # rows, the branched sum and selftest's per-root oracles must agree to
+    # the bit (theta's FFT grid is a separate decision and is not scanned)
+    found = []
+    for name in ("seifert", "branched", "lambdamat", "acceptance"):
+        tree = ast.parse((SRC / (name + ".py")).read_text(encoding="utf-8"))
+        helper = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "root_of_unity"]
+        if name == "lambdamat":
+            (helper,) = helper
+            assert len(_root_of_unity_exps(helper)) == 1
+            tree.body.remove(helper)
+        found += ["%s:%d" % (name, line) for line in _root_of_unity_exps(tree)]
+    assert found == []
+    seifert = ast.parse((SRC / "seifert.py").read_text(encoding="utf-8"))
+    assert "cmath" not in [m for node in ast.walk(seifert) for m in _imported_modules(node)]
+
+
 def _imported_modules(node):
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
