@@ -109,7 +109,7 @@ class AcceptanceContext:
             mats = [[[-1, 1], [0, -1]], [[1, 1], [0, -1]]]
             for _ in range(200):
                 g = rng.choice([1, 1, 2, 2, 3])
-                mats.append(random_seifert(g, rng, bound=3))
+                mats.append(random_seifert(g, rng))
             self._random_corpus = mats
         return self._random_corpus
 

@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .lambdamat import root_of_unity
+from .lambdamat import SingularEvaluation, root_of_unity
 from .seifert import Knot, KnotLike, sigma_at_omega
 from .theta import QSingularAtP, ThetaClass, res_p_theta, torus_average
 
@@ -91,11 +91,21 @@ def total_sigma_p(A: KnotLike, p: int) -> int:
 
 
 def _sigma_sum(knot: Knot, p: int) -> int:
-    """``total_sigma_p`` without its regularity test."""
+    """``total_sigma_p`` without its regularity test; SingularEvaluation
+    naming p and the first numerically singular root k if a root is."""
     total = 0
     for lo in range(1, p, _CHUNK):
         k = np.arange(lo, min(lo + _CHUNK, p))
-        total += int(np.sum(sigma_at_omega(knot, root_of_unity(k, p))))
+        try:
+            total += int(np.sum(sigma_at_omega(knot, root_of_unity(k, p))))
+        except SingularEvaluation as exc:  # find the root, one at a time
+            for j in k.tolist():
+                try:
+                    sigma_at_omega(knot, root_of_unity(j, p))
+                except SingularEvaluation:
+                    msg = "%s at the root k = %d of p = %d" % (exc, j, p)
+                    raise SingularEvaluation(msg) from None
+            raise
     return total
 
 

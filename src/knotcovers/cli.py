@@ -238,7 +238,9 @@ def cmd_signature(args) -> int:
     summary = {}
     if is_p_regular(knot, p):  # total_sigma_p from the rows, each root solved once
         if len(sigs) < len(rows):
-            raise SingularEvaluation("a p-th root of unity is numerically singular at regular p")
+            k = next(row[0] for row in rows if row[2] is None)
+            raise SingularEvaluation("a p-th root of unity is numerically singular at regular p"
+                                     " = %d: k = %d" % (p, k))
         summary["total_sigma_p"] = sum(sigs)
     if not rows:
         raise _DomainEmpty("p = 1 has no interior roots of unity")

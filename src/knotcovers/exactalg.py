@@ -10,9 +10,10 @@ Everything an abelian knot invariant needs downstream lives here:
 * ``RatFun`` -- fractions n(t)/q(t) whose denominator does not vanish at
   t = 1 (the localization of Z[t, t^-1] at the augmentation ideal).  The
   canonical form has q an ordinary polynomial with q(0) != 0 and q(1) = 1.
-* resultants by the subresultant remainder sequence, powers modulo a
-  monic polynomial (``_powmod``, shared by cyclotomic norms,
-  ``denominator_to_tp`` and ``Knot.beta``) and the matrix of
+* resultants by the subresultant remainder sequence; ``_power``, the
+  one square and multiply, behind powers of ``LaurentPoly``, of matrices
+  (``_mat_pow``) and modulo a monic polynomial (``_powmod``, shared by
+  cyclotomic norms, ``denominator_to_tp`` and ``Knot.beta``); the matrix of
   multiplication in Q[x]/m (``_mul_rows``, shared by the last two);
   cyclotomic norms prod_{w^p=1} f(w), rewriting of denominators into
   polynomials in t^p, Mahler measures, and the coefficients of the wheels
@@ -76,6 +77,19 @@ def _qdiv(a, b) -> "int | Fraction":
     if type(a) is int and type(b) is int and not a % b:
         return a // b
     return _frac(Fraction(a, b))
+
+
+def _power(x, p: int, mul, one):
+    """x^p, p >= 0, by square and multiply under mul from the first factor,
+    no square after the top bit: x itself for p = 1, one for p = 0."""
+    result = None
+    while True:
+        if p & 1:
+            result = x if result is None else mul(result, x)
+        p >>= 1
+        if not p:
+            return one if result is None else result
+        x = mul(x, x)
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +257,7 @@ class LaurentPoly:
                 raise ValueError("negative power of a non-monomial")
             ((e, v),) = self._c.items()
             return LaurentPoly({e * n: _qdiv(1, v ** -n)})
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, LaurentPoly.__mul__, LaurentPoly.one())
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
@@ -512,21 +519,14 @@ def _mulmod(a: Sequence, b: Sequence, modulus: Sequence) -> list:
 
 
 def _powmod(base: Sequence, p: int, modulus: Sequence) -> list:
-    """base^p mod modulus (monic, ascending) by square and multiply,
-    starting from the first factor; trimmed, so [] is the zero residue."""
+    """base^p mod modulus (monic, ascending) by ``_power``; trimmed, so []
+    is the zero residue."""
     if not modulus or modulus[-1] != 1:
         raise ValueError("modulus must be monic")
     if p < 0:
         raise ValueError("negative power not supported")
-    base = _poly_divmod(base, modulus)[1]
-    result = None
-    while True:
-        if p & 1:
-            result = base if result is None else _mulmod(result, base, modulus)
-        p >>= 1
-        if not p:
-            return _poly_divmod([1], modulus)[1] if result is None else result
-        base = _mulmod(base, base, modulus)
+    return _power(_poly_divmod(base, modulus)[1], p, lambda a, b: _mulmod(a, b, modulus),
+                  _poly_divmod([1], modulus)[1])
 
 
 def _mulx_mod(a: list, modulus: Sequence) -> list:
@@ -733,20 +733,12 @@ def _mat_mul(A, B):
 
 
 def _mat_pow(M, p: int):
-    """M^p by square and multiply, starting from the first factor and
-    skipping the square after the top bit; the rows returned are new lists
-    (``_bareiss`` eliminates in place), the identity for p = 0."""
+    """M^p by ``_power``, the identity for p = 0; the rows returned are new
+    lists (``_bareiss`` eliminates in place), for p = 1 a copy of M."""
     if p < 0:
         raise ValueError("negative matrix power not supported")
-    R = None
-    while True:
-        if p & 1:
-            R = [list(row) for row in M] if R is None else _mat_mul(R, M)
-        p >>= 1
-        if not p:
-            n = len(M)
-            return [[int(i == j) for j in range(n)] for i in range(n)] if R is None else R
-        M = _mat_mul(M, M)
+    return _power([list(row) for row in M], p, _mat_mul,
+                  [[int(i == j) for j in range(len(M))] for i in range(len(M))])
 
 
 def _charpoly(M) -> list:

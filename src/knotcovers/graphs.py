@@ -25,7 +25,8 @@ Two quantities are attached for each p >= 1:
 ``liftres_check`` verifies that the two agree -- exactly, term by term --
 and ``liftres_sweep`` runs the comparison over every bead tuple in
 {0..p-1}^(#edges), or a seeded sample of them, a chunk of tuples at a
-time.  Its residue side rests on one certificate per graph: every
+time.  Its residue side rests on one certificate per topology, cached
+by vertex count and edge endpoints like the automorphisms: every
 automorphism acts on the cycle lattice by a unimodular matrix, so all of
 them share the kernel of the fundamental-cycle matrix mod p, and the
 average over the group is one kernel test.  Its lift side replays the
@@ -68,9 +69,6 @@ _VERTEX_CAP = 8
 # which keeps a batch's temporaries at a few hundred KB
 _SWEEP_CAP = 1 << 22
 _CHUNK = 1 << 12
-# topology -> certified cycle matrix (see _certified_cycle_matrix), a few
-# hundred bytes each, kept for the life of the process
-_CERTIFIED: dict[tuple, np.ndarray] = {}
 
 
 class TooLarge(ValueError):
@@ -263,60 +261,35 @@ def _topology(G: BeadedGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 @lru_cache(maxsize=64)
 def _automorphisms(n: int, ends: tuple[tuple[int, int], ...]) -> tuple[GraphAut, ...]:
+    """Class matching suffices: a vertex permutation carrying each class of
+    edges with equal unordered endpoints onto one of the same size extends by
+    every bijection of classes, a loop either way round, any other edge
+    reversed exactly when the image of its tail is not its image's tail."""
     classes: dict[tuple[int, int], list[int]] = {}
     for idx, (tail, head) in enumerate(ends):
-        key = (min(tail, head), max(tail, head))
-        classes.setdefault(key, []).append(idx)
-    keys = sorted(classes)
+        classes.setdefault((min(tail, head), max(tail, head)), []).append(idx)
     out: list[GraphAut] = []
     for vperm in permutations(range(n)):
-        mapped_ok = True
-        for key in keys:
-            a, b = key
-            mk = (min(vperm[a], vperm[b]), max(vperm[a], vperm[b]))
-            if mk not in classes or len(classes[mk]) != len(classes[key]):
-                mapped_ok = False
+        per_class = []
+        for (a, b), src in sorted(classes.items()):
+            tgt = classes.get((min(vperm[a], vperm[b]), max(vperm[a], vperm[b])), ())
+            if len(tgt) != len(src):
                 break
-        if not mapped_ok:
-            continue
-        per_class: list[list[tuple[tuple[int, ...], tuple[bool, ...]]]] = []
-        for key in keys:
-            src = classes[key]
-            a, b = key
-            mk = (min(vperm[a], vperm[b]), max(vperm[a], vperm[b]))
-            tgt = classes[mk]
             opts = []
             for assign in permutations(tgt):
-                flipchoices: list[list[bool]] = []
-                feasible = True
-                for e_idx, f_idx in zip(src, assign):
-                    e, f = ends[e_idx], ends[f_idx]
-                    img = (vperm[e[0]], vperm[e[1]])
-                    if e[0] == e[1]:
-                        if f[0] != f[1] or f[0] != img[0]:
-                            feasible = False
-                            break
-                        flipchoices.append([False, True])
-                    elif img == f:
-                        flipchoices.append([False])
-                    elif img == f[::-1]:
-                        flipchoices.append([True])
-                    else:
-                        feasible = False
-                        break
-                if not feasible:
-                    continue
-                for combo in product(*flipchoices):
-                    opts.append((assign, combo))
+                if a == b:
+                    opts += [(src, assign, fl) for fl in product((False, True), repeat=len(src))]
+                else:
+                    opts.append((src, assign, tuple(vperm[ends[e][0]] != ends[f][0]
+                                                    for e, f in zip(src, assign))))
             per_class.append(opts)
-        for choice in product(*per_class):
-            eperm = [0] * len(ends)
-            flips = [False] * len(ends)
-            for key, (assign, combo) in zip(keys, choice):
-                for e_idx, f_idx, fl in zip(classes[key], assign, combo):
-                    eperm[e_idx] = f_idx
-                    flips[e_idx] = fl
-            out.append(GraphAut(tuple(vperm), tuple(eperm), tuple(flips)))
+        else:
+            for choice in product(*per_class):
+                eperm, flips = [0] * len(ends), [False] * len(ends)
+                for src, assign, fl in choice:
+                    for e, f, x in zip(src, assign, fl):
+                        eperm[e], flips[e] = f, x
+                out.append(GraphAut(vperm, tuple(eperm), tuple(flips)))
     if not out:
         raise ArithmeticError("identity must always be present")
     return tuple(out)
@@ -471,9 +444,9 @@ def res_p_graph(
     return scale * total * Fraction(p) ** b1
 
 
-def liftres_check(G: BeadedGraph, p: int, forest: Sequence[int] | None = None) -> bool:
+def liftres_check(G: BeadedGraph, p: int) -> bool:
     """Exact agreement of the lift count with the residue of the symbol."""
-    return Fraction(count_admissible(G, p)) == res_p_graph(phi_R(G, forest), G, p)
+    return Fraction(count_admissible(G, p)) == res_p_graph(phi_R(G), G, p)
 
 
 class _Plan(NamedTuple):
@@ -539,10 +512,14 @@ def _certified_cycle_matrix(G: BeadedGraph) -> np.ndarray:
     det U_a = +-1, exactly.  Then D[a] x = 0 mod p iff C x = 0 mod p, for
     every p, and phi_R's average over the group is the single test
     C x = 0 mod p.  ArithmeticError if any automorphism fails.  Certified
-    once per topology and kept read-only in _CERTIFIED."""
-    key = _topology(G)
-    if key in _CERTIFIED:
-        return _CERTIFIED[key]
+    once per topology, like ``automorphisms``, and kept read-only."""
+    return _certificate(*_topology(G))
+
+
+@lru_cache(maxsize=64)
+def _certificate(n: int, ends: tuple[tuple[int, int], ...]) -> np.ndarray:
+    G = BeadedGraph.__new__(BeadedGraph)  # no re-check: ends come from a valid graph
+    G.n_vertices, G.edges = n, tuple(Edge(tail, head, 0) for tail, head in ends)
     nonforest, cycles = fundamental_cycles(G)
     C = np.zeros((len(cycles), len(G.edges)), dtype=np.int64)
     for i, cyc in enumerate(cycles):
@@ -556,7 +533,6 @@ def _certified_cycle_matrix(G: BeadedGraph) -> np.ndarray:
         if abs(rational_det(u.tolist())) != 1:
             raise ArithmeticError("an automorphism acts on the cycle lattice with det != +-1")
     C.flags.writeable = False
-    _CERTIFIED[key] = C
     return C
 
 

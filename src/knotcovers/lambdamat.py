@@ -18,7 +18,8 @@ t by a p-th root of the identity in matrix form:
 
 Every exact determinant is one fraction-free kernel, ``_bareiss``, over
 the integers (``rational_det``) or the Laurent ring (``LambdaMatrix.det``);
-products and powers reuse ``exactalg._mat_mul`` and ``_mat_pow``.
+products reuse ``exactalg._mat_mul``, powers ``exactalg._mat_pow``
+(the package's one square and multiply, ``exactalg._power``).
 Signatures of rational symmetric matrices are computed exactly, in
 integers, by a symmetric fraction-free elimination with 1x1 pivots
 (``signature_exact``), so every signature here is an honest integer.
@@ -281,20 +282,6 @@ class LambdaMatrix:
         exps, C = self._float_coeffs
         z = np.asarray(z, dtype=complex)
         return (z[..., None] ** exps @ C).reshape(z.shape + (self.n, self.n))
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "entries": [[e.to_json() for e in row] for row in self.entries],
-        }
-
-    @classmethod
-    def from_json(cls, obj) -> "LambdaMatrix":
-        n = int(obj["n"])
-        ent = obj["entries"]
-        if len(ent) != n:
-            raise ValueError("entry grid does not match n")
-        return cls([[LaurentPoly.from_json(e) for e in row] for row in ent])
 
     def __repr__(self) -> str:
         return "LambdaMatrix(%r)" % [[str(e) for e in row] for row in self.entries]

@@ -82,6 +82,8 @@ __all__ = [
     "corpus_record",
 ]
 
+_RANDOM_BOUND = 3  # random_seifert's symmetric entries lie in -3..3
+
 
 class OddSize(ValueError):
     """Seifert matrices must have even size."""
@@ -344,7 +346,7 @@ def signature_function(A: KnotLike, k: int, p: int) -> int:
     return sigma_at_omega(A, root_of_unity(k % p, p))
 
 
-def random_seifert(g: int, rng: random.Random, bound: int = 3) -> list[list[int]]:
+def random_seifert(g: int, rng: random.Random) -> list[list[int]]:
     """Random valid banded-basis Seifert matrix of genus g.
 
     The skew part is pinned to the standard symplectic form by starting
@@ -356,7 +358,7 @@ def random_seifert(g: int, rng: random.Random, bound: int = 3) -> list[list[int]
     S = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = rng.randint(-bound, bound)
+            v = rng.randint(-_RANDOM_BOUND, _RANDOM_BOUND)
             S[i][j] = v
             S[j][i] = v
     for i in range(g):

@@ -51,6 +51,7 @@ __all__ = [
 
 
 _COMPARE_TOL = 1e-9  # relative agreement that counts as equal in functionally_equal
+_COMPARE_PS = (1, 2, 3, 5, 7)  # the p whose residues functionally_equal compares
 _TAIL_RATIO = 1e-13  # torus_average: Fourier tail at |r| >= N/4 vs the largest coefficient
 _GRID_CAP = 2 ** 20  # torus_average: the largest trapezoid grid tried
 # torus_average refuses up front a pole whose geometric tail would still be
@@ -202,10 +203,10 @@ class ThetaClass:
         """Symmetrized evaluation; invariant of the class in the quotient."""
         return self.symmetrize().evaluate_raw(z1, z2)
 
-    def functionally_equal(self, other: "ThetaClass", ps: Sequence[int] = (1, 2, 3, 5, 7)) -> bool:
-        """Equality in the quotient, tested functionally: residues at small
-        p plus symmetrized evaluation at a fixed sample of torus points."""
-        for p in ps:
+    def functionally_equal(self, other: "ThetaClass") -> bool:
+        """Equality in the quotient, tested functionally: residues at each p
+        of _COMPARE_PS plus symmetrized evaluation at fixed torus points."""
+        for p in _COMPARE_PS:
             if res_p_theta(self, p) != res_p_theta(other, p):
                 return False
         angles = [0.7, 1.9, 2.51, 4.13]

@@ -18,6 +18,8 @@ from knotcovers.exactalg import (
     _mul_rows,
     _mulmod,
     _mulx_mod,
+    _poly_divmod,
+    _power,
     _powmod,
     _roots_by_part,
     cyclotomic_norm,
@@ -389,6 +391,55 @@ class TestModularPowers:
         assert not any(r is s for P in powers for r in P for s in M)
         powers[1][0][0] = 99  # _bareiss eliminates in place
         assert M == [[1, 2], [3, 4]]
+
+
+class TestPower:
+    # 0, 1, 2^k and 2^k + 1: the empty product, the first factor alone, no
+    # multiply after the squares, one multiply after them
+    PS = (0, 1, 2, 4, 8, 32, 3, 5, 9, 33)
+
+    def test_multiplications_counted(self):
+        for p in self.PS:
+            calls = []
+
+            def mul(a, b):
+                calls.append(1)
+                return a * b
+
+            assert _power(3, p, mul, 1) == 3 ** p
+            # a square per bit below the top, a product per further set bit
+            assert len(calls) == (p.bit_length() + bin(p).count("1") - 2 if p else 0), p
+
+    def test_polynomials_mod_a_monic_modulus(self, rng):
+        for d in (1, 2, 4):
+            chi = [rng.randint(-3, 3) for _ in range(d)] + [1]
+            b = [rng.randint(-2, 2) for _ in range(d + 2)]
+            want = _poly_divmod([1], chi)[1]
+            for p in range(max(self.PS) + 1):
+                if p in self.PS:
+                    assert _powmod(b, p, chi) == want, (chi, b, p)
+                want = _mulmod(want, b, chi)
+
+    def test_laurent_polynomials(self):
+        f = LaurentPoly({-2: 3, 0: -1, 1: Fraction(1, 2)})
+        want = one
+        for p in range(max(self.PS) + 1):
+            if p in self.PS:
+                assert f ** p == want, p
+            want = want * f
+
+    def test_integer_matrices_in_new_rows(self, rng):
+        M = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        want = [[int(i == j) for j in range(3)] for i in range(3)]
+        for p in range(max(self.PS) + 1):
+            if p in self.PS:
+                P = _mat_pow(M, p)
+                assert P == want, p
+                assert not any(r is s for r in P for s in M)
+            want = _mat_mul(want, M)
+        P = _mat_pow(M, 1)
+        P[0][0] += 1  # _bareiss eliminates in place; M must not move
+        assert P != M
 
 
 class TestDenominatorToTp:

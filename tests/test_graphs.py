@@ -2,7 +2,7 @@
 
 import json
 import random
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from knotcovers.cli import main
 from knotcovers.graphs import (
     BeadedGraph,
     Edge,
+    GraphAut,
     automorphisms,
     count_admissible,
     cycle_monodromies,
@@ -204,6 +205,52 @@ class TestAutomorphisms:
         assert automorphisms(EYES) is not auts and len(automorphisms(EYES)) == 8
 
 
+def _brute_automorphisms(G):
+    """Oracle: every vertex permutation, edge bijection and flip tuple whose
+    every edge, reversed when flipped, lands on its image's incidences.  The
+    condition is one test per edge, so the flip tuples that pass are the
+    product of the flips each edge passes with."""
+    E = len(G.edges)
+    out = set()
+    for vperm in permutations(range(G.n_vertices)):
+        for eperm in permutations(range(E)):
+            per_edge = []
+            for e, f in zip(G.edges, (G.edges[i] for i in eperm)):
+                image = (vperm[e.tail], vperm[e.head])
+                per_edge.append([fl for fl in (False, True)
+                                 if image == ((f.head, f.tail) if fl else (f.tail, f.head))])
+            out.update(GraphAut(vperm, eperm, flips) for flips in product(*per_edge))
+    return out
+
+
+# multigraphs with E <= 6, loops and parallel edges in mixed orientation
+ORACLE_GRAPHS = {
+    "theta": THETA,
+    "theta-mixed": BeadedGraph(2, [(0, 1, 0), (1, 0, 0), (0, 1, 0)]),
+    "eyes": EYES,
+    "eyes-reversed-bridge": BeadedGraph(2, [(0, 0, 0), (1, 0, 0), (1, 1, 0)]),
+    "theta-theta": SWEEP_GRAPHS["theta-theta"],
+    "theta-eyes": SWEEP_GRAPHS["theta-eyes"],
+    "eyes-eyes": disjoint_union(EYES, eyes_graph()),
+    "K4-mixed": BeadedGraph(4, [(0, 1, 0), (2, 0, 0), (0, 3, 0), (1, 2, 0), (3, 1, 0), (2, 3, 0)]),
+    "double-edge-4-cycle": BeadedGraph(4, [(0, 1, 0), (1, 0, 0), (1, 2, 0), (2, 3, 0), (3, 2, 0),
+                                           (3, 0, 0)]),
+    "loop-and-double-edge": BeadedGraph(4, [(0, 0, 0), (0, 1, 0), (1, 2, 0), (1, 3, 0), (2, 3, 0),
+                                            (3, 2, 0)]),
+    "two-loops-double-middle": BeadedGraph(4, [(0, 0, 0), (0, 1, 0), (1, 2, 0), (2, 1, 0),
+                                               (2, 3, 0), (3, 3, 0)]),
+}
+
+
+class TestAutomorphismOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_matches_brute_force(self, name):
+        G = ORACLE_GRAPHS[name]
+        auts = automorphisms(G)
+        assert len(set(auts)) == len(auts)
+        assert set(auts) == _brute_automorphisms(G)
+
+
 class TestSymbols:
     def test_fundamental_cycles_count_is_b1(self):
         for G in (theta_graph(), eyes_graph(), disjoint_union(theta_graph(), eyes_graph())):
@@ -351,10 +398,10 @@ class TestSweepEngine:
             return D
 
         monkeypatch.setattr(graphs, "_aut_cycle_matrices", corrupted)
-        monkeypatch.setattr(graphs, "_CERTIFIED", {})  # certify afresh
+        graphs._certificate.cache_clear()  # certify afresh
         with pytest.raises(ArithmeticError):
             liftres_sweep(G, 2)
-        assert graphs._CERTIFIED == {}
+        assert graphs._certificate.cache_info().currsize == 0
 
     def test_certificate_checked_once_per_topology(self, monkeypatch):
         calls = []
@@ -365,7 +412,7 @@ class TestSweepEngine:
             return tensor(C, auts)
 
         monkeypatch.setattr(graphs, "_aut_cycle_matrices", counted)
-        monkeypatch.setattr(graphs, "_CERTIFIED", {})
+        graphs._certificate.cache_clear()
         G = SWEEP_GRAPHS["theta-theta"]
         for p in (2, 3, 4):
             assert liftres_sweep(G, p) == (p ** 6, 0)
@@ -377,7 +424,7 @@ class TestSweepEngine:
         with pytest.raises(ValueError):
             C[0, 0] = 7  # read-only: no caller can corrupt the kept certificate
         assert liftres_sweep(THETA, 3) == (27, 0)
-        assert len(calls) == 2 and len(graphs._CERTIFIED) == 2
+        assert len(calls) == 2 and graphs._certificate.cache_info().currsize == 2
 
     def test_no_per_tuple_graphs_or_lift_counts(self, monkeypatch):
         counts = {"count_admissible": 0, "BeadedGraph": 0}

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import knotcovers.cli
+import knotcovers.lambdamat
 import knotcovers.seifert
 from knotcovers.cli import main
 from knotcovers.exactalg import LaurentPoly
@@ -99,6 +100,14 @@ class TestSignatureCommand:
         assert code == 2
         assert "singular" in err
 
+    def test_numerically_singular_root_names_p_and_k(self, capsys, monkeypatch):
+        # a raised floor blanks k = 1 and 6 of p = 7 (smallest |eigenvalue|
+        # 0.115), where the trefoil stays regular
+        monkeypatch.setattr(knotcovers.lambdamat, "_EIG_FLOOR", 0.5)
+        code, out, err = run(capsys, "signature", "--knot", "trefoil", "--p", "7")
+        assert code == 2 and out == ""
+        assert "numerically singular at regular p = 7: k = 1" in err
+
 
 class TestBranchedCommand:
     def test_csv_layout(self, capsys):
@@ -135,6 +144,16 @@ class TestBranchedCommand:
         )
         assert code == 0
         assert out.strip().splitlines()[1] == "2,yes,-2,3,0.549306144334,-1/4"
+
+    def test_numerically_singular_root_names_p_and_k(self, capsys, tmp_path):
+        # Delta = 2t^-1 - 3 + 2t has no cyclotomic factor, so every p is
+        # regular; p = 281352 is a continued-fraction denominator of the
+        # angle of its circle roots, 3e-12 of a turn from k/p at k = 32363
+        f = tmp_path / "knot.json"
+        f.write_text("[[1, 1], [0, 2]]")
+        code, out, err = run(capsys, "branched", "--file", str(f), "--p", "281352")
+        assert code == 2 and out == ""
+        assert "281352" in err and "32363" in err
 
 
 class TestGrowthCommand:

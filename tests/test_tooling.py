@@ -3,8 +3,11 @@
 import ast
 import doctest
 import importlib
+import os
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,6 +94,38 @@ def test_roots_of_unity_only_in_the_helper():
     assert found == []
     seifert = ast.parse((SRC / "seifert.py").read_text(encoding="utf-8"))
     assert "cmath" not in [m for node in ast.walk(seifert) for m in _imported_modules(node)]
+
+
+def _bit_tested_while_loops(tree):
+    """Names of the functions in tree with a while loop that tests a bit,
+    ``x & 1``: the shape of square and multiply."""
+    return sorted({fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                   for loop in ast.walk(fn) if isinstance(loop, ast.While)
+                   for node in ast.walk(loop)
+                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+                   and isinstance(node.right, ast.Constant) and node.right.value == 1})
+
+
+def test_one_square_and_multiply():
+    # exactalg._power is the one square and multiply, behind LaurentPoly
+    # powers, _powmod and _mat_pow; a second loop would fork it again
+    found = {name: _bit_tested_while_loops(ast.parse((SRC / (name + ".py")).read_text("utf-8")))
+             for name in ("exactalg", "lambdamat", "seifert")}
+    assert found == {"exactalg": ["_power"], "lambdamat": [], "seifert": []}
+
+
+def test_selftest_survives_python_O():
+    # the acceptance criteria raise explicitly, so -O, which strips asserts,
+    # must still pass all twelve and still catch an injected corruption
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    cmd = [sys.executable, "-O", "-m", "knotcovers.cli", "selftest"]
+    ok = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+    assert ok.returncode == 0, ok.stderr
+    assert sum(": PASS" in line for line in ok.stdout.splitlines()) == 12
+    bad = subprocess.run(cmd + ["--criteria", "4", "--inject-corruption"], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert bad.returncode == 1 and "FAIL" in bad.stdout
 
 
 def _imported_modules(node):
