@@ -16,7 +16,8 @@ Laurent polynomials written as exponent-to-coefficient maps.
 
 Exit status: 0 on success; 1 when the request was well-formed but the
 mathematics degenerates everywhere it was asked (for instance a branched
-report over a range with no regular p at all); 2 on invalid input.
+report over a range with no regular p at all); 2 on invalid input; 141
+(128 + SIGPIPE), silently, when the reader of stdout closes it early.
 
 Output is deterministic: floats are printed to 12 significant digits,
 exact rationals as fraction strings.
@@ -25,7 +26,10 @@ exact rationals as fraction strings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import random
 import sys
 from fractions import Fraction
 
@@ -46,6 +50,7 @@ from .acceptance import run_selftest
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INVALID = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE: the reader of stdout went away
 
 _VALIDATION_ERRORS = (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError)
 
@@ -315,16 +320,10 @@ def cmd_residue(args) -> int:
 def cmd_liftres(args) -> int:
     G = _load_graph(args)
     ps = _parse_ps(args.p)
-    import random
-
     rng = random.Random(args.seed)
-    rows = []
-    bad = 0
-    for p in ps:
-        cases, failures = liftres_sweep(G, p, max_cases=args.max_cases, rng=rng)
-        bad += failures
-        rows.append([p, len(G.edges), cases, failures])
+    rows = [[p, len(G.edges), *liftres_sweep(G, p, max_cases=args.max_cases, rng=rng)] for p in ps]
     _emit_rows(args, ["p", "edges", "cases", "failures"], rows)
+    bad = sum(row[3] for row in rows)
     if bad:
         raise _DomainEmpty("%d bead tuples violated the lift/residue identity" % bad)
     return EXIT_OK
@@ -416,7 +415,14 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader of stdout stopped early: no input error
+        # a stdout with a descriptor goes to devnull, so the flush at exit succeeds
+        with contextlib.suppress(AttributeError, ValueError, OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (_DomainEmpty, SingularAtOne, AtOne, QSingularAtP, SingularOnTorus) as e:
         print("domain: %s" % e, file=sys.stderr)
         return EXIT_DOMAIN

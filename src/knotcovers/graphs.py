@@ -24,14 +24,15 @@ Two quantities are attached for each p >= 1:
 
 ``liftres_check`` verifies that the two agree -- exactly, term by term --
 and ``liftres_sweep`` runs the comparison over every bead tuple in
-{0..p-1}^(#edges), or a seeded sample of them, a chunk of tuples at a
-time.  Its residue side rests on one certificate per topology, cached
-by vertex count and edge endpoints like the automorphisms: every
-automorphism acts on the cycle lattice by a unimodular matrix, so all of
-them share the kernel of the fundamental-cycle matrix mod p, and the
-average over the group is one kernel test.  Its lift side replays the
-same coloring plan as ``count_admissible`` (``_coloring_plan``, the one
-walk of the graph), as column operations over a chunk of tuples.
+{0..p-1}^(#edges), or a seeded sample (drawn from random bytes since the
+array-speed sweep, so a seed now gives other tuples than its ``randrange``
+draws did), a block of tuples at a time, one row per edge.  Its residue
+side rests on one certificate per topology, cached like the
+automorphisms: every automorphism acts on the cycle lattice by a matrix
+of finite order, hence det +-1, so all of them share the kernel of the
+fundamental-cycle matrix mod p, and the average over the group is one
+kernel test.  Its lift side replays ``count_admissible``'s coloring plan
+(``_coloring_plan``, the one walk of the graph) as row operations.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ from itertools import permutations, product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
-
-from .lambdamat import rational_det
 
 __all__ = [
     "TooLarge",
@@ -494,13 +493,30 @@ def _coloring_plan(G: BeadedGraph) -> _Plan:
 
 
 def _colorable(plan: _Plan, beads: np.ndarray, p: int) -> np.ndarray:
-    """Per bead tuple (row), whether a Z_p coloring exists: the lift
-    count is p^comps where True and 0 where False."""
-    colors = np.zeros((beads.shape[0], plan.n_vertices), dtype=np.int64)
+    """Per bead tuple (column, beads in 0..p-1), whether a Z_p coloring
+    exists (lift count p^comps, else 0).  A check's difference lies in
+    (-p, 2p) for s = 1, (-2p, p) for s = -1: it is 0 mod p iff 0 or s * p."""
+    colors = np.zeros((plan.n_vertices, beads.shape[1]), dtype=np.int64)
     for w, v, e, s in plan.sets:
-        colors[:, w] = (colors[:, v] + s * beads[:, e]) % p
-    w, v, e, s = np.array(plan.checks, dtype=np.int64).reshape(-1, 4).T
-    return ((colors[:, v] + s * beads[:, e] - colors[:, w]) % p == 0).all(axis=1)
+        np.remainder(colors[v] + s * beads[e], p, out=colors[w])
+    ok = np.ones(beads.shape[1], dtype=bool)
+    for w, v, e, s in plan.checks:
+        diff = colors[v] + s * beads[e] - colors[w]
+        ok &= (diff == 0) | (diff == s * p)
+    return ok
+
+
+def _signed_order(auts: Sequence[GraphAut]) -> np.ndarray:
+    """Per automorphism, the order of P_a: e -> +-eperm[e], the lcm over the
+    edges e of the first j > 0 with P_a^j e = +e (at most 2E)."""
+    eperm = np.array([aut.eperm for aut in auts], dtype=np.int64)
+    flips = np.array([aut.flips for aut in auts], dtype=bool)
+    rows, start = np.arange(len(auts))[:, None], np.arange(eperm.shape[1])
+    pos, neg, first = start, np.zeros_like(flips), np.zeros_like(eperm)
+    for j in range(1, 2 * eperm.shape[1] + 1):
+        neg, pos = neg ^ flips[rows, pos], eperm[rows, pos]
+        first[(first == 0) & (pos == start) & ~neg] = j
+    return np.lcm.reduce(first, axis=1)
 
 
 def _certified_cycle_matrix(G: BeadedGraph) -> np.ndarray:
@@ -509,10 +525,13 @@ def _certified_cycle_matrix(G: BeadedGraph) -> np.ndarray:
 
     C is the identity on the non-forest edges, so U_a can only be the
     non-forest columns of D[a]; the certificate is D[a] == U_a C and
-    det U_a = +-1, exactly.  Then D[a] x = 0 mod p iff C x = 0 mod p, for
-    every p, and phi_R's average over the group is the single test
-    C x = 0 mod p.  ArithmeticError if any automorphism fails.  Certified
-    once per topology, like ``automorphisms``, and kept read-only."""
+    U_a^k = I for the order k of a's signed edge permutation: finite
+    order, hence det U_a = +-1.  Each power is again an automorphism's
+    action, so an entry above E refuses it too and the int64 powers stay
+    exact.  Then D[a] x = 0 mod p iff C x = 0 mod p, for every p, and
+    phi_R's average over the group is the single test C x = 0 mod p.
+    ArithmeticError if any automorphism fails.  Certified once per
+    topology, like ``automorphisms``, and kept read-only."""
     return _certificate(*_topology(G))
 
 
@@ -521,42 +540,54 @@ def _certificate(n: int, ends: tuple[tuple[int, int], ...]) -> np.ndarray:
     G = BeadedGraph.__new__(BeadedGraph)  # no re-check: ends come from a valid graph
     G.n_vertices, G.edges = n, tuple(Edge(tail, head, 0) for tail, head in ends)
     nonforest, cycles = fundamental_cycles(G)
-    C = np.zeros((len(cycles), len(G.edges)), dtype=np.int64)
-    for i, cyc in enumerate(cycles):
-        for e, c in cyc.items():
-            C[i, e] = c
-    D = _aut_cycle_matrices(C, automorphisms(G))
+    C = np.array([[cyc.get(e, 0) for e in range(len(ends))] for cyc in cycles], dtype=np.int64)
+    auts = automorphisms(G)
+    D = _aut_cycle_matrices(C, auts)
     U = D[:, :, nonforest]
     if not np.array_equal(D, U @ C):
         raise ArithmeticError("an automorphism does not act on the cycle lattice")
-    for u in {u.tobytes(): u for u in U}.values():
-        if abs(rational_det(u.tolist())) != 1:
-            raise ArithmeticError("an automorphism acts on the cycle lattice with det != +-1")
+    order, power, eye = _signed_order(auts), U, np.eye(len(nonforest))
+    for k in range(1, int(order.max()) + 1):  # power = U_a^k for every a of order k or more
+        if np.abs(power).max() > len(ends):
+            raise ArithmeticError("a power of an automorphism's action has an entry above E")
+        if not (power[order == k] == eye).all():
+            raise ArithmeticError("an automorphism acts on the cycle lattice with infinite order")
+        live = order > k
+        U, order, power = U[live], order[live], power[live] @ U[live]
     C.flags.writeable = False
     return C
 
 
 def _cycles_vanish(C: np.ndarray, beads: np.ndarray, p: int) -> np.ndarray:
-    """Per bead tuple (row), whether every cycle monodromy is 0 mod p."""
-    return ((beads @ C.T) % p == 0).all(axis=1)
+    """Per bead tuple (column), whether every cycle monodromy is 0 mod p."""
+    return ((C @ beads) % p == 0).all(axis=0)
 
 
 def _bead_chunks(p: int, E: int, max_cases: int | None, rng) -> Iterator[np.ndarray]:
-    """Bead tuples in int64 blocks of at most _CHUNK rows: all of
-    {0..p-1}^E in lexicographic order (mixed-radix digits of a running
-    index) when max_cases is None, else max_cases rows of E
-    ``rng.randrange(p)`` draws each, drawn row by row."""
+    """Bead tuples as the columns of int64 (E, n) blocks, n <= _CHUNK: all
+    of {0..p-1}^E in lexicographic order (mixed-radix digits of a running
+    index), or max_cases tuples of little-endian 64-bit ``rng.randbytes``
+    words, p < 2^63, rejecting those at or above the largest multiple of p
+    below 2^64, drawing only the deficit again and reducing the rest mod p.
+    The sample and the rng's final state are thus independent of _CHUNK."""
     if max_cases is None:
         total = p ** E
-        place = p ** np.arange(E - 1, -1, -1, dtype=np.int64)
+        place = p ** np.arange(E - 1, -1, -1, dtype=np.int64)[:, None]
         for start in range(0, total, _CHUNK):
             index = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-            yield index[:, None] // place % p
+            yield index // place % p
     else:
+        top = np.uint64((1 << 64) - (1 << 64) % p - 1)  # the largest word kept
         for start in range(0, max_cases, _CHUNK):
             n = min(_CHUNK, max_cases - start)
-            draws = [rng.randrange(p) for _ in range(n * E)]
-            yield np.array(draws, dtype=np.int64).reshape(n, E)
+            words = np.frombuffer(rng.randbytes(8 * E * n), dtype="<u8")
+            words = words[words <= top]
+            while words.size < E * n:
+                more = np.frombuffer(rng.randbytes(8 * (E * n - words.size)), dtype="<u8")
+                words = np.concatenate((words, more[more <= top]))
+            block = np.empty((E, n), dtype=np.int64)
+            np.remainder(words.reshape(n, E).T, np.uint64(p), out=block.view(np.uint64))
+            yield block
 
 
 def liftres_sweep(

@@ -1,11 +1,16 @@
-"""CLI rendering of values past Python's int-to-str digit limit."""
+"""CLI rendering of values past Python's int-to-str digit limit, and the
+exit when the reader of stdout goes away."""
 
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from knotcovers.cli import main
+import knotcovers
+from knotcovers.cli import EXIT_PIPE, main
 
 
 def lucas(n):
@@ -41,3 +46,35 @@ def test_input_keeps_the_digit_limit(capsys, tmp_path):
     assert code == 2
     assert "limit" in capsys.readouterr().err
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("argv", [["liftres", "--graph", "theta", "--p", "2..4"],
+                                  ["selftest", "--criteria", "7"]])
+def test_closed_stdout_ends_quietly(argv):
+    # the reader closes its end before the command writes: the write fails
+    # with EPIPE, which is not invalid input (exit 2) and must not leave an
+    # "Exception ignored" line from the interpreter's flush at exit
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(knotcovers.__file__).parents[1])]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-m", "knotcovers.cli", *argv], stdout=write,
+                             stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (EXIT_PIPE, "") == (141, "")
+
+
+def test_closed_stdout_without_a_descriptor(capsys, monkeypatch):
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["liftres", "--graph", "theta", "--p", "2"]) == EXIT_PIPE
+    assert capsys.readouterr().err == ""

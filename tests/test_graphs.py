@@ -25,6 +25,7 @@ from knotcovers.graphs import (
     res_p_graph,
     theta_graph,
 )
+from knotcovers.lambdamat import rational_det
 
 
 THETA, EYES = theta_graph(), eyes_graph()
@@ -77,6 +78,46 @@ def _per_automorphism_hits(G, tuples, p):
     for Da in D:
         hits += np.all((tuples @ Da.T) % p == 0, axis=1)
     return hits
+
+
+def _reference_sample(rng, p, E, n):
+    """Independent re-implementation of the sampling recipe: one 64-bit
+    little-endian word of ``rng.randbytes`` at a time in Python ints,
+    rejected when at or above the largest multiple of p below 2^64, else
+    reduced mod p; n tuples of E such draws, as rows."""
+    bound = 2 ** 64 - 2 ** 64 % p
+    draws = []
+    while len(draws) < n * E:
+        word = int.from_bytes(rng.randbytes(8), "little")
+        if word < bound:
+            draws.append(word % p)
+    return [draws[i * E:(i + 1) * E] for i in range(n)]
+
+
+class _Words:
+    """An rng stand-in whose ``randbytes`` serves fixed 64-bit words in
+    order and records how many words each call asked for."""
+
+    def __init__(self, words):
+        self.words, self.calls = list(words), []
+
+    def randbytes(self, nbytes):
+        self.calls.append(nbytes // 8)
+        take, self.words = self.words[:nbytes // 8], self.words[nbytes // 8:]
+        return b"".join(w.to_bytes(8, "little") for w in take)
+
+
+def _signed_order_by_powers(aut):
+    """Oracle for ``_signed_order``: multiply the signed permutation matrix
+    P_a (P[eperm[e], e] = -1 if flipped else 1) by itself until it is I."""
+    E = len(aut.eperm)
+    P = np.zeros((E, E), dtype=np.int64)
+    for e, (f, flip) in enumerate(zip(aut.eperm, aut.flips)):
+        P[f, e] = -1 if flip else 1
+    power, k = P, 1
+    while not np.array_equal(power, np.eye(E, dtype=np.int64)):
+        power, k = power @ P, k + 1
+    return k
 
 
 def _brute_lift_count(G, p):
@@ -334,7 +375,7 @@ class TestSweepEngine:
             tuples = _all_tuples(G, p)
             hits = _per_automorphism_hits(G, tuples, p)
             assert set(np.unique(hits)) <= {0, naut}
-            assert np.array_equal(naut * graphs._cycles_vanish(C, tuples, p), hits)
+            assert np.array_equal(naut * graphs._cycles_vanish(C, tuples.T, p), hits)
 
     @pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
     def test_batched_coloring_matches_scalar_lift_counts(self, name):
@@ -343,25 +384,86 @@ class TestSweepEngine:
         assert plan.comps == G.b0
         for p in range(1, 6 if len(G.edges) == 3 else 4):
             tuples = _all_tuples(G, p)
-            lifts = np.where(graphs._colorable(plan, tuples, p), p ** plan.comps, 0)
+            lifts = np.where(graphs._colorable(plan, tuples.T, p), p ** plan.comps, 0)
             for row, lift in zip(tuples.tolist(), lifts.tolist()):
                 H = G.with_beads(row)
                 assert lift == count_admissible(H, p) == _brute_lift_count(H, p), (row, p)
+
+    @pytest.mark.parametrize("name", sorted(set(ORACLE_GRAPHS) - set(SWEEP_GRAPHS)))
+    def test_batched_coloring_on_longer_walks(self, name):
+        # four vertices to a component: a check's difference can reach +-p,
+        # which _colorable's mod-free test must count as 0 mod p
+        G = ORACLE_GRAPHS[name]
+        plan = graphs._coloring_plan(G)
+        for p in (2, 3, 4):
+            tuples = _all_tuples(G, p)
+            want = [count_admissible(G.with_beads(row), p) > 0 for row in tuples.tolist()]
+            assert graphs._colorable(plan, tuples.T, p).tolist() == want
+            assert liftres_sweep(G, p) == (p ** len(G.edges), 0)
 
     def test_chunks_enumerate_in_product_order(self, monkeypatch):
         monkeypatch.setattr(graphs, "_CHUNK", 7)
         for p, E in ((3, 3), (2, 6), (5, 2), (1, 4)):
             blocks = list(graphs._bead_chunks(p, E, None, None))
-            assert all(b.shape[0] <= 7 for b in blocks)
-            got = np.concatenate(blocks).tolist()
+            assert all(b.shape == (E, min(7, b.shape[1])) for b in blocks)
+            got = np.concatenate(blocks, axis=1).T.tolist()
             assert got == [list(t) for t in product(range(p), repeat=E)]
 
     def test_samples_keep_the_draw_order(self, monkeypatch):
-        monkeypatch.setattr(graphs, "_CHUNK", 7)
-        draws = random.Random(5)
-        want = [[draws.randrange(7) for _ in range(6)] for _ in range(50)]
-        got = np.concatenate(list(graphs._bead_chunks(7, 6, 50, random.Random(5))))
-        assert got.tolist() == want
+        # p = 3 << 61 rejects a quarter of all words, so the top-up runs
+        for chunk, n, p in product((7, graphs._CHUNK), (50, 2 * graphs._CHUNK + 5), (7, 3 << 61)):
+            monkeypatch.setattr(graphs, "_CHUNK", chunk)
+            ref, rng = random.Random(5), random.Random(5)
+            want = _reference_sample(ref, p, 6, n)
+            blocks = list(graphs._bead_chunks(p, 6, n, rng))
+            assert [b.shape for b in blocks] == [(6, min(chunk, n - i)) for i in range(0, n, chunk)]
+            assert all(b.dtype == np.int64 and b.flags.c_contiguous for b in blocks)
+            assert np.concatenate(blocks, axis=1).T.tolist() == want, (chunk, n, p)
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("p", [2, 7, 2 ** 5, 2 ** 63 // 8 - 1, 3 << 61])
+    def test_samples_are_uniform(self, p):
+        # chi-square over 16 (or p) bins of equal width, last bin shorter;
+        # p = 2^63 // 8 - 1 is the largest p liftres_sweep admits at E = 6;
+        # at p = 3 << 61, 2^64 = 2p + 2^62, and a sampler without rejection
+        # makes the lowest two thirds of the range 1.5 times as likely
+        n = 3000
+        x = np.concatenate(list(graphs._bead_chunks(p, 6, n, random.Random(11))), axis=1).ravel()
+        assert x.size == 6 * n and x.min() >= 0 and x.max() <= p - 1
+        bins = min(p, 16)
+        width = -(-p // bins)
+        observed = np.bincount((x // width).astype(np.int64), minlength=bins)
+        sizes = [min(width, p - i * width) for i in range(bins)]
+        expected = np.array([x.size * s / p for s in sizes])
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        dof = bins - 1
+        assert chi2 < dof + 6 * (2 * dof) ** 0.5, (chi2, observed.tolist())
+
+    def test_rejection_boundary_and_top_up(self):
+        # 2^64 = 2 mod 7: 2^64 - 3 is the largest word kept, 2^64 - 2 the
+        # smallest rejected; only the deficit is drawn again
+        top = 2 ** 64 - 3
+        rng = _Words([top, top + 1, 5, 2 ** 64 - 1, 13, 8])
+        (block,) = graphs._bead_chunks(7, 3, 1, rng)
+        assert block.tolist() == [[top % 7], [5], [13 % 7]]
+        assert rng.calls == [3, 1, 1] and rng.words == [8]
+
+    def test_cli_sample_is_reproducible(self, capsys):
+        argv = ["liftres", "--graph", "theta-eyes", "--p", "7", "--max-cases", "10000",
+                "--seed", "17"]
+        runs = []
+        for _ in range(2):
+            assert main(argv + ["--format", "json"]) == 0
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0])["rows"] == [[7, 6, 10000, 0]]
+
+    @pytest.mark.parametrize("name", ["theta", "eyes", "theta-theta", "theta-eyes", "theta3"])
+    def test_signed_order_matches_powers(self, name):
+        G = SWEEP_GRAPHS.get(name) or disjoint_union(THETA, THETA, THETA)
+        auts = automorphisms(G)
+        want = [_signed_order_by_powers(aut) for aut in auts]
+        assert graphs._signed_order(auts).tolist() == want
 
     def test_sweep_across_chunk_boundaries(self, monkeypatch):
         monkeypatch.setattr(graphs, "_CHUNK", 7)
@@ -382,24 +484,36 @@ class TestSweepEngine:
             cases, failures = liftres_sweep(G, 4)
             assert cases == 4 ** 6 and failures > 0, k
 
-    @pytest.mark.parametrize("corrupt", ["entry", "scale"])
+    @pytest.mark.parametrize("corrupt", ["entry", "scale", "shear"])
     def test_corrupted_automorphism_tensor_raises(self, monkeypatch, corrupt):
         G = SWEEP_GRAPHS["theta-theta"]
         nonforest, _ = fundamental_cycles(G)
         forest_edge = min(set(range(len(G.edges))) - set(nonforest))
         tensor = graphs._aut_cycle_matrices
+        order = graphs._signed_order(automorphisms(G))
+        longest = int(np.argmax(order))
+        assert order[longest] == 12 > len(G.edges) and order[5] == 2
 
         def corrupted(C, auts):
             D = tensor(C, auts)
             if corrupt == "entry":
                 D[5, 0, forest_edge] += 1  # D[a] leaves the row space of C
-            else:
+            elif corrupt == "scale":
                 D[5] *= 2  # D[a] = (2 U_a) C, and det(2 U_a) = 16
+            else:
+                # det shear = 1, but shear^k = I for no k > 0; its 7th power,
+                # before the order 12 comes round, has an entry 7 > E
+                D[longest] = shear @ C
             return D
+
+        shear = np.eye(G.b1, dtype=np.int64)
+        shear[0, 1] = 1
+        assert rational_det(shear.tolist()) == 1  # a det check alone would pass it
 
         monkeypatch.setattr(graphs, "_aut_cycle_matrices", corrupted)
         graphs._certificate.cache_clear()  # certify afresh
-        with pytest.raises(ArithmeticError):
+        match = {"entry": "does not act", "scale": "infinite order", "shear": "above E"}[corrupt]
+        with pytest.raises(ArithmeticError, match=match):
             liftres_sweep(G, 2)
         assert graphs._certificate.cache_info().currsize == 0
 
@@ -472,8 +586,8 @@ class TestSweepLimits:
         assert liftres_sweep(THETA, p, max_cases=200, rng=rng) == (200, 0)
         plan, C = graphs._coloring_plan(THETA), graphs._certified_cycle_matrix(THETA)
         beads = np.array([[p - 1, p - 1, p - 1], [0, p - 1, 1]], dtype=np.int64)
-        assert graphs._colorable(plan, beads, p).tolist() == [True, False]
-        assert graphs._cycles_vanish(C, beads, p).tolist() == [True, False]
+        assert graphs._colorable(plan, beads.T, p).tolist() == [True, False]
+        assert graphs._cycles_vanish(C, beads.T, p).tolist() == [True, False]
 
     def test_cap_admits_theta_cubed_at_5_only(self):
         assert 5 ** 9 <= graphs._SWEEP_CAP < 7 ** 9

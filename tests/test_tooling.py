@@ -182,3 +182,28 @@ def test_traced_bindings_exist():
             if not callable(getattr(owner, attr, None)):
                 missing.append("%s.%s" % (modname, name))
     assert missing == []
+
+
+def test_graphs_draws_in_blocks_without_lambdamat():
+    # the liftres sample comes from rng.randbytes blocks, not one randrange
+    # call per bead, and the certificate is by finite order, not Bareiss
+    tree = ast.parse((SRC / "graphs.py").read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.Attribute, ast.Name))
+             and "randrange" in (node.attr if isinstance(node, ast.Attribute) else node.id)]
+    assert calls == []
+    imported = [m for node in ast.walk(tree) for m in _imported_modules(node)]
+    assert not [m for m in imported if m.split(".")[-1] == "lambdamat"]
+
+
+def test_sampled_liftres_leaves_numpy_random_unloaded():
+    # importing numpy.random costs milliseconds the CLI does not need
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys; from knotcovers.cli import main; "
+            "rc = main(['liftres', '--graph', 'theta-eyes', '--p', '7', '--max-cases', '500']); "
+            "print(rc, 'numpy.random' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 False"
