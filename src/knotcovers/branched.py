@@ -7,11 +7,11 @@ For p-regular p (no root of the Alexander polynomial at a p-th root of
 unity):
 
 * ``total_sigma_p(A, p)`` -- the total equivariant signature, the sum of
-  the signature function over the p-th roots of unity: the roots go in
-  stacks of ``_CHUNK``, one numpy eigensolve of 2g x 2g Hermitian forms
-  per stack, so the cost is linear in p and the memory flat.  Its oracle
-  is the exact inertia of the clover form at the p-cycle matrix
-  (``lambdamat.varsigma_p``), compared in selftest criterion 3 and tests.
+  the signature function over the p-th roots of unity, counted arc by arc
+  off the knot's certified table (``Knot.sigma_p``).  Its oracles are the
+  exact inertia of the clover form at the p-cycle matrix
+  (``lambdamat.varsigma_p``) and the per-root sum, compared in selftest
+  criterion 3 and the tests.
 * ``torsion_order(A, p)`` -- the order of the first homology of the
   branched cover, ``Knot.beta(p)``: |det(Gamma^p - (Gamma - I)^p)| from
   Seifert's integer presentation, which is 0 exactly when p is irregular,
@@ -28,10 +28,8 @@ Their growth as p -> infinity:
 * ``torsion_growth`` tabulates log(torsion)/p, which converges to the
   Mahler measure of the Alexander polynomial;
 * ``signature_average`` integrates the signature function over the unit
-  circle exactly-by-structure: the function is constant on the arcs cut
-  out by the distinct roots of the Alexander polynomial, so one
-  evaluation per arc midpoint, weighted by arc length, is the full
-  integral;
+  circle from the same arc table: each arc's value weighted by its
+  length;
 * ``casson_growth`` -- (1/3) torus_average(Q) + (1/8) signature_average.
 """
 
@@ -42,10 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .lambdamat import SingularEvaluation, root_of_unity
-from .seifert import Knot, KnotLike, sigma_at_omega
+from .seifert import Knot, KnotLike
 from .theta import QSingularAtP, ThetaClass, res_p_theta, torus_average
 
 __all__ = [
@@ -60,10 +55,6 @@ __all__ = [
     "BranchedReport",
     "branched_report",
 ]
-
-# roots of unity per stacked eigensolve, the size graphs streams bead tuples in
-_CHUNK = 1 << 12
-
 
 class NotPRegular(ValueError):
     """The Alexander polynomial vanishes at some p-th root of unity."""
@@ -83,30 +74,11 @@ def _regular_beta(knot: Knot, p: int) -> int:
 
 def total_sigma_p(A: KnotLike, p: int) -> int:
     """Sum of the signature function over the p-th roots of unity k = 1..p-1
-    (the root at 1 contributes 0), in any basis, one stacked eigensolve per
-    _CHUNK roots; NotPRegular if Delta vanishes at one."""
+    (the root at 1 contributes 0), in any basis, from the knot's arc table
+    (``Knot.sigma_p``); NotPRegular if Delta vanishes at one."""
     knot = Knot.of(A)
     _regular_beta(knot, p)
-    return _sigma_sum(knot, p)
-
-
-def _sigma_sum(knot: Knot, p: int) -> int:
-    """``total_sigma_p`` without its regularity test; SingularEvaluation
-    naming p and the first numerically singular root k if a root is."""
-    total = 0
-    for lo in range(1, p, _CHUNK):
-        k = np.arange(lo, min(lo + _CHUNK, p))
-        try:
-            total += int(np.sum(sigma_at_omega(knot, root_of_unity(k, p))))
-        except SingularEvaluation as exc:  # find the root, one at a time
-            for j in k.tolist():
-                try:
-                    sigma_at_omega(knot, root_of_unity(j, p))
-                except SingularEvaluation:
-                    msg = "%s at the root k = %d of p = %d" % (exc, j, p)
-                    raise SingularEvaluation(msg) from None
-            raise
-    return total
+    return knot.sigma_p(p)
 
 
 def torsion_order(A: KnotLike, p: int) -> int:
@@ -178,7 +150,8 @@ def branched_report(
 ) -> list[BranchedReport]:
     """One row per requested p; irregular p yield a flagged empty row.
     Each row reads beta_p once: it decides regularity and is the torsion
-    order, and sigma_p is then the per-root sum without a second test."""
+    order, and sigma_p is then read off the arc table without a second
+    test."""
     knot = Knot.of(A)
     out = []
     for p in ps:
@@ -186,7 +159,7 @@ def branched_report(
         if beta == 0:
             out.append(BranchedReport(p=p, regular=False))
             continue
-        sig = _sigma_sum(knot, p)
+        sig = knot.sigma_p(p)
         row = BranchedReport(
             p=p,
             regular=True,

@@ -42,6 +42,7 @@ from .branched import (
     is_p_regular,
     signature_average,
     torsion_growth,
+    total_sigma_p,
 )
 from .theta import QSingularAtP, SingularOnTorus, ThetaClass, res_p_theta, torus_average
 from .graphs import BeadedGraph, disjoint_union, eyes_graph, liftres_sweep, theta_graph
@@ -241,12 +242,8 @@ def cmd_signature(args) -> int:
         rows.append([k, Fraction(k, p), sig])
     sigs = [row[2] for row in rows if row[2] is not None]
     summary = {}
-    if is_p_regular(knot, p):  # total_sigma_p from the rows, each root solved once
-        if len(sigs) < len(rows):
-            k = next(row[0] for row in rows if row[2] is None)
-            raise SingularEvaluation("a p-th root of unity is numerically singular at regular p"
-                                     " = %d: k = %d" % (p, k))
-        summary["total_sigma_p"] = sum(sigs)
+    if is_p_regular(knot, p):  # the rows' arc table; refuses a k/p within rounding of a root
+        summary["total_sigma_p"] = total_sigma_p(knot, p)
     if not rows:
         raise _DomainEmpty("p = 1 has no interior roots of unity")
     _emit_rows(args, ["k", "k/p", "signature"], rows, summary)

@@ -22,20 +22,25 @@ Everything an abelian knot invariant needs downstream lives here:
 All core arithmetic is exact (int, and Fraction where it must be).
 Floating point enters only in clearly named numeric helpers: unit-circle
 evaluation at irrational angles, and ``_roots_by_part``, the package's one
-numeric root finder (the Mahler measure, the circle roots of Delta, the
-poles of 2-loop slots), with its one unit-circle test ``_ON_CIRCLE``.
+numeric root finder (the Mahler measure, the poles of 2-loop slots, with
+its one unit-circle test ``_ON_CIRCLE``, and the candidates of
+``circle_roots``).  ``circle_roots`` returns the roots of Delta on the
+unit circle as float brackets certified exactly: integer sign changes of
+the trace polynomial and a Sturm count.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "SingularAtOne",
+    "SingularEvaluation",
     "LaurentPoly",
     "RatFun",
     "resultant",
@@ -44,6 +49,7 @@ __all__ = [
     "regular_at_p",
     "denominator_to_tp",
     "mahler_measure",
+    "circle_roots",
     "wheels_coefficients",
 ]
 
@@ -52,6 +58,11 @@ Scalar = Union[int, Fraction, str]
 
 class SingularAtOne(ValueError):
     """A denominator vanishes at t = 1, so the fraction is not local."""
+
+
+class SingularEvaluation(ValueError):
+    """A signature was requested at a point where the form degenerates, or
+    its root structure could not be certified."""
 
 
 def _frac(x: Scalar) -> "int | Fraction":
@@ -796,6 +807,99 @@ def _roots_by_part(f: "LaurentPoly | Sequence[Scalar]") -> list[np.ndarray]:
     distinct roots.  A repeated root would split off by about eps^(1/m);
     here every root is simple."""
     return [np.roots([float(c) for c in reversed(part)]) for part in _squarefree_parts(f)]
+
+
+_NEAR_CIRCLE = 1e-3  # a root of f this near |t| = 1 seeds a bracket in circle_roots
+_U_WIDTH = 2.0 ** -51  # circle_roots bisects to this width in u, 2 ulp of u in [1, 2)
+
+
+def _trace_poly(f: LaurentPoly) -> list:
+    """D, ascending, with f(t) = D(t + 1/t) for a bar-symmetric f: t^k + t^-k
+    is V_k(u), where V_0 = 2, V_1 = u and V_(k+1) = u V_k - V_(k-1)."""
+    D, prev, cur = [f.coeff(0)], [2], [0, 1]
+    for k in range(1, f.max_exp + 1):
+        D = [a + f.coeff(k) * b for a, b in zip_longest(D, cur, fillvalue=0)]
+        prev, cur = cur, [a - b for a, b in zip_longest([0] + cur, prev, fillvalue=0)]
+    return D
+
+
+def _sign_at(s: Sequence[int], x: float) -> int:
+    """The exact sign of s(x) for integer s and a float x = n / m: that of
+    the integer m^deg(s) s(n / m), by Horner in n and m."""
+    n, m = x.as_integer_ratio()
+    acc, mk = 0, 1
+    for c in reversed(s):
+        acc, mk = acc * n + c * mk, mk * m
+    return (acc > 0) - (acc < 0)
+
+
+def _sturm_count(s: list) -> int:
+    """Distinct real roots in (-2, 2) of a square-free s nonzero at +-2: the
+    drop in sign changes along its Sturm sequence s, s', -rem, ..."""
+    seq = [s, [i * c for i, c in enumerate(s)][1:]]
+    while len(seq[-1]) > 1:
+        seq.append([-c for c in _poly_divmod(seq[-2], seq[-1])[1]])
+
+    def changes(x):
+        signs = [v > 0 for v in (sum(c * x ** i for i, c in enumerate(q)) for q in seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes(-2) - changes(2)
+
+
+def _bracket(s: Sequence[int], u: float) -> tuple[float, float] | None:
+    """Floats a <= b in [-2, 2] near u with an exact sign change of s from a
+    to b, or with s(a) = 0 and a = b, bisected to _U_WIDTH; None if there
+    is none within 1/16 of u."""
+    h = 2.0 ** -45
+    while True:
+        a, b = max(u - h, -2.0), min(u + h, 2.0)
+        sa, sb = _sign_at(s, a), _sign_at(s, b)
+        if sa * sb <= 0:
+            break
+        if h > 1 / 16:
+            return None
+        h *= 2
+    while sa * sb and b - a > _U_WIDTH:
+        m = (a + b) / 2
+        sm = _sign_at(s, m)
+        a, b, sa, sb = (m, b, sm, sb) if sm == sa else (a, m, sa, sm)
+    return (a, a) if not sa else (b, b) if not sb else (a, b)
+
+
+def circle_roots(f: LaurentPoly) -> list[tuple[float, float]]:
+    """The distinct roots of a bar-symmetric f on |t| = 1 as disjoint float
+    brackets [a, b] in u = t + 1/t = 2 cos(arg t), ascending, each holding
+    exactly one: a root in (-2, 2) of the square-free part s of the trace
+    polynomial D, f(t) = D(t + 1/t).
+
+    Candidates are u = 2 cos(arg z) for the roots z of f within
+    _NEAR_CIRCLE of the circle (``_roots_by_part``), each bracketed by an
+    exact sign change (or zero) of s (``_bracket``); a bracket meeting an
+    earlier one is dropped.  Each bracket holds an odd number of roots, so
+    if there are as many as the Sturm count of s on (-2, 2), each holds one
+    and none is missed; if not, SingularEvaluation.  ValueError for f not
+    bar-symmetric or vanishing at t = +-1."""
+    if not f.is_bar_symmetric:
+        raise ValueError("circle_roots needs a bar-symmetric polynomial")
+    part = (_squarefree_parts(_trace_poly(f)) or [[1]])[0]
+    scale = math.lcm(*(Fraction(c).denominator for c in part))
+    s = [int(c * scale) for c in part]
+    if not _sign_at(s, -2.0) * _sign_at(s, 2.0):
+        raise ValueError("circle_roots needs f(1) f(-1) != 0")
+    count = _sturm_count(s)
+    brackets: list[tuple[float, float]] = []
+    for z in _roots_by_part(f)[0] if count else ():
+        u = 2.0 * math.cos(math.atan2(z.imag, z.real))
+        if abs(abs(z) - 1.0) > _NEAR_CIRCLE or any(a <= u <= b for a, b in brackets):
+            continue
+        new = _bracket(s, u)
+        if new and not any(a <= new[1] and new[0] <= b for a, b in brackets):
+            brackets.append(new)
+    if len(brackets) != count:
+        raise SingularEvaluation("certified %d of the %d circle roots of %s"
+                                 % (len(brackets), count, f))
+    return sorted(brackets)
 
 
 def mahler_measure(f: LaurentPoly) -> float:

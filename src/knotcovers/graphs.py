@@ -29,10 +29,11 @@ array-speed sweep, so a seed now gives other tuples than its ``randrange``
 draws did), a block of tuples at a time, one row per edge.  Its residue
 side rests on one certificate per topology, cached like the
 automorphisms: every automorphism acts on the cycle lattice by a matrix
-of finite order, hence det +-1, so all of them share the kernel of the
-fundamental-cycle matrix mod p, and the average over the group is one
-kernel test.  Its lift side replays ``count_admissible``'s coloring plan
-(``_coloring_plan``, the one walk of the graph) as row operations.
+whose inverse is its inverse automorphism's, hence det +-1, so all of
+them share the kernel of the fundamental-cycle matrix mod p, and the
+average over the group is one kernel test.  Its lift side replays
+``count_admissible``'s coloring plan (``_coloring_plan``, the one walk of
+the graph) as row operations.
 """
 
 from __future__ import annotations
@@ -452,9 +453,9 @@ class _Plan(NamedTuple):
     """The coloring propagation over G with the beads left open, the one
     walk behind both ``count_admissible`` and ``liftres_sweep``'s lift side.
     A step (w, v, edge, sign) reads color[w] = color[v] + sign * bead[edge]
-    mod p: ``sets`` fill in the colors in traversal order, ``checks`` are
-    every other edge incidence, and ``comps`` counts the components, each
-    of which shifts freely."""
+    mod p: ``sets`` fill in the colors in traversal order, ``checks`` hold
+    every other edge once (b1 of them), and ``comps`` counts the
+    components, each of which shifts freely."""
 
     n_vertices: int
     sets: list[tuple[int, int, int, int]]
@@ -464,14 +465,15 @@ class _Plan(NamedTuple):
 
 def _coloring_plan(G: BeadedGraph) -> _Plan:
     """Walk the graph once, depth first from the lowest uncolored vertex,
-    taking each vertex's incidences in edge order; which incidence sets a
-    color and which checks one depends on the topology alone."""
+    taking each vertex's incidences in edge order and each edge once, at
+    its first incidence: a forest edge sets a color, any other is one
+    check.  Which is which depends on the topology alone."""
     n = G.n_vertices
     incident: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for idx, e in enumerate(G.edges):
         incident[e.tail].append((idx, e.head, +1))
         incident[e.head].append((idx, e.tail, -1))
-    colored = [False] * n
+    colored, walked = [False] * n, [False] * len(G.edges)
     sets, checks = [], []
     comps = 0
     for start in range(n):
@@ -483,6 +485,9 @@ def _coloring_plan(G: BeadedGraph) -> _Plan:
         while stack:
             v = stack.pop()
             for idx, w, sign in incident[v]:
+                if walked[idx]:
+                    continue
+                walked[idx] = True
                 if colored[w]:
                     checks.append((w, v, idx, sign))
                 else:
@@ -506,32 +511,18 @@ def _colorable(plan: _Plan, beads: np.ndarray, p: int) -> np.ndarray:
     return ok
 
 
-def _signed_order(auts: Sequence[GraphAut]) -> np.ndarray:
-    """Per automorphism, the order of P_a: e -> +-eperm[e], the lcm over the
-    edges e of the first j > 0 with P_a^j e = +e (at most 2E)."""
-    eperm = np.array([aut.eperm for aut in auts], dtype=np.int64)
-    flips = np.array([aut.flips for aut in auts], dtype=bool)
-    rows, start = np.arange(len(auts))[:, None], np.arange(eperm.shape[1])
-    pos, neg, first = start, np.zeros_like(flips), np.zeros_like(eperm)
-    for j in range(1, 2 * eperm.shape[1] + 1):
-        neg, pos = neg ^ flips[rows, pos], eperm[rows, pos]
-        first[(first == 0) & (pos == start) & ~neg] = j
-    return np.lcm.reduce(first, axis=1)
-
-
 def _certified_cycle_matrix(G: BeadedGraph) -> np.ndarray:
     """The fundamental-cycle matrix C (b1 x E), once every automorphism a
     is shown to act on the cycle lattice by a unimodular U_a.
 
     C is the identity on the non-forest edges, so U_a can only be the
     non-forest columns of D[a]; the certificate is D[a] == U_a C and
-    U_a^k = I for the order k of a's signed edge permutation: finite
-    order, hence det U_a = +-1.  Each power is again an automorphism's
-    action, so an entry above E refuses it too and the int64 powers stay
-    exact.  Then D[a] x = 0 mod p iff C x = 0 mod p, for every p, and
-    phi_R's average over the group is the single test C x = 0 mod p.
-    ArithmeticError if any automorphism fails.  Certified once per
-    topology, like ``automorphisms``, and kept read-only."""
+    U_a U_b = I for the inverse b of a, found in the same tuple: an
+    integral inverse, hence det U_a = +-1.  Then D[a] x = 0 mod p iff
+    C x = 0 mod p, for every p, and phi_R's average over the group is the
+    single test C x = 0 mod p.  ArithmeticError if any automorphism fails
+    or its inverse is missing.  Certified once per topology, like
+    ``automorphisms``, and kept read-only."""
     return _certificate(*_topology(G))
 
 
@@ -546,14 +537,17 @@ def _certificate(n: int, ends: tuple[tuple[int, int], ...]) -> np.ndarray:
     U = D[:, :, nonforest]
     if not np.array_equal(D, U @ C):
         raise ArithmeticError("an automorphism does not act on the cycle lattice")
-    order, power, eye = _signed_order(auts), U, np.eye(len(nonforest))
-    for k in range(1, int(order.max()) + 1):  # power = U_a^k for every a of order k or more
-        if np.abs(power).max() > len(ends):
-            raise ArithmeticError("a power of an automorphism's action has an entry above E")
-        if not (power[order == k] == eye).all():
-            raise ArithmeticError("an automorphism acts on the cycle lattice with infinite order")
-        live = order > k
-        U, order, power = U[live], order[live], power[live] @ U[live]
+    index = {(aut.eperm, aut.flips): i for i, aut in enumerate(auts)}
+    inverse = []
+    for aut in auts:  # a^-1 takes edge eperm[e] back to e, flipped as a flips e
+        eperm, flips = [0] * len(ends), [False] * len(ends)
+        for e, f in enumerate(aut.eperm):
+            eperm[f], flips[f] = e, aut.flips[e]
+        inverse.append(index.get((tuple(eperm), tuple(flips)), -1))
+    if -1 in inverse:
+        raise ArithmeticError("an automorphism's inverse is missing from the group")
+    if not (U @ U[inverse] == np.eye(len(nonforest), dtype=np.int64)).all():
+        raise ArithmeticError("an automorphism's action times its inverse's is not I")
     C.flags.writeable = False
     return C
 
@@ -630,8 +624,9 @@ def liftres_sweep(
         )
     C = _certified_cycle_matrix(G)
     plan = _coloring_plan(G)
-    if plan.comps != G.b0:
-        raise ArithmeticError("the coloring plan must visit every component once")
+    if plan.comps != G.b0 or len(plan.checks) != G.b1:
+        raise ArithmeticError("the coloring plan must visit every component and check each"
+                              " non-forest edge once")
     failures = 0
     for beads in _bead_chunks(p, E, max_cases, rng):
         failures += int(np.count_nonzero(_colorable(plan, beads, p) != _cycles_vanish(C, beads, p)))

@@ -29,8 +29,10 @@ counts eigenvalue signs above a fixed floor ``_EIG_FLOOR`` for one matrix
 or a stack of them in one numpy eigensolve; ``varsigma_at`` takes arrays
 of roots into one such stack.  ``root_of_unity`` is the package's one
 float formula for e^(2 pi i k/p).  The production
-``branched.total_sigma_p`` sums such signatures in stacks of roots, and
-the exact cycle substitution ``varsigma_p`` is its oracle.
+``branched.total_sigma_p`` reads the knot's certified arc table
+(``seifert.Knot.arcs``), whose one stacked eigensolve is at arc
+midpoints; the exact cycle substitution ``varsigma_p`` and the per-root
+sum of ``varsigma_at`` are its oracles.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactalg import LaurentPoly, SingularAtOne, _frac, _mat_mul, _mat_pow, _qdiv
+from .exactalg import (LaurentPoly, SingularAtOne, SingularEvaluation, _frac, _mat_mul, _mat_pow,
+                       _qdiv)
 
 __all__ = [
     "NotHermitian",
@@ -67,10 +70,6 @@ _EIG_FLOOR = 1e-9  # |eigenvalue| at or below this counts as zero: the form is s
 
 class NotHermitian(ValueError):
     """The matrix is not fixed by bar-conjugate transposition."""
-
-
-class SingularEvaluation(ValueError):
-    """A signature was requested at a point where the form degenerates."""
 
 
 class AtOne(ValueError):
@@ -430,9 +429,10 @@ def _sigma_exact_at(W: LambdaMatrix, w: int) -> int:
 
 
 def root_of_unity(k: "int | np.ndarray", p: "int | np.ndarray") -> "complex | np.ndarray":
-    """e^(2 pi i k/p) as complex floats, for ints or int arrays k, p: the
-    package's one formula for a numeric root of unity, so that every route
-    that compares or sums per-root signatures evaluates at the same floats."""
+    """e^(2 pi i k/p) as complex floats, for ints or int arrays k, p (or
+    float turns k with p = 1, the arc midpoints of ``Knot.arcs``): the
+    package's one formula for a numeric point of the unit circle, so that
+    every route that compares signatures evaluates at the same floats."""
     return np.exp(1j * (2 * np.pi * k / p))
 
 

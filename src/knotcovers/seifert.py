@@ -17,7 +17,8 @@ is missing.
   off the characteristic polynomial of Seifert's integer matrix Gamma.
 * ``signature_function(A, k, p)`` is the signature of
   (1 - conj(w)) A + (1 - w) A^T at w = e^(2 pi i k / p); w = 1 is a
-  removable but excluded point (AtOne).
+  removable but excluded point (AtOne).  It, sigma_p and the signature
+  average are read off one table per knot, ``Knot.arcs``.
 * ``clover_matrix(A)`` is the 2g x 2g Hermitian Lambda-matrix
   [[Lxx, (1 - t^-1) Lxy - I], [(1 - t) Lyx - I, (2 - t - t^-1) Lyy]]
   built from the block decomposition L of A with Lyx = Ayx + I.
@@ -40,6 +41,7 @@ interchange format; a small bundled corpus ships with the package.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import random
@@ -51,8 +53,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactalg import (_ON_CIRCLE, LaurentPoly, _charpoly, _mat_mul, _mul_rows, _mulx_mod,
-                       _powmod, _roots_by_part)
+from .exactalg import (LaurentPoly, _charpoly, _mat_mul, _mul_rows, _mulx_mod, _powmod,
+                       circle_roots)
 from .lambdamat import (
     AtOne,
     LambdaMatrix,
@@ -83,6 +85,7 @@ __all__ = [
 ]
 
 _RANDOM_BOUND = 3  # random_seifert's symmetric entries lie in -3..3
+_TURN_SLACK = 2.0 ** -48  # relative widening of a root's turns: 2^5 x their rounding
 
 
 class OddSize(ValueError):
@@ -121,9 +124,9 @@ class Knot:
     read from it, each derived on first use and kept: the integer matrix
     ``gamma``, its characteristic polynomial ``charpoly`` (shared by
     ``delta`` and ``beta``), the Alexander polynomial ``delta``, the clover
-    form ``clover``, the ``signature_average`` and the last p with its
-    residue pair behind ``beta(p)``.  Functions taking a matrix coerce it
-    with ``Knot.of``."""
+    form ``clover``, the signature function's table ``arcs`` and the last p
+    with its residue pair behind ``beta(p)``.  Functions taking a matrix
+    coerce it with ``Knot.of``."""
 
     def __init__(self, A: Sequence[Sequence[int]]):
         self.seifert = validate_seifert(A)
@@ -221,27 +224,44 @@ class Knot:
         return _mat_mul(A, [[d * x for x in row[n:]] for row in M])
 
     @cached_property
-    def signature_average(self) -> float:
-        """Average of the signature function over the unit circle.
+    def arcs(self) -> tuple[list[tuple[float, float]], list[int]]:
+        """The signature function, constant between the circle roots of Delta
+        and symmetric under k/p -> 1 - k/p: the roots in (0, 1/2) as brackets
+        (lo, hi) of turns, ascending (``circle_roots``, mapped by
+        acos(u/2)/2 pi and widened past the rounding of that map, of k/p and
+        of p x), and its value on each arc from 0 to 1/2 between them, from
+        one stacked ``sigma_at_omega`` at the arc midpoints."""
+        roots = [(math.acos(b / 2) / (2 * math.pi) * (1 - _TURN_SLACK),
+                  math.acos(a / 2) / (2 * math.pi) * (1 + _TURN_SLACK))
+                 for a, b in reversed(circle_roots(self.delta))]
+        ends = np.array([0.0] + [x for r in roots for x in r] + [0.5])
+        sigs = sigma_at_omega(self, root_of_unity((ends[::2] + ends[1::2]) / 2, 1))
+        return roots, [int(sig) for sig in sigs]
 
-        The function is constant on each arc between consecutive distinct
-        roots of Delta (and vanishes on the arcs adjacent to 1), so the
-        integral is exact-by-structure: evaluate at one midpoint per arc, all
-        in one stacked call, and weight by arc length over 2 pi.  Root
-        locations are numeric: the distinct roots of Delta within
-        ``_ON_CIRCLE`` of |t| = 1 (Delta(1) = 1 excludes angle 0)."""
-        angles = sorted(
-            math.atan2(z.imag, z.real) % (2.0 * math.pi)
-            for roots in _roots_by_part(self.delta)[:1]
-            for z in roots
-            if abs(abs(z) - 1.0) < _ON_CIRCLE
-        )
-        if not angles:
-            return 0.0
-        bounds = [0.0] + angles + [2.0 * math.pi]
-        arcs = list(zip(bounds, bounds[1:]))
-        sigs = sigma_at_omega(self, np.exp(1j * np.array([(lo + hi) / 2.0 for lo, hi in arcs])))
-        return sum(int(s) * (hi - lo) for s, (lo, hi) in zip(sigs, arcs)) / (2.0 * math.pi)
+    @cached_property
+    def signature_average(self) -> float:
+        """Average of the signature function over the unit circle: each arc
+        of ``arcs`` weighted by its length, its ends the bracket centres."""
+        roots, sigs = self.arcs
+        ends = [0.0] + [(lo + hi) / 2 for lo, hi in roots] + [0.5]
+        return 2 * sum(sig * (b - a) for sig, a, b in zip(sigs, ends, ends[1:]))
+
+    def sigma_p(self, p: int) -> int:
+        """The signature function summed over the p-th roots of unity, from
+        ``arcs``: floor(p hi) of the k >= 1 lie below a root bracket (lo, hi),
+        so each arc counts its k < p/2 in O(1), doubled for k > p/2, plus
+        k = p/2 for even p.  No regularity test; SingularEvaluation naming
+        p and k when a k/p falls in a bracket."""
+        roots, sigs = self.arcs
+        below = []
+        for lo, hi in roots:
+            k = math.ceil(p * lo)
+            if k <= p * hi:
+                raise SingularEvaluation("a p-th root of unity is numerically singular at the"
+                                         " root k = %d of p = %d, by a root of Delta" % (k, p))
+            below.append(k - 1)
+        counts = [b - a for a, b in zip([0] + below, below + [(p - 1) // 2])]
+        return 2 * sum(s * c for s, c in zip(sigs, counts)) + (sigs[-1] if p % 2 == 0 else 0)
 
     def beta(self, p: int) -> int:
         """|det(Gamma^p - (Gamma - I)^p)|, the order of H_1 of the p-fold
@@ -327,23 +347,28 @@ def congruence_identity_check(A: KnotLike) -> bool:
 def sigma_at_omega(A: KnotLike, omega: "complex | np.ndarray") -> "int | np.ndarray":
     """Signature of (1 - conj(w)) A + (1 - w) A^T at a unit-circle w != 1:
     an int for a scalar w, an int array for an array of w, all of whose
-    forms go through one stacked eigensolve."""
+    forms go through one stacked eigensolve (per knot: ``Knot.arcs``)."""
     M = Knot.of(A)._float
     w = np.asarray(omega, dtype=complex)[..., None, None]
     return complex_signature((1 - w.conj()) * M + (1 - w) * M.T)
 
 
 def signature_function(A: KnotLike, k: int, p: int) -> int:
-    """Equivariant signature at w = e^(2 pi i k / p).
+    """Equivariant signature at w = e^(2 pi i k / p), read off ``Knot.arcs``.
 
     Raises AtOne for k = 0 mod p (the form vanishes identically there)
-    and SingularEvaluation at roots of the Alexander polynomial.
+    and SingularEvaluation at (or within rounding of) a root of Delta.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
     if k % p == 0:
         raise AtOne("signature function is excluded at w = 1")
-    return sigma_at_omega(A, root_of_unity(k % p, p))
+    roots, sigs = Knot.of(A).arcs
+    x = min(k % p, -k % p) / p
+    j = bisect.bisect([lo for lo, _ in roots], x)
+    if j and x <= roots[j - 1][1]:
+        raise SingularEvaluation("k/p = %d/%d is within rounding of a root of Delta" % (k, p))
+    return sigs[j]
 
 
 def random_seifert(g: int, rng: random.Random) -> list[list[int]]:

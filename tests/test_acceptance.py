@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import knotcovers.acceptance as acceptance
-import knotcovers.branched as branched
 import knotcovers.lambdamat as lambdamat
 import knotcovers.seifert as seifert
 from knotcovers.acceptance import CRITERIA, AcceptanceContext, criterion_02, run_selftest
@@ -80,21 +79,23 @@ def test_injected_corruption_turns_the_gate_red():
 
 
 def _install_wrong_slice(setattr_):
-    """Negate the Seifert route's signature at the one root k/p = 3/7
-    wherever the selftest stacks it: criterion 2's comparison and the
-    production sum total_sigma_p of criterion 3.  The trefoil's value
-    there is -2, so both criteria must see it."""
+    """Negate the Seifert route's signature at the one root k/p = 3/7 in
+    criterion 2's stacked comparison, and, in the production arc table
+    behind total_sigma_p (criterion 3), on the trefoil's arc (1/6, 1/2)
+    that holds 3/7, at its midpoint 1/3.  The trefoil's value there is
+    -2, so both criteria must see it; criterion 3 first at p = 2."""
     real = acceptance.sigma_at_omega
-    target = cmath.exp(2j * cmath.pi * 3 / 7)
 
-    def wrong(A, omega):
-        omega = np.asarray(omega)
-        sig = real(A, omega)
-        flipped = np.where(np.abs(omega - target) < 1e-12, -sig, sig)
-        return flipped if flipped.ndim else int(flipped)
+    def flipped_at(target):
+        def wrong(A, omega):
+            omega = np.asarray(omega)
+            sig = real(A, omega)
+            flipped = np.where(np.abs(omega - target) < 1e-12, -sig, sig)
+            return flipped if flipped.ndim else int(flipped)
+        return wrong
 
-    setattr_(acceptance, "sigma_at_omega", wrong)
-    setattr_(branched, "sigma_at_omega", wrong)
+    setattr_(acceptance, "sigma_at_omega", flipped_at(cmath.exp(2j * cmath.pi * 3 / 7)))
+    setattr_(seifert, "sigma_at_omega", flipped_at(cmath.exp(2j * cmath.pi / 3)))
 
 
 def test_one_wrong_root_fails_the_stacked_cross_check(monkeypatch):
@@ -105,7 +106,7 @@ def test_one_wrong_root_fails_the_stacked_cross_check(monkeypatch):
     assert run_selftest(criteria=[2, 3], stream=buf) is False
     lines = buf.getvalue().splitlines()
     assert re.match(r"criterion\s+2: FAIL .* k/p=3/7$", lines[0]), lines[0]
-    assert re.match(r"criterion\s+3: FAIL .* p=7: production route$", lines[1]), lines[1]
+    assert re.match(r"criterion\s+3: FAIL .* trefoil p=2: production route$", lines[1]), lines[1]
 
 
 def test_one_wrong_clover_root_fails_criteria_2_and_3(monkeypatch):
@@ -186,7 +187,7 @@ def test_wrong_root_fails_criteria_2_and_3_under_python_O():
     lines = proc.stdout.strip().splitlines()
     assert len(lines) == 2
     assert re.match(r"criterion\s+2: FAIL .* k/p=3/7$", lines[0]), lines[0]
-    assert re.match(r"criterion\s+3: FAIL .* p=7: production route$", lines[1]), lines[1]
+    assert re.match(r"criterion\s+3: FAIL .* trefoil p=2: production route$", lines[1]), lines[1]
 
 
 def test_signature_criteria_pass_under_python_O():

@@ -2,12 +2,12 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-import knotcovers.branched
 import knotcovers.exactalg
 import knotcovers.lambdamat
 import knotcovers.seifert
@@ -29,6 +29,7 @@ from knotcovers.lambdamat import (
     LambdaMatrix,
     SingularEvaluation,
     rational_det,
+    root_of_unity,
     subst_cycle,
     varsigma_p,
 )
@@ -38,15 +39,18 @@ from knotcovers.seifert import (
     clover_matrix,
     corpus_records,
     random_seifert,
+    sigma_at_omega,
     signature_function,
 )
 from knotcovers.theta import ThetaClass
+from test_seifert import torus_seifert
 
 
 def by_roots(A, p):
-    """Per-root oracle for total_sigma_p: the signature function summed
-    over the p-th roots of unity other than 1."""
-    return sum(signature_function(A, k, p) for k in range(1, p))
+    """Per-root oracle for total_sigma_p: the signature of the Seifert form
+    at each p-th root of unity other than 1, each root solved on its own
+    slice of one stacked eigensolve, summed."""
+    return int(sigma_at_omega(A, root_of_unity(np.arange(1, p), p)).sum())
 
 
 def block_sum(*mats):
@@ -152,7 +156,7 @@ class TestTotalSignature:
 
 
 class TestStackedRoots:
-    CHUNK = knotcovers.branched._CHUNK
+    CHUNK = 1 << 12  # the per-root route's old stack size: p across its boundaries
 
     def test_per_root_oracle_on_corpus_random_knots_and_sums(self, rng, trefoil):
         knots = [rec.knot for rec in corpus_records()]
@@ -172,17 +176,20 @@ class TestStackedRoots:
 
     @pytest.mark.parametrize("extra", [0, 1, CHUNK + 1])
     def test_chunk_boundaries(self, extra, trefoil):
-        # p = chunk, chunk + 1 and 2 chunk + 1 without beta_p: the stacked
-        # sum against signature_function one root at a time
+        # p = 4096, 4097 and 8193 without beta_p: the arc table's count
+        # against the per-root sum, both refusing at an irregular p
         p = self.CHUNK + extra
         names = {"trefoil", "random-g2-c", "random-g3-a"}
         knots = [rec.knot for rec in corpus_records() if rec.name in names]
         knots.append(Knot(block_sum(trefoil, trefoil)))
         for knot in knots:
-            got = self._outcome(knotcovers.branched._sigma_sum, knot, p)
+            got = self._outcome(knot.sigma_p, p)
             assert got == self._outcome(by_roots, knot, p), (knot.seifert, p)
 
     def test_one_eigensolve_per_chunk(self, monkeypatch, figure8, trefoil):
+        # the arc table is one stacked eigensolve per knot, at its arc
+        # midpoints; every p of the report, the signature average and the
+        # signature rows read it, and no root of unity is solved on its own
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -191,13 +198,109 @@ class TestStackedRoots:
             return eigvalsh(H)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        for p in (2, 7, self.CHUNK, self.CHUNK + 1, self.CHUNK + 2, 2 * self.CHUNK + 1):
+        for A in (figure8, trefoil, block_sum(trefoil, trefoil)):
+            knot = Knot(A)
             del calls[:]
-            total_sigma_p(figure8, p)
-            assert len(calls) == -(-(p - 1) // self.CHUNK), p
-            assert sum(shape[0] for shape in calls) == p - 1
-        del calls[:]
-        assert signature_average(block_sum(trefoil, trefoil)) == pytest.approx(-8 / 3)
+            rows = branched_report(knot, range(2, self.CHUNK + 2))
+            signature_average(knot)
+            signature_function(knot, 3, 7)
+            assert calls == [(len(knot.arcs[1]), len(A), len(A))]
+            assert all(r.sigma_p == by_roots(A, r.p) for r in rows[:60] + rows[-3:] if r.regular)
+K112 = [[1, 1], [0, 2]]  # Delta = 2t^-1 - 3 + 2t, circle roots at u = 3/2
+GENUS5 = [[2, 3, 1, 0, -2, 0, -3, -3, -2, 0], [3, -2, -1, 2, 0, 3, 3, 3, -1, 0],
+          [1, -1, 1, 3, 0, 1, -1, 2, 1, 0], [0, 2, 3, 1, -2, -1, 2, -3, 4, -1],
+          [-2, 0, 0, -2, 1, 2, 2, -2, 2, 4], [-1, 3, 1, -1, 2, -1, 1, 1, 1, -3],
+          [-3, 2, -1, 2, 2, 1, 2, 2, -2, 2], [-3, 3, 1, -3, -2, 1, 2, 3, 1, -1],
+          [-2, -1, 1, 3, 2, 1, -2, 1, -1, -3], [0, 0, 0, -1, 3, -3, 2, -1, -3, -3]]
+
+
+def mp_average(A):
+    """Oracle for the signature average of a knot whose Delta has simple
+    roots: the circle roots from mpmath's roots at 50 digits, each arc's
+    value the per-root signature at its midpoint."""
+    mpmath = pytest.importorskip("mpmath")
+    knot = Knot(A)
+    lo = knot.delta.min_exp
+    coeffs = [knot.delta.coeff(e) for e in range(knot.delta.max_exp, lo - 1, -1)]
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=400)
+        turns = sorted(mpmath.arg(z) / (2 * mpmath.pi) for z in roots
+                       if abs(abs(z) - 1) < mpmath.mpf(10) ** -30 and mpmath.im(z) > 0)
+        ends = [mpmath.mpf(0)] + turns + [mpmath.mpf(1) / 2]
+        mids = np.array([float((a + b) / 2) for a, b in zip(ends, ends[1:])])
+        sigs = sigma_at_omega(knot, root_of_unity(mids, 1))
+        return float(2 * sum(int(sg) * (b - a) for sg, a, b in zip(sigs, ends, ends[1:])))
+
+
+class TestArcTable:
+    def test_continued_fraction_denominators_from_theory(self):
+        # sigma_p = 2(p - 1 - 2 floor(p alpha)), alpha = arccos(3/4)/2 pi: at
+        # 281352 and 1130459 a k/p lies within 3e-12 and 7e-14 of a turn of
+        # alpha, where the per-root eigensolve refused
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            alpha = mpmath.acos(mpmath.mpf(3) / 4) / (2 * mpmath.pi)
+            want = {p: 2 * (p - 1 - 2 * int(mpmath.floor(p * alpha)))
+                    for p in (5, 26, 113, 5051, 20011, 281352, 1130459)}
+        assert want[281352] == 433254 and want[1130459] == 1740784
+        knot = Knot(K112)
+        for p, sig in want.items():
+            assert knot.sigma_p(p) == sig, p
+            if p < 10 ** 5:
+                assert total_sigma_p(knot, p) == by_roots(knot, p) == sig, p
+
+    def test_genus_5_average_past_the_old_circle_test(self, capsys, tmp_path):
+        # numpy puts its circle roots 1.1e-8 off |t| = 1; the bracket is exact
+        f = tmp_path / "knot.json"
+        f.write_text(json.dumps(GENUS5))
+        want = mp_average(GENUS5)
+        assert want == pytest.approx(1.892835851098416, abs=1e-14)
+        assert signature_average(GENUS5) == pytest.approx(want, abs=1e-14)
+        assert main(["growth", "--file", str(f), "--ps", "10"]) == 0
+        assert "signature_average = 1.8928358511\n" in capsys.readouterr().out
+
+    def test_average_is_the_limit_of_sigma_p_over_p(self):
+        # |average - sigma_p / p| <= 2g(2g + 1)/p against the per-root sum at
+        # p = 4001, on knots of genus 4..6, where numpy's circle roots can
+        # fall past the old 1e-8 test; the sum runs over k < p/2 and doubles,
+        # the form at conj(w) being the conjugate of the form at w
+        rng, p = random.Random(11), 4001
+        for _ in range(200):
+            knot = Knot(random_seifert(rng.choice([4, 5, 6]), rng))
+            g = knot.genus
+            oracle = 2 * int(sigma_at_omega(knot, root_of_unity(np.arange(1, p // 2 + 1), p)).sum())
+            assert knot.sigma_p(p) == oracle
+            assert abs(knot.signature_average - oracle / p) <= 2 * g * (2 * g + 1) / p, knot.seifert
+
+    def test_table_matches_the_per_root_sum(self, trefoil, figure8):
+        knots = [rec.knot for rec in corpus_records()]
+        rng = random.Random(23)
+        knots += [Knot(random_seifert(rng.randint(1, 6), rng)) for _ in range(250)]
+        knots += [Knot(torus_seifert(a, b)) for a, b in ((2, 3), (2, 5), (3, 4), (3, 5), (5, 6),
+                                                         (2, 13), (4, 7), (7, 8), (2, 21))]
+        t34 = torus_seifert(3, 4)
+        knots += [Knot(block_sum(*parts)) for parts in ((trefoil, trefoil), (trefoil, figure8),
+                                                        (trefoil, trefoil, trefoil), (t34, t34))]
+        outcome = TestStackedRoots._outcome
+        pairs = 0
+        for knot in knots:
+            for p in [*range(2, 41), 101, 499, 1009]:
+                got = outcome(knot.sigma_p, p)
+                assert got == outcome(by_roots, knot, p), (knot.seifert, p)
+                pairs += got != "singular"
+        assert pairs > 11000
+
+    def test_one_eigensolve_for_every_signature_row(self, monkeypatch):
+        calls = []
+        real = knotcovers.seifert.complex_signature
+        monkeypatch.setattr(knotcovers.seifert, "complex_signature",
+                            lambda H: calls.append(H.shape) or real(H))
+        (rec,) = [r for r in corpus_records() if r.name == "random-g3-a"]
+        knot = rec.knot
+        for p in range(2, 51):
+            rows = [signature_function(knot, k, p) for k in range(1, p)]
+            if is_p_regular(knot, p):
+                assert total_sigma_p(knot, p) == sum(rows)
         assert len(calls) == 1
 
 
@@ -330,13 +433,13 @@ class TestDerivedOnce:
         # the summary's signature average and casson_growth (on the trefoil
         # record's own 2-loop class) share one Knot value
         calls = []
-        roots_by_part = knotcovers.seifert._roots_by_part
+        circle_roots = knotcovers.seifert.circle_roots
 
         def counted_roots(delta):
             calls.append(delta)
-            return roots_by_part(delta)
+            return circle_roots(delta)
 
-        monkeypatch.setattr(knotcovers.seifert, "_roots_by_part", counted_roots)
+        monkeypatch.setattr(knotcovers.seifert, "circle_roots", counted_roots)
         assert main(["growth", "--knot", "trefoil", "--pmax", "12", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["casson_growth"] is not None
         assert len(calls) == 1

@@ -11,6 +11,7 @@ from knotcovers.exactalg import (
     LaurentPoly,
     RatFun,
     SingularAtOne,
+    SingularEvaluation,
     _charpoly,
     _frac,
     _mat_mul,
@@ -22,6 +23,8 @@ from knotcovers.exactalg import (
     _power,
     _powmod,
     _roots_by_part,
+    _trace_poly,
+    circle_roots,
     cyclotomic_norm,
     denominator_to_tp,
     mahler_measure,
@@ -514,6 +517,77 @@ class TestRootsByPart:
                 sorted(want, key=lambda z: (z.real, z.imag)), abs=1e-12)
         assert len(parts) == 3
         assert _roots_by_part(one) == []
+
+
+def _bar_symmetric(rng, g):
+    c = {e: rng.randint(-5, 5) for e in range(1, g + 1)}
+    return LaurentPoly({0: rng.randint(-9, 9), **c, **{-e: v for e, v in c.items()}})
+
+
+class TestCircleRoots:
+    def test_trace_polynomial(self, rng):
+        # f(t) = D(t + 1/t) at rational t, exactly
+        for g in range(0, 7):
+            f = _bar_symmetric(rng, g)
+            D = LaurentPoly.from_coeffs(_trace_poly(f))
+            for t0 in (Fraction(2), Fraction(-3, 7), Fraction(5, 3)):
+                assert f.evaluate(t0) == D.evaluate(t0 + 1 / t0), (f, t0)
+
+    def test_rational_roots_are_held_exactly(self):
+        # the trefoil's u = 1, and u = 3/2 of
+        # -6t^-2 + 23t^-1 - 33 + 23t - 6t^2 = -(2u - 3)(3u - 7)
+        f = LaurentPoly({-2: -6, -1: 23, 0: -33, 1: 23, 2: -6})
+        for delta, u in ((t ** -1 - one + t, 1), (f, Fraction(3, 2))):
+            ((a, b),) = circle_roots(delta)
+            assert a <= u <= b and b - a <= 2.0 ** -51
+
+    def test_an_endpoint_on_the_root_keeps_it(self):
+        # 2u - 3: a candidate 2^-45 above 3/2 puts the lower end on the root
+        s = [-3, 2]
+        assert knotcovers.exactalg._bracket(s, 1.5 + 2.0 ** -45) == (1.5, 1.5)
+        assert knotcovers.exactalg._bracket(s, 1.5 - 2.0 ** -45) == (1.5, 1.5)
+        assert knotcovers.exactalg._bracket(s, -1.5) is None
+
+    def test_repeated_and_off_circle_roots(self):
+        # (t - 1 + 1/t)^3 (-t + 3 - 1/t): one circle root, twice repeated,
+        # and a real pair off the circle
+        tref, fig8 = t ** -1 - one + t, -(t ** -1) + 3 * one - t
+        ((a, b),) = circle_roots(tref ** 3 * fig8)
+        assert a <= 1 <= b
+        assert circle_roots(fig8) == [] and circle_roots(one) == []
+
+    def test_brackets_are_disjoint_and_one_per_circle_root(self, rng):
+        # Sturm count of D's square-free part, against numpy's roots of D
+        checked = 0
+        for _ in range(60):
+            f = _bar_symmetric(rng, rng.randint(1, 6))
+            if not (f.evaluate(Fraction(1)) and f.evaluate(Fraction(-1))):
+                continue
+            try:
+                brackets = circle_roots(f)
+            except SingularEvaluation:
+                continue  # a near-double root the certificate refuses is no wrong answer
+            ends = [x for ab in brackets for x in ab]
+            assert ends == sorted(ends) and len(set(brackets)) == len(brackets)
+            D = np.roots([float(c) for c in reversed(_trace_poly(f))])
+            real = sorted(u.real for u in D if abs(u.imag) < 1e-7 and -2 < u.real < 2)
+            if all(abs(x - y) > 1e-6 for x, y in zip(real, real[1:])):
+                assert len(brackets) == len(real), f
+                assert all(a - 1e-9 <= u <= b + 1e-9 for (a, b), u in zip(brackets, real)), f
+                checked += len(real)
+        assert checked > 40
+
+    def test_a_missed_root_is_refused(self, monkeypatch):
+        delta = t ** -1 - one + t
+        monkeypatch.setattr(knotcovers.exactalg, "_roots_by_part", lambda f: [np.array([2.0])])
+        with pytest.raises(SingularEvaluation, match="certified 0 of the 1 circle roots"):
+            circle_roots(delta)
+
+    def test_needs_a_bar_symmetric_f_regular_at_plus_minus_one(self):
+        with pytest.raises(ValueError):
+            circle_roots(t)
+        with pytest.raises(ValueError):
+            circle_roots(t ** -1 - 2 * one + t)
 
 
 class TestInputBoundary:

@@ -460,10 +460,20 @@ class TestSweepEngine:
 
     @pytest.mark.parametrize("name", ["theta", "eyes", "theta-theta", "theta-eyes", "theta3"])
     def test_signed_order_matches_powers(self, name):
+        # the certificate pairs each automorphism with its inverse in the
+        # tuple: the inverse's action is U_a^(k - 1) for the signed order k
+        # of a, found by powers of the signed permutation matrix
         G = SWEEP_GRAPHS.get(name) or disjoint_union(THETA, THETA, THETA)
+        nonforest, _ = fundamental_cycles(G)
+        C = graphs._certified_cycle_matrix(G)
         auts = automorphisms(G)
-        want = [_signed_order_by_powers(aut) for aut in auts]
-        assert graphs._signed_order(auts).tolist() == want
+        U = graphs._aut_cycle_matrices(C, auts)[:, :, nonforest]
+        step = max(1, len(auts) // 200)  # theta^3 has 10,368: every 52nd
+        for a in range(0, len(auts), step):
+            k = _signed_order_by_powers(auts[a])
+            assert np.array_equal(np.linalg.matrix_power(U[a], k), np.eye(G.b1)), (name, a)
+            inv = np.linalg.matrix_power(U[a], k - 1)
+            assert (U == inv).all(axis=(1, 2)).any(), (name, a)
 
     def test_sweep_across_chunk_boundaries(self, monkeypatch):
         monkeypatch.setattr(graphs, "_CHUNK", 7)
@@ -472,17 +482,53 @@ class TestSweepEngine:
     def test_theta_cubed_exhaustive(self):
         assert liftres_sweep(disjoint_union(THETA, THETA, THETA), 3) == (19683, 0)
 
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS) + ["theta3"])
+    def test_plan_checks_each_non_forest_edge_once(self, name):
+        # theta 2, theta-theta 4, theta^3 6 checks: b1, one per cotree edge,
+        # none for a forest edge met again from its other end
+        G = ORACLE_GRAPHS.get(name) or disjoint_union(THETA, THETA, THETA)
+        plan = graphs._coloring_plan(G)
+        edges = [e for _, _, e, _ in plan.sets + plan.checks]
+        assert sorted(edges) == list(range(len(G.edges)))
+        assert len(plan.sets) == G.n_vertices - G.b0
+        assert len(plan.checks) == G.b1, plan.checks
+
+    def test_missing_inverse_raises(self, monkeypatch):
+        G = SWEEP_GRAPHS["theta-theta"]
+        auts = automorphisms(G)
+        dropped = next(i for i, a in enumerate(auts)
+                       if _signed_order_by_powers(a) > 2)  # a^-1 != a
+        kept = auts[:dropped] + auts[dropped + 1:]
+        monkeypatch.setattr(graphs, "automorphisms", lambda G: kept)
+        graphs._certificate.cache_clear()
+        with pytest.raises(ArithmeticError, match="inverse is missing"):
+            liftres_sweep(G, 2)
+        graphs._certificate.cache_clear()
+
+    def test_a_plan_with_a_repeated_check_is_refused(self, monkeypatch):
+        G = SWEEP_GRAPHS["theta-theta"]
+        plan = graphs._coloring_plan(G)
+        doubled = plan._replace(checks=plan.checks + plan.checks[:1])
+        monkeypatch.setattr(graphs, "_coloring_plan", lambda G: doubled)
+        with pytest.raises(ArithmeticError, match="non-forest edge once"):
+            liftres_sweep(G, 2)
+
     def test_dropping_one_edges_checks_is_detected(self, monkeypatch):
         G = SWEEP_GRAPHS["theta-theta"]
         plan = graphs._coloring_plan(G)
         tree = {e for _, _, e, _ in plan.sets}
         cotree = sorted(set(range(len(G.edges))) - tree)
         assert len(cotree) == G.b1
+        C, tuples = graphs._certified_cycle_matrix(G), _all_tuples(G, 4).T
         for k in cotree:
+            # the sweep refuses a plan short of b1 checks before any tuple,
+            # and the kernels would tell its lift side from the residue side
             partial = plan._replace(checks=[c for c in plan.checks if c[2] != k])
             monkeypatch.setattr(graphs, "_coloring_plan", lambda G, partial=partial: partial)
-            cases, failures = liftres_sweep(G, 4)
-            assert cases == 4 ** 6 and failures > 0, k
+            with pytest.raises(ArithmeticError, match="non-forest edge once"):
+                liftres_sweep(G, 4)
+            lifts = graphs._colorable(partial, tuples, 4)
+            assert (lifts != graphs._cycles_vanish(C, tuples, 4)).any(), k
 
     @pytest.mark.parametrize("corrupt", ["entry", "scale", "shear"])
     def test_corrupted_automorphism_tensor_raises(self, monkeypatch, corrupt):
@@ -490,7 +536,7 @@ class TestSweepEngine:
         nonforest, _ = fundamental_cycles(G)
         forest_edge = min(set(range(len(G.edges))) - set(nonforest))
         tensor = graphs._aut_cycle_matrices
-        order = graphs._signed_order(automorphisms(G))
+        order = [_signed_order_by_powers(aut) for aut in automorphisms(G)]
         longest = int(np.argmax(order))
         assert order[longest] == 12 > len(G.edges) and order[5] == 2
 
@@ -501,8 +547,8 @@ class TestSweepEngine:
             elif corrupt == "scale":
                 D[5] *= 2  # D[a] = (2 U_a) C, and det(2 U_a) = 16
             else:
-                # det shear = 1, but shear^k = I for no k > 0; its 7th power,
-                # before the order 12 comes round, has an entry 7 > E
+                # det shear = 1, but shear^k = I for no k > 0, so no
+                # automorphism's action inverts it
                 D[longest] = shear @ C
             return D
 
@@ -512,7 +558,8 @@ class TestSweepEngine:
 
         monkeypatch.setattr(graphs, "_aut_cycle_matrices", corrupted)
         graphs._certificate.cache_clear()  # certify afresh
-        match = {"entry": "does not act", "scale": "infinite order", "shear": "above E"}[corrupt]
+        match = {"entry": "does not act", "scale": "its inverse's is not I",
+                 "shear": "its inverse's is not I"}[corrupt]
         with pytest.raises(ArithmeticError, match=match):
             liftres_sweep(G, 2)
         assert graphs._certificate.cache_info().currsize == 0

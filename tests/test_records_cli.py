@@ -1,15 +1,13 @@
 """Command line surface: golden outputs, formats, exit codes."""
 
 import json
+import math
 
 import pytest
 
-import knotcovers.cli
-import knotcovers.lambdamat
 import knotcovers.seifert
 from knotcovers.cli import main
 from knotcovers.exactalg import LaurentPoly
-from knotcovers.lambdamat import SingularEvaluation
 
 
 def run(capsys, *argv):
@@ -77,6 +75,8 @@ class TestSignatureCommand:
         assert code == 2
 
     def test_total_is_the_sum_of_the_rows_each_root_solved_once(self, capsys, monkeypatch):
+        # rows and total read one arc table: one stacked solve of the
+        # trefoil's two arcs, no root of unity solved on its own
         solves = []
         real = knotcovers.seifert.complex_signature
         monkeypatch.setattr(knotcovers.seifert, "complex_signature",
@@ -85,28 +85,30 @@ class TestSignatureCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["total_sigma_p"] == sum(row[2] for row in payload["rows"]) == -8
-        assert solves == [(2, 2)] * 4
+        assert solves == [(2, 2, 2)]
 
     def test_blank_row_at_regular_p_is_an_error(self, capsys, monkeypatch):
-        real = knotcovers.cli.signature_function
-
-        def singular_at_first_root(knot, k, p):
-            if k == 1:
-                raise SingularEvaluation("forced")
-            return real(knot, k, p)
-
-        monkeypatch.setattr(knotcovers.cli, "signature_function", singular_at_first_root)
-        code, _, err = run(capsys, "signature", "--knot", "trefoil", "--p", "5")
-        assert code == 2
-        assert "singular" in err
-
-    def test_numerically_singular_root_names_p_and_k(self, capsys, monkeypatch):
-        # a raised floor blanks k = 1 and 6 of p = 7 (smallest |eigenvalue|
-        # 0.115), where the trefoil stays regular
-        monkeypatch.setattr(knotcovers.lambdamat, "_EIG_FLOOR", 0.5)
-        code, out, err = run(capsys, "signature", "--knot", "trefoil", "--p", "7")
+        # a (false) circle root at k/p = 1/5 blanks rows 1 and 4 of the
+        # regular p = 5, and the total, read off the same table, refuses
+        real = knotcovers.seifert.circle_roots
+        u = 2 * math.cos(2 * math.pi / 5)
+        monkeypatch.setattr(knotcovers.seifert, "circle_roots",
+                            lambda f: sorted(real(f) + [(u - 1e-12, u + 1e-12)]))
+        code, out, err = run(capsys, "signature", "--knot", "trefoil", "--p", "5")
         assert code == 2 and out == ""
-        assert "numerically singular at regular p = 7: k = 1" in err
+        assert "singular at the root k = 1 of p = 5" in err
+
+    def test_numerically_singular_root_names_p_and_k(self, capsys, monkeypatch, tmp_path):
+        # Delta = 2t^-1 - 3 + 2t is regular at every p; its circle root is
+        # 7e-10 of a turn from k/p = 581/5051, inside brackets widened by
+        # 2^-26 of a turn's fraction instead of 2^-48
+        f = tmp_path / "knot.json"
+        f.write_text("[[1, 1], [0, 2]]")
+        assert run(capsys, "signature", "--file", str(f), "--p", "5051")[0] == 0
+        monkeypatch.setattr(knotcovers.seifert, "_TURN_SLACK", 2.0 ** -26)
+        code, out, err = run(capsys, "signature", "--file", str(f), "--p", "5051")
+        assert code == 2 and out == ""
+        assert "numerically singular at the root k = 581 of p = 5051" in err
 
 
 class TestBranchedCommand:
@@ -148,12 +150,15 @@ class TestBranchedCommand:
     def test_numerically_singular_root_names_p_and_k(self, capsys, tmp_path):
         # Delta = 2t^-1 - 3 + 2t has no cyclotomic factor, so every p is
         # regular; p = 281352 is a continued-fraction denominator of the
-        # angle of its circle roots, 3e-12 of a turn from k/p at k = 32363
+        # angle of its circle roots, 3e-12 of a turn from k/p at k = 32363,
+        # which the per-root eigensolve refused and the certified bracket
+        # (2^-51 wide in u) resolves: sigma_p = 2(p - 1 - 2 floor(p alpha))
         f = tmp_path / "knot.json"
         f.write_text("[[1, 1], [0, 2]]")
-        code, out, err = run(capsys, "branched", "--file", str(f), "--p", "281352")
-        assert code == 2 and out == ""
-        assert "281352" in err and "32363" in err
+        code, out, err = run(capsys, "branched", "--file", str(f), "--p", "281352",
+                             "--format", "csv")
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].startswith("281352,yes,433254,")
 
 
 class TestGrowthCommand:

@@ -9,7 +9,7 @@ import pytest
 
 import knotcovers.seifert
 from knotcovers.branched import total_sigma_p
-from knotcovers.exactalg import LaurentPoly, _mat_mul, _mat_pow, cyclotomic_norm
+from knotcovers.exactalg import LaurentPoly, _mat_mul, _mat_pow, circle_roots, cyclotomic_norm
 from knotcovers.lambdamat import (
     AtOne,
     LambdaMatrix,
@@ -323,6 +323,16 @@ def test_torus_knots_match_theory(a, b):
     # Sigma(a, b, p) is a homology sphere when a, b and p are pairwise coprime
     ps = [p for p in range(2, 14) if math.gcd(p, a) == 1 == math.gcd(p, b)]
     assert ps and [knot.beta(p) for p in ps] == [1] * len(ps)
+
+
+@pytest.mark.parametrize("a, b, roots", [(5, 6, 10), (7, 8, 21), (9, 10, 36)])
+def test_torus_signature_average_from_certified_arcs(a, b, roots):
+    # -(a^2 - 1)(b^2 - 1)/(3ab): -28/3, -18 and -88/3, with every one of the
+    # g circle roots (all roots of Delta, all distinct) certified
+    knot = Knot(torus_seifert(a, b))
+    assert len(circle_roots(knot.delta)) == roots == knot.genus
+    want = Fraction(-(a * a - 1) * (b * b - 1), 3 * a * b)
+    assert knot.signature_average == pytest.approx(float(want), abs=1e-9)
 
 
 class TestCloverForm:

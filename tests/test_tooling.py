@@ -96,6 +96,21 @@ def test_roots_of_unity_only_in_the_helper():
     assert "cmath" not in [m for node in ast.walk(seifert) for m in _imported_modules(node)]
 
 
+def test_branched_and_cli_read_the_arc_table():
+    # sigma_p, the signature rows and the average are read off Knot.arcs:
+    # no per-root sum, no stack size and no float root of unity downstream
+    found = []
+    for name in ("branched", "cli"):
+        tree = ast.parse((SRC / (name + ".py")).read_text(encoding="utf-8"))
+        found += ["%s imports %s" % (name, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names
+                  if alias.name in ("sigma_at_omega", "root_of_unity")]
+        found += ["%s:%d %s" % (name, node.lineno, node.id) for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id in ("_sigma_sum", "_CHUNK")]
+    assert found == []
+    assert "_sigma_sum" not in "".join(path.read_text("utf-8") for path in SRC.glob("*.py"))
+
+
 def _bit_tested_while_loops(tree):
     """Names of the functions in tree with a while loop that tests a bit,
     ``x & 1``: the shape of square and multiply."""
