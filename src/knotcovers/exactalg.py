@@ -22,11 +22,10 @@ Everything an abelian knot invariant needs downstream lives here:
 All core arithmetic is exact (int, and Fraction where it must be).
 Floating point enters only in clearly named numeric helpers: unit-circle
 evaluation at irrational angles, and ``_roots_by_part``, the package's one
-numeric root finder (the Mahler measure, the poles of 2-loop slots, with
-its one unit-circle test ``_ON_CIRCLE``, and the candidates of
-``circle_roots``).  ``circle_roots`` returns the roots of Delta on the
-unit circle as float brackets certified exactly: integer sign changes of
-the trace polynomial and a Sturm count.
+numeric root finder (the Mahler measure and the poles of 2-loop slots,
+with its one unit-circle test ``_ON_CIRCLE``).  ``circle_roots`` isolates
+the roots of Delta on the unit circle exactly, in float brackets: Sturm
+counts and sign bisection of the trace polynomial, in integers.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ class SingularAtOne(ValueError):
 
 class SingularEvaluation(ValueError):
     """A signature was requested at a point where the form degenerates, or
-    its root structure could not be certified."""
+    two of its circle roots are too close for floats to separate."""
 
 
 def _frac(x: Scalar) -> "int | Fraction":
@@ -795,7 +794,7 @@ def denominator_to_tp(r: RatFun, p: int) -> tuple[LaurentPoly, LaurentPoly]:
 
 
 # ---------------------------------------------------------------------------
-# numeric roots: the Mahler measure and the unit circle
+# roots: numeric for the Mahler measure, exact on the unit circle
 
 # a root of a square-free part this close to |t| = 1 is on it
 _ON_CIRCLE = 1e-8
@@ -809,7 +808,6 @@ def _roots_by_part(f: "LaurentPoly | Sequence[Scalar]") -> list[np.ndarray]:
     return [np.roots([float(c) for c in reversed(part)]) for part in _squarefree_parts(f)]
 
 
-_NEAR_CIRCLE = 1e-3  # a root of f this near |t| = 1 seeds a bracket in circle_roots
 _U_WIDTH = 2.0 ** -51  # circle_roots bisects to this width in u, 2 ulp of u in [1, 2)
 
 
@@ -824,82 +822,75 @@ def _trace_poly(f: LaurentPoly) -> list:
 
 
 def _sign_at(s: Sequence[int], x: float) -> int:
-    """The exact sign of s(x) for integer s and a float x = n / m: that of
-    the integer m^deg(s) s(n / m), by Horner in n and m."""
+    """The exact sign of s(x) for integer s and a float x = n / 2^k: that of
+    the integer 2^(k deg s) s(x), by Horner in n with shifts for 2^k."""
     n, m = x.as_integer_ratio()
-    acc, mk = 0, 1
-    for c in reversed(s):
-        acc, mk = acc * n + c * mk, mk * m
+    k, acc = m.bit_length() - 1, 0
+    for j, c in enumerate(reversed(s)):
+        acc = acc * n + (c << k * j)
     return (acc > 0) - (acc < 0)
 
 
-def _sturm_count(s: list) -> int:
-    """Distinct real roots in (-2, 2) of a square-free s nonzero at +-2: the
-    drop in sign changes along its Sturm sequence s, s', -rem, ..."""
-    seq = [s, [i * c for i, c in enumerate(s)][1:]]
-    while len(seq[-1]) > 1:
-        seq.append([-c for c in _poly_divmod(seq[-2], seq[-1])[1]])
-
-    def changes(x):
-        signs = [v > 0 for v in (sum(c * x ** i for i, c in enumerate(q)) for q in seq) if v]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    return changes(-2) - changes(2)
+def _integral(p: Sequence) -> list[int]:
+    """The primitive integer polynomial that is a positive multiple of p."""
+    scale = math.lcm(*(c.denominator for c in p))
+    p = [int(c * scale) for c in p]
+    g = math.gcd(*p)
+    return [c // g for c in p]
 
 
-def _bracket(s: Sequence[int], u: float) -> tuple[float, float] | None:
-    """Floats a <= b in [-2, 2] near u with an exact sign change of s from a
-    to b, or with s(a) = 0 and a = b, bisected to _U_WIDTH; None if there
-    is none within 1/16 of u."""
-    h = 2.0 ** -45
-    while True:
-        a, b = max(u - h, -2.0), min(u + h, 2.0)
-        sa, sb = _sign_at(s, a), _sign_at(s, b)
-        if sa * sb <= 0:
-            break
-        if h > 1 / 16:
-            return None
-        h *= 2
-    while sa * sb and b - a > _U_WIDTH:
-        m = (a + b) / 2
-        sm = _sign_at(s, m)
-        a, b, sa, sb = (m, b, sm, sb) if sm == sa else (a, m, sa, sm)
-    return (a, a) if not sa else (b, b) if not sb else (a, b)
+def _sturm(D: Sequence) -> list[list[int]]:
+    """A Sturm sequence of the square-free part s = D / gcd(D, D'), s first,
+    each member a primitive integer polynomial for ``_sign_at``.  D, D',
+    -rem, ... (Sturm 1829) ends at gcd(D, D'), and its members divided by
+    that end keep the sign rules for s: the drop in sign changes from a to
+    b counts the distinct roots of D in (a, b], even at an end on a root."""
+    seq = [_integral(D), _integral([i * c for i, c in enumerate(D)][1:])]
+    while seq[-1]:
+        a, b = seq[-2:]
+        lift = abs(b[-1]) ** (len(a) - len(b) + 1)  # keeps the division in integers
+        seq.append(_integral([-c for c in _poly_divmod([lift * c for c in a], b)[1]]))
+    return [_integral(_poly_divmod(q, seq[-2])[0]) for q in seq[:-1]]
+
+
+def _changes(seq: Sequence[Sequence[int]], x: float) -> int:
+    signs = [v for v in (_sign_at(q, x) for q in seq) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def circle_roots(f: LaurentPoly) -> list[tuple[float, float]]:
     """The distinct roots of a bar-symmetric f on |t| = 1 as disjoint float
-    brackets [a, b] in u = t + 1/t = 2 cos(arg t), ascending, each holding
-    exactly one: a root in (-2, 2) of the square-free part s of the trace
-    polynomial D, f(t) = D(t + 1/t).
-
-    Candidates are u = 2 cos(arg z) for the roots z of f within
-    _NEAR_CIRCLE of the circle (``_roots_by_part``), each bracketed by an
-    exact sign change (or zero) of s (``_bracket``); a bracket meeting an
-    earlier one is dropped.  Each bracket holds an odd number of roots, so
-    if there are as many as the Sturm count of s on (-2, 2), each holds one
-    and none is missed; if not, SingularEvaluation.  ValueError for f not
-    bar-symmetric or vanishing at t = +-1."""
+    brackets [a, b] in u = t + 1/t = 2 cos(arg t), ascending, no wider than
+    _U_WIDTH, each holding one root in (-2, 2) of the trace polynomial D,
+    f(t) = D(t + 1/t).  (-2, 2] is halved at float midpoints until the Sturm
+    counts (``_sturm``) leave one root in a piece, then the piece on the
+    sign of s = D / gcd(D, D'); a root u on a midpoint gives (u, u).
+    SingularEvaluation for two roots floats cannot separate; ValueError for
+    f not bar-symmetric or vanishing at t = +-1."""
     if not f.is_bar_symmetric:
         raise ValueError("circle_roots needs a bar-symmetric polynomial")
-    part = (_squarefree_parts(_trace_poly(f)) or [[1]])[0]
-    scale = math.lcm(*(Fraction(c).denominator for c in part))
-    s = [int(c * scale) for c in part]
+    seq = _sturm(_trace_poly(f))
+    s = seq[0]
     if not _sign_at(s, -2.0) * _sign_at(s, 2.0):
         raise ValueError("circle_roots needs f(1) f(-1) != 0")
-    count = _sturm_count(s)
-    brackets: list[tuple[float, float]] = []
-    for z in _roots_by_part(f)[0] if count else ():
-        u = 2.0 * math.cos(math.atan2(z.imag, z.real))
-        if abs(abs(z) - 1.0) > _NEAR_CIRCLE or any(a <= u <= b for a, b in brackets):
-            continue
-        new = _bracket(s, u)
-        if new and not any(a <= new[1] and new[0] <= b for a, b in brackets):
-            brackets.append(new)
-    if len(brackets) != count:
-        raise SingularEvaluation("certified %d of the %d circle roots of %s"
-                                 % (len(brackets), count, f))
-    return sorted(brackets)
+    todo, brackets = [(-2.0, _changes(seq, -2.0), 2.0, _changes(seq, 2.0))], []
+    while todo:
+        a, va, b, vb = todo.pop()
+        m = (a + b) / 2
+        if va - vb > 1 and m not in (a, b):
+            vm = _changes(seq, m)
+            todo += [(m, vm, b, vb), (a, va, m, vm)]
+        elif va != vb:
+            sb = _sign_at(s, b)  # and -sb on (a, root) when s has one simple root here
+            while sb and b - a > _U_WIDTH:
+                sm = _sign_at(s, m)
+                a, b, sb = (m, b, sb) if sm == -sb else (a, m, sm)
+                m = (a + b) / 2
+            lo = a if sb else b
+            if va - vb > 1 or brackets and brackets[-1][1] >= lo:
+                raise SingularEvaluation("circle roots of %s too close for floats to separate" % f)
+            brackets.append((lo, b))
+    return brackets
 
 
 def mahler_measure(f: LaurentPoly) -> float:

@@ -124,15 +124,16 @@ class Knot:
     read from it, each derived on first use and kept: the integer matrix
     ``gamma``, its characteristic polynomial ``charpoly`` (shared by
     ``delta`` and ``beta``), the Alexander polynomial ``delta``, the clover
-    form ``clover``, the signature function's table ``arcs`` and the last p
-    with its residue pair behind ``beta(p)``.  Functions taking a matrix
-    coerce it with ``Knot.of``."""
+    form ``clover``, the signature function's table ``arcs`` (or its
+    refusal) and the last p with its residue pair behind ``beta(p)``.
+    Functions taking a matrix coerce it with ``Knot.of``."""
 
     def __init__(self, A: Sequence[Sequence[int]]):
         self.seifert = validate_seifert(A)
         self._float = np.array(self.seifert, dtype=float).reshape(2 * self.genus, 2 * self.genus)
         # (p, x^p mod chi, (x - 1)^p mod chi, beta_p), residues as 2g ints
         self._ladder: tuple | None = None
+        self._arcs_refusal: SingularEvaluation | None = None
 
     @classmethod
     def of(cls, A: "KnotLike") -> "Knot":
@@ -230,12 +231,19 @@ class Knot:
         (lo, hi) of turns, ascending (``circle_roots``, mapped by
         acos(u/2)/2 pi and widened past the rounding of that map, of k/p and
         of p x), and its value on each arc from 0 to 1/2 between them, from
-        one stacked ``sigma_at_omega`` at the arc midpoints."""
-        roots = [(math.acos(b / 2) / (2 * math.pi) * (1 - _TURN_SLACK),
-                  math.acos(a / 2) / (2 * math.pi) * (1 + _TURN_SLACK))
-                 for a, b in reversed(circle_roots(self.delta))]
-        ends = np.array([0.0] + [x for r in roots for x in r] + [0.5])
-        sigs = sigma_at_omega(self, root_of_unity((ends[::2] + ends[1::2]) / 2, 1))
+        one stacked ``sigma_at_omega`` at the arc midpoints.  Built once: a
+        SingularEvaluation refusing it is kept and raised on every read."""
+        if self._arcs_refusal is not None:
+            raise SingularEvaluation(*self._arcs_refusal.args)
+        try:
+            roots = [(math.acos(b / 2) / (2 * math.pi) * (1 - _TURN_SLACK),
+                      math.acos(a / 2) / (2 * math.pi) * (1 + _TURN_SLACK))
+                     for a, b in reversed(circle_roots(self.delta))]
+            ends = np.array([0.0] + [x for r in roots for x in r] + [0.5])
+            sigs = sigma_at_omega(self, root_of_unity((ends[::2] + ends[1::2]) / 2, 1))
+        except SingularEvaluation as refusal:
+            self._arcs_refusal = refusal
+            raise
         return roots, [int(sig) for sig in sigs]
 
     @cached_property

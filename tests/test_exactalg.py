@@ -23,6 +23,7 @@ from knotcovers.exactalg import (
     _power,
     _powmod,
     _roots_by_part,
+    _squarefree_parts,
     _trace_poly,
     circle_roots,
     cyclotomic_norm,
@@ -542,11 +543,11 @@ class TestCircleRoots:
             assert a <= u <= b and b - a <= 2.0 ** -51
 
     def test_an_endpoint_on_the_root_keeps_it(self):
-        # 2u - 3: a candidate 2^-45 above 3/2 puts the lower end on the root
-        s = [-3, 2]
-        assert knotcovers.exactalg._bracket(s, 1.5 + 2.0 ** -45) == (1.5, 1.5)
-        assert knotcovers.exactalg._bracket(s, 1.5 - 2.0 ** -45) == (1.5, 1.5)
-        assert knotcovers.exactalg._bracket(s, -1.5) is None
+        # a root on a midpoint of the halving comes back as (u, u): u = 0 of
+        # t^-1 + t (t^2 + 1), the trefoil's u = 1 and u = 3/2 of 2u - 3
+        for delta, u in ((t ** -1 + t, 0.0), (t ** -1 - one + t, 1.0),
+                         (2 * t ** -1 - 3 * one + 2 * t, 1.5)):
+            assert circle_roots(delta) == [(u, u)], delta
 
     def test_repeated_and_off_circle_roots(self):
         # (t - 1 + 1/t)^3 (-t + 3 - 1/t): one circle root, twice repeated,
@@ -558,17 +559,18 @@ class TestCircleRoots:
 
     def test_brackets_are_disjoint_and_one_per_circle_root(self, rng):
         # Sturm count of D's square-free part, against numpy's roots of D
+        # and exact signs of the square-free part from the gcd chain
         checked = 0
         for _ in range(60):
             f = _bar_symmetric(rng, rng.randint(1, 6))
             if not (f.evaluate(Fraction(1)) and f.evaluate(Fraction(-1))):
                 continue
-            try:
-                brackets = circle_roots(f)
-            except SingularEvaluation:
-                continue  # a near-double root the certificate refuses is no wrong answer
-            ends = [x for ab in brackets for x in ab]
-            assert ends == sorted(ends) and len(set(brackets)) == len(brackets)
+            brackets = circle_roots(f)
+            assert all(b < a for (_, b), (a, _) in zip(brackets, brackets[1:])), f
+            s = LaurentPoly.from_coeffs((_squarefree_parts(_trace_poly(f)) or [[1]])[0])
+            for a, b in brackets:
+                fa, fb = s.evaluate(Fraction(a)), s.evaluate(Fraction(b))
+                assert (a == b and fa == 0) or (0 < b - a <= 2.0 ** -51 and fa * fb < 0), f
             D = np.roots([float(c) for c in reversed(_trace_poly(f))])
             real = sorted(u.real for u in D if abs(u.imag) < 1e-7 and -2 < u.real < 2)
             if all(abs(x - y) > 1e-6 for x, y in zip(real, real[1:])):
@@ -577,11 +579,20 @@ class TestCircleRoots:
                 checked += len(real)
         assert checked > 40
 
-    def test_a_missed_root_is_refused(self, monkeypatch):
-        delta = t ** -1 - one + t
-        monkeypatch.setattr(knotcovers.exactalg, "_roots_by_part", lambda f: [np.array([2.0])])
-        with pytest.raises(SingularEvaluation, match="certified 0 of the 1 circle roots"):
-            circle_roots(delta)
+    def test_a_missed_root_is_refused(self):
+        # two roots with no float between them are refused, never returned
+        # as touching brackets: 1 and 1 + 2^-60, 1 -+ 2^-60, and 1 + 2^-60
+        # and 1 + 2^-59 (in (1, 1 + 2^-52], whose midpoint rounds to 1); 1
+        # and 1 + 2^-40 are far enough apart for two brackets
+        u, e = t ** -1 + t, 2 ** 60
+        for D in ((u - one) * (e * u - (e + 1) * one),
+                  (e * u - (e - 1) * one) * (e * u - (e + 1) * one),
+                  (e * u - (e + 1) * one) * (e * u - (e + 2) * one)):
+            with pytest.raises(SingularEvaluation, match="too close for floats to separate"):
+                circle_roots(D)
+        e = 2 ** 40
+        (a0, b0), (a1, b1) = circle_roots((u - one) * (e * u - (e + 1) * one))
+        assert (a0, b0) == (1.0, 1.0) and 1.0 < a1 <= 1 + 2.0 ** -40 <= b1 <= a1 + 2.0 ** -51
 
     def test_needs_a_bar_symmetric_f_regular_at_plus_minus_one(self):
         with pytest.raises(ValueError):

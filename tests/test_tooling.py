@@ -46,8 +46,9 @@ def test_no_tolerance_parameters():
 
 
 def test_numpy_roots_only_in_exactalg():
-    # exactalg._roots_by_part is the one numeric root finder, with the one
-    # unit-circle test _ON_CIRCLE; a second np.roots would fork both
+    # exactalg._roots_by_part is the one numeric root finder (the Mahler
+    # measure and the 2-loop poles), with the one unit-circle test
+    # _ON_CIRCLE; a second np.roots would fork both
     found = [
         "%s:%d" % (path.name, node.lineno)
         for path in sorted(SRC.glob("*.py"))
@@ -61,6 +62,38 @@ def test_numpy_roots_only_in_exactalg():
     assert found == []
     exactalg = (SRC / "exactalg.py").read_text(encoding="utf-8")
     assert exactalg.count("np.roots(") == 1
+
+
+def test_circle_roots_call_no_numpy():
+    # circle_roots isolates exactly: neither it nor any helper it reaches
+    # (module functions by name, LaurentPoly methods by attribute) calls
+    # numpy or the numeric root finder
+    tree = ast.parse((SRC / "exactalg.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    (laurent,) = [node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "LaurentPoly"]
+    methods = {node.name: node for node in laurent.body if isinstance(node, ast.FunctionDef)}
+    reached, todo, found = set(), ["circle_roots"], []
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(defs.get(name) or methods[name.split(".")[1]]):
+            if isinstance(node, ast.Name) and node.id in defs:
+                todo.append(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr in methods:
+                todo.append("LaurentPoly." + node.attr)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                root = node.func
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in ("np", "numpy"):
+                    found.append("%s:%d" % (name, node.lineno))
+            if isinstance(node, ast.Name) and node.id == "_roots_by_part":
+                found.append("%s:%d _roots_by_part" % (name, node.lineno))
+    assert {"_sturm", "_sign_at", "_trace_poly", "_poly_divmod"} <= reached
+    assert found == []
 
 
 def _root_of_unity_exps(tree):
