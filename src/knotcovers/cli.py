@@ -233,6 +233,7 @@ def cmd_signature(args) -> int:
     if len(ps) != 1:
         raise ValueError("signature takes a single --p, not a range")
     (p,) = ps
+    knot.arcs  # a refused arc table exits 2 here, at every p, regular or not
     rows = []
     for k in range(1, p):
         try:

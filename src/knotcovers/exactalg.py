@@ -12,9 +12,9 @@ Everything an abelian knot invariant needs downstream lives here:
   canonical form has q an ordinary polynomial with q(0) != 0 and q(1) = 1.
 * resultants by the subresultant remainder sequence; ``_power``, the
   one square and multiply, behind powers of ``LaurentPoly``, of matrices
-  (``_mat_pow``) and modulo a monic polynomial (``_powmod``, shared by
-  cyclotomic norms, ``denominator_to_tp`` and ``Knot.beta``); the matrix of
-  multiplication in Q[x]/m (``_mul_rows``, shared by the last two);
+  (``_mat_pow``), modulo a monic polynomial (``_powmod``, shared by
+  cyclotomic norms and ``denominator_to_tp``) and in ``Knot.beta``; the
+  matrix of multiplication in Q[x]/m (``_mul_rows``, shared by the last two);
   cyclotomic norms prod_{w^p=1} f(w), rewriting of denominators into
   polynomials in t^p, Mahler measures, and the coefficients of the wheels
   generating series (1/2) log(sinh(x/2)/(x/2)) from Bernoulli numbers.
@@ -813,7 +813,8 @@ _U_WIDTH = 2.0 ** -51  # circle_roots bisects to this width in u, 2 ulp of u in 
 
 def _trace_poly(f: LaurentPoly) -> list:
     """D, ascending, with f(t) = D(t + 1/t) for a bar-symmetric f: t^k + t^-k
-    is V_k(u), where V_0 = 2, V_1 = u and V_(k+1) = u V_k - V_(k-1)."""
+    is V_k(u), where V_0 = 2, V_1 = u and V_(k+1) = u V_k - V_(k-1).  Shared
+    by ``circle_roots`` and ``Knot.half_charpoly``."""
     D, prev, cur = [f.coeff(0)], [2], [0, 1]
     for k in range(1, f.max_exp + 1):
         D = [a + f.coeff(k) * b for a, b in zip_longest(D, cur, fillvalue=0)]

@@ -30,10 +30,10 @@ is missing.
 Each function above takes a raw matrix or a ``Knot``, which validates it
 once and derives Gamma, its characteristic polynomial chi, Delta and the
 clover form once, Gamma, chi and Delta by integer arithmetic alone.
-``Knot.beta(p)`` reads |H_1| of the p-fold branched cover off Seifert's
-integer presentation Gamma^p - (Gamma - I)^p, as the norm of
-x^p - (x - 1)^p in Z[x]/chi: the same chi as Delta, and no matrix power;
-the matrix-power determinant is its oracle in the tests.
+``Knot.beta(p)``, |H_1| of the p-fold branched cover, is |det| of Seifert's
+presentation Gamma^p - (Gamma - I)^p, read as a square of a norm in Z[s]/E,
+E of degree g from Delta; its oracles in the tests are the matrix powers,
+the norm in Z[x]/chi and the resultant.
 
 Knot records (name + Seifert matrix + optional 2-loop class) are the JSON
 interchange format; a small bundled corpus ships with the package.
@@ -49,12 +49,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
 
-from .exactalg import (LaurentPoly, _charpoly, _mat_mul, _mul_rows, _mulx_mod, _powmod,
-                       circle_roots)
+from .exactalg import (LaurentPoly, _charpoly, _mat_mul, _mul_rows, _poly_divmod, _poly_mul,
+                       _power, _trace_poly, circle_roots)
 from .lambdamat import (
     AtOne,
     LambdaMatrix,
@@ -122,8 +123,8 @@ def validate_seifert(A: Sequence[Sequence[int]]) -> list[list[int]]:
 class Knot:
     """A validated Seifert matrix with the values the per-cover invariants
     read from it, each derived on first use and kept: the integer matrix
-    ``gamma``, its characteristic polynomial ``charpoly`` (shared by
-    ``delta`` and ``beta``), the Alexander polynomial ``delta``, the clover
+    ``gamma``, its characteristic polynomial ``charpoly``, the Alexander
+    polynomial ``delta`` and its ``half_charpoly`` behind ``beta``, the clover
     form ``clover``, the signature function's table ``arcs`` (or its
     refusal) and the last p with its residue pair behind ``beta(p)``.
     Functions taking a matrix coerce it with ``Knot.of``."""
@@ -131,8 +132,9 @@ class Knot:
     def __init__(self, A: Sequence[Sequence[int]]):
         self.seifert = validate_seifert(A)
         self._float = np.array(self.seifert, dtype=float).reshape(2 * self.genus, 2 * self.genus)
-        # (p, x^p mod chi, (x - 1)^p mod chi, beta_p), residues as 2g ints
+        # (p, x^p as its two residues a, b mod E, beta_p), and beta_2 once known
         self._ladder: tuple | None = None
+        self._beta2 = 0
         self._arcs_refusal: SingularEvaluation | None = None
 
     @classmethod
@@ -146,7 +148,7 @@ class Knot:
     @cached_property
     def charpoly(self) -> list[int]:
         """chi = det(xI - Gamma), monic, ascending integer coefficients; the
-        one characteristic polynomial behind both ``delta`` and ``beta``."""
+        one characteristic polynomial, behind ``delta`` and so ``beta``."""
         return _charpoly(self.gamma)
 
     @cached_property
@@ -271,36 +273,67 @@ class Knot:
         counts = [b - a for a, b in zip([0] + below, below + [(p - 1) // 2])]
         return 2 * sum(s * c for s, c in zip(sigs, counts)) + (sigs[-1] if p % 2 == 0 else 0)
 
+    @cached_property
+    def half_charpoly(self) -> list[int]:
+        """E(s) = s^g D(2 - 1/s), ascending, D the trace polynomial of ``delta``
+        (Delta(t) = D(t + 1/t)): monic of degree g, as D(2) = Delta(1) = 1, its
+        roots s = lambda (1 - lambda) over Gamma's eigenvalue pairs lambda, 1 - lambda."""
+        g = self.genus
+        E = [(-1) ** (g - i) * sum(d * math.comb(k, i + k - g) << i + k - g
+                                   for k, d in enumerate(_trace_poly(self.delta)) if i + k >= g)
+             for i in range(g + 1)]
+        if E[-1] != 1:
+            raise ArithmeticError("s^g D(2 - 1/s) must be monic, for D(2) = Delta(1) = 1")
+        return E
+
     def beta(self, p: int) -> int:
         """|det(Gamma^p - (Gamma - I)^p)|, the order of H_1 of the p-fold
         branched cover (Seifert 1935; Rolfsen, *Knots and Links*, ch. 8), in
         any basis; 0 exactly when p is irregular.
 
-        Computed in Z[x]/chi, chi = ``charpoly``: by Cayley-Hamilton
-        r_p = x^p - (x - 1)^p mod chi has r_p(Gamma) = Gamma^p - (Gamma - I)^p,
-        so beta_p = |prod r_p(lambda_i)| is |det| of multiplication by r_p,
-        one integer Bareiss on the 2g rows x^i r_p mod chi.  The last p, its
-        residues x^p, (x - 1)^p mod chi and beta_p are kept: p + 1 costs one
-        shift and reduction of each, and any other p starts again from 1 by
-        square and multiply mod chi."""
+        A square, or beta_2 times one (Plans 1953), from the norm N of Z[s]/E,
+        E = ``half_charpoly``: x^p = a + b x in (Z[s]/E)[x]/(x^2 - x + s),
+        whose x is lambda or 1 - lambda over each root s, so x^p - (x - 1)^p
+        is 2a + b for odd p and b (2x - 1) for even p, (2x - 1)^2 = 1 - 4s:
+        beta_p = N(2a + b)^2 or beta_2 N(b)^2, beta_2 = |N(1 - 4s)| per knot.
+        The last p, x^p and beta_p are kept: p + 1 and p + 2 cost one
+        multiplication by x or x^2, any other p a square and multiply."""
         if p < 1:
             raise ValueError("p must be a positive integer")
         if not self.genus:
             return 1
-        chi = self.charpoly
-        n = len(chi) - 1
-        last = self._ladder
+        E, last = self.half_charpoly, self._ladder
+        steps = {1: ([], [1]), 2: ([0, -1], [1])}  # x and x^2 = x - s
+
+        def mul(u, v):  # (ac - s bd) + ((a + b)(c + d) - ac) x
+            (a, b), (c, d) = u, v
+            ac, bd = _poly_mul(a, c), _poly_mul(b, d)
+            cross = _poly_mul(_padd(a, b), _padd(c, d))
+            return (_poly_divmod(_padd(ac, [0] + [-y for y in bd]), E)[1],
+                    _poly_divmod(_padd(cross, [-y for y in ac]), E)[1])
+
+        def norm(f):  # |det| of multiplication by f on Z[s]/E, one g x g Bareiss
+            return abs(_bareiss(_mul_rows(_poly_divmod(f, E)[1], E)))
+
         if last and last[0] == p:
-            return last[3]
-        if last and last[0] == p - 1:
-            xq, hq = _mulx_mod(last[1], chi), _mulx_mod(last[2], chi)
-            hq = [a - b for a, b in zip(hq, last[2])]
+            return last[2]
+        if last and p - last[0] in steps:
+            xp = mul(last[1], steps[p - last[0]])
         else:
-            xq, hq = (_powmod(base, p, chi) for base in ([0, 1], [-1, 1]))
-            xq, hq = xq + [0] * (n - len(xq)), hq + [0] * (n - len(hq))
-        beta = abs(_bareiss(_mul_rows([a - b for a, b in zip(xq, hq)], chi)))
-        self._ladder = (p, xq, hq, beta)
+            xp = _power(steps[1], p, mul, ([1], []))
+        a, b = xp
+        if p % 2:
+            beta = norm(_padd(a, a, b)) ** 2
+        else:
+            self._beta2 = self._beta2 or norm([1, -4])  # odd, so never 0
+            beta = self._beta2 * norm(b) ** 2
+        self._ladder = (p, xp, beta)
         return beta
+
+
+def _padd(*polys: list) -> list:
+    """The sum of ascending coefficient lists of any lengths."""
+    return [sum(cs) for cs in zip_longest(*polys, fillvalue=0)]
 
 
 KnotLike = Knot | Sequence[Sequence[int]]

@@ -366,13 +366,14 @@ class TestDerivedOnce:
             rows = branched_report(rec.knot, range(2, 21))
             assert [r.p for r in rows] == list(range(2, 21))
             assert [r.p for r in rows if not r.regular] == irregular[rec.name]
-            # beta_p comes from Gamma's characteristic polynomial, so no row
-            # needs the Alexander polynomial or a Laurent determinant
+            # beta_p comes from Gamma's characteristic polynomial, through
+            # Delta's trace polynomial, so no row needs a Laurent determinant
             assert dets == []
-            # one 2g x 2g integer determinant per p, regular or not, and no
-            # matrix product outside the one charpoly; sigma_p is a per-root
-            # sum, so neither the clover form nor exact inertia runs
-            assert bdets == [n] * 19, rec.name
+            # one g x g integer determinant per p, regular or not, plus one
+            # for beta_2 per knot, and no matrix product outside the one
+            # charpoly; sigma_p is read off the arc table, so neither the
+            # clover form nor exact inertia runs
+            assert bdets == [n // 2] * 20, rec.name
             assert charpolys == [n] and stray_muls == [], rec.name
             assert rdets == [] and exact == []
         assert not hasattr(knotcovers.seifert, "_mat_pow")

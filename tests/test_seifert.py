@@ -9,12 +9,14 @@ import pytest
 
 import knotcovers.seifert
 from knotcovers.branched import total_sigma_p
-from knotcovers.exactalg import LaurentPoly, _mat_mul, _mat_pow, circle_roots, cyclotomic_norm
+from knotcovers.exactalg import (LaurentPoly, _mat_mul, _mat_pow, _mul_rows, _powmod,
+                                 circle_roots, cyclotomic_norm)
 from knotcovers.lambdamat import (
     AtOne,
     LambdaMatrix,
     NotHermitian,
     SingularEvaluation,
+    _bareiss,
     rational_det,
     root_of_unity,
     varsigma_p,
@@ -140,11 +142,27 @@ def matrix_beta(A, p):
     return abs(int(rational_det([[a - b for a, b in zip(r, s)] for r, s in zip(Gp, Hp)])))
 
 
+def chi_beta(A, p):
+    """Oracle for Knot.beta: the norm of r_p = x^p - (x - 1)^p in Z[x]/chi,
+    chi = det(xI - Gamma).  By Cayley-Hamilton r_p(Gamma) = Gamma^p -
+    (Gamma - I)^p, so beta_p is |det| of multiplication by r_p mod chi, one
+    2g x 2g integer Bareiss on the rows x^i r_p mod chi."""
+    chi = Knot(A).charpoly
+    if len(chi) == 1:
+        return 1  # g = 0: the zero ring
+    xp, hp = _powmod([0, 1], p, chi), _powmod([-1, 1], p, chi)
+    xp, hp = (r + [0] * (len(chi) - 1 - len(r)) for r in (xp, hp))
+    return abs(_bareiss(_mul_rows([a - b for a, b in zip(xp, hp)], chi)))
+
+
 LADDERS = {
     "ascending": list(range(1, 41)),
     "descending": list(range(40, 0, -3)),
     "repeated": [7, 7, 8, 8, 8, 3, 3, 1, 1],
     "jumping": [1, 2, 64, 65, 500, 1000, 999, 1000, 2],
+    "steps of two": [9, 11, 13, 11, 9, 7, 8, 10, 12, 10, 8],
+    "interleaved parities": [20, 21, 20, 22, 21, 23, 24, 26, 25, 27],
+    "jump after a long ladder": list(range(1, 90)) + [3, 600, 601, 4, 89],
 }
 
 
@@ -213,6 +231,102 @@ class TestSeifertPresentation:
         assert Knot(trefoil).beta(1) == 1
         with pytest.raises(ValueError):
             Knot(trefoil).beta(0)
+
+
+def lucas_fibonacci(n):
+    """Lucas and Fibonacci numbers L_0..L_n and F_0..F_n."""
+    L, F = [2, 1], [0, 1]
+    while len(L) <= n:
+        L.append(L[-1] + L[-2])
+        F.append(F[-1] + F[-2])
+    return L, F
+
+
+def is_square(n):
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+class TestBetaFromTheory:
+    """Frozen values from theory, none from the package: beta_p of the
+    figure-8 is L_(2p) - 2 = L_p^2 for odd p and 5 F_p^2 for even p
+    (L_n^2 - 5 F_n^2 = 4 (-1)^n), the trefoil's repeats with period 6, and
+    Plans (1953): H_1 of the p-fold cover is G + G for odd p and
+    H_1(Sigma_2) + G + G for even p."""
+
+    PS = list(range(1, 61)) + [1001, 1002]
+
+    def test_figure8_is_lucas_squared_or_five_fibonacci_squared(self, figure8):
+        L, F = lucas_fibonacci(1002)
+        knot = Knot(figure8)
+        want = [L[p] ** 2 if p % 2 else 5 * F[p] ** 2 for p in self.PS]
+        assert [knot.beta(p) for p in self.PS] == want
+
+    def test_trefoil_repeats_with_period_six(self, trefoil):
+        knot = Knot(trefoil)
+        assert [knot.beta(p) for p in self.PS] == [(1, 3, 4, 3, 1, 0)[(p - 1) % 6] for p in self.PS]
+
+    def test_plans_squares(self, rng):
+        mats = [r.seifert for r in corpus_records()]
+        mats += [random_seifert(g, rng) for g in range(1, 6) for _ in range(2)]
+        mats += [conjugate(random_seifert(2, rng), random_unimodular(4, rng))]
+        for A in mats:
+            knot = Knot(A)
+            beta2 = knot.beta(2)
+            for p in range(1, 61):
+                beta = knot.beta(p)
+                if p % 2:
+                    assert is_square(beta), (A, p)
+                else:
+                    assert beta % beta2 == 0 and is_square(beta // beta2), (A, p)
+
+
+class TestHalfNorm:
+    """Knot.beta in Z[s]/E against the norm in Z[x]/chi it replaced."""
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_matches_the_chi_norm(self, g, rng):
+        for A in (random_seifert(g, rng), conjugate(random_seifert(g, rng),
+                                                    random_unimodular(2 * g, rng))):
+            knot = Knot(A)
+            assert [knot.beta(p) for p in range(1, 61)] == [chi_beta(A, p) for p in range(1, 61)]
+
+    def test_every_oracle_at_irregular_p_and_genus_zero(self, trefoil, figure8):
+        # Delta of degree < g ([[0, 1], [0, 0]]: E = s), repeated circle roots
+        # (the trefoil twice) and the empty matrix; p = 6k is irregular for
+        # every knot with a trefoil summand
+        for A in ([], [[0, 1], [0, 0]], trefoil, block_sum(trefoil, trefoil),
+                  block_sum(trefoil, figure8)):
+            knot = Knot(A)
+            got = [knot.beta(p) for p in range(1, 31)]
+            for oracle in (chi_beta, matrix_beta, resultant_beta):
+                assert got == [oracle(A, p) for p in range(1, 31)], (A, oracle.__name__)
+            assert (0 in got) == (A not in ([], [[0, 1], [0, 0]]))
+
+    def test_large_p_on_random_g3_a(self):
+        (A,) = [r.seifert for r in corpus_records() if r.name == "random-g3-a"]
+        assert Knot(A).beta(10007) == chi_beta(A, 10007)
+
+    def test_every_ladder_state(self, trefoil, rng):
+        for A in (trefoil, [[0, 1], [0, 0]], random_seifert(2, rng), random_seifert(3, rng)):
+            want = {p: chi_beta(A, p) for ps in LADDERS.values() for p in ps}
+            for name, ps in LADDERS.items():
+                knot = Knot(A)
+                assert [knot.beta(p) for p in ps] == [want[p] for p in ps], name
+
+    def test_half_charpoly_halves_chi(self, rng):
+        # chi(x) = (-1)^g E(x - x^2): Gamma's eigenvalues pair as lambda, 1 - lambda
+        for A in [r.seifert for r in corpus_records()] + [[[0, 1], [0, 0]], random_seifert(4, rng)]:
+            knot = Knot(A)
+            E, g = knot.half_charpoly, knot.genus
+            assert len(E) == g + 1 and E[-1] == 1
+            comp = sum((c * (t - t * t) ** i for i, c in enumerate(E)), LaurentPoly.zero())
+            assert comp * (-1) ** g == LaurentPoly.from_coeffs(knot.charpoly), A
+
+    def test_non_monic_half_charpoly_raises(self, trefoil, monkeypatch):
+        # a trace polynomial with D(2) = 2 would make E non-monic
+        monkeypatch.setattr(knotcovers.seifert, "_trace_poly", lambda f: [0, 1])
+        with pytest.raises(ArithmeticError, match="monic"):
+            Knot(trefoil).beta(5)
 
 
 def laurent_bareiss(A):

@@ -144,6 +144,17 @@ def test_branched_and_cli_read_the_arc_table():
     assert "_sigma_sum" not in "".join(path.read_text("utf-8") for path in SRC.glob("*.py"))
 
 
+def test_beta_has_one_route_in_the_half_ring():
+    # Knot.beta reads beta_p off Z[s]/E, E of degree g from Delta's trace
+    # polynomial; the 2g x 2g ladder in Z[x]/chi is a test oracle
+    # (test_seifert.chi_beta), and importing its residue steps again would
+    # fork a second production route beside the first
+    for name in ("_powmod", "_mulx_mod"):
+        assert not hasattr(knotcovers.seifert, name), name
+    # the one trace polynomial, shared with circle_roots
+    assert knotcovers.seifert._trace_poly is knotcovers.exactalg._trace_poly
+
+
 def _bit_tested_while_loops(tree):
     """Names of the functions in tree with a while loop that tests a bit,
     ``x & 1``: the shape of square and multiply."""
