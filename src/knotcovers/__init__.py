@@ -11,8 +11,8 @@ cyclic covers with taking residues of their rational symbols.
 
 Exact arithmetic everywhere a theorem is checked; floating point only in
 clearly flagged numeric paths (root finding, the FFT torus average of a
-rational 2-loop class, eigenvalues at irrational points of the unit
-circle).
+rational 2-loop class) and in oracles (eigenvalues at irrational points
+of the unit circle, which every signature also gets exactly).
 """
 
 from .exactalg import (
@@ -32,7 +32,6 @@ from .lambdamat import (
     LambdaMatrix,
     NotHermitian,
     SingularEvaluation,
-    cycle_matrix,
     normalized_determinant,
     signature_exact,
     subst_cycle,

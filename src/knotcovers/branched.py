@@ -8,10 +8,10 @@ unity):
 
 * ``total_sigma_p(A, p)`` -- the total equivariant signature, the sum of
   the signature function over the p-th roots of unity, counted arc by arc
-  off the knot's certified table (``Knot.sigma_p``).  Its oracles are the
-  exact inertia of the clover form at the p-cycle matrix
-  (``lambdamat.varsigma_p``) and the per-root sum, compared in selftest
-  criterion 3 and the tests.
+  off the knot's certified table (``Knot.sigma_p``), whose values are
+  exact inertias.  Its oracles are the exact inertia of the clover form at
+  the p-cycle matrix (``lambdamat.varsigma_p``) and the per-root sum of
+  float eigensolves, compared in selftest criterion 3 and the tests.
 * ``torsion_order(A, p)`` -- the order of the first homology of the
   branched cover, ``Knot.beta(p)``: |det(Gamma^p - (Gamma - I)^p)| from
   Seifert's integer presentation, 0 exactly when p is irregular, a square

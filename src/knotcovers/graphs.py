@@ -299,36 +299,6 @@ def _automorphisms(n: int, ends: tuple[tuple[int, int], ...]) -> tuple[GraphAut,
 # spanning forests, cycles, and the rational symbol
 
 
-def _spanning_forest(G: BeadedGraph) -> list[int]:
-    """Deterministic spanning forest: BFS from the lowest-numbered vertex
-    of each component, taking edges in index order."""
-    n = G.n_vertices
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for idx, e in enumerate(G.edges):
-        if e.tail != e.head:
-            incident[e.tail].append((idx, e.head))
-            incident[e.head].append((idx, e.tail))
-    for lst in incident:
-        lst.sort()
-    seen = [False] * n
-    forest = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for idx, w in incident[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        forest.append(idx)
-                        nxt.append(w)
-            frontier = nxt
-    return sorted(forest)
-
-
 def fundamental_cycles(
     G: BeadedGraph, forest: Sequence[int] | None = None
 ) -> tuple[list[int], list[dict[int, int]]]:
@@ -337,10 +307,11 @@ def fundamental_cycles(
     The cycle of a non-forest edge e = (a -> b) is e followed by the
     forest path from b back to a; the vector maps edge index to its
     signed multiplicity (+1 when traversed tail to head).  Any maximal
-    forest may be supplied; the default is the BFS forest.
+    forest may be supplied; the default is the forest of ``_coloring_plan``,
+    the edges that set a color.
     """
     if forest is None:
-        forest = _spanning_forest(G)
+        forest = [e for _, _, e, _ in _coloring_plan(G).sets]
     forest = sorted(set(int(i) for i in forest))
     n = G.n_vertices
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]

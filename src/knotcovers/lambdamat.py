@@ -5,14 +5,12 @@ Hermitian when conjugate-transposition with respect to the bar involution
 t -> t^-1 fixes it; then W(w) is an ordinary Hermitian complex matrix for
 every w on the unit circle, and W(1) is rational symmetric.
 
-The two substitutions that drive branched-cover computations both replace
-t by a p-th root of the identity in matrix form:
+Two substitutions drive branched-cover computations:
 
-* ``cycle_matrix(p)`` -- the permutation matrix T with ones on the
-  superdiagonal and in the lower-left corner; T^p = I, and T^-1 = T^T.
-  ``subst_cycle(W, p)`` yields the rows of an np x np rational symmetric
-  matrix, integer rows for W over Z[t, t^-1].
-* ``twisted_cycle_matrix(p)`` -- the same shape but with t in the corner;
+* ``subst_cycle(W, p)`` puts the p-cycle permutation matrix T (T^p = I,
+  T^-1 = T^T) in for t: the rows of an np x np rational symmetric matrix,
+  integer rows for W over Z[t, t^-1].
+* ``twisted_cycle_matrix(p)`` is T with t in the corner;
   (T_t)^p = t I and the inverse is the bar-conjugate transpose.
   ``subst_twisted(W, p)`` stays a Hermitian Lambda-matrix.
 
@@ -20,24 +18,23 @@ Every exact determinant is one fraction-free kernel, ``_bareiss``, over
 the integers (``rational_det``) or the Laurent ring (``LambdaMatrix.det``);
 products reuse ``exactalg._mat_mul``, powers ``exactalg._mat_pow``
 (the package's one square and multiply, ``exactalg._power``).
-Signatures of rational symmetric matrices are computed exactly, in
-integers, by a symmetric fraction-free elimination with 1x1 pivots
-(``signature_exact``), so every signature here is an honest integer.
-Evaluation at points of the unit circle other than +-1 is a numeric path:
-W(z) comes from a float coefficient tensor, and ``complex_signature``
-counts eigenvalue signs above a fixed floor ``_EIG_FLOOR`` for one matrix
-or a stack of them in one numpy eigensolve; ``varsigma_at`` takes arrays
-of roots into one such stack.  ``root_of_unity`` is the package's one
-float formula for e^(2 pi i k/p).  The production
-``branched.total_sigma_p`` reads the knot's certified arc table
-(``seifert.Knot.arcs``), whose one stacked eigensolve is at arc
-midpoints; the exact cycle substitution ``varsigma_p`` and the per-root
-sum of ``varsigma_at`` are its oracles.
+Every inertia is one fraction-free kernel too, ``_inertia``, over the
+integers (``signature_exact``) or the Gaussian integers (``_GaussInt``,
+for the arc table ``seifert.Knot.arcs``): every signature in production
+is an honest integer, with no threshold.  The production
+``branched.total_sigma_p`` reads that arc table; the exact cycle
+substitution ``varsigma_p`` and the per-root sum of ``varsigma_at`` are
+its oracles.  Floats serve only oracles: ``varsigma_at`` evaluates W(z)
+from a float coefficient tensor at ``root_of_unity``, the package's one
+float formula for e^(2 pi i k/p), and ``complex_signature`` counts
+eigenvalue signs above a fixed floor ``_EIG_FLOOR`` for one matrix or a
+stack of them in one numpy eigensolve.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -53,7 +50,6 @@ __all__ = [
     "LambdaMatrix",
     "signature_exact",
     "rational_det",
-    "cycle_matrix",
     "twisted_cycle_matrix",
     "subst_cycle",
     "subst_twisted",
@@ -125,63 +121,80 @@ def rational_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def signature_exact(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
-    """Inertia (n_plus, n_minus, n_zero) of a rational symmetric matrix.
-
-    The matrix is scaled by the lcm L > 0 of its denominators, which keeps
-    the inertia, and eliminated by symmetric fraction-free Bareiss with
-    1x1 pivots: a nonzero diagonal entry of the active block is swapped
-    to the corner, and every active entry stays a bordered minor, an
-    integer, divided exactly by the previous pivot.  The pivots d_k are
-    the leading principal minors of a congruent matrix, so the k-th LDL^T
-    pivot d_k / d_(k-1) has the sign sign(d_k) sign(d_(k-1)), d_0 = 1.
-    When the active diagonal is all zero but some M[i][j] = b != 0, adding
-    row j to row i and column j to column i (congruence by a
-    determinant-1 elementary matrix, which adds bordered minors to
-    bordered minors) makes M[i][i] = 2b the pivot.  By Sylvester's law of
-    inertia the pivot signs, plus the size of the zero block left at the
-    end, are exact.
-    """
+    """Inertia (n_plus, n_minus, n_zero) of a rational symmetric matrix:
+    ``_inertia`` of it scaled by the lcm L > 0 of its denominators."""
     M, _ = _integral(rows, "signature_exact")
+    if any(M[i][j] != M[j][i] for i in range(len(M)) for j in range(i)):
+        raise ValueError("signature_exact needs a symmetric matrix")
+    return _inertia(M)
+
+
+@dataclass(slots=True)
+class _GaussInt:
+    """real + imag i, int parts: the ring of ``_inertia``'s complex case,
+    which has ``real``, ``imag`` and ``conjugate()`` like an int."""
+
+    real: int
+    imag: int
+
+    def __bool__(self) -> bool:
+        return bool(self.real or self.imag)
+
+    def conjugate(self) -> "_GaussInt":
+        return _GaussInt(self.real, -self.imag)
+
+    def __sub__(self, other: "_GaussInt") -> "_GaussInt":
+        return _GaussInt(self.real - other.real, self.imag - other.imag)
+
+    def __mul__(self, other: "int | _GaussInt") -> "_GaussInt":
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        return _GaussInt(a * c - b * d, a * d + b * c)
+
+    def __floordiv__(self, q: int) -> "_GaussInt":  # exact: q divides both parts
+        return _GaussInt(self.real // q, self.imag // q)
+
+
+def _inertia(M: list[list]) -> tuple[int, int, int]:
+    """Inertia (n_plus, n_minus, n_zero) of a Hermitian matrix of ints or
+    ``_GaussInt``s, eliminated in place: the package's one inertia kernel.
+
+    Symmetric fraction-free Bareiss with 1x1 pivots on the upper triangle
+    (M[i][j], i > j, is read as conj(M[j][i])): every active entry stays a
+    bordered minor, divided exactly by the previous pivot.  The pivots d_k
+    are real leading principal minors of a congruent matrix, so by
+    Sylvester's law of inertia the k-th LDL^H pivot has the sign of
+    d_k d_(k-1), d_0 = 1.  A zero corner is made a pivot by subtracting c
+    times a later row j and conj(c) times its column, a determinant-1
+    congruence that adds bordered minors to bordered minors: the corner
+    becomes M[j][j] - 2 Re(conj(c) M[k][j]), nonzero for one of c = 1, -1, i.
+    A zero active row counts once in n_zero and is passed over.
+    """
     n = len(M)
-    for i in range(n):
-        for j in range(i):
-            if M[i][j] != M[j][i]:
-                raise ValueError("signature_exact needs a symmetric matrix")
-    plus = minus = 0
+    plus = minus = zero = 0
     prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if M[i][i]), None)
-        if piv is None:
-            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if M[i][j]), None)
-            if off is None:
-                return plus, minus, n - k
-            piv, j = off
-            row_p, row_j = M[piv], M[j]
-            for c in range(k, n):
-                row_p[c] += row_j[c]
-            for row in M[k:]:
-                row[piv] += row[j]
-        _sym_swap(M, k, piv)
         row_k = M[k]
-        d = row_k[k]
+        if not row_k[k]:
+            j = next((j for j in range(k + 1, n) if M[j][j] or row_k[j]), None)
+            if j is None:
+                zero += 1
+                continue
+            djj, b = M[j][j].real, row_k[j]
+            c = 1 if djj - 2 * b.real else -1 if djj else _GaussInt(0, 1)
+            for m in range(k, n):
+                row_k[m] -= (M[j][m] if m >= j else M[m][j].conjugate()) * c
+            row_k[k] -= row_k[j] * c.conjugate()
+        d = row_k[k].real
         if (d > 0) == (prev > 0):
             plus += 1
         else:
             minus += 1
         for i in range(k + 1, n):
-            r, row_i = row_k[i], M[i]
+            r, row_i = row_k[i].conjugate(), M[i]
             for j in range(i, n):
-                row_i[j] = M[j][i] = (row_i[j] * d - r * row_k[j]) // prev
+                row_i[j] = (row_i[j] * d - r * row_k[j]) // prev
         prev = d
-    return plus, minus, 0
-
-
-def _sym_swap(M, a, b):
-    if a == b:
-        return
-    M[a], M[b] = M[b], M[a]
-    for row in M:
-        row[a], row[b] = row[b], row[a]
+    return plus, minus, zero
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +246,10 @@ class LambdaMatrix:
             ]
         )
 
-    def __sub__(self, other: "LambdaMatrix") -> "LambdaMatrix":
-        return self + (other * LaurentPoly.const(-1))
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
             return LambdaMatrix([[e * other for e in row] for row in self.entries])
         return NotImplemented
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other: "LambdaMatrix") -> "LambdaMatrix":
         if self.n != other.n:
@@ -299,21 +307,9 @@ def normalized_determinant(W: LambdaMatrix) -> LaurentPoly:
 # cycle substitutions
 
 
-def cycle_matrix(p: int) -> list[list[int]]:
-    """The p-cycle permutation matrix: ones on the superdiagonal and in the
-    lower-left corner.  Its p-th power is the identity."""
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    T = [[0] * p for _ in range(p)]
-    for i in range(p - 1):
-        T[i][i + 1] = 1
-    T[p - 1][0] = 1
-    return T
-
-
 def twisted_cycle_matrix(p: int) -> LambdaMatrix:
-    """Like cycle_matrix but the wrap-around entry is t, so the p-th power
-    is t times the identity and the inverse is the bar-transpose."""
+    """Ones on the superdiagonal and t in the lower-left corner: the p-th
+    power is t times the identity and the inverse is the bar-transpose."""
     if p < 1:
         raise ValueError("p must be a positive integer")
     zero = LaurentPoly.zero()
@@ -430,9 +426,9 @@ def _sigma_exact_at(W: LambdaMatrix, w: int) -> int:
 
 def root_of_unity(k: "int | np.ndarray", p: "int | np.ndarray") -> "complex | np.ndarray":
     """e^(2 pi i k/p) as complex floats, for ints or int arrays k, p (or
-    float turns k with p = 1, the arc midpoints of ``Knot.arcs``): the
-    package's one formula for a numeric point of the unit circle, so that
-    every route that compares signatures evaluates at the same floats."""
+    float turns k with p = 1): the package's one formula for a numeric
+    point of the unit circle, so that every oracle that compares
+    signatures evaluates at the same floats."""
     return np.exp(1j * (2 * np.pi * k / p))
 
 

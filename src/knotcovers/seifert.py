@@ -18,7 +18,8 @@ is missing.
 * ``signature_function(A, k, p)`` is the signature of
   (1 - conj(w)) A + (1 - w) A^T at w = e^(2 pi i k / p); w = 1 is a
   removable but excluded point (AtOne).  It, sigma_p and the signature
-  average are read off one table per knot, ``Knot.arcs``.
+  average are read off one table of exact inertias per knot, ``Knot.arcs``;
+  the float eigensolve ``sigma_at_omega`` is an oracle only.
 * ``clover_matrix(A)`` is the 2g x 2g Hermitian Lambda-matrix
   [[Lxx, (1 - t^-1) Lxy - I], [(1 - t) Lyx - I, (2 - t - t^-1) Lyy]]
   built from the block decomposition L of A with Lyx = Ayx + I.
@@ -62,9 +63,10 @@ from .lambdamat import (
     NotHermitian,
     SingularEvaluation,
     _bareiss,
+    _GaussInt,
+    _inertia,
     complex_signature,
     rational_det,
-    root_of_unity,
 )
 from .theta import ThetaClass
 
@@ -131,7 +133,6 @@ class Knot:
 
     def __init__(self, A: Sequence[Sequence[int]]):
         self.seifert = validate_seifert(A)
-        self._float = np.array(self.seifert, dtype=float).reshape(2 * self.genus, 2 * self.genus)
         # (p, x^p as its two residues a, b mod E, beta_p), and beta_2 once known
         self._ladder: tuple | None = None
         self._beta2 = 0
@@ -232,21 +233,23 @@ class Knot:
         and symmetric under k/p -> 1 - k/p: the roots in (0, 1/2) as brackets
         (lo, hi) of turns, ascending (``circle_roots``, mapped by
         acos(u/2)/2 pi and widened past the rounding of that map, of k/p and
-        of p x), and its value on each arc from 0 to 1/2 between them, from
-        one stacked ``sigma_at_omega`` at the arc midpoints.  Built once: a
-        SingularEvaluation refusing it is kept and raised on every read."""
+        of p x), and its exact value on each arc from 0 to 1/2 between them,
+        ``_arc_signature`` at the arc's ``_simplest_tangent`` (w = -1 on the
+        last).  Built once: a SingularEvaluation refusing it is kept and
+        raised on every read."""
         if self._arcs_refusal is not None:
             raise SingularEvaluation(*self._arcs_refusal.args)
         try:
-            roots = [(math.acos(b / 2) / (2 * math.pi) * (1 - _TURN_SLACK),
-                      math.acos(a / 2) / (2 * math.pi) * (1 + _TURN_SLACK))
-                     for a, b in reversed(circle_roots(self.delta))]
-            ends = np.array([0.0] + [x for r in roots for x in r] + [0.5])
-            sigs = sigma_at_omega(self, root_of_unity((ends[::2] + ends[1::2]) / 2, 1))
+            brackets = circle_roots(self.delta)[::-1]  # descending in u, so ascending in turns
+            # arc j < len(brackets) lies in u above bracket j, below bracket j - 1 (or u = 2)
+            points = [_simplest_tangent(Fraction(lo), Fraction(hi)) for lo, hi in
+                      zip([b for _, b in brackets], [2.0] + [a for a, _ in brackets])]
         except SingularEvaluation as refusal:
             self._arcs_refusal = refusal
             raise
-        return roots, [int(sig) for sig in sigs]
+        roots = [(math.acos(b / 2) / (2 * math.pi) * (1 - _TURN_SLACK),
+                  math.acos(a / 2) / (2 * math.pi) * (1 + _TURN_SLACK)) for a, b in brackets]
+        return roots, [_arc_signature(self.seifert, a, b) for a, b in points + [(1, 0)]]
 
     @cached_property
     def signature_average(self) -> float:
@@ -336,6 +339,43 @@ def _padd(*polys: list) -> list:
     return [sum(cs) for cs in zip_longest(*polys, fillvalue=0)]
 
 
+def _simplest_tangent(lo: Fraction, hi: Fraction) -> tuple[int, int]:
+    """(a, b) for the simplest s = a/b > 0 with lo < u(s) < hi, where
+    u(s) = 2 (b^2 - a^2)/(a^2 + b^2) = 2 cos(2 pi x) at s = tan(pi x) falls
+    from 2 to -2: Stern-Brocot descent from 0/1 and 1/0, a run of steps one
+    way (a partial quotient of s) taken in doubling strides."""
+    if not lo < hi:  # only next to u = 2: circle_roots leaves floats between its brackets
+        raise SingularEvaluation("a circle root of Delta too close to t = 1 for floats to separate")
+
+    def side(base, k, step):  # s = base + k step: -1 below the arc (u >= hi), 1 above, 0 on it
+        a, b = base[0] + k * step[0], base[1] + k * step[1]
+        u = Fraction(2 * (b * b - a * a), a * a + b * b)
+        return -1 if u >= hi else 1 if u <= lo else 0
+
+    below, above = (0, 1), (1, 0)
+    while where := side(below, 1, above):
+        base, step = (below, above) if where < 0 else (above, below)
+        k = 1  # a stride of 2^j steps with base + k step still on that side
+        while side(base, 2 * k, step) == where:
+            k *= 2
+        moved = (base[0] + k * step[0], base[1] + k * step[1])
+        below, above = (moved, above) if where < 0 else (below, moved)
+    return below[0] + above[0], below[1] + above[1]
+
+
+def _arc_signature(A: list[list[int]], a: int, b: int) -> int:
+    """The signature of (1 - conj(w)) A + (1 - w) A^T at w = e^(2 pi i x),
+    0 < x <= 1/2, tan(pi x) = a/b (b = 0 at w = -1): ``_inertia`` of its
+    positive multiple a (A + A^T) + i b (A - A^T), a Hermitian matrix of
+    Gaussian integers.  ArithmeticError if that is singular."""
+    M = [[_GaussInt(a * (x + y), b * (x - y)) if b else a * (x + y) for x, y in zip(row, col)]
+         for row, col in zip(A, zip(*A))]
+    plus, minus, zero = _inertia(M)
+    if zero:
+        raise ArithmeticError("the Seifert form is singular on an arc between circle roots")
+    return plus - minus
+
+
 KnotLike = Knot | Sequence[Sequence[int]]
 
 
@@ -386,10 +426,11 @@ def congruence_identity_check(A: KnotLike) -> bool:
 
 
 def sigma_at_omega(A: KnotLike, omega: "complex | np.ndarray") -> "int | np.ndarray":
-    """Signature of (1 - conj(w)) A + (1 - w) A^T at a unit-circle w != 1:
-    an int for a scalar w, an int array for an array of w, all of whose
-    forms go through one stacked eigensolve (per knot: ``Knot.arcs``)."""
-    M = Knot.of(A)._float
+    """Signature of (1 - conj(w)) A + (1 - w) A^T at a unit-circle w != 1,
+    the oracle of ``Knot.arcs``: an int for a scalar w, an int array for
+    an array of w, all of whose forms go through one stacked eigensolve."""
+    A = Knot.of(A).seifert
+    M = np.array(A, dtype=float).reshape(len(A), len(A))
     w = np.asarray(omega, dtype=complex)[..., None, None]
     return complex_signature((1 - w.conj()) * M + (1 - w) * M.T)
 

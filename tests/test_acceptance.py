@@ -82,8 +82,9 @@ def _install_wrong_slice(setattr_):
     """Negate the Seifert route's signature at the one root k/p = 3/7 in
     criterion 2's stacked comparison, and, in the production arc table
     behind total_sigma_p (criterion 3), on the trefoil's arc (1/6, 1/2)
-    that holds 3/7, at its midpoint 1/3.  The trefoil's value there is
-    -2, so both criteria must see it; criterion 3 first at p = 2."""
+    that holds 3/7, through the inertia kernel that seifert binds: that
+    arc's form is A + A^T, at w = -1.  The trefoil's value there is -2, so
+    both criteria must see it; criterion 3 first at p = 2."""
     real = acceptance.sigma_at_omega
 
     def flipped_at(target):
@@ -94,8 +95,15 @@ def _install_wrong_slice(setattr_):
             return flipped if flipped.ndim else int(flipped)
         return wrong
 
+    real_inertia = seifert._inertia
+
+    def wrong_inertia(M):
+        hit = M == [[-2, 1], [1, -2]]
+        plus, minus, zero = real_inertia(M)
+        return (minus, plus, zero) if hit else (plus, minus, zero)
+
     setattr_(acceptance, "sigma_at_omega", flipped_at(cmath.exp(2j * cmath.pi * 3 / 7)))
-    setattr_(seifert, "sigma_at_omega", flipped_at(cmath.exp(2j * cmath.pi / 3)))
+    setattr_(seifert, "_inertia", wrong_inertia)
 
 
 def test_one_wrong_root_fails_the_stacked_cross_check(monkeypatch):

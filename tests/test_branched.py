@@ -186,26 +186,26 @@ class TestStackedRoots:
             got = self._outcome(knot.sigma_p, p)
             assert got == self._outcome(by_roots, knot, p), (knot.seifert, p)
 
-    def test_one_eigensolve_per_chunk(self, monkeypatch, figure8, trefoil):
-        # the arc table is one stacked eigensolve per knot, at its arc
-        # midpoints; every p of the report, the signature average and the
-        # signature rows read it, and no root of unity is solved on its own
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counted(H):
-            calls.append(H.shape)
-            return eigvalsh(H)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    def test_one_kernel_call_per_arc_per_chunk(self, monkeypatch, figure8, trefoil):
+        # the arc table is one exact inertia per arc per knot; every p of
+        # the report, the signature average and the signature rows read it,
+        # and no eigensolve runs, at a root of unity or anywhere else
+        calls, solves = [], []
+        inertia, eigvalsh = knotcovers.seifert._inertia, np.linalg.eigvalsh
+        monkeypatch.setattr(knotcovers.seifert, "_inertia",
+                            lambda M: calls.append(len(M)) or inertia(M))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: solves.append(H.shape) or eigvalsh(H))
         for A in (figure8, trefoil, block_sum(trefoil, trefoil)):
             knot = Knot(A)
-            del calls[:]
+            del calls[:], solves[:]
             rows = branched_report(knot, range(2, self.CHUNK + 2))
             signature_average(knot)
             signature_function(knot, 3, 7)
-            assert calls == [(len(knot.arcs[1]), len(A), len(A))]
+            assert calls == [len(A)] * len(knot.arcs[1])
+            assert solves == []
             assert all(r.sigma_p == by_roots(A, r.p) for r in rows[:60] + rows[-3:] if r.regular)
+
+
 K112 = [[1, 1], [0, 2]]  # Delta = 2t^-1 - 3 + 2t, circle roots at u = 3/2
 GENUS5 = [[2, 3, 1, 0, -2, 0, -3, -3, -2, 0], [3, -2, -1, 2, 0, 3, 3, 3, -1, 0],
           [1, -1, 1, 3, 0, 1, -1, 2, 1, 0], [0, 2, 3, 1, -2, -1, 2, -3, 4, -1],
@@ -249,6 +249,25 @@ class TestArcTable:
             if p < 10 ** 5:
                 assert total_sigma_p(knot, p) == by_roots(knot, p) == sig, p
 
+    def test_connected_sum_with_circle_roots_2_to_the_minus_40_apart(self, capsys, tmp_path):
+        # [[M, 1], [0, 1]] has Delta = M t^-1 + 1 - 2M + M t, one circle root,
+        # at u = t + 1/t = 2 - 1/M, and A + A^T = [[2M, 1], [1, 2]] positive
+        # definite: its signature function is 0 before the root and 2 past it.
+        # By additivity the sum for M = N, N + 1, N = 2^20, roots 2^-40 apart
+        # in u, has arc values 0, 2, 4; every k/p with p <= 60 lies past both
+        # roots (about 1.55e-4 turns), so sigma_p = 4(p - 1).  The float
+        # eigensolve at the middle arc's midpoint refused this knot.
+        N = 2 ** 20
+        A = [[N, 0, 1, 0], [0, N + 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]]
+        knot = Knot(A)
+        assert knot.arcs[1] == [0, 2, 4]
+        assert all(total_sigma_p(knot, p) == 4 * (p - 1) for p in range(2, 61))
+        f = tmp_path / "knot.json"
+        f.write_text(json.dumps(A))
+        assert main(["branched", "--file", str(f), "--p", "2..6"]) == 0
+        sigmas = [line.split()[2] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert sigmas == ["4", "8", "12", "16", "20"]
+
     def test_genus_5_average_past_the_old_circle_test(self, capsys, tmp_path):
         # numpy puts its circle roots 1.1e-8 off |t| = 1; the bracket is exact
         f = tmp_path / "knot.json"
@@ -290,18 +309,20 @@ class TestArcTable:
                 pairs += got != "singular"
         assert pairs > 11000
 
-    def test_one_eigensolve_for_every_signature_row(self, monkeypatch):
-        calls = []
-        real = knotcovers.seifert.complex_signature
+    def test_one_kernel_call_per_arc_for_every_signature_row(self, monkeypatch):
+        calls, solves = [], []
+        inertia, real = knotcovers.seifert._inertia, knotcovers.seifert.complex_signature
+        monkeypatch.setattr(knotcovers.seifert, "_inertia",
+                            lambda M: calls.append(len(M)) or inertia(M))
         monkeypatch.setattr(knotcovers.seifert, "complex_signature",
-                            lambda H: calls.append(H.shape) or real(H))
+                            lambda H: solves.append(H.shape) or real(H))
         (rec,) = [r for r in corpus_records() if r.name == "random-g3-a"]
         knot = rec.knot
         for p in range(2, 51):
             rows = [signature_function(knot, k, p) for k in range(1, p)]
             if is_p_regular(knot, p):
                 assert total_sigma_p(knot, p) == sum(rows)
-        assert len(calls) == 1
+        assert calls == [6] * len(knot.arcs[1]) and solves == []
 
 
 class TestDerivedOnce:

@@ -13,8 +13,9 @@ from knotcovers.lambdamat import (
     LambdaMatrix,
     NotHermitian,
     SingularEvaluation,
+    _GaussInt,
+    _inertia,
     complex_signature,
-    cycle_matrix,
     normalized_determinant,
     rational_det,
     signature_exact,
@@ -266,6 +267,84 @@ class TestSignatureExact:
         assert checked > 60
 
 
+def _gaussian_rows(H):
+    """_inertia's input for a complex matrix with integer parts."""
+    return [[_GaussInt(int(z.real), int(z.imag)) for z in row] for row in H]
+
+
+def _random_gaussian_hermitian(rng, n, diagonal=True, real=True, density=1.0):
+    """A Hermitian n x n matrix with integer parts in -4..4 (a zero
+    diagonal unless ``diagonal``, zero real parts off it unless ``real``),
+    each off-diagonal entry nonzero with probability about ``density``."""
+    H = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        H[i, i] = rng.randint(-4, 4) if diagonal else 0
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                H[i, j] = complex(rng.randint(-4, 4) if real else 0, rng.randint(-4, 4))
+                H[j, i] = H[i, j].conjugate()
+    return H
+
+
+class TestGaussianInertia:
+    """The inertia kernel over Z[i], against numpy's Hermitian eigensolve."""
+
+    @staticmethod
+    def _numpy_inertia(H):
+        eigs = np.linalg.eigvalsh(np.asarray(H, dtype=complex))
+        return (int((eigs > 1e-8).sum()), int((eigs < -1e-8).sum()),
+                int((np.abs(eigs) <= 1e-8).sum()))
+
+    def test_matches_numpy_on_random_hermitian_matrices(self, rng):
+        for _ in range(300):
+            H = _random_gaussian_hermitian(rng, rng.randint(1, 8), density=rng.choice([0.3, 1.0]))
+            assert _inertia(_gaussian_rows(H)) == self._numpy_inertia(H), H
+
+    def test_zero_corner_branches(self):
+        # a zero corner takes c = 1 (M[j][j] - 2 Re b != 0), c = -1 (M[j][j]
+        # = 2 Re b != 0) or c = i (M[j][j] = 0 = Re b, so Im b != 0)
+        for H, want in (([[0, 3], [3, 0]], (1, 1, 0)), ([[0, 1 + 2j], [1 - 2j, 0]], (1, 1, 0)),
+                        ([[0, 1], [1, 2]], (1, 1, 0)), ([[0, 2 - 1j], [2 + 1j, 4]], (1, 1, 0)),
+                        ([[0, 2j], [-2j, 0]], (1, 1, 0)), ([[0, -5j], [5j, 0]], (1, 1, 0)),
+                        ([[0, 0, 1j], [0, 0, 0], [-1j, 0, 0]], (1, 1, 1)),
+                        ([[0, 0], [0, 0]], (0, 0, 2)), ([[0, 0], [0, -3]], (0, 1, 1))):
+            assert _inertia(_gaussian_rows(H)) == want == self._numpy_inertia(H), H
+
+    def test_zero_diagonals_with_real_and_imaginary_entries(self, rng):
+        # every corner starts zero; with real parts off (Re b = 0) each
+        # repair takes c = i, with them on mostly c = 1
+        for trial in range(400):
+            H = _random_gaussian_hermitian(rng, rng.randint(2, 8), diagonal=False,
+                                           real=trial % 2 == 0, density=rng.choice([0.3, 1.0]))
+            assert _inertia(_gaussian_rows(H)) == self._numpy_inertia(H), H
+
+    def test_singular_matrices(self, rng):
+        # H = C^H D C, C of k < n rows and full rank k, D = diag(+-1): the
+        # inertia of D plus n - k zeros
+        checked = 0
+        for _ in range(200):
+            n = rng.randint(2, 7)
+            k = rng.randint(1, n - 1)
+            C = np.array([[complex(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+                          for _ in range(k)])
+            if np.linalg.matrix_rank(C) < k:
+                continue
+            D = [rng.choice([1, -1]) for _ in range(k)]
+            H = C.conj().T @ np.diag(D) @ C
+            want = (D.count(1), D.count(-1), n - k)
+            assert _inertia(_gaussian_rows(H)) == want == self._numpy_inertia(H), H
+            checked += 1
+        assert checked > 150
+
+    def test_real_gaussian_matrix_matches_the_integer_case(self, rng):
+        for _ in range(100):
+            n = rng.randint(1, 7)
+            B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            S = [[B[i][j] + B[j][i] for j in range(n)] for i in range(n)]
+            H = [[_GaussInt(x, 0) for x in row] for row in S]
+            assert _inertia(H) == signature_exact(S)
+
+
 class TestIntegerEntries:
     """Over Z[t, t^-1] the exact kernels build no Fraction."""
 
@@ -385,12 +464,6 @@ class TestStackedComplexSignature:
 
 
 class TestCycleSubstitution:
-    def test_plain_cycle_matrix_is_cyclic_permutation(self):
-        T = cycle_matrix(4)
-        arr = np.array(T)
-        assert (np.linalg.matrix_power(arr, 4) == np.eye(4, dtype=int)).all()
-        assert (np.linalg.matrix_power(arr, 2) != np.eye(4, dtype=int)).any()
-
     def test_subst_cycle_block_structure(self):
         # entry (i p + a, j p + b) collects the coefficients c_m of W_ij
         # with m = b - a mod p

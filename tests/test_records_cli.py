@@ -2,12 +2,15 @@
 
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
 import knotcovers.seifert
 from knotcovers.cli import main
 from knotcovers.exactalg import LaurentPoly
+from knotcovers.seifert import corpus_records, random_seifert
 
 
 def run(capsys, *argv):
@@ -75,17 +78,19 @@ class TestSignatureCommand:
         assert code == 2
 
     def test_total_is_the_sum_of_the_rows_each_root_solved_once(self, capsys, monkeypatch):
-        # rows and total read one arc table: one stacked solve of the
-        # trefoil's two arcs, no root of unity solved on its own
-        solves = []
-        real = knotcovers.seifert.complex_signature
+        # rows and total read one arc table: one exact inertia for each of
+        # the trefoil's two arcs, no eigensolve, at a root of unity or not
+        calls, solves = [], []
+        inertia, real = knotcovers.seifert._inertia, knotcovers.seifert.complex_signature
+        monkeypatch.setattr(knotcovers.seifert, "_inertia",
+                            lambda M: calls.append(len(M)) or inertia(M))
         monkeypatch.setattr(knotcovers.seifert, "complex_signature",
                             lambda H: solves.append(H.shape) or real(H))
         code, out, _ = run(capsys, "signature", "--knot", "trefoil", "--p", "5", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload["total_sigma_p"] == sum(row[2] for row in payload["rows"]) == -8
-        assert solves == [(2, 2, 2)]
+        assert calls == [2, 2] and solves == []
 
     def test_blank_row_at_regular_p_is_an_error(self, capsys, monkeypatch):
         # a (false) circle root at k/p = 1/5 blanks rows 1 and 4 of the
@@ -102,17 +107,17 @@ class TestSignatureCommand:
         # a refused table is kept: the rows and the total read the one
         # refusal, which exits 2 with its message and nothing on stdout at
         # the regular p = 7 and at the irregular p = 6 alike
-        def refuse(*args):
-            raise knotcovers.seifert.SingularEvaluation("eigenvalue within tolerance of zero")
-
         calls = []
-        real = knotcovers.seifert.circle_roots
-        monkeypatch.setattr(knotcovers.seifert, "circle_roots", lambda f: calls.append(f) or real(f))
-        monkeypatch.setattr(knotcovers.seifert, "sigma_at_omega", refuse)
+
+        def refuse(f):
+            calls.append(f)
+            raise knotcovers.seifert.SingularEvaluation("circle roots too close to separate")
+
+        monkeypatch.setattr(knotcovers.seifert, "circle_roots", refuse)
         for n, p in enumerate(("7", "6"), 1):
             code, out, err = run(capsys, "signature", "--knot", "trefoil", "--p", p)
             assert (code, out, len(calls)) == (2, "", n), p
-            assert "eigenvalue within tolerance of zero" in err, p
+            assert "circle roots too close to separate" in err, p
 
     def test_numerically_singular_root_names_p_and_k(self, capsys, monkeypatch, tmp_path):
         # Delta = 2t^-1 - 3 + 2t is regular at every p; its circle root is
@@ -125,6 +130,26 @@ class TestSignatureCommand:
         code, out, err = run(capsys, "signature", "--file", str(f), "--p", "5051")
         assert code == 2 and out == ""
         assert "numerically singular at the root k = 581 of p = 5051" in err
+
+
+def test_signature_commands_run_no_eigensolve(capsys, monkeypatch, tmp_path):
+    # branched, signature and growth read exact arc tables: with numpy's
+    # Hermitian eigensolve refused they still succeed, on the corpus and on
+    # random knots of genus 1..5
+    def refuse(*args):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    rng = random.Random(5)
+    sources = [["--knot", rec.name] for rec in corpus_records()]
+    for i in range(12):
+        f = tmp_path / ("k%d.json" % i)
+        f.write_text(json.dumps(random_seifert(rng.randint(1, 5), rng)))
+        sources.append(["--file", str(f)])
+    for source in sources:
+        for command in (["branched", "--p", "2..25"], ["growth", "--pmax", "25"],
+                        ["signature", "--p", "7"]):
+            assert run(capsys, command[0], *source, *command[1:])[0] == 0, (command, source)
 
 
 class TestBranchedCommand:

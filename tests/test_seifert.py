@@ -35,6 +35,7 @@ from knotcovers.seifert import (
     signature_function,
     validate_seifert,
 )
+from knotcovers.seifert import _simplest_tangent
 
 t = LaurentPoly.t()
 one = LaurentPoly.one()
@@ -447,6 +448,37 @@ def test_torus_signature_average_from_certified_arcs(a, b, roots):
     assert len(circle_roots(knot.delta)) == roots == knot.genus
     want = Fraction(-(a * a - 1) * (b * b - 1), 3 * a * b)
     assert knot.signature_average == pytest.approx(float(want), abs=1e-9)
+
+
+class TestSimplestTangent:
+    @staticmethod
+    def _u(a, b):
+        return Fraction(2 * (b * b - a * a), a * a + b * b)
+
+    def test_a_root_2_to_the_minus_40_below_u_2(self):
+        # s = 1/b has u = 2 - 4/(b^2 + 1), past 2 - 2^-40 from b = 2^21 on,
+        # and a/b with a >= 2 needs b >= 2^22: a run of 2^21 Stern-Brocot steps
+        assert _simplest_tangent(Fraction(2 - 2.0 ** -40), Fraction(2)) == (1, 2 ** 21)
+
+    def test_no_simpler_fraction_lies_between(self, rng):
+        checked = 0
+        for _ in range(400):
+            lo = rng.uniform(-2, 2)
+            hi = lo + rng.choice([rng.uniform(0, 1e-3), rng.uniform(0, 2 - lo)])
+            lo, hi = Fraction(lo), Fraction(hi)
+            if not lo < hi:
+                continue
+            a, b = _simplest_tangent(lo, hi)
+            assert lo < self._u(a, b) < hi
+            if a <= 60 and b <= 60:
+                checked += 1
+                assert not any(lo < self._u(c, d) < hi for c in range(1, a + 1)
+                               for d in range(1, b + 1) if (c, d) != (a, b)), (lo, hi)
+        assert checked > 200
+
+    def test_an_empty_gap_is_refused(self):
+        with pytest.raises(SingularEvaluation):
+            _simplest_tangent(Fraction(2), Fraction(2))
 
 
 class TestCloverForm:
