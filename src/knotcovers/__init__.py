@@ -13,6 +13,12 @@ Exact arithmetic everywhere a theorem is checked; floating point only in
 clearly flagged numeric paths (root finding, the FFT torus average of a
 rational 2-loop class) and in oracles (eigenvalues at irrational points
 of the unit circle, which every signature also gets exactly).
+
+numpy is imported only inside the functions that use it, never at module
+scope: importing the package or its CLI loads no numpy, and neither do
+``branched``, ``signature`` and ``residue`` on a polynomial class.  The
+Mahler measure (``alexander``, ``growth``), the FFT torus average of a
+rational class, ``liftres`` and ``selftest`` load it at first use.
 """
 
 from .exactalg import (

@@ -26,16 +26,18 @@ numeric root finder (the Mahler measure and the poles of 2-loop slots,
 with its one unit-circle test ``_ON_CIRCLE``).  ``circle_roots`` isolates
 the roots of Delta on the unit circle exactly, in float brackets: Sturm
 counts and sign bisection of the trace polynomial, in integers.
+``_roots_by_part`` is also the module's one numpy user and imports it
+itself: nothing else here needs numpy, and ``_frac`` refuses a numpy bool
+only once numpy is loaded, the only way such a value can exist.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Mapping, Sequence, Union
-
-import numpy as np
 
 __all__ = [
     "SingularAtOne",
@@ -70,7 +72,8 @@ def _frac(x: Scalar) -> "int | Fraction":
     if type(x) is int:
         return x
     if type(x) is not Fraction:  # str, numpy integers: made of plain ints
-        if isinstance(x, (float, bool, np.bool_)):
+        np = sys.modules.get("numpy")  # a numpy bool implies numpy is loaded
+        if isinstance(x, (float, bool)) or (np is not None and isinstance(x, np.bool_)):
             raise TypeError("refusing %s coefficient %r; pass Fraction or str"
                             % (type(x).__name__, x))
         try:
@@ -805,6 +808,8 @@ def _roots_by_part(f: "LaurentPoly | Sequence[Scalar]") -> list[np.ndarray]:
     entry j holds the roots of multiplicity > j, once each, so entry 0 the
     distinct roots.  A repeated root would split off by about eps^(1/m);
     here every root is simple."""
+    import numpy as np
+
     return [np.roots([float(c) for c in reversed(part)]) for part in _squarefree_parts(f)]
 
 

@@ -43,8 +43,6 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 __all__ = [
     "TooLarge",
     "Edge",
@@ -364,6 +362,8 @@ def _aut_cycle_matrices(C: np.ndarray, auts: Sequence[GraphAut]) -> np.ndarray:
     """Integer tensor D[a][i][e] with the property that the i-th cycle
     monodromy of the beads pushed forward by automorphism a equals
     sum_e D[a][i][e] * bead_e, for the cycle matrix C[i][e]."""
+    import numpy as np
+
     eperm = np.array([aut.eperm for aut in auts], dtype=np.int64).reshape(len(auts), -1)
     sign = np.where(np.array([aut.flips for aut in auts], dtype=bool), -1, 1)
     return C[:, eperm].transpose(1, 0, 2) * sign.reshape(len(auts), 1, -1)
@@ -472,6 +472,8 @@ def _colorable(plan: _Plan, beads: np.ndarray, p: int) -> np.ndarray:
     """Per bead tuple (column, beads in 0..p-1), whether a Z_p coloring
     exists (lift count p^comps, else 0).  A check's difference lies in
     (-p, 2p) for s = 1, (-2p, p) for s = -1: it is 0 mod p iff 0 or s * p."""
+    import numpy as np
+
     colors = np.zeros((plan.n_vertices, beads.shape[1]), dtype=np.int64)
     for w, v, e, s in plan.sets:
         np.remainder(colors[v] + s * beads[e], p, out=colors[w])
@@ -499,6 +501,8 @@ def _certified_cycle_matrix(G: BeadedGraph) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _certificate(n: int, ends: tuple[tuple[int, int], ...]) -> np.ndarray:
+    import numpy as np
+
     G = BeadedGraph.__new__(BeadedGraph)  # no re-check: ends come from a valid graph
     G.n_vertices, G.edges = n, tuple(Edge(tail, head, 0) for tail, head in ends)
     nonforest, cycles = fundamental_cycles(G)
@@ -535,6 +539,8 @@ def _bead_chunks(p: int, E: int, max_cases: int | None, rng) -> Iterator[np.ndar
     words, p < 2^63, rejecting those at or above the largest multiple of p
     below 2^64, drawing only the deficit again and reducing the rest mod p.
     The sample and the rng's final state are thus independent of _CHUNK."""
+    import numpy as np
+
     if max_cases is None:
         total = p ** E
         place = p ** np.arange(E - 1, -1, -1, dtype=np.int64)[:, None]
@@ -574,6 +580,8 @@ def liftres_sweep(
     1, for sampling without an rng, and, before any work, for more than
     _SWEEP_CAP cases.
     """
+    import numpy as np
+
     E = len(G.edges)
     # int64 must hold a cycle's sum of up to E beads below p, and a color
     # check's sum of three values below p

@@ -28,7 +28,9 @@ its oracles.  Floats serve only oracles: ``varsigma_at`` evaluates W(z)
 from a float coefficient tensor at ``root_of_unity``, the package's one
 float formula for e^(2 pi i k/p), and ``complex_signature`` counts
 eigenvalue signs above a fixed floor ``_EIG_FLOOR`` for one matrix or a
-stack of them in one numpy eigensolve.
+stack of them in one numpy eigensolve.  These four float functions
+(``eval_complex``, ``complex_signature``, ``root_of_unity``,
+``varsigma_at``) import numpy themselves; the exact kernels never load it.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .exactalg import (LaurentPoly, SingularAtOne, SingularEvaluation, _frac, _mat_mul, _mat_pow,
                        _qdiv)
@@ -282,6 +282,8 @@ class LambdaMatrix:
         """W(z) = sum_e C_e z^e from the float tensor C[e, i, j], built once
         (stored with i, j flattened): one n x n matrix for a scalar z, a
         stack of shape z.shape + (n, n) for an array of z."""
+        import numpy as np
+
         if self._float_coeffs is None:
             exps = sorted({e for row in self.entries for x in row for e in x.coeffs})
             C = [[float(x.coeff(e)) for row in self.entries for x in row] for e in exps]
@@ -396,6 +398,8 @@ def complex_signature(H: np.ndarray) -> "int | np.ndarray":
     one n x n matrix, an int array for an (m, n, n) stack in one eigensolve.
     Raises NotHermitian / SingularEvaluation when any slice would (an
     eigenvalue within _EIG_FLOOR of 0 is singular)."""
+    import numpy as np
+
     Hs = (H + np.conj(np.swapaxes(H, -1, -2))) / 2.0
     # np.allclose(H, Hs, atol=1e-8) over every slice at once
     if not (np.abs(H - Hs) <= 1e-8 + 1e-5 * np.abs(Hs)).all():
@@ -429,6 +433,8 @@ def root_of_unity(k: "int | np.ndarray", p: "int | np.ndarray") -> "complex | np
     float turns k with p = 1): the package's one formula for a numeric
     point of the unit circle, so that every oracle that compares
     signatures evaluates at the same floats."""
+    import numpy as np
+
     return np.exp(1j * (2 * np.pi * k / p))
 
 
@@ -444,6 +450,8 @@ def varsigma_at(W: LambdaMatrix, k: "int | np.ndarray", p: "int | np.ndarray"
     SingularEvaluation if any root is singular.  The exact route
     (varsigma_p) sums these over all p-th roots at once.
     """
+    import numpy as np
+
     _require_hermitian(W)
     k, p = np.broadcast_arrays(np.asarray(k, dtype=np.int64), np.asarray(p, dtype=np.int64))
     if (p < 1).any():

@@ -53,8 +53,6 @@ from importlib import resources
 from itertools import zip_longest
 from typing import Sequence
 
-import numpy as np
-
 from .exactalg import (LaurentPoly, _charpoly, _mat_mul, _mul_rows, _poly_divmod, _poly_mul,
                        _power, _trace_poly, circle_roots)
 from .lambdamat import (
@@ -233,23 +231,26 @@ class Knot:
         and symmetric under k/p -> 1 - k/p: the roots in (0, 1/2) as brackets
         (lo, hi) of turns, ascending (``circle_roots``, mapped by
         acos(u/2)/2 pi and widened past the rounding of that map, of k/p and
-        of p x), and its exact value on each arc from 0 to 1/2 between them,
-        ``_arc_signature`` at the arc's ``_simplest_tangent`` (w = -1 on the
-        last).  Built once: a SingularEvaluation refusing it is kept and
-        raised on every read."""
+        of p x), and its exact value on each arc from 0 to 1/2 between them.
+        Arc 0, from t = 1 to the first root, is 0 by theory: as s -> 0 the
+        scaled form s (A + A^T) + i (A - A^T) tends to i (A - A^T), which is
+        unimodular with signature 0.  Every later arc is ``_arc_signature``
+        at its ``_simplest_tangent`` (w = -1 on the last).  Built once: a
+        SingularEvaluation refusing it is kept and raised on every read."""
         if self._arcs_refusal is not None:
             raise SingularEvaluation(*self._arcs_refusal.args)
         try:
             brackets = circle_roots(self.delta)[::-1]  # descending in u, so ascending in turns
-            # arc j < len(brackets) lies in u above bracket j, below bracket j - 1 (or u = 2)
-            points = [_simplest_tangent(Fraction(lo), Fraction(hi)) for lo, hi in
-                      zip([b for _, b in brackets], [2.0] + [a for a, _ in brackets])]
         except SingularEvaluation as refusal:
             self._arcs_refusal = refusal
             raise
+        # arc j, 0 < j < len(brackets), lies in u above bracket j, below bracket j - 1
+        points = [_simplest_tangent(Fraction(b), Fraction(a))
+                  for (_, b), (a, _) in zip(brackets[1:], brackets)]
+        points += [(1, 0)] if brackets else []
         roots = [(math.acos(b / 2) / (2 * math.pi) * (1 - _TURN_SLACK),
                   math.acos(a / 2) / (2 * math.pi) * (1 + _TURN_SLACK)) for a, b in brackets]
-        return roots, [_arc_signature(self.seifert, a, b) for a, b in points + [(1, 0)]]
+        return roots, [0] + [_arc_signature(self.seifert, a, b) for a, b in points]
 
     @cached_property
     def signature_average(self) -> float:
@@ -264,11 +265,12 @@ class Knot:
         ``arcs``: floor(p hi) of the k >= 1 lie below a root bracket (lo, hi),
         so each arc counts its k < p/2 in O(1), doubled for k > p/2, plus
         k = p/2 for even p.  No regularity test; SingularEvaluation naming
-        p and k when a k/p falls in a bracket."""
+        p and k when a k >= 1 falls in a bracket (a bracket from turn 0
+        holds k = 0, which is no root of Delta)."""
         roots, sigs = self.arcs
         below = []
         for lo, hi in roots:
-            k = math.ceil(p * lo)
+            k = max(1, math.ceil(p * lo))
             if k <= p * hi:
                 raise SingularEvaluation("a p-th root of unity is numerically singular at the"
                                          " root k = %d of p = %d, by a root of Delta" % (k, p))
@@ -344,8 +346,8 @@ def _simplest_tangent(lo: Fraction, hi: Fraction) -> tuple[int, int]:
     u(s) = 2 (b^2 - a^2)/(a^2 + b^2) = 2 cos(2 pi x) at s = tan(pi x) falls
     from 2 to -2: Stern-Brocot descent from 0/1 and 1/0, a run of steps one
     way (a partial quotient of s) taken in doubling strides."""
-    if not lo < hi:  # only next to u = 2: circle_roots leaves floats between its brackets
-        raise SingularEvaluation("a circle root of Delta too close to t = 1 for floats to separate")
+    if not lo < hi:  # circle_roots leaves floats between its brackets, so never in ``arcs``
+        raise SingularEvaluation("an empty arc between circle roots of Delta")
 
     def side(base, k, step):  # s = base + k step: -1 below the arc (u >= hi), 1 above, 0 on it
         a, b = base[0] + k * step[0], base[1] + k * step[1]
@@ -429,6 +431,8 @@ def sigma_at_omega(A: KnotLike, omega: "complex | np.ndarray") -> "int | np.ndar
     """Signature of (1 - conj(w)) A + (1 - w) A^T at a unit-circle w != 1,
     the oracle of ``Knot.arcs``: an int for a scalar w, an int array for
     an array of w, all of whose forms go through one stacked eigensolve."""
+    import numpy as np
+
     A = Knot.of(A).seifert
     M = np.array(A, dtype=float).reshape(len(A), len(A))
     w = np.asarray(omega, dtype=complex)[..., None, None]

@@ -35,8 +35,6 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .exactalg import (_ON_CIRCLE, LaurentPoly, RatFun, _frac, _qdiv, _roots_by_part,
                        denominator_to_tp)
 
@@ -304,6 +302,8 @@ def _fourier(slot: RatFun, w: np.ndarray) -> np.ndarray:
     """Laurent coefficients of the slot on |t| = 1 from its values at the
     N-th roots of unity w, aliased mod N: entry k is the sum of the
     coefficients of t^r over r = k mod N."""
+    import numpy as np
+
     N = len(w)
     asc, m = slot.num._ascending()
     num = np.polyval([float(c) for c in reversed(asc)], w) * w[(np.arange(N) * m) % N]
@@ -332,6 +332,8 @@ def torus_average(Q: ThetaClass):
         nums = [slot.num for t in Q.terms for slot in (t.f, t.g, t.h)]
         p = max(f.max_exp for f in nums) - min(f.min_exp for f in nums) + 1 if nums else 1
         return res_p_theta(Q, p) / p
+    import numpy as np
+
     slots = {slot for t in Q.terms for slot in (t.f, t.g, t.h)}
     moduli = np.abs(np.concatenate([_roots_by_part(slot.den)[0]
                                     for slot in slots if not slot.is_polynomial]))

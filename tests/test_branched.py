@@ -24,7 +24,7 @@ from knotcovers.branched import (
     total_sigma_p,
 )
 from knotcovers.cli import main
-from knotcovers.exactalg import cyclotomic_norm, mahler_measure
+from knotcovers.exactalg import circle_roots, cyclotomic_norm, mahler_measure
 from knotcovers.lambdamat import (
     LambdaMatrix,
     SingularEvaluation,
@@ -42,8 +42,9 @@ from knotcovers.seifert import (
     sigma_at_omega,
     signature_function,
 )
+from knotcovers.seifert import _arc_signature, _simplest_tangent
 from knotcovers.theta import ThetaClass
-from test_seifert import torus_seifert
+from test_seifert import chi_beta, torus_seifert
 
 
 def by_roots(A, p):
@@ -187,9 +188,10 @@ class TestStackedRoots:
             assert got == self._outcome(by_roots, knot, p), (knot.seifert, p)
 
     def test_one_kernel_call_per_arc_per_chunk(self, monkeypatch, figure8, trefoil):
-        # the arc table is one exact inertia per arc per knot; every p of
-        # the report, the signature average and the signature rows read it,
-        # and no eigensolve runs, at a root of unity or anywhere else
+        # the arc table is one exact inertia per arc per knot, arc 0 (0 by
+        # theory) aside; every p of the report, the signature average and
+        # the signature rows read it, and no eigensolve runs, at a root of
+        # unity or anywhere else
         calls, solves = [], []
         inertia, eigvalsh = knotcovers.seifert._inertia, np.linalg.eigvalsh
         monkeypatch.setattr(knotcovers.seifert, "_inertia",
@@ -201,7 +203,7 @@ class TestStackedRoots:
             rows = branched_report(knot, range(2, self.CHUNK + 2))
             signature_average(knot)
             signature_function(knot, 3, 7)
-            assert calls == [len(A)] * len(knot.arcs[1])
+            assert calls == [len(A)] * (len(knot.arcs[1]) - 1)
             assert solves == []
             assert all(r.sigma_p == by_roots(A, r.p) for r in rows[:60] + rows[-3:] if r.regular)
 
@@ -268,6 +270,38 @@ class TestArcTable:
         sigmas = [line.split()[2] for line in capsys.readouterr().out.splitlines()[1:]]
         assert sigmas == ["4", "8", "12", "16", "20"]
 
+    @pytest.mark.parametrize("M", [2 ** 52, 2 ** 60], ids=["2^52", "2^60"])
+    def test_a_circle_root_closer_to_t_1_than_floats_separate(self, M, capsys, tmp_path):
+        # [[M, 1], [0, 1]] has one circle root, at u = 2 - 1/M, under 2.4e-9
+        # turns from t = 1, and A + A^T = [[2M, 1], [1, 2]] positive definite:
+        # the signature function is 0 before the root and 2 past it, so
+        # sigma_p = 2(p - 1) for every p <= 20.  No float lies between the
+        # root's bracket and u = 2, where the arc table once refused the knot.
+        A = [[M, 1], [0, 1]]
+        knot = Knot(A)
+        assert knot.arcs[1] == [0, 2]
+        assert knot.signature_average == pytest.approx(2, abs=1e-8)
+        f = tmp_path / "knot.json"
+        f.write_text(json.dumps(A))
+        assert main(["branched", "--file", str(f), "--p", "2..20", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [(r[0], r[1], r[2]) for r in rows] == [(p, True, 2 * (p - 1)) for p in range(2, 21)]
+        assert [r[3] for r in rows] == [chi_beta(A, p) for p in range(2, 21)]
+
+    def test_arc_0_is_0_on_the_kernel_route_it_replaced(self):
+        # arc 0, from t = 1 to the first circle root, is 0 by theory; the
+        # exact inertia at its simplest point (w = -1 with no circle root)
+        # agrees on the corpus, on torus knots and on random knots
+        knots = [rec.seifert for rec in corpus_records()]
+        knots += [torus_seifert(a, b) for a, b in ((2, 3), (3, 4), (2, 7), (4, 5))]
+        rng = random.Random(31)
+        knots += [random_seifert(rng.randint(1, 6), rng) for _ in range(200)]
+        for A in knots:
+            knot = Knot(A)
+            brackets = circle_roots(knot.delta)  # ascending in u: arc 0 is above the last
+            a, b = _simplest_tangent(Fraction(brackets[-1][1]), Fraction(2)) if brackets else (1, 0)
+            assert _arc_signature(knot.seifert, a, b) == 0 == knot.arcs[1][0], A
+
     def test_genus_5_average_past_the_old_circle_test(self, capsys, tmp_path):
         # numpy puts its circle roots 1.1e-8 off |t| = 1; the bracket is exact
         f = tmp_path / "knot.json"
@@ -322,7 +356,7 @@ class TestArcTable:
             rows = [signature_function(knot, k, p) for k in range(1, p)]
             if is_p_regular(knot, p):
                 assert total_sigma_p(knot, p) == sum(rows)
-        assert calls == [6] * len(knot.arcs[1]) and solves == []
+        assert calls == [6] * (len(knot.arcs[1]) - 1) and solves == []  # arc 0 is 0 by theory
 
 
 class TestDerivedOnce:

@@ -3,6 +3,7 @@
 import ast
 import doctest
 import importlib
+import json
 import os
 import re
 import runpy
@@ -253,6 +254,55 @@ def test_graphs_draws_in_blocks_without_lambdamat():
     assert calls == []
     imported = [m for node in ast.walk(tree) for m in _imported_modules(node)]
     assert not [m for m in imported if m.split(".")[-1] == "lambdamat"]
+
+
+def test_no_module_imports_numpy_at_module_scope():
+    # numpy's import is most of a CLI start; only the functions that use
+    # it import it, so the exact commands never load it
+    def module_scope(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield child
+                yield from module_scope(child)
+
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in module_scope(ast.parse(path.read_text(encoding="utf-8")))
+        for name in _imported_modules(node)
+        if name.split(".")[0] == "numpy"
+    ]
+    assert found == []
+
+
+_POLY_CLASS = json.loads((SRC / "corpus" / "trefoil.json").read_text("utf-8"))["q2loop"]
+_GENUS_2 = [[-1, 1, 0, 0], [0, -1, 0, 0], [0, 0, 1, 1], [0, 0, 0, -1]]  # trefoil # figure-eight
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["branched", "--knot", "trefoil", "--p", "2..20"],
+    ["branched", "--file", "{knot}", "--q", "{q}", "--p", "2..20", "--format", "json"],
+    ["signature", "--knot", "trefoil", "--p", "7"],
+    ["residue", "--q", "{q}", "--p", "2..12"],
+], ids=["import", "branched", "branched-q-json", "signature", "residue"])
+def test_exact_commands_never_load_numpy(argv, tmp_path):
+    # in a fresh interpreter, the CLI import and every command whose numbers
+    # are all exact (a polynomial class's torus average included) leave
+    # numpy unloaded: they do not move its import into their first call
+    knot, q = tmp_path / "knot.json", tmp_path / "q.json"
+    knot.write_text(json.dumps(_GENUS_2))
+    q.write_text(json.dumps(_POLY_CLASS))
+    argv = [a.format(knot=knot, q=q) for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, knotcovers.cli; argv = %r; "
+            "rc = knotcovers.cli.main(argv) if argv else 0; "
+            "print(rc, 'numpy' in sys.modules)" % argv)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 False"
 
 
 def test_sampled_liftres_leaves_numpy_random_unloaded():
