@@ -54,6 +54,7 @@ EXIT_INVALID = 2
 EXIT_PIPE = 141  # 128 + SIGPIPE: the reader of stdout went away
 
 _VALIDATION_ERRORS = (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError)
+MAX_DEGREES = 10 ** 6  # most degrees p one command takes; a longer range exits 2 up front
 
 
 class _DomainEmpty(Exception):
@@ -72,6 +73,8 @@ def _parse_ps(text: str) -> list[int]:
         lo, hi = int(lo), int(hi)
         if lo > hi:
             raise ValueError("empty range %r" % text)
+        if hi - lo >= MAX_DEGREES:
+            raise ValueError("%d degrees in %r, more than %d" % (hi - lo + 1, text, MAX_DEGREES))
         ps = list(range(lo, hi + 1))
     else:
         ps = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -275,8 +278,8 @@ def cmd_growth(args) -> int:
     rec = _load_knot(args)
     knot = rec.knot
     Q = _pick_q(args, rec)
-    if args.pmax < 1:
-        raise ValueError("pmax must be >= 1")
+    if not 1 <= args.pmax <= MAX_DEGREES:
+        raise ValueError("pmax must be in 1..%d" % MAX_DEGREES)
     triples = torsion_growth(knot, _parse_ps(args.ps) if args.ps else range(1, args.pmax + 1))
     if not triples:
         raise _DomainEmpty("no regular p in the requested range")

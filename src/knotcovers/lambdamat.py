@@ -19,9 +19,10 @@ the integers (``rational_det``) or the Laurent ring (``LambdaMatrix.det``);
 products reuse ``exactalg._mat_mul``, powers ``exactalg._mat_pow``
 (the package's one square and multiply, ``exactalg._power``).
 Every inertia is one fraction-free kernel too, ``_inertia``, over the
-integers (``signature_exact``) or the Gaussian integers (``_GaussInt``,
-for the arc table ``seifert.Knot.arcs``): every signature in production
-is an honest integer, with no threshold.  The production
+integers, for ``signature_exact`` and for the arc table
+``seifert.Knot.arcs``, which hands it each arc's Hermitian form as a real
+integer matrix: every signature in production is an honest integer, with
+no threshold.  The production
 ``branched.total_sigma_p`` reads that arc table; the exact cycle
 substitution ``varsigma_p`` and the per-root sum of ``varsigma_at`` are
 its oracles.  Floats serve only oracles: ``varsigma_at`` evaluates W(z)
@@ -36,7 +37,6 @@ stack of them in one numpy eigensolve.  These four float functions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -129,45 +129,20 @@ def signature_exact(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
     return _inertia(M)
 
 
-@dataclass(slots=True)
-class _GaussInt:
-    """real + imag i, int parts: the ring of ``_inertia``'s complex case,
-    which has ``real``, ``imag`` and ``conjugate()`` like an int."""
-
-    real: int
-    imag: int
-
-    def __bool__(self) -> bool:
-        return bool(self.real or self.imag)
-
-    def conjugate(self) -> "_GaussInt":
-        return _GaussInt(self.real, -self.imag)
-
-    def __sub__(self, other: "_GaussInt") -> "_GaussInt":
-        return _GaussInt(self.real - other.real, self.imag - other.imag)
-
-    def __mul__(self, other: "int | _GaussInt") -> "_GaussInt":
-        a, b, c, d = self.real, self.imag, other.real, other.imag
-        return _GaussInt(a * c - b * d, a * d + b * c)
-
-    def __floordiv__(self, q: int) -> "_GaussInt":  # exact: q divides both parts
-        return _GaussInt(self.real // q, self.imag // q)
-
-
-def _inertia(M: list[list]) -> tuple[int, int, int]:
-    """Inertia (n_plus, n_minus, n_zero) of a Hermitian matrix of ints or
-    ``_GaussInt``s, eliminated in place: the package's one inertia kernel.
+def _inertia(M: list[list[int]]) -> tuple[int, int, int]:
+    """Inertia (n_plus, n_minus, n_zero) of a symmetric integer matrix,
+    eliminated in place: the package's one inertia kernel.
 
     Symmetric fraction-free Bareiss with 1x1 pivots on the upper triangle
-    (M[i][j], i > j, is read as conj(M[j][i])): every active entry stays a
+    (M[i][j], i > j, is read as M[j][i]): every active entry stays a
     bordered minor, divided exactly by the previous pivot.  The pivots d_k
-    are real leading principal minors of a congruent matrix, so by
-    Sylvester's law of inertia the k-th LDL^H pivot has the sign of
-    d_k d_(k-1), d_0 = 1.  A zero corner is made a pivot by subtracting c
-    times a later row j and conj(c) times its column, a determinant-1
-    congruence that adds bordered minors to bordered minors: the corner
-    becomes M[j][j] - 2 Re(conj(c) M[k][j]), nonzero for one of c = 1, -1, i.
-    A zero active row counts once in n_zero and is passed over.
+    are leading principal minors of a congruent matrix, so by Sylvester's
+    law of inertia the k-th LDL^T pivot has the sign of d_k d_(k-1),
+    d_0 = 1.  A zero corner is made a pivot by subtracting c times a later
+    row j and its column, a determinant-1 congruence that adds bordered
+    minors to bordered minors: the corner becomes M[j][j] - 2 c M[k][j],
+    nonzero for c = 1 or c = -1.  A zero active row counts once in n_zero
+    and is passed over.
     """
     n = len(M)
     plus = minus = zero = 0
@@ -179,18 +154,17 @@ def _inertia(M: list[list]) -> tuple[int, int, int]:
             if j is None:
                 zero += 1
                 continue
-            djj, b = M[j][j].real, row_k[j]
-            c = 1 if djj - 2 * b.real else -1 if djj else _GaussInt(0, 1)
+            c = 1 if M[j][j] - 2 * row_k[j] else -1
             for m in range(k, n):
-                row_k[m] -= (M[j][m] if m >= j else M[m][j].conjugate()) * c
-            row_k[k] -= row_k[j] * c.conjugate()
-        d = row_k[k].real
+                row_k[m] -= (M[j][m] if m >= j else M[m][j]) * c
+            row_k[k] -= row_k[j] * c
+        d = row_k[k]
         if (d > 0) == (prev > 0):
             plus += 1
         else:
             minus += 1
         for i in range(k + 1, n):
-            r, row_i = row_k[i].conjugate(), M[i]
+            r, row_i = row_k[i], M[i]
             for j in range(i, n):
                 row_i[j] = (row_i[j] * d - r * row_k[j]) // prev
         prev = d

@@ -54,6 +54,14 @@ def by_roots(A, p):
     return int(sigma_at_omega(A, root_of_unity(np.arange(1, p), p)).sum())
 
 
+def arc_kernel_sizes(knot):
+    """The sizes of the kernel calls behind ``knot.arcs``: arc 0 is 0 by
+    theory, each later arc takes the 4g x 4g real form of its Hermitian form
+    and the last, through w = -1, the 2g x 2g A + A^T."""
+    later, n = len(knot.arcs[1]) - 1, len(knot.seifert)
+    return [2 * n] * (later - 1) + [n] if later else []
+
+
 def block_sum(*mats):
     """Seifert matrix of the connected sum: the block-diagonal sum.  Its
     basis is x_1, y_1, x_2, y_2, ..., so it is not banded."""
@@ -189,21 +197,22 @@ class TestStackedRoots:
 
     def test_one_kernel_call_per_arc_per_chunk(self, monkeypatch, figure8, trefoil):
         # the arc table is one exact inertia per arc per knot, arc 0 (0 by
-        # theory) aside; every p of the report, the signature average and
-        # the signature rows read it, and no eigensolve runs, at a root of
-        # unity or anywhere else
+        # theory) aside, 4g x 4g inside the half circle and 2g x 2g at
+        # w = -1; every p of the report, the signature average and the
+        # signature rows read it, and no eigensolve runs, at a root of unity
+        # or anywhere else
         calls, solves = [], []
         inertia, eigvalsh = knotcovers.seifert._inertia, np.linalg.eigvalsh
         monkeypatch.setattr(knotcovers.seifert, "_inertia",
                             lambda M: calls.append(len(M)) or inertia(M))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: solves.append(H.shape) or eigvalsh(H))
-        for A in (figure8, trefoil, block_sum(trefoil, trefoil)):
+        for A in (figure8, trefoil, block_sum(trefoil, trefoil), torus_seifert(2, 5)):
             knot = Knot(A)
             del calls[:], solves[:]
             rows = branched_report(knot, range(2, self.CHUNK + 2))
             signature_average(knot)
             signature_function(knot, 3, 7)
-            assert calls == [len(A)] * (len(knot.arcs[1]) - 1)
+            assert calls == arc_kernel_sizes(knot)
             assert solves == []
             assert all(r.sigma_p == by_roots(A, r.p) for r in rows[:60] + rows[-3:] if r.regular)
 
@@ -351,12 +360,16 @@ class TestArcTable:
         monkeypatch.setattr(knotcovers.seifert, "complex_signature",
                             lambda H: solves.append(H.shape) or real(H))
         (rec,) = [r for r in corpus_records() if r.name == "random-g3-a"]
-        knot = rec.knot
-        for p in range(2, 51):
-            rows = [signature_function(knot, k, p) for k in range(1, p)]
-            if is_p_regular(knot, p):
-                assert total_sigma_p(knot, p) == sum(rows)
-        assert calls == [6] * (len(knot.arcs[1]) - 1) and solves == []  # arc 0 is 0 by theory
+        # random-g3-a has no circle root; K112 # [[1, 1], [0, 3]] has two, at
+        # u = 5/3 and 3/2, off every root of unity
+        pair = Knot(block_sum(K112, [[1, 1], [0, 3]]))
+        for knot, sizes in ((rec.knot, []), (pair, [8, 4])):
+            del calls[:]
+            for p in range(2, 51):
+                rows = [signature_function(knot, k, p) for k in range(1, p)]
+                if is_p_regular(knot, p):
+                    assert total_sigma_p(knot, p) == sum(rows)
+            assert calls == sizes == arc_kernel_sizes(knot) and solves == []
 
 
 class TestDerivedOnce:

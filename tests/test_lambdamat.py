@@ -13,7 +13,6 @@ from knotcovers.lambdamat import (
     LambdaMatrix,
     NotHermitian,
     SingularEvaluation,
-    _GaussInt,
     _inertia,
     complex_signature,
     normalized_determinant,
@@ -268,8 +267,20 @@ class TestSignatureExact:
 
 
 def _gaussian_rows(H):
-    """_inertia's input for a complex matrix with integer parts."""
-    return [[_GaussInt(int(z.real), int(z.imag)) for z in row] for row in H]
+    """_inertia's input for a Hermitian H = X + iY with integer parts: its
+    real form R = [[X, -Y], [Y, X]], unitarily similar to H + conj(H), so
+    each count of R is twice that of H."""
+    X = [[int(z.real) for z in row] for row in H]
+    Y = [[int(z.imag) for z in row] for row in H]
+    return ([x + [-y for y in v] for x, v in zip(X, Y)]
+            + [v + x for x, v in zip(X, Y)])
+
+
+def _halved(counts):
+    """H's inertia from its real form's: each count is even."""
+    if any(c % 2 for c in counts):
+        raise AssertionError("odd count %r from a real form" % (counts,))
+    return tuple(c // 2 for c in counts)
 
 
 def _random_gaussian_hermitian(rng, n, diagonal=True, real=True, density=1.0):
@@ -287,7 +298,8 @@ def _random_gaussian_hermitian(rng, n, diagonal=True, real=True, density=1.0):
 
 
 class TestGaussianInertia:
-    """The inertia kernel over Z[i], against numpy's Hermitian eigensolve."""
+    """Hermitian inertia through the integer kernel on the real form, against
+    numpy's Hermitian eigensolve."""
 
     @staticmethod
     def _numpy_inertia(H):
@@ -298,25 +310,27 @@ class TestGaussianInertia:
     def test_matches_numpy_on_random_hermitian_matrices(self, rng):
         for _ in range(300):
             H = _random_gaussian_hermitian(rng, rng.randint(1, 8), density=rng.choice([0.3, 1.0]))
-            assert _inertia(_gaussian_rows(H)) == self._numpy_inertia(H), H
+            assert _halved(_inertia(_gaussian_rows(H))) == self._numpy_inertia(H), H
 
     def test_zero_corner_branches(self):
-        # a zero corner takes c = 1 (M[j][j] - 2 Re b != 0), c = -1 (M[j][j]
-        # = 2 Re b != 0) or c = i (M[j][j] = 0 = Re b, so Im b != 0)
+        # on the real form a zero corner takes c = 1 (M[j][j] - 2 M[k][j] != 0)
+        # or c = -1 (M[j][j] = 2 M[k][j] != 0); a purely imaginary entry such
+        # as 2i lies in R's off-diagonal blocks and takes c = 1
         for H, want in (([[0, 3], [3, 0]], (1, 1, 0)), ([[0, 1 + 2j], [1 - 2j, 0]], (1, 1, 0)),
                         ([[0, 1], [1, 2]], (1, 1, 0)), ([[0, 2 - 1j], [2 + 1j, 4]], (1, 1, 0)),
                         ([[0, 2j], [-2j, 0]], (1, 1, 0)), ([[0, -5j], [5j, 0]], (1, 1, 0)),
                         ([[0, 0, 1j], [0, 0, 0], [-1j, 0, 0]], (1, 1, 1)),
                         ([[0, 0], [0, 0]], (0, 0, 2)), ([[0, 0], [0, -3]], (0, 1, 1))):
-            assert _inertia(_gaussian_rows(H)) == want == self._numpy_inertia(H), H
+            assert _halved(_inertia(_gaussian_rows(H))) == want == self._numpy_inertia(H), H
 
     def test_zero_diagonals_with_real_and_imaginary_entries(self, rng):
-        # every corner starts zero; with real parts off (Re b = 0) each
-        # repair takes c = i, with them on mostly c = 1
+        # every corner of the real form starts zero; with real parts off
+        # each repair pairs a row of X with a row of Y, with them on mostly
+        # a row of X
         for trial in range(400):
             H = _random_gaussian_hermitian(rng, rng.randint(2, 8), diagonal=False,
                                            real=trial % 2 == 0, density=rng.choice([0.3, 1.0]))
-            assert _inertia(_gaussian_rows(H)) == self._numpy_inertia(H), H
+            assert _halved(_inertia(_gaussian_rows(H))) == self._numpy_inertia(H), H
 
     def test_singular_matrices(self, rng):
         # H = C^H D C, C of k < n rows and full rank k, D = diag(+-1): the
@@ -332,17 +346,18 @@ class TestGaussianInertia:
             D = [rng.choice([1, -1]) for _ in range(k)]
             H = C.conj().T @ np.diag(D) @ C
             want = (D.count(1), D.count(-1), n - k)
-            assert _inertia(_gaussian_rows(H)) == want == self._numpy_inertia(H), H
+            assert _halved(_inertia(_gaussian_rows(H))) == want == self._numpy_inertia(H), H
             checked += 1
         assert checked > 150
 
     def test_real_gaussian_matrix_matches_the_integer_case(self, rng):
+        # Y = 0: R is S twice over, block diagonal, with twice its inertia
         for _ in range(100):
             n = rng.randint(1, 7)
             B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             S = [[B[i][j] + B[j][i] for j in range(n)] for i in range(n)]
-            H = [[_GaussInt(x, 0) for x in row] for row in S]
-            assert _inertia(H) == signature_exact(S)
+            H = [[complex(x, 0) for x in row] for row in S]
+            assert _halved(_inertia(_gaussian_rows(H))) == signature_exact(S)
 
 
 class TestIntegerEntries:

@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import knotcovers.seifert
-from knotcovers.cli import main
+from knotcovers.cli import MAX_DEGREES, _parse_ps, main
 from knotcovers.exactalg import LaurentPoly
 from knotcovers.seifert import corpus_records, random_seifert
 
@@ -79,8 +82,8 @@ class TestSignatureCommand:
 
     def test_total_is_the_sum_of_the_rows_each_root_solved_once(self, capsys, monkeypatch):
         # rows and total read one arc table: one exact inertia for the
-        # trefoil's second arc (its first is 0 by theory), no eigensolve, at
-        # a root of unity or not
+        # trefoil's second arc (its first is 0 by theory), the 2 x 2 A + A^T
+        # of the arc through w = -1, no eigensolve, at a root of unity or not
         calls, solves = [], []
         inertia, real = knotcovers.seifert._inertia, knotcovers.seifert.complex_signature
         monkeypatch.setattr(knotcovers.seifert, "_inertia",
@@ -237,6 +240,30 @@ class TestGrowthCommand:
         assert code == 0
         assert out == ""
         assert dest.read_text().splitlines()[0] == "p,beta_p,log_beta_over_p"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["branched", "--knot", "trefoil", "--p", "2..100000000000"],
+     "error: 99999999999 degrees in '2..100000000000', more than 1000000\n"),
+    (["growth", "--knot", "trefoil", "--pmax", "100000000000"],
+     "error: pmax must be in 1..1000000\n"),
+], ids=["branched-p", "growth-pmax"])
+def test_too_many_degrees_exit_2_up_front(argv, message):
+    # 10^11 degrees would exhaust memory building the list (branched) or
+    # run for days (growth): one error line and exit 2 before any work
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(knotcovers.seifert.__file__))]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-m", "knotcovers.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", message)
+    assert "Traceback" not in run.stderr
+
+
+def test_degree_cap_counts_the_range():
+    assert _parse_ps("%d..%d" % (5, 4 + MAX_DEGREES))[-1] == 4 + MAX_DEGREES
+    with pytest.raises(ValueError, match="more than 1000000"):
+        _parse_ps("%d..%d" % (5, 5 + MAX_DEGREES))
 
 
 class TestResidueCommand:

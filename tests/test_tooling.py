@@ -316,3 +316,28 @@ def test_sampled_liftres_leaves_numpy_random_unloaded():
                          timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "0 False"
+
+
+def test_arc_kernel_sees_only_plain_ints(monkeypatch, tmp_path, capsys):
+    # every arc's Hermitian form reaches the one inertia kernel as its real
+    # integer form: no Gaussian or complex entry on any command.  The corpus
+    # commands reach only the arc through w = -1; the file knot, with circle
+    # roots at u = 3/2 and 5/3, has an arc inside the half circle
+    import knotcovers.cli
+    import knotcovers.seifert
+
+    knot = tmp_path / "knot.json"
+    knot.write_text(json.dumps([[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [0, 0, 0, 3]]))
+    inertia, seen = knotcovers.seifert._inertia, []
+
+    def checked(M):
+        seen.append((len(M), sorted({type(x).__name__ for row in M for x in row})))
+        return inertia(M)
+
+    monkeypatch.setattr(knotcovers.seifert, "_inertia", checked)
+    for argv in (["branched", "--knot", "random-g3-a", "--p", "2..30"],
+                 ["signature", "--knot", "trefoil", "--p", "7"],
+                 ["growth", "--knot", "figure8", "--pmax", "20"],
+                 ["branched", "--file", str(knot), "--p", "2..12"]):
+        assert knotcovers.cli.main(argv) == 0, capsys.readouterr().err
+    assert seen == [(2, ["int"]), (8, ["int"]), (4, ["int"])]
