@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 from typing import Callable
@@ -85,18 +84,14 @@ EXPECTED = {
 }
 
 
-@dataclass
 class AcceptanceContext:
-    corrupt: bool = False
-    seed: int = 1789
-    expected: dict = field(default_factory=lambda: {k: v for k, v in EXPECTED.items()})
-    _random_corpus: list | None = None
-
-    def __post_init__(self):
-        if self.corrupt:
+    def __init__(self, corrupt: bool = False, seed: int = 1789):
+        self.seed = seed
+        self.expected = dict(EXPECTED)
+        self._random_corpus: list | None = None
+        if corrupt:
             bad = dict(self.expected["trefoil_beta"])
             bad[2] = bad[2] + 1
-            self.expected = dict(self.expected)
             self.expected["trefoil_beta"] = bad
 
     def random_corpus(self) -> list:

@@ -34,9 +34,8 @@ Their growth as p -> infinity:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .seifert import Knot, KnotLike
 from .theta import QSingularAtP, ThetaClass, res_p_theta, torus_average
@@ -133,8 +132,7 @@ def casson_growth(A: KnotLike, Q: ThetaClass) -> float:
 # report rows for the CLI
 
 
-@dataclass
-class BranchedReport:
+class BranchedReport(NamedTuple):
     p: int
     regular: bool
     sigma_p: int | None = None
@@ -158,17 +156,11 @@ def branched_report(
             out.append(BranchedReport(p=p, regular=False))
             continue
         sig = knot.sigma_p(p)
-        row = BranchedReport(
-            p=p,
-            regular=True,
-            sigma_p=sig,
-            beta_p=beta,
-            log_beta_over_p=math.log(beta) / p,
-        )
+        casson = None
         if Q is not None:
             try:
-                row.casson = _casson(res_p_theta(Q, p), sig)
+                casson = _casson(res_p_theta(Q, p), sig)
             except QSingularAtP:
                 pass  # 2-loop part degenerates at this p; leave blank
-        out.append(row)
+        out.append(BranchedReport(p, True, sig, beta, math.log(beta) / p, casson))
     return out

@@ -20,13 +20,15 @@ report over a range with no regular p at all); 2 on invalid input; 141
 (128 + SIGPIPE), silently, when the reader of stdout closes it early.
 
 Output is deterministic: floats are printed to 12 significant digits,
-exact rationals as fraction strings.
+exact rationals as fraction strings.  ``main`` builds its parser on its
+first call and reuses it for every later call in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import random
@@ -236,6 +238,8 @@ def cmd_signature(args) -> int:
     if len(ps) != 1:
         raise ValueError("signature takes a single --p, not a range")
     (p,) = ps
+    if p - 1 > MAX_DEGREES:
+        raise ValueError("signature at p = %d has %d rows, more than %d" % (p, p - 1, MAX_DEGREES))
     knot.arcs  # a refused arc table exits 2 here, at every p, regular or not
     rows = []
     for k in range(1, p):
@@ -412,9 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # main's own parser, built once per process; build_parser() callers get a fresh one
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit

@@ -46,7 +46,6 @@ import bisect
 import json
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
@@ -488,22 +487,19 @@ def random_seifert(g: int, rng: random.Random) -> list[list[int]]:
 # knot records and the bundled corpus
 
 
-@dataclass
 class KnotRecord:
     """A named knot presented by a Seifert matrix, with an optional
     2-loop class used by the Casson-Walker computations.  The matrix is
     validated once, into ``knot``, whose normalized rows ``seifert`` then
     holds."""
 
-    name: str
-    seifert: list[list[int]]
-    q2loop: "ThetaClass | None" = None
-    provenance: str | None = None
-    knot: Knot = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.knot = Knot(self.seifert)
+    def __init__(self, name: str, seifert: list[list[int]],
+                 q2loop: "ThetaClass | None" = None, provenance: str | None = None):
+        self.name = name
+        self.knot = Knot(seifert)
         self.seifert = self.knot.seifert
+        self.q2loop = q2loop
+        self.provenance = provenance
 
     def to_json(self) -> dict:
         obj: dict = {"name": self.name, "seifert": self.seifert}

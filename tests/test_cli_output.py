@@ -1,6 +1,8 @@
-"""CLI rendering of values past Python's int-to-str digit limit, and the
-exit when the reader of stdout goes away."""
+"""CLI rendering of values past Python's int-to-str digit limit, the
+exit when the reader of stdout goes away, and the one parser that every
+``main`` call in a process shares."""
 
+import argparse
 import os
 import re
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import knotcovers
-from knotcovers.cli import EXIT_PIPE, main
+from knotcovers.cli import EXIT_PIPE, _parser, build_parser, main
 
 
 def lucas(n):
@@ -78,3 +80,73 @@ def test_closed_stdout_without_a_descriptor(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", Closed())
     assert main(["liftres", "--graph", "theta", "--p", "2"]) == EXIT_PIPE
     assert capsys.readouterr().err == ""
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # a build constructs one parser per subcommand plus the top one; once
+    # main has run, a later call constructs none
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    main(["alexander", "--knot", "trefoil"])
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert build_parser() is not _parser()  # an outside caller cannot change main's parser
+    assert len(built) == 8
+    built.clear()
+    assert main(["branched", "--knot", "trefoil", "--p", "2..5"]) == 0
+    assert built == []
+
+
+_SEQUENCE = [
+    ["growth", "--knot", "figure8", "--ps", "5", "--pmax", "3"],  # argparse usage error
+    ["branched", "--knot", "bogus", "--p", "2..5"],  # ValueError
+    ["growth", "--knot", "figure8", "--pmax", "20", "--plot-data"],
+    ["growth", "--knot", "figure8", "--pmax", "20"],
+    ["branched", "--knot", "trefoil", "--p", "2..12", "--format", "csv"],
+    ["branched", "--knot", "trefoil", "--p", "2..12"],
+    ["signature", "--knot", "figure8", "--p", "7", "--out", "{out}"],
+    ["signature", "--knot", "figure8", "--p", "7"],
+    ["selftest", "--criteria", "10"],
+]
+
+
+def _untimed(text):
+    # selftest's per-criterion seconds are the one field that varies between runs
+    return re.sub(r"\(\s*\d+\.\d+s\)", "(s)", text)
+
+
+def test_one_process_matches_a_fresh_process_per_command(capsys, monkeypatch, tmp_path):
+    # the reused parser carries nothing from one call to the next: each argv
+    # of the sequence, run in this process after the ones before it, gives
+    # the exit code, stdout, stderr and --out file of its own fresh process
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(knotcovers.__file__).parents[1])]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = tmp_path / "out.txt"
+
+    def written():
+        text = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return text
+
+    here, fresh = [], []
+    for argv in _SEQUENCE:
+        argv = [a.format(out=out) for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        here.append((code, _untimed(captured.out), captured.err, written()))
+        run = subprocess.run([sys.executable, "-m", "knotcovers.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+        fresh.append((run.returncode, _untimed(run.stdout), run.stderr, written()))
+    assert [r[0] for r in here] == [2, 2, 0, 0, 0, 0, 0, 0, 0]
+    assert here[0][2].startswith("usage: knotcovers growth") and here[1][2].startswith("error:")
+    assert here[6][1] == "" and here[6][3] == here[7][1]
+    assert here == fresh

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -247,15 +248,23 @@ class TestGrowthCommand:
      "error: 99999999999 degrees in '2..100000000000', more than 1000000\n"),
     (["growth", "--knot", "trefoil", "--pmax", "100000000000"],
      "error: pmax must be in 1..1000000\n"),
-], ids=["branched-p", "growth-pmax"])
+    (["signature", "--knot", "trefoil", "--p", "1000000000"],
+     "error: signature at p = 1000000000 has 999999999 rows, more than 1000000\n"),
+    (["signature", "--knot", "trefoil", "--p", str(MAX_DEGREES + 2)],
+     "error: signature at p = 1000002 has 1000001 rows, more than 1000000\n"),
+], ids=["branched-p", "growth-pmax", "signature-p", "signature-p-cap"])
 def test_too_many_degrees_exit_2_up_front(argv, message):
     # 10^11 degrees would exhaust memory building the list (branched) or
-    # run for days (growth): one error line and exit 2 before any work
+    # run for days (growth), and signature builds p - 1 rows: one error
+    # line and exit 2 before any work, so the whole process takes well
+    # under a second
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(knotcovers.seifert.__file__))]
         + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    start = time.perf_counter()
     run = subprocess.run([sys.executable, "-m", "knotcovers.cli", *argv], env=env,
                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 1.0
     assert (run.returncode, run.stdout, run.stderr) == (2, "", message)
     assert "Traceback" not in run.stderr
 
