@@ -35,7 +35,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .exactalg import SingularAtOne, mahler_measure
+from .exactalg import mahler_measure
 from .lambdamat import AtOne, NotHermitian, SingularEvaluation, normalized_determinant
 from .seifert import KnotRecord, corpus_record, signature_function
 from .branched import (
@@ -44,7 +44,6 @@ from .branched import (
     is_p_regular,
     signature_average,
     torsion_growth,
-    total_sigma_p,
 )
 from .theta import QSingularAtP, SingularOnTorus, ThetaClass, res_p_theta, torus_average
 from .graphs import BeadedGraph, disjoint_union, eyes_graph, liftres_sweep, theta_graph
@@ -250,8 +249,10 @@ def cmd_signature(args) -> int:
         rows.append([k, Fraction(k, p), sig])
     sigs = [row[2] for row in rows if row[2] is not None]
     summary = {}
-    if is_p_regular(knot, p):  # the rows' arc table; refuses a k/p within rounding of a root
-        summary["total_sigma_p"] = total_sigma_p(knot, p)
+    # no refused row means p is regular (a root of Delta at a p-th root of unity
+    # refuses its row); else beta_p decides, and sigma_p refuses a near miss
+    if len(sigs) == len(rows) or is_p_regular(knot, p):
+        summary["total_sigma_p"] = knot.sigma_p(p)
     if not rows:
         raise _DomainEmpty("p = 1 has no interior roots of unity")
     _emit_rows(args, ["k", "k/p", "signature"], rows, summary)
@@ -433,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
         with contextlib.suppress(AttributeError, ValueError, OSError):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except (_DomainEmpty, SingularAtOne, AtOne, QSingularAtP, SingularOnTorus) as e:
+    except (_DomainEmpty, AtOne, QSingularAtP, SingularOnTorus) as e:
         print("domain: %s" % e, file=sys.stderr)
         return EXIT_DOMAIN
     except _VALIDATION_ERRORS as e:

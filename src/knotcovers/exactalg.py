@@ -126,15 +126,7 @@ class LaurentPoly:
             for e, v in coeffs.items():
                 v = _frac(v)
                 if v:
-                    e = int(e)
-                    if e in c:
-                        v = _frac(c[e] + v)
-                        if v:
-                            c[e] = v
-                        else:
-                            del c[e]
-                    else:
-                        c[e] = v
+                    c[int(e)] = v
         self._c = c
 
     # -- constructors -------------------------------------------------------
@@ -290,9 +282,6 @@ class LaurentPoly:
 
     # -- evaluation ---------------------------------------------------------
 
-    def __call__(self, z):
-        return self.evaluate(z)
-
     def evaluate(self, z):
         """Evaluate at z.  Exact for Fraction/int z, complex otherwise."""
         if isinstance(z, (int, Fraction)) and not isinstance(z, bool):
@@ -348,7 +337,13 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Scalar]) -> "LaurentPoly":
-        return cls({int(e): _frac(v) for e, v in obj.items()})
+        """ValueError for two keys of one exponent ("1", "01"): one would be lost."""
+        c: dict[int, int | Fraction] = {}
+        for key, v in obj.items():
+            if int(key) in c:
+                raise ValueError("exponent %d is given twice (key %r)" % (int(key), key))
+            c[int(key)] = _frac(v)
+        return cls(c)
 
     def __str__(self) -> str:
         if not self._c:
@@ -669,29 +664,11 @@ class RatFun:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "RatFun":
-        out = RatFun.__new__(RatFun)
-        out.num = -self.num
-        out.den = self.den
-        return out
-
-    def __sub__(self, other) -> "RatFun":
-        return self + (-_as_ratfun(other))
-
-    def __rsub__(self, other) -> "RatFun":
-        return _as_ratfun(other) + (-self)
-
     def __mul__(self, other) -> "RatFun":
         other = _as_ratfun(other)
         return RatFun(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatFun":
-        other = _as_ratfun(other)
-        if other.num.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
 
     def bar(self) -> "RatFun":
         return RatFun(self.num.bar(), self.den.bar())
@@ -701,9 +678,6 @@ class RatFun:
         if dz == 0:
             raise ZeroDivisionError("pole at %r" % (z,))
         return self.num.evaluate(z) / dz
-
-    def __call__(self, z):
-        return self.evaluate(z)
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}

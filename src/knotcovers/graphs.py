@@ -13,12 +13,13 @@ Two quantities are attached for each p >= 1:
   components) when every cycle monodromy vanishes mod p and 0 otherwise,
   and equals the number of ways the graph lifts to the p-fold cyclic
   cover.
-* the residue ``res_p_graph`` of the symbol ``phi_R``: pick a spanning
-  forest; the surviving b_1 edges carry independent variables, and the
-  bead data of the graph determines a monomial whose exponents are the
-  fundamental-cycle monodromies.  ``phi_R`` averages that monomial over
-  the automorphism group of the graph (automorphisms may reverse edges,
-  which inverts the corresponding variable), and ``res_p_graph`` sums the
+* the residue ``res_p_graph`` of the symbol ``phi_R``: the coloring
+  plan's walk (``_coloring_plan``) picks a spanning forest; the surviving
+  b_1 edges carry independent variables, and the bead data determines a
+  monomial whose exponents are the fundamental-cycle monodromies, read
+  off the same walk.  ``phi_R`` averages that monomial over the
+  automorphism group of the graph (automorphisms may reverse edges, which
+  inverts the corresponding variable), and ``res_p_graph`` sums the
   symbol over all tuples of p-th roots of unity, scaled by
   p^(Euler characteristic).
 
@@ -33,7 +34,7 @@ whose inverse is its inverse automorphism's, hence det +-1, so all of
 them share the kernel of the fundamental-cycle matrix mod p, and the
 average over the group is one kernel test.  Its lift side replays
 ``count_admissible``'s coloring plan (``_coloring_plan``, the one walk of
-the graph) as row operations.
+the graph, which also gives the fundamental cycles) as row operations.
 """
 
 from __future__ import annotations
@@ -294,59 +295,32 @@ def _automorphisms(n: int, ends: tuple[tuple[int, int], ...]) -> tuple[GraphAut,
 
 
 # ---------------------------------------------------------------------------
-# spanning forests, cycles, and the rational symbol
+# fundamental cycles and the rational symbol
 
 
-def fundamental_cycles(
-    G: BeadedGraph, forest: Sequence[int] | None = None
-) -> tuple[list[int], list[dict[int, int]]]:
-    """(non-forest edge indices, cycle vectors) for a spanning forest.
+def fundamental_cycles(G: BeadedGraph) -> tuple[list[int], list[dict[int, int]]]:
+    """(non-forest edge indices, cycle vectors) for the spanning forest of
+    ``_coloring_plan``, the edges that set a color.
 
     The cycle of a non-forest edge e = (a -> b) is e followed by the
     forest path from b back to a; the vector maps edge index to its
-    signed multiplicity (+1 when traversed tail to head).  Any maximal
-    forest may be supplied; the default is the forest of ``_coloring_plan``,
-    the edges that set a color.
+    signed multiplicity (+1 when traversed tail to head).  The signed
+    forest path from its component's root to each vertex is read off the
+    plan's walk, which sets a vertex after the vertex it is reached from.
     """
-    if forest is None:
-        forest = [e for _, _, e, _ in _coloring_plan(G).sets]
-    forest = sorted(set(int(i) for i in forest))
-    n = G.n_vertices
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for idx in forest:
-        e = G.edges[idx]
-        if e.tail == e.head:
-            raise ValueError("a loop cannot belong to a forest")
-        adj[e.tail].append((e.head, idx, +1))
-        adj[e.head].append((e.tail, idx, -1))
-    pathvec: list[dict[int, int] | None] = [None] * n
-    roots = 0
-    for start in range(n):
-        if pathvec[start] is not None:
-            continue
-        pathvec[start] = {}
-        roots += 1
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, idx, sgn in adj[v]:
-                if pathvec[w] is None:
-                    vec = dict(pathvec[v])
-                    vec[idx] = vec.get(idx, 0) + sgn
-                    pathvec[w] = vec
-                    stack.append(w)
-    # acyclic: |forest| = V - (forest components); spanning: those
-    # components coincide with the graph components
-    if len(forest) != n - roots or roots != G.b0:
-        raise ValueError("not a spanning forest")
-    nonforest = [i for i in range(len(G.edges)) if i not in set(forest)]
+    sets = _coloring_plan(G).sets
+    path: list[dict[int, int]] = [{} for _ in range(G.n_vertices)]
+    for w, v, e, s in sets:
+        path[w] = {**path[v], e: s}
+    forest = {e for _, _, e, _ in sets}
+    nonforest = [i for i in range(len(G.edges)) if i not in forest]
     cycles = []
     for idx in nonforest:
         e = G.edges[idx]
         vec: dict[int, int] = {idx: 1}
-        for k, s in pathvec[e.tail].items():
+        for k, s in path[e.tail].items():
             vec[k] = vec.get(k, 0) + s
-        for k, s in pathvec[e.head].items():
+        for k, s in path[e.head].items():
             vec[k] = vec.get(k, 0) - s
         cycles.append({k: s for k, s in vec.items() if s})
     return nonforest, cycles
@@ -369,19 +343,17 @@ def _aut_cycle_matrices(C: np.ndarray, auts: Sequence[GraphAut]) -> np.ndarray:
     return C[:, eperm].transpose(1, 0, 2) * sign.reshape(len(auts), 1, -1)
 
 
-def phi_R(
-    G: BeadedGraph, forest: Sequence[int] | None = None
-) -> dict[tuple[int, ...], Fraction]:
+def phi_R(G: BeadedGraph) -> dict[tuple[int, ...], Fraction]:
     """The symmetrized rational symbol of a beaded graph.
 
-    In the coordinates given by the fundamental cycles of a spanning
-    forest, the unsymmetrized symbol of a bead labeling is the single
-    monomial whose exponent vector is the tuple of cycle monodromies.
+    In the coordinates of ``fundamental_cycles``, the unsymmetrized symbol
+    of a bead labeling is the single monomial whose exponent vector is the
+    tuple of cycle monodromies.
     phi_R averages this over all graph automorphisms acting on the
     labeling (edge reversal inverts the bead).  Returned as a dict from
     exponent tuples (length b1) to rational coefficients summing to 1.
     """
-    _, cycles = fundamental_cycles(G, forest)
+    _, cycles = fundamental_cycles(G)
     auts = automorphisms(G)
     beads = G.beads
     hits: dict[tuple[int, ...], int] = {}

@@ -5,7 +5,8 @@ Hermitian when conjugate-transposition with respect to the bar involution
 t -> t^-1 fixes it; then W(w) is an ordinary Hermitian complex matrix for
 every w on the unit circle, and W(1) is rational symmetric.
 
-Two substitutions drive branched-cover computations:
+Two substitutions build the p-fold cover's forms; sigma_p and beta_p are
+read off ``seifert.Knot``, so these are the oracles of criteria 3, 4 and 12:
 
 * ``subst_cycle(W, p)`` puts the p-cycle permutation matrix T (T^p = I,
   T^-1 = T^T) in for t: the rows of an np x np rational symmetric matrix,

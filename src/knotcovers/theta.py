@@ -9,10 +9,10 @@ rational.  Two relations are quotiented out:
 * the loop relation -- (f, g, h) = (t f, t g, t h), reflecting
   t1 t2 t3 = 1.
 
-Classes are stored as raw term lists; ``symmetrize`` averages over the
-symmetry group, and equality is functional (agreement of residues and of
-symmetrized evaluations on the torus t1 t2 t3 = 1), which is the faithful
-notion for the quotient.
+Classes are stored as canonical term lists; ``symmetrize`` averages over
+the symmetry group.  ``==`` compares the term lists, so two classes equal
+in the quotient may differ there; every quantity below is invariant under
+both relations.
 
 The two quantities consumed downstream:
 
@@ -29,7 +29,6 @@ it decays geometrically with the distance of the poles from the circle.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -48,8 +47,6 @@ __all__ = [
 ]
 
 
-_COMPARE_TOL = 1e-9  # relative agreement that counts as equal in functionally_equal
-_COMPARE_PS = (1, 2, 3, 5, 7)  # the p whose residues functionally_equal compares
 _TAIL_RATIO = 1e-13  # torus_average: Fourier tail at |r| >= N/4 vs the largest coefficient
 _GRID_CAP = 2 ** 20  # torus_average: the largest trapezoid grid tried
 # torus_average refuses up front a pole whose geometric tail would still be
@@ -132,8 +129,8 @@ class ThetaClass:
         return all(t.f.is_polynomial and t.g.is_polynomial and t.h.is_polynomial for t in self.terms)
 
     def __eq__(self, other) -> bool:
-        """Structural equality of canonical term lists.  Use
-        functionally_equal for equality in the quotient."""
+        """Structural equality of canonical term lists, finer than equality
+        in the quotient (Q.pushed(1) differs from Q here)."""
         if not isinstance(other, ThetaClass):
             return NotImplemented
         return self.terms == other.terms
@@ -184,39 +181,6 @@ class ThetaClass:
                 for perm in permutations(range(3)):
                     out.append((slots[perm[0]], slots[perm[1]], slots[perm[2]], c))
         return ThetaClass(out)
-
-    # -- evaluation ----------------------------------------------------------
-
-    def evaluate_raw(self, z1: complex, z2: complex) -> complex:
-        """sum_terms c f(z1) g(z2) h(1/(z1 z2)); no symmetrization."""
-        z3 = 1.0 / (z1 * z2)
-        total = 0j
-        for t in self.terms:
-            total += complex(
-                float(t.c) * t.f.evaluate(z1) * t.g.evaluate(z2) * t.h.evaluate(z3)
-            )
-        return total
-
-    def evaluate_sym(self, z1: complex, z2: complex) -> complex:
-        """Symmetrized evaluation; invariant of the class in the quotient."""
-        return self.symmetrize().evaluate_raw(z1, z2)
-
-    def functionally_equal(self, other: "ThetaClass") -> bool:
-        """Equality in the quotient, tested functionally: residues at each p
-        of _COMPARE_PS plus symmetrized evaluation at fixed torus points."""
-        for p in _COMPARE_PS:
-            if res_p_theta(self, p) != res_p_theta(other, p):
-                return False
-        angles = [0.7, 1.9, 2.51, 4.13]
-        for u in angles:
-            for v in angles[::-1]:
-                z1 = cmath.exp(1j * u)
-                z2 = cmath.exp(1j * v)
-                a = self.evaluate_sym(z1, z2)
-                b = other.evaluate_sym(z1, z2)
-                if abs(a - b) > _COMPARE_TOL * max(1.0, abs(a)):
-                    return False
-        return True
 
     # -- serialization -------------------------------------------------------
 

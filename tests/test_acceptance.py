@@ -2,7 +2,6 @@
 pass/fail line, and the harness must turn red under injected corruption."""
 
 import cmath
-import io
 import os
 import re
 import subprocess
@@ -62,20 +61,18 @@ def test_criterion(num, title, fn, ctx, capsys):
     )
 
 
-def test_runner_emits_one_line_per_criterion():
-    buf = io.StringIO()
-    ok = run_selftest(criteria=[7, 10], stream=buf)
+def test_runner_emits_one_line_per_criterion(capsys):
+    ok = run_selftest(criteria=[7, 10])
     assert ok
-    lines = buf.getvalue().strip().splitlines()
+    lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
     assert all(re.match(r"criterion\s+\d+: (PASS|FAIL) \(\s*\d+\.\d\ds\)", ln) for ln in lines)
 
 
-def test_injected_corruption_turns_the_gate_red():
-    buf = io.StringIO()
-    ok = run_selftest(criteria=[4], inject_corruption=True, stream=buf)
+def test_injected_corruption_turns_the_gate_red(capsys):
+    ok = run_selftest(criteria=[4], inject_corruption=True)
     assert ok is False
-    assert "FAIL" in buf.getvalue()
+    assert "FAIL" in capsys.readouterr().out
 
 
 def _install_wrong_slice(setattr_):
@@ -106,18 +103,18 @@ def _install_wrong_slice(setattr_):
     setattr_(seifert, "_inertia", wrong_inertia)
 
 
-def test_one_wrong_root_fails_the_stacked_cross_check(monkeypatch):
+def test_one_wrong_root_fails_the_stacked_cross_check(monkeypatch, capsys):
     _install_wrong_slice(monkeypatch.setattr)
     with pytest.raises(AssertionError, match=r"signature mismatch at k/p=3/7$"):
         criterion_02(AcceptanceContext())
-    buf = io.StringIO()
-    assert run_selftest(criteria=[2, 3], stream=buf) is False
-    lines = buf.getvalue().splitlines()
+    capsys.readouterr()
+    assert run_selftest(criteria=[2, 3]) is False
+    lines = capsys.readouterr().out.splitlines()
     assert re.match(r"criterion\s+2: FAIL .* k/p=3/7$", lines[0]), lines[0]
     assert re.match(r"criterion\s+3: FAIL .* trefoil p=2: production route$", lines[1]), lines[1]
 
 
-def test_one_wrong_clover_root_fails_criteria_2_and_3(monkeypatch):
+def test_one_wrong_clover_root_fails_criteria_2_and_3(monkeypatch, capsys):
     real = acceptance.varsigma_at
 
     def wrong(W, k, p):
@@ -126,9 +123,9 @@ def test_one_wrong_clover_root_fails_criteria_2_and_3(monkeypatch):
         return np.where(hit, -out, out) if np.ndim(out) else (-out if hit else out)
 
     monkeypatch.setattr(acceptance, "varsigma_at", wrong)
-    buf = io.StringIO()
-    assert run_selftest(criteria=[2, 3], stream=buf) is False
-    lines = buf.getvalue().splitlines()
+    capsys.readouterr()
+    assert run_selftest(criteria=[2, 3]) is False
+    lines = capsys.readouterr().out.splitlines()
     assert re.match(r"criterion\s+2: FAIL .* k/p=3/7$", lines[0]), lines[0]
     assert re.match(r"criterion\s+3: FAIL .* p=7: -?\d+ vs -?\d+$", lines[1]), lines[1]
 

@@ -612,6 +612,13 @@ class TestInputBoundary:
         with pytest.raises(ValueError, match="zero denominator"):
             LaurentPoly.from_json({"0": "3/0"})
 
+    def test_two_keys_for_one_exponent_are_refused(self):
+        # int("01") == 1: one key's coefficient would silently replace the other's
+        for obj in ({"1": "1", "01": "1"}, {"-2": "3", " -2": "0"}, {"0": "1", "+0": "-1"}):
+            with pytest.raises(ValueError, match=r"exponent -?\d is given twice"):
+                LaurentPoly.from_json(obj)
+        assert LaurentPoly.from_json({"01": "1", "0": "2"}) == LaurentPoly({0: 2, 1: 1})
+
     @pytest.mark.parametrize("flag", [True, False, np.bool_(True), np.bool_(False)])
     def test_a_boolean_is_refused_like_a_float(self, flag):
         # Fraction(True) == 1 would load a JSON true as coefficient 1

@@ -120,6 +120,73 @@ def _signed_order_by_powers(aut):
     return k
 
 
+def _forest_walk_cycles(G, forest):
+    """Oracle for ``fundamental_cycles``: a depth-first walk of the given
+    spanning forest alone, from the lowest unvisited vertex, keeping the
+    signed forest path to each vertex; ValueError unless the forest is
+    acyclic and spans every component of G."""
+    forest = sorted(set(forest))
+    n = G.n_vertices
+    adj = [[] for _ in range(n)]
+    for idx in forest:
+        e = G.edges[idx]
+        if e.tail == e.head:
+            raise ValueError("a loop cannot belong to a forest")
+        adj[e.tail].append((e.head, idx, +1))
+        adj[e.head].append((e.tail, idx, -1))
+    pathvec = [None] * n
+    roots = 0
+    for start in range(n):
+        if pathvec[start] is not None:
+            continue
+        pathvec[start] = {}
+        roots += 1
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w, idx, sgn in adj[v]:
+                if pathvec[w] is None:
+                    vec = dict(pathvec[v])
+                    vec[idx] = vec.get(idx, 0) + sgn
+                    pathvec[w] = vec
+                    stack.append(w)
+    # acyclic: |forest| = V - (forest components); spanning: those
+    # components coincide with the graph components
+    if len(forest) != n - roots or roots != G.b0:
+        raise ValueError("not a spanning forest")
+    nonforest = [i for i in range(len(G.edges)) if i not in set(forest)]
+    cycles = []
+    for idx in nonforest:
+        e = G.edges[idx]
+        vec = {idx: 1}
+        for k, s in pathvec[e.tail].items():
+            vec[k] = vec.get(k, 0) + s
+        for k, s in pathvec[e.head].items():
+            vec[k] = vec.get(k, 0) - s
+        cycles.append({k: s for k, s in vec.items() if s})
+    return nonforest, cycles
+
+
+def _random_multigraph(rng, max_vertices):
+    """A trivalent multigraph of 1..3 components, each a random matching of
+    the 3V half-edges of V = 2, 4, ... vertices (loops and parallel edges
+    come up often), randomly oriented and beaded, with the vertex labels
+    and the edge order of the union shuffled."""
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        V = 2 * rng.randint(1, max_vertices // 2)
+        halves = [v for v in range(V) for _ in range(3)]
+        rng.shuffle(halves)
+        parts.append(BeadedGraph(V, [(a, b, rng.randint(-3, 3))
+                                     for a, b in zip(halves[::2], halves[1::2])]))
+    G = disjoint_union(*parts)
+    label = list(range(G.n_vertices))
+    rng.shuffle(label)
+    edges = [(label[e.tail], label[e.head], e.bead) for e in G.edges]
+    rng.shuffle(edges)
+    return BeadedGraph(G.n_vertices, edges)
+
+
 def _brute_lift_count(G, p):
     """Independent oracle: try every vertex labeling in {0..p-1}^V."""
     count = 0
@@ -307,15 +374,44 @@ class TestSymbols:
         assert cycle_monodromies(G.beads, cycles) == (2, 6)
 
     def test_forest_choice_does_not_change_residue(self):
-        G = theta_graph().with_beads([2, 3, 1])
-        vals = [res_p_graph(phi_R(G, forest=[i]), G, 5) for i in range(3)]
-        assert vals[0] == vals[1] == vals[2]
+        # rotating theta's edge list puts each of its edges first, where the
+        # plan's walk takes it into the forest
+        for beads in product(range(3), repeat=3):
+            edges = [(0, 1, m) for m in beads]
+            for p in (2, 3, 5):
+                vals = set()
+                for k in range(3):
+                    G = BeadedGraph(2, edges[k:] + edges[:k])
+                    assert fundamental_cycles(G)[0] == [1, 2]
+                    vals.add(res_p_graph(phi_R(G), G, p))
+                assert vals == {count_admissible(G, p)}, (beads, p)
 
-    def test_forest_must_be_a_forest(self):
-        # loops can never belong to a spanning forest
-        G = eyes_graph().with_beads([2, 3, 1])
-        with pytest.raises(ValueError):
-            phi_R(G, forest=[0])
+    def test_cycles_match_the_forest_walk(self):
+        # the cycles read off the plan's walk against a second walk over the
+        # plan's forest alone, on multigraphs with loops, parallel edges and
+        # interleaved components
+        rng = random.Random(26)
+        for _ in range(400):
+            G = _random_multigraph(rng, 10)
+            forest = [e for _, _, e, _ in graphs._coloring_plan(G).sets]
+            assert fundamental_cycles(G) == _forest_walk_cycles(G, forest), G
+
+    def test_random_multigraphs_satisfy_the_identity(self):
+        # the residue over the plan's cycles against the lift count, where
+        # automorphisms are cheap enough (V <= 6): random beads, which mostly
+        # do not lift, and color differences mod p, which always do
+        rng = random.Random(2026)
+        for _ in range(40):
+            G = _random_multigraph(rng, 6)
+            if G.n_vertices > 6:
+                continue
+            for p in (2, 3):
+                color = [rng.randrange(p) for _ in range(G.n_vertices)]
+                lifting = G.with_beads([color[e.head] - color[e.tail] + p * rng.randint(-2, 2)
+                                        for e in G.edges])
+                assert count_admissible(lifting, p) == p ** G.b0
+                for H in (G, lifting):
+                    assert liftres_check(H, p), (H, p)
 
     def test_symbol_coefficients_sum_to_one(self):
         # phi_R averages over automorphisms, so coefficients add up to 1

@@ -124,6 +124,22 @@ class TestSignatureCommand:
             assert (code, out, len(calls)) == (2, "", n), p
             assert "circle roots too close to separate" in err, p
 
+    def test_total_needs_no_beta_when_every_row_is_regular(self, capsys, monkeypatch):
+        # no refused row means p is regular, so the total is read off the
+        # arcs alone; with a refused row beta_p still decides (trefoil, p = 6)
+        def no_beta(self, p):
+            raise AssertionError("beta_%d computed" % p)
+
+        monkeypatch.setattr(knotcovers.seifert.Knot, "beta", no_beta)
+        for name, total in (("figure8", 0), ("trefoil", -8)):
+            code, out, _ = run(capsys, "signature", "--knot", name, "--p", "7", "--format", "json")
+            payload = json.loads(out)
+            assert code == 0 and None not in [row[2] for row in payload["rows"]]
+            assert payload["total_sigma_p"] == sum(row[2] for row in payload["rows"]) == total
+        monkeypatch.undo()
+        code, out, _ = run(capsys, "signature", "--knot", "trefoil", "--p", "6", "--format", "json")
+        assert code == 0 and "total_sigma_p" not in json.loads(out)
+
     def test_numerically_singular_root_names_p_and_k(self, capsys, monkeypatch, tmp_path):
         # Delta = 2t^-1 - 3 + 2t is regular at every p; its circle root is
         # 7e-10 of a turn from k/p = 581/5051, inside brackets widened by
@@ -339,6 +355,24 @@ class TestQFileBoundary:
         assert err.startswith("error: ") and "zero denominator" in err
 
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_two_keys_for_one_exponent_are_invalid_input(self, capsys, tmp_path, command):
+        # "1" and "01" both name t: res_1 would read 1 where the file says 2t
+        q = self._q_file(tmp_path, {"1": "1", "01": "1"}, "1")
+        code, out, err = run(capsys, *command, "--q", q)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exponent 1 is given twice" in err
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_a_slot_singular_at_one_is_invalid_input(self, capsys, tmp_path, command):
+        # 1/(1 - t) is not in the local ring: the file is refused, exit 2
+        slot = {"num": {"0": "1"}, "den": {"0": "1", "1": "-1"}}
+        code, out, err = run(capsys, *command, "--q", self._q_file(tmp_path, slot, "1"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "denominator vanishes at t = 1" in err
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
     def test_float_coefficient_is_refused(self, capsys, tmp_path, command):
         code, out, err = run(capsys, *command, "--q", self._q_file(tmp_path, {"1": "1"}, 0.1))
         assert (code, out) == (2, "")
@@ -384,6 +418,13 @@ class TestTorusRefusalNote:
 
 
 class TestLiftresCommand:
+    def test_max_cases_past_the_tuple_count_sweeps_them_all(self, capsys):
+        # theta at p = 2 has 2^3 = 8 bead tuples: a sample of 100 is all of them
+        want = run(capsys, "liftres", "--graph", "theta", "--p", "2")
+        got = run(capsys, "liftres", "--graph", "theta", "--p", "2", "--max-cases", "100")
+        assert got == want and want[0] == 0
+        assert want[1].splitlines()[1].split() == ["2", "3", "8", "0"]
+
     def test_builtin_graph_sweep(self, capsys):
         code, out, _ = run(capsys, "liftres", "--graph", "eyes", "--p", "2..3")
         assert code == 0

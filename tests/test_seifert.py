@@ -128,6 +128,23 @@ class TestKnot:
         with pytest.raises(OddSize):
             Knot([[1]])
 
+    def test_a_refused_arc_table_is_raised_again_without_a_second_search(self, monkeypatch):
+        # the block sum of [[a, 1], [0, 1]] at a = 2^26 and 2^26 + 1 has two
+        # circle roots too close for floats to separate; a second read of
+        # the table raises the kept refusal and searches no roots again
+        calls = []
+        real = knotcovers.seifert.circle_roots
+        monkeypatch.setattr(knotcovers.seifert, "circle_roots",
+                            lambda f: calls.append(f) or real(f))
+        a = 2 ** 26
+        knot = Knot([[a, 1, 0, 0], [0, 1, 0, 0], [0, 0, a + 1, 1], [0, 0, 0, 1]])
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SingularEvaluation, match="too close for floats") as refusal:
+                knot.arcs
+            messages.append(str(refusal.value))
+        assert messages[0] == messages[1] and len(calls) == 1
+
 
 def resultant_beta(A, p):
     """Oracle for Knot.beta: |cyclotomic norm of the Alexander polynomial|."""
