@@ -21,75 +21,12 @@ Mahler measure (``alexander``, ``growth``), the FFT torus average of a
 rational class, ``liftres`` and ``selftest`` load it at first use.
 """
 
-from .exactalg import (
-    LaurentPoly,
-    RatFun,
-    SingularAtOne,
-    cyclotomic_norm,
-    denominator_to_tp,
-    mahler_measure,
-    poly_gcd,
-    regular_at_p,
-    resultant,
-    wheels_coefficients,
-)
-from .lambdamat import (
-    AtOne,
-    LambdaMatrix,
-    NotHermitian,
-    SingularEvaluation,
-    normalized_determinant,
-    signature_exact,
-    subst_cycle,
-    subst_twisted,
-    twisted_cycle_matrix,
-    varsigma_at,
-    varsigma_p,
-)
-from .seifert import (
-    Knot,
-    KnotRecord,
-    NotUnimodularAtOne,
-    OddSize,
-    alexander,
-    clover_matrix,
-    congruence_identity_check,
-    corpus_records,
-    random_seifert,
-    signature_function,
-    validate_seifert,
-)
-from .branched import (
-    BranchedReport,
-    NotPRegular,
-    branched_report,
-    casson_growth,
-    casson_walker,
-    is_p_regular,
-    signature_average,
-    torsion_growth,
-    torsion_order,
-    total_sigma_p,
-)
-from .theta import (
-    QSingularAtP,
-    SingularOnTorus,
-    ThetaClass,
-    res_p_theta,
-    torus_average,
-)
-from .graphs import (
-    BeadedGraph,
-    TooLarge,
-    automorphisms,
-    count_admissible,
-    disjoint_union,
-    eyes_graph,
-    liftres_check,
-    liftres_sweep,
-    phi_R,
-    res_p_graph,
-    theta_graph,
-)
+# each module's __all__ is the one list of its public names
+from .exactalg import *
+from .lambdamat import *
+from .seifert import *
+from .branched import *
+from .theta import *
+from .graphs import *
 
 __version__ = "0.1.0"

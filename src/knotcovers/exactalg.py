@@ -34,6 +34,7 @@ only once numpy is loaded, the only way such a value can exist.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 from itertools import zip_longest
@@ -50,7 +51,6 @@ __all__ = [
     "regular_at_p",
     "denominator_to_tp",
     "mahler_measure",
-    "circle_roots",
     "wheels_coefficients",
 ]
 
@@ -76,12 +76,22 @@ def _frac(x: Scalar) -> "int | Fraction":
         if isinstance(x, (float, bool)) or (np is not None and isinstance(x, np.bool_)):
             raise TypeError("refusing %s coefficient %r; pass Fraction or str"
                             % (type(x).__name__, x))
+        if isinstance(x, str) and "_" in x:  # Fraction("1_0") == 10
+            raise ValueError("refusing coefficient %r: digits may not be grouped with _" % x)
         try:
             x = Fraction(x)
         except ZeroDivisionError:  # "1/0"
             raise ValueError("zero denominator in coefficient %r" % x) from None
         x = Fraction(int(x.numerator), int(x.denominator))
     return x.numerator if x.denominator == 1 else x
+
+
+def _json_object(v, what: str) -> Mapping:
+    """v, read from JSON as ``what``, which must be an object: ValueError
+    naming it otherwise, where reading its keys would raise AttributeError."""
+    if not isinstance(v, Mapping):
+        raise ValueError("%s must be a JSON object, got %r" % (what, v))
+    return v
 
 
 def _qdiv(a, b) -> "int | Fraction":
@@ -337,11 +347,14 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Scalar]) -> "LaurentPoly":
-        """ValueError for two keys of one exponent ("1", "01"): one would be lost."""
+        """ValueError for two keys of one exponent ("1", "01"): one would be lost;
+        and for a key int() reads but that is not plain digits ("1_0", "+1")."""
         c: dict[int, int | Fraction] = {}
-        for key, v in obj.items():
+        for key, v in _json_object(obj, "a Laurent polynomial").items():
             if int(key) in c:
                 raise ValueError("exponent %d is given twice (key %r)" % (int(key), key))
+            if not re.fullmatch(r"-?[0-9]+", key):
+                raise ValueError("exponent key %r is not a plain integer" % (key,))
             c[int(key)] = _frac(v)
         return cls(c)
 
@@ -684,7 +697,7 @@ class RatFun:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "RatFun":
-        if "num" not in obj:
+        if "num" not in _json_object(obj, "a rational function"):
             # bare exponent->coefficient map: a polynomial with denominator 1
             return cls(LaurentPoly.from_json(obj))
         den = LaurentPoly.from_json(obj.get("den", {"0": 1}))

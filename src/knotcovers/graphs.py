@@ -46,16 +46,12 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "TooLarge",
-    "Edge",
-    "GraphAut",
     "BeadedGraph",
     "theta_graph",
     "eyes_graph",
     "disjoint_union",
     "count_admissible",
     "automorphisms",
-    "fundamental_cycles",
-    "cycle_monodromies",
     "phi_R",
     "res_p_graph",
     "liftres_check",

@@ -50,15 +50,12 @@ __all__ = [
     "AtOne",
     "LambdaMatrix",
     "signature_exact",
-    "rational_det",
     "twisted_cycle_matrix",
     "subst_cycle",
     "subst_twisted",
     "normalized_determinant",
-    "root_of_unity",
     "varsigma_at",
     "varsigma_p",
-    "complex_signature",
 ]
 
 

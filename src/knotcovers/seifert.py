@@ -52,8 +52,8 @@ from importlib import resources
 from itertools import zip_longest
 from typing import Sequence
 
-from .exactalg import (LaurentPoly, _charpoly, _mat_mul, _mul_rows, _poly_divmod, _poly_mul,
-                       _power, _trace_poly, circle_roots)
+from .exactalg import (LaurentPoly, _charpoly, _json_object, _mat_mul, _mul_rows, _poly_divmod,
+                       _poly_mul, _power, _trace_poly, circle_roots)
 from .lambdamat import (
     AtOne,
     LambdaMatrix,
@@ -71,16 +71,13 @@ __all__ = [
     "NotUnimodularAtOne",
     "validate_seifert",
     "Knot",
-    "KnotLike",
     "alexander",
     "clover_matrix",
     "congruence_identity_check",
     "signature_function",
-    "sigma_at_omega",
     "random_seifert",
     "KnotRecord",
     "corpus_records",
-    "corpus_record",
 ]
 
 _RANDOM_BOUND = 3  # random_seifert's symmetric entries lie in -3..3
@@ -511,7 +508,7 @@ class KnotRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "KnotRecord":
-        q = obj.get("q2loop")
+        q = _json_object(obj, "a knot record").get("q2loop")
         return cls(
             name=str(obj["name"]),
             seifert=obj["seifert"],

@@ -34,13 +34,12 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Mapping, NamedTuple, Sequence
 
-from .exactalg import (_ON_CIRCLE, LaurentPoly, RatFun, _frac, _qdiv, _roots_by_part,
-                       denominator_to_tp)
+from .exactalg import (_ON_CIRCLE, LaurentPoly, RatFun, _frac, _json_object, _qdiv,
+                       _roots_by_part, denominator_to_tp)
 
 __all__ = [
     "QSingularAtP",
     "SingularOnTorus",
-    "ThetaTerm",
     "ThetaClass",
     "res_p_theta",
     "torus_average",
@@ -194,8 +193,12 @@ class ThetaClass:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "ThetaClass":
+        raw = _json_object(obj, "a 2-loop class").get("terms")
+        if not isinstance(raw, list):  # a missing or misspelt key is not the zero class
+            raise ValueError("a 2-loop class needs a 'terms' array")
         terms = []
-        for t in obj.get("terms", []):
+        for t in raw:
+            _json_object(t, "a 2-loop term")
             terms.append(
                 (
                     RatFun.from_json(t["f"]),

@@ -66,6 +66,22 @@ class TestAlexanderCommand:
         code, _, err = run(capsys, "alexander", "--file", str(f))
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["alexander"], ["branched", "--p", "2..4"]],
+                             ids=lambda c: c[0])
+    @pytest.mark.parametrize("obj, message", [
+        ("abc", "a knot record must be a JSON object, got 'abc'"),
+        ({"name": "x", "seifert": [[-1, 1], [0, -1]], "q2loop": [1]},
+         "a 2-loop class must be a JSON object, got [1]"),
+    ], ids=["string", "q2loop-array"])
+    def test_a_record_of_the_wrong_json_type_is_invalid_input(self, capsys, tmp_path, command,
+                                                              obj, message):
+        # .get on a string or an array raised AttributeError: a traceback and exit 1
+        f = tmp_path / "knot.json"
+        f.write_text(json.dumps(obj))
+        code, out, err = run(capsys, *command, "--file", str(f))
+        assert (code, out) == (2, "")
+        assert err == "error: %s\n" % message
+
 
 class TestSignatureCommand:
     def test_table_blanks_singular_roots(self, capsys):
@@ -389,6 +405,45 @@ class TestQFileBoundary:
         code, out, err = run(capsys, *command, "--q", self._q_file(tmp_path, f, c))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "refusing bool coefficient" in err
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("f, c, message", [
+        ([1], "1", "must be a JSON object, got [1]"),
+        ("t", "1", "must be a JSON object, got 't'"),
+        ({"num": [1], "den": {"0": "1"}}, "1", "must be a JSON object, got [1]"),
+        ({"num": {"0": "1"}, "den": ["1"]}, "1", "must be a JSON object, got ['1']"),
+        ({"1_0": "1"}, "1", "exponent key '1_0' is not a plain integer"),
+        ({"+1": "1"}, "1", "exponent key '+1' is not a plain integer"),
+        ({" 1": "1"}, "1", "exponent key ' 1' is not a plain integer"),
+        ({"1": "1_0"}, "1", "refusing coefficient '1_0'"),
+        ({"1": "1"}, "1_0", "refusing coefficient '1_0'"),
+    ], ids=["slot-array", "slot-string", "num-array", "den-array", "key-underscore",
+            "key-plus", "key-space", "slot-coefficient", "class-coefficient"])
+    def test_a_misread_slot_or_coefficient_is_invalid_input(self, capsys, tmp_path, command,
+                                                            f, c, message):
+        # reading keys off an array raised AttributeError (a traceback, exit 1), and
+        # int("1_0") and Fraction("1_0") both read 10 (wrong numbers, exit 0)
+        code, out, err = run(capsys, *command, "--q", self._q_file(tmp_path, f, c))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("obj, message", [
+        ({"trms": [{"f": {"1": "1"}, "g": {"1": "1"}, "h": {"0": "1"}, "c": "1"}]},
+         "needs a 'terms' array"),
+        ({}, "needs a 'terms' array"),
+        ({"terms": {"f": {"1": "1"}}}, "needs a 'terms' array"),
+        ({"terms": ["t"]}, "a 2-loop term must be a JSON object"),
+        ([{"f": {"1": "1"}}], "a 2-loop class must be a JSON object"),
+    ], ids=["misspelt", "empty", "terms-object", "term-string", "class-array"])
+    def test_a_class_without_a_terms_array_is_invalid_input(self, capsys, tmp_path, command,
+                                                            obj, message):
+        # a misspelt "terms" was read as the zero class: res_p = 0 with exit 0
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, *command, "--q", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 # a slot pole within _ON_CIRCLE of |t| = 1, and one just outside it but too

@@ -244,6 +244,21 @@ def test_traced_bindings_exist():
     assert missing == []
 
 
+
+def test_package_exports_the_union_of_the_module_lists():
+    # each module's __all__ is the one list of its public names: the package
+    # star-imports the six and keeps no hand-kept list of its own
+    modules = ["exactalg", "lambdamat", "seifert", "branched", "theta", "graphs"]
+    union = set()
+    for modname in modules:
+        module = importlib.import_module("knotcovers." + modname)
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], modname
+        union.update(module.__all__)
+    public = {n for n, v in vars(knotcovers).items()
+              if not n.startswith("_") and not isinstance(v, type(knotcovers))}
+    assert public == union
+    assert not hasattr(knotcovers, "__all__")
+
 def test_graphs_draws_in_blocks_without_lambdamat():
     # the liftres sample comes from rng.randbytes blocks, not one randrange
     # call per bead, and the certificate is by finite order, not Bareiss
