@@ -10,14 +10,15 @@ Everything an abelian knot invariant needs downstream lives here:
 * ``RatFun`` -- fractions n(t)/q(t) whose denominator does not vanish at
   t = 1 (the localization of Z[t, t^-1] at the augmentation ideal).  The
   canonical form has q an ordinary polynomial with q(0) != 0 and q(1) = 1.
-* resultants by the subresultant remainder sequence; ``_power``, the
-  one square and multiply, behind powers of ``LaurentPoly``, of matrices
-  (``_mat_pow``), modulo a monic polynomial (``_powmod``, shared by
-  cyclotomic norms and ``denominator_to_tp``) and in ``Knot.beta``; the
-  matrix of multiplication in Q[x]/m (``_mul_rows``, shared by the last two);
-  cyclotomic norms prod_{w^p=1} f(w), rewriting of denominators into
-  polynomials in t^p, Mahler measures, and the coefficients of the wheels
-  generating series (1/2) log(sinh(x/2)/(x/2)) from Bernoulli numbers.
+* ``_remainders``, the one Euclidean sequence over Q (gcds, resultants,
+  Sturm chains); ``_power``, the one square and multiply, behind powers of
+  ``LaurentPoly``, of matrices (``_mat_pow``), modulo a monic polynomial
+  (``_powmod``, shared by cyclotomic norms and ``denominator_to_tp``) and in
+  ``Knot.beta``; the matrix of multiplication in Q[x]/m (``_mul_rows``,
+  shared by the last two); cyclotomic norms prod_{w^p=1} f(w), rewriting of
+  denominators into polynomials in t^p, Mahler measures, and the
+  coefficients of the wheels generating series (1/2) log(sinh(x/2)/(x/2))
+  from Bernoulli numbers.
 
 All core arithmetic is exact (int, and Fraction where it must be).
 Floating point enters only in clearly named numeric helpers: unit-circle
@@ -86,11 +87,15 @@ def _frac(x: Scalar) -> "int | Fraction":
     return x.numerator if x.denominator == 1 else x
 
 
-def _json_object(v, what: str) -> Mapping:
+def _json_object(v, what: str, keys: Sequence[str] | None = None) -> Mapping:
     """v, read from JSON as ``what``, which must be an object: ValueError
-    naming it otherwise, where reading its keys would raise AttributeError."""
+    naming it otherwise, where reading its keys would raise AttributeError,
+    and naming any key outside ``keys``, which would be silently dropped."""
     if not isinstance(v, Mapping):
         raise ValueError("%s must be a JSON object, got %r" % (what, v))
+    unknown = [key for key in v if keys is not None and key not in keys]
+    if unknown:
+        raise ValueError("%s has an unknown key %r" % (what, unknown[0]))
     return v
 
 
@@ -423,13 +428,19 @@ def _poly_divmod(a: Sequence, b: Sequence):
     return q, r
 
 
+def _remainders(a: Sequence, b: Sequence) -> list[list]:
+    """Sturm's remainder sequence a, b, -(a mod b), ... over Q, each member
+    dense and trimmed, to its last nonzero member: gcd(a, b) up to a unit."""
+    seq = [_trim(list(a)), _trim(list(b))]
+    while seq[-1]:
+        seq.append([-c for c in _poly_divmod(*seq[-2:])[1]])
+    return seq[:-1]
+
+
 def poly_gcd(f: "LaurentPoly | Sequence[Scalar]", g: "LaurentPoly | Sequence[Scalar]") -> LaurentPoly:
-    """Monic gcd in Q[t] of the honest-polynomial parts (units stripped)."""
-    a = _as_ascending(f)
-    b = _as_ascending(g)
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
+    """Monic gcd in Q[t] of the honest-polynomial parts (units stripped):
+    the last member of ``_remainders``."""
+    a = _remainders(_as_ascending(f), _as_ascending(g))[-1]
     if not a:
         return LaurentPoly.zero()
     lead = a[-1]
@@ -475,8 +486,9 @@ def resultant(f, g) -> Fraction:
 
     Accepts LaurentPoly (negative exponents are rejected) or ascending
     coefficient sequences, both taken as given: a factor t^k counts.
-    Computed by the subresultant polynomial remainder sequence, which keeps
-    every intermediate value integral once the inputs are scaled to Z[x].
+    Along ``_remainders`` x, y, z = -(x mod y), ...: Res(x, y) = (-1)^(deg x
+    deg y + deg y) lc(y)^(deg x - deg z) Res(y, z), and Res(x, c) = c^(deg x)
+    at a constant end c; an end of positive degree is a common factor: 0.
     """
     for h in (f, g):
         if isinstance(h, LaurentPoly) and not h.is_zero and h.min_exp < 0:
@@ -485,49 +497,13 @@ def resultant(f, g) -> Fraction:
     b = _dense(g)
     if not a or not b:
         return Fraction(0)
-    da, db = len(a) - 1, len(b) - 1
-    if da == 0:
-        return Fraction(a[0] ** db)
-    if db == 0:
-        return Fraction(b[0] ** da)
-    # scale to integer coefficients; Res(c*f, d*g) = c^db d^da Res(f, g)
-    ca = math.lcm(*(c.denominator for c in a))
-    cb = math.lcm(*(c.denominator for c in b))
-    A = [_frac(c * ca) for c in a]
-    B = [_frac(c * cb) for c in b]
-    res = _subresultant_res(A, B)
-    return res / (Fraction(ca) ** db * Fraction(cb) ** da)
-
-
-def _subresultant_res(A: list[int], B: list[int]) -> int:
-    """Resultant of integer polynomials via the subresultant PRS."""
-    s = 1
-    if len(A) < len(B):
-        if ((len(A) - 1) * (len(B) - 1)) % 2 == 1:
-            s = -s
-        A, B = B, A
-    g = h = 1
-    while True:
-        da, db = len(A) - 1, len(B) - 1
-        if da % 2 == 1 and db % 2 == 1:
-            s = -s
-        delta = da - db
-        # pseudo-remainder lc(B)^(delta+1) * A mod B
-        R = [c * B[-1] ** (delta + 1) for c in A]
-        _, R = _poly_divmod(R, B)
-        if not R:
-            return 0
-        A = B
-        B = [_qdiv(c, g * h ** delta) for c in R]
-        g = A[-1]
-        h = h ** (1 - delta) * g ** delta if delta <= 1 else _qdiv(g ** delta, h ** (delta - 1))
-        if len(B) - 1 == 0:
-            da = len(A) - 1
-            h = _qdiv(B[0] ** da, h ** (da - 1)) if da >= 1 else h
-            res = s * h
-            if type(res) is not int:
-                raise ArithmeticError("subresultant PRS left a denominator")
-            return res
+    seq = _remainders(a, b)
+    if len(seq[-1]) > 1:
+        return Fraction(0)
+    res = Fraction(seq[-1][0]) ** (len(seq[-2]) - 1)
+    for x, y, z in zip(seq, seq[1:], seq[2:]):
+        res *= (-1) ** ((len(x) * (len(y) - 1)) % 2) * y[-1] ** (len(x) - len(z))
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +674,8 @@ class RatFun:
     @classmethod
     def from_json(cls, obj: Mapping) -> "RatFun":
         if "num" not in _json_object(obj, "a rational function"):
-            # bare exponent->coefficient map: a polynomial with denominator 1
-            return cls(LaurentPoly.from_json(obj))
+            return cls(LaurentPoly.from_json(obj))  # a bare Laurent map: denominator 1
+        _json_object(obj, "a rational function", ("num", "den"))
         den = LaurentPoly.from_json(obj.get("den", {"0": 1}))
         if den.is_zero:
             raise ValueError("zero denominator %r" % (obj["den"],))
@@ -833,17 +809,13 @@ def _integral(p: Sequence) -> list[int]:
 
 
 def _sturm(D: Sequence) -> list[list[int]]:
-    """A Sturm sequence of the square-free part s = D / gcd(D, D'), s first,
-    each member a primitive integer polynomial for ``_sign_at``.  D, D',
-    -rem, ... (Sturm 1829) ends at gcd(D, D'), and its members divided by
-    that end keep the sign rules for s: the drop in sign changes from a to
-    b counts the distinct roots of D in (a, b], even at an end on a root."""
-    seq = [_integral(D), _integral([i * c for i, c in enumerate(D)][1:])]
-    while seq[-1]:
-        a, b = seq[-2:]
-        lift = abs(b[-1]) ** (len(a) - len(b) + 1)  # keeps the division in integers
-        seq.append(_integral([-c for c in _poly_divmod([lift * c for c in a], b)[1]]))
-    return [_integral(_poly_divmod(q, seq[-2])[0]) for q in seq[:-1]]
+    """A Sturm sequence of s = D / gcd(D, D'), s first: ``_remainders(D, D')``
+    (Sturm 1829) ends at gcd(D, D'), and its members, divided by that end and
+    scaled to primitive integer polynomials for ``_sign_at``, keep the sign
+    rules for s: the drop in sign changes from a to b counts the distinct
+    roots of D in (a, b], even at an end on a root."""
+    seq = [_integral(q) for q in _remainders(D, [i * c for i, c in enumerate(D)][1:])]
+    return [_integral(_poly_divmod(q, seq[-1])[0]) for q in seq]
 
 
 def _changes(seq: Sequence[Sequence[int]], x: float) -> int:

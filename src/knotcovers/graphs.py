@@ -44,6 +44,8 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from .exactalg import _json_object
+
 __all__ = [
     "TooLarge",
     "BeadedGraph",
@@ -162,11 +164,11 @@ class BeadedGraph:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "BeadedGraph":
-        return cls(
-            _json_int(obj["vertices"], "vertices"),
-            [(_json_int(e["from"], "from"), _json_int(e["to"], "to"),
-              _json_int(e.get("bead", 0), "bead")) for e in obj["edges"]],
-        )
+        _json_object(obj, "a graph", ("vertices", "edges"))
+        edges = [_json_object(e, "an edge", ("from", "to", "bead")) for e in obj["edges"]]
+        return cls(_json_int(obj["vertices"], "vertices"),
+                   [(_json_int(e["from"], "from"), _json_int(e["to"], "to"),
+                     _json_int(e.get("bead", 0), "bead")) for e in edges])
 
     def __repr__(self) -> str:
         return "BeadedGraph(%d, %r)" % (

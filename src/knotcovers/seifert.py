@@ -508,7 +508,8 @@ class KnotRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "KnotRecord":
-        q = _json_object(obj, "a knot record").get("q2loop")
+        keys = ("name", "seifert", "q2loop", "provenance")
+        q = _json_object(obj, "a knot record", keys).get("q2loop")
         return cls(
             name=str(obj["name"]),
             seifert=obj["seifert"],

@@ -196,9 +196,10 @@ class ThetaClass:
         raw = _json_object(obj, "a 2-loop class").get("terms")
         if not isinstance(raw, list):  # a missing or misspelt key is not the zero class
             raise ValueError("a 2-loop class needs a 'terms' array")
+        _json_object(obj, "a 2-loop class", ("terms",))
         terms = []
         for t in raw:
-            _json_object(t, "a 2-loop term")
+            _json_object(t, "a 2-loop term", ("f", "g", "h", "c"))
             terms.append(
                 (
                     RatFun.from_json(t["f"]),

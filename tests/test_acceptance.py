@@ -197,9 +197,9 @@ def test_wrong_root_fails_criteria_2_and_3_under_python_O():
 
 def test_signature_criteria_pass_under_python_O():
     # the cached Hermitian checks, sigma(W(+-1)), the stacked eigensolves
-    # and the integer kernels (Bareiss inertia and determinants, the
-    # subresultant PRS, exact division, beta_p's residues mod chi) raise
-    # explicitly, so these criteria still check under -O
+    # and the integer kernels (Bareiss inertia and determinants, exact
+    # division, beta_p's residues mod chi) raise explicitly, so these
+    # criteria still check under -O
     criteria = [1, 2, 3, 4, 5, 8, 9, 10, 11, 12]
     proc = _python_O("-m", "knotcovers.cli", "selftest", "--criteria", ",".join(map(str, criteria)))
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -23,7 +23,6 @@ from knotcovers.exactalg import (
     _power,
     _powmod,
     _roots_by_part,
-    _squarefree_parts,
     _trace_poly,
     circle_roots,
     cyclotomic_norm,
@@ -224,6 +223,28 @@ class TestResultant:
             if f and g:
                 for a, b in ((f, t ** 2 * g), (t * f, g), (t * f, t * g)):
                     assert resultant(a, b) == _sylvester_resultant(a, b)
+
+    def test_every_branch_of_the_product_formula(self, rng):
+        # along the remainder sequence: a constant on either side, a shared
+        # factor of degree >= 2 (the last member is not constant, so 0), and
+        # rational coefficients with t^k factors on both sides, degrees to 8
+        c, f = LaurentPoly.const(Fraction(-3, 2)), Fraction(1, 3) * t ** 3 - 2 * t + one
+        cases = [(c, f), (f, c), (c, t ** 2 * f), (t * f, c)]
+        shared = 0
+        for _ in range(150):
+            f, g, h = (_random_poly(rng, True, 0, 4) for _ in range(3))
+            if not (f and g):
+                continue
+            j, k = rng.randint(0, 4), rng.randint(0, 4)
+            cases += [(f, g), (t ** j * f, t ** k * g)]
+            if h and h.max_exp - h.min_exp >= 2:
+                cases.append((f * h, g * h))
+                assert poly_gcd(f * h, g * h).max_exp >= 2
+                shared += 1
+        assert shared > 50 and max(max(a.max_exp, b.max_exp) for a, b in cases) == 8
+        for a, b in cases:
+            assert resultant(a, b) == _sylvester_resultant(a, b), (a, b)
+        assert resultant(c, f) == c.coeff(0) ** f.max_exp
 
     def test_common_root_gives_zero(self):
         f = t ** 2 - 3 * t + 2
@@ -520,6 +541,15 @@ class TestRootsByPart:
         assert _roots_by_part(one) == []
 
 
+def _euclid_gcd(a, b):
+    """Monic gcd over Q of dense ascending a and b by Euclid's remainder
+    loop, independent of the package's ``_remainders``."""
+    while b:
+        _, r = _poly_divmod(a, b)
+        a, b = b, r
+    return [Fraction(c) / a[-1] for c in a]
+
+
 def _bar_symmetric(rng, g):
     c = {e: rng.randint(-5, 5) for e in range(1, g + 1)}
     return LaurentPoly({0: rng.randint(-9, 9), **c, **{-e: v for e, v in c.items()}})
@@ -559,7 +589,7 @@ class TestCircleRoots:
 
     def test_brackets_are_disjoint_and_one_per_circle_root(self, rng):
         # Sturm count of D's square-free part, against numpy's roots of D
-        # and exact signs of the square-free part from the gcd chain
+        # and exact signs of the square-free part D / gcd(D, D') by Euclid
         checked = 0
         for _ in range(60):
             f = _bar_symmetric(rng, rng.randint(1, 6))
@@ -567,7 +597,9 @@ class TestCircleRoots:
                 continue
             brackets = circle_roots(f)
             assert all(b < a for (_, b), (a, _) in zip(brackets, brackets[1:])), f
-            s = LaurentPoly.from_coeffs((_squarefree_parts(_trace_poly(f)) or [[1]])[0])
+            trace = _trace_poly(f)
+            gcd = _euclid_gcd(trace, [i * c for i, c in enumerate(trace)][1:])
+            s = LaurentPoly.from_coeffs(_poly_divmod(trace, gcd)[0])
             for a, b in brackets:
                 fa, fb = s.evaluate(Fraction(a)), s.evaluate(Fraction(b))
                 assert (a == b and fa == 0) or (0 < b - a <= 2.0 ** -51 and fa * fb < 0), f

@@ -83,6 +83,18 @@ class TestAlexanderCommand:
         assert err == "error: %s\n" % message
 
 
+    @pytest.mark.parametrize("command", [["alexander"], ["branched", "--p", "2..4"]],
+                             ids=lambda c: c[0])
+    def test_an_unknown_record_key_is_invalid_input(self, capsys, tmp_path, command):
+        # a misspelt "q2loop" was dropped: branched printed no casson column, exit 0
+        f = tmp_path / "knot.json"
+        f.write_text(json.dumps({"name": "x", "seifert": [[-1, 1], [0, -1]],
+                                 "q2lop": {"terms": []}}))
+        code, out, err = run(capsys, *command, "--file", str(f))
+        assert (code, out) == (2, "")
+        assert err == "error: a knot record has an unknown key 'q2lop'\n"
+
+
 class TestSignatureCommand:
     def test_table_blanks_singular_roots(self, capsys):
         code, out, _ = run(capsys, "signature", "--knot", "trefoil", "--p", "6")
@@ -445,6 +457,24 @@ class TestQFileBoundary:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("obj, message", [
+        ({"terms": [{"f": {"1": "1"}, "g": {"1": "1"}, "h": {"0": "1"}, "c": "1", "cc": "2"}]},
+         "a 2-loop term has an unknown key 'cc'"),
+        ({"terms": [{"f": {"num": {"0": "1"}, "dem": {"0": "3", "1": "-1"}},
+                     "g": {"1": "1"}, "h": {"0": "1"}, "c": "1"}]},
+         "a rational function has an unknown key 'dem'"),
+        ({"terms": [], "note": "x"}, "a 2-loop class has an unknown key 'note'"),
+    ], ids=["term-key", "slot-key", "class-key"])
+    def test_an_unknown_key_is_invalid_input(self, capsys, tmp_path, command, obj, message):
+        # an unknown key was dropped with exit 0: "cc" ignored, and a slot
+        # with "dem" for "den" read as 1 where the file meant 1/(3 - t)
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, *command, "--q", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: %s\n" % message
+
 
 # a slot pole within _ON_CIRCLE of |t| = 1, and one just outside it but too
 # near for the FFT grid: both are refused as SingularOnTorus
@@ -506,6 +536,23 @@ class TestLiftresCommand:
         code, out, err = run(capsys, "liftres", "--file", str(f), "--p", "3")
         assert (code, out) == (2, "")
         assert "'bead' must be an integer, got 1.5" in err
+
+
+    @pytest.mark.parametrize("where, key, message", [
+        ("edge", "baed", "an edge has an unknown key 'baed'"),
+        ("graph", "vertex", "a graph has an unknown key 'vertex'"),
+    ])
+    def test_an_unknown_key_is_invalid_input(self, capsys, tmp_path, where, key, message):
+        # an edge's misspelt "bead" was dropped, so the edge read as bead 0
+        from knotcovers.graphs import theta_graph
+
+        obj = theta_graph().with_beads([1, 2, 0]).to_json()
+        (obj["edges"][0] if where == "edge" else obj)[key] = 1
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "liftres", "--file", str(f), "--p", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: %s\n" % message
 
 
 class TestSelftestCommand:

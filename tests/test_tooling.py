@@ -174,6 +174,20 @@ def test_one_square_and_multiply():
     assert found == {"exactalg": ["_power"], "lambdamat": [], "seifert": []}
 
 
+def test_one_remainder_sequence():
+    # exactalg._remainders is the one Euclidean sequence, behind poly_gcd,
+    # resultant and _sturm; _squarefree_parts divides by each gcd in turn.
+    # A second remainder loop would fork the sequence again
+    found = sorted({"%s.%s" % (name, fn.name)
+                    for name in ("exactalg", "lambdamat", "seifert", "theta")
+                    for fn in ast.walk(ast.parse((SRC / (name + ".py")).read_text("utf-8")))
+                    if isinstance(fn, ast.FunctionDef)
+                    for loop in ast.walk(fn) if isinstance(loop, ast.While)
+                    for node in ast.walk(loop)
+                    if isinstance(node, ast.Name) and node.id == "_poly_divmod"})
+    assert found == ["exactalg._remainders", "exactalg._squarefree_parts"]
+
+
 def test_selftest_survives_python_O():
     # the acceptance criteria raise explicitly, so -O, which strips asserts,
     # must still pass all twelve and still catch an injected corruption
