@@ -54,7 +54,7 @@ EXIT_DOMAIN = 1
 EXIT_INVALID = 2
 EXIT_PIPE = 141  # 128 + SIGPIPE: the reader of stdout went away
 
-_VALIDATION_ERRORS = (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError)
+_VALIDATION_ERRORS = (ValueError, TypeError, OSError, json.JSONDecodeError)
 MAX_DEGREES = 10 ** 6  # most degrees p one command takes; a longer range exits 2 up front
 
 

@@ -87,15 +87,21 @@ def _frac(x: Scalar) -> "int | Fraction":
     return x.numerator if x.denominator == 1 else x
 
 
-def _json_object(v, what: str, keys: Sequence[str] | None = None) -> Mapping:
+def _json_object(v, what: str, keys: Sequence[str] | None = None,
+                 required: Sequence[str] = ()) -> Mapping:
     """v, read from JSON as ``what``, which must be an object: ValueError
     naming it otherwise, where reading its keys would raise AttributeError,
-    and naming any key outside ``keys``, which would be silently dropped."""
+    naming any key outside ``keys``, which would be silently dropped, and
+    naming the first key of ``required`` it lacks, which would raise a bare
+    KeyError."""
     if not isinstance(v, Mapping):
         raise ValueError("%s must be a JSON object, got %r" % (what, v))
     unknown = [key for key in v if keys is not None and key not in keys]
     if unknown:
         raise ValueError("%s has an unknown key %r" % (what, unknown[0]))
+    missing = [key for key in required if key not in v]
+    if missing:
+        raise ValueError("%s is missing key %r" % (what, missing[0]))
     return v
 
 
@@ -219,15 +225,16 @@ class LaurentPoly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if type(other) is not LaurentPoly:
+            if isinstance(other, (int, Fraction)):
+                other = LaurentPoly.const(other)
+            elif not isinstance(other, LaurentPoly):
+                return NotImplemented
         c = dict(self._c)
         for e, v in other._c.items():
             s = c.get(e, 0) + v
             if s:
-                c[e] = _frac(s)
+                c[e] = s if type(s) is int else _frac(s)
             elif e in c:
                 del c[e]
         out = LaurentPoly.__new__(LaurentPoly)
@@ -242,30 +249,32 @@ class LaurentPoly:
         return out
 
     def __sub__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if type(other) is not LaurentPoly:
+            if isinstance(other, (int, Fraction)):
+                other = LaurentPoly.const(other)
+            elif not isinstance(other, LaurentPoly):
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            v = _frac(other)
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._c = {e: _frac(c * v) for e, c in self._c.items()} if v else {}
-            return out
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if type(other) is not LaurentPoly:
+            if isinstance(other, (int, Fraction)):
+                v = _frac(other)
+                out = LaurentPoly.__new__(LaurentPoly)
+                out._c = {e: _frac(c * v) for e, c in self._c.items()} if v else {}
+                return out
+            if not isinstance(other, LaurentPoly):
+                return NotImplemented
         c: dict[int, int | Fraction] = {}
         for e1, v1 in self._c.items():
             for e2, v2 in other._c.items():
                 e = e1 + e2
                 c[e] = c.get(e, 0) + v1 * v2
         out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: _frac(v) for e, v in c.items() if v}
+        out._c = {e: v if type(v) is int else _frac(v) for e, v in c.items() if v}
         return out
 
     __rmul__ = __mul__
@@ -330,12 +339,6 @@ class LaurentPoly:
         if any(r):
             raise ValueError("inexact Laurent division")
         return LaurentPoly.from_coeffs(q, amin - bmin)
-
-    def __floordiv__(self, other) -> "LaurentPoly":
-        """``divexact``, with an int or Fraction taken as a constant."""
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        return self.divexact(other)
 
     def _ascending(self) -> tuple[list, int]:
         """Coefficients c_{min}..c_{max} as a dense ascending list."""
@@ -623,10 +626,11 @@ class RatFun:
         shift = num.min_exp - den.min_exp
         n = num.shift(-num.min_exp)
         q = den.shift(-den.min_exp)
-        g = poly_gcd(n, q)
-        if not g.is_unit_monomial or g.max_exp != 0:
-            n = n.divexact(g)
-            q = q.divexact(g)
+        if not q.is_unit_monomial:  # a constant q is prime to n: no gcd to take
+            g = poly_gcd(n, q)
+            if not g.is_unit_monomial or g.max_exp != 0:
+                n = n.divexact(g)
+                q = q.divexact(g)
         q1 = q.eval_one()
         if q1 == 0:
             raise SingularAtOne("denominator vanishes at t = 1")

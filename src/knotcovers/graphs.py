@@ -19,7 +19,9 @@ Two quantities are attached for each p >= 1:
   monomial whose exponents are the fundamental-cycle monodromies, read
   off the same walk.  ``phi_R`` averages that monomial over the
   automorphism group of the graph (automorphisms may reverse edges, which
-  inverts the corresponding variable), and ``res_p_graph`` sums the
+  inverts the corresponding variable), reading each automorphism's
+  cycles pulled back to bead coordinates, kept once per topology like
+  the automorphisms themselves, and ``res_p_graph`` sums the
   symbol over all tuples of p-th roots of unity, scaled by
   p^(Euler characteristic).
 
@@ -164,8 +166,9 @@ class BeadedGraph:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "BeadedGraph":
-        _json_object(obj, "a graph", ("vertices", "edges"))
-        edges = [_json_object(e, "an edge", ("from", "to", "bead")) for e in obj["edges"]]
+        _json_object(obj, "a graph", ("vertices", "edges"), required=("vertices", "edges"))
+        edges = [_json_object(e, "an edge", ("from", "to", "bead"), required=("from", "to"))
+                 for e in obj["edges"]]
         return cls(_json_int(obj["vertices"], "vertices"),
                    [(_json_int(e["from"], "from"), _json_int(e["to"], "to"),
                      _json_int(e.get("bead", 0), "bead")) for e in edges])
@@ -254,6 +257,14 @@ def automorphisms(G: BeadedGraph) -> tuple[GraphAut, ...]:
 def _topology(G: BeadedGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The cache key of per-topology data: vertex count and edge endpoints."""
     return G.n_vertices, tuple((e.tail, e.head) for e in G.edges)
+
+
+def _bare_graph(n: int, ends: tuple[tuple[int, int], ...]) -> BeadedGraph:
+    """The beadless graph of a ``_topology`` key, with no re-check: the
+    key comes from a valid graph."""
+    G = BeadedGraph.__new__(BeadedGraph)
+    G.n_vertices, G.edges = n, tuple(Edge(tail, head, 0) for tail, head in ends)
+    return G
 
 
 @lru_cache(maxsize=64)
@@ -348,20 +359,40 @@ def phi_R(G: BeadedGraph) -> dict[tuple[int, ...], Fraction]:
     of a bead labeling is the single monomial whose exponent vector is the
     tuple of cycle monodromies.
     phi_R averages this over all graph automorphisms acting on the
-    labeling (edge reversal inverts the bead).  Returned as a dict from
-    exponent tuples (length b1) to rational coefficients summing to 1.
+    labeling (edge reversal inverts the bead), each read as its cycles
+    pulled back to bead coordinates (``_pulled_cycles``, once per
+    topology).  Returned as a dict from exponent tuples (length b1) to
+    rational coefficients summing to 1.
     """
-    _, cycles = fundamental_cycles(G)
-    auts = automorphisms(G)
+    vectors, auts = _pulled_cycles(*_topology(G))
     beads = G.beads
+    m = [sum(c * beads[e] for e, c in vec) for vec in vectors]
     hits: dict[tuple[int, ...], int] = {}
-    for aut in auts:
-        pushed = [0] * len(beads)
-        for e, m in enumerate(beads):
-            pushed[aut.eperm[e]] = -m if aut.flips[e] else m
-        exps = cycle_monodromies(pushed, cycles)
+    for idx in auts:
+        exps = tuple(map(m.__getitem__, idx))
         hits[exps] = hits.get(exps, 0) + 1
     return {k: Fraction(v, len(auts)) for k, v in hits.items()}
+
+
+@lru_cache(maxsize=64)
+def _pulled_cycles(n: int, ends: tuple[tuple[int, int], ...]
+                   ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[int, ...], ...]]:
+    """The fundamental cycles of every automorphism, pulled back to bead
+    coordinates: a pushes bead m_e to +-m_e on edge eperm[e] (- when a
+    flips e), so the i-th monodromy of the pushed beads is sum_e c * m_e
+    over the pairs (e, c), c = +-C[i][eperm[e]], of its pulled cycle i.
+    Returned as the distinct pulled cycles and, per automorphism, the
+    indices of its b1 of them, so each monodromy is summed once per call."""
+    G = _bare_graph(n, ends)
+    _, cycles = fundamental_cycles(G)
+    index: dict[tuple[tuple[int, int], ...], int] = {}
+    auts = tuple(
+        tuple(index.setdefault(tuple((e, -cyc[f] if flip else cyc[f])
+                                     for e, (f, flip) in enumerate(zip(aut.eperm, aut.flips))
+                                     if f in cyc), len(index))
+              for cyc in cycles)
+        for aut in automorphisms(G))
+    return tuple(index), auts
 
 
 def res_p_graph(
@@ -473,8 +504,7 @@ def _certified_cycle_matrix(G: BeadedGraph) -> np.ndarray:
 def _certificate(n: int, ends: tuple[tuple[int, int], ...]) -> np.ndarray:
     import numpy as np
 
-    G = BeadedGraph.__new__(BeadedGraph)  # no re-check: ends come from a valid graph
-    G.n_vertices, G.edges = n, tuple(Edge(tail, head, 0) for tail, head in ends)
+    G = _bare_graph(n, ends)
     nonforest, cycles = fundamental_cycles(G)
     C = np.array([[cyc.get(e, 0) for e in range(len(ends))] for cyc in cycles], dtype=np.int64)
     auts = automorphisms(G)

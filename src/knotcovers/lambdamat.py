@@ -15,10 +15,13 @@ read off ``seifert.Knot``, so these are the oracles of criteria 3, 4 and 12:
   (T_t)^p = t I and the inverse is the bar-conjugate transpose.
   ``subst_twisted(W, p)`` stays a Hermitian Lambda-matrix.
 
-Every exact determinant is one fraction-free kernel, ``_bareiss``, over
-the integers (``rational_det``) or the Laurent ring (``LambdaMatrix.det``);
-products reuse ``exactalg._mat_mul``, powers ``exactalg._mat_pow``
-(the package's one square and multiply, ``exactalg._power``).
+Every exact determinant is one fraction-free kernel over the integers,
+``_bareiss``: ``rational_det`` scales a rational matrix by the lcm of its
+denominators, and ``LambdaMatrix.det`` evaluates a Laurent matrix at
+t = 2^B past Hadamard's bound and reads the coefficients off the digits
+(Kronecker substitution).  Products reuse ``exactalg._mat_mul``, powers
+``exactalg._mat_pow`` (the package's one square and multiply,
+``exactalg._power``).
 Every inertia is one fraction-free kernel too, ``_inertia``, over the
 integers, for ``signature_exact`` and for the arc table
 ``seifert.Knot.arcs``, which hands it each arc's Hermitian form as a real
@@ -74,40 +77,63 @@ class AtOne(ValueError):
 # exact determinants and inertia
 
 
-def _bareiss(M: list[list]):
-    """Determinant of the square list-of-lists M (n >= 0) by fraction-free
-    Bareiss elimination, in place, over any ring whose ``//`` divides
-    exactly (int, LaurentPoly): each one-step division is exact, so every
-    entry stays in the ring."""
+def _bareiss(M: list[list[int]]) -> int:
+    """Determinant of the square integer list-of-lists M (n >= 0) by
+    fraction-free Bareiss elimination, in place: each one-step division by
+    the previous pivot is exact, so every entry stays an integer.  The
+    package's one determinant kernel; ``LambdaMatrix.det`` reaches it by
+    Kronecker substitution.
+
+    A row whose multiplier is 0 would only be rescaled by pivot / prev, and
+    over a run of such steps these factors telescope: the row is kept as it
+    is, with ``base`` the pivot it was last current for, and is brought up
+    to date, times prev / base, only when it is next used."""
     n = len(M)
     sign, prev = 1, 1
+    base = [1] * n
     for k in range(n - 1):
-        if not M[k][k]:
+        if not M[k][k]:  # rescaling keeps zeros, so a stale row is read as it is
             for i in range(k + 1, n):
                 if M[i][k]:
                     M[k], M[i] = M[i], M[k]
+                    base[k], base[i] = base[i], base[k]
                     sign = -sign
                     break
             else:
-                return M[k][k]  # a zero column: the zero of the ring
-        pk, row_k = M[k][k], M[k]
+                return 0  # a zero column
+        row_k = M[k]
+        if base[k] != prev:
+            q = base[k]
+            for j in range(k, n):
+                row_k[j] = row_k[j] * prev // q
+        pk = row_k[k]
         for i in range(k + 1, n):
-            mik, row_i = M[i][k], M[i]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pk - mik * row_k[j]) // prev
+            row_i = M[i]
+            if row_i[k]:
+                q = base[i]
+                if q != prev:
+                    for j in range(k, n):
+                        row_i[j] = row_i[j] * prev // q
+                mik = row_i[k]
+                for j in range(k + 1, n):
+                    row_i[j] = (row_i[j] * pk - mik * row_k[j]) // prev
+                base[i] = pk
         prev = pk
-    return sign * M[n - 1][n - 1] if n else 1
+    return sign * (M[n - 1][n - 1] * prev // base[n - 1]) if n else 1
 
 
 def _integral(rows: Sequence[Sequence], name: str) -> tuple[list[list[int]], int]:
     """(L * rows as int lists, L) for a square rational matrix, L the lcm
-    of its denominators; integer input is kept as it is (L = 1)."""
-    M = [[_frac(x) for x in row] for row in rows]
+    of its denominators; integer input is copied as it is (L = 1)."""
+    if all(type(x) is int for row in rows for x in row):
+        M, L = [list(row) for row in rows], 1
+    else:
+        M = [[_frac(x) for x in row] for row in rows]
+        L = math.lcm(*(x.denominator for row in M for x in row))
+        if L != 1:
+            M = [[int(x * L) for x in row] for row in M]
     if any(len(row) != len(M) for row in M):
         raise ValueError("%s needs a square matrix" % name)
-    L = math.lcm(*(x.denominator for row in M for x in row))
-    if L != 1:
-        M = [[int(x * L) for x in row] for row in M]
     return M, L
 
 
@@ -122,7 +148,7 @@ def signature_exact(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
     """Inertia (n_plus, n_minus, n_zero) of a rational symmetric matrix:
     ``_inertia`` of it scaled by the lcm L > 0 of its denominators."""
     M, _ = _integral(rows, "signature_exact")
-    if any(M[i][j] != M[j][i] for i in range(len(M)) for j in range(i)):
+    if [list(col) for col in zip(*M)] != M:
         raise ValueError("signature_exact needs a symmetric matrix")
     return _inertia(M)
 
@@ -244,8 +270,39 @@ class LambdaMatrix:
         return self._hermitian
 
     def det(self) -> LaurentPoly:
-        """Exact determinant, ``_bareiss`` over the Laurent ring."""
-        return _bareiss([list(row) for row in self.entries]) if self.n else LaurentPoly.one()
+        """Exact determinant by Kronecker substitution into ``_bareiss``.
+
+        The matrix is scaled by the lcm L of its denominators and each row,
+        then each column, shifted by a power of t to polynomials of least
+        degree: an integer polynomial matrix P with det W = t^s det P / L^n,
+        s the sum of the shifts (a zero row or column gives 0).  A
+        coefficient of det P is at most the maximum of |det P| on |t| = 1,
+        so at most H, Hadamard's bound prod_i (sum_j ||p_ij||_1^2)^(1/2).
+        With B = bitlen(H) + 2 the integer det P(2^B), one integer Bareiss,
+        has the coefficients as its signed base-2^B digits."""
+        n, rows = self.n, [[x._c for x in row] for row in self.entries]
+        L = math.lcm(*{c.denominator for row in rows for x in row for c in x.values()})
+        if L != 1:
+            rows = [[{e: int(c * L) for e, c in x.items()} for x in row] for row in rows]
+        lows = [[min(x) if x else math.inf for x in row] for row in rows]
+        rlow = [min(low) for low in lows]
+        clow = [min(col) for col in zip(*[[e - r for e in low] for low, r in zip(lows, rlow)])]
+        if math.inf in rlow or math.inf in clow:
+            return LaurentPoly.zero()
+        H2 = math.prod([sum([sum(map(abs, x.values())) ** 2 for x in row]) for row in rows])
+        B = (math.isqrt(H2 - 1) + 1).bit_length() + 2
+        v = _bareiss([[sum([c << (e - r - s) * B for e, c in x.items()]) for x, s in zip(row, clow)]
+                      for row, r in zip(rows, rlow)])
+        coeffs, e, mask, half = {}, sum(rlow) + sum(clow), (1 << B) - 1, 1 << (B - 1)
+        while v:  # B >= 2, so |v| falls at every digit
+            c = v & mask
+            if c >= half:
+                c -= 1 << B
+            if c:
+                coeffs[e] = c if L == 1 else Fraction(c, L ** n)
+            v = (v - c) >> B
+            e += 1
+        return LaurentPoly(coeffs)
 
     def eval_at_one(self) -> list[list[Fraction]]:
         return [[e.eval_one() for e in row] for row in self.entries]
@@ -311,7 +368,6 @@ def subst_cycle(W: LambdaMatrix, p: int) -> tuple[tuple[Fraction, ...], ...]:
     _require_hermitian(W)
     if p < 1:
         raise ValueError("p must be a positive integer")
-    N = W.n * p
     blocks = []
     for row in W.entries:
         residue_row = []
@@ -326,7 +382,7 @@ def subst_cycle(W: LambdaMatrix, p: int) -> tuple[tuple[Fraction, ...], ...]:
         for residue_row in blocks
         for a in range(p)
     )
-    if any(out[i][j] != out[j][i] for i in range(N) for j in range(i)):
+    if tuple(zip(*out)) != out:
         raise ArithmeticError("cycle substitution of a Hermitian matrix must be symmetric")
     return out
 

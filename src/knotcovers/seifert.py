@@ -509,7 +509,7 @@ class KnotRecord:
     @classmethod
     def from_json(cls, obj: dict) -> "KnotRecord":
         keys = ("name", "seifert", "q2loop", "provenance")
-        q = _json_object(obj, "a knot record", keys).get("q2loop")
+        q = _json_object(obj, "a knot record", keys, required=("name", "seifert")).get("q2loop")
         return cls(
             name=str(obj["name"]),
             seifert=obj["seifert"],

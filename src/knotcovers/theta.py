@@ -197,9 +197,9 @@ class ThetaClass:
         if not isinstance(raw, list):  # a missing or misspelt key is not the zero class
             raise ValueError("a 2-loop class needs a 'terms' array")
         _json_object(obj, "a 2-loop class", ("terms",))
-        terms = []
+        terms, keys = [], ("f", "g", "h", "c")
         for t in raw:
-            _json_object(t, "a 2-loop term", ("f", "g", "h", "c"))
+            _json_object(t, "a 2-loop term", keys, required=keys)
             terms.append(
                 (
                     RatFun.from_json(t["f"]),
@@ -230,7 +230,7 @@ def _residue_classes(slot: RatFun, p: int) -> tuple[dict[int, int], "int | Fract
         q1 = Qp.eval_one()
         if q1 == 0:
             raise QSingularAtP("slot denominator vanishes at a %d-th root of unity" % p)
-    coeffs = P.coeffs
+    coeffs = P._c  # read, not copied
     d = math.lcm(*(v.denominator for v in coeffs.values()))
     n: dict[int, int] = {}
     for e, v in coeffs.items():

@@ -85,16 +85,6 @@ class TestLaurentPoly:
         with pytest.raises(ValueError):
             (t + one).divexact(t + 2 * one)
 
-    def test_floordiv_is_divexact_with_constants(self):
-        f = (t + one) * (t - one)
-        assert f // (t + one) == t - one
-        assert (2 * t) // 2 == t
-        assert t // Fraction(1, 3) == 3 * t
-        with pytest.raises(ValueError):
-            (t + one) // (t + 2 * one)
-        with pytest.raises(ZeroDivisionError):
-            t // 0
-
     def test_shift_and_bounds(self):
         f = t ** -2 + t ** 3
         assert f.min_exp == -2 and f.max_exp == 3

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
@@ -78,6 +79,25 @@ def _per_automorphism_hits(G, tuples, p):
     for Da in D:
         hits += np.all((tuples @ Da.T) % p == 0, axis=1)
     return hits
+
+
+def _phi_by_push(G):
+    """Oracle for ``phi_R``: push the beads through every automorphism
+    (edge e's bead lands on eperm[e], negated when e is flipped) and read
+    the cycle monodromies of the pushed labeling, per call (the
+    production route before the pulled-back cycles were kept per
+    topology)."""
+    _, cycles = fundamental_cycles(G)
+    auts = automorphisms(G)
+    beads = G.beads
+    hits = {}
+    for aut in auts:
+        pushed = [0] * len(beads)
+        for e, m in enumerate(beads):
+            pushed[aut.eperm[e]] = -m if aut.flips[e] else m
+        exps = cycle_monodromies(pushed, cycles)
+        hits[exps] = hits.get(exps, 0) + 1
+    return {k: Fraction(v, len(auts)) for k, v in hits.items()}
 
 
 def _reference_sample(rng, p, E, n):
@@ -412,6 +432,23 @@ class TestSymbols:
                 assert count_admissible(lifting, p) == p ** G.b0
                 for H in (G, lifting):
                     assert liftres_check(H, p), (H, p)
+
+    @pytest.mark.parametrize("name", ["theta", "eyes", "theta-theta", "theta-eyes",
+                                      "theta-theta-theta"])
+    def test_phi_matches_the_per_automorphism_push(self, name, rng):
+        G = SWEEP_GRAPHS.get(name) or disjoint_union(THETA, THETA, THETA)
+        for _ in range(40 if len(G.edges) < 9 else 3):
+            H = G.with_beads([rng.randint(-7, 7) for _ in G.edges])
+            assert phi_R(H) == _phi_by_push(H)
+        assert phi_R(G) == {(0,) * G.b1: 1}
+
+    def test_pulled_cycles_kept_once_per_topology(self):
+        graphs._pulled_cycles.cache_clear()
+        for beads in ([1, 2, 3], [0, -4, 5], [7, 7, 7]):
+            phi_R(THETA.with_beads(beads))
+        phi_R(BeadedGraph.from_json(THETA.to_json()))
+        info = graphs._pulled_cycles.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
     def test_symbol_coefficients_sum_to_one(self):
         # phi_R averages over automorphisms, so coefficients add up to 1

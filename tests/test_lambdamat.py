@@ -1,6 +1,7 @@
 """Matrices over Laurent polynomials, exact signatures, cycle substitutions."""
 
 import cmath
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -90,9 +91,37 @@ def _random_laurent(rng):
 SHAPES = ("dense", "pivot", "singular", "column")
 
 
+def _laurent_bareiss(M):
+    """Oracle for ``LambdaMatrix.det``: fraction-free Bareiss elimination
+    over the Laurent ring itself, each one-step division a ``divexact``
+    by the previous pivot (the production route before Kronecker
+    substitution).  M is a list of lists of LaurentPoly, eliminated in
+    place."""
+    n = len(M)
+    sign, prev = 1, LaurentPoly.one()
+    for k in range(n - 1):
+        if not M[k][k]:
+            for i in range(k + 1, n):
+                if M[i][k]:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return LaurentPoly.zero()
+        pk, row_k = M[k][k], M[k]
+        for i in range(k + 1, n):
+            mik, row_i = M[i][k], M[i]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pk - mik * row_k[j]).divexact(prev)
+        prev = pk
+    return sign * M[n - 1][n - 1] if n else LaurentPoly.one()
+
+
 class TestDeterminantKernel:
-    """rational_det and LambdaMatrix.det share one Bareiss elimination;
-    the Leibniz permutation sum is the independent route."""
+    """rational_det and LambdaMatrix.det share one integer Bareiss
+    elimination, the latter by Kronecker substitution; the Leibniz
+    permutation sum and Bareiss over the Laurent ring are the independent
+    routes."""
 
     def test_integer_and_fraction_matrices(self, rng):
         entries = [lambda: rng.randint(-5, 5),
@@ -110,6 +139,64 @@ class TestDeterminantKernel:
             for shape in SHAPES:
                 M = _random_square(rng, rng.randint(0, 4), lambda: _random_laurent(rng), zero, shape)
                 assert LambdaMatrix(M).det() == _leibniz(M)
+
+    def test_kronecker_det_matches_leibniz_up_to_five(self, rng):
+        # integer and rational coefficients, negative exponents, every shape
+        zero = LaurentPoly.zero()
+        entries = [lambda: LaurentPoly({e: rng.randint(-9, 9) for e in range(-3, 3)
+                                        if rng.random() < 0.5}),
+                   lambda: _random_laurent(rng),
+                   lambda: LaurentPoly({rng.randint(-4, 4): Fraction(rng.randint(-9, 9), 7)})]
+        for n in range(6):
+            for shape in SHAPES:
+                for entry in entries:
+                    M = _random_square(rng, n, entry, zero, shape)
+                    assert LambdaMatrix(M).det() == _leibniz(M)
+
+    def test_kronecker_det_of_the_empty_and_zero_matrices(self):
+        assert LambdaMatrix([]).det() == one
+        for n in range(1, 5):
+            assert LambdaMatrix([[LaurentPoly.zero()] * n for _ in range(n)]).det() == 0
+
+    @pytest.mark.parametrize("c", [1, -1, 2, -3, 255, -256, Fraction(-5, 3)])
+    def test_kronecker_det_where_hadamard_is_attained(self, c):
+        # det(c t^k I) = c^n t^(nk) is the bound H itself: the one digit of
+        # det P(2^B) is as large as the digits may get, with either sign
+        for n in range(1, 6):
+            for k in (-2, 0, 3):
+                M = [[LaurentPoly({k: c}) if i == j else LaurentPoly.zero() for j in range(n)]
+                     for i in range(n)]
+                assert LambdaMatrix(M).det() == LaurentPoly({n * k: c ** n}) == _leibniz(M)
+
+    def test_kronecker_det_with_large_digits_of_both_signs(self, rng):
+        # one sign per row and large entries: negative digits next to
+        # positive ones, so det P(2^B) borrows across digit boundaries
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            s = [rng.choice((1, -1)) for _ in range(n)]
+            M = [[LaurentPoly({e: s[i] * rng.randint(5, 9) for e in range(-1, 2)})
+                  for _ in range(n)] for i in range(n)]
+            M = [[M[i][j] if i == j else M[i][j] * rng.choice((0, 1)) for j in range(n)]
+                 for i in range(n)]
+            assert LambdaMatrix(M).det() == _leibniz(M)
+
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_kronecker_det_matches_laurent_bareiss_on_clover_forms(self, g):
+        rng = random.Random(1000 + g)
+        for _ in range(3 if g <= 6 else 1):
+            W = Knot(random_seifert(g, rng)).clover
+            assert W.det() == _laurent_bareiss([list(row) for row in W.entries])
+
+    def test_sparse_integer_matrices_against_the_laurent_oracle(self, rng):
+        # most multipliers are 0, so most rows are rescaled lazily, some over
+        # many steps, before they are used
+        for _ in range(30):
+            n = rng.randint(1, 18)
+            M = [[rng.choice((0, 0, 0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                M[i][i] = rng.choice((1, -1, 2, 3, 5))
+            want = _laurent_bareiss([[LaurentPoly.const(x) for x in row] for row in M])
+            assert rational_det(M) == want.eval_one()
 
 
 class TestProductAndPower:

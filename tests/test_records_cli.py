@@ -94,6 +94,19 @@ class TestAlexanderCommand:
         assert (code, out) == (2, "")
         assert err == "error: a knot record has an unknown key 'q2lop'\n"
 
+    @pytest.mark.parametrize("command", [["alexander"], ["branched", "--p", "2..4"]],
+                             ids=lambda c: c[0])
+    @pytest.mark.parametrize("key", ["name", "seifert"])
+    def test_a_missing_record_key_is_named(self, capsys, tmp_path, command, key):
+        # a missing key printed the bare "error: 'seifert'"
+        obj = {"name": "x", "seifert": [[-1, 1], [0, -1]]}
+        del obj[key]
+        f = tmp_path / "knot.json"
+        f.write_text(json.dumps(obj))
+        code, out, err = run(capsys, *command, "--file", str(f))
+        assert (code, out) == (2, "")
+        assert err == "error: a knot record is missing key %r\n" % key
+
 
 class TestSignatureCommand:
     def test_table_blanks_singular_roots(self, capsys):
@@ -475,6 +488,18 @@ class TestQFileBoundary:
         assert (code, out) == (2, "")
         assert err == "error: %s\n" % message
 
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("key", ["f", "g", "h", "c"])
+    def test_a_missing_term_key_is_named(self, capsys, tmp_path, command, key):
+        # a term without "h" printed the bare "error: 'h'"
+        term = {"f": {"1": "1"}, "g": {"1": "1"}, "h": {"0": "1"}, "c": "1"}
+        del term[key]
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"terms": [term]}))
+        code, out, err = run(capsys, *command, "--q", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: a 2-loop term is missing key %r\n" % key
+
 
 # a slot pole within _ON_CIRCLE of |t| = 1, and one just outside it but too
 # near for the FFT grid: both are refused as SingularOnTorus
@@ -553,6 +578,43 @@ class TestLiftresCommand:
         code, out, err = run(capsys, "liftres", "--file", str(f), "--p", "3")
         assert (code, out) == (2, "")
         assert err == "error: %s\n" % message
+
+    @pytest.mark.parametrize("where, key, message", [
+        ("edge", "to", "an edge is missing key 'to'"),
+        ("edge", "from", "an edge is missing key 'from'"),
+        ("graph", "edges", "a graph is missing key 'edges'"),
+        ("graph", "vertices", "a graph is missing key 'vertices'"),
+    ])
+    def test_a_missing_key_is_named(self, capsys, tmp_path, where, key, message):
+        # an edge without "to" printed the bare "error: 'to'"; "bead" may be left out
+        from knotcovers.graphs import theta_graph
+
+        obj = theta_graph().with_beads([1, 2, 0]).to_json()
+        del (obj["edges"][0] if where == "edge" else obj)[key]
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "liftres", "--file", str(f), "--p", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: %s\n" % message
+
+
+def test_an_internal_key_error_is_not_invalid_input(monkeypatch, tmp_path):
+    # KeyError is no validation error: a bug inside the package raising one
+    # surfaces as a traceback, not as "error: ..." with exit 2
+    import knotcovers.cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(knotcovers.cli, "res_p_theta", broken)
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"terms": [{"f": {"1": "1"}, "g": {"1": "1"}, "h": {"0": "1"},
+                                           "c": "1"}]}))
+    with pytest.raises(KeyError, match="internal"):
+        main(["residue", "--q", str(path), "--p", "2"])
+    monkeypatch.setattr(knotcovers.cli, "corpus_record", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["alexander", "--knot", "trefoil"])
 
 
 class TestSelftestCommand:

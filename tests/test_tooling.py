@@ -372,3 +372,28 @@ def test_arc_kernel_sees_only_plain_ints(monkeypatch, tmp_path, capsys):
                  ["branched", "--file", str(knot), "--p", "2..12"]):
         assert knotcovers.cli.main(argv) == 0, capsys.readouterr().err
     assert seen == [(2, ["int"]), (8, ["int"]), (4, ["int"])]
+
+
+def test_determinant_kernel_sees_only_plain_ints(monkeypatch, capsys):
+    # every exact determinant reaches the one Bareiss kernel as an integer
+    # matrix: Laurent entries go in by Kronecker substitution, rational ones
+    # scaled by the lcm of their denominators; no LaurentPoly or Fraction
+    # entry on the selftest's determinant criteria or the CLI
+    import knotcovers.cli
+    import knotcovers.lambdamat
+    import knotcovers.seifert
+
+    bareiss, seen = knotcovers.lambdamat._bareiss, []
+
+    def checked(M):
+        seen.append(sorted({type(x).__name__ for row in M for x in row}))
+        return bareiss(M)
+
+    for module in (knotcovers.lambdamat, knotcovers.seifert):  # seifert holds a copy
+        monkeypatch.setattr(module, "_bareiss", checked)
+    for argv, calls in ((["selftest", "--criteria", "2,4"], 202),  # a clover det per knot
+                        (["alexander", "--knot", "random-g3-a"], 1)):
+        seen.clear()
+        assert knotcovers.cli.main(argv) == 0, capsys.readouterr()
+        assert len(seen) >= calls and all(kinds in ([], ["int"]) for kinds in seen), argv
+    assert "FAIL" not in capsys.readouterr().out
