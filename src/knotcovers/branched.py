@@ -89,8 +89,9 @@ def torsion_growth(A: KnotLike, ps: Iterable[int]) -> list[tuple[int, int, float
 
     Irregular p are skipped; log(order)/p converges to the Mahler measure
     of the Alexander polynomial.  ``Knot.beta`` advances x^p from the
-    previous p, so an ascending ladder costs one multiplication by x and
-    one g x g determinant per p, and one more for beta_2.
+    previous p, so an ascending ladder costs one linear step (one shift
+    and one reduction in Z[s]/E) and one g x g determinant per p, and one
+    more determinant for beta_2.
     """
     knot = Knot.of(A)
     rows = []
@@ -109,7 +110,8 @@ def signature_average(A: KnotLike) -> float:
 
 
 def _casson(res: Fraction, sig: int) -> Fraction:
-    return res / 3 + Fraction(sig, 8)
+    """res / 3 + sig / 8, as one Fraction over 24 times res's denominator."""
+    return Fraction(8 * res.numerator + 3 * sig * res.denominator, 24 * res.denominator)
 
 
 def casson_walker(A: KnotLike, Q: ThetaClass, p: int) -> Fraction:

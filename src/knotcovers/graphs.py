@@ -335,12 +335,6 @@ def fundamental_cycles(G: BeadedGraph) -> tuple[list[int], list[dict[int, int]]]
     return nonforest, cycles
 
 
-def cycle_monodromies(
-    beads: Sequence[int], cycles: Sequence[Mapping[int, int]]
-) -> tuple[int, ...]:
-    return tuple(sum(c * beads[e] for e, c in cyc.items()) for cyc in cycles)
-
-
 def _aut_cycle_matrices(C: np.ndarray, auts: Sequence[GraphAut]) -> np.ndarray:
     """Integer tensor D[a][i][e] with the property that the i-th cycle
     monodromy of the beads pushed forward by automorphism a equals

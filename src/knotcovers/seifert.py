@@ -296,14 +296,16 @@ class Knot:
         whose x is lambda or 1 - lambda over each root s, so x^p - (x - 1)^p
         is 2a + b for odd p and b (2x - 1) for even p, (2x - 1)^2 = 1 - 4s:
         beta_p = N(2a + b)^2 or beta_2 N(b)^2, beta_2 = |N(1 - 4s)| per knot.
-        The last p, x^p and beta_p are kept: p + 1 and p + 2 cost one
-        multiplication by x or x^2, any other p a square and multiply."""
+        The last p, x^p and beta_p are kept.  Since x^2 = x - s, a step to
+        p + 1 is the linear map (a, b) -> (-s b, a + b) and a step to p + 2
+        is (a, b) -> (-s (a + b), a + b - s b), each multiplication by s one
+        shift and one reduction of the top term by the monic E; any other p
+        takes a square and multiply of general products."""
         if p < 1:
             raise ValueError("p must be a positive integer")
         if not self.genus:
             return 1
-        E, last = self.half_charpoly, self._ladder
-        steps = {1: ([], [1]), 2: ([0, -1], [1])}  # x and x^2 = x - s
+        E, last, g = self.half_charpoly, self._ladder, self.genus
 
         def mul(u, v):  # (ac - s bd) + ((a + b)(c + d) - ac) x
             (a, b), (c, d) = u, v
@@ -312,15 +314,25 @@ class Knot:
             return (_poly_divmod(_padd(ac, [0] + [-y for y in bd]), E)[1],
                     _poly_divmod(_padd(cross, [-y for y in ac]), E)[1])
 
+        def minus_s(f):  # -s f mod E, f of degree < g
+            f = f + [0] * (g - len(f))
+            top = f[-1]
+            return [top * E[0]] + [top * e - c for c, e in zip(f, E[1:-1])]
+
         def norm(f):  # |det| of multiplication by f on Z[s]/E, one g x g Bareiss
-            return abs(_bareiss(_mul_rows(_poly_divmod(f, E)[1], E)))
+            return abs(_bareiss(_mul_rows(f if len(f) <= g else _poly_divmod(f, E)[1], E)))
 
         if last and last[0] == p:
             return last[2]
-        if last and p - last[0] in steps:
-            xp = mul(last[1], steps[p - last[0]])
+        if last and p - last[0] == 1:
+            a, b = last[1]
+            xp = (minus_s(b), _padd(a, b))
+        elif last and p - last[0] == 2:
+            a, b = last[1]
+            ab = _padd(a, b)
+            xp = (minus_s(ab), _padd(ab, minus_s(b)))
         else:
-            xp = _power(steps[1], p, mul, ([1], []))
+            xp = _power(([], [1]), p, mul, ([1], []))
         a, b = xp
         if p % 2:
             beta = norm(_padd(a, a, b)) ** 2

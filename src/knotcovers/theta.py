@@ -22,9 +22,11 @@ The two quantities consumed downstream:
 * ``torus_average(Q)`` -- the limiting average over the 2-torus, exact
   diagonal-coefficient sum for polynomial slots, FFT trapezoid otherwise.
 
-res_p/p converges to the torus average: for polynomial slots the tail
-vanishes outright once p exceeds the exponent spread, for rational slots
-it decays geometrically with the distance of the poles from the circle.
+For polynomial slots res_p/p is not only a limit: once p exceeds the
+spread of the slot exponents no two of them are congruent mod p, and
+res_p/p equals the torus average exactly, one diagonal sum kept on the
+class.  For rational slots res_p/p converges to it, geometrically with
+the distance of the poles from the circle.
 """
 
 from __future__ import annotations
@@ -70,11 +72,13 @@ class ThetaTerm(NamedTuple):
 
 
 class ThetaClass:
-    """Finite rational combination of slot triples (f, g, h)."""
+    """Finite rational combination of slot triples (f, g, h); a polynomial
+    class keeps its ``_integer_form`` and ``_diagonal_sum`` once asked."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_ints", "_diagonal")
 
     def __init__(self, terms: Sequence[tuple] = ()):  # (f, g, h, c) tuples
+        self._ints = self._diagonal = None
         # a one-element list per triple, so each term hashes its slots once
         merged: dict[tuple[RatFun, RatFun, RatFun], list[Fraction]] = {}
         for f, g, h, c in terms:
@@ -213,9 +217,64 @@ class ThetaClass:
     def __repr__(self) -> str:
         return "ThetaClass(%d terms)" % len(self.terms)
 
+    def _integer_form(self) -> tuple[int, int, list[tuple[int, dict, dict, dict]]] | None:
+        """(spread, D, [(w, F, G, H)]) for a polynomial class, None for a
+        rational one, kept.  F, G, H map each slot exponent to its numerator
+        over the slot's common denominator d, and w = c D / (d_f d_g d_h) is
+        an integer, so the class is (1/D) sum w F(t1) G(t2) H(t3).  No two
+        exponents within the spread, max - min over every slot exponent (0
+        for the zero class), are congruent mod a p past it."""
+        if self._ints is None:
+            self._ints = False
+            if self.is_polynomial:
+                terms, scales, exps = [], [], []
+                for t in self.terms:
+                    scale = t.c
+                    slots = []
+                    for slot in (t.f, t.g, t.h):
+                        F, d = _numerators(slot.num)
+                        slots.append(F)
+                        scale /= d
+                        exps += F
+                    terms.append(slots)
+                    scales.append(scale)
+                D = math.lcm(*(c.denominator for c in scales))
+                self._ints = (max(exps) - min(exps) if exps else 0, D,
+                              [(c.numerator * (D // c.denominator), *slots)
+                               for c, slots in zip(scales, terms)])
+        return self._ints or None
+
+    def _diagonal_sum(self) -> Fraction:
+        """(1/D) sum w sum_e F_e G_e H_e over the integer form, kept: the
+        torus average of a polynomial class, and res_p / p at every p past
+        its spread, where no p-th root aliases two exponents."""
+        if self._diagonal is None:
+            _, D, terms = self._integer_form()
+            self._diagonal = Fraction(sum(w * sum(v * F.get(e, 0) * G.get(e, 0)
+                                                  for e, v in H.items())
+                                          for w, F, G, H in terms), D)
+        return self._diagonal
+
 
 # ---------------------------------------------------------------------------
 # residues and averages
+
+
+def _numerators(P: LaurentPoly) -> tuple[dict[int, int], int]:
+    """P's coefficients as integer numerators over their common denominator
+    d, by exponent, and d."""
+    coeffs = P._c  # read, not copied
+    d = math.lcm(*(v.denominator for v in coeffs.values()))
+    return {e: v.numerator * (d // v.denominator) for e, v in coeffs.items()}, d
+
+
+def _fold(F: Mapping[int, int], p: int) -> dict[int, int]:
+    """The coefficients F summed by exponent mod p: the periodised
+    coefficients, equal to F at every p-th root of unity."""
+    out: dict[int, int] = {}
+    for e, v in F.items():
+        out[e % p] = out.get(e % p, 0) + v
+    return out
 
 
 def _residue_classes(slot: RatFun, p: int) -> tuple[dict[int, int], "int | Fraction"]:
@@ -230,12 +289,8 @@ def _residue_classes(slot: RatFun, p: int) -> tuple[dict[int, int], "int | Fract
         q1 = Qp.eval_one()
         if q1 == 0:
             raise QSingularAtP("slot denominator vanishes at a %d-th root of unity" % p)
-    coeffs = P._c  # read, not copied
-    d = math.lcm(*(v.denominator for v in coeffs.values()))
-    n: dict[int, int] = {}
-    for e, v in coeffs.items():
-        n[e % p] = n.get(e % p, 0) + v.numerator * (d // v.denominator)
-    return n, _qdiv(1, d * q1)
+    n, d = _numerators(P)
+    return _fold(n, p), _qdiv(1, d * q1)
 
 
 def res_p_theta(Q: ThetaClass, p: int) -> Fraction:
@@ -243,11 +298,24 @@ def res_p_theta(Q: ThetaClass, p: int) -> Fraction:
 
     With the periodised coefficients F, G, H of the slots the root sums
     collapse: h enters through (w1 w2)^-r, so only r = a = b mod p
-    survives, and each term gives p * c * sum_r F_r G_r H_r.  Raises
+    survives, and each term gives p * c * sum_r F_r G_r H_r.  A polynomial
+    class reads its integer form: past its spread nothing aliases and the
+    answer is p times its diagonal sum, at or below it the exponents are
+    folded mod p and summed as integers over one denominator.  Raises
     QSingularAtP when some slot has a pole at a p-th root of unity.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
+    form = Q._integer_form()
+    if form is not None:
+        spread, D, terms = form
+        if p > spread:
+            return p * Q._diagonal_sum()
+        total = 0
+        for w, F, G, H in terms:
+            F, G = _fold(F, p), _fold(G, p)
+            total += w * sum(v * F.get(r, 0) * G.get(r, 0) for r, v in _fold(H, p).items())
+        return Fraction(p * total, D)
     rational: dict[RatFun, tuple[dict[int, int], Fraction]] = {}  # one rewrite per slot
 
     def classes(slot):
@@ -284,12 +352,13 @@ def torus_average(Q: ThetaClass):
 
     The average of w1^(a-e) w2^(b-e) is the indicator a = b = e, so the
     answer is the diagonal sum over r of f_r g_r h_r of the slots' Laurent
-    coefficients.  Polynomial slots: the exact Fraction res_p / p at p one
-    past the spread of all slot exponents, which no p-th root aliases.
-    Otherwise a float (the limit is irrational in general): the N-point
-    trapezoid rule, the same sum over FFT coefficients mod N, with N doubled
-    from 64 until each slot's coefficients at |r| >= N/4 are below
-    _TAIL_RATIO of its largest.  The distinct denominator roots, found once
+    coefficients.  Polynomial slots: that sum as an exact Fraction, kept on
+    the class, which is also res_p / p at every p past the spread of the
+    slot exponents, since no p-th root aliases two of them.  Otherwise a
+    float (the limit is irrational in general): the N-point trapezoid rule,
+    the same sum over FFT coefficients mod N, with N doubled from 64 until
+    each slot's coefficients at |r| >= N/4 are below _TAIL_RATIO of its
+    largest.  The distinct denominator roots, found once
     per slot (``_roots_by_part``), decide two SingularOnTorus refusals before
     any FFT: a pole within ``_ON_CIRCLE`` of |t| = 1 is on it, and a pole of
     modulus r whose tail rho^(N/4), rho = min(r, 1/r), would outlast
@@ -297,9 +366,7 @@ def torus_average(Q: ThetaClass):
     near it.  A grid past _GRID_CAP raises SingularOnTorus as well.
     """
     if Q.is_polynomial:
-        nums = [slot.num for t in Q.terms for slot in (t.f, t.g, t.h)]
-        p = max(f.max_exp for f in nums) - min(f.min_exp for f in nums) + 1 if nums else 1
-        return res_p_theta(Q, p) / p
+        return Q._diagonal_sum()
     import numpy as np
 
     slots = {slot for t in Q.terms for slot in (t.f, t.g, t.h)}

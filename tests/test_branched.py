@@ -43,7 +43,7 @@ from knotcovers.seifert import (
     signature_function,
 )
 from knotcovers.seifert import _arc_signature, _simplest_tangent
-from knotcovers.theta import ThetaClass
+from knotcovers.theta import ThetaClass, res_p_theta
 from test_seifert import chi_beta, torus_seifert
 
 
@@ -573,6 +573,18 @@ class TestCassonWalker:
     def test_exactness_for_polynomial_classes(self, figure8):
         val = casson_walker(figure8, ThetaClass.constant(Fraction(3)), 4)
         assert isinstance(val, Fraction)
+
+    def test_is_res_p_over_3_plus_sigma_p_over_8(self, figure8):
+        # res_p with a denominator prime to 24 and to 3, and sigma_p of both
+        # signs and parities: the one Fraction is the sum of the two parts
+        Q = (ThetaClass.monomial(1, 1, 1, Fraction(2, 7))
+             + ThetaClass.monomial(0, 2, -1, Fraction(-5, 9)))
+        for A in (figure8, [[2, 1], [0, 1]], [[-1, 1], [0, -1]]):
+            rows = branched_report(A, range(2, 14), Q=Q)
+            for row in rows:
+                if row.regular:
+                    want = res_p_theta(Q, row.p) / 3 + Fraction(row.sigma_p, 8)
+                    assert row.casson == want == casson_walker(A, Q, row.p), (A, row.p)
 
 
 class TestReport:

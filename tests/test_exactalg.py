@@ -306,6 +306,27 @@ class TestRatFun:
         assert RatFun.from_json({"1": "1"}) == RatFun(t)
 
 
+def _faddeev_leverrier(M) -> list:
+    """Oracle for ``_charpoly``: det(xI - M), ascending, by Faddeev-LeVerrier
+    (n matrix products, an n^4 cost law; the package's route before the
+    modular Hessenberg one); int coefficients for an integer M, whose traces
+    make each -tr/k exact."""
+    d = len(M)
+    integral = all(isinstance(x, int) for row in M for x in row)
+    cs = [1]
+    N = [[int(i == j) for j in range(d)] for i in range(d)]
+    for k in range(1, d + 1):
+        MN = _mat_mul(M, N)
+        tr = sum(MN[i][i] for i in range(d))
+        ck = -tr // k if integral else Fraction(-tr, k)
+        cs.append(ck)
+        for i in range(d):
+            MN[i][i] += ck
+        N = MN
+    # cs[k] multiplies x^(d-k)
+    return list(reversed(cs))
+
+
 class TestCharpoly:
     def test_integer_matrix_keeps_int_coefficients(self):
         # trace 4, principal 2x2 minors 5 - 2 - 4 = -1, det -7:
@@ -320,6 +341,50 @@ class TestCharpoly:
         # det(sI - M) = s^2 - (1/2 + 1/3) s + 1/6 - 1/4
         M = [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]]
         assert _charpoly(M) == [Fraction(-1, 12), Fraction(-5, 6), 1]
+
+    def test_matches_faddeev_leverrier_on_seeded_integer_matrices(self, rng):
+        # dense and sparse, n <= 12, entries up to 2^40 of both signs: the
+        # large ones need several primes before the bound is passed
+        for _ in range(120):
+            n = rng.randint(2, 12)
+            bound = rng.choice([1, 5, 2 ** 20, 2 ** 40])
+            density = rng.choice([0.2, 0.6, 1.0])
+            M = [[rng.randint(-bound, bound) if rng.random() < density else 0
+                  for _ in range(n)] for _ in range(n)]
+            chi = _charpoly(M)
+            assert chi == _faddeev_leverrier(M), M
+            assert all(type(c) is int for c in chi)
+
+    def test_degenerate_matrices(self):
+        # 0 x 0, 1 x 1, zero, nilpotent (strictly upper, where every column
+        # has no pivot to take, and one that is not triangular), singular,
+        # and a permutation (a pivot below the subdiagonal is swapped up)
+        cases = [
+            [],
+            [[0]],
+            [[-7]],
+            [[2 ** 100]],
+            [[0] * 5 for _ in range(5)],
+            [[int(j > i) * (i + 2 * j + 1) for j in range(6)] for i in range(6)],
+            [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+            [[2, -4], [1, -2]],  # nilpotent, not triangular
+            [[1, 2, 3], [2, 4, 6], [1, 1, 1]],  # rank 2
+            [[1, 2, 3], [4, 5, 6], [7, 8, 9]],  # rank 2
+            [[int(j == (i + 2) % 5) for j in range(5)] for i in range(5)],
+        ]
+        for M in cases:
+            assert _charpoly(M) == _faddeev_leverrier(M), M
+        assert _charpoly([]) == [1] and _charpoly([[-7]]) == [7, 1]
+        assert _charpoly(cases[4]) == [0] * 5 + [1]
+        assert _charpoly([[2, -4], [1, -2]]) == [0, 0, 1]
+
+    def test_rational_matrices_scale_to_integers(self, rng):
+        # det(xI - M) = L^-n det(yI - LM) at y = L x, L the common denominator
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            M = [[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 12, 2 ** 30]))
+                  for _ in range(n)] for _ in range(n)]
+            assert _charpoly(M) == _faddeev_leverrier(M), M
 
 
 def _companion(monic: list) -> list[list]:
@@ -503,7 +568,7 @@ class TestDenominatorToTp:
             C = _companion([Fraction(c) / lc for c in qhat])
             for p in range(1, 65):
                 P, Qp = denominator_to_tp(r, p)
-                want = [c * abs(lc) ** p for c in _charpoly(_mat_pow(C, p))]
+                want = [c * abs(lc) ** p for c in _faddeev_leverrier(_mat_pow(C, p))]
                 assert Qp == LaurentPoly.from_coeffs(want), (r, p)
                 Qp_tp = LaurentPoly({p * e: c for e, c in Qp.coeffs.items()})
                 assert r.num * Qp_tp == P * r.den

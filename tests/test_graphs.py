@@ -16,7 +16,6 @@ from knotcovers.graphs import (
     GraphAut,
     automorphisms,
     count_admissible,
-    cycle_monodromies,
     disjoint_union,
     eyes_graph,
     fundamental_cycles,
@@ -79,6 +78,12 @@ def _per_automorphism_hits(G, tuples, p):
     for Da in D:
         hits += np.all((tuples @ Da.T) % p == 0, axis=1)
     return hits
+
+
+def cycle_monodromies(beads, cycles):
+    """The monodromy of each cycle (a map edge -> signed multiplicity) under
+    a bead labeling: the signed sum of its beads."""
+    return tuple(sum(c * beads[e] for e, c in cyc.items()) for cyc in cycles)
 
 
 def _phi_by_push(G):

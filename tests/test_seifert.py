@@ -36,6 +36,7 @@ from knotcovers.seifert import (
     validate_seifert,
 )
 from knotcovers.seifert import _simplest_tangent
+from test_exactalg import _faddeev_leverrier
 
 t = LaurentPoly.t()
 one = LaurentPoly.one()
@@ -195,6 +196,20 @@ class TestSeifertPresentation:
                 for M in (A, B):
                     knot = Knot(M)
                     assert [knot.beta(p) for p in ps] == [want[p] for p in ps], (g, name)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_linear_steps_match_the_norm_in_z_x_mod_chi(self, g, rng):
+        # p + 1 and p + 2 are the linear maps (a, b) -> (-s b, a + b) and
+        # (-s (a + b), a + b - s b); steps of 3 and descending p take the
+        # square and multiply, from which the next steps start again
+        ladders = [list(range(1, 31)), [1, 3, 6, 8, 11, 13, 16, 18, 21, 23],
+                   list(range(30, 0, -1)), [2, 4, 7, 9, 12, 14, 17, 15, 13, 16, 18]]
+        for _ in range(3):
+            A = random_seifert(g, rng)
+            want = {p: chi_beta(A, p) for ps in ladders for p in ps}
+            for ps in ladders:
+                knot = Knot(A)
+                assert [knot.beta(p) for p in ps] == [want[p] for p in ps], (A, ps)
 
     def test_delta_and_beta_share_one_charpoly(self, figure8, monkeypatch):
         calls = []
@@ -455,6 +470,14 @@ def test_torus_knots_match_theory(a, b):
     # Sigma(a, b, p) is a homology sphere when a, b and p are pairwise coprime
     ps = [p for p in range(2, 14) if math.gcd(p, a) == 1 == math.gcd(p, b)]
     assert ps and [knot.beta(p) for p in ps] == [1] * len(ps)
+
+
+@pytest.mark.parametrize("a", range(2, 10))
+def test_torus_charpoly_matches_faddeev_leverrier(a):
+    # Gamma of T(a, a + 1), n = a (a - 1) from 2 to 72: the modular
+    # Hessenberg route, with up to four primes, against the n^4 oracle
+    knot = Knot(torus_seifert(a, a + 1))
+    assert knot.charpoly == _faddeev_leverrier(knot.gamma)
 
 
 @pytest.mark.parametrize("a, b, roots", [(5, 6, 10), (7, 8, 21), (9, 10, 36)])

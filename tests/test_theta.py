@@ -227,6 +227,51 @@ class TestResidue:
             assert singular == list(range(period, 37, period))
 
 
+def _fold_res(Q, p):
+    """Independent route for a polynomial class: p times the sum over
+    terms of c * f_a g_b h_e over every exponent triple with a = b = e mod
+    p, which is what survives the sum over pairs of p-th roots."""
+    total = Fraction(0)
+    for term in Q.terms:
+        fc, gc, hc = term.f.num.coeffs, term.g.num.coeffs, term.h.num.coeffs
+        total += term.c * sum(u * v * w for a, u in fc.items() for b, v in gc.items()
+                              for e, w in hc.items() if (a - b) % p == 0 == (a - e) % p)
+    return total * p
+
+
+def _spread(Q):
+    exps = [e for term in Q.terms for slot in (term.f, term.g, term.h) for e in slot.num.coeffs]
+    return max(exps) - min(exps) if exps else 0
+
+
+class TestPolynomialResidue:
+    def test_matches_the_fold_on_both_sides_of_the_spread(self, rng):
+        # the zero class, a constant one, Fraction coefficients and negative
+        # exponents, at every p in 1..3 spread + 2: folded mod p at or below
+        # the spread, p times the kept diagonal sum past it
+        classes = [ThetaClass.zero(), ThetaClass.constant(Fraction(5, 3)),
+                   _mono(-3, 2, -1, Fraction(-7, 4)), _mono(4, 4, 4, 2),
+                   ThetaClass([(t ** -2 + Fraction(1, 3) * t ** 5, 3 * one - t ** -4,
+                                Fraction(-2, 5) * t + t ** 3, Fraction(9, 7)),
+                               (t ** -1, t ** -1, t ** -7 - t ** 2, Fraction(1, 2))])]
+        classes += [ThetaClass([(_random_poly(rng), _random_poly(rng), _random_poly(rng),
+                                 Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                                for _ in range(rng.randint(1, 3))]) for _ in range(30)]
+        for Q in classes:
+            spread = _spread(Q)
+            for p in range(1, 3 * spread + 3):
+                got = res_p_theta(Q, p)
+                assert isinstance(got, Fraction) and got == _fold_res(Q, p), (Q.terms, p)
+            assert torus_average(Q) == _diagonal_sum(Q)
+
+    def test_the_diagonal_sum_waits_for_a_p_past_the_spread(self):
+        Q = ThetaClass([(t ** -2 + t, t ** 2, one, Fraction(3))])  # spread 4
+        assert [res_p_theta(Q, p) for p in (1, 2, 3, 4)] == [_fold_res(Q, p) for p in (1, 2, 3, 4)]
+        assert Q._diagonal is None
+        assert res_p_theta(Q, 5) == 0 and Q._diagonal == 0
+        assert res_p_theta(_mono(1, 1, 1, Fraction(3, 2)), 10 ** 9) == 15 * 10 ** 8
+
+
 def _brute_res(Q, p):
     """Independent route: (1/p) * sum of Q over all pairs of p-th roots."""
     total = 0.0
