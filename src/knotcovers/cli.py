@@ -20,8 +20,11 @@ report over a range with no regular p at all); 2 on invalid input; 141
 (128 + SIGPIPE), silently, when the reader of stdout closes it early.
 
 Output is deterministic: floats are printed to 12 significant digits,
-exact rationals as fraction strings.  ``main`` builds its parser on its
-first call and reuses it for every later call in the same process.
+exact rationals as fraction strings.  ``main`` parses a command line that
+starts with a command's name with a parser holding that command alone,
+built on the command's first call in the process and reused after it.
+The full parser, with every command, is built only for ``-h``, an empty
+command line or an unknown command, whose help and errors list them all.
 """
 
 from __future__ import annotations
@@ -344,44 +347,31 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_knot_flags(sp):
-    sp.add_argument("--knot", help="name of a bundled corpus knot")
-    sp.add_argument("--file", help="JSON file: Seifert matrix or knot record")
-
-
 def _add_common_flags(sp):
     sp.add_argument("--format", choices=["table", "csv", "json"], default="table")
     sp.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="knotcovers",
-        description="abelian knot invariants and their cyclic branched covers",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("alexander", help="Alexander polynomial and scalar invariants")
-    _add_knot_flags(sp)
+def _add_knot_flags(sp):
+    """Every knot command's flags: the knot's source, then the output's."""
+    sp.add_argument("--knot", help="name of a bundled corpus knot")
+    sp.add_argument("--file", help="JSON file: Seifert matrix or knot record")
     _add_common_flags(sp)
-    sp.set_defaults(fn=cmd_alexander)
 
-    sp = sub.add_parser("signature", help="signature function at p-th roots of unity")
+
+def _signature_flags(sp):
     _add_knot_flags(sp)
-    _add_common_flags(sp)
     sp.add_argument("--p", required=True, help="a single cover degree")
-    sp.set_defaults(fn=cmd_signature)
 
-    sp = sub.add_parser("branched", help="branched cover report over a range of p")
+
+def _branched_flags(sp):
     _add_knot_flags(sp)
-    _add_common_flags(sp)
     sp.add_argument("--p", required=True, help='degrees: "7", "2..10" or "2,3,5"')
     sp.add_argument("--q", help="JSON file with a 2-loop class (else the record's own)")
-    sp.set_defaults(fn=cmd_branched)
 
-    sp = sub.add_parser("growth", help="torsion growth toward the Mahler measure")
+
+def _growth_flags(sp):
     _add_knot_flags(sp)
-    _add_common_flags(sp)
     degrees = sp.add_mutually_exclusive_group()
     degrees.add_argument("--pmax", type=int, default=100, help="degrees 1..PMAX (default 100)")
     degrees.add_argument("--ps", help="explicit degrees instead of 1..pmax")
@@ -389,42 +379,78 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--plot-data", action="store_true", help='emit bare "p ratio" pairs only'
     )
-    sp.set_defaults(fn=cmd_growth)
 
-    sp = sub.add_parser("residue", help="res_p of a 2-loop class")
+
+def _residue_flags(sp):
     _add_common_flags(sp)
     sp.add_argument("--q", required=True, help="JSON file with the class")
     sp.add_argument("--p", required=True, help="degrees")
-    sp.set_defaults(fn=cmd_residue)
 
-    sp = sub.add_parser("liftres", help="verify lift count = residue on bead sweeps")
+
+def _liftres_flags(sp):
     _add_common_flags(sp)
     sp.add_argument("--graph", choices=sorted(_GRAPHS), help="a built-in graph")
     sp.add_argument("--file", help="JSON file with a beaded graph")
     sp.add_argument("--p", required=True, help="degrees")
     sp.add_argument("--max-cases", type=int, help="sample this many bead tuples")
     sp.add_argument("--seed", type=int, default=0, help="sampling seed")
-    sp.set_defaults(fn=cmd_liftres)
 
-    sp = sub.add_parser("selftest", help="run the acceptance criteria")
+
+def _selftest_flags(sp):
     sp.add_argument("--criteria", help='subset like "1,4,6" (default: all)')
     sp.add_argument(
         "--inject-corruption",
         action="store_true",
         help="flip one frozen expected value; the run must fail",
     )
-    sp.set_defaults(fn=cmd_selftest)
+
+
+# name -> (help, flags, command), in the order of the usage line and of -h
+_COMMANDS = {
+    "alexander": ("Alexander polynomial and scalar invariants", _add_knot_flags, cmd_alexander),
+    "signature": ("signature function at p-th roots of unity", _signature_flags, cmd_signature),
+    "branched": ("branched cover report over a range of p", _branched_flags, cmd_branched),
+    "growth": ("torsion growth toward the Mahler measure", _growth_flags, cmd_growth),
+    "residue": ("res_p of a 2-loop class", _residue_flags, cmd_residue),
+    "liftres": ("verify lift count = residue on bead sweeps", _liftres_flags, cmd_liftres),
+    "selftest": ("run the acceptance criteria", _selftest_flags, cmd_selftest),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """A fresh parser with every subcommand, or with ``command``'s alone.
+
+    The restricted parser parses an argv that starts with ``command``
+    exactly as the full one does: its usage line names every command, so
+    an error that the top parser reports reads the same."""
+    ap = argparse.ArgumentParser(
+        prog="knotcovers",
+        description="abelian knot invariants and their cyclic branched covers",
+    )
+    # the same usage line either way; the full parser leaves argparse's default,
+    # under which its "required" and "invalid choice" errors say "command"
+    metavar = "{%s}" % ",".join(_COMMANDS) if command else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if command else _COMMANDS:
+        summary, add_flags, fn = _COMMANDS[name]
+        sp = sub.add_parser(name, help=summary)
+        add_flags(sp)
+        sp.set_defaults(fn=fn)
     return ap
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # main's own parser, built once per process; build_parser() callers get a fresh one
-    return build_parser()
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    # main's parsers, each built once per process; build_parser() callers get a fresh one
+    return build_parser(command)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a named command needs only its own parser; -h, no argv or an unknown
+    # command need the full one, which lists and checks every command
+    args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit

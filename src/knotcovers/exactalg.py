@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 import sys
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Mapping, Sequence, Union
+from typing import Union
 
 __all__ = [
     "SingularAtOne",
@@ -80,8 +80,13 @@ def _frac(x: Scalar) -> "int | Fraction":
         if isinstance(x, (float, bool)) or (np is not None and isinstance(x, np.bool_)):
             raise TypeError("refusing %s coefficient %r; pass Fraction or str"
                             % (type(x).__name__, x))
-        if isinstance(x, str) and "_" in x:  # Fraction("1_0") == 10
-            raise ValueError("refusing coefficient %r: digits may not be grouped with _" % x)
+        if isinstance(x, str):
+            if "_" in x:  # Fraction("1_0") == 10
+                raise ValueError("refusing coefficient %r: digits may not be grouped with _" % x)
+            try:
+                return int(x)  # "-3", the usual coefficient
+            except ValueError:
+                pass  # "1/2", "0.5" and refusals: Fraction's reading and errors
         try:
             x = Fraction(x)
         except ZeroDivisionError:  # "1/0"
@@ -359,15 +364,19 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, obj: Mapping[str, Scalar]) -> "LaurentPoly":
         """ValueError for two keys of one exponent ("1", "01"): one would be lost;
-        and for a key int() reads but that is not plain digits ("1_0", "+1")."""
+        and for a key int() reads but that is not plain ASCII digits ("1_0", "+1", "١")."""
         c: dict[int, int | Fraction] = {}
         for key, v in _json_object(obj, "a Laurent polynomial").items():
-            if int(key) in c:
-                raise ValueError("exponent %d is given twice (key %r)" % (int(key), key))
-            if not re.fullmatch(r"-?[0-9]+", key):
+            e = int(key)
+            if e in c:
+                raise ValueError("exponent %d is given twice (key %r)" % (e, key))
+            digits = key[1:] if key[:1] == "-" else key
+            if not (digits.isascii() and digits.isdigit()):  # isdigit alone takes "١"
                 raise ValueError("exponent key %r is not a plain integer" % (key,))
-            c[int(key)] = _frac(v)
-        return cls(c)
+            c[e] = _frac(v)
+        out = cls.__new__(cls)  # the values are canonical already: drop the zeros only
+        out._c = {e: v for e, v in c.items() if v}
+        return out
 
     def __str__(self) -> str:
         if not self._c:
@@ -613,9 +622,10 @@ class RatFun:
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
         if not isinstance(num, LaurentPoly):
             num = LaurentPoly.const(num)
-        if den is None:
-            den = LaurentPoly.one()
-        elif not isinstance(den, LaurentPoly):
+        if den is None:  # a Laurent polynomial is its own canonical numerator
+            self.num, self.den = num, LaurentPoly.one()
+            return
+        if not isinstance(den, LaurentPoly):
             den = LaurentPoly.const(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")

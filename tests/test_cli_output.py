@@ -1,6 +1,6 @@
 """CLI rendering of values past Python's int-to-str digit limit, the
-exit when the reader of stdout goes away, and the one parser that every
-``main`` call in a process shares."""
+exit when the reader of stdout goes away, and the parsers that ``main``
+builds once per process: one per named command, and the full one."""
 
 import argparse
 import os
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import knotcovers
-from knotcovers.cli import EXIT_PIPE, _parser, build_parser, main
+from knotcovers.cli import _COMMANDS, EXIT_PIPE, _parser, build_parser, main
 
 
 def lucas(n):
@@ -82,9 +82,10 @@ def test_closed_stdout_without_a_descriptor(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
-def test_main_builds_its_parser_once(capsys, monkeypatch):
-    # a build constructs one parser per subcommand plus the top one; once
-    # main has run, a later call constructs none
+def test_main_builds_only_the_named_commands_parser(capsys, monkeypatch):
+    # a command's first call constructs the top parser and that command's
+    # alone, a repeat constructs none; -h, no argv and an unknown command
+    # share one full parser, the top one plus one per subcommand
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -92,13 +93,76 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    main(["alexander", "--knot", "trefoil"])
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    assert build_parser() is not _parser()  # an outside caller cannot change main's parser
-    assert len(built) == 8
-    built.clear()
-    assert main(["branched", "--knot", "trefoil", "--p", "2..5"]) == 0
-    assert built == []
+    _parser.cache_clear()
+    try:
+        for name in _COMMANDS:
+            for _ in range(2):
+                with pytest.raises(SystemExit):
+                    main([name, "-h"])
+            assert built == ["knotcovers", "knotcovers " + name]
+            built.clear()
+        assert main(["branched", "--knot", "trefoil", "--p", "2..5"]) == 0
+        assert built == []
+        for argv in (["-h"], [], ["bogus"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        full = ["knotcovers"] + ["knotcovers " + name for name in _COMMANDS]
+        assert built == full
+        built.clear()
+        assert build_parser() is not _parser(None)  # an outside caller cannot change main's parser
+        assert built == full
+    finally:
+        _parser.cache_clear()
+
+
+def _argparse_exit(parse, argv, capsys):
+    # (exit code, stdout, stderr) of an argv that argparse answers itself
+    with pytest.raises(SystemExit) as e:
+        parse(argv)
+    captured = capsys.readouterr()
+    return e.value.code, captured.out, captured.err
+
+
+_FLAGS = {  # each command's flags: a full set, then one missing a required flag or a value
+    "alexander": (["--knot", "trefoil"], ["--knot"]),
+    "signature": (["--knot", "trefoil", "--p", "7"], ["--knot", "trefoil"]),
+    "branched": (["--knot", "trefoil", "--p", "2..4"], ["--knot", "trefoil"]),
+    "growth": (["--knot", "trefoil", "--pmax", "5"], ["--pmax"]),
+    "residue": (["--q", "q.json", "--p", "3"], ["--p", "3"]),
+    "liftres": (["--graph", "theta", "--p", "2"], ["--graph", "theta"]),
+    "selftest": (["--criteria", "7"], ["--criteria"]),
+}
+
+
+def _parse_errors():
+    for name, (full, missing) in _FLAGS.items():
+        yield [name, "-h"]
+        yield [name, *missing]
+        yield [name, *full, "--bogus"]  # the subparser passes it up: the top parser refuses it
+        if name != "selftest":
+            yield [name, *full, "--format", "xml"]
+    yield ["growth", "--ps", "5", "--pmax", "3"]
+    yield ["-h"]
+    yield []
+    yield ["bogus"]
+
+
+def test_each_commands_parser_answers_as_the_full_parser(capsys, monkeypatch):
+    # main parses a named command with that command's parser alone: its help,
+    # usage errors and exit codes are those of the parser with every command
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
+    full = build_parser()
+    seen = []
+    for argv in _parse_errors():
+        want = _argparse_exit(full.parse_args, argv, capsys)
+        assert _argparse_exit(main, argv, capsys) == want, argv
+        seen.append(want)
+    assert list(_FLAGS) == list(_COMMANDS)
+    assert [code for code, _, _ in seen].count(0) == len(_COMMANDS) + 1
+    assert {code for code, _, _ in seen} == {0, 2}
+    refused = "knotcovers: error: unrecognized arguments: --bogus\n"
+    assert [err.endswith(refused) for _, _, err in seen].count(True) == len(_COMMANDS)
 
 
 _SEQUENCE = [
@@ -111,6 +175,8 @@ _SEQUENCE = [
     ["signature", "--knot", "figure8", "--p", "7", "--out", "{out}"],
     ["signature", "--knot", "figure8", "--p", "7"],
     ["selftest", "--criteria", "10"],
+    ["branched", "-h"],
+    ["liftres", "--graph", "theta", "--p", "2", "--bogus"],  # top parser's usage error
 ]
 
 
@@ -146,7 +212,10 @@ def test_one_process_matches_a_fresh_process_per_command(capsys, monkeypatch, tm
         run = subprocess.run([sys.executable, "-m", "knotcovers.cli", *argv], env=env,
                              capture_output=True, text=True, timeout=120)
         fresh.append((run.returncode, _untimed(run.stdout), run.stderr, written()))
-    assert [r[0] for r in here] == [2, 2, 0, 0, 0, 0, 0, 0, 0]
+    assert [r[0] for r in here] == [2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 2]
     assert here[0][2].startswith("usage: knotcovers growth") and here[1][2].startswith("error:")
     assert here[6][1] == "" and here[6][3] == here[7][1]
+    assert here[9][1].startswith("usage: knotcovers branched")
+    assert here[10][2].startswith("usage: knotcovers [-h]\n")
+    assert "{%s}" % ",".join(_COMMANDS) in here[10][2]
     assert here == fresh

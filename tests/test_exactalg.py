@@ -699,6 +699,21 @@ class TestInputBoundary:
         with pytest.raises(ValueError, match="zero denominator"):
             LaurentPoly.from_json({"0": "3/0"})
 
+    def test_a_string_coefficient_reads_as_fraction_reads_it(self):
+        # _frac tries int() first; on every string it must give Fraction's
+        # value, as an int when integral, or Fraction's own error
+        for text in ["-3", " 7\n", "+2", "-0", "00012", "\u0661\u0662", "1.5", "-2.0",
+                     "1e3", "3/4", "-6/3", "9" * 4000]:
+            want = Fraction(text)
+            got = _frac(text)
+            assert got == want and type(got) is (int if want.denominator == 1 else Fraction)
+        for text in ["0x10", "1 2", "", "-", "1/2/3", "9" * 4301]:
+            with pytest.raises(ValueError) as want:
+                Fraction(text)
+            with pytest.raises(ValueError) as got:
+                _frac(text)
+            assert str(got.value) == str(want.value)
+
     def test_two_keys_for_one_exponent_are_refused(self):
         # int("01") == 1: one key's coefficient would silently replace the other's
         for obj in ({"1": "1", "01": "1"}, {"-2": "3", " -2": "0"}, {"0": "1", "+0": "-1"}):

@@ -13,7 +13,7 @@ import pytest
 
 import knotcovers.seifert
 from knotcovers.cli import MAX_DEGREES, _parse_ps, main
-from knotcovers.exactalg import LaurentPoly
+from knotcovers.exactalg import LaurentPoly, RatFun
 from knotcovers.seifert import corpus_records, random_seifert
 
 
@@ -440,17 +440,43 @@ class TestQFileBoundary:
         ({"1_0": "1"}, "1", "exponent key '1_0' is not a plain integer"),
         ({"+1": "1"}, "1", "exponent key '+1' is not a plain integer"),
         ({" 1": "1"}, "1", "exponent key ' 1' is not a plain integer"),
+        ({"\u0661": "1"}, "1", "exponent key '\u0661' is not a plain integer"),
+        ({"-\u0661": "1"}, "1", "exponent key '-\u0661' is not a plain integer"),
+        ({"1/0": "1"}, "1", "invalid literal for int() with base 10: '1/0'"),
         ({"1": "1_0"}, "1", "refusing coefficient '1_0'"),
         ({"1": "1"}, "1_0", "refusing coefficient '1_0'"),
+        ({"1": "1/0"}, "1", "zero denominator in coefficient '1/0'"),
+        ({"1": "0x10"}, "1", "Invalid literal for Fraction: '0x10'"),
+        ({"1": "1"}, 0.5, "refusing float coefficient 0.5; pass Fraction or str"),
+        ({"1": 2.0}, "1", "refusing float coefficient 2.0; pass Fraction or str"),
+        ({"1": True}, "1", "refusing bool coefficient True; pass Fraction or str"),
     ], ids=["slot-array", "slot-string", "num-array", "den-array", "key-underscore",
-            "key-plus", "key-space", "slot-coefficient", "class-coefficient"])
+            "key-plus", "key-space", "key-arabic-digit", "key-minus-arabic-digit",
+            "key-slash", "slot-coefficient", "class-coefficient", "zero-denominator",
+            "hex-coefficient", "float-class-coefficient", "float-slot-coefficient",
+            "bool-slot-coefficient"])
     def test_a_misread_slot_or_coefficient_is_invalid_input(self, capsys, tmp_path, command,
                                                             f, c, message):
-        # reading keys off an array raised AttributeError (a traceback, exit 1), and
-        # int("1_0") and Fraction("1_0") both read 10 (wrong numbers, exit 0)
+        # reading keys off an array raised AttributeError (a traceback, exit 1),
+        # int("1_0") and Fraction("1_0") both read 10 (wrong numbers, exit 0), and
+        # int("\u0661") and "\u0661".isdigit() both read the Arabic-Indic digit one
         code, out, err = run(capsys, *command, "--q", self._q_file(tmp_path, f, c))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    def test_a_bare_map_slot_is_the_canonical_form_over_one(self):
+        # a slot without "den" skips the normalisation, which over the
+        # denominator 1 must leave the map as it is
+        rng = random.Random(31)
+        for _ in range(300):
+            low = rng.randint(-6, 6)
+            obj = {str(low + i): "%d/%d" % (rng.randint(-9, 9), rng.randint(1, 4))
+                   for i in range(rng.randint(0, 6))}
+            slot = RatFun.from_json(obj)
+            want = RatFun(LaurentPoly.from_json(obj), LaurentPoly.one())
+            assert (slot.num, slot.den) == (want.num, want.den)
+            types = [{e: type(v) for e, v in f.num._c.items()} for f in (slot, want)]
+            assert types[0] == types[1]  # an int where integral, on both routes
 
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
     @pytest.mark.parametrize("obj, message", [

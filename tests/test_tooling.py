@@ -1,5 +1,6 @@
 """Checks on the package source itself."""
 
+import argparse
 import ast
 import doctest
 import importlib
@@ -365,6 +366,23 @@ def test_traced_bindings_exist():
                 missing.append("%s.%s" % (modname, name))
     assert missing == []
 
+
+
+def test_one_command_table_for_every_parser():
+    # main builds a named command's parser alone and the full one only for
+    # -h or an unknown command; both come from the one table, which names
+    # each cmd_* function once, in the full parser's order
+    from knotcovers import cli
+
+    commands = [fn for name, fn in vars(cli).items() if name.startswith("cmd_")]
+    table = [fn for _, _, fn in cli._COMMANDS.values()]
+    assert set(table) == set(commands) and len(table) == len(commands)
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(cli._COMMANDS)
+    for name in cli._COMMANDS:
+        (one,) = [a for a in cli.build_parser(name)._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert list(one.choices) == [name] and one.metavar == "{%s}" % ",".join(cli._COMMANDS)
 
 
 def test_package_exports_the_union_of_the_module_lists():
