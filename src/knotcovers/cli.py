@@ -20,23 +20,27 @@ report over a range with no regular p at all); 2 on invalid input; 141
 (128 + SIGPIPE), silently, when the reader of stdout closes it early.
 
 Output is deterministic: floats are printed to 12 significant digits,
-exact rationals as fraction strings.  ``main`` parses a command line that
-starts with a command's name with a parser holding that command alone,
-built on the command's first call in the process and reused after it.
-The full parser, with every command, is built only for ``-h``, an empty
-command line or an unknown command, whose help and errors list them all.
+exact rationals as fraction strings.  ``main`` reads a well-formed
+command line straight from the command table, ``_COMMANDS``, which
+declares every flag once, and loads no ``argparse``.  argparse is built
+from the same table only for help and usage errors, and its messages and
+exit codes are the ones printed: for a named command, a parser holding
+that command alone, built on first need in the process and reused after
+it; for ``-h``, an empty command line or an unknown command, the full
+parser, whose help and errors list every command.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import json
 import os
 import random
 import sys
+import types
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .exactalg import mahler_measure
 from .lambdamat import AtOne, NotHermitian, SingularEvaluation, normalized_determinant
@@ -51,6 +55,9 @@ from .branched import (
 from .theta import QSingularAtP, SingularOnTorus, ThetaClass, res_p_theta, torus_average
 from .graphs import BeadedGraph, disjoint_union, eyes_graph, liftres_sweep, theta_graph
 from .acceptance import run_selftest
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -345,76 +352,62 @@ def cmd_selftest(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the command table: each flag once, as the option and keywords of its
+# add_argument call, in the order of -h; a list is a mutually exclusive group
 
-
-def _add_common_flags(sp):
-    sp.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    sp.add_argument("--out", help="write output to this file instead of stdout")
-
-
-def _add_knot_flags(sp):
-    """Every knot command's flags: the knot's source, then the output's."""
-    sp.add_argument("--knot", help="name of a bundled corpus knot")
-    sp.add_argument("--file", help="JSON file: Seifert matrix or knot record")
-    _add_common_flags(sp)
-
-
-def _signature_flags(sp):
-    _add_knot_flags(sp)
-    sp.add_argument("--p", required=True, help="a single cover degree")
-
-
-def _branched_flags(sp):
-    _add_knot_flags(sp)
-    sp.add_argument("--p", required=True, help='degrees: "7", "2..10" or "2,3,5"')
-    sp.add_argument("--q", help="JSON file with a 2-loop class (else the record's own)")
-
-
-def _growth_flags(sp):
-    _add_knot_flags(sp)
-    degrees = sp.add_mutually_exclusive_group()
-    degrees.add_argument("--pmax", type=int, default=100, help="degrees 1..PMAX (default 100)")
-    degrees.add_argument("--ps", help="explicit degrees instead of 1..pmax")
-    sp.add_argument("--q", help="JSON file with a 2-loop class")
-    sp.add_argument(
-        "--plot-data", action="store_true", help='emit bare "p ratio" pairs only'
-    )
-
-
-def _residue_flags(sp):
-    _add_common_flags(sp)
-    sp.add_argument("--q", required=True, help="JSON file with the class")
-    sp.add_argument("--p", required=True, help="degrees")
-
-
-def _liftres_flags(sp):
-    _add_common_flags(sp)
-    sp.add_argument("--graph", choices=sorted(_GRAPHS), help="a built-in graph")
-    sp.add_argument("--file", help="JSON file with a beaded graph")
-    sp.add_argument("--p", required=True, help="degrees")
-    sp.add_argument("--max-cases", type=int, help="sample this many bead tuples")
-    sp.add_argument("--seed", type=int, default=0, help="sampling seed")
-
-
-def _selftest_flags(sp):
-    sp.add_argument("--criteria", help='subset like "1,4,6" (default: all)')
-    sp.add_argument(
-        "--inject-corruption",
-        action="store_true",
-        help="flip one frozen expected value; the run must fail",
-    )
-
+_OUTPUT_FLAGS = (
+    ("--format", dict(choices=["table", "csv", "json"], default="table")),
+    ("--out", dict(help="write output to this file instead of stdout")),
+)
+_KNOT_FLAGS = (  # every knot command's flags: the knot's source, then the output's
+    ("--knot", dict(help="name of a bundled corpus knot")),
+    ("--file", dict(help="JSON file: Seifert matrix or knot record")),
+    *_OUTPUT_FLAGS,
+)
 
 # name -> (help, flags, command), in the order of the usage line and of -h
 _COMMANDS = {
-    "alexander": ("Alexander polynomial and scalar invariants", _add_knot_flags, cmd_alexander),
-    "signature": ("signature function at p-th roots of unity", _signature_flags, cmd_signature),
-    "branched": ("branched cover report over a range of p", _branched_flags, cmd_branched),
-    "growth": ("torsion growth toward the Mahler measure", _growth_flags, cmd_growth),
-    "residue": ("res_p of a 2-loop class", _residue_flags, cmd_residue),
-    "liftres": ("verify lift count = residue on bead sweeps", _liftres_flags, cmd_liftres),
-    "selftest": ("run the acceptance criteria", _selftest_flags, cmd_selftest),
+    "alexander": ("Alexander polynomial and scalar invariants", _KNOT_FLAGS, cmd_alexander),
+    "signature": ("signature function at p-th roots of unity", (
+        *_KNOT_FLAGS,
+        ("--p", dict(required=True, help="a single cover degree")),
+    ), cmd_signature),
+    "branched": ("branched cover report over a range of p", (
+        *_KNOT_FLAGS,
+        ("--p", dict(required=True, help='degrees: "7", "2..10" or "2,3,5"')),
+        ("--q", dict(help="JSON file with a 2-loop class (else the record's own)")),
+    ), cmd_branched),
+    "growth": ("torsion growth toward the Mahler measure", (
+        *_KNOT_FLAGS,
+        [("--pmax", dict(type=int, default=100, help="degrees 1..PMAX (default 100)")),
+         ("--ps", dict(help="explicit degrees instead of 1..pmax"))],
+        ("--q", dict(help="JSON file with a 2-loop class")),
+        ("--plot-data", dict(action="store_true", help='emit bare "p ratio" pairs only')),
+    ), cmd_growth),
+    "residue": ("res_p of a 2-loop class", (
+        *_OUTPUT_FLAGS,
+        ("--q", dict(required=True, help="JSON file with the class")),
+        ("--p", dict(required=True, help="degrees")),
+    ), cmd_residue),
+    "liftres": ("verify lift count = residue on bead sweeps", (
+        *_OUTPUT_FLAGS,
+        ("--graph", dict(choices=sorted(_GRAPHS), help="a built-in graph")),
+        ("--file", dict(help="JSON file with a beaded graph")),
+        ("--p", dict(required=True, help="degrees")),
+        ("--max-cases", dict(type=int, help="sample this many bead tuples")),
+        ("--seed", dict(type=int, default=0, help="sampling seed")),
+    ), cmd_liftres),
+    "selftest": ("run the acceptance criteria", (
+        ("--criteria", dict(help='subset like "1,4,6" (default: all)')),
+        ("--inject-corruption", dict(
+            action="store_true", help="flip one frozen expected value; the run must fail")),
+    ), cmd_selftest),
 }
+
+
+def _flag_groups(flags) -> list[list]:
+    # each table entry as a list of (option, keywords): a lone flag, or an exclusive group
+    return [item if isinstance(item, list) else [item] for item in flags]
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -423,6 +416,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     The restricted parser parses an argv that starts with ``command``
     exactly as the full one does: its usage line names every command, so
     an error that the top parser reports reads the same."""
+    import argparse  # here, not at import: a well-formed command line never needs it
+
     ap = argparse.ArgumentParser(
         prog="knotcovers",
         description="abelian knot invariants and their cyclic branched covers",
@@ -432,9 +427,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = "{%s}" % ",".join(_COMMANDS) if command else None
     sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in [command] if command else _COMMANDS:
-        summary, add_flags, fn = _COMMANDS[name]
+        summary, flags, fn = _COMMANDS[name]
         sp = sub.add_parser(name, help=summary)
-        add_flags(sp)
+        for group in _flag_groups(flags):
+            into = sp.add_mutually_exclusive_group() if len(group) > 1 else sp
+            for option, kw in group:
+                into.add_argument(option, **kw)
         sp.set_defaults(fn=fn)
     return ap
 
@@ -445,12 +443,61 @@ def _parser(command: str | None) -> argparse.ArgumentParser:
     return build_parser(command)
 
 
+def _table_parse(argv: list[str]) -> types.SimpleNamespace | None:
+    """The namespace argparse gives ``argv``, read from the command table; or None.
+
+    Reads a strict subset of argparse's language: a command's name, then
+    only its exact flags, each at most once, each value the next token,
+    which must not start with "-", converted by its flag's type and in
+    its choices; every required flag given, no exclusive pair together.
+    On all of it argparse gives the same namespace.  Anything else, -h
+    included, is None, for argparse to answer or refuse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, flags, fn = _COMMANDS[argv[0]]
+    groups = _flag_groups(flags)
+    table = {option: kw for group in groups for option, kw in group}
+    given = {}
+    tokens = iter(argv[1:])
+    for option in tokens:
+        kw = table.get(option)
+        if kw is None or option in given:
+            return None
+        if kw.get("action") == "store_true":
+            given[option] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if "type" in kw:
+            try:
+                value = kw["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        given[option] = value
+    if any(kw.get("required") and option not in given for option, kw in table.items()):
+        return None
+    if any(sum(option in given for option, _ in group) > 1 for group in groups):
+        return None
+    args = types.SimpleNamespace(command=argv[0])
+    for option, kw in table.items():
+        default = kw.get("default", False if kw.get("action") == "store_true" else None)
+        setattr(args, option[2:].replace("-", "_"), given.get(option, default))
+    args.fn = fn
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a named command needs only its own parser; -h, no argv or an unknown
-    # command need the full one, which lists and checks every command
-    args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    # a well-formed command line is read from the table; argparse answers the
+    # rest, a named command with its own parser, and -h, no argv or an unknown
+    # command with the full one, which lists and checks every command
+    args = _table_parse(argv)
+    if args is None:
+        args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit

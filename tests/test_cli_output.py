@@ -1,9 +1,12 @@
 """CLI rendering of values past Python's int-to-str digit limit, the
-exit when the reader of stdout goes away, and the parsers that ``main``
-builds once per process: one per named command, and the full one."""
+exit when the reader of stdout goes away, the command-table parse of a
+well-formed command line against argparse, and the parsers that ``main``
+builds once per process for help and usage errors: one per named
+command, and the full one."""
 
 import argparse
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import knotcovers
-from knotcovers.cli import _COMMANDS, EXIT_PIPE, _parser, build_parser, main
+from knotcovers.cli import (_COMMANDS, EXIT_PIPE, _flag_groups, _parser, _table_parse,
+                            build_parser, main)
 
 
 def lucas(n):
@@ -82,10 +86,11 @@ def test_closed_stdout_without_a_descriptor(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
-def test_main_builds_only_the_named_commands_parser(capsys, monkeypatch):
-    # a command's first call constructs the top parser and that command's
-    # alone, a repeat constructs none; -h, no argv and an unknown command
-    # share one full parser, the top one plus one per subcommand
+def test_main_builds_only_the_named_commands_parser(capsys, monkeypatch, tmp_path):
+    # a well-formed call of any command constructs no parser at all; a
+    # command's -h constructs the top parser and that command's alone, a
+    # repeat none; -h, no argv and an unknown command share one full
+    # parser, the top one plus one per subcommand
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -94,8 +99,14 @@ def test_main_builds_only_the_named_commands_parser(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.json").write_text('{"terms": [{"f": {"0": "1"}, "g": {"0": "1"}, '
+                                     '"h": {"0": "1"}, "c": "1"}]}')
     _parser.cache_clear()
     try:
+        for name, (full, _) in _FLAGS.items():
+            assert main([name, *full]) in (0, 1)
+        assert built == []
         for name in _COMMANDS:
             for _ in range(2):
                 with pytest.raises(SystemExit):
@@ -219,3 +230,95 @@ def test_one_process_matches_a_fresh_process_per_command(capsys, monkeypatch, tm
     assert here[10][2].startswith("usage: knotcovers [-h]\n")
     assert "{%s}" % ",".join(_COMMANDS) in here[10][2]
     assert here == fresh
+
+
+def _options(name):
+    # (option, add_argument keywords) of each of the command's flags, groups flattened
+    return [flag for group in _flag_groups(_COMMANDS[name][1]) for flag in group]
+
+
+_POOL = ["", "-", "-3", "--", "-h", "--p=3", "--form", " 7", "+7", "7_0", "x", "xml",
+         *sorted({option for name in _COMMANDS for option, _ in _options(name)}), *_COMMANDS]
+
+
+def _value(rng, kw):
+    # mostly a value the flag takes, else any token of the pool
+    if rng.random() < 0.2:
+        return rng.choice(_POOL)
+    if "choices" in kw:
+        return rng.choice(kw["choices"])
+    if kw.get("type") is int:
+        return str(rng.randrange(300))
+    return rng.choice(["trefoil", "q.json", "2..5", "7", "2,3,5"])
+
+
+def _random_argv(rng):
+    # a command line near a well-formed one: some of a command's flags in any
+    # order (--pmax and --ps together in about one growth line in six), plus
+    # stray pool tokens, a repeated flag or a first token that is no command
+    name = rng.choice(list(_COMMANDS))
+    flags = [f for f in _options(name) if rng.random() < (0.9 if f[1].get("required") else 0.4)]
+    rng.shuffle(flags)
+    argv = [name]
+    for option, kw in flags + rng.sample(flags, min(len(flags), rng.random() < 0.1)):
+        argv.append(option)
+        if kw.get("action") != "store_true":
+            argv.append(_value(rng, kw))
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(_POOL))
+    if rng.random() < 0.05:
+        argv[0] = rng.choice(_POOL)
+    return argv
+
+
+def test_table_parse_agrees_with_argparse(capsys):
+    # the table parse reads a strict subset of argparse's language: what it
+    # accepts, argparse accepts with the same namespace; what argparse
+    # refuses (or answers with help), the table parse leaves to argparse
+    rng = random.Random(20261019)
+    parser = build_parser()
+    accepted = refused = 0
+    for _ in range(2500):
+        argv = _random_argv(rng)
+        ours = _table_parse(argv)
+        try:
+            want = vars(parser.parse_args(argv))
+        except SystemExit:
+            assert ours is None, argv
+            refused += 1
+            continue
+        if ours is not None:
+            assert vars(ours) == want, argv
+            accepted += 1
+    capsys.readouterr()
+    assert accepted > 500 and refused > 500
+    # left to argparse, which answers -h, refuses the stray "--" and takes the
+    # rest: a value after "=", an abbreviation, a repeat, a value starting with "-"
+    for argv in (["selftest", "-h"], ["selftest", "--"], ["signature", "--knot", "x", "--p=3"],
+                 ["alexander", "--knot", "x", "--form", "csv"],
+                 ["alexander", "--knot", "x", "--knot", "y"],
+                 ["liftres", "--graph", "theta", "--p", "2", "--seed", "-5"]):
+        assert _table_parse(argv) is None, argv
+
+
+_BENCH_SHAPES = [  # the command lines of the benchmark's ops, one per shape
+    ["branched", "--file", "k0.json", "--q", "q0.json", "--p", "2..20", "--format", "json"],
+    ["growth", "--file", "k0.json", "--q", "q0.json", "--pmax", "200", "--format", "json"],
+    ["growth", "--file", "k1.json", "--ps", "2950,4150", "--format", "json"],
+    ["liftres", "--graph", "theta-theta", "--p", "2..6", "--format", "json"],
+    ["liftres", "--graph", "theta-eyes", "--p", "7", "--max-cases", "3000", "--seed", "1893",
+     "--format", "json"],
+    ["selftest", "--criteria", "4"],
+]
+
+
+def test_well_formed_command_lines_take_the_table_path(tmp_path):
+    # every well-formed command line of these tests and of the benchmark is
+    # read from the table, into argparse's namespace; of _SEQUENCE, all but
+    # the usage error first and the -h and --bogus last
+    sequence = [[a.format(out=tmp_path / "out.txt") for a in argv] for argv in _SEQUENCE[1:-2]]
+    parser = build_parser()
+    for argv in [[name, *full] for name, (full, _) in _FLAGS.items()] + sequence + _BENCH_SHAPES:
+        ours = _table_parse(argv)
+        assert ours is not None, argv
+        assert vars(ours) == vars(parser.parse_args(argv)), argv

@@ -371,7 +371,9 @@ def test_traced_bindings_exist():
 def test_one_command_table_for_every_parser():
     # main builds a named command's parser alone and the full one only for
     # -h or an unknown command; both come from the one table, which names
-    # each cmd_* function once, in the full parser's order
+    # each cmd_* function once, in the full parser's order, and declares each
+    # flag once: every subparser's actions are the table's, so the table
+    # parse of a well-formed command line cannot drift from argparse
     from knotcovers import cli
 
     commands = [fn for name, fn in vars(cli).items() if name.startswith("cmd_")]
@@ -379,10 +381,28 @@ def test_one_command_table_for_every_parser():
     assert set(table) == set(commands) and len(table) == len(commands)
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert list(sub.choices) == list(cli._COMMANDS)
-    for name in cli._COMMANDS:
+    for name, (_, flags, _) in cli._COMMANDS.items():
         (one,) = [a for a in cli.build_parser(name)._actions
                   if isinstance(a, argparse._SubParsersAction)]
         assert list(one.choices) == [name] and one.metavar == "{%s}" % ",".join(cli._COMMANDS)
+        parser = sub.choices[name]
+        declared = []
+        for group in cli._flag_groups(flags):
+            for option, kw in group:
+                store_true = kw.get("action") == "store_true"
+                declared.append((option, option[2:].replace("-", "_"),
+                                 kw.get("default", False if store_true else None), kw.get("type"),
+                                 kw.get("choices"), kw.get("required", False), store_true,
+                                 len(group) > 1))
+        grouped = {a for g in parser._mutually_exclusive_groups for a in g._group_actions}
+        built = [
+            (*a.option_strings, a.dest, a.default, a.type, a.choices, a.required,
+             isinstance(a, argparse._StoreTrueAction), a in grouped)
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)
+        ]
+        assert built == declared, name
+        assert [len(g._group_actions) for g in parser._mutually_exclusive_groups] == [
+            len(group) for group in cli._flag_groups(flags) if len(group) > 1]
 
 
 def test_package_exports_the_union_of_the_module_lists():
@@ -473,6 +493,42 @@ def test_sampled_liftres_leaves_numpy_random_unloaded():
                          timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "0 False"
+
+
+def test_well_formed_calls_never_load_argparse(tmp_path):
+    # a well-formed command line is read from the command table: argparse,
+    # and the gettext and locale that its messages import, load in a fresh
+    # interpreter only when help or a usage error needs them
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps(_POLY_CLASS))
+    calls = [
+        ["alexander", "--knot", "trefoil"],
+        ["signature", "--knot", "trefoil", "--p", "7"],
+        ["branched", "--knot", "trefoil", "--p", "2..5", "--q", str(q)],
+        ["growth", "--knot", "figure8", "--pmax", "20", "--plot-data"],
+        ["residue", "--q", str(q), "--p", "2..7", "--format", "json"],
+        ["liftres", "--graph", "theta", "--p", "2", "--seed", "3"],
+        ["selftest", "--criteria", "7"],
+    ]
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from knotcovers.cli import main",
+        "loaded = lambda: [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [main(argv) for argv in %r]" % calls,
+        "    before = loaded()",
+        "    try:",
+        "        main(['branched', '-h'])",
+        "    except SystemExit as e:",
+        "        codes.append(e.code)",
+        "print(codes, before, 'argparse' in loaded())",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "%r [] True" % ([0] * (len(calls) + 1))
 
 
 def test_arc_kernel_sees_only_plain_ints(monkeypatch, tmp_path, capsys):
