@@ -293,9 +293,11 @@ def cmd_growth(args) -> int:
     rec = _load_knot(args)
     knot = rec.knot
     Q = _pick_q(args, rec)
-    if not 1 <= args.pmax <= MAX_DEGREES:
+    # no table default: argparse skips the --ps clash for a value that `is` the default
+    pmax = 100 if args.pmax is None else args.pmax
+    if not 1 <= pmax <= MAX_DEGREES:
         raise ValueError("pmax must be in 1..%d" % MAX_DEGREES)
-    triples = torsion_growth(knot, _parse_ps(args.ps) if args.ps else range(1, args.pmax + 1))
+    triples = torsion_growth(knot, _parse_ps(args.ps) if args.ps else range(1, pmax + 1))
     if not triples:
         raise _DomainEmpty("no regular p in the requested range")
     if args.plot_data:
@@ -379,7 +381,7 @@ _COMMANDS = {
     ), cmd_branched),
     "growth": ("torsion growth toward the Mahler measure", (
         *_KNOT_FLAGS,
-        [("--pmax", dict(type=int, default=100, help="degrees 1..PMAX (default 100)")),
+        [("--pmax", dict(type=int, help="degrees 1..PMAX (default 100)")),
          ("--ps", dict(help="explicit degrees instead of 1..pmax"))],
         ("--q", dict(help="JSON file with a 2-loop class")),
         ("--plot-data", dict(action="store_true", help='emit bare "p ratio" pairs only')),

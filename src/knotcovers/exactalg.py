@@ -12,7 +12,7 @@ Everything an abelian knot invariant needs downstream lives here:
   canonical form has q an ordinary polynomial with q(0) != 0 and q(1) = 1.
 * ``_remainders``, the one Euclidean sequence over Q (gcds, resultants,
   Sturm chains); ``_power``, the one square and multiply, behind powers of
-  ``LaurentPoly``, of matrices (``_mat_pow``), modulo a monic polynomial
+  ``LaurentPoly``, of Lambda-matrices, modulo a monic polynomial
   (``_powmod``, shared by cyclotomic norms and ``denominator_to_tp``) and in
   ``Knot.beta``; the matrix of multiplication in Q[x]/m (``_mul_rows``,
   shared by the last two); the one characteristic polynomial, by Hessenberg
@@ -723,15 +723,6 @@ def _mat_mul(A, B):
     """A B over any ring (int, Fraction, LaurentPoly), skipping zero products."""
     cols = list(zip(*B))
     return [[sum(a * b for a, b in zip(row, col) if a and b) for col in cols] for row in A]
-
-
-def _mat_pow(M, p: int):
-    """M^p by ``_power``, the identity for p = 0; the rows returned are new
-    lists (``_bareiss`` eliminates in place), for p = 1 a copy of M."""
-    if p < 0:
-        raise ValueError("negative matrix power not supported")
-    return _power([list(row) for row in M], p, _mat_mul,
-                  [[int(i == j) for j in range(len(M))] for i in range(len(M))])
 
 
 # Miller-Rabin bases exact for every n < 2^64 (Sinclair's seven)

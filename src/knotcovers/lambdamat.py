@@ -1,9 +1,12 @@
 """Hermitian matrices over the Laurent ring and their signatures.
 
-A Lambda-matrix is a square matrix W(t) of Laurent polynomials.  W is
+A Lambda-matrix is a square matrix W(t) of Laurent polynomials, stored as
+its integer (or rational) coefficient matrices, W = sum_e C_e t^e.  W is
 Hermitian when conjugate-transposition with respect to the bar involution
-t -> t^-1 fixes it; then W(w) is an ordinary Hermitian complex matrix for
-every w on the unit circle, and W(1) is rational symmetric.
+t -> t^-1 fixes it, C_-e = C_e^T; then W(w) is an ordinary Hermitian
+complex matrix for every w on the unit circle, and W(1) = sum_e C_e is
+rational symmetric.  Every operation reads the C_e, with no Laurent
+arithmetic entry by entry.
 
 Two substitutions build the p-fold cover's forms; sigma_p and beta_p are
 read off ``seifert.Knot``, so these are the oracles of criteria 3, 4 and 12:
@@ -19,9 +22,7 @@ Every exact determinant is one fraction-free kernel over the integers,
 ``_bareiss``: ``rational_det`` scales a rational matrix by the lcm of its
 denominators, and ``LambdaMatrix.det`` evaluates a Laurent matrix at
 t = 2^B past Hadamard's bound and reads the coefficients off the digits
-(Kronecker substitution).  Products reuse ``exactalg._mat_mul``, powers
-``exactalg._mat_pow`` (the package's one square and multiply,
-``exactalg._power``).
+(Kronecker substitution).
 Every inertia is one fraction-free kernel too, ``_inertia``, over the
 integers, for ``signature_exact`` and for the arc table
 ``seifert.Knot.arcs``, which hands it each arc's Hermitian form as a real
@@ -41,11 +42,12 @@ stack of them in one numpy eigensolve.  These four float functions
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain
+from typing import Mapping, Sequence
 
-from .exactalg import (LaurentPoly, SingularAtOne, SingularEvaluation, _frac, _mat_mul, _mat_pow,
-                       _qdiv)
+from .exactalg import LaurentPoly, SingularAtOne, SingularEvaluation, _frac, _power, _qdiv
 
 __all__ = [
     "NotHermitian",
@@ -122,10 +124,14 @@ def _bareiss(M: list[list[int]]) -> int:
     return sign * (M[n - 1][n - 1] * prev // base[n - 1]) if n else 1
 
 
+def _all_int(rows: Sequence[Sequence]) -> bool:
+    return set(map(type, chain.from_iterable(rows))) <= {int}
+
+
 def _integral(rows: Sequence[Sequence], name: str) -> tuple[list[list[int]], int]:
     """(L * rows as int lists, L) for a square rational matrix, L the lcm
     of its denominators; integer input is copied as it is (L = 1)."""
-    if all(type(x) is int for row in rows for x in row):
+    if _all_int(rows):
         M, L = [list(row) for row in rows], 1
     else:
         M = [[_frac(x) for x in row] for row in rows]
@@ -166,12 +172,20 @@ def _inertia(M: list[list[int]]) -> tuple[int, int, int]:
     row j and its column, a determinant-1 congruence that adds bordered
     minors to bordered minors: the corner becomes M[j][j] - 2 c M[k][j],
     nonzero for c = 1 or c = -1.  A zero active row counts once in n_zero
-    and is passed over.
+    and is passed over.  A row whose multiplier is 0 is rescaled lazily, as
+    in ``_bareiss``: brought up to date, times prev / base, when next read.
     """
     n = len(M)
     plus = minus = zero = 0
     prev = 1
+    base = [1] * n
     for k in range(n):
+        for i in [k] if M[k][k] else range(k, n):  # a zero corner's repair reads every row
+            q, row_i = base[i], M[i]
+            if q != prev:
+                for j in range(i, n):
+                    row_i[j] = row_i[j] * prev // q
+                base[i] = prev
         row_k = M[k]
         if not row_k[k]:
             j = next((j for j in range(k + 1, n) if M[j][j] or row_k[j]), None)
@@ -189,8 +203,14 @@ def _inertia(M: list[list[int]]) -> tuple[int, int, int]:
             minus += 1
         for i in range(k + 1, n):
             r, row_i = row_k[i], M[i]
-            for j in range(i, n):
-                row_i[j] = (row_i[j] * d - r * row_k[j]) // prev
+            if r:
+                q = base[i]
+                if q != prev:
+                    for j in range(i, n):
+                        row_i[j] = row_i[j] * prev // q
+                for j in range(i, n):
+                    row_i[j] = (row_i[j] * d - r * row_k[j]) // prev
+                base[i] = d
         prev = d
     return plus, minus, zero
 
@@ -200,73 +220,104 @@ def _inertia(M: list[list[int]]) -> tuple[int, int, int]:
 
 
 class LambdaMatrix:
-    """Square matrix of Laurent polynomials; keeps, once computed, whether
-    it is Hermitian, sigma(W(+-1)) and its float coefficient tensor."""
+    """Square n x n matrix W = sum_e C_e t^e over Q[t, t^-1], stored as its
+    coefficient matrices: ``coeffs`` maps each exponent e to C_e, a tuple
+    of n rows of exact scalars (an int when integral, else a Fraction),
+    in ascending e with zero matrices dropped, so that == is structural.
+    Keeps, once computed, whether it is Hermitian, sigma(W(+-1)) and its
+    float coefficient tensor."""
 
-    __slots__ = ("n", "entries", "_hermitian", "_sigma_exact", "_float_coeffs")
+    __slots__ = ("n", "coeffs", "_hermitian", "_sigma_exact", "_float_coeffs")
 
     def __init__(self, rows: Sequence[Sequence]):
-        ent = []
-        for row in rows:
-            out = []
-            for x in row:
-                if not isinstance(x, LaurentPoly):
-                    x = LaurentPoly.const(x)
-                out.append(x)
-            ent.append(tuple(out))
-        n = len(ent)
-        for row in ent:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
+        """From rows of LaurentPoly, int or Fraction entries."""
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix must be square")
+        ent = [[x._c if isinstance(x, LaurentPoly) else {0: _frac(x)} for x in row] for row in rows]
+        exps = {e for row in ent for x in row for e in x}
+        self._fill({e: [[x.get(e, 0) for x in row] for row in ent] for e in exps}, n)
+
+    def _fill(self, coeffs: Mapping[int, Sequence[Sequence]], n: int) -> None:
         self.n = n
-        self.entries = tuple(ent)
+        self.coeffs = {e: tuple(map(tuple, C)) if _all_int(C) else
+                       tuple(tuple(map(_frac, row)) for row in C)
+                       for e, C in sorted(coeffs.items()) if any(map(any, C))}
         self._hermitian: bool | None = None
         self._sigma_exact: dict[int, int | None] = {}  # w = +-1 -> sigma(W(w)), None if singular
         self._float_coeffs: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
+    def from_coeffs(cls, coeffs: Mapping[int, Sequence[Sequence]], n: int) -> "LambdaMatrix":
+        """sum_e coeffs[e] t^e, each coeffs[e] n rows of n ints or Fractions."""
+        W = cls.__new__(cls)
+        W._fill(coeffs, n)
+        return W
+
+    @classmethod
     def identity(cls, n: int) -> "LambdaMatrix":
-        one, zero = LaurentPoly.one(), LaurentPoly.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls.from_coeffs({0: [[int(i == j) for j in range(n)] for i in range(n)]}, n)
+
+    @property
+    def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        """The rows of Laurent polynomial entries, derived from ``coeffs``."""
+        return tuple(tuple(LaurentPoly({e: C[i][j] for e, C in self.coeffs.items()})
+                           for j in range(self.n)) for i in range(self.n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LambdaMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return self.n == other.n and self.coeffs == other.coeffs
 
     def __add__(self, other: "LambdaMatrix") -> "LambdaMatrix":
         if self.n != other.n:
             raise ValueError("size mismatch")
-        return LambdaMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        )
+        acc = dict(self.coeffs)
+        for e, D in other.coeffs.items():
+            C = acc.get(e)
+            acc[e] = D if C is None else [[a + b for a, b in zip(r, s)] for r, s in zip(C, D)]
+        return LambdaMatrix.from_coeffs(acc, self.n)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            return LambdaMatrix([[e * other for e in row] for row in self.entries])
-        return NotImplemented
+        """W times a scalar: an int, a Fraction or a LaurentPoly."""
+        if not isinstance(other, (int, Fraction, LaurentPoly)):
+            return NotImplemented
+        n = self.n
+        return self @ LambdaMatrix([[other if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __matmul__(self, other: "LambdaMatrix") -> "LambdaMatrix":
-        if self.n != other.n:
+        """sum_(e, f) C_e D_f t^(e + f), each product over the nonzero
+        entries of C_e's rows and D_f's rows alone."""
+        n = self.n
+        if n != other.n:
             raise ValueError("size mismatch")
-        return LambdaMatrix(_mat_mul(self.entries, other.entries))
+        sparse = [(f, [[(j, b) for j, b in enumerate(row) if b] for row in D])
+                  for f, D in other.coeffs.items()]
+        acc = defaultdict(lambda: [[0] * n for _ in range(n)])
+        for e, C in self.coeffs.items():
+            for f, D in sparse:
+                for row, out in zip(C, acc[e + f]):
+                    for a, nonzero in zip(row, D):
+                        if a:
+                            for j, b in nonzero:
+                                out[j] += a * b
+        return LambdaMatrix.from_coeffs(acc, n)
 
     def __pow__(self, m: int) -> "LambdaMatrix":
-        return LambdaMatrix(_mat_pow(self.entries, m))
+        if m < 0:
+            raise ValueError("negative matrix power not supported")
+        return _power(self, m, LambdaMatrix.__matmul__, LambdaMatrix.identity(self.n))
 
     def bar_transpose(self) -> "LambdaMatrix":
-        return LambdaMatrix(
-            [[self.entries[j][i].bar() for j in range(self.n)] for i in range(self.n)]
-        )
+        return LambdaMatrix.from_coeffs({-e: list(zip(*C)) for e, C in self.coeffs.items()},
+                                        self.n)
 
     @property
     def is_hermitian(self) -> bool:
+        """C_-e is the transpose of C_e for every e."""
         if self._hermitian is None:
-            E, n = self.entries, self.n
-            self._hermitian = all(E[i][j] == E[j][i].bar() for i in range(n) for j in range(n))
+            C = self.coeffs
+            self._hermitian = all(C.get(-e) == tuple(zip(*M)) for e, M in C.items())
         return self._hermitian
 
     def det(self) -> LaurentPoly:
@@ -279,20 +330,34 @@ class LambdaMatrix:
         coefficient of det P is at most the maximum of |det P| on |t| = 1,
         so at most H, Hadamard's bound prod_i (sum_j ||p_ij||_1^2)^(1/2).
         With B = bitlen(H) + 2 the integer det P(2^B), one integer Bareiss,
-        has the coefficients as its signed base-2^B digits."""
-        n, rows = self.n, [[x._c for x in row] for row in self.entries]
-        L = math.lcm(*{c.denominator for row in rows for x in row for c in x.values()})
+        has the coefficients as its signed base-2^B digits: entry (i, j) is
+        the sum of the scaled C_e[i][j] 2^(B (e - r_i - s_j)), r_i and s_j
+        the shifts."""
+        n, C = self.n, self.coeffs
+        L = math.lcm(*{x.denominator for M in C.values() for row in M for x in row})
         if L != 1:
-            rows = [[{e: int(c * L) for e, c in x.items()} for x in row] for row in rows]
-        lows = [[min(x) if x else math.inf for x in row] for row in rows]
+            C = {e: [[int(x * L) for x in row] for row in M] for e, M in C.items()}
+        lows = [[math.inf] * n for _ in range(n)]
+        norms = [[0] * n for _ in range(n)]
+        for e in reversed(C):  # ascending exponents: the last write is the least
+            for row, low, norm in zip(C[e], lows, norms):
+                for j, c in enumerate(row):
+                    if c:
+                        low[j] = e
+                        norm[j] += abs(c)
         rlow = [min(low) for low in lows]
         clow = [min(col) for col in zip(*[[e - r for e in low] for low, r in zip(lows, rlow)])]
         if math.inf in rlow or math.inf in clow:
             return LaurentPoly.zero()
-        H2 = math.prod([sum([sum(map(abs, x.values())) ** 2 for x in row]) for row in rows])
+        H2 = math.prod([sum([x * x for x in norm]) for norm in norms])
         B = (math.isqrt(H2 - 1) + 1).bit_length() + 2
-        v = _bareiss([[sum([c << (e - r - s) * B for e, c in x.items()]) for x, s in zip(row, clow)]
-                      for row, r in zip(rows, rlow)])
+        P = [[0] * n for _ in range(n)]
+        for e, M in C.items():
+            for row, out, r in zip(M, P, rlow):
+                for j, c in enumerate(row):
+                    if c:
+                        out[j] += c << (e - r - clow[j]) * B
+        v = _bareiss(P)
         coeffs, e, mask, half = {}, sum(rlow) + sum(clow), (1 << B) - 1, 1 << (B - 1)
         while v:  # B >= 2, so |v| falls at every digit
             c = v & mask
@@ -304,8 +369,15 @@ class LambdaMatrix:
             e += 1
         return LaurentPoly(coeffs)
 
-    def eval_at_one(self) -> list[list[Fraction]]:
-        return [[e.eval_one() for e in row] for row in self.entries]
+    def eval_at_one(self) -> list[list[int | Fraction]]:
+        return self._at_sign(1)
+
+    def _at_sign(self, w: int) -> list[list[int | Fraction]]:
+        """W(w) at w = +-1: the sum of the C_e w^e."""
+        out = [[0] * self.n for _ in range(self.n)]
+        for e, C in self.coeffs.items():
+            out = [[a + w ** (e % 2) * c for a, c in zip(o, row)] for o, row in zip(out, C)]
+        return out
 
     def eval_complex(self, z: "complex | np.ndarray") -> np.ndarray:
         """W(z) = sum_e C_e z^e from the float tensor C[e, i, j], built once
@@ -314,9 +386,9 @@ class LambdaMatrix:
         import numpy as np
 
         if self._float_coeffs is None:
-            exps = sorted({e for row in self.entries for x in row for e in x.coeffs})
-            C = [[float(x.coeff(e)) for row in self.entries for x in row] for e in exps]
-            self._float_coeffs = (np.array(exps, dtype=int), np.reshape(C, (len(exps), self.n**2)))
+            exps = list(self.coeffs)
+            C = np.array(list(self.coeffs.values()), dtype=float)
+            self._float_coeffs = (np.array(exps, dtype=int), C.reshape(len(exps), self.n ** 2))
         exps, C = self._float_coeffs
         z = np.asarray(z, dtype=complex)
         return (z[..., None] ** exps @ C).reshape(z.shape + (self.n, self.n))
@@ -343,12 +415,8 @@ def twisted_cycle_matrix(p: int) -> LambdaMatrix:
     power is t times the identity and the inverse is the bar-transpose."""
     if p < 1:
         raise ValueError("p must be a positive integer")
-    zero = LaurentPoly.zero()
-    rows = [[zero] * p for _ in range(p)]
-    for i in range(p - 1):
-        rows[i][i + 1] = LaurentPoly.one()
-    rows[p - 1][0] = LaurentPoly.t()
-    return LambdaMatrix(rows)
+    return LambdaMatrix.from_coeffs({0: [[int(j == i + 1) for j in range(p)] for i in range(p)],
+                                     1: [[0] * p] * (p - 1) + [[1] + [0] * (p - 1)]}, p)
 
 
 def _require_hermitian(W: LambdaMatrix):
@@ -362,26 +430,20 @@ def subst_cycle(W: LambdaMatrix, p: int) -> tuple[tuple[Fraction, ...], ...]:
 
     Block (i, j) becomes w_ij(T); since T^m is the permutation shifting
     indices by m mod p, entry (a, b) of that block collects the
-    coefficients of w_ij in exponents congruent to b - a mod p: row a of
-    the block is those residues rotated right by a.
+    coefficients C_e[i][j] with e congruent to b - a mod p.
     """
     _require_hermitian(W)
     if p < 1:
         raise ValueError("p must be a positive integer")
-    blocks = []
-    for row in W.entries:
-        residue_row = []
-        for x in row:
-            residues = [0] * p
-            for e, c in x.coeffs.items():
-                residues[e % p] += c
-            residue_row.append(residues)
-        blocks.append(residue_row)
-    out = tuple(
-        tuple(c for res in residue_row for c in res[p - a:] + res[:p - a])
-        for residue_row in blocks
-        for a in range(p)
-    )
+    N = W.n * p
+    out = [[0] * N for _ in range(N)]
+    for e, C in W.coeffs.items():
+        for i, row in enumerate(C):
+            for j, c in enumerate(row):
+                if c:
+                    for a in range(p):
+                        out[i * p + a][j * p + (a + e) % p] += c
+    out = tuple(map(tuple, out))
     if tuple(zip(*out)) != out:
         raise ArithmeticError("cycle substitution of a Hermitian matrix must be symmetric")
     return out
@@ -391,27 +453,24 @@ def subst_twisted(W: LambdaMatrix, p: int) -> LambdaMatrix:
     """Substitute the twisted cycle matrix for t in a Hermitian W.
 
     (T_t^m) has entry t^((a + m - b)/p) at (a, b) when p divides
-    a + m - b, for every integer m, so each Laurent coefficient lands in
-    one position per block row with a power of t recording the winding.
-    The result is again Hermitian.
+    a + m - b, for every integer m, so each coefficient C_e[i][j] lands in
+    one position per block row a, of the coefficient matrix of t^w with
+    w recording the winding.  The result is again Hermitian.
     """
     _require_hermitian(W)
     if p < 1:
         raise ValueError("p must be a positive integer")
-    n = W.n
-    N = n * p
-    zero = LaurentPoly.zero()
-    rows = [[zero] * N for _ in range(N)]
-    for i in range(n):
-        for j in range(n):
-            for e, c in W.entries[i][j].coeffs.items():
-                for a in range(p):
-                    b = (a + e) % p
-                    w = (a + e - b) // p
-                    rows[i * p + a][j * p + b] = rows[i * p + a][j * p + b] + LaurentPoly(
-                        {w: c}
-                    )
-    out = LambdaMatrix(rows)
+    N = W.n * p
+    acc = defaultdict(lambda: [[0] * N for _ in range(N)])
+    for e, C in W.coeffs.items():
+        for a in range(p):
+            w, b = divmod(a + e, p)
+            for i, row in enumerate(C):
+                out = acc[w][i * p + a]
+                for j, c in enumerate(row):
+                    if c:
+                        out[j * p + b] += c
+    out = LambdaMatrix.from_coeffs(acc, N)
     if not out.is_hermitian:
         raise ArithmeticError("twisted substitution of a Hermitian matrix must be Hermitian")
     return out
@@ -441,14 +500,10 @@ def complex_signature(H: np.ndarray) -> "int | np.ndarray":
 
 def _sigma_exact_at(W: LambdaMatrix, w: int) -> int:
     """sigma(W(w)) at w = +-1 by exact inertia, kept on W (a singular W(w)
-    too, so that every call raises SingularEvaluation).  W(1) sums each
-    entry's coefficients, W(-1) sums them with alternating signs."""
+    too, so that every call raises SingularEvaluation).  W(1) sums the
+    coefficient matrices, W(-1) sums them with alternating signs."""
     if w not in W._sigma_exact:
-        rows = W.eval_at_one() if w == 1 else [
-            [sum(-c if e % 2 else c for e, c in x.coeffs.items()) for x in row]
-            for row in W.entries
-        ]
-        plus, minus, null = signature_exact(rows)
+        plus, minus, null = signature_exact(W._at_sign(w))
         W._sigma_exact[w] = None if null else plus - minus
     sig = W._sigma_exact[w]
     if sig is None:

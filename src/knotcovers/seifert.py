@@ -22,7 +22,8 @@ is missing.
   the float eigensolve ``sigma_at_omega`` is an oracle only.
 * ``clover_matrix(A)`` is the 2g x 2g Hermitian Lambda-matrix
   [[Lxx, (1 - t^-1) Lxy - I], [(1 - t) Lyx - I, (2 - t - t^-1) Lyy]]
-  built from the block decomposition L of A with Lyx = Ayx + I.
+  built from the block decomposition L of A with Lyx = Ayx + I, written
+  straight into its coefficient matrices W = C_-1 t^-1 + C_0 + C_1 t.
   ``congruence_identity_check`` verifies, exactly, that conjugating the
   clover form by diag((1 - t) I, I) recovers
   (1 - t^-1) A + (1 - t) A^T, which is why the clover form computes both
@@ -161,36 +162,18 @@ class Knot:
 
     @cached_property
     def clover(self) -> LambdaMatrix:
-        """The Hermitian clover form; see ``clover_matrix``."""
-        A = self.seifert
-        g = self.genus
-        t = LaurentPoly.t()
-        ti = t ** -1
-        one = LaurentPoly.one()
-        lxx = [[LaurentPoly.const(A[i][j]) for j in range(g)] for i in range(g)]
-        lxy = [[A[i][g + j] for j in range(g)] for i in range(g)]
-        lyx = [[A[g + i][j] + (1 if i == j else 0) for j in range(g)] for i in range(g)]
-        lyy = [[A[g + i][g + j] for j in range(g)] for i in range(g)]
-        rows = []
-        for i in range(g):
-            row = list(lxx[i])
-            for j in range(g):
-                e = (one - ti) * lxy[i][j]
-                if i == j:
-                    e = e - one
-                row.append(e)
-            rows.append(row)
-        for i in range(g):
-            row = []
-            for j in range(g):
-                e = (one - t) * lyx[i][j]
-                if i == j:
-                    e = e - one
-                row.append(e)
-            for j in range(g):
-                row.append((2 - t - ti) * lyy[i][j])
-            rows.append(row)
-        W = LambdaMatrix(rows)
+        """The Hermitian clover form C_-1 t^-1 + C_0 + C_1 t, each C_e
+        written from the blocks of A; see ``clover_matrix``."""
+        A, g = self.seifert, self.genus
+        x, y = A[:g], A[g:]  # the rows of the generators x_i and y_i
+        I = [[int(i == j) for j in range(g)] for i in range(g)]
+        W = LambdaMatrix.from_coeffs({
+            -1: [[0] * g + [-a for a in r[g:]] for r in A],
+            0: [r[:g] + [a - d for a, d in zip(r[g:], e)] for r, e in zip(x, I)]
+            + [r[:g] + [2 * a for a in r[g:]] for r in y],
+            1: [[0] * 2 * g] * g
+            + [[-a - d for a, d in zip(r[:g], e)] + [-a for a in r[g:]] for r, e in zip(y, I)],
+        }, 2 * g)
         if not W.is_hermitian:
             raise NotHermitian(
                 "Seifert matrix is not in a banded surface basis; clover form degenerates"
@@ -405,7 +388,10 @@ def alexander(A: KnotLike) -> LaurentPoly:
 
 
 def clover_matrix(A: KnotLike) -> LambdaMatrix:
-    """Hermitian clover form of a banded-basis Seifert matrix.
+    """Hermitian clover form of a banded-basis Seifert matrix, as its
+    coefficient matrices: with L the blocks of A and Lyx = Ayx + I,
+    C_0 = [[Axx, Axy - I], [Ayx, 2 Ayy]], C_1 = [[0, 0], [-Lyx, -Ayy]] and
+    C_-1 = C_1^T = [[0, -Axy], [0, -Ayy]].
 
     Raises NotHermitian when A is valid but not in the banded basis
     (the construction needs Axy^T = Ayx + I and symmetric diagonal
@@ -415,31 +401,19 @@ def clover_matrix(A: KnotLike) -> LambdaMatrix:
 
 
 def congruence_identity_check(A: KnotLike) -> bool:
-    """Exact check that diag((1-t) I, I) W diag((1-t^-1) I, I) equals
-    (1 - t^-1) A + (1 - t) A^T for the clover form W of A."""
+    """Exact check that P W P-bar^T equals (1 - t^-1) A + (1 - t) A^T for
+    the clover form W of A and P = diag((1 - t) I, I), all three built as
+    coefficient matrices and multiplied over the integers."""
     knot = Knot.of(A)
-    A = knot.seifert
-    n = len(A)
-    g = knot.genus
-    W = knot.clover
-    t = LaurentPoly.t()
-    ti = t ** -1
-    one = LaurentPoly.one()
-    zero = LaurentPoly.zero()
-    P = LambdaMatrix(
-        [
-            [(one - t if i < g else one) if i == j else zero for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    lhs = P @ W @ P.bar_transpose()
-    rhs = LambdaMatrix(
-        [
-            [(one - ti) * A[i][j] + (one - t) * A[j][i] for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    return lhs == rhs
+    A, g = knot.seifert, knot.genus
+    n = 2 * g
+    P = LambdaMatrix.from_coeffs({0: [[int(i == j) for j in range(n)] for i in range(n)],
+                                  1: [[-int(i == j < g) for j in range(n)] for i in range(n)]}, n)
+    At = [list(col) for col in zip(*A)]
+    rhs = LambdaMatrix.from_coeffs({-1: [[-a for a in row] for row in A],
+                                    0: [[a + b for a, b in zip(r, s)] for r, s in zip(A, At)],
+                                    1: [[-a for a in row] for row in At]}, n)
+    return P @ knot.clover @ P.bar_transpose() == rhs
 
 
 def sigma_at_omega(A: KnotLike, omega: "complex | np.ndarray") -> "int | np.ndarray":

@@ -15,7 +15,6 @@ from knotcovers.exactalg import (
     _charpoly,
     _frac,
     _mat_mul,
-    _mat_pow,
     _mul_rows,
     _mulmod,
     _mulx_mod,
@@ -33,6 +32,7 @@ from knotcovers.exactalg import (
     resultant,
     wheels_coefficients,
 )
+from knotcovers.lambdamat import LambdaMatrix
 
 t = LaurentPoly.t()
 one = LaurentPoly.one()
@@ -306,6 +306,13 @@ class TestRatFun:
         assert RatFun.from_json({"1": "1"}) == RatFun(t)
 
 
+def _mat_pow(M, p: int):
+    """M^p for an integer or rational matrix by ``_power`` over
+    ``_mat_mul``, the identity for p = 0: the matrix powers of the oracles."""
+    return _power([list(row) for row in M], p, _mat_mul,
+                  [[int(i == j) for j in range(len(M))] for i in range(len(M))])
+
+
 def _faddeev_leverrier(M) -> list:
     """Oracle for ``_charpoly``: det(xI - M), ascending, by Faddeev-LeVerrier
     (n matrix products, an n^4 cost law; the package's route before the
@@ -453,25 +460,6 @@ class TestModularPowers:
         with pytest.raises(ValueError, match="negative"):
             _powmod([0, 1], -1, [1, 1])
 
-    def test_mat_pow_starts_from_the_first_factor_and_copies(self, monkeypatch):
-        products = []
-        mat_mul = _mat_mul
-
-        def counted(A, B):
-            products.append(len(A))
-            return mat_mul(A, B)
-
-        monkeypatch.setattr(knotcovers.exactalg, "_mat_mul", counted)
-        M = [[1, 2], [3, 4]]
-        powers = [_mat_pow(M, p) for p in (0, 1, 2, 5)]
-        assert powers[:3] == [[[1, 0], [0, 1]], M, [[7, 10], [15, 22]]]
-        assert powers[3] == mat_mul(mat_mul(powers[2], powers[2]), M)
-        # p = 1 and 2 cost no and one product, 5 = 101b two squares and one product
-        assert products == [2] * (0 + 1 + 3)
-        assert not any(r is s for P in powers for r in P for s in M)
-        powers[1][0][0] = 99  # _bareiss eliminates in place
-        assert M == [[1, 2], [3, 4]]
-
 
 class TestPower:
     # 0, 1, 2^k and 2^k + 1: the empty product, the first factor alone, no
@@ -508,18 +496,14 @@ class TestPower:
                 assert f ** p == want, p
             want = want * f
 
-    def test_integer_matrices_in_new_rows(self, rng):
+    def test_lambda_matrices(self, rng):
+        # LambdaMatrix ** is _power over @; integer matrices are C_0 alone
         M = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
         want = [[int(i == j) for j in range(3)] for i in range(3)]
         for p in range(max(self.PS) + 1):
             if p in self.PS:
-                P = _mat_pow(M, p)
-                assert P == want, p
-                assert not any(r is s for r in P for s in M)
+                assert LambdaMatrix(M) ** p == LambdaMatrix(want), p
             want = _mat_mul(want, M)
-        P = _mat_pow(M, 1)
-        P[0][0] += 1  # _bareiss eliminates in place; M must not move
-        assert P != M
 
 
 class TestDenominatorToTp:

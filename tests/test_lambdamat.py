@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import knotcovers.lambdamat as lambdamat
-from knotcovers.exactalg import LaurentPoly, _mat_pow
+from knotcovers.exactalg import LaurentPoly
 from knotcovers.lambdamat import (
     LambdaMatrix,
     NotHermitian,
@@ -25,10 +25,217 @@ from knotcovers.lambdamat import (
     varsigma_at,
     varsigma_p,
 )
-from knotcovers.seifert import Knot, clover_matrix, corpus_records, random_seifert
+from knotcovers.seifert import (Knot, clover_matrix, congruence_identity_check, corpus_records,
+                                random_seifert)
 
 t = LaurentPoly.t()
 one = LaurentPoly.one()
+zero = LaurentPoly.zero()
+
+
+# ---------------------------------------------------------------------------
+# entrywise oracles: each LambdaMatrix operation entry by entry in the
+# Laurent ring, on rows of LaurentPoly, apart from the coefficient matrices
+
+
+def _laurent_product(X, Y):
+    n = len(X)
+    return [[sum((X[i][k] * Y[k][j] for k in range(n)), zero) for j in range(n)]
+            for i in range(n)]
+
+
+def _laurent_bar_transpose(X):
+    return [[X[j][i].bar() for j in range(len(X))] for i in range(len(X))]
+
+
+def _laurent_is_hermitian(X):
+    return X == _laurent_bar_transpose(X)
+
+
+def _laurent_at_sign(X, w):
+    """X(w) at w = +-1, each entry's coefficients summed with sign w^e."""
+    return [[sum(c * w ** (e % 2) for e, c in x.coeffs.items()) for x in row] for row in X]
+
+
+def _laurent_subst_cycle(X, p):
+    """Block (i, j), row a: the residues mod p of X_ij's coefficients,
+    rotated right by a."""
+    blocks = []
+    for row in X:
+        residue_row = []
+        for x in row:
+            residues = [0] * p
+            for e, c in x.coeffs.items():
+                residues[e % p] += c
+            residue_row.append(residues)
+        blocks.append(residue_row)
+    return tuple(tuple(c for res in residue_row for c in res[p - a:] + res[:p - a])
+                 for residue_row in blocks for a in range(p))
+
+
+def _laurent_subst_twisted(X, p):
+    """Each coefficient c t^e of X_ij lands at (i p + a, j p + b),
+    b = a + e mod p, as c t^((a + e - b)/p)."""
+    n = len(X)
+    rows = [[zero] * (n * p) for _ in range(n * p)]
+    for i in range(n):
+        for j in range(n):
+            for e, c in X[i][j].coeffs.items():
+                for a in range(p):
+                    b = (a + e) % p
+                    rows[i * p + a][j * p + b] += LaurentPoly({(a + e - b) // p: c})
+    return rows
+
+
+def _laurent_twisted_cycle(p):
+    rows = [[zero] * p for _ in range(p)]
+    for i in range(p - 1):
+        rows[i][i + 1] = one
+    rows[p - 1][0] = t
+    return rows
+
+
+def _laurent_clover(A):
+    """[[Axx, (1 - t^-1) Axy - I], [(1 - t) (Ayx + I) - I, (2 - t - t^-1) Ayy]]
+    in Laurent arithmetic."""
+    g = len(A) // 2
+    ti = t ** -1
+    rows = []
+    for i in range(g):
+        rows.append([LaurentPoly.const(A[i][j]) for j in range(g)]
+                    + [(one - ti) * A[i][g + j] - int(i == j) for j in range(g)])
+    for i in range(g):
+        rows.append([(one - t) * (A[g + i][j] + (i == j)) - int(i == j) for j in range(g)]
+                    + [(2 - t - ti) * A[g + i][g + j] for j in range(g)])
+    return rows
+
+
+def _laurent_congruence(A, W):
+    """P W P-bar^T == (1 - t^-1) A + (1 - t) A^T, P = diag((1 - t) I, I),
+    for rows W, in Laurent arithmetic."""
+    n, g = len(A), len(A) // 2
+    P = [[(one - t if i < g else one) if i == j else zero for j in range(n)] for i in range(n)]
+    lhs = _laurent_product(_laurent_product(P, W), _laurent_bar_transpose(P))
+    return lhs == [[(one - t.bar()) * A[i][j] + (one - t) * A[j][i] for j in range(n)]
+                   for i in range(n)]
+
+
+def _random_lambda_rows(rng, n, rational):
+    """n x n LaurentPoly rows, exponents -3..3, integer or rational
+    coefficients; a zero row and a zero column each half the time."""
+    def coeff():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rational else rng.randint(-4, 4)
+
+    rows = [[LaurentPoly({e: coeff() for e in range(-3, 4) if rng.random() < 0.4})
+             for _ in range(n)] for _ in range(n)]
+    if n and rng.random() < 0.5:
+        rows[rng.randrange(n)] = [zero] * n
+    if n and rng.random() < 0.5:
+        k = rng.randrange(n)
+        for row in rows:
+            row[k] = zero
+    return rows
+
+
+def _cases(rng, trials=6):
+    """Random rows for n = 0..4, integer and rational, each with a
+    Hermitian form M + M-bar^T beside it."""
+    for _ in range(trials):
+        for n in range(5):
+            for rational in (False, True):
+                M = _random_lambda_rows(rng, n, rational)
+                H = [[x + y for x, y in zip(r, s)] for r, s in zip(M, _laurent_bar_transpose(M))]
+                yield M, H
+
+
+def _as_tuples(rows):
+    return tuple(map(tuple, rows))
+
+
+def _corpus_seiferts():
+    rng = random.Random(33)
+    return ([rec.knot.seifert for rec in corpus_records()]
+            + [random_seifert(g, rng) for g in (1, 1, 2, 2, 3, 4, 5, 7)])
+
+
+class TestCoefficientMatrices:
+    """Every LambdaMatrix operation reads the coefficient matrices C_e of
+    W = sum_e C_e t^e; each one against its entrywise route."""
+
+    def test_rows_round_trip_and_canonical_coefficients(self, rng):
+        for M, H in _cases(rng):
+            for rows in (M, H):
+                W = LambdaMatrix(rows)
+                assert W.entries == _as_tuples(rows) and W.n == len(rows)
+                assert list(W.coeffs) == sorted(W.coeffs)
+                for C in W.coeffs.values():
+                    assert any(map(any, C)) and len(C) == W.n
+                    assert all(type(x) is int or x.denominator != 1 for row in C for x in row)
+        assert LambdaMatrix([]).coeffs == {} and LambdaMatrix([[0]]).coeffs == {}
+        assert LambdaMatrix([[Fraction(4, 2), 1]] * 2).coeffs == {0: ((2, 1), (2, 1))}
+        assert LambdaMatrix.from_coeffs({3: [[0, 0], [0, 0]], -1: [[1, 0], [0, Fraction(2)]]},
+                                        2).coeffs == {-1: ((1, 0), (0, 2))}
+        with pytest.raises(ValueError, match="square"):
+            LambdaMatrix([[one, one]])
+
+    def test_product_sum_scalar_and_power(self, rng):
+        for M, H in _cases(rng, trials=3):
+            N = _random_lambda_rows(rng, len(M), rng.random() < 0.5)
+            X, Y = LambdaMatrix(M), LambdaMatrix(N)
+            assert (X @ Y).entries == _as_tuples(_laurent_product(M, N))
+            assert (X + Y).entries == _as_tuples([[x + y for x, y in zip(r, s)]
+                                                  for r, s in zip(M, N)])
+            for c in (0, 3, Fraction(-1, 2), one - t ** -2):
+                assert (X * c).entries == _as_tuples([[x * c for x in row] for row in M]), c
+            power = [[one if i == j else zero for j in range(len(H))] for i in range(len(H))]
+            for m in range(4):
+                assert (LambdaMatrix(H) ** m).entries == _as_tuples(power), m
+                power = _laurent_product(power, H)
+
+    def test_bar_transpose_and_hermitian_test(self, rng):
+        verdicts = []
+        for M, H in _cases(rng):
+            for rows in (M, H):
+                W = LambdaMatrix(rows)
+                assert W.bar_transpose().entries == _as_tuples(_laurent_bar_transpose(rows))
+                assert W.is_hermitian == _laurent_is_hermitian(rows)
+            assert LambdaMatrix(H).is_hermitian
+            verdicts.append(LambdaMatrix(M).is_hermitian)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_values_at_plus_and_minus_one(self, rng):
+        for M, H in _cases(rng):
+            for rows in (M, H):
+                W = LambdaMatrix(rows)
+                assert W.eval_at_one() == _laurent_at_sign(rows, 1)
+                assert W._at_sign(-1) == _laurent_at_sign(rows, -1)
+
+    def test_cycle_substitutions(self, rng):
+        forms = [H for _, H in _cases(rng, trials=2)]
+        forms += [_laurent_clover(A) for A in _corpus_seiferts()]
+        for H in forms:
+            W = LambdaMatrix(H)
+            for p in range(1, 6):
+                assert subst_cycle(W, p) == _laurent_subst_cycle(H, p), (H, p)
+                assert subst_twisted(W, p).entries == _as_tuples(_laurent_subst_twisted(H, p))
+
+    def test_twisted_cycle_matrix(self):
+        for p in range(1, 9):
+            assert twisted_cycle_matrix(p).entries == _as_tuples(_laurent_twisted_cycle(p))
+
+    def test_clover_forms_and_congruence_identity(self):
+        for A in _corpus_seiferts():
+            rows = _laurent_clover(A)
+            knot = Knot(A)
+            assert knot.clover.entries == _as_tuples(rows)
+            assert congruence_identity_check(knot) is True is _laurent_congruence(A, rows)
+            if not knot.genus:
+                continue
+            # a clover form off by t + t^-1 in one diagonal entry fails both routes
+            rows[0][0] = rows[0][0] + t + t.bar()
+            knot.clover = LambdaMatrix(rows)
+            assert congruence_identity_check(knot) is False is _laurent_congruence(A, rows)
+
 
 
 class TestRationalDet:
@@ -134,7 +341,6 @@ class TestDeterminantKernel:
                     assert rational_det(M) == want
 
     def test_laurent_matrices(self, rng):
-        zero = LaurentPoly.zero()
         for _ in range(15):
             for shape in SHAPES:
                 M = _random_square(rng, rng.randint(0, 4), lambda: _random_laurent(rng), zero, shape)
@@ -142,7 +348,6 @@ class TestDeterminantKernel:
 
     def test_kronecker_det_matches_leibniz_up_to_five(self, rng):
         # integer and rational coefficients, negative exponents, every shape
-        zero = LaurentPoly.zero()
         entries = [lambda: LaurentPoly({e: rng.randint(-9, 9) for e in range(-3, 3)
                                         if rng.random() < 0.5}),
                    lambda: _random_laurent(rng),
@@ -201,27 +406,37 @@ class TestDeterminantKernel:
 
 class TestProductAndPower:
     def test_matmul_and_pow_match_the_entrywise_definition(self, rng):
-        zero = LaurentPoly.zero()
         for _ in range(8):
             n = rng.randint(1, 3)
             A, B = (_random_square(rng, n, lambda: _random_laurent(rng), zero, "dense")
                     for _ in range(2))
-
-            def product(X, Y):
-                return [[sum((X[i][k] * Y[k][j] for k in range(n)), zero) for j in range(n)]
-                        for i in range(n)]
-
-            assert LambdaMatrix(A) @ LambdaMatrix(B) == LambdaMatrix(product(A, B))
+            assert LambdaMatrix(A) @ LambdaMatrix(B) == LambdaMatrix(_laurent_product(A, B))
             power = [[one if i == j else zero for j in range(n)] for i in range(n)]
             for m in range(6):
                 if m in (0, 1, 5):
                     assert LambdaMatrix(A) ** m == LambdaMatrix(power), m
-                power = product(power, A)
+                power = _laurent_product(power, A)
 
-    def test_negative_power_rejected_by_both_entry_points(self):
-        for power in (lambda: _mat_pow([[1]], -1), lambda: LambdaMatrix.identity(2) ** -1):
-            with pytest.raises(ValueError, match="negative matrix power not supported"):
-                power()
+    def test_pow_starts_from_the_first_factor(self, monkeypatch):
+        # ** is exactalg._power over @: p = 1 and 2 cost no and one product,
+        # 5 = 101b two squares and one product
+        products = []
+        matmul = LambdaMatrix.__matmul__
+
+        def counted(X, Y):
+            products.append(X.n)
+            return matmul(X, Y)
+
+        monkeypatch.setattr(LambdaMatrix, "__matmul__", counted)
+        M = LambdaMatrix([[1, 2 * t], [3, 4]])
+        powers = [M ** p for p in (0, 1, 2, 5)]
+        assert powers[0] == LambdaMatrix.identity(2) and powers[1] is M
+        assert products == [2] * (0 + 0 + 1 + 3)
+        assert powers[3] == matmul(matmul(powers[2], powers[2]), M)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="negative matrix power not supported"):
+            LambdaMatrix.identity(2) ** -1
 
 
 def _fraction_congruence(rows):
@@ -451,7 +666,6 @@ class TestIntegerEntries:
     """Over Z[t, t^-1] the exact kernels build no Fraction."""
 
     def test_det_and_cycle_substitution_keep_int_entries(self, rng):
-        zero = LaurentPoly.zero()
         for _ in range(30):
             M = _random_square(rng, rng.randint(1, 4),
                                lambda: LaurentPoly({e: rng.randint(-3, 3) for e in range(-2, 3)}),
@@ -461,7 +675,7 @@ class TestIntegerEntries:
             assert all(type(c) is int for c in d.coeffs.values())
         for rec in corpus_records():
             W = rec.knot.clover
-            assert all(type(c) is int for row in W.entries for x in row for c in x.coeffs.values())
+            assert all(type(c) is int for C in W.coeffs.values() for row in C for c in row)
             assert all(type(c) is int for c in W.det().coeffs.values())
             for p in (2, 5):
                 assert all(type(x) is int for row in subst_cycle(W, p) for x in row)

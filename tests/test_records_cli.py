@@ -279,6 +279,22 @@ class TestGrowthCommand:
         code, _, err = run(capsys, "growth", "--knot", "figure8", "--pmax", "0")
         assert code == 2 and "pmax" in err
 
+    def test_pmax_of_100_with_ps_is_refused_too(self, capsys):
+        # 100, the default degree count, given with --ps is refused as 99 is;
+        # argparse checks the pair only for a value that is not the default
+        # object, and int("100") is the interpreter's cached 100
+        errors = []
+        for pmax in ("100", "99"):
+            with pytest.raises(SystemExit) as exc:
+                main(["growth", "--knot", "figure8", "--pmax", pmax, "--ps", "5"])
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err.splitlines()[-1])
+        assert errors == ["knotcovers growth: error: argument --ps: "
+                          "not allowed with argument --pmax"] * 2
+        code, out, _ = run(capsys, "growth", "--knot", "figure8", "--format", "csv")
+        assert code == 0
+        assert [int(line.split(",")[0]) for line in out.splitlines()[1:101]] == list(range(1, 101))
+
     def test_plot_data_pairs(self, capsys):
         code, out, _ = run(
             capsys, "growth", "--knot", "figure8", "--ps", "10,20", "--plot-data"

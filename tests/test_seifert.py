@@ -9,7 +9,7 @@ import pytest
 
 import knotcovers.seifert
 from knotcovers.branched import total_sigma_p
-from knotcovers.exactalg import (LaurentPoly, _mat_mul, _mat_pow, _mul_rows, _powmod,
+from knotcovers.exactalg import (LaurentPoly, _mat_mul, _mul_rows, _powmod,
                                  circle_roots, cyclotomic_norm)
 from knotcovers.lambdamat import (
     AtOne,
@@ -36,7 +36,7 @@ from knotcovers.seifert import (
     validate_seifert,
 )
 from knotcovers.seifert import _simplest_tangent
-from test_exactalg import _faddeev_leverrier
+from test_exactalg import _faddeev_leverrier, _mat_pow
 
 t = LaurentPoly.t()
 one = LaurentPoly.one()

@@ -579,3 +579,59 @@ def test_determinant_kernel_sees_only_plain_ints(monkeypatch, capsys):
         assert knotcovers.cli.main(argv) == 0, capsys.readouterr()
         assert len(seen) >= calls and all(kinds in ([], ["int"]) for kinds in seen), argv
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_clover_form_makes_no_laurent_ring_operation(monkeypatch):
+    # the clover form and the congruence identity are integer coefficient
+    # matrices W = sum_e C_e t^e: building them takes no LaurentPoly sum,
+    # difference or product
+    import random
+
+    from knotcovers.exactalg import LaurentPoly
+    from knotcovers.seifert import Knot, congruence_identity_check, corpus_records, random_seifert
+
+    rng = random.Random(7)
+    matrices = [rec.knot.seifert for rec in corpus_records()]
+    matrices += [random_seifert(g, rng) for g in (1, 2, 3, 6)]
+    calls = []  # counted from here: loading the corpus parses its 2-loop classes
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        def counted(self, other, op=getattr(LaurentPoly, name), name=name):
+            calls.append(name)
+            return op(self, other)
+
+        monkeypatch.setattr(LaurentPoly, name, counted)
+    for A in matrices:
+        knot = Knot(A)
+        assert knot.clover.n == len(A)
+        assert congruence_identity_check(knot) and congruence_identity_check(A)
+    assert calls == []
+    LaurentPoly.t() * 2 - 1  # the counters count
+    assert calls == ["__mul__", "__sub__", "__add__"]
+
+
+def test_det_reaches_bareiss_once_with_plain_ints(monkeypatch):
+    # LambdaMatrix.det is one Kronecker substitution into one integer
+    # Bareiss, and a plain function in the class body, where the
+    # benchmark's tracer wraps it through vars(LambdaMatrix)["det"]
+    import types
+
+    import random
+
+    import knotcovers.lambdamat as lambdamat
+    from knotcovers.exactalg import LaurentPoly
+    from knotcovers.seifert import Knot, random_seifert
+
+    assert isinstance(vars(lambdamat.LambdaMatrix)["det"], types.FunctionType)
+    bareiss, seen = lambdamat._bareiss, []
+
+    def checked(M):
+        seen.append({type(x) for row in M for x in row})
+        return bareiss(M)
+
+    monkeypatch.setattr(lambdamat, "_bareiss", checked)
+    t = LaurentPoly.t()
+    for W in (Knot(random_seifert(3, random.Random(3))).clover, lambdamat.LambdaMatrix([]),
+              lambdamat.LambdaMatrix([[Fraction(1, 3) * t, 2], [t ** -2, Fraction(-5, 2)]])):
+        seen.clear()
+        W.det()
+        assert len(seen) == 1 and seen[0] <= {int}, seen
