@@ -156,6 +156,11 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _csv_field(s: str) -> str:
+    """s quoted, its quotes doubled, if it holds a comma, quote, CR or LF (RFC 4180)."""
+    return '"%s"' % s.replace('"', '""') if any(c in s for c in ',"\r\n') else s
+
+
 def _json_cell(v):
     return str(v) if isinstance(v, Fraction) else v
 
@@ -170,8 +175,8 @@ def _emit_rows(args, columns: list[str], rows: list[list], summary: dict | None 
     sys.set_int_max_str_digits(0)
     try:
         if fmt == "csv":
-            lines.append(",".join(columns))
-            lines.extend(",".join(_cell(v) for v in row) for row in rows)
+            lines.append(",".join(map(_csv_field, columns)))
+            lines.extend(",".join(_csv_field(_cell(v)) for v in row) for row in rows)
         elif fmt == "json":
             payload = {
                 "columns": columns,

@@ -10,17 +10,17 @@ Everything an abelian knot invariant needs downstream lives here:
 * ``RatFun`` -- fractions n(t)/q(t) whose denominator does not vanish at
   t = 1 (the localization of Z[t, t^-1] at the augmentation ideal).  The
   canonical form has q an ordinary polynomial with q(0) != 0 and q(1) = 1.
-* ``_remainders``, the one Euclidean sequence over Q (gcds, resultants,
-  Sturm chains); ``_power``, the one square and multiply, behind powers of
-  ``LaurentPoly``, of Lambda-matrices, modulo a monic polynomial
-  (``_powmod``, shared by cyclotomic norms and ``denominator_to_tp``) and in
-  ``Knot.beta``; the matrix of multiplication in Q[x]/m (``_mul_rows``,
-  shared by the last two); the one characteristic polynomial, by Hessenberg
-  reduction mod word-size primes and CRT (``_charpoly``, behind ``Knot.delta``
-  and ``denominator_to_tp``); cyclotomic norms prod_{w^p=1} f(w), rewriting of
-  denominators into polynomials in t^p, Mahler measures, and the
-  coefficients of the wheels generating series (1/2) log(sinh(x/2)/(x/2))
-  from Bernoulli numbers.
+* ``_remainders``, the one Euclidean sequence, over Z as primitive
+  pseudo-remainders (gcds, resultants, Sturm chains); ``_power``, the one
+  square and multiply, behind powers of ``LaurentPoly``, of Lambda-matrices,
+  modulo a monic polynomial (``_powmod``, shared by cyclotomic norms and
+  ``denominator_to_tp``) and in ``Knot.beta``; the matrix of multiplication
+  in Q[x]/m (``_mul_rows``, shared by the last two); the one characteristic
+  polynomial, by Hessenberg reduction mod word-size primes and CRT
+  (``_charpoly``, behind ``denominator_to_tp``); cyclotomic norms
+  prod_{w^p=1} f(w), rewriting of denominators into polynomials in t^p,
+  Mahler measures, and the coefficients of the wheels generating series
+  (1/2) log(sinh(x/2)/(x/2)) from Bernoulli numbers.
 
 All core arithmetic is exact (int, and Fraction where it must be).
 Floating point enters only in clearly named numeric helpers: unit-circle
@@ -443,19 +443,43 @@ def _poly_divmod(a: Sequence, b: Sequence):
     return q, r
 
 
-def _remainders(a: Sequence, b: Sequence) -> list[list]:
-    """Sturm's remainder sequence a, b, -(a mod b), ... over Q, each member
-    dense and trimmed, to its last nonzero member: gcd(a, b) up to a unit."""
-    seq = [_trim(list(a)), _trim(list(b))]
+def _primitive(p: Sequence) -> list[int]:
+    """The primitive integer positive multiple of p, trimmed ([] for p = 0)."""
+    scale = math.lcm(*(c.denominator for c in p))
+    p = _trim([int(c * scale) for c in p])
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
+def _remainders(a: Sequence, b: Sequence) -> tuple[list[list[int]], list[int]]:
+    """Sturm's sequence a, b, -(a mod b), ... to its last nonzero member,
+    gcd(a, b) up to a unit, each member its primitive integer positive
+    multiple, and the content c divided out of each from the third on:
+    after x = lambda_x X and y, z = (kappa lambda_x / c) Z for the members
+    X, Z over Q, -kappa x mod y by pseudo-division, kappa = |lc y|^max(0,
+    deg x - deg y + 1) (Collins's primitive sequence)."""
+    seq, contents = [_primitive(a), _primitive(b)], []
     while seq[-1]:
-        seq.append([-c for c in _poly_divmod(*seq[-2:])[1]])
-    return seq[:-1]
+        x, y = seq[-2:]
+        r, n, l = list(x), len(y) - 1, y[-1]
+        scale, ys = abs(l), y[:-1] if l > 0 else [-c for c in y[:-1]]
+        for k in range(len(x) - 1 - n, -1, -1):  # r <- |l| r - sign(l) lc(r) t^k y
+            c = r.pop()
+            if scale != 1:
+                r = [v * scale for v in r]
+            if c:
+                for i, v in enumerate(ys, k):
+                    r[i] -= c * v
+        c = math.gcd(*_trim(r))
+        seq.append([-v // c for v in r] if r else r)
+        contents.append(c)
+    return seq[:-1], contents[:-1]
 
 
 def poly_gcd(f: "LaurentPoly | Sequence[Scalar]", g: "LaurentPoly | Sequence[Scalar]") -> LaurentPoly:
     """Monic gcd in Q[t] of the honest-polynomial parts (units stripped):
     the last member of ``_remainders``."""
-    a = _remainders(_as_ascending(f), _as_ascending(g))[-1]
+    a = _remainders(_as_ascending(f), _as_ascending(g))[0][-1]
     if not a:
         return LaurentPoly.zero()
     lead = a[-1]
@@ -501,7 +525,8 @@ def resultant(f, g) -> Fraction:
 
     Accepts LaurentPoly (negative exponents are rejected) or ascending
     coefficient sequences, both taken as given: a factor t^k counts.
-    Along ``_remainders`` x, y, z = -(x mod y), ...: Res(x, y) = (-1)^(deg x
+    Along the members x, y, z = -(x mod y), ... over Q, each the integer
+    member of ``_remainders`` over its scale lambda: Res(x, y) = (-1)^(deg x
     deg y + deg y) lc(y)^(deg x - deg z) Res(y, z), and Res(x, c) = c^(deg x)
     at a constant end c; an end of positive degree is a common factor: 0.
     """
@@ -512,12 +537,15 @@ def resultant(f, g) -> Fraction:
     b = _dense(g)
     if not a or not b:
         return Fraction(0)
-    seq = _remainders(a, b)
+    seq, contents = _remainders(a, b)
     if len(seq[-1]) > 1:
         return Fraction(0)
-    res = Fraction(seq[-1][0]) ** (len(seq[-2]) - 1)
-    for x, y, z in zip(seq, seq[1:], seq[2:]):
-        res *= (-1) ** ((len(x) * (len(y) - 1)) % 2) * y[-1] ** (len(x) - len(z))
+    lam = [Fraction(seq[0][-1]) / a[-1], Fraction(seq[1][-1]) / b[-1]]  # member over Q member
+    for x, y, c in zip(seq, seq[1:], contents):
+        lam.append(lam[-2] * abs(y[-1]) ** max(0, len(x) - len(y) + 1) / c)
+    res = (seq[-1][0] / lam[-1]) ** (len(seq[-2]) - 1)
+    for x, y, z, ly in zip(seq, seq[1:], seq[2:], lam[1:]):
+        res *= (-1) ** ((len(x) * (len(y) - 1)) % 2) * (y[-1] / ly) ** (len(x) - len(z))
     return res
 
 
@@ -719,12 +747,6 @@ def _as_ratfun(x) -> RatFun:
 # rewriting denominators as polynomials in t^p
 
 
-def _mat_mul(A, B):
-    """A B over any ring (int, Fraction, LaurentPoly), skipping zero products."""
-    cols = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col) if a and b) for col in cols] for row in A]
-
-
 # Miller-Rabin bases exact for every n < 2^64 (Sinclair's seven)
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 # the primes below 2^62, descending: the largest four, so that no start pays
@@ -779,8 +801,9 @@ def _hessenberg(A: Sequence[Sequence[int]], p: int) -> list[list[int]]:
 
 def _charpoly(M) -> list:
     """Characteristic polynomial det(xI - M), ascending: int coefficients for
-    an integer M.  A rational M is scaled first by the common denominator L
-    of its entries, det(xI - M) = L^-n det(yI - LM) at y = L x.
+    an integer M; the norm polynomial of ``denominator_to_tp``.  A rational M
+    is scaled first by the common denominator L of its entries,
+    det(xI - M) = L^-n det(yI - LM) at y = L x.
 
     The integer matrix goes to Hessenberg form mod primes below 2^62
     (``_hessenberg``), where the recurrence p_(m+1) = (x - h_mm) p_m -
@@ -892,22 +915,15 @@ def _sign_at(s: Sequence[int], x: float) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _integral(p: Sequence) -> list[int]:
-    """The primitive integer polynomial that is a positive multiple of p."""
-    scale = math.lcm(*(c.denominator for c in p))
-    p = [int(c * scale) for c in p]
-    g = math.gcd(*p)
-    return [c // g for c in p]
-
-
 def _sturm(D: Sequence) -> list[list[int]]:
     """A Sturm sequence of s = D / gcd(D, D'), s first: ``_remainders(D, D')``
-    (Sturm 1829) ends at gcd(D, D'), and its members, divided by that end and
-    scaled to primitive integer polynomials for ``_sign_at``, keep the sign
-    rules for s: the drop in sign changes from a to b counts the distinct
-    roots of D in (a, b], even at an end on a root."""
-    seq = [_integral(q) for q in _remainders(D, [i * c for i, c in enumerate(D)][1:])]
-    return [_integral(_poly_divmod(q, seq[-1])[0]) for q in seq]
+    (Sturm 1829) ends at gcd(D, D'), and its members, primitive integer
+    polynomials, divided by that primitive end stay primitive integer
+    polynomials (Gauss's lemma) for ``_sign_at`` and keep the sign rules for
+    s: the drop in sign changes from a to b counts the distinct roots of D
+    in (a, b], even at an end on a root."""
+    seq = _remainders(D, [i * c for i, c in enumerate(D)][1:])[0]
+    return [_poly_divmod(q, seq[-1])[0] for q in seq]
 
 
 def _changes(seq: Sequence[Sequence[int]], x: float) -> int:

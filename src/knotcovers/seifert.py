@@ -13,8 +13,8 @@ Hermitian, and ``Knot.clover`` raises NotHermitian on first use when it
 is missing.
 
 * ``alexander(A)`` = t^-g det(A - t A^T), which is automatically
-  bar-symmetric and takes the value 1 at t = 1; ``Knot.delta`` reads it
-  off the characteristic polynomial of Seifert's integer matrix Gamma.
+  bar-symmetric and takes the value 1 at t = 1; ``Knot.delta`` is the
+  determinant of the pencil A - t A^T by ``LambdaMatrix.det``.
 * ``signature_function(A, k, p)`` is the signature of
   (1 - conj(w)) A + (1 - w) A^T at w = e^(2 pi i k / p); w = 1 is a
   removable but excluded point (AtOne).  It, sigma_p and the signature
@@ -30,12 +30,12 @@ is missing.
   the Alexander polynomial and the signature function.
 
 Each function above takes a raw matrix or a ``Knot``, which validates it
-once and derives Gamma, its characteristic polynomial chi, Delta and the
-clover form once, Gamma, chi and Delta by integer arithmetic alone.
-``Knot.beta(p)``, |H_1| of the p-fold branched cover, is |det| of Seifert's
-presentation Gamma^p - (Gamma - I)^p, read as a square of a norm in Z[s]/E,
-E of degree g from Delta; its oracles in the tests are the matrix powers,
-the norm in Z[x]/chi and the resultant.
+once and derives Delta and the clover form once, Delta by integer
+arithmetic alone.  ``Knot.beta(p)``, |H_1| of the p-fold branched cover, is
+|det| of Seifert's presentation Gamma^p - (Gamma - I)^p, Gamma = A (A -
+A^T)^-1, read as a square of a norm in Z[s]/E, E of degree g from Delta;
+its oracles in the tests are the matrix powers of Gamma, the norm in
+Z[x]/chi for chi = det(xI - Gamma) and the resultant.
 
 Knot records (name + Seifert matrix + optional 2-loop class) are the JSON
 interchange format; a small bundled corpus ships with the package.
@@ -53,8 +53,8 @@ from importlib import resources
 from itertools import zip_longest
 from typing import Sequence
 
-from .exactalg import (LaurentPoly, _charpoly, _json_object, _mat_mul, _mul_rows, _poly_divmod,
-                       _poly_mul, _power, _trace_poly, circle_roots)
+from .exactalg import (LaurentPoly, _json_object, _mul_rows, _poly_divmod, _poly_mul, _power,
+                       _trace_poly, circle_roots)
 from .lambdamat import (
     AtOne,
     LambdaMatrix,
@@ -118,8 +118,7 @@ def validate_seifert(A: Sequence[Sequence[int]]) -> list[list[int]]:
 
 class Knot:
     """A validated Seifert matrix with the values the per-cover invariants
-    read from it, each derived on first use and kept: the integer matrix
-    ``gamma``, its characteristic polynomial ``charpoly``, the Alexander
+    read from it, each derived on first use and kept: the Alexander
     polynomial ``delta`` and its ``half_charpoly`` behind ``beta``, the clover
     form ``clover``, the signature function's table ``arcs`` (or its
     refusal) and the last p with its residue pair behind ``beta(p)``.
@@ -141,21 +140,13 @@ class Knot:
         return len(self.seifert) // 2
 
     @cached_property
-    def charpoly(self) -> list[int]:
-        """chi = det(xI - Gamma), monic, ascending integer coefficients; the
-        one characteristic polynomial, behind ``delta`` and so ``beta``."""
-        return _charpoly(self.gamma)
-
-    @cached_property
     def delta(self) -> LaurentPoly:
-        """t^-g det(A - t A^T); see ``alexander``.  A - t A^T equals
-        ((1 - t) Gamma + t I) S with det S = 1, so for chi = det(xI - Gamma)
-        it is t^-g sum_k chi_k t^k (t - 1)^(2g - k)."""
-        chi = self.charpoly
-        n = len(chi) - 1
-        coeffs = [(-1) ** (n - e) * sum(chi[k] * math.comb(n - k, e - k) for k in range(e + 1))
-                  for e in range(n + 1)]
-        d = LaurentPoly.from_coeffs(coeffs, -self.genus)
+        """t^-g det(A - t A^T); see ``alexander``: the Seifert pencil as its
+        coefficient matrices C_0 = A and C_1 = -A^T, and its determinant by
+        ``LambdaMatrix.det``, one Kronecker-packed integer Bareiss."""
+        A = self.seifert
+        pencil = LambdaMatrix.from_coeffs({0: A, 1: [[-a for a in col] for col in zip(*A)]}, len(A))
+        d = pencil.det().shift(-self.genus)
         if d.eval_one() != 1 or not d.is_bar_symmetric:
             raise ArithmeticError("t^-g det(A - t A^T) must be bar-symmetric with value 1 at t = 1")
         return d
@@ -183,27 +174,6 @@ class Knot:
         return W
 
     @cached_property
-    def gamma(self) -> list[list[int]]:
-        """Seifert's Gamma = A S^-1 with S = A - A^T, by fraction-free
-        Gauss-Jordan on the integer block [S | I]; every division by the
-        previous pivot is exact, and it ends at [d I | d S^-1], d = +-det S."""
-        A = self.seifert
-        n = len(A)
-        M = [[A[i][j] - A[j][i] for j in range(n)] + [int(i == j) for j in range(n)]
-             for i in range(n)]
-        d = 1
-        for k in range(n):
-            piv = next(i for i in range(k, n) if M[i][k])
-            M[k], M[piv] = M[piv], M[k]
-            prow, pk = M[k], M[k][k]
-            M = [prow if i == k else [(pk * x - r[k] * y) // d for x, y in zip(r, prow)]
-                 for i, r in enumerate(M)]
-            d = pk
-        if abs(d) != 1:
-            raise ArithmeticError("(A - A^T)^-1 must be integral when det(A - A^T) = 1")
-        return _mat_mul(A, [[d * x for x in row[n:]] for row in M])
-
-    @cached_property
     def arcs(self) -> tuple[list[tuple[float, float]], list[int]]:
         """The signature function, constant between the circle roots of Delta
         and symmetric under k/p -> 1 - k/p: the roots in (0, 1/2) as brackets
@@ -223,8 +193,7 @@ class Knot:
             self._arcs_refusal = refusal
             raise
         # arc j, 0 < j < len(brackets), lies in u above bracket j, below bracket j - 1
-        points = [_simplest_tangent(Fraction(b), Fraction(a))
-                  for (_, b), (a, _) in zip(brackets[1:], brackets)]
+        points = [_simplest_tangent(b, a) for (_, b), (a, _) in zip(brackets[1:], brackets)]
         points += [(1, 0)] if brackets else []
         roots = [(math.acos(b / 2) / (2 * math.pi) * (1 - _TURN_SLACK),
                   math.acos(a / 2) / (2 * math.pi) * (1 + _TURN_SLACK)) for a, b in brackets]
@@ -260,11 +229,13 @@ class Knot:
     def half_charpoly(self) -> list[int]:
         """E(s) = s^g D(2 - 1/s), ascending, D the trace polynomial of ``delta``
         (Delta(t) = D(t + 1/t)): monic of degree g, as D(2) = Delta(1) = 1, its
-        roots s = lambda (1 - lambda) over Gamma's eigenvalue pairs lambda, 1 - lambda."""
-        g = self.genus
-        E = [(-1) ** (g - i) * sum(d * math.comb(k, i + k - g) << i + k - g
-                                   for k, d in enumerate(_trace_poly(self.delta)) if i + k >= g)
-             for i in range(g + 1)]
+        roots s = lambda (1 - lambda) over Gamma's eigenvalue pairs lambda, 1 - lambda.
+        Horner on sum_k d_k (2s - 1)^k s^(m - k) = s^m D(2 - 1/s), m = deg D."""
+        D, E = _trace_poly(self.delta), []
+        for d in reversed(D):  # E <- (2s - 1) E + d s^(m - k)
+            E = [2 * a - b for a, b in zip([0] + E, E + [0])]
+            E[-1] += d
+        E = [0] * (self.genus + 1 - len(D)) + E
         if E[-1] != 1:
             raise ArithmeticError("s^g D(2 - 1/s) must be monic, for D(2) = Delta(1) = 1")
         return E
@@ -331,18 +302,20 @@ def _padd(*polys: list) -> list:
     return [sum(cs) for cs in zip_longest(*polys, fillvalue=0)]
 
 
-def _simplest_tangent(lo: Fraction, hi: Fraction) -> tuple[int, int]:
+def _simplest_tangent(lo: "float | Fraction", hi: "float | Fraction") -> tuple[int, int]:
     """(a, b) for the simplest s = a/b > 0 with lo < u(s) < hi, where
     u(s) = 2 (b^2 - a^2)/(a^2 + b^2) = 2 cos(2 pi x) at s = tan(pi x) falls
     from 2 to -2: Stern-Brocot descent from 0/1 and 1/0, a run of steps one
-    way (a partial quotient of s) taken in doubling strides."""
+    way (a partial quotient of s) taken in doubling strides.  lo and hi are
+    exact rationals, compared with u(s) as cross products of integers."""
     if not lo < hi:  # circle_roots leaves floats between its brackets, so never in ``arcs``
         raise SingularEvaluation("an empty arc between circle roots of Delta")
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
 
     def side(base, k, step):  # s = base + k step: -1 below the arc (u >= hi), 1 above, 0 on it
         a, b = base[0] + k * step[0], base[1] + k * step[1]
-        u = Fraction(2 * (b * b - a * a), a * a + b * b)
-        return -1 if u >= hi else 1 if u <= lo else 0
+        u, w = 2 * (b * b - a * a), a * a + b * b  # u(s) = u / w, w > 0
+        return -1 if u * hd >= hn * w else 1 if u * ld <= ln * w else 0
 
     below, above = (0, 1), (1, 0)
     while where := side(below, 1, above):
@@ -382,8 +355,9 @@ KnotLike = Knot | Sequence[Sequence[int]]
 def alexander(A: KnotLike) -> LaurentPoly:
     """Symmetrized Alexander polynomial t^-g det(A - t A^T); det(A - A^T) = 1
     makes it bar-symmetric with value 1 at t = 1, no unit fixing needed.
-    Derived from ``Knot.gamma`` (see ``Knot.delta``); the clover form's
-    Bareiss determinant ``normalized_determinant`` is the oracle route."""
+    The determinant of the Seifert pencil (see ``Knot.delta``); the clover
+    form's determinant ``normalized_determinant``, by the same kernel on
+    another matrix, is the oracle route."""
     return Knot.of(A).delta
 
 

@@ -375,10 +375,9 @@ class TestArcTable:
 class TestDerivedOnce:
     def test_report_computes_each_beta_once_and_no_delta(self, monkeypatch):
         recs = [r for r in corpus_records() if r.name in ("trefoil", "random-g3-a")]
-        dets, rdets, norms, bdets, charpolys, stray_muls = [], [], [], [], [], []
+        dets, rdets, norms, bdets, charpolys = [], [], [], [], []
         det, rdet, norm = LambdaMatrix.det, knotcovers.seifert.rational_det, cyclotomic_norm
-        bareiss, charpoly = knotcovers.seifert._bareiss, knotcovers.seifert._charpoly
-        mat_mul, in_charpoly = knotcovers.exactalg._mat_mul, []
+        bareiss, charpoly = knotcovers.seifert._bareiss, knotcovers.exactalg._charpoly
 
         def counted_det(M):
             dets.append(M.n)
@@ -398,22 +397,13 @@ class TestDerivedOnce:
 
         def counted_charpoly(M):
             charpolys.append(len(M))
-            in_charpoly.append(True)
-            try:
-                return charpoly(M)
-            finally:
-                in_charpoly.pop()
-
-        def counted_mul(A, B):
-            if not in_charpoly:
-                stray_muls.append(len(A))
-            return mat_mul(A, B)
+            return charpoly(M)
 
         monkeypatch.setattr(LambdaMatrix, "det", counted_det)
         monkeypatch.setattr(knotcovers.seifert, "rational_det", counted_rdet)
         monkeypatch.setattr(knotcovers.exactalg, "cyclotomic_norm", counted_norm)
         monkeypatch.setattr(knotcovers.seifert, "_bareiss", counted_bareiss)
-        monkeypatch.setattr(knotcovers.seifert, "_charpoly", counted_charpoly)
+        monkeypatch.setattr(knotcovers.exactalg, "_charpoly", counted_charpoly)
         exact = []
         signature_exact = knotcovers.lambdamat.signature_exact
 
@@ -422,29 +412,27 @@ class TestDerivedOnce:
             return signature_exact(S)
 
         monkeypatch.setattr(knotcovers.lambdamat, "signature_exact", counted_exact)
-        for rec in recs:
-            assert rec.knot.gamma  # the ladder starts once Gamma exists
-        monkeypatch.setattr(knotcovers.exactalg, "_mat_mul", counted_mul)
-        monkeypatch.setattr(knotcovers.seifert, "_mat_mul", counted_mul)
         irregular = {"trefoil": [6, 12, 18], "random-g3-a": []}
         for rec in recs:
             n = len(rec.seifert)
+            dets.clear()
             bdets.clear()
-            charpolys.clear()
             rows = branched_report(rec.knot, range(2, 21))
             assert [r.p for r in rows] == list(range(2, 21))
             assert [r.p for r in rows if not r.regular] == irregular[rec.name]
-            # beta_p comes from Gamma's characteristic polynomial, through
-            # Delta's trace polynomial, so no row needs a Laurent determinant
-            assert dets == []
+            # beta_p comes from Delta's trace polynomial, and Delta from one
+            # Kronecker determinant of the 2g x 2g Seifert pencil A - t A^T
+            assert dets == [n], rec.name
             # one g x g integer determinant per p, regular or not, plus one
-            # for beta_2 per knot, and no matrix product outside the one
-            # charpoly; sigma_p is read off the arc table, so neither the
-            # clover form nor exact inertia runs
+            # for beta_2 per knot, and no characteristic polynomial; sigma_p
+            # is read off the arc table, so neither the clover form nor exact
+            # inertia runs
             assert bdets == [n // 2] * 20, rec.name
-            assert charpolys == [n] and stray_muls == [], rec.name
+            assert charpolys == [], rec.name
             assert rdets == [] and exact == []
-        assert not hasattr(knotcovers.seifert, "_mat_pow")
+        for name in ("_mat_pow", "_mat_mul", "_charpoly"):
+            assert not hasattr(knotcovers.seifert, name), name
+        assert not hasattr(knotcovers.exactalg, "_mat_mul")  # no matrix product left
         for module in (knotcovers.seifert, knotcovers.branched):
             assert not hasattr(module, "cyclotomic_norm")
         assert norms == []

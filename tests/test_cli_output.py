@@ -1,10 +1,12 @@
-"""CLI rendering of values past Python's int-to-str digit limit, the
-exit when the reader of stdout goes away, the command-table parse of a
+"""CLI rendering of values past Python's int-to-str digit limit, CSV
+fields that need quoting, the exit when the reader of stdout goes away, the command-table parse of a
 well-formed command line against argparse, and the parsers that ``main``
 builds once per process for help and usage errors: one per named
 command, and the full one."""
 
 import argparse
+import csv
+import io
 import os
 import random
 import re
@@ -42,6 +44,37 @@ def test_beta_past_the_digit_limit_is_printed(capsys, fmt):
         sys.set_int_max_str_digits(limit)
     assert len(want) > sys.int_info.default_max_str_digits
     assert want in re.split(r"[\s,\[\]]+", out)
+
+
+@pytest.mark.parametrize("name", ["a,b.json", 'q"x.json', "line\nbreak.json", "cr\rx.json",
+                                  "plain.json"])
+def test_csv_quotes_fields_that_need_it(capsys, tmp_path, name):
+    # a bare matrix file is named by its path, which may hold a comma, a
+    # quote, CR or LF: each such field is quoted, its quotes doubled, so a
+    # CSV reader reads two fields on every row and the path back as it is
+    path = tmp_path / name
+    path.write_text("[[-1, 1], [0, -1]]")
+    assert main(["alexander", "--file", str(path), "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert [len(row) for row in rows] == [2] * 7
+    assert rows[:3] == [["field", "value"], ["name", str(path)], ["alexander", "t^-1 - 1 + t"]]
+    assert (out.count('"') == 0) == (name == "plain.json")
+
+
+def test_csv_output_loads_no_csv_module(tmp_path):
+    # the quoting is done by hand: no csv import on the start path
+    path = tmp_path / "a,b.json"
+    path.write_text("[[-1, 1], [0, -1]]")
+    paths = [str(Path(knotcovers.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    code = ("import sys; from knotcovers.cli import main; "
+            "main(['alexander', '--file', sys.argv[1], '--format', 'csv']); "
+            "print('csv' in sys.modules, file=sys.stderr)")
+    run = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0 and run.stderr.split() == ["False"], run.stderr
+    assert run.stdout.splitlines()[1] == 'name,"%s"' % path
 
 
 def test_input_keeps_the_digit_limit(capsys, tmp_path):

@@ -14,15 +14,16 @@ from knotcovers.exactalg import (
     SingularEvaluation,
     _charpoly,
     _frac,
-    _mat_mul,
     _mul_rows,
     _mulmod,
     _mulx_mod,
+    _as_ascending,
     _poly_divmod,
     _power,
     _powmod,
     _roots_by_part,
     _trace_poly,
+    _trim,
     circle_roots,
     cyclotomic_norm,
     denominator_to_tp,
@@ -304,6 +305,12 @@ class TestRatFun:
         r = RatFun(t + one, t - 2 * one)
         assert RatFun.from_json(r.to_json()) == r
         assert RatFun.from_json({"1": "1"}) == RatFun(t)
+
+
+def _mat_mul(A, B):
+    """A B over any ring (int, Fraction, LaurentPoly), skipping zero products."""
+    cols = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col) if a and b) for col in cols] for row in A]
 
 
 def _mat_pow(M, p: int):
@@ -670,6 +677,148 @@ class TestCircleRoots:
             circle_roots(t)
         with pytest.raises(ValueError):
             circle_roots(t ** -1 - 2 * one + t)
+
+
+def _fraction_remainders(a, b):
+    """Oracle for ``_remainders``: Sturm's sequence a, b, -(a mod b), ... over
+    Q by ``_poly_divmod``, to its last nonzero member (the production route
+    before the integer pseudo-remainders)."""
+    seq = [_trim(list(a)), _trim(list(b))]
+    while seq[-1]:
+        seq.append([-c for c in _poly_divmod(*seq[-2:])[1]])
+    return seq[:-1]
+
+
+def _fraction_resultant(a, b):
+    """Res(a, b) along ``_fraction_remainders`` (see ``resultant``)."""
+    seq = _fraction_remainders(a, b)
+    if len(seq[-1]) > 1:
+        return Fraction(0)
+    res = Fraction(seq[-1][0]) ** (len(seq[-2]) - 1)
+    for x, y, z in zip(seq, seq[1:], seq[2:]):
+        res *= (-1) ** ((len(x) * (len(y) - 1)) % 2) * y[-1] ** (len(x) - len(z))
+    return res
+
+
+def _fraction_sturm(D):
+    """``_sturm`` along ``_fraction_remainders``: members divided by the last
+    and rescaled to primitive integer polynomials afterwards."""
+    def primitive(p):
+        scale = math.lcm(*(Fraction(c).denominator for c in p))
+        p = [int(c * scale) for c in p]
+        return [c // math.gcd(*p) for c in p]
+
+    seq = [primitive(q) for q in _fraction_remainders(D, [i * c for i, c in enumerate(D)][1:])]
+    return [primitive(_poly_divmod(q, seq[-1])[0]) for q in seq]
+
+
+def _knot_deltas():
+    """Delta of every corpus knot and of torus knots up to T(7, 8)."""
+    from knotcovers.seifert import Knot, corpus_records
+    from test_seifert import torus_seifert
+
+    deltas = [rec.knot.delta for rec in corpus_records()]
+    pairs = [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (4, 5), (5, 6), (6, 7), (7, 8)]
+    return deltas + [Knot(torus_seifert(a, b)).delta for a, b in pairs]
+
+
+def _remainder_cases(rng):
+    """Pairs (a, b) of dense trimmed coefficient lists: random integer and
+    rational polynomials, with t^k factors, repeated roots and shared
+    factors, either degree the larger; constants and zeros; and (D, D') for
+    the trace polynomial D and for Delta itself of every knot of
+    ``_knot_deltas``."""
+    dense = knotcovers.exactalg._dense
+
+    def derivative(a):
+        return [i * c for i, c in enumerate(a)][1:]
+
+    cases = []
+    for trial in range(240):
+        rational = trial % 2 == 1
+        f, g = _random_poly(rng, rational, 0, 5), _random_poly(rng, rational, 0, 4)
+        if trial % 3 == 0:
+            h = _random_poly(rng, rational, 0, 2)
+            f, g = f * h * h, g * h
+        if trial % 4 == 0:
+            f, g = f * t ** rng.randint(0, 3), g * t ** rng.randint(0, 3)
+        a, b = dense(f), dense(g)
+        cases += [(a, b), (b, a), (a, derivative(a))]
+    cases += [([3], [1, 2, 1]), ([1, 2, 1], [Fraction(-3, 2)]), ([], [1, 1]), ([2, 4], []),
+              ([], []), ([0, 0, 1], [0, 1]), ([1, -2, 1], [-1, 1])]
+    for delta in _knot_deltas():
+        D = _trace_poly(delta)
+        asc = dense(delta.shift(delta.max_exp))
+        cases += [(D, derivative(D)), (asc, derivative(asc))]
+    return cases
+
+
+class TestRemainderSequence:
+    """``_remainders`` over Z against the Fraction sequence it replaced."""
+
+    def test_members_are_primitive_positive_multiples(self, rng):
+        for a, b in _remainder_cases(rng):
+            seq, contents = knotcovers.exactalg._remainders(a, b)
+            want = _fraction_remainders(a, b)
+            assert len(seq) == len(want) and len(contents) == max(0, len(seq) - 2), (a, b)
+            assert all(c > 0 for c in contents)
+            for got, q in zip(seq, want):
+                assert all(type(c) is int for c in got), (a, b)
+                if not q:
+                    assert got == [], (a, b)
+                    continue
+                assert len(got) == len(q) and math.gcd(*got) == 1, (a, b)
+                # got = lambda q with lambda = got[-1] / q[-1] > 0
+                assert got[-1] * q[-1] > 0, (a, b)
+                assert all(x * q[-1] == y * got[-1] for x, y in zip(got, q)), (a, b)
+
+    def test_sturm_counts_and_circle_roots_agree(self, rng, monkeypatch):
+        deltas = _knot_deltas() + [_bar_symmetric(rng, rng.randint(1, 6)) for _ in range(60)]
+        for delta in deltas:
+            D = _trace_poly(delta)
+            got, want = knotcovers.exactalg._sturm(D), _fraction_sturm(D)
+            assert got == want, delta
+            for x in [rng.uniform(-2.5, 2.5) for _ in range(8)] + [-2.0, 0.0, 1.0, 2.0]:
+                assert (knotcovers.exactalg._changes(got, x)
+                        == knotcovers.exactalg._changes(want, x)), (delta, x)
+        brackets = []
+        for delta in deltas:
+            try:
+                brackets.append(circle_roots(delta))
+            except ValueError as refusal:  # SingularEvaluation, or f(+-1) = 0
+                brackets.append(type(refusal))
+        monkeypatch.setattr(knotcovers.exactalg, "_sturm", _fraction_sturm)
+        for delta, got in zip(deltas, brackets):
+            try:
+                assert circle_roots(delta) == got, delta
+            except ValueError as refusal:
+                assert type(refusal) is got, delta
+
+    def test_gcd_squarefree_parts_and_resultant_agree(self, rng):
+        squarefree = 0
+        for a, b in _remainder_cases(rng):
+            f, g = LaurentPoly.from_coeffs(a), LaurentPoly.from_coeffs(b)
+            units_off = _as_ascending(f), _as_ascending(g)  # poly_gcd strips t^k
+            last = _fraction_remainders(*units_off)[-1]
+            gcd = poly_gcd(f, g)
+            assert gcd == (LaurentPoly.from_coeffs(_euclid_gcd(*units_off)) if last else 0), (a, b)
+            assert gcd == (LaurentPoly.from_coeffs([Fraction(c) / last[-1] for c in last])
+                           if last else 0), (a, b)
+            if a and b:
+                res = resultant(a, b)
+                assert type(res) is Fraction and res == _fraction_resultant(a, b), (a, b)
+                if len(a) + len(b) < 16:
+                    assert res == _sylvester_resultant(f, g), (a, b)
+            if len(a) > 1:
+                h, parts = _as_ascending(f), []
+                while len(h) > 1:
+                    last = _fraction_remainders(h, [i * c for i, c in enumerate(h)][1:])[-1]
+                    nxt = [Fraction(c) / last[-1] for c in last]
+                    parts.append(_poly_divmod(h, nxt)[0])
+                    h = nxt
+                assert knotcovers.exactalg._squarefree_parts(f) == parts, a
+                squarefree += len(parts) > 1
+        assert squarefree > 40
 
 
 class TestInputBoundary:

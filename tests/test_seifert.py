@@ -9,8 +9,8 @@ import pytest
 
 import knotcovers.seifert
 from knotcovers.branched import total_sigma_p
-from knotcovers.exactalg import (LaurentPoly, _mat_mul, _mul_rows, _powmod,
-                                 circle_roots, cyclotomic_norm)
+from knotcovers.exactalg import (LaurentPoly, _charpoly, _mul_rows, _powmod, circle_roots,
+                                 cyclotomic_norm)
 from knotcovers.lambdamat import (
     AtOne,
     LambdaMatrix,
@@ -36,7 +36,8 @@ from knotcovers.seifert import (
     validate_seifert,
 )
 from knotcovers.seifert import _simplest_tangent
-from test_exactalg import _faddeev_leverrier, _mat_pow
+from test_exactalg import _faddeev_leverrier, _mat_mul, _mat_pow
+from test_lambdamat import _laurent_bareiss
 
 t = LaurentPoly.t()
 one = LaurentPoly.one()
@@ -147,6 +148,41 @@ class TestKnot:
         assert messages[0] == messages[1] and len(calls) == 1
 
 
+def seifert_gamma(A):
+    """Seifert's Gamma = A S^-1 with S = A - A^T, by fraction-free
+    Gauss-Jordan on the integer block [S | I]: every division by the
+    previous pivot is exact, and it ends at [d I | d S^-1], d = +-det S."""
+    n = len(A)
+    M = [[A[i][j] - A[j][i] for j in range(n)] + [int(i == j) for j in range(n)]
+         for i in range(n)]
+    d = 1
+    for k in range(n):
+        piv = next(i for i in range(k, n) if M[i][k])
+        M[k], M[piv] = M[piv], M[k]
+        prow, pk = M[k], M[k][k]
+        M = [prow if i == k else [(pk * x - r[k] * y) // d for x, y in zip(r, prow)]
+             for i, r in enumerate(M)]
+        d = pk
+    assert abs(d) == 1, "(A - A^T)^-1 must be integral when det(A - A^T) = 1"
+    return _mat_mul(A, [[d * x for x in row[n:]] for row in M])
+
+
+def seifert_charpoly(A):
+    """chi = det(xI - Gamma), monic, ascending: ``_charpoly`` of Gamma."""
+    return _charpoly(seifert_gamma(A))
+
+
+def chi_delta(A):
+    """Oracle for Knot.delta from chi: A - t A^T equals ((1 - t) Gamma + t I) S
+    with det S = 1, so t^g Delta(t) = sum_k chi_k t^k (t - 1)^(2g - k), a
+    binomial transform of chi's coefficients."""
+    chi = seifert_charpoly(A)
+    n = len(chi) - 1
+    coeffs = [(-1) ** (n - e) * sum(chi[k] * math.comb(n - k, e - k) for k in range(e + 1))
+              for e in range(n + 1)]
+    return LaurentPoly.from_coeffs(coeffs, -(n // 2))
+
+
 def resultant_beta(A, p):
     """Oracle for Knot.beta: |cyclotomic norm of the Alexander polynomial|."""
     return abs(cyclotomic_norm(alexander(A), p))
@@ -155,7 +191,7 @@ def resultant_beta(A, p):
 def matrix_beta(A, p):
     """Oracle for Knot.beta: Seifert's presentation matrix itself,
     |det(Gamma^p - (Gamma - I)^p)| by matrix powers and ``rational_det``."""
-    G = Knot(A).gamma
+    G = seifert_gamma(A)
     H = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(G)]
     Gp, Hp = _mat_pow(G, p), _mat_pow(H, p)
     return abs(int(rational_det([[a - b for a, b in zip(r, s)] for r, s in zip(Gp, Hp)])))
@@ -166,7 +202,7 @@ def chi_beta(A, p):
     chi = det(xI - Gamma).  By Cayley-Hamilton r_p(Gamma) = Gamma^p -
     (Gamma - I)^p, so beta_p is |det| of multiplication by r_p mod chi, one
     2g x 2g integer Bareiss on the rows x^i r_p mod chi."""
-    chi = Knot(A).charpoly
+    chi = seifert_charpoly(A)
     if len(chi) == 1:
         return 1  # g = 0: the zero ring
     xp, hp = _powmod([0, 1], p, chi), _powmod([-1, 1], p, chi)
@@ -211,19 +247,21 @@ class TestSeifertPresentation:
                 knot = Knot(A)
                 assert [knot.beta(p) for p in ps] == [want[p] for p in ps], (A, ps)
 
-    def test_delta_and_beta_share_one_charpoly(self, figure8, monkeypatch):
+    def test_delta_and_beta_share_one_determinant(self, figure8, monkeypatch):
         calls = []
-        charpoly = knotcovers.seifert._charpoly
+        det = LambdaMatrix.det
 
         def counted(M):
-            calls.append(len(M))
-            return charpoly(M)
+            calls.append(M.n)
+            return det(M)
 
-        monkeypatch.setattr(knotcovers.seifert, "_charpoly", counted)
+        monkeypatch.setattr(LambdaMatrix, "det", counted)
         knot = Knot(figure8)
         ps = (3, 2, 40, 41)
         assert [knot.beta(p) for p in ps] == [matrix_beta(figure8, p) for p in ps]
-        assert knot.delta == alexander(figure8) and knot.charpoly == [-1, -1, 1]
+        assert calls == [2]  # the pencil's, for Delta behind beta
+        assert knot.delta == alexander(figure8) == chi_delta(figure8)
+        assert seifert_charpoly(figure8) == [-1, -1, 1]
         assert calls == [2, 2]  # this knot's once, then the fresh alexander(figure8)
 
     def test_any_basis_gives_the_same_beta(self, rng):
@@ -259,7 +297,7 @@ class TestSeifertPresentation:
         assert [Knot([]).beta(p) for p in (1, 2, 7)] == [1, 1, 1]
         # a genus-1 surface of the unknot: Gamma is singular, x^2 = x mod chi
         knot = Knot([[0, 1], [0, 0]])
-        assert knot.charpoly == [0, -1, 1]
+        assert seifert_charpoly(knot.seifert) == [0, -1, 1]
         assert [knot.beta(p) for p in (1, 2, 50, 51, 7)] == [1] * 5
         assert Knot(trefoil).beta(1) == 1
         with pytest.raises(ValueError):
@@ -353,7 +391,7 @@ class TestHalfNorm:
             E, g = knot.half_charpoly, knot.genus
             assert len(E) == g + 1 and E[-1] == 1
             comp = sum((c * (t - t * t) ** i for i, c in enumerate(E)), LaurentPoly.zero())
-            assert comp * (-1) ** g == LaurentPoly.from_coeffs(knot.charpoly), A
+            assert comp * (-1) ** g == LaurentPoly.from_coeffs(seifert_charpoly(A)), A
 
     def test_non_monic_half_charpoly_raises(self, trefoil, monkeypatch):
         # a trace polynomial with D(2) = 2 would make E non-monic
@@ -365,8 +403,8 @@ class TestHalfNorm:
 def laurent_bareiss(A):
     """Oracle for Knot.delta: t^-g det(A - t A^T) by the Laurent-ring Bareiss."""
     n = len(A)
-    M = LambdaMatrix([[A[i][j] - t * A[j][i] for j in range(n)] for i in range(n)])
-    return M.det().shift(-(n // 2))
+    return _laurent_bareiss([[A[i][j] - t * A[j][i] for j in range(n)]
+                             for i in range(n)]).shift(-(n // 2))
 
 
 def conjugate(A, P):
@@ -412,52 +450,80 @@ def torus_seifert(a, b):
 
 
 class TestDeltaFromGamma:
+    """Knot.delta, the determinant of the Seifert pencil, against the route
+    it replaced (``chi_delta``, from Gamma's characteristic polynomial) and
+    the Laurent-ring Bareiss of A - t A^T."""
+
+    @staticmethod
+    def _check(A):
+        assert Knot(A).delta == chi_delta(A) == laurent_bareiss(A), A
+
     def test_matches_bareiss_on_corpus(self):
         for rec in corpus_records():
-            assert rec.knot.delta == laurent_bareiss(rec.seifert), rec.name
+            self._check(rec.seifert)
 
-    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
     def test_matches_bareiss_on_random_banded(self, g, rng):
-        for _ in range(8):
-            A = random_seifert(g, rng)
-            assert Knot(A).delta == laurent_bareiss(A)
+        for _ in range(8 if g < 6 else 2):
+            self._check(random_seifert(g, rng))
 
     def test_matches_bareiss_on_non_banded_conjugates(self, rng):
         for _ in range(12):
             A = random_seifert(rng.choice([1, 2, 3]), rng)
             B = conjugate(A, random_unimodular(len(A), rng))
-            assert Knot(B).delta == laurent_bareiss(B) == Knot(A).delta
+            self._check(B)
+            assert Knot(B).delta == Knot(A).delta
 
     def test_matches_bareiss_on_block_sums(self, trefoil, figure8):
         dt, df = alexander(trefoil), alexander(figure8)
         for mats, want in (((trefoil, trefoil), dt * dt), ((trefoil, figure8), dt * df)):
             A = block_sum(*mats)
-            assert Knot(A).delta == laurent_bareiss(A) == want
+            self._check(A)
+            assert Knot(A).delta == want
+
+    @pytest.mark.parametrize("a", range(2, 8))
+    def test_matches_on_torus_knots(self, a):
+        # T(a, a + 1) up to T(7, 8), n = 42, where the Laurent-ring oracle
+        # is the slowest of the three
+        self._check(torus_seifert(a, a + 1))
+
+    def test_the_unknot(self):
+        for A in ([], [[0, 1], [0, 0]], [[0, 0], [-1, 0]]):
+            self._check(A)
+            assert Knot(A).delta == one
 
     def test_gamma_is_an_integer_solution(self, rng):
         mats = [rec.seifert for rec in corpus_records()]
         mats += [conjugate(A, random_unimodular(len(A), rng))
                  for A in (random_seifert(g, rng) for g in (1, 2, 3))]
         for A in mats:
-            G = Knot(A).gamma
+            G = seifert_gamma(A)
             S = [[A[i][j] - A[j][i] for j in range(len(A))] for i in range(len(A))]
             assert all(type(x) is int for row in G for x in row)
             assert _mat_mul(G, S) == A
 
-    def test_delta_makes_no_laurent_determinant(self, monkeypatch):
-        calls = []
-        det = LambdaMatrix.det
+    def test_delta_is_one_pencil_determinant(self, monkeypatch):
+        # one Kronecker determinant of the 2g x 2g pencil per knot, and no
+        # characteristic polynomial
+        calls, charpolys = [], []
+        det, charpoly = LambdaMatrix.det, knotcovers.exactalg._charpoly
 
         def counted_det(M):
             calls.append(M.n)
             return det(M)
 
+        def counted_charpoly(M):
+            charpolys.append(len(M))
+            return charpoly(M)
+
         monkeypatch.setattr(LambdaMatrix, "det", counted_det)
-        for A in [rec.seifert for rec in corpus_records()] + [torus_seifert(3, 4)]:
-            Knot(A).delta
-        assert calls == []
-        laurent_bareiss(torus_seifert(3, 4))  # the counter does see the oracle
-        assert calls == [6]
+        monkeypatch.setattr(knotcovers.exactalg, "_charpoly", counted_charpoly)
+        mats = [rec.seifert for rec in corpus_records()] + [torus_seifert(3, 4)]
+        for A in mats:
+            knot = Knot(A)
+            knot.delta
+            knot.delta
+        assert calls == [len(A) for A in mats] and charpolys == []
 
 
 @pytest.mark.parametrize("a, b", [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (5, 6), (7, 8)])
@@ -476,8 +542,8 @@ def test_torus_knots_match_theory(a, b):
 def test_torus_charpoly_matches_faddeev_leverrier(a):
     # Gamma of T(a, a + 1), n = a (a - 1) from 2 to 72: the modular
     # Hessenberg route, with up to four primes, against the n^4 oracle
-    knot = Knot(torus_seifert(a, a + 1))
-    assert knot.charpoly == _faddeev_leverrier(knot.gamma)
+    G = seifert_gamma(torus_seifert(a, a + 1))
+    assert _charpoly(G) == _faddeev_leverrier(G)
 
 
 @pytest.mark.parametrize("a, b, roots", [(5, 6, 10), (7, 8, 21), (9, 10, 36)])
@@ -501,11 +567,16 @@ class TestSimplestTangent:
         assert _simplest_tangent(Fraction(2 - 2.0 ** -40), Fraction(2)) == (1, 2 ** 21)
 
     def test_no_simpler_fraction_lies_between(self, rng):
-        checked = 0
+        # ends that are u of a Stern-Brocot candidate (u(1, 1) = 0, u(1, 2)
+        # = 6/5) lie outside the open arc, as floats or as fractions
+        ends = [(-0.5, 0.0), (0.0, 0.5), (Fraction(1), Fraction(6, 5)),
+                (Fraction(6, 5), Fraction(3, 2))]
         for _ in range(400):
             lo = rng.uniform(-2, 2)
-            hi = lo + rng.choice([rng.uniform(0, 1e-3), rng.uniform(0, 2 - lo)])
-            lo, hi = Fraction(lo), Fraction(hi)
+            ends.append((Fraction(lo), Fraction(lo + rng.choice([rng.uniform(0, 1e-3),
+                                                                 rng.uniform(0, 2 - lo)]))))
+        checked = 0
+        for lo, hi in ends:
             if not lo < hi:
                 continue
             a, b = _simplest_tangent(lo, hi)

@@ -178,17 +178,62 @@ def test_one_square_and_multiply():
 
 
 def test_one_remainder_sequence():
-    # exactalg._remainders is the one Euclidean sequence, behind poly_gcd,
-    # resultant and _sturm; _squarefree_parts divides by each gcd in turn.
-    # A second remainder loop would fork the sequence again
-    found = sorted({"%s.%s" % (name, fn.name)
-                    for name in ("exactalg", "lambdamat", "seifert", "theta")
-                    for fn in ast.walk(ast.parse((SRC / (name + ".py")).read_text("utf-8")))
-                    if isinstance(fn, ast.FunctionDef)
-                    for loop in ast.walk(fn) if isinstance(loop, ast.While)
-                    for node in ast.walk(loop)
-                    if isinstance(node, ast.Name) and node.id == "_poly_divmod"})
-    assert found == ["exactalg._remainders", "exactalg._squarefree_parts"]
+    # exactalg._remainders is the one Euclidean sequence, primitive integer
+    # pseudo-remainders, behind poly_gcd, resultant and _sturm;
+    # _squarefree_parts divides by each gcd in turn.  A second remainder
+    # loop, by division or by pseudo-division (a pop of the leading
+    # coefficient in a loop), would fork the sequence again
+    def divides(loop):
+        return any(isinstance(node, ast.Name) and node.id == "_poly_divmod"
+                   or isinstance(node, ast.For) and any(
+                       isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                       and call.func.attr == "pop" for call in ast.walk(node))
+                   for node in ast.walk(loop))
+
+    found, callers = set(), set()
+    for name in ("exactalg", "lambdamat", "seifert", "theta"):
+        for fn in ast.walk(ast.parse((SRC / (name + ".py")).read_text("utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                if any(isinstance(loop, ast.While) and divides(loop) for loop in ast.walk(fn)):
+                    found.add("%s.%s" % (name, fn.name))
+                if any(isinstance(node, ast.Name) and node.id == "_remainders"
+                       for node in ast.walk(fn)):
+                    callers.add("%s.%s" % (name, fn.name))
+    assert sorted(found) == ["exactalg._remainders", "exactalg._squarefree_parts"]
+    assert sorted(callers) == ["exactalg._sturm", "exactalg.poly_gcd", "exactalg.resultant"]
+    # the members are integers from the start: no rescaling after the fact
+    assert not hasattr(knotcovers.exactalg, "_integral")
+
+
+def test_delta_and_arcs_build_no_fraction(monkeypatch, rng):
+    # Delta is one integer determinant of the Seifert pencil, and the arc
+    # table reads integer Sturm chains, integer cross products for its
+    # tangents and integer inertia: neither constructs a Fraction
+    from knotcovers.lambdamat import SingularEvaluation
+    from knotcovers.seifert import Knot, corpus_records, random_seifert
+    from test_seifert import torus_seifert
+
+    made, new = [], Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    knots = [rec.knot for rec in corpus_records()]
+    knots += [Knot(random_seifert(g, rng)) for g in range(1, 7) for _ in range(6)]
+    knots += [Knot(torus_seifert(a, a + 1)) for a in (2, 3, 4)]
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    tables = 0
+    for knot in knots:
+        knot.delta
+        try:
+            knot.arcs
+            tables += 1
+        except SingularEvaluation:
+            pass
+    assert made == [] and tables > 40
+    Fraction(1, 3)  # the counter does see one
+    assert made == [(1, 3)]
 
 
 def _miller_rabin(n):
@@ -216,9 +261,10 @@ def _miller_rabin(n):
 
 def test_one_characteristic_polynomial(monkeypatch):
     # exactalg._charpoly, by Hessenberg reduction mod primes and CRT, is the
-    # one characteristic polynomial, behind Knot.charpoly (so Delta and
-    # beta) and denominator_to_tp; Faddeev-LeVerrier is a test oracle.  It
-    # reaches no numpy, and every prime it reduces by is one
+    # one characteristic polynomial, behind denominator_to_tp alone (Delta
+    # is the Seifert pencil's determinant; Gamma's chi is a test oracle, as
+    # is Faddeev-LeVerrier).  It reaches no numpy, and every prime it
+    # reduces by is one
     import knotcovers.exactalg as exactalg
 
     found, callers = [], []
@@ -234,7 +280,7 @@ def test_one_characteristic_polynomial(monkeypatch):
                     if any(isinstance(node, ast.Name) and node.id == "_charpoly"
                            for node in ast.walk(fn))]
     assert found == ["exactalg._charpoly"]
-    assert sorted(callers) == ["exactalg.denominator_to_tp", "seifert.Knot.charpoly"]
+    assert callers == ["exactalg.denominator_to_tp"]
 
     tree = ast.parse((SRC / "exactalg.py").read_text(encoding="utf-8"))
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -278,7 +324,9 @@ def test_one_characteristic_polynomial(monkeypatch):
     monkeypatch.setattr(exactalg, "_PRIMES", [2 ** 62 - 57])
     monkeypatch.setattr(exactalg, "_hessenberg", counted)
     big = [[(-1) ** (i * j) * 2 ** (150 + 7 * i + j) + i for j in range(6)] for i in range(6)]
-    gamma = knotcovers.seifert.Knot(_GENUS_2).gamma
+    from test_seifert import seifert_gamma
+
+    gamma = seifert_gamma(_GENUS_2)
     for M in (big, gamma, [[2 ** 200]], [[Fraction(1, 3) ** 40, 2], [1, 7]]):
         used.append([])
         chi = exactalg._charpoly(M)
