@@ -25,7 +25,6 @@ from .exactalg import (
     LaurentPoly,
     RatFun,
     cyclotomic_norm,
-    denominator_to_tp,
     mahler_measure,
     wheels_coefficients,
 )
@@ -59,7 +58,7 @@ from .branched import (
     torsion_order,
     total_sigma_p,
 )
-from .theta import ThetaClass, res_p_theta
+from .theta import ThetaClass, denominator_to_tp, res_p_theta
 from .graphs import (
     count_admissible,
     disjoint_union,
@@ -126,8 +125,9 @@ def criterion_01(ctx: AcceptanceContext):
 def criterion_02(ctx: AcceptanceContext):
     """Normalized clover determinant equals the Alexander polynomial and
     per-root clover signatures equal the Seifert signature function: per
-    knot, the regular roots k/p (p <= 10) in one stacked call per route,
-    compared root by root, and each singular root refused by both."""
+    knot, the regular roots k/p (p <= 10) in one stacked call per float
+    route, compared root by root with each other and with the arc table's
+    ``signature_function``, and each singular root refused by both."""
     import numpy as np
 
     ps = np.repeat(np.arange(2, 11), np.arange(1, 10))
@@ -150,9 +150,12 @@ def criterion_02(ctx: AcceptanceContext):
                 except SingularEvaluation:
                     pass
         kr, pr = ks[~singular], ps[~singular]
-        bad = varsigma_at(W, kr, pr) != sigma_at_omega(K, ws[~singular])
-        check(not bad.any(), "signature mismatch at k/p=%s"
-              % ", ".join("%d/%d" % kp for kp in zip(kr[bad], pr[bad])))
+        want = sigma_at_omega(K, ws[~singular])
+        arcs = np.array([signature_function(K, k, p) for k, p in zip(kr.tolist(), pr.tolist())])
+        for what, got in (("signature", varsigma_at(W, kr, pr)), ("arc table", arcs)):
+            bad = got != want
+            check(not bad.any(), "%s mismatch at k/p=%s"
+                  % (what, ", ".join("%d/%d" % kp for kp in zip(kr[bad], pr[bad]))))
 
 
 def criterion_03(ctx: AcceptanceContext):

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import json
 import os
 import random
@@ -505,6 +506,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _table_parse(argv)
     if args is None:
         args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    # a command makes many short-lived containers and almost no cycles: a pass
+    # of the cyclic collector there is pure cost, a third of a short command's
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
@@ -520,6 +525,9 @@ def main(argv: list[str] | None = None) -> int:
     except _VALIDATION_ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -14,13 +14,12 @@ Everything an abelian knot invariant needs downstream lives here:
   pseudo-remainders (gcds, resultants, Sturm chains); ``_power``, the one
   square and multiply, behind powers of ``LaurentPoly``, of Lambda-matrices,
   modulo a monic polynomial (``_powmod``, shared by cyclotomic norms and
-  ``denominator_to_tp``) and in ``Knot.beta``; the matrix of multiplication
-  in Q[x]/m (``_mul_rows``, shared by the last two); the one characteristic
-  polynomial, by Hessenberg reduction mod word-size primes and CRT
-  (``_charpoly``, behind ``denominator_to_tp``); cyclotomic norms
-  prod_{w^p=1} f(w), rewriting of denominators into polynomials in t^p,
-  Mahler measures, and the coefficients of the wheels generating series
-  (1/2) log(sinh(x/2)/(x/2)) from Bernoulli numbers.
+  ``theta.denominator_to_tp``) and in ``Knot.beta``; the matrix of
+  multiplication in Q[x]/m (``_mul_rows``, shared by the last two, whose
+  characteristic polynomial ``theta.denominator_to_tp`` takes from the one
+  determinant kernel, ``LambdaMatrix.det``); cyclotomic norms
+  prod_{w^p=1} f(w), Mahler measures, and the coefficients of the wheels
+  generating series (1/2) log(sinh(x/2)/(x/2)) from Bernoulli numbers.
 
 All core arithmetic is exact (int, and Fraction where it must be).
 Floating point enters only in clearly named numeric helpers: unit-circle
@@ -37,7 +36,6 @@ only once numpy is loaded, the only way such a value can exist.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
@@ -53,7 +51,6 @@ __all__ = [
     "poly_gcd",
     "cyclotomic_norm",
     "regular_at_p",
-    "denominator_to_tp",
     "mahler_measure",
     "wheels_coefficients",
 ]
@@ -741,137 +738,6 @@ def _as_ratfun(x) -> RatFun:
     if isinstance(x, LaurentPoly):
         return RatFun(x)
     return RatFun(LaurentPoly.const(x))
-
-
-# ---------------------------------------------------------------------------
-# rewriting denominators as polynomials in t^p
-
-
-# Miller-Rabin bases exact for every n < 2^64 (Sinclair's seven)
-_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-# the primes below 2^62, descending: the largest four, so that no start pays
-# for a search, and more found as ``_charpoly`` needs them
-_PRIMES = [(1 << 62) - c for c in (57, 87, 117, 143)]
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for an odd 2^31 < n < 2^64."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
-    for a in _MR_BASES:
-        x = pow(a, (n - 1) >> s, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _hessenberg(A: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    """An upper Hessenberg matrix similar to A mod the prime p.  Column j
-    takes a nonzero pivot onto its subdiagonal (a row and column swap), then
-    row r > j + 1 loses u_r times the pivot row and column j + 1 gains u_r
-    times column r; those column moves commute, so they are one pass."""
-    n = len(A)
-    H = [[x % p for x in row] for row in A]
-    for j in range(n - 2):
-        j1 = j + 1
-        piv = next((i for i in range(j1, n) if H[i][j]), None)
-        if piv is None:
-            continue
-        if piv != j1:
-            H[piv], H[j1] = H[j1], H[piv]
-            for row in H:
-                row[piv], row[j1] = row[j1], row[piv]
-        inv = pow(H[j1][j], -1, p)
-        prow = H[j1][j:]
-        us = [H[r][j] * inv % p for r in range(j1 + 1, n)]
-        if not any(us):
-            continue
-        for r, u in enumerate(us, j1 + 1):
-            if u:
-                H[r][j:] = [(a - u * b) % p for a, b in zip(H[r][j:], prow)]
-        for row in H:
-            row[j1] = (row[j1] + sum(map(operator.mul, us, row[j1 + 1:]))) % p
-    return H
-
-
-def _charpoly(M) -> list:
-    """Characteristic polynomial det(xI - M), ascending: int coefficients for
-    an integer M; the norm polynomial of ``denominator_to_tp``.  A rational M
-    is scaled first by the common denominator L of its entries,
-    det(xI - M) = L^-n det(yI - LM) at y = L x.
-
-    The integer matrix goes to Hessenberg form mod primes below 2^62
-    (``_hessenberg``), where the recurrence p_(m+1) = (x - h_mm) p_m -
-    sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_i gives det(xI - H) mod each
-    prime; CRT joins them once the primes' product passes twice a bound on
-    every coefficient, |c_k| <= C(n, k) times the product of the k largest
-    row norms (Hadamard on each principal k-minor); O(n^3) operations on
-    word-size residues per prime (Cohen, *A Course in Computational
-    Algebraic Number Theory*, 1993, ch. 2)."""
-    n = len(M)
-    L = math.lcm(*(x.denominator for row in M for x in row))
-    A = [[int(x * L) for x in row] for row in M]
-    bound = prod = 1
-    for k, s in enumerate(sorted((sum(x * x for x in row) for row in A), reverse=True), 1):
-        prod *= s
-        bound = max(bound, math.comb(n, k) * (math.isqrt(prod) + 1))
-    chi, modulus, used = [0] * (n + 1), 1, 0
-    while modulus <= 2 * bound:
-        if used == len(_PRIMES):
-            q = _PRIMES[-1] - 2
-            while not _is_prime(q):
-                q -= 2
-            _PRIMES.append(q)
-        p = _PRIMES[used]
-        used += 1
-        H = _hessenberg(A, p)
-        polys = [[1]]
-        for m in range(n):
-            new = [0] + polys[m]
-            hm = H[m][m]
-            new[:m + 1] = [a - hm * c for a, c in zip(new, polys[m])]
-            t = 1
-            for i in range(m - 1, -1, -1):
-                t = t * H[i + 1][i] % p
-                if not t:
-                    break
-                u = H[i][m] * t % p
-                if u:
-                    new[:i + 1] = [a - u * c for a, c in zip(new, polys[i])]
-            polys.append([c % p for c in new])
-        inv = pow(modulus, -1, p)
-        chi = [c + modulus * ((r - c) * inv % p) for c, r in zip(chi, polys[n])]
-        modulus *= p
-    chi = [c - modulus if 2 * c > modulus else c for c in chi]
-    return chi if L == 1 else [_qdiv(c, L ** (n - k)) for k, c in enumerate(chi)]
-
-
-def denominator_to_tp(r: RatFun, p: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """Rewrite r = P(t) / Qp(t^p) and return (P, Qp).
-
-    Qp(s) = |lc(q)|^p prod (s - a^p) over the roots a of the denominator q,
-    so q(t) divides Qp(t^p): the characteristic polynomial of multiplication
-    by z^p on Q[z]/q(z), the rows z^i (z^p mod q) (``_powmod``,
-    ``_mul_rows``), scaled to the positive leading coefficient |lc(q)|^p.
-    P is then forced by exact division, so r == P / Qp(t^p) identically.
-    """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    q = r.den
-    if q == LaurentPoly.one():  # canonical: q(1) = 1, so the only constant q
-        return r.num, LaurentPoly.one()
-    qhat = _trim(q._ascending()[0])
-    lc = qhat[-1]
-    monic = [_qdiv(c, lc) for c in qhat]
-    chi = _charpoly(_mul_rows(_powmod([0, 1], p, monic), monic))
-    Qp = LaurentPoly.from_coeffs([c * abs(lc) ** p for c in chi])
-    Qp_tp = LaurentPoly({p * e: v for e, v in Qp.coeffs.items()})
-    return r.num * Qp_tp.divexact(q), Qp
 
 
 # ---------------------------------------------------------------------------

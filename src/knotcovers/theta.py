@@ -18,7 +18,10 @@ The two quantities consumed downstream:
 
 * ``res_p_theta(Q, p)`` -- the finite residue
   (1/p) * sum over p-th roots w1, w2 of f(w1) g(w2) h((w1 w2)^-1),
-  an exact Fraction for every class.
+  an exact Fraction for every class.  A rational slot is first rewritten
+  over a denominator in t^p (``denominator_to_tp``), whose norm
+  polynomial is the determinant of a pencil by ``LambdaMatrix.det``, the
+  package's one determinant kernel.
 * ``torus_average(Q)`` -- the limiting average over the 2-torus, exact
   diagonal-coefficient sum for polynomial slots, FFT trapezoid otherwise.
 
@@ -36,13 +39,15 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Mapping, NamedTuple, Sequence
 
-from .exactalg import (_ON_CIRCLE, LaurentPoly, RatFun, _frac, _json_object, _qdiv,
-                       _roots_by_part, denominator_to_tp)
+from .exactalg import (_ON_CIRCLE, LaurentPoly, RatFun, _frac, _json_object, _mul_rows,
+                       _powmod, _qdiv, _roots_by_part, _trim)
+from .lambdamat import LambdaMatrix
 
 __all__ = [
     "QSingularAtP",
     "SingularOnTorus",
     "ThetaClass",
+    "denominator_to_tp",
     "res_p_theta",
     "torus_average",
 ]
@@ -275,6 +280,31 @@ def _fold(F: Mapping[int, int], p: int) -> dict[int, int]:
     for e, v in F.items():
         out[e % p] = out.get(e % p, 0) + v
     return out
+
+
+def denominator_to_tp(r: RatFun, p: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """Rewrite r = P(t) / Qp(t^p) and return (P, Qp).
+
+    Qp(s) = |lc(q)|^p prod (s - a^p) over the roots a of the denominator q,
+    so q(t) divides Qp(t^p): det(sI - M), M the matrix of multiplication by
+    z^p on Q[z]/q(z), the rows z^i (z^p mod q) (``_powmod``, ``_mul_rows``),
+    as the determinant of the pencil sI - M (``LambdaMatrix.det``), scaled
+    to the positive leading coefficient |lc(q)|^p.  P is then forced by
+    exact division, so r == P / Qp(t^p) identically.
+    """
+    if p < 1:
+        raise ValueError("p must be a positive integer")
+    q = r.den
+    if q == LaurentPoly.one():  # canonical: q(1) = 1, so the only constant q
+        return r.num, LaurentPoly.one()
+    qhat = _trim(q._ascending()[0])
+    lc = qhat[-1]
+    monic = [_qdiv(c, lc) for c in qhat]
+    M = _mul_rows(_powmod([0, 1], p, monic), monic)
+    pencil = {0: [[-x for x in row] for row in M], 1: LambdaMatrix.identity(len(M)).coeffs[0]}
+    Qp = LambdaMatrix.from_coeffs(pencil, len(M)).det() * abs(lc) ** p
+    Qp_tp = LaurentPoly({p * e: v for e, v in Qp.coeffs.items()})
+    return r.num * Qp_tp.divexact(q), Qp
 
 
 def _residue_classes(slot: RatFun, p: int) -> tuple[dict[int, int], "int | Fraction"]:

@@ -114,6 +114,26 @@ def test_one_wrong_root_fails_the_stacked_cross_check(monkeypatch, capsys):
     assert re.match(r"criterion\s+3: FAIL .* trefoil p=2: production route$", lines[1]), lines[1]
 
 
+def test_a_wrong_arc_table_fails_criterion_2(monkeypatch):
+    # criterion 2 reads the production arc table (signature_function) at
+    # every regular root as well: negating the trefoil's arc (1/6, 1/2),
+    # through the inertia kernel that seifert binds, shows at each regular
+    # k/p, p <= 10, strictly between 1/6 and 5/6, while both float routes
+    # still agree
+    real = seifert._inertia
+
+    def wrong_inertia(M):
+        hit = M == [[-2, 1], [1, -2]]  # before the kernel eliminates in place
+        plus, minus, zero = real(M)
+        return (minus, plus, zero) if hit else (plus, minus, zero)
+
+    monkeypatch.setattr(seifert, "_inertia", wrong_inertia)
+    roots = ", ".join("%d/%d" % (k, p) for p in range(2, 11) for k in range(1, p)
+                      if p < 6 * k < 5 * p)
+    with pytest.raises(AssertionError, match="^arc table mismatch at k/p=%s$" % roots):
+        criterion_02(AcceptanceContext())
+
+
 def test_one_wrong_clover_root_fails_criteria_2_and_3(monkeypatch, capsys):
     real = acceptance.varsigma_at
 

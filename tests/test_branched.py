@@ -375,9 +375,9 @@ class TestArcTable:
 class TestDerivedOnce:
     def test_report_computes_each_beta_once_and_no_delta(self, monkeypatch):
         recs = [r for r in corpus_records() if r.name in ("trefoil", "random-g3-a")]
-        dets, rdets, norms, bdets, charpolys = [], [], [], [], []
+        dets, rdets, norms, bdets = [], [], [], []
         det, rdet, norm = LambdaMatrix.det, knotcovers.seifert.rational_det, cyclotomic_norm
-        bareiss, charpoly = knotcovers.seifert._bareiss, knotcovers.exactalg._charpoly
+        bareiss = knotcovers.seifert._bareiss
 
         def counted_det(M):
             dets.append(M.n)
@@ -395,15 +395,10 @@ class TestDerivedOnce:
             bdets.append(len(M))
             return bareiss(M)
 
-        def counted_charpoly(M):
-            charpolys.append(len(M))
-            return charpoly(M)
-
         monkeypatch.setattr(LambdaMatrix, "det", counted_det)
         monkeypatch.setattr(knotcovers.seifert, "rational_det", counted_rdet)
         monkeypatch.setattr(knotcovers.exactalg, "cyclotomic_norm", counted_norm)
         monkeypatch.setattr(knotcovers.seifert, "_bareiss", counted_bareiss)
-        monkeypatch.setattr(knotcovers.exactalg, "_charpoly", counted_charpoly)
         exact = []
         signature_exact = knotcovers.lambdamat.signature_exact
 
@@ -428,10 +423,10 @@ class TestDerivedOnce:
             # is read off the arc table, so neither the clover form nor exact
             # inertia runs
             assert bdets == [n // 2] * 20, rec.name
-            assert charpolys == [], rec.name
             assert rdets == [] and exact == []
         for name in ("_mat_pow", "_mat_mul", "_charpoly"):
             assert not hasattr(knotcovers.seifert, name), name
+        assert not hasattr(knotcovers.exactalg, "_charpoly")  # no characteristic polynomial
         assert not hasattr(knotcovers.exactalg, "_mat_mul")  # no matrix product left
         for module in (knotcovers.seifert, knotcovers.branched):
             assert not hasattr(module, "cyclotomic_norm")

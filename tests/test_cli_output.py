@@ -355,3 +355,40 @@ def test_well_formed_command_lines_take_the_table_path(tmp_path):
         ours = _table_parse(argv)
         assert ours is not None, argv
         assert vars(ours) == vars(parser.parse_args(argv)), argv
+
+
+def test_a_command_runs_with_the_cyclic_collector_paused(monkeypatch, capsys):
+    # paused while the command runs and left as the caller had it after: on
+    # success, on invalid input (exit 2), on an exception that escapes main,
+    # and paused still when the caller had paused it
+    import gc
+
+    import knotcovers.cli
+
+    real, seen = knotcovers.cli.signature_function, []
+    fail = []
+
+    def recorded(knot, k, p):
+        seen.append(gc.isenabled())
+        if fail:
+            raise fail[0]
+        return real(knot, k, p)
+
+    monkeypatch.setattr(knotcovers.cli, "signature_function", recorded)
+    argv = ["signature", "--knot", "trefoil", "--p", "7"]
+    assert gc.isenabled()
+    try:
+        assert main(argv) == 0 and seen and not any(seen) and gc.isenabled()
+        fail.append(ValueError("bad input"))
+        assert main(argv) == 2 and gc.isenabled()
+        fail[0] = RuntimeError("a bug")
+        with pytest.raises(RuntimeError):
+            main(argv)
+        assert gc.isenabled()
+        fail[0] = ValueError("bad input")
+        gc.disable()
+        assert main(argv) == 2 and not gc.isenabled()
+    finally:
+        gc.enable()
+    assert len(seen) == 6 + 3 and not any(seen)
+    capsys.readouterr()

@@ -1,6 +1,8 @@
 """Exact Laurent arithmetic, resultants, local denominators, series."""
 
 import math
+import operator
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,6 @@ from knotcovers.exactalg import (
     RatFun,
     SingularAtOne,
     SingularEvaluation,
-    _charpoly,
     _frac,
     _mul_rows,
     _mulmod,
@@ -21,12 +22,12 @@ from knotcovers.exactalg import (
     _poly_divmod,
     _power,
     _powmod,
+    _qdiv,
     _roots_by_part,
     _trace_poly,
     _trim,
     circle_roots,
     cyclotomic_norm,
-    denominator_to_tp,
     mahler_measure,
     poly_gcd,
     regular_at_p,
@@ -34,6 +35,7 @@ from knotcovers.exactalg import (
     wheels_coefficients,
 )
 from knotcovers.lambdamat import LambdaMatrix
+from knotcovers.theta import denominator_to_tp
 
 t = LaurentPoly.t()
 one = LaurentPoly.one()
@@ -321,10 +323,9 @@ def _mat_pow(M, p: int):
 
 
 def _faddeev_leverrier(M) -> list:
-    """Oracle for ``_charpoly``: det(xI - M), ascending, by Faddeev-LeVerrier
-    (n matrix products, an n^4 cost law; the package's route before the
-    modular Hessenberg one); int coefficients for an integer M, whose traces
-    make each -tr/k exact."""
+    """Oracle for the characteristic polynomial det(xI - M), ascending, by
+    Faddeev-LeVerrier (n matrix products, an n^4 cost law); int coefficients
+    for an integer M, whose traces make each -tr/k exact."""
     d = len(M)
     integral = all(isinstance(x, int) for row in M for x in row)
     cs = [1]
@@ -341,20 +342,163 @@ def _faddeev_leverrier(M) -> list:
     return list(reversed(cs))
 
 
+def _miller_rabin(n):
+    """Deterministic Miller-Rabin with the twelve prime bases 2..37: exact
+    for every n below 318,665,857,834,031,151,167,461, about 3.2e23
+    (Sorenson and Webster 2015), so for every n < 2^64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# Miller-Rabin bases exact for every n < 2^64 (Sinclair's seven)
+_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+# the primes below 2^62, descending: the largest four, and more found as
+# ``_hessenberg_charpoly`` needs them
+_PRIMES = [(1 << 62) - c for c in (57, 87, 117, 143)]
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for an odd 2^31 < n < 2^64."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _hessenberg(A, p: int) -> list[list[int]]:
+    """An upper Hessenberg matrix similar to A mod the prime p.  Column j
+    takes a nonzero pivot onto its subdiagonal (a row and column swap), then
+    row r > j + 1 loses u_r times the pivot row and column j + 1 gains u_r
+    times column r; those column moves commute, so they are one pass."""
+    n = len(A)
+    H = [[x % p for x in row] for row in A]
+    for j in range(n - 2):
+        j1 = j + 1
+        piv = next((i for i in range(j1, n) if H[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j1:
+            H[piv], H[j1] = H[j1], H[piv]
+            for row in H:
+                row[piv], row[j1] = row[j1], row[piv]
+        inv = pow(H[j1][j], -1, p)
+        prow = H[j1][j:]
+        us = [H[r][j] * inv % p for r in range(j1 + 1, n)]
+        if not any(us):
+            continue
+        for r, u in enumerate(us, j1 + 1):
+            if u:
+                H[r][j:] = [(a - u * b) % p for a, b in zip(H[r][j:], prow)]
+        for row in H:
+            row[j1] = (row[j1] + sum(map(operator.mul, us, row[j1 + 1:]))) % p
+    return H
+
+
+def _hessenberg_charpoly(M) -> list:
+    """Oracle for the characteristic polynomial det(xI - M), ascending: int
+    coefficients for an integer M.  A rational M is scaled first by the
+    common denominator L of its entries, det(xI - M) = L^-n det(yI - LM) at
+    y = L x.
+
+    The integer matrix goes to Hessenberg form mod primes below 2^62
+    (``_hessenberg``), where the recurrence p_(m+1) = (x - h_mm) p_m -
+    sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_i gives det(xI - H) mod each
+    prime; CRT joins them once the primes' product passes twice a bound on
+    every coefficient, |c_k| <= C(n, k) times the product of the k largest
+    row norms (Hadamard on each principal k-minor); O(n^3) operations on
+    word-size residues per prime (Cohen, *A Course in Computational
+    Algebraic Number Theory*, 1993, ch. 2)."""
+    n = len(M)
+    L = math.lcm(*(x.denominator for row in M for x in row))
+    A = [[int(x * L) for x in row] for row in M]
+    bound = prod = 1
+    for k, s in enumerate(sorted((sum(x * x for x in row) for row in A), reverse=True), 1):
+        prod *= s
+        bound = max(bound, math.comb(n, k) * (math.isqrt(prod) + 1))
+    chi, modulus, used = [0] * (n + 1), 1, 0
+    while modulus <= 2 * bound:
+        if used == len(_PRIMES):
+            q = _PRIMES[-1] - 2
+            while not _is_prime(q):
+                q -= 2
+            _PRIMES.append(q)
+        p = _PRIMES[used]
+        used += 1
+        H = _hessenberg(A, p)
+        polys = [[1]]
+        for m in range(n):
+            new = [0] + polys[m]
+            hm = H[m][m]
+            new[:m + 1] = [a - hm * c for a, c in zip(new, polys[m])]
+            t = 1
+            for i in range(m - 1, -1, -1):
+                t = t * H[i + 1][i] % p
+                if not t:
+                    break
+                u = H[i][m] * t % p
+                if u:
+                    new[:i + 1] = [a - u * c for a, c in zip(new, polys[i])]
+            polys.append([c % p for c in new])
+        inv = pow(modulus, -1, p)
+        chi = [c + modulus * ((r - c) * inv % p) for c, r in zip(chi, polys[n])]
+        modulus *= p
+    chi = [c - modulus if 2 * c > modulus else c for c in chi]
+    return chi if L == 1 else [_qdiv(c, L ** (n - k)) for k, c in enumerate(chi)]
+
+
+def _pencil_charpoly(M) -> list:
+    """det(xI - M), ascending, the production way: the determinant of the
+    pencil xI - M by ``LambdaMatrix.det`` (``theta.denominator_to_tp``)."""
+    n = len(M)
+    pencil = {0: [[-x for x in row] for row in M], 1: [[int(i == j) for j in range(n)]
+                                                        for i in range(n)]}
+    chi = LambdaMatrix.from_coeffs(pencil, n).det()
+    return [chi.coeff(k) for k in range(n + 1)]
+
+
 class TestCharpoly:
+    # the subject is the pencil determinant; the modular Hessenberg route and
+    # Faddeev-LeVerrier are its oracles, and each other's
+    ROUTES = (_pencil_charpoly, _hessenberg_charpoly)
+
     def test_integer_matrix_keeps_int_coefficients(self):
         # trace 4, principal 2x2 minors 5 - 2 - 4 = -1, det -7:
         # det(sI - M) = s^3 - 4 s^2 - s + 7
         M = [[2, 1, 0], [1, 3, 1], [0, 1, -1]]
-        chi = _charpoly(M)
-        assert chi == [7, -1, -4, 1]
-        assert all(type(c) is int for c in chi)
-        assert _charpoly([]) == [1]
+        for charpoly in self.ROUTES:
+            chi = charpoly(M)
+            assert chi == [7, -1, -4, 1]
+            assert all(type(c) is int for c in chi)
+            assert charpoly([]) == [1]
 
     def test_rational_matrix_is_exact(self):
         # det(sI - M) = s^2 - (1/2 + 1/3) s + 1/6 - 1/4
         M = [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]]
-        assert _charpoly(M) == [Fraction(-1, 12), Fraction(-5, 6), 1]
+        for charpoly in self.ROUTES:
+            assert charpoly(M) == [Fraction(-1, 12), Fraction(-5, 6), 1]
 
     def test_matches_faddeev_leverrier_on_seeded_integer_matrices(self, rng):
         # dense and sparse, n <= 12, entries up to 2^40 of both signs: the
@@ -365,9 +509,11 @@ class TestCharpoly:
             density = rng.choice([0.2, 0.6, 1.0])
             M = [[rng.randint(-bound, bound) if rng.random() < density else 0
                   for _ in range(n)] for _ in range(n)]
-            chi = _charpoly(M)
-            assert chi == _faddeev_leverrier(M), M
-            assert all(type(c) is int for c in chi)
+            want = _faddeev_leverrier(M)
+            for charpoly in self.ROUTES:
+                chi = charpoly(M)
+                assert chi == want, M
+                assert all(type(c) is int for c in chi)
 
     def test_degenerate_matrices(self):
         # 0 x 0, 1 x 1, zero, nilpotent (strictly upper, where every column
@@ -386,11 +532,12 @@ class TestCharpoly:
             [[1, 2, 3], [4, 5, 6], [7, 8, 9]],  # rank 2
             [[int(j == (i + 2) % 5) for j in range(5)] for i in range(5)],
         ]
-        for M in cases:
-            assert _charpoly(M) == _faddeev_leverrier(M), M
-        assert _charpoly([]) == [1] and _charpoly([[-7]]) == [7, 1]
-        assert _charpoly(cases[4]) == [0] * 5 + [1]
-        assert _charpoly([[2, -4], [1, -2]]) == [0, 0, 1]
+        for charpoly in self.ROUTES:
+            for M in cases:
+                assert charpoly(M) == _faddeev_leverrier(M), M
+            assert charpoly([]) == [1] and charpoly([[-7]]) == [7, 1]
+            assert charpoly(cases[4]) == [0] * 5 + [1]
+            assert charpoly([[2, -4], [1, -2]]) == [0, 0, 1]
 
     def test_rational_matrices_scale_to_integers(self, rng):
         # det(xI - M) = L^-n det(yI - LM) at y = L x, L the common denominator
@@ -398,7 +545,58 @@ class TestCharpoly:
             n = rng.randint(1, 6)
             M = [[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 12, 2 ** 30]))
                   for _ in range(n)] for _ in range(n)]
-            assert _charpoly(M) == _faddeev_leverrier(M), M
+            want = _faddeev_leverrier(M)
+            for charpoly in self.ROUTES:
+                assert charpoly(M) == want, M
+
+    def test_pencil_matches_the_hessenberg_oracle(self, rng):
+        # integer and rational, n <= 6, entries up to 2^80: the same values,
+        # each an int exactly when integral
+        for trial in range(300):
+            n = rng.randint(1, 6)
+            bound = rng.choice([3, 2 ** 20, 2 ** 80])
+            den = [1] if trial % 2 == 0 else [1, 2, 3, 5, 2 ** 40]
+            M = [[Fraction(rng.randint(-bound, bound), rng.choice(den)) for _ in range(n)]
+                 for _ in range(n)]
+            M = [[_frac(x) for x in row] for row in M]
+            chi = _pencil_charpoly(M)
+            want = _hessenberg_charpoly(M)
+            assert chi == want and list(map(type, chi)) == list(map(type, want)), M
+
+    def test_oracle_reduces_by_enough_distinct_primes(self, monkeypatch):
+        # every prime the Hessenberg oracle reduces by is one, below 2^62,
+        # used once, and their product passes twice its coefficients; the
+        # list it grows skips no prime, and the four it starts from are the
+        # largest below 2^62
+        assert not any(map(_miller_rabin, (561, 2047, 3215031751, 3825123056546413051)))
+        assert _miller_rabin(2 ** 61 - 1) and _miller_rabin(2 ** 62 - 57)
+        hessenberg, used = _hessenberg, []
+
+        def counted(A, p):
+            used[-1].append(p)
+            return hessenberg(A, p)
+
+        # all but the largest found again
+        monkeypatch.setattr(sys.modules[__name__], "_PRIMES", [2 ** 62 - 57])
+        monkeypatch.setattr(sys.modules[__name__], "_hessenberg", counted)
+        big = [[(-1) ** (i * j) * 2 ** (150 + 7 * i + j) + i for j in range(6)] for i in range(6)]
+        from test_seifert import seifert_gamma
+
+        gamma = seifert_gamma([[-1, 1, 0, 0], [0, -1, 0, 0], [0, 0, 1, 1], [0, 0, 0, -1]])
+        for M in (big, gamma, [[2 ** 200]], [[Fraction(1, 3) ** 40, 2], [1, 7]]):
+            used.append([])
+            chi = _hessenberg_charpoly(M)
+            primes = used[-1]
+            assert primes and len(set(primes)) == len(primes)
+            assert all(p < 2 ** 62 and _miller_rabin(p) for p in primes), primes
+            scale = math.lcm(*(Fraction(x).denominator for row in M for x in row))
+            top = max(abs(Fraction(c) * scale ** (len(M) - k)) for k, c in enumerate(chi))
+            assert math.prod(primes) > 2 * top  # enough of them for the CRT to be exact
+        listed = _PRIMES
+        assert len(used[0]) >= 12 and len(listed) >= len(used[0])
+        assert listed == [q for q in range(2 ** 62 - 1, listed[-1] - 1, -2) if _miller_rabin(q)]
+        monkeypatch.undo()
+        assert _PRIMES[:4] == listed[:4]
 
 
 def _companion(monic: list) -> list[list]:
@@ -513,6 +711,19 @@ class TestPower:
             want = _mat_mul(want, M)
 
 
+def _oracle_rewrite(r: RatFun, p: int, charpoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """(P, Qp) with r = P / Qp(t^p), Qp = |lc(q)|^p charpoly of the rows
+    z^i (z^p mod q) for the denominator q of r."""
+    q = r.den
+    qhat = [q.coeff(e) for e in range(q.max_exp + 1)]
+    lc = qhat[-1]
+    monic = [_qdiv(c, lc) for c in qhat]
+    chi = charpoly(_mul_rows(_powmod([0, 1], p, monic), monic))
+    Qp = LaurentPoly.from_coeffs([c * abs(lc) ** p for c in chi])
+    Qp_tp = LaurentPoly({p * e: v for e, v in Qp.coeffs.items()})
+    return r.num * Qp_tp.divexact(q), Qp
+
+
 class TestDenominatorToTp:
     def test_worked_examples(self):
         # 1/(t - 2): the p-fold cover denominator is t^p - 2^p
@@ -563,6 +774,27 @@ class TestDenominatorToTp:
                 assert Qp == LaurentPoly.from_coeffs(want), (r, p)
                 Qp_tp = LaurentPoly({p * e: c for e, c in Qp.coeffs.items()})
                 assert r.num * Qp_tp == P * r.den
+
+    def test_matches_the_oracle_rewrites(self, rng):
+        # the pencil determinant against the rewrite with the modular
+        # Hessenberg chi and with Faddeev-LeVerrier, on random denominators
+        # of degree 1 to 5, integral and rational, monic and not
+        cases = 0
+        while cases < 20:
+            d = 1 + cases % 5
+            scale = rng.choice([1, 1, 3, 7])
+            den = LaurentPoly({e: Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 5]))
+                               for e in range(d)} | {d: Fraction(rng.randint(1, 9), scale)})
+            if den.coeff(0) == 0 or den.eval_one() == 0:
+                continue
+            r = RatFun(LaurentPoly({e: rng.randint(-3, 3) for e in range(-2, 3)}) + one, den)
+            if r.is_polynomial:
+                continue
+            cases += 1
+            for p in (1, 2, 3, 5, 12, 101):
+                got = denominator_to_tp(r, p)
+                for charpoly in (_hessenberg_charpoly, _faddeev_leverrier):
+                    assert got == _oracle_rewrite(r, p, charpoly), (r, p, charpoly)
 
 
 class TestMahler:

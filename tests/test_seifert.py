@@ -9,8 +9,7 @@ import pytest
 
 import knotcovers.seifert
 from knotcovers.branched import total_sigma_p
-from knotcovers.exactalg import (LaurentPoly, _charpoly, _mul_rows, _powmod, circle_roots,
-                                 cyclotomic_norm)
+from knotcovers.exactalg import LaurentPoly, _mul_rows, _powmod, circle_roots, cyclotomic_norm
 from knotcovers.lambdamat import (
     AtOne,
     LambdaMatrix,
@@ -36,7 +35,8 @@ from knotcovers.seifert import (
     validate_seifert,
 )
 from knotcovers.seifert import _simplest_tangent
-from test_exactalg import _faddeev_leverrier, _mat_mul, _mat_pow
+from test_exactalg import (_faddeev_leverrier, _hessenberg_charpoly, _mat_mul, _mat_pow,
+                           _pencil_charpoly)
 from test_lambdamat import _laurent_bareiss
 
 t = LaurentPoly.t()
@@ -168,8 +168,9 @@ def seifert_gamma(A):
 
 
 def seifert_charpoly(A):
-    """chi = det(xI - Gamma), monic, ascending: ``_charpoly`` of Gamma."""
-    return _charpoly(seifert_gamma(A))
+    """chi = det(xI - Gamma), monic, ascending: the modular Hessenberg
+    oracle's characteristic polynomial of Gamma."""
+    return _hessenberg_charpoly(seifert_gamma(A))
 
 
 def chi_delta(A):
@@ -504,26 +505,22 @@ class TestDeltaFromGamma:
 
     def test_delta_is_one_pencil_determinant(self, monkeypatch):
         # one Kronecker determinant of the 2g x 2g pencil per knot, and no
-        # characteristic polynomial
-        calls, charpolys = [], []
-        det, charpoly = LambdaMatrix.det, knotcovers.exactalg._charpoly
+        # characteristic polynomial in the package
+        calls = []
+        det = LambdaMatrix.det
 
         def counted_det(M):
             calls.append(M.n)
             return det(M)
 
-        def counted_charpoly(M):
-            charpolys.append(len(M))
-            return charpoly(M)
-
         monkeypatch.setattr(LambdaMatrix, "det", counted_det)
-        monkeypatch.setattr(knotcovers.exactalg, "_charpoly", counted_charpoly)
         mats = [rec.seifert for rec in corpus_records()] + [torus_seifert(3, 4)]
         for A in mats:
             knot = Knot(A)
             knot.delta
             knot.delta
-        assert calls == [len(A) for A in mats] and charpolys == []
+        assert calls == [len(A) for A in mats]
+        assert not hasattr(knotcovers.exactalg, "_charpoly")
 
 
 @pytest.mark.parametrize("a, b", [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (5, 6), (7, 8)])
@@ -540,10 +537,10 @@ def test_torus_knots_match_theory(a, b):
 
 @pytest.mark.parametrize("a", range(2, 10))
 def test_torus_charpoly_matches_faddeev_leverrier(a):
-    # Gamma of T(a, a + 1), n = a (a - 1) from 2 to 72: the modular
-    # Hessenberg route, with up to four primes, against the n^4 oracle
+    # Gamma of T(a, a + 1), n = a (a - 1) from 2 to 72: the determinant of
+    # the pencil xI - Gamma, as the rewrite takes chi, against the n^4 oracle
     G = seifert_gamma(torus_seifert(a, a + 1))
-    assert _charpoly(G) == _faddeev_leverrier(G)
+    assert _pencil_charpoly(G) == _faddeev_leverrier(G)
 
 
 @pytest.mark.parametrize("a, b, roots", [(5, 6, 10), (7, 8, 21), (9, 10, 36)])

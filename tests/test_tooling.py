@@ -5,7 +5,6 @@ import ast
 import doctest
 import importlib
 import json
-import math
 import os
 import re
 import runpy
@@ -236,113 +235,55 @@ def test_delta_and_arcs_build_no_fraction(monkeypatch, rng):
     assert made == [(1, 3)]
 
 
-def _miller_rabin(n):
-    """Deterministic Miller-Rabin with the twelve prime bases 2..37: exact
-    for every n below 318,665,857,834,031,151,167,461, about 3.2e23
-    (Sorenson and Webster 2015), so for every n < 2^64."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2 or any(n % b == 0 for b in bases):
-        return n in bases
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def test_one_determinant_kernel_for_the_rewrite(monkeypatch):
+    # denominator_to_tp takes its norm polynomial det(sI - M) from
+    # LambdaMatrix.det, the Kronecker determinant behind Delta: the package
+    # keeps no characteristic polynomial routine, no modular reduction and
+    # no prime search (the Hessenberg chi is a test oracle), and the rewrite
+    # reaches one integer Bareiss and no numpy
+    import knotcovers.lambdamat as lambdamat
+    import knotcovers.seifert
+    from knotcovers.exactalg import LaurentPoly, RatFun
+    from knotcovers.theta import denominator_to_tp
 
+    gone = re.compile(r"\b(_charpoly|_hessenberg|_is_prime|_PRIMES|_MR_BASES)\b")
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if gone.search(path.read_text(encoding="utf-8"))] == []
 
-def test_one_characteristic_polynomial(monkeypatch):
-    # exactalg._charpoly, by Hessenberg reduction mod primes and CRT, is the
-    # one characteristic polynomial, behind denominator_to_tp alone (Delta
-    # is the Seifert pencil's determinant; Gamma's chi is a test oracle, as
-    # is Faddeev-LeVerrier).  It reaches no numpy, and every prime it
-    # reduces by is one
-    import knotcovers.exactalg as exactalg
+    dets, seen = [], []
+    det, bareiss = lambdamat.LambdaMatrix.det, lambdamat._bareiss
 
-    found, callers = [], []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        scopes = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
-        scopes += [("%s.%s" % (cls.name, fn.name), fn) for cls in tree.body
-                   if isinstance(cls, ast.ClassDef) for fn in cls.body
-                   if isinstance(fn, ast.FunctionDef)]
-        found += ["%s.%s" % (path.stem, name) for name, fn in scopes
-                  if "charpoly" in name and "." not in name]
-        callers += ["%s.%s" % (path.stem, name) for name, fn in scopes
-                    if any(isinstance(node, ast.Name) and node.id == "_charpoly"
-                           for node in ast.walk(fn))]
-    assert found == ["exactalg._charpoly"]
-    assert callers == ["exactalg.denominator_to_tp"]
+    def counted_det(W):
+        dets.append(W.n)
+        return det(W)
 
-    tree = ast.parse((SRC / "exactalg.py").read_text(encoding="utf-8"))
-    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    reached, todo, numpy = set(), ["_charpoly"], []
-    while todo:
-        name = todo.pop()
-        if name in reached:
-            continue
-        reached.add(name)
-        for node in ast.walk(defs[name]):
-            if isinstance(node, ast.Name) and node.id in defs:
-                todo.append(node.id)
-            root = node.func if isinstance(node, ast.Call) else None
-            while isinstance(root, ast.Attribute):
-                root = root.value
-            if isinstance(root, ast.Name) and root.id in ("np", "numpy"):
-                numpy.append("%s:%d" % (name, node.lineno))
-            numpy += ["%s:%d" % (name, node.lineno) for module in _imported_modules(node)
-                      if module.split(".")[0] == "numpy"]
-    assert {"_hessenberg", "_is_prime"} <= reached and numpy == []
+    def checked(M):
+        seen.append({type(x) for row in M for x in row})
+        return bareiss(M)
+
+    monkeypatch.setattr(lambdamat.LambdaMatrix, "det", counted_det)
+    for module in (lambdamat, knotcovers.seifert):  # seifert holds a copy
+        monkeypatch.setattr(module, "_bareiss", checked)
+    t = LaurentPoly.t()
+    rational = Fraction(1, 3) + Fraction(5, 7) * t - Fraction(1, 21) * t ** 2
+    for den in (3 - 4 * t + 2 * t ** 3, rational):
+        r = RatFun(LaurentPoly.one() + t, den)
+        for p in (1, 5, 12):
+            dets.clear()
+            seen.clear()
+            denominator_to_tp(r, p)
+            assert dets == [den.max_exp] and seen == [{int}], (den, p)
+
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys; from fractions import Fraction; import knotcovers.exactalg as e; "
-            "e._charpoly([[2 ** 300, 1], [3, -5]]); e._charpoly([[Fraction(1, 3), 2], [0, 1]]); "
+    code = ("import sys; from fractions import Fraction; from knotcovers.exactalg import "
+            "LaurentPoly as L, RatFun; from knotcovers.theta import denominator_to_tp as rw; "
+            "rw(RatFun(L.one(), L({0: 3, 1: -4, 3: 2 ** 300})), 7); "
+            "rw(RatFun(L.one(), L({0: Fraction(1, 3), 1: 1, 2: Fraction(-1, 3)})), 12); "
             "print('numpy' in sys.modules)")
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120)
     assert run.returncode == 0 and run.stdout.split() == ["False"], run.stderr
-
-    # the test's own Miller-Rabin: Carmichael numbers and strong pseudoprimes
-    # to the bases 2..23 are composite, two known primes below 2^62 prime
-    assert not any(map(_miller_rabin, (561, 2047, 3215031751, 3825123056546413051)))
-    assert _miller_rabin(2 ** 61 - 1) and _miller_rabin(2 ** 62 - 57)
-    hessenberg, used = exactalg._hessenberg, []
-
-    def counted(A, p):
-        used[-1].append(p)
-        return hessenberg(A, p)
-
-    # all but the largest found again, by the package's own test
-    monkeypatch.setattr(exactalg, "_PRIMES", [2 ** 62 - 57])
-    monkeypatch.setattr(exactalg, "_hessenberg", counted)
-    big = [[(-1) ** (i * j) * 2 ** (150 + 7 * i + j) + i for j in range(6)] for i in range(6)]
-    from test_seifert import seifert_gamma
-
-    gamma = seifert_gamma(_GENUS_2)
-    for M in (big, gamma, [[2 ** 200]], [[Fraction(1, 3) ** 40, 2], [1, 7]]):
-        used.append([])
-        chi = exactalg._charpoly(M)
-        primes = used[-1]
-        assert primes and len(set(primes)) == len(primes)
-        assert all(p < 2 ** 62 and _miller_rabin(p) for p in primes), primes
-        scale = math.lcm(*(Fraction(x).denominator for row in M for x in row))
-        top = max(abs(Fraction(c) * scale ** (len(M) - k)) for k, c in enumerate(chi))
-        assert math.prod(primes) > 2 * top  # enough of them for the CRT to be exact
-    # the generated list skips no prime, and the four kept from the start
-    # are the largest below 2^62
-    listed = exactalg._PRIMES
-    assert len(used[0]) >= 12 and len(listed) >= len(used[0])
-    assert listed == [q for q in range(2 ** 62 - 1, listed[-1] - 1, -2) if _miller_rabin(q)]
-    monkeypatch.undo()
-    assert exactalg._PRIMES[:4] == listed[:4]
 
 
 def test_selftest_survives_python_O():
