@@ -150,7 +150,7 @@ def _cell(v) -> str:
         return ""
     if isinstance(v, bool):
         return "yes" if v else "no"
-    if isinstance(v, Fraction):
+    if type(v) is Fraction:
         return str(v)
     if isinstance(v, float):
         return "%.12g" % v
@@ -163,7 +163,7 @@ def _csv_field(s: str) -> str:
 
 
 def _json_cell(v):
-    return str(v) if isinstance(v, Fraction) else v
+    return str(v) if type(v) is Fraction else v
 
 
 def _emit_rows(args, columns: list[str], rows: list[list], summary: dict | None = None):

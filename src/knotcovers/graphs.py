@@ -29,7 +29,8 @@ Two quantities are attached for each p >= 1:
 and ``liftres_sweep`` runs the comparison over every bead tuple in
 {0..p-1}^(#edges), or a seeded sample (drawn from random bytes since the
 array-speed sweep, so a seed now gives other tuples than its ``randrange``
-draws did), a block of tuples at a time, one row per edge.  Its residue
+draws did), a block of tuples at a time, one row per edge, at the
+narrowest integer width that holds every sum the kernels form.  Its residue
 side rests on one certificate per topology, cached like the
 automorphisms: every automorphism acts on the cycle lattice by a matrix
 whose inverse is its inverse automorphism's, hence det +-1, so all of
@@ -65,7 +66,8 @@ __all__ = [
 _VERTEX_CAP = 8
 # bead tuples one liftres_sweep may check: admits theta^3 at p = 5 (5^9,
 # about 1.95M) and refuses it at p = 7 (40M); and tuples per numpy batch,
-# which keeps a batch's temporaries at a few hundred KB
+# which keeps a batch's temporaries at a few hundred KB even at int64, the
+# widest a batch gets
 _SWEEP_CAP = 1 << 22
 _CHUNK = 1 << 12
 
@@ -465,13 +467,16 @@ def _coloring_plan(G: BeadedGraph) -> _Plan:
 
 def _colorable(plan: _Plan, beads: np.ndarray, p: int) -> np.ndarray:
     """Per bead tuple (column, beads in 0..p-1), whether a Z_p coloring
-    exists (lift count p^comps, else 0).  A check's difference lies in
-    (-p, 2p) for s = 1, (-2p, p) for s = -1: it is 0 mod p iff 0 or s * p."""
+    exists (lift count p^comps, else 0).  The colors keep the beads' width:
+    a color plus or minus a bead lies in (-p, 2p), reduced as x - (x // p) p,
+    which numpy computes faster than x % p, and a check's difference lies
+    in (-p, 2p) for s = 1, (-2p, p) for s = -1: it is 0 mod p iff 0 or s * p."""
     import numpy as np
 
-    colors = np.zeros((plan.n_vertices, beads.shape[1]), dtype=np.int64)
+    colors = np.zeros((plan.n_vertices, beads.shape[1]), dtype=beads.dtype)
     for w, v, e, s in plan.sets:
-        np.remainder(colors[v] + s * beads[e], p, out=colors[w])
+        x = colors[v] + s * beads[e]
+        np.subtract(x, x // p * p, out=colors[w])
     ok = np.ones(beads.shape[1], dtype=bool)
     for w, v, e, s in plan.checks:
         diff = colors[v] + s * beads[e] - colors[w]
@@ -506,13 +511,20 @@ def _certificate(n: int, ends: tuple[tuple[int, int], ...]) -> np.ndarray:
     U = D[:, :, nonforest]
     if not np.array_equal(D, U @ C):
         raise ArithmeticError("an automorphism does not act on the cycle lattice")
-    index = {(aut.eperm, aut.flips): i for i, aut in enumerate(auts)}
-    inverse = []
-    for aut in auts:  # a^-1 takes edge eperm[e] back to e, flipped as a flips e
-        eperm, flips = [0] * len(ends), [False] * len(ends)
-        for e, f in enumerate(aut.eperm):
-            eperm[f], flips[f] = e, aut.flips[e]
-        inverse.append(index.get((tuple(eperm), tuple(flips)), -1))
+    # each signed permutation is keyed by one integer, the base-2E number
+    # with digits 2 eperm[e] + flips[e] (int8: 2E <= 24 under the vertex
+    # cap); a^-1 moves edge eperm[e] back to e, flipped as a flips e, so its
+    # digit at f is own[e] = 2e + flips[e] for e = argsort(eperm)[f].  Keys
+    # are looked up in a dict: numpy's sorted search on them added 0.4 MB to
+    # the peak memory of a fresh liftres run
+    eperm = np.array([aut.eperm for aut in auts], dtype=np.int8).reshape(len(auts), -1)
+    flips = np.array([aut.flips for aut in auts], dtype=np.int8).reshape(len(auts), -1)
+    radix = (2 * len(ends),) * len(ends)
+    keys = np.ravel_multi_index((2 * eperm + flips).T, radix)
+    index = dict(zip(keys.tolist(), range(len(auts))))
+    own = 2 * np.arange(len(ends), dtype=np.int8) + flips
+    back = np.take_along_axis(own, np.argsort(eperm, axis=1), axis=1)
+    inverse = [index.get(key, -1) for key in np.ravel_multi_index(back.T, radix).tolist()]
     if -1 in inverse:
         raise ArithmeticError("an automorphism's inverse is missing from the group")
     if not (U @ U[inverse] == np.eye(len(nonforest), dtype=np.int64)).all():
@@ -522,25 +534,47 @@ def _certificate(n: int, ends: tuple[tuple[int, int], ...]) -> np.ndarray:
 
 
 def _cycles_vanish(C: np.ndarray, beads: np.ndarray, p: int) -> np.ndarray:
-    """Per bead tuple (column), whether every cycle monodromy is 0 mod p."""
-    return ((C @ beads) % p == 0).all(axis=0)
+    """Per bead tuple (column), whether every cycle monodromy is 0 mod p:
+    each row of C, whose entries are 0 and +-1, adds and subtracts bead
+    rows at the beads' width, which holds a sum of E beads below p."""
+    import numpy as np
+
+    ok = np.ones(beads.shape[1], dtype=bool)
+    for row in C.tolist():
+        m = sum(b if c > 0 else -b for c, b in zip(row, beads) if c)
+        ok &= m == m // p * p
+    return ok
 
 
 def _bead_chunks(p: int, E: int, max_cases: int | None, rng) -> Iterator[np.ndarray]:
-    """Bead tuples as the columns of int64 (E, n) blocks, n <= _CHUNK: all
-    of {0..p-1}^E in lexicographic order (mixed-radix digits of a running
-    index), or max_cases tuples of little-endian 64-bit ``rng.randbytes``
-    words, p < 2^63, rejecting those at or above the largest multiple of p
-    below 2^64, drawing only the deficit again and reducing the rest mod p.
-    The sample and the rng's final state are thus independent of _CHUNK."""
+    """Bead tuples as the columns of (E, n) blocks, n <= _CHUNK, at the
+    narrowest integer width holding (E + 2) p in absolute value, enough
+    for every color, check difference and cycle sum the kernels form: all
+    of {0..p-1}^E in lexicographic order, or max_cases tuples of
+    little-endian 64-bit ``rng.randbytes`` words, p < 2^63, rejecting
+    those at or above the largest multiple of p below 2^64, drawing only
+    the deficit again and reducing the rest mod p.  The sample and the
+    rng's final state are thus independent of _CHUNK.
+
+    An exhaustive block is one grid of the trailing k digits, p^k <=
+    _CHUNK, made once, repeated under each of the block's prefixes of
+    leading digits, which are columns of a second grid: no division."""
     import numpy as np
 
+    dtype = np.min_scalar_type(-(E + 2) * p)
     if max_cases is None:
-        total = p ** E
-        place = p ** np.arange(E - 1, -1, -1, dtype=np.int64)[:, None]
-        for start in range(0, total, _CHUNK):
-            index = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-            yield index // place % p
+        k = 0
+        while k < E and p ** (k + 1) <= _CHUNK:
+            k += 1
+        tail = np.indices((p,) * k, dtype=dtype).reshape(k, p ** k)
+        heads = np.indices((p,) * (E - k), dtype=dtype).reshape(E - k, p ** (E - k))
+        step = _CHUNK // p ** k
+        for start in range(0, heads.shape[1], step):
+            lead = heads[:, start:start + step]
+            block = np.empty((E, lead.shape[1] * p ** k), dtype=dtype)
+            block[:E - k] = np.repeat(lead, p ** k, axis=1)
+            block[E - k:] = np.tile(tail, lead.shape[1])
+            yield block
     else:
         top = np.uint64((1 << 64) - (1 << 64) % p - 1)  # the largest word kept
         for start in range(0, max_cases, _CHUNK):
@@ -550,9 +584,8 @@ def _bead_chunks(p: int, E: int, max_cases: int | None, rng) -> Iterator[np.ndar
             while words.size < E * n:
                 more = np.frombuffer(rng.randbytes(8 * (E * n - words.size)), dtype="<u8")
                 words = np.concatenate((words, more[more <= top]))
-            block = np.empty((E, n), dtype=np.int64)
-            np.remainder(words.reshape(n, E).T, np.uint64(p), out=block.view(np.uint64))
-            yield block
+            np.remainder(words, np.uint64(p), out=words)  # in place: no second word array
+            yield words.reshape(n, E).T.astype(dtype, order="C")
 
 
 def liftres_sweep(
@@ -568,7 +601,8 @@ def liftres_sweep(
     or p^b0: the lift count when the coloring plan (``_coloring_plan``)
     goes through, and the residue p^b0 * hits / |Aut| when C x = 0 mod p
     (the certificate makes hits = |Aut| or 0).  Each side is evaluated
-    independently over chunks of tuples.  Returns (cases, failures).
+    independently over chunks of tuples, at the narrowest integer width
+    holding (E + 2) p (``_bead_chunks``).  Returns (cases, failures).
 
     ValueError for p outside 1..2^63 / (E + 2) - 1, for max_cases below
     1, for sampling without an rng, and, before any work, for more than
@@ -577,8 +611,8 @@ def liftres_sweep(
     import numpy as np
 
     E = len(G.edges)
-    # int64 must hold a cycle's sum of up to E beads below p, and a color
-    # check's sum of three values below p
+    # the widest batch, int64, must hold a cycle's sum of up to E beads
+    # below p, and a color check's sum of three values below p
     pmax = 2 ** 63 // (E + 2) - 1
     if not 1 <= p <= pmax:
         raise ValueError("p must lie in 1..%d, where the int64 batches stay exact" % pmax)

@@ -414,7 +414,7 @@ def signature_function(A: KnotLike, k: int, p: int) -> int:
         raise AtOne("signature function is excluded at w = 1")
     roots, sigs = Knot.of(A).arcs
     x = min(k % p, -k % p) / p
-    j = bisect.bisect([lo for lo, _ in roots], x)
+    j = bisect.bisect(roots, x, key=lambda bracket: bracket[0])
     if j and x <= roots[j - 1][1]:
         raise SingularEvaluation("k/p = %d/%d is within rounding of a root of Delta" % (k, p))
     return sigs[j]

@@ -555,9 +555,37 @@ class TestSweepEngine:
             want = _reference_sample(ref, p, 6, n)
             blocks = list(graphs._bead_chunks(p, 6, n, rng))
             assert [b.shape for b in blocks] == [(6, min(chunk, n - i)) for i in range(0, n, chunk)]
-            assert all(b.dtype == np.int64 and b.flags.c_contiguous for b in blocks)
+            width = np.min_scalar_type(-(6 + 2) * p)
+            assert all(b.dtype == width and b.flags.c_contiguous for b in blocks)
             assert np.concatenate(blocks, axis=1).T.tolist() == want, (chunk, n, p)
             assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("name, p, n, width", [
+        ("theta", 25, None, np.int8), ("theta", 26, None, np.int16),
+        ("theta", 6553, 3000, np.int16), ("theta", 6554, 3000, np.int32),
+        ("theta", 429496729, 3000, np.int32), ("theta", 429496730, 3000, np.int64),
+        ("theta-theta", 16, 3000, np.int8), ("theta-theta", 17, 3000, np.int16),
+        ("theta-eyes", 16, 3000, np.int8), ("theta-eyes", 17, 3000, np.int16),
+    ])
+    def test_width_boundaries(self, name, p, n, width):
+        # a batch is as narrow as (E + 2) p allows, on either side of each
+        # step; the kernels on it agree with themselves at int64, also on
+        # the extreme tuples of beads 0, 1 and p - 1, which reach the
+        # largest sums
+        G = SWEEP_GRAPHS[name]
+        E = len(G.edges)
+        blocks = list(graphs._bead_chunks(p, E, n, random.Random(p)))
+        assert {b.dtype for b in blocks} == {np.dtype(width)}
+        assert liftres_sweep(G, p, max_cases=n, rng=random.Random(p)) == (n or p ** E, 0)
+        plan, C = graphs._coloring_plan(G), graphs._certified_cycle_matrix(G)
+        extremes = np.array(list(product((0, 1, p - 1), repeat=E)), dtype=np.int64).T
+        assert np.array_equal(graphs._colorable(plan, extremes, p),
+                              graphs._cycles_vanish(C, extremes, p))
+        for b in blocks + [extremes.astype(width)]:
+            wide = b.astype(np.int64)
+            assert np.array_equal(graphs._colorable(plan, b, p), graphs._colorable(plan, wide, p))
+            assert np.array_equal(graphs._cycles_vanish(C, b, p),
+                                  graphs._cycles_vanish(C, wide, p))
 
     @pytest.mark.parametrize("p", [2, 7, 2 ** 5, 2 ** 63 // 8 - 1, 3 << 61])
     def test_samples_are_uniform(self, p):

@@ -339,6 +339,16 @@ def test_readme_examples():
     assert runner.failures == 0, "".join(report)
 
 
+def test_readme_counts_the_lines_under_src():
+    # README's size of the package is the line total of src/knotcovers/*.py
+    # (as wc -l counts them), so the figure cannot drift from the code
+    text = README.read_text(encoding="utf-8")
+    stated = re.search(r"The package is ([\d,]+) lines of Python under\s+`src/`", text)
+    assert stated
+    lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
+    assert int(stated.group(1).replace(",", "")) == lines
+
+
 def test_traced_bindings_exist():
     # the benchmark's span tracer wraps these names by lookup; a refactor
     # that drops or renames one must fail here, not in a traced bench run
