@@ -18,10 +18,14 @@ The two quantities consumed downstream:
 
 * ``res_p_theta(Q, p)`` -- the finite residue
   (1/p) * sum over p-th roots w1, w2 of f(w1) g(w2) h((w1 w2)^-1),
-  an exact Fraction for every class.  A rational slot is first rewritten
-  over a denominator in t^p (``denominator_to_tp``), whose norm
-  polynomial is the determinant of a pencil by ``LambdaMatrix.det``, the
-  package's one determinant kernel.
+  an exact Fraction for every class.  Every class is read as one integer
+  form, (1/D) sum w F(t1) G(t2) H(t3) with integer w and integer slot
+  coefficients, one read per distinct slot, and res_p is one integer
+  fold-and-sum over it.  A polynomial class keeps its form; a rational
+  class builds it at p, each rational slot first rewritten over a
+  denominator in t^p (``denominator_to_tp``), whose norm polynomial is the
+  determinant of a pencil by ``LambdaMatrix.det``, the package's one
+  determinant kernel.
 * ``torus_average(Q)`` -- the limiting average over the 2-torus, exact
   diagonal-coefficient sum for polynomial slots, FFT trapezoid otherwise.
 
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from typing import Mapping, NamedTuple, Sequence
 
@@ -223,30 +228,16 @@ class ThetaClass:
         return "ThetaClass(%d terms)" % len(self.terms)
 
     def _integer_form(self) -> tuple[int, int, list[tuple[int, dict, dict, dict]]] | None:
-        """(spread, D, [(w, F, G, H)]) for a polynomial class, None for a
-        rational one, kept.  F, G, H map each slot exponent to its numerator
-        over the slot's common denominator d, and w = c D / (d_f d_g d_h) is
-        an integer, so the class is (1/D) sum w F(t1) G(t2) H(t3).  No two
-        exponents within the spread, max - min over every slot exponent (0
-        for the zero class), are congruent mod a p past it."""
+        """(spread, D, terms), the ``_integer_form`` of a polynomial class,
+        None for a rational one, kept.  No two exponents within the spread,
+        max - min over every slot exponent (0 for the zero class), are
+        congruent mod a p past it."""
         if self._ints is None:
             self._ints = False
             if self.is_polynomial:
-                terms, scales, exps = [], [], []
-                for t in self.terms:
-                    scale = t.c
-                    slots = []
-                    for slot in (t.f, t.g, t.h):
-                        F, d = _numerators(slot.num)
-                        slots.append(F)
-                        scale /= d
-                        exps += F
-                    terms.append(slots)
-                    scales.append(scale)
-                D = math.lcm(*(c.denominator for c in scales))
-                self._ints = (max(exps) - min(exps) if exps else 0, D,
-                              [(c.numerator * (D // c.denominator), *slots)
-                               for c, slots in zip(scales, terms)])
+                D, terms = _integer_form(self.terms, lambda slot: _numerators(slot.num))
+                exps = [e for _, *slots in terms for F in slots for e in F]
+                self._ints = (max(exps) - min(exps) if exps else 0, D, terms)
         return self._ints or None
 
     def _diagonal_sum(self) -> Fraction:
@@ -255,9 +246,7 @@ class ThetaClass:
         its spread, where no p-th root aliases two exponents."""
         if self._diagonal is None:
             _, D, terms = self._integer_form()
-            self._diagonal = Fraction(sum(w * sum(v * F.get(e, 0) * G.get(e, 0)
-                                                  for e, v in H.items())
-                                          for w, F, G, H in terms), D)
+            self._diagonal = Fraction(_weighted_diagonal(terms), D)
         return self._diagonal
 
 
@@ -271,6 +260,25 @@ def _numerators(P: LaurentPoly) -> tuple[dict[int, int], int]:
     coeffs = P._c  # read, not copied
     d = math.lcm(*(v.denominator for v in coeffs.values()))
     return {e: v.numerator * (d // v.denominator) for e, v in coeffs.items()}, d
+
+
+def _integer_form(terms: Sequence[ThetaTerm], read) -> tuple[int, list[tuple]]:
+    """(D, [(w, F, G, H)]) with the terms equal to (1/D) sum w F G H: read
+    gives each distinct slot, once, as integers F by exponent over a
+    nonzero rational d, and w = c D / (d_f d_g d_h) is an integer."""
+    read, scales, rows = cache(read), [], []
+    for t in terms:
+        (F, df), (G, dg), (H, dh) = read(t.f), read(t.g), read(t.h)
+        scales.append(t.c / (df * dg * dh))
+        rows.append((F, G, H))
+    D = math.lcm(*(c.denominator for c in scales))
+    return D, [(c.numerator * (D // c.denominator), *row) for c, row in zip(scales, rows)]
+
+
+def _weighted_diagonal(terms: Sequence[tuple[int, dict, dict, dict]]) -> int:
+    """sum w sum_e F_e G_e H_e over an integer form."""
+    return sum(w * sum(v * F.get(e, 0) * G.get(e, 0) for e, v in H.items())
+               for w, F, G, H in terms)
 
 
 def _fold(F: Mapping[int, int], p: int) -> dict[int, int]:
@@ -307,61 +315,42 @@ def denominator_to_tp(r: RatFun, p: int) -> tuple[LaurentPoly, LaurentPoly]:
     return r.num * Qp_tp.divexact(q), Qp
 
 
-def _residue_classes(slot: RatFun, p: int) -> tuple[dict[int, int], "int | Fraction"]:
-    """Integers n and a scale s with slot(w) = s * sum_r n[r] w^r at every
-    p-th root of unity w: the periodised coefficients, summed as integers
-    over one denominator.  A rational slot is first rewritten as
-    P(t) / Qp(t^p) (``denominator_to_tp``); Qp(w^p) = Qp(1), which is 0
-    exactly when a p-th root of unity is a pole."""
-    P, q1 = slot.num, 1
-    if not slot.is_polynomial:
-        P, Qp = denominator_to_tp(slot, p)
-        q1 = Qp.eval_one()
-        if q1 == 0:
-            raise QSingularAtP("slot denominator vanishes at a %d-th root of unity" % p)
-    n, d = _numerators(P)
-    return _fold(n, p), _qdiv(1, d * q1)
-
-
 def res_p_theta(Q: ThetaClass, p: int) -> Fraction:
     """(1/p) sum over p-th roots w1, w2 of f(w1) g(w2) h((w1 w2)^-1), exact.
 
     With the periodised coefficients F, G, H of the slots the root sums
     collapse: h enters through (w1 w2)^-r, so only r = a = b mod p
-    survives, and each term gives p * c * sum_r F_r G_r H_r.  A polynomial
-    class reads its integer form: past its spread nothing aliases and the
-    answer is p times its diagonal sum, at or below it the exponents are
-    folded mod p and summed as integers over one denominator.  Raises
-    QSingularAtP when some slot has a pole at a p-th root of unity.
+    survives, and each term gives p * c * sum_r F_r G_r H_r: one integer
+    sum over the class's integer form (``_integer_form``), over D.  A
+    polynomial class keeps its form: past its spread nothing aliases and
+    the answer is p times its kept diagonal sum, at or below it the form is
+    folded mod p.  A rational class builds its form at p from its slots'
+    periodised coefficients: a rational slot is rewritten as
+    P(t) / Qp(t^p) (``denominator_to_tp``), and Qp(w^p) = Qp(1) at every
+    p-th root w.  Raises QSingularAtP when that is 0, that is when some
+    slot has a pole at a p-th root of unity.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
     form = Q._integer_form()
-    if form is not None:
+    if form is None:
+        def read(slot):
+            P, q1 = slot.num, 1
+            if not slot.is_polynomial:
+                P, Qp = denominator_to_tp(slot, p)
+                q1 = Qp.eval_one()
+                if q1 == 0:
+                    raise QSingularAtP("slot denominator vanishes at a %d-th root of unity" % p)
+            F, d = _numerators(P)
+            return _fold(F, p), d * q1
+
+        D, terms = _integer_form(Q.terms, read)
+    else:
         spread, D, terms = form
         if p > spread:
             return p * Q._diagonal_sum()
-        total = 0
-        for w, F, G, H in terms:
-            F, G = _fold(F, p), _fold(G, p)
-            total += w * sum(v * F.get(r, 0) * G.get(r, 0) for r, v in _fold(H, p).items())
-        return Fraction(p * total, D)
-    rational: dict[RatFun, tuple[dict[int, int], Fraction]] = {}  # one rewrite per slot
-
-    def classes(slot):
-        if slot.is_polynomial:
-            return _residue_classes(slot, p)
-        if slot not in rational:
-            rational[slot] = _residue_classes(slot, p)
-        return rational[slot]
-
-    total = Fraction(0)
-    for t in Q.terms:
-        (F, sf), (G, sg), (H, sh) = classes(t.f), classes(t.g), classes(t.h)
-        acc = sum(v * F.get(r, 0) * G.get(r, 0) for r, v in H.items())
-        if acc:
-            total += t.c * sf * sg * sh * acc
-    return total * p
+        terms = [(w, _fold(F, p), _fold(G, p), _fold(H, p)) for w, F, G, H in terms]
+    return Fraction(p * _weighted_diagonal(terms), D)
 
 
 def _fourier(slot: RatFun, w: np.ndarray) -> np.ndarray:

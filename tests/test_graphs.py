@@ -56,6 +56,13 @@ def _loop_cycle_matrices(G, cycles, auts):
     return D
 
 
+def _signed_rows(auts):
+    """The automorphisms' edge permutations and flips (0 or 1) as int8
+    rows, the arrays ``_aut_cycle_matrices`` reads."""
+    eperm = np.array([aut.eperm for aut in auts], dtype=np.int8)
+    return eperm, np.array([aut.flips for aut in auts], dtype=np.int8)
+
+
 def push_at_vertex(G, v):
     """Slide a unit bead through vertex v: every non-loop edge entering v
     gains +1 on its bead, every one leaving v loses 1, loops at v are
@@ -502,7 +509,7 @@ class TestSweepEngine:
         C = graphs._certified_cycle_matrix(G)
         _, cycles = fundamental_cycles(G)
         want = _loop_cycle_matrices(G, cycles, auts)
-        assert np.array_equal(graphs._aut_cycle_matrices(C, auts), want)
+        assert np.array_equal(graphs._aut_cycle_matrices(C, *_signed_rows(auts)), want)
 
     @pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
     def test_residue_side_matches_per_automorphism_loop(self, name):
@@ -633,7 +640,7 @@ class TestSweepEngine:
         nonforest, _ = fundamental_cycles(G)
         C = graphs._certified_cycle_matrix(G)
         auts = automorphisms(G)
-        U = graphs._aut_cycle_matrices(C, auts)[:, :, nonforest]
+        U = graphs._aut_cycle_matrices(C, *_signed_rows(auts))[:, :, nonforest]
         step = max(1, len(auts) // 200)  # theta^3 has 10,368: every 52nd
         for a in range(0, len(auts), step):
             k = _signed_order_by_powers(auts[a])
@@ -706,8 +713,8 @@ class TestSweepEngine:
         longest = int(np.argmax(order))
         assert order[longest] == 12 > len(G.edges) and order[5] == 2
 
-        def corrupted(C, auts):
-            D = tensor(C, auts)
+        def corrupted(C, eperm, flips):
+            D = tensor(C, eperm, flips)
             if corrupt == "entry":
                 D[5, 0, forest_edge] += 1  # D[a] leaves the row space of C
             elif corrupt == "scale":
@@ -734,9 +741,9 @@ class TestSweepEngine:
         calls = []
         tensor = graphs._aut_cycle_matrices
 
-        def counted(C, auts):
-            calls.append(len(auts))
-            return tensor(C, auts)
+        def counted(C, eperm, flips):
+            calls.append(len(eperm))
+            return tensor(C, eperm, flips)
 
         monkeypatch.setattr(graphs, "_aut_cycle_matrices", counted)
         graphs._certificate.cache_clear()
@@ -816,6 +823,16 @@ class TestSweepLimits:
             liftres_sweep(G, 7)
         with pytest.raises(ValueError, match="--max-cases"):
             liftres_sweep(G, 7, max_cases=graphs._SWEEP_CAP + 1, rng=rng)
+
+    def test_cli_sweeps_the_edgeless_graph(self, capsys, tmp_path):
+        # no edges: one empty bead tuple per p, lift count 1 = residue 1
+        f = tmp_path / "empty.json"
+        f.write_text(json.dumps({"vertices": 0, "edges": []}))
+        code = main(["liftres", "--file", str(f), "--p", "2..5", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out)["rows"] == [[p, 0, 1, 0] for p in range(2, 6)]
+        assert all(liftres_check(BeadedGraph(0, []), p) for p in range(2, 6))
 
     def test_cli_refuses_theta_cubed_at_7(self, capsys, monkeypatch, tmp_path):
         def no_work(G):

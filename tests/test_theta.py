@@ -80,6 +80,17 @@ RATIONAL_CLASSES = {
 }
 
 
+# three rational slots, two with poles on the circle: 1/((t^2 + t + 1)(3 - t))
+# at the cube roots of unity and t/((t^2 + 1)(2t - 1)) at +-i, so p-th roots
+# of unity are poles exactly when 3 or 4 divides p
+THREE_RATIONAL_SLOTS = [
+    (RatFun(one, (t ** 2 + t + one) * (3 * one - t)), RatFun(t, (t ** 2 + one) * (2 * t - one)),
+     RatFun(one + t, t - 2 * one), Fraction(2, 3)),
+    (RatFun(one + t, t - 2 * one), RatFun(one, (t ** 2 + t + one) * (3 * one - t)),
+     RatFun(t ** 2), Fraction(-5, 4)),
+]
+
+
 class TestCanonicalForm:
     def test_terms_merge(self):
         Q = _mono(1, 2, 3) + _mono(1, 2, 3)
@@ -203,6 +214,23 @@ class TestResidue:
                 assert isinstance(got, Fraction), (name, p)
                 assert float(got) == pytest.approx(_brute_res(Q, p), rel=1e-9, abs=1e-9), (name, p)
 
+    @pytest.mark.parametrize("name", sorted(RATIONAL_CLASSES) + ["three rational slots"])
+    def test_exact_for_rational_slots(self, name):
+        # exact equality with the sympy route, and QSingularAtP exactly
+        # where it finds a denominator sharing a factor with t^p - 1
+        Q = ThetaClass(RATIONAL_CLASSES.get(name, THREE_RATIONAL_SLOTS))
+        singular = []
+        for p in range(1, 13):
+            want = _inverse_res(Q, p)
+            if want is None:
+                singular.append(p)
+                with pytest.raises(QSingularAtP):
+                    res_p_theta(Q, p)
+            else:
+                got = res_p_theta(Q, p)
+                assert isinstance(got, Fraction) and got == want, (name, p)
+        assert singular == ([] if name in RATIONAL_CLASSES else [3, 4, 6, 8, 9, 12])
+
     def test_singular_at_p_raises(self):
         f = RatFun(one, t ** 2 + t + one)
         Q = ThetaClass([(f, one, one, Fraction(1))])
@@ -225,6 +253,37 @@ class TestResidue:
                 else:
                     assert isinstance(res_p_theta(Q, p), Fraction)
             assert singular == list(range(period, 37, period))
+
+
+def _inverse_res(Q, p):
+    """Independent exact route, None where some slot denominator q shares
+    a factor with t^p - 1: each slot n / q has the periodised coefficients
+    n q^-1 mod (t^p - 1), by sympy's invert and rem, and res_p is
+    p * sum c sum_r F_r G_r H_r."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    modulus = x ** p - 1
+
+    def periodised(slot):
+        num = sum(sympy.Rational(v.numerator, v.denominator) * x ** (e % p)
+                  for e, v in slot.num.coeffs.items())
+        den = sum(sympy.Rational(v.numerator, v.denominator) * x ** e
+                  for e, v in slot.den.coeffs.items())
+        try:
+            inv = sympy.invert(den, modulus, x)
+        except sympy.polys.polyerrors.NotInvertible:
+            return None
+        rest = sympy.Poly(sympy.rem(sympy.expand(num * inv), modulus, x), x)
+        return {m: Fraction(int(c.p), int(c.q)) for (m,), c in rest.terms()}
+
+    total = Fraction(0)
+    for term in Q.terms:
+        F, G, H = (periodised(slot) for slot in (term.f, term.g, term.h))
+        if None in (F, G, H):
+            return None
+        total += term.c * sum(v * F.get(r, 0) * G.get(r, 0) for r, v in H.items())
+    return p * total
 
 
 def _fold_res(Q, p):

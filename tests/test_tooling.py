@@ -286,6 +286,29 @@ def test_one_determinant_kernel_for_the_rewrite(monkeypatch):
     assert run.returncode == 0 and run.stdout.split() == ["False"], run.stderr
 
 
+def test_res_p_reads_each_slot_once(monkeypatch):
+    # res_p_theta sums one integer form per class: a slot held by several
+    # terms (t, twice in "mixed") is read once, and a rational slot is
+    # rewritten over a denominator in t^p once
+    import knotcovers.theta as theta
+    from test_theta import RATIONAL_CLASSES
+
+    Q = theta.ThetaClass(RATIONAL_CLASSES["mixed"])
+    slots = {slot for term in Q.terms for slot in (term.f, term.g, term.h)}
+    rational = {slot for slot in slots if not slot.is_polynomial}
+    assert (len(slots), len(rational)) == (7, 2)
+    reads = {"_numerators": [], "denominator_to_tp": []}
+    for name, calls in reads.items():
+        monkeypatch.setattr(theta, name, lambda *args, fn=getattr(theta, name), calls=calls:
+                            calls.append(args[0]) or fn(*args))
+    for p in (1, 5, 40):
+        for calls in reads.values():
+            calls.clear()
+        theta.res_p_theta(Q, p)
+        assert len(reads["_numerators"]) == len(slots), p
+        assert sorted(map(repr, reads["denominator_to_tp"])) == sorted(map(repr, rational)), p
+
+
 def test_selftest_survives_python_O():
     # the acceptance criteria raise explicitly, so -O, which strips asserts,
     # must still pass all twelve and still catch an injected corruption
