@@ -27,12 +27,13 @@ Two quantities are attached for each p >= 1:
 
 ``liftres_check`` verifies that the two agree -- exactly, term by term --
 and ``liftres_sweep`` runs the comparison over every bead tuple in
-{0..p-1}^(#edges), or a seeded sample (drawn from random bytes since the
-array-speed sweep, so a seed now gives other tuples than its ``randrange``
-draws did), a block of tuples at a time, one row per edge, at the
-narrowest integer width that holds every sum the kernels form.  Its residue
-side rests on one certificate per topology, cached like the
-automorphisms: every automorphism acts on the cycle lattice by a matrix
+{0..p-1}^(#edges), or a seeded sample (random bytes read as the
+narrowest unsigned words that hold p, so a seed gives other tuples than
+the 64-bit words, and before them ``randrange``, drew), a block of a fixed
+number of bytes at a time, one row per edge, at the narrowest integer
+width that holds every sum the kernels form.  Its residue side rests on
+one certificate per topology, cached like the automorphisms, which it
+reads as int8 arrays: every automorphism acts on the cycle lattice by a matrix
 whose inverse is its inverse automorphism's, hence det +-1, so all of
 them share the kernel of the fundamental-cycle matrix mod p, and the
 average over the group is one kernel test.  Its lift side replays
@@ -44,7 +45,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
+from math import prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exactalg import _json_object
@@ -65,11 +67,12 @@ __all__ = [
 
 _VERTEX_CAP = 8
 # bead tuples one liftres_sweep may check: admits theta^3 at p = 5 (5^9,
-# about 1.95M) and refuses it at p = 7 (40M); and tuples per numpy batch,
-# which keeps a batch's temporaries at a few hundred KB even at int64, the
-# widest a batch gets
+# about 1.95M) and refuses it at p = 7 (40M); and bytes of beads per numpy
+# block, 8,192 tuples of six int8 beads: a block of narrower beads holds
+# more tuples, one of wider beads fewer.  The kernels' temporaries grow with
+# the block: at four times this size, selftest's peak memory rose 0.13 MB
 _SWEEP_CAP = 1 << 22
-_CHUNK = 1 << 12
+_BLOCK_BYTES = 8192 * 6
 
 
 class TooLarge(ValueError):
@@ -249,10 +252,9 @@ def automorphisms(G: BeadedGraph) -> tuple[GraphAut, ...]:
     (flip), and a loop can map to itself either way, so loops contribute
     a factor of two each.  Brute force over vertex permutations -- fine
     for the handful of vertices these graphs have, guarded by TooLarge --
-    once per topology (vertex count and edge endpoints), kept as a tuple.
+    once per topology (vertex count and edge endpoints), kept as a tuple
+    of the rows of ``_aut_arrays``.
     """
-    if G.n_vertices > _VERTEX_CAP:
-        raise TooLarge("automorphism search capped at %d vertices" % _VERTEX_CAP)
     return _automorphisms(*_topology(G))
 
 
@@ -271,38 +273,86 @@ def _bare_graph(n: int, ends: tuple[tuple[int, int], ...]) -> BeadedGraph:
 
 @lru_cache(maxsize=64)
 def _automorphisms(n: int, ends: tuple[tuple[int, int], ...]) -> tuple[GraphAut, ...]:
-    """Class matching suffices: a vertex permutation carrying each class of
+    """The rows of ``_aut_arrays`` as ``GraphAut`` tuples, flips as bools,
+    built only for the callers of ``automorphisms``: row by row, holding no
+    list of every row, and with one vperm tuple shared by the rows over it."""
+    vperms: dict[tuple[int, ...], tuple[int, ...]] = {}
+    out = []
+    for v, e, f in zip(*_aut_arrays(n, ends)):
+        v = tuple(v.tolist())
+        out.append(GraphAut(vperms.setdefault(v, v), tuple(e.tolist()), tuple(map(bool, f.tolist()))))
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _aut_arrays(n: int, ends: tuple[tuple[int, int], ...]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The automorphisms of a topology as read-only int8 arrays, one row
+    each: vertex permutations (A x n), edge images eperm (A x E) and flips
+    (A x E, 1 for a reversed edge), in a fixed order.
+
+    Class matching suffices: a vertex permutation carrying each class of
     edges with equal unordered endpoints onto one of the same size extends by
     every bijection of classes, a loop either way round, any other edge
-    reversed exactly when the image of its tail is not its image's tail."""
+    reversed exactly when the image of its tail is not its image's tail.
+    Per vertex permutation (in ``permutations`` order) the options of each
+    class (its bijections in ``permutations`` order, a loop class's flips
+    in ``product`` order under each) are crossed by one ``np.indices`` grid,
+    the last class fastest: one block of rows, no per-automorphism loop."""
+    import numpy as np
+
+    if n > _VERTEX_CAP:
+        raise TooLarge("automorphism search capped at %d vertices" % _VERTEX_CAP)
+    E = len(ends)
     classes: dict[tuple[int, int], list[int]] = {}
     for idx, (tail, head) in enumerate(ends):
         classes.setdefault((min(tail, head), max(tail, head)), []).append(idx)
-    out: list[GraphAut] = []
-    for vperm in permutations(range(n)):
-        per_class = []
-        for (a, b), src in sorted(classes.items()):
-            tgt = classes.get((min(vperm[a], vperm[b]), max(vperm[a], vperm[b])), ())
-            if len(tgt) != len(src):
-                break
-            opts = []
-            for assign in permutations(tgt):
-                if a == b:
-                    opts += [(src, assign, fl) for fl in product((False, True), repeat=len(src))]
-                else:
-                    opts.append((src, assign, tuple(vperm[ends[e][0]] != ends[f][0]
-                                                    for e, f in zip(src, assign))))
-            per_class.append(opts)
+    # per class: its bijections onto it, and for a loop class the options
+    # (bijection, flips) with the flips of each bijection listed under it;
+    # for any other class, the heads of its bijections' edges
+    options = {}
+    for (a, b), tgt in classes.items():
+        assign = np.array(list(permutations(tgt)), dtype=np.int8).reshape(-1, len(tgt))
+        if a == b:
+            k = len(tgt)
+            fl = np.indices((2,) * k, dtype=np.int8).reshape(k, 2 ** k).T
+            options[a, b] = (np.repeat(assign, 2 ** k, axis=0), np.tile(fl, (len(assign), 1)))
         else:
-            for choice in product(*per_class):
-                eperm, flips = [0] * len(ends), [False] * len(ends)
-                for src, assign, fl in choice:
-                    for e, f, x in zip(src, assign, fl):
-                        eperm[e], flips[e] = f, x
-                out.append(GraphAut(vperm, tuple(eperm), tuple(flips)))
-    if not out:
+            heads = [[ends[f][1] for f in perm] for perm in permutations(tgt)]
+            options[a, b] = (assign, np.array(heads, dtype=np.int8))
+    order = sorted(classes.items())
+    vblocks, eblocks, fblocks = [], [], []
+    for vperm in permutations(range(n)):
+        opts = []
+        for (a, b), src in order:
+            key = (min(vperm[a], vperm[b]), max(vperm[a], vperm[b]))
+            if len(classes.get(key, ())) != len(src):
+                break
+            assign, fl = options[key]
+            if a != b:
+                # an edge is reversed iff the image of its tail is its image's
+                # head: an equality, the int8 comparison the sweep makes too,
+                # so no other numpy loop is paged in
+                fl = (fl == np.array([vperm[ends[e][0]] for e in src], dtype=np.int8)).view(np.int8)
+            opts.append((src, assign, fl))
+        else:
+            sizes = [len(assign) for _, assign, _ in opts]
+            count = prod(sizes)
+            pick = np.indices(sizes).reshape(len(sizes), count)
+            eperm = np.empty((count, E), dtype=np.int8)
+            flips = np.empty((count, E), dtype=np.int8)
+            for (src, assign, fl), row in zip(opts, pick):
+                eperm[:, src] = assign[row]
+                flips[:, src] = fl[row]
+            vblocks.append(np.broadcast_to(np.array(vperm, dtype=np.int8), (count, n)))
+            eblocks.append(eperm)
+            fblocks.append(flips)
+    if not eblocks:
         raise ArithmeticError("identity must always be present")
-    return tuple(out)
+    out = tuple(np.concatenate(blocks) for blocks in (vblocks, eblocks, fblocks))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -487,17 +537,20 @@ def _certified_cycle_matrix(G: BeadedGraph) -> np.ndarray:
 
     C is the identity on the non-forest edges, so U_a can only be the
     non-forest columns of D[a]; the certificate is D[a] == U_a C and
-    U_a U_b = I for the inverse b of a, found in the same tuple: an
+    U_a U_b = I for the inverse b of a, found among the same rows: an
     integral inverse, hence det U_a = +-1.  Then D[a] x = 0 mod p iff
     C x = 0 mod p, for every p, and phi_R's average over the group is the
     single test C x = 0 mod p.  ArithmeticError if any automorphism fails
-    or its inverse is missing.  Certified once per topology, like
-    ``automorphisms``, and kept read-only."""
+    or its inverse is missing.  The automorphisms are read as the int8
+    rows of ``_aut_arrays``, with no ``GraphAut`` built.  Certified once
+    per topology, like the automorphisms, and kept read-only."""
     return _certificate(*_topology(G))
 
 
 @lru_cache(maxsize=64)
 def _certificate(n: int, ends: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """``_certified_cycle_matrix`` of a topology key: D and the inverse
+    table come straight from the int8 rows of ``_aut_arrays``."""
     import numpy as np
 
     G = _bare_graph(n, ends)
@@ -505,10 +558,7 @@ def _certificate(n: int, ends: tuple[tuple[int, int], ...]) -> np.ndarray:
     E = len(ends)
     C = np.array([[cyc.get(e, 0) for e in range(E)] for cyc in cycles],
                  dtype=np.int64).reshape(len(cycles), E)
-    # built once, as two arrays: column slices of one cost 0.1 MB of buffers
-    auts = automorphisms(G)
-    eperm = np.array([aut.eperm for aut in auts], dtype=np.int8)
-    flips = np.array([aut.flips for aut in auts], dtype=np.int8)
+    _, eperm, flips = _aut_arrays(n, ends)
     D = _aut_cycle_matrices(C, eperm, flips)
     U = D[:, :, nonforest]
     if not np.array_equal(D, U @ C):
@@ -522,7 +572,7 @@ def _certificate(n: int, ends: tuple[tuple[int, int], ...]) -> np.ndarray:
     # With no edges, the empty graph's one key 0 comes back as a scalar
     radix = (2 * E,) * E
     keys = np.ravel_multi_index((2 * eperm + flips).T, radix).reshape(-1)
-    index = dict(zip(keys.tolist(), range(len(auts))))
+    index = dict(zip(keys.tolist(), range(len(eperm))))
     own = 2 * np.arange(E, dtype=np.int8) + flips
     back = np.take_along_axis(own, np.argsort(eperm, axis=1), axis=1)
     back_keys = np.ravel_multi_index(back.T, radix).reshape(-1)
@@ -549,45 +599,64 @@ def _cycles_vanish(C: np.ndarray, beads: np.ndarray, p: int) -> np.ndarray:
 
 
 def _bead_chunks(p: int, E: int, max_cases: int | None, rng) -> Iterator[np.ndarray]:
-    """Bead tuples as the columns of (E, n) blocks, n <= _CHUNK, at the
-    narrowest integer width holding (E + 2) p in absolute value, enough
-    for every color, check difference and cycle sum the kernels form: all
-    of {0..p-1}^E in lexicographic order, or max_cases tuples of
-    little-endian 64-bit ``rng.randbytes`` words, p < 2^63, rejecting
-    those at or above the largest multiple of p below 2^64, drawing only
-    the deficit again and reducing the rest mod p.  The sample and the
-    rng's final state are thus independent of _CHUNK.
+    """Bead tuples as the columns of (E, n) blocks at the narrowest integer
+    width holding (E + 2) p in absolute value, enough for every color,
+    check difference and cycle sum the kernels form, each block at most
+    the tuples whose beads fit in _BLOCK_BYTES: all of {0..p-1}^E in
+    lexicographic order, or max_cases tuples of random words.
 
-    An exhaustive block is one grid of the trailing k digits, p^k <=
-    _CHUNK, made once, repeated under each of the block's prefixes of
-    leading digits, which are columns of a second grid: no division."""
+    A word is the narrowest unsigned integer holding p (1, 2, 4 or 8
+    bytes), read little-endian from the byte stream of ``rng.randbytes``,
+    which is one stream only in whole 4-byte units: it is asked for
+    multiples of 4 bytes, and the 0-3 bytes left over are carried to the
+    next request.  Words at or above the largest multiple of p the word
+    holds are rejected, only the deficit is drawn again, and the rest are
+    reduced mod p.  The sample and the rng's final state are thus
+    independent of _BLOCK_BYTES.
+
+    An exhaustive block is one grid of the trailing k digits, p^k at most
+    the block's tuples, made once, repeated under each of the block's
+    prefixes of leading digits, which are columns of a second grid: no
+    division."""
     import numpy as np
 
     dtype = np.min_scalar_type(-(E + 2) * p)
+    chunk = _BLOCK_BYTES // (max(E, 1) * dtype.itemsize)
     if max_cases is None:
         k = 0
-        while k < E and p ** (k + 1) <= _CHUNK:
+        while k < E and p ** (k + 1) <= chunk:
             k += 1
         tail = np.indices((p,) * k, dtype=dtype).reshape(k, p ** k)
         heads = np.indices((p,) * (E - k), dtype=dtype).reshape(E - k, p ** (E - k))
-        step = _CHUNK // p ** k
+        step = chunk // p ** k
         for start in range(0, heads.shape[1], step):
             lead = heads[:, start:start + step]
             block = np.empty((E, lead.shape[1] * p ** k), dtype=dtype)
             block[:E - k] = np.repeat(lead, p ** k, axis=1)
             block[E - k:] = np.tile(tail, lead.shape[1])
             yield block
-    else:
-        top = np.uint64((1 << 64) - (1 << 64) % p - 1)  # the largest word kept
-        for start in range(0, max_cases, _CHUNK):
-            n = min(_CHUNK, max_cases - start)
-            words = np.frombuffer(rng.randbytes(8 * E * n), dtype="<u8")
-            words = words[words <= top]
-            while words.size < E * n:
-                more = np.frombuffer(rng.randbytes(8 * (E * n - words.size)), dtype="<u8")
-                words = np.concatenate((words, more[more <= top]))
-            np.remainder(words, np.uint64(p), out=words)  # in place: no second word array
-            yield words.reshape(n, E).T.astype(dtype, order="C")
+        return
+    word = np.min_scalar_type(p).newbyteorder("<")
+    span = 1 << 8 * word.itemsize
+    top = word.type(span - span % p - 1)  # the largest word kept
+    spare = b""
+
+    def draw(count: int) -> np.ndarray:
+        """The next count words of the stream, those kept by the rejection."""
+        nonlocal spare
+        short = count * word.itemsize - len(spare)
+        stream = spare + rng.randbytes(short + -short % 4) if short > 0 else spare
+        spare = stream[count * word.itemsize:]
+        words = np.frombuffer(stream, dtype=word, count=count)
+        return words[words <= top]
+
+    for start in range(0, max_cases, chunk):
+        n = min(chunk, max_cases - start)
+        words = draw(E * n)
+        while words.size < E * n:
+            words = np.concatenate((words, draw(E * n - words.size)))
+        np.remainder(words, word.type(p), out=words)  # in place: no second word array
+        yield words.reshape(n, E).T.astype(dtype, order="C")
 
 
 def liftres_sweep(

@@ -113,30 +113,55 @@ def _phi_by_push(G):
 
 
 def _reference_sample(rng, p, E, n):
-    """Independent re-implementation of the sampling recipe: one 64-bit
-    little-endian word of ``rng.randbytes`` at a time in Python ints,
-    rejected when at or above the largest multiple of p below 2^64, else
-    reduced mod p; n tuples of E such draws, as rows."""
-    bound = 2 ** 64 - 2 ** 64 % p
-    draws = []
+    """Independent re-implementation of the sampling recipe in Python ints,
+    one word at a time: a word is the fewest of 1, 2, 4 or 8 bytes that
+    holds p, read little-endian off the stream of ``rng.randbytes`` taken 4
+    bytes at a time, rejected when at or above the largest multiple of p
+    the word holds, else reduced mod p; n tuples of E such draws, as rows."""
+    width = next(w for w in (1, 2, 4, 8) if p < 256 ** w)
+    bound = 256 ** width - 256 ** width % p
+    stream, draws = b"", []
     while len(draws) < n * E:
-        word = int.from_bytes(rng.randbytes(8), "little")
+        while len(stream) < width:
+            stream += rng.randbytes(4)
+        word, stream = int.from_bytes(stream[:width], "little"), stream[width:]
         if word < bound:
             draws.append(word % p)
     return [draws[i * E:(i + 1) * E] for i in range(n)]
 
 
-class _Words:
-    """An rng stand-in whose ``randbytes`` serves fixed 64-bit words in
-    order and records how many words each call asked for."""
+class _UnitRandom(random.Random):
+    """A ``random.Random`` that records the size of every ``randbytes``
+    request and refuses one that is not a whole number of 4-byte units,
+    the only sizes whose bytes concatenate to one stream."""
 
-    def __init__(self, words):
-        self.words, self.calls = list(words), []
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.requests = []
+
+    def randbytes(self, n):
+        assert n % 4 == 0, n
+        self.requests.append(n)
+        return super().randbytes(n)
+
+
+class _Bytes:
+    """An rng stand-in whose ``randbytes`` serves fixed bytes in order and
+    records the size of each request, which must be a multiple of 4."""
+
+    def __init__(self, data):
+        self.data, self.calls = bytes(data), []
 
     def randbytes(self, nbytes):
-        self.calls.append(nbytes // 8)
-        take, self.words = self.words[:nbytes // 8], self.words[nbytes // 8:]
-        return b"".join(w.to_bytes(8, "little") for w in take)
+        assert nbytes % 4 == 0, nbytes
+        self.calls.append(nbytes)
+        take, self.data = self.data[:nbytes], self.data[nbytes:]
+        return take
+
+
+def _block_bytes(tuples, p, E):
+    """The ``_BLOCK_BYTES`` that makes blocks of the given tuples at (p, E)."""
+    return tuples * max(E, 1) * np.min_scalar_type(-(E + 2) * p).itemsize
 
 
 def _signed_order_by_powers(aut):
@@ -382,6 +407,82 @@ ORACLE_GRAPHS = {
 }
 
 
+def _automorphisms_by_choice(n, ends):
+    """Oracle for ``_aut_arrays``: the per-choice loop that built the
+    automorphisms one ``GraphAut`` at a time before the arrays.  Per vertex
+    permutation carrying each class of edges with equal unordered endpoints
+    onto one of the same size, every choice of a bijection per class, a
+    loop either way round, any other edge reversed exactly when the image
+    of its tail is not its image's tail."""
+    classes = {}
+    for idx, (tail, head) in enumerate(ends):
+        classes.setdefault((min(tail, head), max(tail, head)), []).append(idx)
+    out = []
+    for vperm in permutations(range(n)):
+        per_class = []
+        for (a, b), src in sorted(classes.items()):
+            tgt = classes.get((min(vperm[a], vperm[b]), max(vperm[a], vperm[b])), ())
+            if len(tgt) != len(src):
+                break
+            opts = []
+            for assign in permutations(tgt):
+                if a == b:
+                    opts += [(src, assign, fl) for fl in product((False, True), repeat=len(src))]
+                else:
+                    opts.append((src, assign, tuple(vperm[ends[e][0]] != ends[f][0]
+                                                    for e, f in zip(src, assign))))
+            per_class.append(opts)
+        else:
+            for choice in product(*per_class):
+                eperm, flips = [0] * len(ends), [False] * len(ends)
+                for src, assign, fl in choice:
+                    for e, f, x in zip(src, assign, fl):
+                        eperm[e], flips[e] = f, x
+                out.append(GraphAut(vperm, tuple(eperm), tuple(flips)))
+    return out
+
+
+CUBE = BeadedGraph(8, [(0, 1, 0), (1, 3, 0), (3, 2, 0), (2, 0, 0), (4, 5, 0), (5, 7, 0),
+                       (7, 6, 0), (6, 4, 0), (0, 4, 0), (1, 5, 0), (2, 6, 0), (3, 7, 0)])
+# topology keys (vertex count, edge ends); the last two are not trivalent,
+# but the search reads only the key: a loop class of two, and three
+# parallel edges in mixed orientation
+AUT_TOPOLOGIES = {
+    **{name: graphs._topology(G) for name, G in SWEEP_GRAPHS.items()},
+    "theta3": graphs._topology(disjoint_union(THETA, THETA, THETA)),
+    "cube": graphs._topology(CUBE),
+    "two-loops-at-one-vertex": (1, ((0, 0), (0, 0))),
+    "triple-edge": (2, ((0, 1), (1, 0), (0, 1))),
+}
+
+
+class TestAutomorphismArrays:
+    @pytest.mark.parametrize("name", sorted(AUT_TOPOLOGIES))
+    def test_rows_match_the_per_choice_loop(self, name):
+        # the same automorphisms in the same order, as read-only int8 rows,
+        # and automorphisms() still returns them as the same GraphAut tuples
+        n, ends = AUT_TOPOLOGIES[name]
+        want = _automorphisms_by_choice(n, ends)
+        arrays = graphs._aut_arrays(n, ends)
+        assert all(a.dtype == np.int8 and not a.flags.writeable for a in arrays)
+        vperm, eperm, flips = (a.tolist() for a in arrays)
+        assert vperm == [list(a.vperm) for a in want]
+        assert eperm == [list(a.eperm) for a in want]
+        assert flips == [[int(x) for x in a.flips] for a in want]
+        assert graphs._automorphisms(n, ends) == tuple(want)
+        expected = {"theta": 12, "eyes": 8, "theta-theta": 288, "theta-eyes": 96,
+                    "theta3": 10368, "cube": 48, "two-loops-at-one-vertex": 8, "triple-edge": 12}
+        assert len(want) == expected[name]
+
+    def test_cube_is_searched_at_the_vertex_cap(self):
+        assert CUBE.n_vertices == graphs._VERTEX_CAP
+        assert all(type(x) is bool for aut in automorphisms(CUBE) for x in aut.flips)
+        with pytest.raises(graphs.TooLarge):
+            automorphisms(disjoint_union(CUBE, THETA))
+        with pytest.raises(graphs.TooLarge):
+            liftres_sweep(disjoint_union(CUBE, THETA), 2, max_cases=10, rng=random.Random(1))
+
+
 class TestAutomorphismOracle:
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
     def test_matches_brute_force(self, name):
@@ -547,25 +648,54 @@ class TestSweepEngine:
             assert liftres_sweep(G, p) == (p ** len(G.edges), 0)
 
     def test_chunks_enumerate_in_product_order(self, monkeypatch):
-        monkeypatch.setattr(graphs, "_CHUNK", 7)
-        for p, E in ((3, 3), (2, 6), (5, 2), (1, 4)):
+        for p, E in ((3, 3), (2, 6), (5, 2), (1, 4), (3, 0)):
+            monkeypatch.setattr(graphs, "_BLOCK_BYTES", _block_bytes(7, p, E))
             blocks = list(graphs._bead_chunks(p, E, None, None))
             assert all(b.shape == (E, min(7, b.shape[1])) for b in blocks)
             got = np.concatenate(blocks, axis=1).T.tolist()
             assert got == [list(t) for t in product(range(p), repeat=E)]
 
-    def test_samples_keep_the_draw_order(self, monkeypatch):
-        # p = 3 << 61 rejects a quarter of all words, so the top-up runs
-        for chunk, n, p in product((7, graphs._CHUNK), (50, 2 * graphs._CHUNK + 5), (7, 3 << 61)):
-            monkeypatch.setattr(graphs, "_CHUNK", chunk)
-            ref, rng = random.Random(5), random.Random(5)
-            want = _reference_sample(ref, p, 6, n)
-            blocks = list(graphs._bead_chunks(p, 6, n, rng))
-            assert [b.shape for b in blocks] == [(6, min(chunk, n - i)) for i in range(0, n, chunk)]
-            width = np.min_scalar_type(-(6 + 2) * p)
+    @pytest.mark.parametrize("p", [7, 255, 256, 65535, 65536, 2 ** 32 - 1, 2 ** 32, 3 << 61])
+    def test_samples_keep_the_draw_order(self, monkeypatch, p):
+        # p on either side of each word width step (1, 2, 4, 8 bytes), so
+        # 0-3 spare bytes are carried between blocks; p = 255, 65535 and
+        # 3 << 61 reject about a quarter of all words, so the top-up runs.
+        # Blocks of 7 and 13 tuples and the production size, each over more
+        # than one block, give the same tuples and the same final rng state
+        # as one word at a time, asking only for whole 4-byte units
+        E = 6
+        production = graphs._BLOCK_BYTES // _block_bytes(1, p, E)
+        for chunk in (7, 13, production):
+            n = 50 if chunk < 50 else chunk + 5
+            ref, rng = _UnitRandom(5), _UnitRandom(5)
+            want = _reference_sample(ref, p, E, n)
+            monkeypatch.setattr(graphs, "_BLOCK_BYTES", _block_bytes(chunk, p, E))
+            blocks = list(graphs._bead_chunks(p, E, n, rng))
+            assert [b.shape for b in blocks] == [(E, min(chunk, n - i)) for i in range(0, n, chunk)]
+            width = np.min_scalar_type(-(E + 2) * p)
             assert all(b.dtype == width and b.flags.c_contiguous for b in blocks)
             assert np.concatenate(blocks, axis=1).T.tolist() == want, (chunk, n, p)
             assert rng.getstate() == ref.getstate()
+            assert sum(rng.requests) == sum(ref.requests)
+
+    @pytest.mark.parametrize("name, p", [("theta", 60), ("theta-theta", 6), ("theta-theta", 17),
+                                         ("theta", 70000), ("theta", 2 ** 40)])
+    def test_blocks_are_sized_in_bytes(self, name, p):
+        # a block holds _BLOCK_BYTES of beads at its width: more tuples
+        # when narrow, no more bytes when wide; a sample fills every block
+        # but the last
+        G = SWEEP_GRAPHS[name]
+        E = len(G.edges)
+        chunk = graphs._BLOCK_BYTES // _block_bytes(1, p, E)
+        n = 2 * chunk + 1
+        sampled = list(graphs._bead_chunks(p, E, n, random.Random(p)))
+        assert [b.shape[1] for b in sampled] == [chunk, chunk, 1]
+        assert graphs._BLOCK_BYTES - E * 8 < sampled[0].nbytes <= graphs._BLOCK_BYTES
+        if p ** E <= graphs._SWEEP_CAP:
+            blocks = list(graphs._bead_chunks(p, E, None, None))
+            assert sum(b.shape[1] for b in blocks) == p ** E
+            assert all(b.nbytes <= graphs._BLOCK_BYTES for b in blocks)
+            assert blocks[0].nbytes > graphs._BLOCK_BYTES // 2
 
     @pytest.mark.parametrize("name, p, n, width", [
         ("theta", 25, None, np.int8), ("theta", 26, None, np.int16),
@@ -594,12 +724,17 @@ class TestSweepEngine:
             assert np.array_equal(graphs._cycles_vanish(C, b, p),
                                   graphs._cycles_vanish(C, wide, p))
 
-    @pytest.mark.parametrize("p", [2, 7, 2 ** 5, 2 ** 63 // 8 - 1, 3 << 61])
+    @pytest.mark.parametrize("p", [2, 7, 2 ** 5, 129, 3 << 6, 32769, 3 << 14, 2 ** 31 + 1,
+                                   3 << 30, 2 ** 63 // 8 - 1, 3 << 61])
     def test_samples_are_uniform(self, p):
         # chi-square over 16 (or p) bins of equal width, last bin shorter;
         # p = 2^63 // 8 - 1 is the largest p liftres_sweep admits at E = 6;
-        # at p = 3 << 61, 2^64 = 2p + 2^62, and a sampler without rejection
-        # makes the lowest two thirds of the range 1.5 times as likely
+        # 129, 32769 and 2^31 + 1 reject the most of their word (127 of
+        # 256 bytes, and so on), so about half of every draw is topped up;
+        # at p = 3 << 6, 3 << 14 and 3 << 30 the word's range is 4p/3, and a
+        # sampler without rejection makes the lowest third of the range
+        # twice as likely as the rest; at p = 3 << 61, 2^64 = 2p + 2^62, and
+        # it makes the lowest two thirds 1.5 times as likely
         n = 3000
         x = np.concatenate(list(graphs._bead_chunks(p, 6, n, random.Random(11))), axis=1).ravel()
         assert x.size == 6 * n and x.min() >= 0 and x.max() <= p - 1
@@ -613,13 +748,15 @@ class TestSweepEngine:
         assert chi2 < dof + 6 * (2 * dof) ** 0.5, (chi2, observed.tolist())
 
     def test_rejection_boundary_and_top_up(self):
-        # 2^64 = 2 mod 7: 2^64 - 3 is the largest word kept, 2^64 - 2 the
-        # smallest rejected; only the deficit is drawn again
-        top = 2 ** 64 - 3
-        rng = _Words([top, top + 1, 5, 2 ** 64 - 1, 13, 8])
+        # p = 7 draws 1-byte words and 256 = 4 mod 7: 251 is the largest
+        # word kept, 252 the smallest rejected.  Only the deficit is drawn
+        # again, from the byte carried over first: the first top-up reads
+        # that byte and asks for nothing, the second asks for one whole
+        # 4-byte unit and carries three bytes on
+        rng = _Bytes([251, 252, 5, 255, 13, 8, 9, 10, 99])
         (block,) = graphs._bead_chunks(7, 3, 1, rng)
-        assert block.tolist() == [[top % 7], [5], [13 % 7]]
-        assert rng.calls == [3, 1, 1] and rng.words == [8]
+        assert block.tolist() == [[251 % 7], [5], [13 % 7]]
+        assert rng.calls == [4, 4] and rng.data == bytes([99])
 
     def test_cli_sample_is_reproducible(self, capsys):
         argv = ["liftres", "--graph", "theta-eyes", "--p", "7", "--max-cases", "10000",
@@ -649,8 +786,10 @@ class TestSweepEngine:
             assert (U == inv).all(axis=(1, 2)).any(), (name, a)
 
     def test_sweep_across_chunk_boundaries(self, monkeypatch):
-        monkeypatch.setattr(graphs, "_CHUNK", 7)
+        monkeypatch.setattr(graphs, "_BLOCK_BYTES", _block_bytes(7, 3, 6))
         assert liftres_sweep(SWEEP_GRAPHS["theta-eyes"], 3) == (729, 0)
+        assert liftres_sweep(SWEEP_GRAPHS["theta-eyes"], 7, max_cases=100,
+                             rng=random.Random(4)) == (100, 0)
 
     def test_theta_cubed_exhaustive(self):
         assert liftres_sweep(disjoint_union(THETA, THETA, THETA), 3) == (19683, 0)
@@ -671,8 +810,9 @@ class TestSweepEngine:
         auts = automorphisms(G)
         dropped = next(i for i, a in enumerate(auts)
                        if _signed_order_by_powers(a) > 2)  # a^-1 != a
-        kept = auts[:dropped] + auts[dropped + 1:]
-        monkeypatch.setattr(graphs, "automorphisms", lambda G: kept)
+        kept = tuple(np.delete(rows, dropped, axis=0)
+                     for rows in graphs._aut_arrays(*graphs._topology(G)))
+        monkeypatch.setattr(graphs, "_aut_arrays", lambda n, ends: kept)
         graphs._certificate.cache_clear()
         with pytest.raises(ArithmeticError, match="inverse is missing"):
             liftres_sweep(G, 2)
@@ -813,10 +953,10 @@ class TestSweepLimits:
         assert 5 ** 9 <= graphs._SWEEP_CAP < 7 ** 9
 
     def test_oversized_sweeps_refused_before_work(self, monkeypatch, rng):
-        def no_work(G):
+        def no_work(*args):
             raise AssertionError("the sweep started work")
 
-        monkeypatch.setattr(graphs, "automorphisms", no_work)
+        monkeypatch.setattr(graphs, "_aut_arrays", no_work)
         monkeypatch.setattr(graphs, "_coloring_plan", no_work)
         G = disjoint_union(THETA, THETA, THETA)
         with pytest.raises(ValueError, match="--max-cases"):
@@ -835,10 +975,10 @@ class TestSweepLimits:
         assert all(liftres_check(BeadedGraph(0, []), p) for p in range(2, 6))
 
     def test_cli_refuses_theta_cubed_at_7(self, capsys, monkeypatch, tmp_path):
-        def no_work(G):
+        def no_work(*args):
             raise AssertionError("the sweep started work")
 
-        monkeypatch.setattr(graphs, "automorphisms", no_work)
+        monkeypatch.setattr(graphs, "_aut_arrays", no_work)
         f = tmp_path / "theta3.json"
         f.write_text(json.dumps(disjoint_union(THETA, THETA, THETA).to_json()))
         code = main(["liftres", "--file", str(f), "--p", "7"])
