@@ -23,17 +23,13 @@ Output is deterministic: floats are printed to 12 significant digits,
 exact rationals as fraction strings.  ``main`` reads a well-formed
 command line straight from the command table, ``_COMMANDS``, which
 declares every flag once, and loads no ``argparse``.  argparse is built
-from the same table only for help and usage errors, and its messages and
-exit codes are the ones printed: for a named command, a parser holding
-that command alone, built on first need in the process and reused after
-it; for ``-h``, an empty command line or an unknown command, the full
-parser, whose help and errors list every command.
+from the same table, with every command, only for help and usage errors,
+and its messages and exit codes are the ones printed.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import gc
 import json
 import os
@@ -367,9 +363,9 @@ _OUTPUT_FLAGS = (
     ("--format", dict(choices=["table", "csv", "json"], default="table")),
     ("--out", dict(help="write output to this file instead of stdout")),
 )
-_KNOT_FLAGS = (  # every knot command's flags: the knot's source, then the output's
-    ("--knot", dict(help="name of a bundled corpus knot")),
-    ("--file", dict(help="JSON file: Seifert matrix or knot record")),
+_KNOT_FLAGS = (  # every knot command's flags: the knot's one source, then the output's
+    [("--knot", dict(help="name of a bundled corpus knot")),
+     ("--file", dict(help="JSON file: Seifert matrix or knot record"))],
     *_OUTPUT_FLAGS,
 )
 
@@ -399,8 +395,8 @@ _COMMANDS = {
     ), cmd_residue),
     "liftres": ("verify lift count = residue on bead sweeps", (
         *_OUTPUT_FLAGS,
-        ("--graph", dict(choices=sorted(_GRAPHS), help="a built-in graph")),
-        ("--file", dict(help="JSON file with a beaded graph")),
+        [("--graph", dict(choices=sorted(_GRAPHS), help="a built-in graph")),
+         ("--file", dict(help="JSON file with a beaded graph"))],
         ("--p", dict(required=True, help="degrees")),
         ("--max-cases", dict(type=int, help="sample this many bead tuples")),
         ("--seed", dict(type=int, default=0, help="sampling seed")),
@@ -418,24 +414,16 @@ def _flag_groups(flags) -> list[list]:
     return [item if isinstance(item, list) else [item] for item in flags]
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """A fresh parser with every subcommand, or with ``command``'s alone.
-
-    The restricted parser parses an argv that starts with ``command``
-    exactly as the full one does: its usage line names every command, so
-    an error that the top parser reports reads the same."""
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser with every subcommand, built from ``_COMMANDS``."""
     import argparse  # here, not at import: a well-formed command line never needs it
 
     ap = argparse.ArgumentParser(
         prog="knotcovers",
         description="abelian knot invariants and their cyclic branched covers",
     )
-    # the same usage line either way; the full parser leaves argparse's default,
-    # under which its "required" and "invalid choice" errors say "command"
-    metavar = "{%s}" % ",".join(_COMMANDS) if command else None
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in [command] if command else _COMMANDS:
-        summary, flags, fn = _COMMANDS[name]
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (summary, flags, fn) in _COMMANDS.items():
         sp = sub.add_parser(name, help=summary)
         for group in _flag_groups(flags):
             into = sp.add_mutually_exclusive_group() if len(group) > 1 else sp
@@ -443,12 +431,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                 into.add_argument(option, **kw)
         sp.set_defaults(fn=fn)
     return ap
-
-
-@functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    # main's parsers, each built once per process; build_parser() callers get a fresh one
-    return build_parser(command)
 
 
 def _table_parse(argv: list[str]) -> types.SimpleNamespace | None:
@@ -500,12 +482,10 @@ def _table_parse(argv: list[str]) -> types.SimpleNamespace | None:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a well-formed command line is read from the table; argparse answers the
-    # rest, a named command with its own parser, and -h, no argv or an unknown
-    # command with the full one, which lists and checks every command
+    # a well-formed command line is read from the table; argparse answers the rest
     args = _table_parse(argv)
     if args is None:
-        args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
     # a command makes many short-lived containers and almost no cycles: a pass
     # of the cyclic collector there is pure cost, a third of a short command's
     collecting = gc.isenabled()

@@ -20,10 +20,9 @@ Two quantities are attached for each p >= 1:
   off the same walk.  ``phi_R`` averages that monomial over the
   automorphism group of the graph (automorphisms may reverse edges, which
   inverts the corresponding variable), reading each automorphism's
-  cycles pulled back to bead coordinates, kept once per topology like
-  the automorphisms themselves, and ``res_p_graph`` sums the
-  symbol over all tuples of p-th roots of unity, scaled by
-  p^(Euler characteristic).
+  cycles pulled back to bead coordinates, read off the automorphism
+  arrays once per topology, and ``res_p_graph`` sums the symbol over all
+  tuples of p-th roots of unity, scaled by p^(Euler characteristic).
 
 ``liftres_check`` verifies that the two agree -- exactly, term by term --
 and ``liftres_sweep`` runs the comparison over every bead tuple in
@@ -263,25 +262,12 @@ def _topology(G: BeadedGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
     return G.n_vertices, tuple((e.tail, e.head) for e in G.edges)
 
 
-def _bare_graph(n: int, ends: tuple[tuple[int, int], ...]) -> BeadedGraph:
-    """The beadless graph of a ``_topology`` key, with no re-check: the
-    key comes from a valid graph."""
-    G = BeadedGraph.__new__(BeadedGraph)
-    G.n_vertices, G.edges = n, tuple(Edge(tail, head, 0) for tail, head in ends)
-    return G
-
-
 @lru_cache(maxsize=64)
 def _automorphisms(n: int, ends: tuple[tuple[int, int], ...]) -> tuple[GraphAut, ...]:
-    """The rows of ``_aut_arrays`` as ``GraphAut`` tuples, flips as bools,
-    built only for the callers of ``automorphisms``: row by row, holding no
-    list of every row, and with one vperm tuple shared by the rows over it."""
-    vperms: dict[tuple[int, ...], tuple[int, ...]] = {}
-    out = []
-    for v, e, f in zip(*_aut_arrays(n, ends)):
-        v = tuple(v.tolist())
-        out.append(GraphAut(vperms.setdefault(v, v), tuple(e.tolist()), tuple(map(bool, f.tolist()))))
-    return tuple(out)
+    """The rows of ``_aut_arrays`` as ``GraphAut`` tuples, flips as bools."""
+    vperm, eperm, flips = (a.tolist() for a in _aut_arrays(n, ends))
+    return tuple(GraphAut(tuple(v), tuple(e), tuple(map(bool, f)))
+                 for v, e, f in zip(vperm, eperm, flips))
 
 
 @lru_cache(maxsize=64)
@@ -387,6 +373,19 @@ def fundamental_cycles(G: BeadedGraph) -> tuple[list[int], list[dict[int, int]]]
     return nonforest, cycles
 
 
+def _cycle_matrix(n: int, ends: tuple[tuple[int, int], ...]) -> tuple[list[int], np.ndarray]:
+    """The non-forest edges and the fundamental-cycle matrix C (b1 x E,
+    int64) of ``fundamental_cycles`` on the beadless graph of a topology key
+    (built with no re-check: the key comes from a valid graph)."""
+    import numpy as np
+
+    G = BeadedGraph.__new__(BeadedGraph)
+    G.n_vertices, G.edges = n, tuple(Edge(tail, head, 0) for tail, head in ends)
+    nonforest, cycles = fundamental_cycles(G)
+    C = [[cyc.get(e, 0) for e in range(len(ends))] for cyc in cycles]
+    return nonforest, np.array(C, dtype=np.int64).reshape(len(cycles), len(ends))
+
+
 def _aut_cycle_matrices(C: np.ndarray, eperm: np.ndarray, flips: np.ndarray) -> np.ndarray:
     """Integer tensor D[a][i][e] with the property that the i-th cycle
     monodromy of the beads pushed forward by automorphism a equals
@@ -423,19 +422,26 @@ def _pulled_cycles(n: int, ends: tuple[tuple[int, int], ...]
     """The fundamental cycles of every automorphism, pulled back to bead
     coordinates: a pushes bead m_e to +-m_e on edge eperm[e] (- when a
     flips e), so the i-th monodromy of the pushed beads is sum_e c * m_e
-    over the pairs (e, c), c = +-C[i][eperm[e]], of its pulled cycle i.
+    over the pairs (e, c), c = D[a][i][e] != 0, of its pulled cycle i, for D
+    = ``_aut_cycle_matrices`` over the int8 rows of ``_aut_arrays``.
     Returned as the distinct pulled cycles and, per automorphism, the
     indices of its b1 of them, so each monodromy is summed once per call."""
-    G = _bare_graph(n, ends)
-    _, cycles = fundamental_cycles(G)
-    index: dict[tuple[tuple[int, int], ...], int] = {}
-    auts = tuple(
-        tuple(index.setdefault(tuple((e, -cyc[f] if flip else cyc[f])
-                                     for e, (f, flip) in enumerate(zip(aut.eperm, aut.flips))
-                                     if f in cyc), len(index))
-              for cyc in cycles)
-        for aut in automorphisms(G))
-    return tuple(index), auts
+    import numpy as np
+
+    _, C = _cycle_matrix(n, ends)
+    _, eperm, flips = _aut_arrays(n, ends)
+    D = _aut_cycle_matrices(C, eperm, flips)
+    A, b1, E = D.shape
+    # each row is keyed by one integer, the base-3 number with digits
+    # D[a][i][e] + 1 (C's entries are 0 and +-1), deduplicated in a dict as
+    # _certificate's keys are, and read back digit by digit
+    weights = 3 ** np.arange(E, dtype=np.int64)
+    keys = ((D + 1).reshape(A * b1, E) @ weights).tolist()
+    index: dict[int, int] = {}
+    ids = [index.setdefault(key, len(index)) for key in keys]
+    digits = np.array(list(index), dtype=np.int64)[:, None] // weights % 3 - 1
+    vectors = tuple(tuple((e, c) for e, c in enumerate(row) if c) for row in digits.tolist())
+    return vectors, tuple(tuple(ids[a * b1:(a + 1) * b1]) for a in range(A))
 
 
 def res_p_graph(
@@ -553,11 +559,8 @@ def _certificate(n: int, ends: tuple[tuple[int, int], ...]) -> np.ndarray:
     table come straight from the int8 rows of ``_aut_arrays``."""
     import numpy as np
 
-    G = _bare_graph(n, ends)
-    nonforest, cycles = fundamental_cycles(G)
+    nonforest, C = _cycle_matrix(n, ends)
     E = len(ends)
-    C = np.array([[cyc.get(e, 0) for e in range(E)] for cyc in cycles],
-                 dtype=np.int64).reshape(len(cycles), E)
     _, eperm, flips = _aut_arrays(n, ends)
     D = _aut_cycle_matrices(C, eperm, flips)
     U = D[:, :, nonforest]

@@ -251,10 +251,9 @@ class Knot:
         is 2a + b for odd p and b (2x - 1) for even p, (2x - 1)^2 = 1 - 4s:
         beta_p = N(2a + b)^2 or beta_2 N(b)^2, beta_2 = |N(1 - 4s)| per knot.
         The last p, x^p and beta_p are kept.  Since x^2 = x - s, a step to
-        p + 1 is the linear map (a, b) -> (-s b, a + b) and a step to p + 2
-        is (a, b) -> (-s (a + b), a + b - s b), each multiplication by s one
-        shift and one reduction of the top term by the monic E; any other p
-        takes a square and multiply of general products."""
+        p + 1 is the linear map (a, b) -> (-s b, a + b), its multiplication
+        by s one shift and one reduction of the top term by the monic E; any
+        other p takes a square and multiply of general products."""
         if p < 1:
             raise ValueError("p must be a positive integer")
         if not self.genus:
@@ -281,10 +280,6 @@ class Knot:
         if last and p - last[0] == 1:
             a, b = last[1]
             xp = (minus_s(b), _padd(a, b))
-        elif last and p - last[0] == 2:
-            a, b = last[1]
-            ab = _padd(a, b)
-            xp = (minus_s(ab), _padd(ab, minus_s(b)))
         else:
             xp = _power(([], [1]), p, mul, ([1], []))
         a, b = xp

@@ -1,8 +1,7 @@
 """CLI rendering of values past Python's int-to-str digit limit, CSV
 fields that need quoting, the exit when the reader of stdout goes away, the command-table parse of a
-well-formed command line against argparse, and the parsers that ``main``
-builds once per process for help and usage errors: one per named
-command, and the full one."""
+well-formed command line against argparse, and the one full parser that
+``main`` builds for help and usage errors."""
 
 import argparse
 import csv
@@ -17,8 +16,7 @@ from pathlib import Path
 import pytest
 
 import knotcovers
-from knotcovers.cli import (_COMMANDS, EXIT_PIPE, _flag_groups, _parser, _table_parse,
-                            build_parser, main)
+from knotcovers.cli import _COMMANDS, EXIT_PIPE, _flag_groups, _table_parse, build_parser, main
 
 
 def lucas(n):
@@ -119,11 +117,8 @@ def test_closed_stdout_without_a_descriptor(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
-def test_main_builds_only_the_named_commands_parser(capsys, monkeypatch, tmp_path):
-    # a well-formed call of any command constructs no parser at all; a
-    # command's -h constructs the top parser and that command's alone, a
-    # repeat none; -h, no argv and an unknown command share one full
-    # parser, the top one plus one per subcommand
+def test_well_formed_calls_build_no_parser(capsys, monkeypatch, tmp_path):
+    # a well-formed call of any command constructs no parser at all
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -135,29 +130,9 @@ def test_main_builds_only_the_named_commands_parser(capsys, monkeypatch, tmp_pat
     monkeypatch.chdir(tmp_path)
     (tmp_path / "q.json").write_text('{"terms": [{"f": {"0": "1"}, "g": {"0": "1"}, '
                                      '"h": {"0": "1"}, "c": "1"}]}')
-    _parser.cache_clear()
-    try:
-        for name, (full, _) in _FLAGS.items():
-            assert main([name, *full]) in (0, 1)
-        assert built == []
-        for name in _COMMANDS:
-            for _ in range(2):
-                with pytest.raises(SystemExit):
-                    main([name, "-h"])
-            assert built == ["knotcovers", "knotcovers " + name]
-            built.clear()
-        assert main(["branched", "--knot", "trefoil", "--p", "2..5"]) == 0
-        assert built == []
-        for argv in (["-h"], [], ["bogus"]):
-            with pytest.raises(SystemExit):
-                main(argv)
-        full = ["knotcovers"] + ["knotcovers " + name for name in _COMMANDS]
-        assert built == full
-        built.clear()
-        assert build_parser() is not _parser(None)  # an outside caller cannot change main's parser
-        assert built == full
-    finally:
-        _parser.cache_clear()
+    for name, (full, _) in _FLAGS.items():
+        assert main([name, *full]) in (0, 1)
+    assert built == []
 
 
 def _argparse_exit(parse, argv, capsys):
@@ -192,9 +167,9 @@ def _parse_errors():
     yield ["bogus"]
 
 
-def test_each_commands_parser_answers_as_the_full_parser(capsys, monkeypatch):
-    # main parses a named command with that command's parser alone: its help,
-    # usage errors and exit codes are those of the parser with every command
+def test_main_answers_as_the_full_parser(capsys, monkeypatch):
+    # main leaves help and usage errors to argparse: its messages and exit
+    # codes are those of the parser with every command
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
     full = build_parser()
     seen = []
@@ -207,6 +182,24 @@ def test_each_commands_parser_answers_as_the_full_parser(capsys, monkeypatch):
     assert {code for code, _, _ in seen} == {0, 2}
     refused = "knotcovers: error: unrecognized arguments: --bogus\n"
     assert [err.endswith(refused) for _, _, err in seen].count(True) == len(_COMMANDS)
+
+
+def test_two_sources_are_refused(capsys, monkeypatch):
+    # a knot command takes --knot or --file, liftres --graph or --file, not
+    # both: the table parse leaves the pair to argparse, which refuses it
+    monkeypatch.setenv("COLUMNS", "80")
+    two = [(name, full, full[0]) for name, (full, _) in _FLAGS.items()
+           if full[0] in ("--knot", "--graph")]
+    assert [name for name, _, _ in two] == ["alexander", "signature", "branched", "growth",
+                                            "liftres"]
+    for name, full, source in two:
+        for argv in ([name, *full, "--file", "x.json"], [name, "--file", "x.json", *full]):
+            assert _table_parse(argv) is None, argv
+            code, out, err = _argparse_exit(main, argv, capsys)
+            first, second = (source, "--file") if argv[1] == source else ("--file", source)
+            assert (code, out) == (2, ""), argv
+            assert err.endswith("error: argument %s: not allowed with argument %s\n"
+                                % (second, first)), argv
 
 
 _SEQUENCE = [
@@ -230,8 +223,8 @@ def _untimed(text):
 
 
 def test_one_process_matches_a_fresh_process_per_command(capsys, monkeypatch, tmp_path):
-    # the reused parser carries nothing from one call to the next: each argv
-    # of the sequence, run in this process after the ones before it, gives
+    # a call carries nothing over to the next: each argv of the sequence,
+    # run in this process after the ones before it, gives
     # the exit code, stdout, stderr and --out file of its own fresh process
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -112,6 +112,21 @@ def _phi_by_push(G):
     return {k: Fraction(v, len(auts)) for k, v in hits.items()}
 
 
+def _pulled_cycles_by_loop(n, ends, auts):
+    """Oracle for ``_pulled_cycles``: the per-automorphism, per-cycle,
+    per-edge loop over ``GraphAut`` tuples that built the pulled cycles
+    before they were read from the automorphism arrays.  Per automorphism,
+    its b1 pulled cycles, each the pairs (e, c) with c = +-C[i][eperm[e]],
+    - when it flips e, in edge order."""
+    G = BeadedGraph.__new__(BeadedGraph)  # the key need not be trivalent
+    G.n_vertices, G.edges = n, tuple(Edge(tail, head, 0) for tail, head in ends)
+    _, cycles = fundamental_cycles(G)
+    return [[tuple((e, -cyc[f] if flip else cyc[f])
+                   for e, (f, flip) in enumerate(zip(aut.eperm, aut.flips)) if f in cyc)
+             for cyc in cycles]
+            for aut in auts]
+
+
 def _reference_sample(rng, p, E, n):
     """Independent re-implementation of the sampling recipe in Python ints,
     one word at a time: a word is the fewest of 1, 2, 4 or 8 bytes that
@@ -554,6 +569,24 @@ class TestSymbols:
             H = G.with_beads([rng.randint(-7, 7) for _ in G.edges])
             assert phi_R(H) == _phi_by_push(H)
         assert phi_R(G) == {(0,) * G.b1: 1}
+
+    @pytest.mark.parametrize("name", sorted(AUT_TOPOLOGIES) + ["edgeless"])
+    def test_pulled_cycles_match_the_per_automorphism_loop(self, name):
+        # the same pulled cycles per automorphism, cycle by cycle, from the
+        # arrays as from the loop over the GraphAut tuples in the same order
+        n, ends = AUT_TOPOLOGIES.get(name, (0, ()))
+        vectors, auts = graphs._pulled_cycles(n, ends)
+        want = _pulled_cycles_by_loop(n, ends, _automorphisms_by_choice(n, ends))
+        assert len(auts) == len(want) and len(set(vectors)) == len(vectors)
+        assert [[vectors[i] for i in idx] for idx in auts] == want
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS) + ["theta-theta-theta", "edgeless"])
+    def test_phi_matches_the_push_on_large_signed_beads(self, name, rng):
+        G = {**SWEEP_GRAPHS, "theta-theta-theta": disjoint_union(THETA, THETA, THETA),
+             "edgeless": BeadedGraph(0, [])}[name]
+        for bound in (1, 9, 2 ** 40, 2 ** 200):
+            H = G.with_beads([rng.randint(-bound, bound) for _ in G.edges])
+            assert phi_R(H) == _phi_by_push(H), (name, bound)
 
     def test_pulled_cycles_kept_once_per_topology(self):
         graphs._pulled_cycles.cache_clear()

@@ -236,9 +236,9 @@ class TestSeifertPresentation:
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_linear_steps_match_the_norm_in_z_x_mod_chi(self, g, rng):
-        # p + 1 and p + 2 are the linear maps (a, b) -> (-s b, a + b) and
-        # (-s (a + b), a + b - s b); steps of 3 and descending p take the
-        # square and multiply, from which the next steps start again
+        # p + 1 is the linear map (a, b) -> (-s b, a + b); steps of 2 and 3
+        # and descending p take the square and multiply, from which the next
+        # steps start again
         ladders = [list(range(1, 31)), [1, 3, 6, 8, 11, 13, 16, 18, 21, 23],
                    list(range(30, 0, -1)), [2, 4, 7, 9, 12, 14, 17, 15, 13, 16, 18]]
         for _ in range(3):

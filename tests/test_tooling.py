@@ -391,11 +391,11 @@ def test_traced_bindings_exist():
 
 
 def test_one_command_table_for_every_parser():
-    # main builds a named command's parser alone and the full one only for
-    # -h or an unknown command; both come from the one table, which names
-    # each cmd_* function once, in the full parser's order, and declares each
-    # flag once: every subparser's actions are the table's, so the table
-    # parse of a well-formed command line cannot drift from argparse
+    # main builds the parser only for help and usage errors, from the one
+    # table, which names each cmd_* function once, in the parser's order,
+    # and declares each flag once: every subparser's actions are the
+    # table's, so the table parse of a well-formed command line cannot
+    # drift from argparse
     from knotcovers import cli
 
     commands = [fn for name, fn in vars(cli).items() if name.startswith("cmd_")]
@@ -404,9 +404,6 @@ def test_one_command_table_for_every_parser():
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert list(sub.choices) == list(cli._COMMANDS)
     for name, (_, flags, _) in cli._COMMANDS.items():
-        (one,) = [a for a in cli.build_parser(name)._actions
-                  if isinstance(a, argparse._SubParsersAction)]
-        assert list(one.choices) == [name] and one.metavar == "{%s}" % ",".join(cli._COMMANDS)
         parser = sub.choices[name]
         declared = []
         for group in cli._flag_groups(flags):
@@ -440,6 +437,25 @@ def test_package_exports_the_union_of_the_module_lists():
               if not n.startswith("_") and not isinstance(v, type(knotcovers))}
     assert public == union
     assert not hasattr(knotcovers, "__all__")
+
+
+def test_graphs_reads_the_automorphism_arrays():
+    # the GraphAut tuples are built for the public automorphisms() alone;
+    # the certificate and the pulled cycles read the int8 arrays
+    tree = ast.parse((SRC / "graphs.py").read_text(encoding="utf-8"))
+
+    def readers(name):
+        return sorted(fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                      and any(isinstance(node, ast.Name) and node.id == name
+                              for node in ast.walk(fn)))
+
+    assert readers("_automorphisms") == ["automorphisms"]
+    assert readers("_aut_arrays") == ["_automorphisms", "_certificate", "_pulled_cycles"]
+    built = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "GraphAut"]
+    assert built == ["_automorphisms"]
+
 
 def test_graphs_draws_in_blocks_without_lambdamat():
     # the liftres sample comes from rng.randbytes blocks, not one randrange
