@@ -227,7 +227,7 @@ def criterion_06(ctx: AcceptanceContext):
     for p in (2, 3, 5):
         cases, failures = liftres_sweep(th2, p)
         check(cases == p ** 6 and failures == 0, (p, cases, failures))
-    # spot-check the per-case route where the sweep was vectorized
+    # spot-check the per-tuple route beside the per-topology decision above
     for _ in range(60):
         beads = [rng.randrange(5) for _ in range(6)]
         check(liftres_check(th2.with_beads(beads), 5), beads)

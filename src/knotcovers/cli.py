@@ -33,7 +33,6 @@ import contextlib
 import gc
 import json
 import os
-import random
 import sys
 import types
 from fractions import Fraction
@@ -340,8 +339,7 @@ def cmd_residue(args) -> int:
 def cmd_liftres(args) -> int:
     G = _load_graph(args)
     ps = _parse_ps(args.p)
-    rng = random.Random(args.seed)
-    rows = [[p, len(G.edges), *liftres_sweep(G, p, max_cases=args.max_cases, rng=rng)] for p in ps]
+    rows = [[p, len(G.edges), *liftres_sweep(G, p, max_cases=args.max_cases)] for p in ps]
     _emit_rows(args, ["p", "edges", "cases", "failures"], rows)
     bad = sum(row[3] for row in rows)
     if bad:
@@ -393,13 +391,14 @@ _COMMANDS = {
         ("--q", dict(required=True, help="JSON file with the class")),
         ("--p", dict(required=True, help="degrees")),
     ), cmd_residue),
-    "liftres": ("verify lift count = residue on bead sweeps", (
+    "liftres": ("decide lift count = residue for every bead tuple", (
         *_OUTPUT_FLAGS,
-        [("--graph", dict(choices=sorted(_GRAPHS), help="a built-in graph")),
+        [("--graph", dict(choices=sorted(_GRAPHS), metavar="NAME",
+                          help="a built-in graph: %s" % ", ".join(sorted(_GRAPHS)))),
          ("--file", dict(help="JSON file with a beaded graph"))],
         ("--p", dict(required=True, help="degrees")),
-        ("--max-cases", dict(type=int, help="sample this many bead tuples")),
-        ("--seed", dict(type=int, default=0, help="sampling seed")),
+        ("--max-cases", dict(type=int, help="cap the cases column (every tuple is decided)")),
+        ("--seed", dict(type=int, default=0, help="no effect: no tuple is sampled")),
     ), cmd_liftres),
     "selftest": ("run the acceptance criteria", (
         ("--criteria", dict(help='subset like "1,4,6" (default: all)')),

@@ -25,19 +25,16 @@ Two quantities are attached for each p >= 1:
   tuples of p-th roots of unity, scaled by p^(Euler characteristic).
 
 ``liftres_check`` verifies that the two agree -- exactly, term by term --
-and ``liftres_sweep`` runs the comparison over every bead tuple in
-{0..p-1}^(#edges), or a seeded sample (random bytes read as the
-narrowest unsigned words that hold p, so a seed gives other tuples than
-the 64-bit words, and before them ``randrange``, drew), a block of a fixed
-number of bytes at a time, one row per edge, at the narrowest integer
-width that holds every sum the kernels form.  Its residue side rests on
-one certificate per topology, cached like the automorphisms, which it
-reads as int8 arrays: every automorphism acts on the cycle lattice by a matrix
-whose inverse is its inverse automorphism's, hence det +-1, so all of
-them share the kernel of the fundamental-cycle matrix mod p, and the
-average over the group is one kernel test.  Its lift side replays
+on one beaded graph, and ``liftres_sweep`` decides it for every bead tuple
+in {0..p-1}^(#edges) and every p at once, from the topology alone.  Its
+residue side rests on one certificate per topology, cached like the
+automorphisms: every automorphism acts on the cycle lattice by a matrix
+whose inverse is its inverse automorphism's, hence det +-1, so all of them
+share the kernel of the fundamental-cycle matrix C mod p, and the average
+over the group is the one condition C x = 0 mod p.  Its lift side replays
 ``count_admissible``'s coloring plan (``_coloring_plan``, the one walk of
-the graph, which also gives the fundamental cycles) as row operations.
+the graph, which also gives the fundamental cycles) on linear forms in the
+beads: each non-forest edge's check is +- that edge's row of C.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import prod
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exactalg import _json_object
 
@@ -65,13 +62,6 @@ __all__ = [
 ]
 
 _VERTEX_CAP = 8
-# bead tuples one liftres_sweep may check: admits theta^3 at p = 5 (5^9,
-# about 1.95M) and refuses it at p = 7 (40M); and bytes of beads per numpy
-# block, 8,192 tuples of six int8 beads: a block of narrower beads holds
-# more tuples, one of wider beads fewer.  The kernels' temporaries grow with
-# the block: at four times this size, selftest's peak memory rose 0.13 MB
-_SWEEP_CAP = 1 << 22
-_BLOCK_BYTES = 8192 * 6
 
 
 class TooLarge(ValueError):
@@ -317,8 +307,7 @@ def _aut_arrays(n: int, ends: tuple[tuple[int, int], ...]
             assign, fl = options[key]
             if a != b:
                 # an edge is reversed iff the image of its tail is its image's
-                # head: an equality, the int8 comparison the sweep makes too,
-                # so no other numpy loop is paged in
+                # head
                 fl = (fl == np.array([vperm[ends[e][0]] for e in src], dtype=np.int8)).view(np.int8)
             opts.append((src, assign, fl))
         else:
@@ -472,7 +461,8 @@ def liftres_check(G: BeadedGraph, p: int) -> bool:
 
 class _Plan(NamedTuple):
     """The coloring propagation over G with the beads left open, the one
-    walk behind both ``count_admissible`` and ``liftres_sweep``'s lift side.
+    walk behind ``count_admissible``, ``fundamental_cycles`` and
+    ``liftres_sweep``'s check rows.
     A step (w, v, edge, sign) reads color[w] = color[v] + sign * bead[edge]
     mod p: ``sets`` fill in the colors in traversal order, ``checks`` hold
     every other edge once (b1 of them), and ``comps`` counts the
@@ -516,25 +506,6 @@ def _coloring_plan(G: BeadedGraph) -> _Plan:
                     sets.append((w, v, idx, sign))
                     stack.append(w)
     return _Plan(n, sets, checks, comps)
-
-
-def _colorable(plan: _Plan, beads: np.ndarray, p: int) -> np.ndarray:
-    """Per bead tuple (column, beads in 0..p-1), whether a Z_p coloring
-    exists (lift count p^comps, else 0).  The colors keep the beads' width:
-    a color plus or minus a bead lies in (-p, 2p), reduced as x - (x // p) p,
-    which numpy computes faster than x % p, and a check's difference lies
-    in (-p, 2p) for s = 1, (-2p, p) for s = -1: it is 0 mod p iff 0 or s * p."""
-    import numpy as np
-
-    colors = np.zeros((plan.n_vertices, beads.shape[1]), dtype=beads.dtype)
-    for w, v, e, s in plan.sets:
-        x = colors[v] + s * beads[e]
-        np.subtract(x, x // p * p, out=colors[w])
-    ok = np.ones(beads.shape[1], dtype=bool)
-    for w, v, e, s in plan.checks:
-        diff = colors[v] + s * beads[e] - colors[w]
-        ok &= (diff == 0) | (diff == s * p)
-    return ok
 
 
 def _certified_cycle_matrix(G: BeadedGraph) -> np.ndarray:
@@ -588,127 +559,45 @@ def _certificate(n: int, ends: tuple[tuple[int, int], ...]) -> np.ndarray:
     return C
 
 
-def _cycles_vanish(C: np.ndarray, beads: np.ndarray, p: int) -> np.ndarray:
-    """Per bead tuple (column), whether every cycle monodromy is 0 mod p:
-    each row of C, whose entries are 0 and +-1, adds and subtracts bead
-    rows at the beads' width, which holds a sum of E beads below p."""
-    import numpy as np
+def liftres_sweep(G: BeadedGraph, p: int, max_cases: int | None = None) -> tuple[int, int]:
+    """Decide lift count = residue for every bead tuple in {0..p-1}^E at once.
 
-    ok = np.ones(beads.shape[1], dtype=bool)
-    for row in C.tolist():
-        m = sum(b if c > 0 else -b for c, b in zip(row, beads) if c)
-        ok &= m == m // p * p
-    return ok
+    On a tuple x both sides are 0 or p^b0: the residue when C x = 0 mod p,
+    for the certified cycle matrix C (``_certified_cycle_matrix``), and the
+    lift count when every check of the coloring plan holds
+    (``count_admissible``).  The plan's ``sets``, replayed on integer linear
+    forms in the beads, make each check a row; when the plan visits the b0
+    components and the check of each non-forest edge is +- that edge's row
+    of C, the two conditions are one, for every x and every p.  Returns
+    (cases, 0), cases being p^E, or min(max_cases, p^E) when max_cases is
+    given.
 
-
-def _bead_chunks(p: int, E: int, max_cases: int | None, rng) -> Iterator[np.ndarray]:
-    """Bead tuples as the columns of (E, n) blocks at the narrowest integer
-    width holding (E + 2) p in absolute value, enough for every color,
-    check difference and cycle sum the kernels form, each block at most
-    the tuples whose beads fit in _BLOCK_BYTES: all of {0..p-1}^E in
-    lexicographic order, or max_cases tuples of random words.
-
-    A word is the narrowest unsigned integer holding p (1, 2, 4 or 8
-    bytes), read little-endian from the byte stream of ``rng.randbytes``,
-    which is one stream only in whole 4-byte units: it is asked for
-    multiples of 4 bytes, and the 0-3 bytes left over are carried to the
-    next request.  Words at or above the largest multiple of p the word
-    holds are rejected, only the deficit is drawn again, and the rest are
-    reduced mod p.  The sample and the rng's final state are thus
-    independent of _BLOCK_BYTES.
-
-    An exhaustive block is one grid of the trailing k digits, p^k at most
-    the block's tuples, made once, repeated under each of the block's
-    prefixes of leading digits, which are columns of a second grid: no
-    division."""
-    import numpy as np
-
-    dtype = np.min_scalar_type(-(E + 2) * p)
-    chunk = _BLOCK_BYTES // (max(E, 1) * dtype.itemsize)
-    if max_cases is None:
-        k = 0
-        while k < E and p ** (k + 1) <= chunk:
-            k += 1
-        tail = np.indices((p,) * k, dtype=dtype).reshape(k, p ** k)
-        heads = np.indices((p,) * (E - k), dtype=dtype).reshape(E - k, p ** (E - k))
-        step = chunk // p ** k
-        for start in range(0, heads.shape[1], step):
-            lead = heads[:, start:start + step]
-            block = np.empty((E, lead.shape[1] * p ** k), dtype=dtype)
-            block[:E - k] = np.repeat(lead, p ** k, axis=1)
-            block[E - k:] = np.tile(tail, lead.shape[1])
-            yield block
-        return
-    word = np.min_scalar_type(p).newbyteorder("<")
-    span = 1 << 8 * word.itemsize
-    top = word.type(span - span % p - 1)  # the largest word kept
-    spare = b""
-
-    def draw(count: int) -> np.ndarray:
-        """The next count words of the stream, those kept by the rejection."""
-        nonlocal spare
-        short = count * word.itemsize - len(spare)
-        stream = spare + rng.randbytes(short + -short % 4) if short > 0 else spare
-        spare = stream[count * word.itemsize:]
-        words = np.frombuffer(stream, dtype=word, count=count)
-        return words[words <= top]
-
-    for start in range(0, max_cases, chunk):
-        n = min(chunk, max_cases - start)
-        words = draw(E * n)
-        while words.size < E * n:
-            words = np.concatenate((words, draw(E * n - words.size)))
-        np.remainder(words, word.type(p), out=words)  # in place: no second word array
-        yield words.reshape(n, E).T.astype(dtype, order="C")
-
-
-def liftres_sweep(
-    G: BeadedGraph,
-    p: int,
-    max_cases: int | None = None,
-    rng=None,
-) -> tuple[int, int]:
-    """Compare lift count against residue for bead tuples in {0..p-1}^E.
-
-    Exhaustive by default; when max_cases is given and smaller than p^E,
-    a sample of that size drawn from rng.  On a tuple x both sides are 0
-    or p^b0: the lift count when the coloring plan (``_coloring_plan``)
-    goes through, and the residue p^b0 * hits / |Aut| when C x = 0 mod p
-    (the certificate makes hits = |Aut| or 0).  Each side is evaluated
-    independently over chunks of tuples, at the narrowest integer width
-    holding (E + 2) p (``_bead_chunks``).  Returns (cases, failures).
-
-    ValueError for p outside 1..2^63 / (E + 2) - 1, for max_cases below
-    1, for sampling without an rng, and, before any work, for more than
-    _SWEEP_CAP cases.
+    ValueError for p or max_cases below 1; ArithmeticError, naming the
+    topology, if the checks are not the rows of C.
     """
-    import numpy as np
-
-    E = len(G.edges)
-    # the widest batch, int64, must hold a cycle's sum of up to E beads
-    # below p, and a color check's sum of three values below p
-    pmax = 2 ** 63 // (E + 2) - 1
-    if not 1 <= p <= pmax:
-        raise ValueError("p must lie in 1..%d, where the int64 batches stay exact" % pmax)
+    if p < 1:
+        raise ValueError("p must be a positive integer")
     if max_cases is not None and max_cases < 1:
         raise ValueError("max_cases (--max-cases) must be at least 1, got %d" % max_cases)
-    total = p ** E
-    if max_cases is not None and max_cases >= total:
-        max_cases = None
-    if max_cases is not None and rng is None:
-        raise ValueError("sampling needs an rng")
-    ncase = total if max_cases is None else max_cases
-    if ncase > _SWEEP_CAP:
-        raise ValueError(
-            "%d bead tuples exceed the sweep cap of %d; sample fewer with --max-cases"
-            % (ncase, _SWEEP_CAP)
-        )
-    C = _certified_cycle_matrix(G)
+    C = _certified_cycle_matrix(G).tolist()
     plan = _coloring_plan(G)
-    if plan.comps != G.b0 or len(plan.checks) != G.b1:
-        raise ArithmeticError("the coloring plan must visit every component and check each"
-                              " non-forest edge once")
-    failures = 0
-    for beads in _bead_chunks(p, E, max_cases, rng):
-        failures += int(np.count_nonzero(_colorable(plan, beads, p) != _cycles_vanish(C, beads, p)))
-    return ncase, failures
+    E = len(G.edges)
+    forms = [[0] * E for _ in range(plan.n_vertices)]
+    for w, v, e, s in plan.sets:
+        forms[w] = forms[v][:]
+        forms[w][e] += s
+    checks = []
+    for w, v, e, s in plan.checks:
+        row = [a - b for a, b in zip(forms[v], forms[w])]
+        row[e] += s
+        checks.append((e, row))
+    checks.sort()
+    forest = {e for _, _, e, _ in plan.sets}
+    rows = list(zip([e for e in range(E) if e not in forest], C))
+    if plan.comps != G.b0 or not len(checks) == len(rows) == len(C) or any(
+            e != f or check not in (row, [-c for c in row])
+            for (e, check), (f, row) in zip(checks, rows)):
+        raise ArithmeticError("the coloring plan's checks are not +-the fundamental cycles of"
+                              " topology %r" % (_topology(G),))
+    total = p ** E
+    return (total if max_cases is None else min(max_cases, total)), 0

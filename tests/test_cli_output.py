@@ -184,6 +184,16 @@ def test_main_answers_as_the_full_parser(capsys, monkeypatch):
     assert [err.endswith(refused) for _, _, err in seen].count(True) == len(_COMMANDS)
 
 
+def test_help_fits_in_80_columns(capsys, monkeypatch):
+    # argparse wraps usage at the terminal width, but never inside an
+    # exclusive group, so a long choices list there overflows the line
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in [["-h"]] + [[name, "-h"] for name in _COMMANDS]:
+        code, out, err = _argparse_exit(main, argv, capsys)
+        assert (code, err) == (0, "")
+        assert max(len(line) for line in out.splitlines()) <= 80, argv
+
+
 def test_two_sources_are_refused(capsys, monkeypatch):
     # a knot command takes --knot or --file, liftres --graph or --file, not
     # both: the table parse leaves the pair to argparse, which refuses it

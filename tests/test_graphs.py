@@ -87,6 +87,20 @@ def _per_automorphism_hits(G, tuples, p):
     return hits
 
 
+def _assert_oracles_agree(G, p):
+    """The lift count and the residue agree on every tuple of {0..p-1}^E
+    by the oracles: the plan replayed on all tuples at once (and, up to
+    4,096 tuples, the scalar lift count) on one side, one matmul per
+    automorphism on the other; |Aut| times the residue is p^b0 times the
+    automorphisms whose pushed monodromies vanish."""
+    tuples = _all_tuples(G, p)
+    lifts = p ** G.b0 * _colorable(graphs._coloring_plan(G), tuples.T, p)
+    if len(tuples) <= 4096:
+        assert lifts.tolist() == [count_admissible(G.with_beads(t), p) for t in tuples.tolist()]
+    hits = _per_automorphism_hits(G, tuples, p)
+    assert np.array_equal(lifts * len(automorphisms(G)), p ** G.b0 * hits), (G, p)
+
+
 def cycle_monodromies(beads, cycles):
     """The monodromy of each cycle (a map edge -> signed multiplicity) under
     a bead labeling: the signed sum of its beads."""
@@ -127,56 +141,32 @@ def _pulled_cycles_by_loop(n, ends, auts):
             for aut in auts]
 
 
-def _reference_sample(rng, p, E, n):
-    """Independent re-implementation of the sampling recipe in Python ints,
-    one word at a time: a word is the fewest of 1, 2, 4 or 8 bytes that
-    holds p, read little-endian off the stream of ``rng.randbytes`` taken 4
-    bytes at a time, rejected when at or above the largest multiple of p
-    the word holds, else reduced mod p; n tuples of E such draws, as rows."""
-    width = next(w for w in (1, 2, 4, 8) if p < 256 ** w)
-    bound = 256 ** width - 256 ** width % p
-    stream, draws = b"", []
-    while len(draws) < n * E:
-        while len(stream) < width:
-            stream += rng.randbytes(4)
-        word, stream = int.from_bytes(stream[:width], "little"), stream[width:]
-        if word < bound:
-            draws.append(word % p)
-    return [draws[i * E:(i + 1) * E] for i in range(n)]
+def _colorable(plan, beads, p):
+    """Oracle for the lift side, vectorised: per bead tuple (column, beads in
+    0..p-1), whether the coloring plan's replay goes through (lift count
+    p^comps, else 0).  A color plus or minus a bead lies in (-p, 2p),
+    reduced as x - (x // p) p, and a check's difference lies in (-p, 2p)
+    for s = 1, (-2p, p) for s = -1: it is 0 mod p iff 0 or s * p."""
+    colors = np.zeros((plan.n_vertices, beads.shape[1]), dtype=beads.dtype)
+    for w, v, e, s in plan.sets:
+        x = colors[v] + s * beads[e]
+        np.subtract(x, x // p * p, out=colors[w])
+    ok = np.ones(beads.shape[1], dtype=bool)
+    for w, v, e, s in plan.checks:
+        diff = colors[v] + s * beads[e] - colors[w]
+        ok &= (diff == 0) | (diff == s * p)
+    return ok
 
 
-class _UnitRandom(random.Random):
-    """A ``random.Random`` that records the size of every ``randbytes``
-    request and refuses one that is not a whole number of 4-byte units,
-    the only sizes whose bytes concatenate to one stream."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.requests = []
-
-    def randbytes(self, n):
-        assert n % 4 == 0, n
-        self.requests.append(n)
-        return super().randbytes(n)
-
-
-class _Bytes:
-    """An rng stand-in whose ``randbytes`` serves fixed bytes in order and
-    records the size of each request, which must be a multiple of 4."""
-
-    def __init__(self, data):
-        self.data, self.calls = bytes(data), []
-
-    def randbytes(self, nbytes):
-        assert nbytes % 4 == 0, nbytes
-        self.calls.append(nbytes)
-        take, self.data = self.data[:nbytes], self.data[nbytes:]
-        return take
-
-
-def _block_bytes(tuples, p, E):
-    """The ``_BLOCK_BYTES`` that makes blocks of the given tuples at (p, E)."""
-    return tuples * max(E, 1) * np.min_scalar_type(-(E + 2) * p).itemsize
+def _cycles_vanish(C, beads, p):
+    """Oracle for the residue side, vectorised: per bead tuple (column),
+    whether every cycle monodromy is 0 mod p, each row of C (entries 0 and
+    +-1) adding and subtracting bead rows."""
+    ok = np.ones(beads.shape[1], dtype=bool)
+    for row in C.tolist():
+        m = sum(b if c > 0 else -b for c, b in zip(row, beads) if c)
+        ok &= m == m // p * p
+    return ok
 
 
 def _signed_order_by_powers(aut):
@@ -495,7 +485,7 @@ class TestAutomorphismArrays:
         with pytest.raises(graphs.TooLarge):
             automorphisms(disjoint_union(CUBE, THETA))
         with pytest.raises(graphs.TooLarge):
-            liftres_sweep(disjoint_union(CUBE, THETA), 2, max_cases=10, rng=random.Random(1))
+            liftres_sweep(disjoint_union(CUBE, THETA), 2, max_cases=10)
 
 
 class TestAutomorphismOracle:
@@ -615,12 +605,13 @@ class TestLiftResIdentity:
         cases, failures = liftres_sweep(th2, 2)
         assert (cases, failures) == (64, 0)
 
-    def test_sweep_sampling(self, rng):
+    def test_sweep_sampling(self):
+        # max_cases caps the cases column and draws nothing: no rng is taken
         th2 = disjoint_union(theta_graph(), theta_graph())
-        cases, failures = liftres_sweep(th2, 7, max_cases=50, rng=rng)
-        assert cases == 50 and failures == 0
-        with pytest.raises(ValueError):
-            liftres_sweep(th2, 7, max_cases=50)
+        assert liftres_sweep(th2, 7, max_cases=50) == (50, 0)
+        assert liftres_sweep(th2, 2, max_cases=64) == liftres_sweep(th2, 2, max_cases=65) == (64, 0)
+        with pytest.raises(TypeError):
+            liftres_sweep(th2, 7, max_cases=50, rng=random.Random(1))
 
     def test_push_preserves_everything(self):
         G = theta_graph().with_beads([1, 2, 3])
@@ -633,8 +624,9 @@ class TestLiftResIdentity:
 
 
 class TestSweepEngine:
-    """The batched sweep against the per-automorphism loop and the scalar
-    lift counts it replaced."""
+    """liftres decided per topology, against the oracles: the coloring plan
+    replayed on every tuple at once (``_colorable``), the scalar and brute
+    lift counts, and the residue by one matmul per automorphism."""
 
     @pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
     def test_automorphism_tensor_matches_loop(self, name):
@@ -654,7 +646,7 @@ class TestSweepEngine:
             tuples = _all_tuples(G, p)
             hits = _per_automorphism_hits(G, tuples, p)
             assert set(np.unique(hits)) <= {0, naut}
-            assert np.array_equal(naut * graphs._cycles_vanish(C, tuples.T, p), hits)
+            assert np.array_equal(naut * _cycles_vanish(C, tuples.T, p), hits)
 
     @pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
     def test_batched_coloring_matches_scalar_lift_counts(self, name):
@@ -663,143 +655,48 @@ class TestSweepEngine:
         assert plan.comps == G.b0
         for p in range(1, 6 if len(G.edges) == 3 else 4):
             tuples = _all_tuples(G, p)
-            lifts = np.where(graphs._colorable(plan, tuples.T, p), p ** plan.comps, 0)
+            lifts = np.where(_colorable(plan, tuples.T, p), p ** plan.comps, 0)
             for row, lift in zip(tuples.tolist(), lifts.tolist()):
                 H = G.with_beads(row)
                 assert lift == count_admissible(H, p) == _brute_lift_count(H, p), (row, p)
 
-    @pytest.mark.parametrize("name", sorted(set(ORACLE_GRAPHS) - set(SWEEP_GRAPHS)))
-    def test_batched_coloring_on_longer_walks(self, name):
-        # four vertices to a component: a check's difference can reach +-p,
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS) + ["theta3"])
+    def test_decision_matches_the_oracles(self, name):
+        # every tuple of {0..p-1}^E, p = 2..5: the lift count (scalar, and
+        # the plan on all tuples at once) times |Aut| equals p^b0 times the
+        # automorphisms whose pushed monodromies vanish, which is |Aut| times
+        # the residue; so the sweep's (p^E, 0) is the count of every tuple.
+        # On four vertices to a component a check's difference reaches +-p,
         # which _colorable's mod-free test must count as 0 mod p
-        G = ORACLE_GRAPHS[name]
-        plan = graphs._coloring_plan(G)
-        for p in (2, 3, 4):
-            tuples = _all_tuples(G, p)
-            want = [count_admissible(G.with_beads(row), p) > 0 for row in tuples.tolist()]
-            assert graphs._colorable(plan, tuples.T, p).tolist() == want
+        G = ORACLE_GRAPHS.get(name) or disjoint_union(THETA, THETA, THETA)
+        for p in range(2, 6):
+            if p ** len(G.edges) > 5 ** 6:
+                break
+            _assert_oracles_agree(G, p)
             assert liftres_sweep(G, p) == (p ** len(G.edges), 0)
+            assert liftres_sweep(G, p, max_cases=7) == (7, 0)
 
-    def test_chunks_enumerate_in_product_order(self, monkeypatch):
-        for p, E in ((3, 3), (2, 6), (5, 2), (1, 4), (3, 0)):
-            monkeypatch.setattr(graphs, "_BLOCK_BYTES", _block_bytes(7, p, E))
-            blocks = list(graphs._bead_chunks(p, E, None, None))
-            assert all(b.shape == (E, min(7, b.shape[1])) for b in blocks)
-            got = np.concatenate(blocks, axis=1).T.tolist()
-            assert got == [list(t) for t in product(range(p), repeat=E)]
-
-    @pytest.mark.parametrize("p", [7, 255, 256, 65535, 65536, 2 ** 32 - 1, 2 ** 32, 3 << 61])
-    def test_samples_keep_the_draw_order(self, monkeypatch, p):
-        # p on either side of each word width step (1, 2, 4, 8 bytes), so
-        # 0-3 spare bytes are carried between blocks; p = 255, 65535 and
-        # 3 << 61 reject about a quarter of all words, so the top-up runs.
-        # Blocks of 7 and 13 tuples and the production size, each over more
-        # than one block, give the same tuples and the same final rng state
-        # as one word at a time, asking only for whole 4-byte units
-        E = 6
-        production = graphs._BLOCK_BYTES // _block_bytes(1, p, E)
-        for chunk in (7, 13, production):
-            n = 50 if chunk < 50 else chunk + 5
-            ref, rng = _UnitRandom(5), _UnitRandom(5)
-            want = _reference_sample(ref, p, E, n)
-            monkeypatch.setattr(graphs, "_BLOCK_BYTES", _block_bytes(chunk, p, E))
-            blocks = list(graphs._bead_chunks(p, E, n, rng))
-            assert [b.shape for b in blocks] == [(E, min(chunk, n - i)) for i in range(0, n, chunk)]
-            width = np.min_scalar_type(-(E + 2) * p)
-            assert all(b.dtype == width and b.flags.c_contiguous for b in blocks)
-            assert np.concatenate(blocks, axis=1).T.tolist() == want, (chunk, n, p)
-            assert rng.getstate() == ref.getstate()
-            assert sum(rng.requests) == sum(ref.requests)
-
-    @pytest.mark.parametrize("name, p", [("theta", 60), ("theta-theta", 6), ("theta-theta", 17),
-                                         ("theta", 70000), ("theta", 2 ** 40)])
-    def test_blocks_are_sized_in_bytes(self, name, p):
-        # a block holds _BLOCK_BYTES of beads at its width: more tuples
-        # when narrow, no more bytes when wide; a sample fills every block
-        # but the last
-        G = SWEEP_GRAPHS[name]
-        E = len(G.edges)
-        chunk = graphs._BLOCK_BYTES // _block_bytes(1, p, E)
-        n = 2 * chunk + 1
-        sampled = list(graphs._bead_chunks(p, E, n, random.Random(p)))
-        assert [b.shape[1] for b in sampled] == [chunk, chunk, 1]
-        assert graphs._BLOCK_BYTES - E * 8 < sampled[0].nbytes <= graphs._BLOCK_BYTES
-        if p ** E <= graphs._SWEEP_CAP:
-            blocks = list(graphs._bead_chunks(p, E, None, None))
-            assert sum(b.shape[1] for b in blocks) == p ** E
-            assert all(b.nbytes <= graphs._BLOCK_BYTES for b in blocks)
-            assert blocks[0].nbytes > graphs._BLOCK_BYTES // 2
-
-    @pytest.mark.parametrize("name, p, n, width", [
-        ("theta", 25, None, np.int8), ("theta", 26, None, np.int16),
-        ("theta", 6553, 3000, np.int16), ("theta", 6554, 3000, np.int32),
-        ("theta", 429496729, 3000, np.int32), ("theta", 429496730, 3000, np.int64),
-        ("theta-theta", 16, 3000, np.int8), ("theta-theta", 17, 3000, np.int16),
-        ("theta-eyes", 16, 3000, np.int8), ("theta-eyes", 17, 3000, np.int16),
-    ])
-    def test_width_boundaries(self, name, p, n, width):
-        # a batch is as narrow as (E + 2) p allows, on either side of each
-        # step; the kernels on it agree with themselves at int64, also on
-        # the extreme tuples of beads 0, 1 and p - 1, which reach the
-        # largest sums
-        G = SWEEP_GRAPHS[name]
-        E = len(G.edges)
-        blocks = list(graphs._bead_chunks(p, E, n, random.Random(p)))
-        assert {b.dtype for b in blocks} == {np.dtype(width)}
-        assert liftres_sweep(G, p, max_cases=n, rng=random.Random(p)) == (n or p ** E, 0)
-        plan, C = graphs._coloring_plan(G), graphs._certified_cycle_matrix(G)
-        extremes = np.array(list(product((0, 1, p - 1), repeat=E)), dtype=np.int64).T
-        assert np.array_equal(graphs._colorable(plan, extremes, p),
-                              graphs._cycles_vanish(C, extremes, p))
-        for b in blocks + [extremes.astype(width)]:
-            wide = b.astype(np.int64)
-            assert np.array_equal(graphs._colorable(plan, b, p), graphs._colorable(plan, wide, p))
-            assert np.array_equal(graphs._cycles_vanish(C, b, p),
-                                  graphs._cycles_vanish(C, wide, p))
-
-    @pytest.mark.parametrize("p", [2, 7, 2 ** 5, 129, 3 << 6, 32769, 3 << 14, 2 ** 31 + 1,
-                                   3 << 30, 2 ** 63 // 8 - 1, 3 << 61])
-    def test_samples_are_uniform(self, p):
-        # chi-square over 16 (or p) bins of equal width, last bin shorter;
-        # p = 2^63 // 8 - 1 is the largest p liftres_sweep admits at E = 6;
-        # 129, 32769 and 2^31 + 1 reject the most of their word (127 of
-        # 256 bytes, and so on), so about half of every draw is topped up;
-        # at p = 3 << 6, 3 << 14 and 3 << 30 the word's range is 4p/3, and a
-        # sampler without rejection makes the lowest third of the range
-        # twice as likely as the rest; at p = 3 << 61, 2^64 = 2p + 2^62, and
-        # it makes the lowest two thirds 1.5 times as likely
-        n = 3000
-        x = np.concatenate(list(graphs._bead_chunks(p, 6, n, random.Random(11))), axis=1).ravel()
-        assert x.size == 6 * n and x.min() >= 0 and x.max() <= p - 1
-        bins = min(p, 16)
-        width = -(-p // bins)
-        observed = np.bincount((x // width).astype(np.int64), minlength=bins)
-        sizes = [min(width, p - i * width) for i in range(bins)]
-        expected = np.array([x.size * s / p for s in sizes])
-        chi2 = float(((observed - expected) ** 2 / expected).sum())
-        dof = bins - 1
-        assert chi2 < dof + 6 * (2 * dof) ** 0.5, (chi2, observed.tolist())
-
-    def test_rejection_boundary_and_top_up(self):
-        # p = 7 draws 1-byte words and 256 = 4 mod 7: 251 is the largest
-        # word kept, 252 the smallest rejected.  Only the deficit is drawn
-        # again, from the byte carried over first: the first top-up reads
-        # that byte and asks for nothing, the second asks for one whole
-        # 4-byte unit and carries three bytes on
-        rng = _Bytes([251, 252, 5, 255, 13, 8, 9, 10, 99])
-        (block,) = graphs._bead_chunks(7, 3, 1, rng)
-        assert block.tolist() == [[251 % 7], [5], [13 % 7]]
-        assert rng.calls == [4, 4] and rng.data == bytes([99])
-
-    def test_cli_sample_is_reproducible(self, capsys):
-        argv = ["liftres", "--graph", "theta-eyes", "--p", "7", "--max-cases", "10000",
-                "--seed", "17"]
-        runs = []
-        for _ in range(2):
-            assert main(argv + ["--format", "json"]) == 0
-            runs.append(capsys.readouterr().out)
-        assert runs[0] == runs[1]
-        assert json.loads(runs[0])["rows"] == [[7, 6, 10000, 0]]
+    def test_decision_matches_the_oracles_on_random_multigraphs(self):
+        # shuffled vertex labels and edge order make the plan check its
+        # non-forest edges out of edge order; the rows are paired by edge
+        rng = random.Random(41)
+        graphs_seen = out_of_order = 0
+        while graphs_seen < 60:
+            G = _random_multigraph(rng, 6)
+            if G.n_vertices > 6:
+                continue
+            graphs_seen += 1
+            checked = [e for _, _, e, _ in graphs._coloring_plan(G).checks]
+            out_of_order += checked != sorted(checked)
+            for p in range(2, 6):
+                if p ** len(G.edges) > 4 ** 6:
+                    break
+                _assert_oracles_agree(G, p)
+                assert liftres_sweep(G, p) == (p ** len(G.edges), 0), (G, p)
+            beads = [rng.randrange(2) for _ in G.edges]
+            assert count_admissible(G.with_beads(beads), 2) == _brute_lift_count(
+                G.with_beads(beads), 2)
+        assert out_of_order > 10
 
     @pytest.mark.parametrize("name", ["theta", "eyes", "theta-theta", "theta-eyes", "theta3"])
     def test_signed_order_matches_powers(self, name):
@@ -818,14 +715,13 @@ class TestSweepEngine:
             inv = np.linalg.matrix_power(U[a], k - 1)
             assert (U == inv).all(axis=(1, 2)).any(), (name, a)
 
-    def test_sweep_across_chunk_boundaries(self, monkeypatch):
-        monkeypatch.setattr(graphs, "_BLOCK_BYTES", _block_bytes(7, 3, 6))
-        assert liftres_sweep(SWEEP_GRAPHS["theta-eyes"], 3) == (729, 0)
-        assert liftres_sweep(SWEEP_GRAPHS["theta-eyes"], 7, max_cases=100,
-                             rng=random.Random(4)) == (100, 0)
-
     def test_theta_cubed_exhaustive(self):
-        assert liftres_sweep(disjoint_union(THETA, THETA, THETA), 3) == (19683, 0)
+        # the plan on all 3^9 tuples against C x = 0 mod p
+        G = disjoint_union(THETA, THETA, THETA)
+        tuples = _all_tuples(G, 3).T
+        lifts = _colorable(graphs._coloring_plan(G), tuples, 3)
+        assert np.array_equal(lifts, _cycles_vanish(graphs._certified_cycle_matrix(G), tuples, 3))
+        assert liftres_sweep(G, 3) == (19683, 0)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS) + ["theta3"])
     def test_plan_checks_each_non_forest_edge_once(self, name):
@@ -856,8 +752,12 @@ class TestSweepEngine:
         plan = graphs._coloring_plan(G)
         doubled = plan._replace(checks=plan.checks + plan.checks[:1])
         monkeypatch.setattr(graphs, "_coloring_plan", lambda G: doubled)
-        with pytest.raises(ArithmeticError, match="non-forest edge once"):
+        with pytest.raises(ArithmeticError, match=r"fundamental cycles of topology \(4, "):
             liftres_sweep(G, 2)
+        # the same checks in another order are the same plan
+        reordered = plan._replace(checks=plan.checks[::-1])
+        monkeypatch.setattr(graphs, "_coloring_plan", lambda G: reordered)
+        assert liftres_sweep(G, 2) == (64, 0)
 
     def test_dropping_one_edges_checks_is_detected(self, monkeypatch):
         G = SWEEP_GRAPHS["theta-theta"]
@@ -867,14 +767,27 @@ class TestSweepEngine:
         assert len(cotree) == G.b1
         C, tuples = graphs._certified_cycle_matrix(G), _all_tuples(G, 4).T
         for k in cotree:
-            # the sweep refuses a plan short of b1 checks before any tuple,
-            # and the kernels would tell its lift side from the residue side
+            # the decision refuses a plan short of b1 checks, and the oracles
+            # tell its lift side from the residue side
             partial = plan._replace(checks=[c for c in plan.checks if c[2] != k])
             monkeypatch.setattr(graphs, "_coloring_plan", lambda G, partial=partial: partial)
-            with pytest.raises(ArithmeticError, match="non-forest edge once"):
+            with pytest.raises(ArithmeticError, match="fundamental cycles"):
                 liftres_sweep(G, 4)
-            lifts = graphs._colorable(partial, tuples, 4)
-            assert (lifts != graphs._cycles_vanish(C, tuples, 4)).any(), k
+            lifts = _colorable(partial, tuples, 4)
+            assert (lifts != _cycles_vanish(C, tuples, 4)).any(), k
+
+    def test_a_flipped_check_is_detected(self, monkeypatch):
+        # a check read the other way round (bead subtracted where it is
+        # added) is not +- its row of C, and the oracles tell it apart
+        G = SWEEP_GRAPHS["theta-theta"]
+        plan = graphs._coloring_plan(G)
+        C, tuples = graphs._certified_cycle_matrix(G), _all_tuples(G, 4).T
+        for k, (w, v, e, s) in enumerate(plan.checks):
+            flipped = plan._replace(checks=plan.checks[:k] + [(w, v, e, -s)] + plan.checks[k + 1:])
+            monkeypatch.setattr(graphs, "_coloring_plan", lambda G, flipped=flipped: flipped)
+            with pytest.raises(ArithmeticError, match="fundamental cycles"):
+                liftres_sweep(G, 4)
+            assert (_colorable(flipped, tuples, 4) != _cycles_vanish(C, tuples, 4)).any(), k
 
     @pytest.mark.parametrize("corrupt", ["entry", "scale", "shear"])
     def test_corrupted_automorphism_tensor_raises(self, monkeypatch, corrupt):
@@ -923,8 +836,7 @@ class TestSweepEngine:
         G = SWEEP_GRAPHS["theta-theta"]
         for p in (2, 3, 4):
             assert liftres_sweep(G, p) == (p ** 6, 0)
-        assert liftres_sweep(G.with_beads([1, 2, 3, 4, 5, 6]), 5, max_cases=50,
-                             rng=random.Random(2)) == (50, 0)
+        assert liftres_sweep(G.with_beads([1, 2, 3, 4, 5, 6]), 5, max_cases=50) == (50, 0)
         assert calls == [len(automorphisms(G))]
         C = graphs._certified_cycle_matrix(G)
         assert graphs._certified_cycle_matrix(BeadedGraph.from_json(G.to_json())) is C
@@ -945,19 +857,25 @@ class TestSweepEngine:
             counts["BeadedGraph"] += 1
             init(self, *args, **kwargs)
 
-        G = SWEEP_GRAPHS["theta-theta"]
+        G, G3 = SWEEP_GRAPHS["theta-theta"], disjoint_union(THETA, THETA, THETA)
         monkeypatch.setattr(graphs, "count_admissible", counted_scalar)
         monkeypatch.setattr(BeadedGraph, "__init__", counted_init)
         assert liftres_sweep(G, 3) == (729, 0)
-        assert liftres_sweep(G, 5, max_cases=100, rng=random.Random(1)) == (100, 0)
+        assert liftres_sweep(G, 5, max_cases=100) == (100, 0)
+        # theta^3 at p = 7, past the 2^22 tuples the bead sweep refused, and
+        # far beyond: decided from the topology all the same
+        assert liftres_sweep(G3, 5) == (5 ** 9, 0)
+        assert liftres_sweep(G3, 7) == (40353607, 0)
+        assert liftres_sweep(G3, 7, max_cases=(1 << 22) + 1) == ((1 << 22) + 1, 0)
+        assert liftres_sweep(G3, 10 ** 6) == (10 ** 54, 0)
         assert counts == {"count_admissible": 0, "BeadedGraph": 0}
 
 
 class TestSweepLimits:
     @pytest.mark.parametrize("bad", [0, -3])
-    def test_max_cases_below_one(self, bad, rng):
+    def test_max_cases_below_one(self, bad):
         with pytest.raises(ValueError, match="max_cases"):
-            liftres_sweep(THETA, 3, max_cases=bad, rng=rng)
+            liftres_sweep(THETA, 3, max_cases=bad)
 
     @pytest.mark.parametrize("bad", ["0", "-3"])
     def test_cli_max_cases_below_one(self, capsys, bad):
@@ -966,36 +884,25 @@ class TestSweepLimits:
         assert code == 2
         assert "max_cases" in err and "matmul" not in err
 
-    @pytest.mark.parametrize("p", [0, 2 ** 63 // 5, 2 ** 64])
-    def test_p_outside_the_int64_range(self, capsys, p, rng):
-        with pytest.raises(ValueError, match="p must lie"):
-            liftres_sweep(THETA, p, max_cases=10, rng=rng)
-        if p:
-            assert main(["liftres", "--graph", "theta", "--p", str(p), "--max-cases", "10"]) == 2
-            assert "p must lie" in capsys.readouterr().err
+    def test_p_below_one(self, capsys):
+        with pytest.raises(ValueError, match="positive"):
+            liftres_sweep(THETA, 0)
+        assert main(["liftres", "--graph", "theta", "--p", "0"]) == 2
+        assert capsys.readouterr().err == "error: p must be >= 1, got 0\n"
 
-    def test_largest_p_in_range(self, rng):
-        p = 2 ** 63 // 5 - 1
-        assert liftres_sweep(THETA, p, max_cases=200, rng=rng) == (200, 0)
-        plan, C = graphs._coloring_plan(THETA), graphs._certified_cycle_matrix(THETA)
-        beads = np.array([[p - 1, p - 1, p - 1], [0, p - 1, 1]], dtype=np.int64)
-        assert graphs._colorable(plan, beads.T, p).tolist() == [True, False]
-        assert graphs._cycles_vanish(C, beads.T, p).tolist() == [True, False]
-
-    def test_cap_admits_theta_cubed_at_5_only(self):
-        assert 5 ** 9 <= graphs._SWEEP_CAP < 7 ** 9
-
-    def test_oversized_sweeps_refused_before_work(self, monkeypatch, rng):
-        def no_work(*args):
-            raise AssertionError("the sweep started work")
-
-        monkeypatch.setattr(graphs, "_aut_arrays", no_work)
-        monkeypatch.setattr(graphs, "_coloring_plan", no_work)
-        G = disjoint_union(THETA, THETA, THETA)
-        with pytest.raises(ValueError, match="--max-cases"):
-            liftres_sweep(G, 7)
-        with pytest.raises(ValueError, match="--max-cases"):
-            liftres_sweep(G, 7, max_cases=graphs._SWEEP_CAP + 1, rng=rng)
+    @pytest.mark.parametrize("p", [2 ** 63 // 5 - 1, 2 ** 63 // 5, 2 ** 64])
+    def test_p_outside_the_int64_range(self, capsys, p):
+        # the decision holds for every p: past the old int64 cap of the bead
+        # sweep (2^63 // 5 - 1 at three edges) it prints its row, and the
+        # per-tuple route agrees on the extreme tuples there
+        assert liftres_sweep(THETA, p) == (p ** 3, 0)
+        assert liftres_sweep(THETA, p, max_cases=10) == (10, 0)
+        for beads in ([p - 1, p - 1, p - 1], [0, p - 1, 1], [p - 1, 2 * p - 1, -1]):
+            assert liftres_check(THETA.with_beads(beads), p), beads
+        assert count_admissible(THETA.with_beads([0, p - 1, 1]), p) == 0
+        argv = ["liftres", "--graph", "theta", "--p", str(p), "--max-cases", "10", "--format", "json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == [[p, 3, 10, 0]]
 
     def test_cli_sweeps_the_edgeless_graph(self, capsys, tmp_path):
         # no edges: one empty bead tuple per p, lift count 1 = residue 1
@@ -1007,14 +914,30 @@ class TestSweepLimits:
         assert json.loads(captured.out)["rows"] == [[p, 0, 1, 0] for p in range(2, 6)]
         assert all(liftres_check(BeadedGraph(0, []), p) for p in range(2, 6))
 
-    def test_cli_refuses_theta_cubed_at_7(self, capsys, monkeypatch, tmp_path):
-        def no_work(*args):
-            raise AssertionError("the sweep started work")
-
-        monkeypatch.setattr(graphs, "_aut_arrays", no_work)
+    def test_cli_decides_theta_cubed_at_7(self, capsys, tmp_path):
+        # once refused at the sweep cap (exit 2), now one row
         f = tmp_path / "theta3.json"
         f.write_text(json.dumps(disjoint_union(THETA, THETA, THETA).to_json()))
-        code = main(["liftres", "--file", str(f), "--p", "7"])
+        code = main(["liftres", "--file", str(f), "--p", "7", "--format", "json"])
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert "--max-cases" in captured.err
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out)["rows"] == [[7, 9, 40353607, 0]]
+
+    def test_cli_output_of_the_benchmark_shapes(self, capsys):
+        # the two command shapes the benchmark sends, byte for byte; the
+        # seed changes nothing, as no tuple is sampled
+        assert main(["liftres", "--graph", "theta-theta", "--p", "2..6", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        rows = "".join(",\n    [\n      %d,\n      6,\n      %d,\n      0\n    ]" % (p, p ** 6)
+                       for p in range(2, 7))
+        assert captured.err == ""
+        assert captured.out == ('{\n  "columns": [\n    "p",\n    "edges",\n    "cases",\n'
+                                '    "failures"\n  ],\n  "rows": [%s\n  ]\n}\n' % rows[1:])
+        runs = []
+        for seed in ("17", "1893"):
+            argv = ["liftres", "--graph", "theta-eyes", "--p", "7", "--max-cases", "10000",
+                    "--seed", seed, "--format", "json"]
+            assert main(argv) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0] == runs[1] and runs[0].err == ""
+        assert json.loads(runs[0].out)["rows"] == [[7, 6, 10000, 0]]

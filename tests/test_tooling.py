@@ -458,8 +458,8 @@ def test_graphs_reads_the_automorphism_arrays():
 
 
 def test_graphs_draws_in_blocks_without_lambdamat():
-    # the liftres sample comes from rng.randbytes blocks, not one randrange
-    # call per bead, and the certificate is by finite order, not Bareiss
+    # liftres decides every bead tuple from the topology, so graphs draws
+    # no random tuple, and the certificate is by finite order, not Bareiss
     tree = ast.parse((SRC / "graphs.py").read_text(encoding="utf-8"))
     calls = [node.lineno for node in ast.walk(tree)
              if isinstance(node, (ast.Attribute, ast.Name))
