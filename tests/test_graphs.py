@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import permutations, product
+from math import prod
 
 import numpy as np
 import pytest
@@ -59,9 +60,108 @@ def _loop_cycle_matrices(G, cycles, auts):
 
 def _signed_rows(auts):
     """The automorphisms' edge permutations and flips (0 or 1) as int8
-    rows, the arrays ``_aut_cycle_matrices`` reads."""
+    rows, the arrays ``_aut_cycle_matrices`` and ``_array_certificate``
+    read."""
     eperm = np.array([aut.eperm for aut in auts], dtype=np.int8)
     return eperm, np.array([aut.flips for aut in auts], dtype=np.int8)
+
+
+def _aut_arrays(n, ends):
+    """Oracle for ``_automorphisms``: the automorphisms of a topology as
+    int8 arrays, one row each -- vertex permutations (A x n), edge images
+    eperm (A x E) and flips (A x E, 1 for a reversed edge) -- built without
+    a per-automorphism loop, as the production route did before the class
+    options were walked in plain Python.  Per vertex permutation (in
+    ``permutations`` order) the options of each class (its bijections in
+    ``permutations`` order, a loop class's flips in ``product`` order under
+    each) are crossed by one ``np.indices`` grid, the last class fastest."""
+    E = len(ends)
+    classes = {}
+    for idx, (tail, head) in enumerate(ends):
+        classes.setdefault((min(tail, head), max(tail, head)), []).append(idx)
+    # per class: its bijections onto it, and for a loop class the options
+    # (bijection, flips) with the flips of each bijection listed under it;
+    # for any other class, the heads of its bijections' edges
+    options = {}
+    for (a, b), tgt in classes.items():
+        assign = np.array(list(permutations(tgt)), dtype=np.int8).reshape(-1, len(tgt))
+        if a == b:
+            k = len(tgt)
+            fl = np.indices((2,) * k, dtype=np.int8).reshape(k, 2 ** k).T
+            options[a, b] = (np.repeat(assign, 2 ** k, axis=0), np.tile(fl, (len(assign), 1)))
+        else:
+            heads = [[ends[f][1] for f in perm] for perm in permutations(tgt)]
+            options[a, b] = (assign, np.array(heads, dtype=np.int8))
+    order = sorted(classes.items())
+    vblocks, eblocks, fblocks = [], [], []
+    for vperm in permutations(range(n)):
+        opts = []
+        for (a, b), src in order:
+            key = (min(vperm[a], vperm[b]), max(vperm[a], vperm[b]))
+            if len(classes.get(key, ())) != len(src):
+                break
+            assign, fl = options[key]
+            if a != b:
+                # an edge is reversed iff the image of its tail is its
+                # image's head
+                fl = (fl == np.array([vperm[ends[e][0]] for e in src], dtype=np.int8)).view(np.int8)
+            opts.append((src, assign, fl))
+        else:
+            sizes = [len(assign) for _, assign, _ in opts]
+            count = prod(sizes)
+            pick = np.indices(sizes).reshape(len(sizes), count)
+            eperm = np.empty((count, E), dtype=np.int8)
+            flips = np.empty((count, E), dtype=np.int8)
+            for (src, assign, fl), row in zip(opts, pick):
+                eperm[:, src] = assign[row]
+                flips[:, src] = fl[row]
+            vblocks.append(np.broadcast_to(np.array(vperm, dtype=np.int8), (count, n)))
+            eblocks.append(eperm)
+            fblocks.append(flips)
+    return tuple(np.concatenate(blocks) for blocks in (vblocks, eblocks, fblocks))
+
+
+def _aut_cycle_matrices(C, eperm, flips):
+    """Integer tensor D[a][i][e] with the property that the i-th cycle
+    monodromy of the beads pushed forward by automorphism a equals
+    sum_e D[a][i][e] * bead_e, for the cycle matrix C[i][e] (int64) and the
+    automorphisms' edge permutations eperm[a] and flips[a] (0 or 1)."""
+    return C[:, eperm].transpose(1, 0, 2) * (1 - 2 * flips[:, None, :])
+
+
+def _array_certificate(n, ends, eperm, flips, tensor=_aut_cycle_matrices):
+    """Oracle for ``_certificate``: the array route it replaced, over the
+    whole group.  With C (int64) the fundamental cycles of the topology and
+    D = tensor(C, eperm, flips), it checks D[a] == U_a C for U_a the
+    non-forest columns of D[a], and U_a U_b = I for the inverse b of a,
+    found among the same rows by a key lookup: an integral inverse, hence
+    det U_a = +-1.  Returns C; ArithmeticError if any automorphism fails or
+    its inverse is missing."""
+    nonforest, cycles = fundamental_cycles(graphs._beadless(n, ends))
+    E = len(ends)
+    C = np.array([[cyc.get(e, 0) for e in range(E)] for cyc in cycles],
+                 dtype=np.int64).reshape(len(cycles), E)
+    D = tensor(C, eperm, flips)
+    U = D[:, :, nonforest]
+    if not np.array_equal(D, U @ C):
+        raise ArithmeticError("an automorphism does not act on the cycle lattice")
+    # each signed permutation is keyed by one integer, the base-2E number
+    # with digits 2 eperm[e] + flips[e]; a^-1 moves edge eperm[e] back to
+    # e, flipped as a flips e, so its digit at f is own[e] = 2e + flips[e]
+    # for e = argsort(eperm)[f].  With no edges, the one key 0 comes back
+    # as a scalar
+    radix = (2 * E,) * E
+    keys = np.ravel_multi_index((2 * eperm + flips).T, radix).reshape(-1)
+    index = dict(zip(keys.tolist(), range(len(eperm))))
+    own = 2 * np.arange(E, dtype=np.int8) + flips
+    back = np.take_along_axis(own, np.argsort(eperm, axis=1), axis=1)
+    back_keys = np.ravel_multi_index(back.T, radix).reshape(-1)
+    inverse = [index.get(key, -1) for key in back_keys.tolist()]
+    if -1 in inverse:
+        raise ArithmeticError("an automorphism's inverse is missing from the group")
+    if not (U @ U[inverse] == np.eye(len(nonforest), dtype=np.int64)).all():
+        raise ArithmeticError("an automorphism's action times its inverse's is not I")
+    return C
 
 
 def push_at_vertex(G, v):
@@ -129,13 +229,10 @@ def _phi_by_push(G):
 
 def _pulled_cycles_by_loop(n, ends, auts):
     """Oracle for ``_pulled_cycles``: the per-automorphism, per-cycle,
-    per-edge loop over ``GraphAut`` tuples that built the pulled cycles
-    before they were read from the automorphism arrays.  Per automorphism,
-    its b1 pulled cycles, each the pairs (e, c) with c = +-C[i][eperm[e]],
-    - when it flips e, in edge order."""
-    G = BeadedGraph.__new__(BeadedGraph)  # the key need not be trivalent
-    G.n_vertices, G.edges = n, tuple(Edge(tail, head, 0) for tail, head in ends)
-    _, cycles = fundamental_cycles(G)
+    per-edge loop over ``GraphAut`` tuples, with no deduplication.  Per
+    automorphism, its b1 pulled cycles, each the pairs (e, c) with
+    c = +-C[i][eperm[e]], - when it flips e, in edge order."""
+    _, cycles = fundamental_cycles(graphs._beadless(n, ends))  # need not be trivalent
     return [[tuple((e, -cyc[f] if flip else cyc[f])
                    for e, (f, flip) in enumerate(zip(aut.eperm, aut.flips)) if f in cyc)
              for cyc in cycles]
@@ -164,7 +261,7 @@ def _cycles_vanish(C, beads, p):
     whether every cycle monodromy is 0 mod p, each row of C (entries 0 and
     +-1) adding and subtracting bead rows."""
     ok = np.ones(beads.shape[1], dtype=bool)
-    for row in C.tolist():
+    for row in C:
         m = sum(b if c > 0 else -b for c, b in zip(row, beads) if c)
         ok &= m == m // p * p
     return ok
@@ -279,6 +376,19 @@ class TestGraphBasics:
     def test_rejects_wrong_valence(self):
         with pytest.raises(ValueError):
             BeadedGraph(2, [Edge(0, 1, 0)])
+
+    def test_rejects_a_negative_vertex_count(self, capsys, tmp_path):
+        # once accepted as a graph with no vertices (count_admissible gave 1)
+        msg = "vertex count must be non-negative, got -1"
+        with pytest.raises(ValueError, match=msg):
+            BeadedGraph(-1, [])
+        with pytest.raises(ValueError, match=msg):
+            BeadedGraph.from_json({"vertices": -1, "edges": []})
+        f = tmp_path / "negative.json"
+        f.write_text(json.dumps({"vertices": -1, "edges": []}))
+        assert main(["liftres", "--file", str(f), "--p", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: %s\n" % msg
 
     def test_with_beads(self):
         G = theta_graph().with_beads([1, 2, 0])
@@ -414,8 +524,8 @@ ORACLE_GRAPHS = {
 
 
 def _automorphisms_by_choice(n, ends):
-    """Oracle for ``_aut_arrays``: the per-choice loop that built the
-    automorphisms one ``GraphAut`` at a time before the arrays.  Per vertex
+    """Oracle for ``_automorphisms``: the per-choice loop, written out
+    apart from ``_class_options``, one ``GraphAut`` at a time.  Per vertex
     permutation carrying each class of edges with equal unordered endpoints
     onto one of the same size, every choice of a bijection per class, a
     loop either way round, any other edge reversed exactly when the image
@@ -462,23 +572,48 @@ AUT_TOPOLOGIES = {
 }
 
 
+def _oracle_topologies():
+    """Topology keys on which the array oracle is held against production:
+    ``AUT_TOPOLOGIES``, ``ORACLE_GRAPHS``, the edgeless graph and 20 random
+    multigraphs of at most 6 vertices."""
+    keys = {**AUT_TOPOLOGIES, "edgeless": (0, ())}
+    keys.update({name: graphs._topology(G) for name, G in ORACLE_GRAPHS.items()})
+    rng, k = random.Random(42), 0
+    while k < 20:
+        G = _random_multigraph(rng, 6)
+        if G.n_vertices <= 6:
+            keys["random-%d" % k] = graphs._topology(G)
+            k += 1
+    return keys
+
+
+ORACLE_TOPOLOGIES = _oracle_topologies()
+
+
 class TestAutomorphismArrays:
     @pytest.mark.parametrize("name", sorted(AUT_TOPOLOGIES))
     def test_rows_match_the_per_choice_loop(self, name):
-        # the same automorphisms in the same order, as read-only int8 rows,
-        # and automorphisms() still returns them as the same GraphAut tuples
+        # the same automorphisms in the same order from the class options
+        # as from the per-choice loop
         n, ends = AUT_TOPOLOGIES[name]
         want = _automorphisms_by_choice(n, ends)
-        arrays = graphs._aut_arrays(n, ends)
-        assert all(a.dtype == np.int8 and not a.flags.writeable for a in arrays)
-        vperm, eperm, flips = (a.tolist() for a in arrays)
-        assert vperm == [list(a.vperm) for a in want]
-        assert eperm == [list(a.eperm) for a in want]
-        assert flips == [[int(x) for x in a.flips] for a in want]
         assert graphs._automorphisms(n, ends) == tuple(want)
         expected = {"theta": 12, "eyes": 8, "theta-theta": 288, "theta-eyes": 96,
                     "theta3": 10368, "cube": 48, "two-loops-at-one-vertex": 8, "triple-edge": 12}
         assert len(want) == expected[name]
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_TOPOLOGIES))
+    def test_certificate_matches_the_array_oracle(self, name):
+        # _automorphisms equals the array oracle row for row, and the array
+        # certificate over the whole group passes wherever the per-option
+        # certificate does, with the same C
+        n, ends = ORACLE_TOPOLOGIES[name]
+        auts = graphs._automorphisms(n, ends)
+        arrays = [a.tolist() for a in _aut_arrays(n, ends)]
+        assert arrays == [[list(a.vperm) for a in auts], [list(a.eperm) for a in auts],
+                          [[int(x) for x in a.flips] for a in auts]]
+        C = graphs._certificate(n, ends)
+        assert _array_certificate(n, ends, *_signed_rows(auts)).tolist() == [list(r) for r in C]
 
     def test_cube_is_searched_at_the_vertex_cap(self):
         assert CUBE.n_vertices == graphs._VERTEX_CAP
@@ -563,8 +698,8 @@ class TestSymbols:
 
     @pytest.mark.parametrize("name", sorted(AUT_TOPOLOGIES) + ["edgeless"])
     def test_pulled_cycles_match_the_per_automorphism_loop(self, name):
-        # the same pulled cycles per automorphism, cycle by cycle, from the
-        # arrays as from the loop over the GraphAut tuples in the same order
+        # the same pulled cycles per automorphism, cycle by cycle, kept once
+        # each as from the loop over the per-choice oracle's GraphAut tuples
         n, ends = AUT_TOPOLOGIES.get(name, (0, ()))
         vectors, auts = graphs._pulled_cycles(n, ends)
         want = _pulled_cycles_by_loop(n, ends, _automorphisms_by_choice(n, ends))
@@ -633,10 +768,10 @@ class TestSweepEngine:
     def test_automorphism_tensor_matches_loop(self, name):
         G = SWEEP_GRAPHS[name]
         auts = automorphisms(G)
-        C = graphs._certified_cycle_matrix(G)
+        C = np.array(graphs._certified_cycle_matrix(G))
         _, cycles = fundamental_cycles(G)
         want = _loop_cycle_matrices(G, cycles, auts)
-        assert np.array_equal(graphs._aut_cycle_matrices(C, *_signed_rows(auts)), want)
+        assert np.array_equal(_aut_cycle_matrices(C, *_signed_rows(auts)), want)
 
     @pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
     def test_residue_side_matches_per_automorphism_loop(self, name):
@@ -701,14 +836,14 @@ class TestSweepEngine:
 
     @pytest.mark.parametrize("name", ["theta", "eyes", "theta-theta", "theta-eyes", "theta3"])
     def test_signed_order_matches_powers(self, name):
-        # the certificate pairs each automorphism with its inverse in the
+        # the array oracle pairs each automorphism with its inverse in the
         # tuple: the inverse's action is U_a^(k - 1) for the signed order k
         # of a, found by powers of the signed permutation matrix
         G = SWEEP_GRAPHS.get(name) or disjoint_union(THETA, THETA, THETA)
         nonforest, _ = fundamental_cycles(G)
-        C = graphs._certified_cycle_matrix(G)
+        C = np.array(graphs._certified_cycle_matrix(G))
         auts = automorphisms(G)
-        U = graphs._aut_cycle_matrices(C, *_signed_rows(auts))[:, :, nonforest]
+        U = _aut_cycle_matrices(C, *_signed_rows(auts))[:, :, nonforest]
         step = max(1, len(auts) // 200)  # theta^3 has 10,368: every 52nd
         for a in range(0, len(auts), step):
             k = _signed_order_by_powers(auts[a])
@@ -735,18 +870,14 @@ class TestSweepEngine:
         assert len(plan.sets) == G.n_vertices - G.b0
         assert len(plan.checks) == G.b1, plan.checks
 
-    def test_missing_inverse_raises(self, monkeypatch):
+    def test_missing_inverse_raises(self):
         G = SWEEP_GRAPHS["theta-theta"]
         auts = automorphisms(G)
         dropped = next(i for i, a in enumerate(auts)
                        if _signed_order_by_powers(a) > 2)  # a^-1 != a
-        kept = tuple(np.delete(rows, dropped, axis=0)
-                     for rows in graphs._aut_arrays(*graphs._topology(G)))
-        monkeypatch.setattr(graphs, "_aut_arrays", lambda n, ends: kept)
-        graphs._certificate.cache_clear()
+        kept = (np.delete(rows, dropped, axis=0) for rows in _signed_rows(auts))
         with pytest.raises(ArithmeticError, match="inverse is missing"):
-            liftres_sweep(G, 2)
-        graphs._certificate.cache_clear()
+            _array_certificate(*graphs._topology(G), *kept)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS) + ["theta3"])
     def test_a_plan_with_a_repeated_check_is_refused(self, monkeypatch, name):
@@ -802,17 +933,18 @@ class TestSweepEngine:
             assert (lifts != _cycles_vanish(C, tuples, 4)).any(), k
 
     @pytest.mark.parametrize("corrupt", ["entry", "scale", "shear"])
-    def test_corrupted_automorphism_tensor_raises(self, monkeypatch, corrupt):
+    def test_corrupted_automorphism_tensor_raises(self, corrupt):
+        # the array oracle over the whole group refuses a tensor that leaves
+        # the row space of C or has no integral inverse
         G = SWEEP_GRAPHS["theta-theta"]
         nonforest, _ = fundamental_cycles(G)
         forest_edge = min(set(range(len(G.edges))) - set(nonforest))
-        tensor = graphs._aut_cycle_matrices
         order = [_signed_order_by_powers(aut) for aut in automorphisms(G)]
         longest = int(np.argmax(order))
         assert order[longest] == 12 > len(G.edges) and order[5] == 2
 
         def corrupted(C, eperm, flips):
-            D = tensor(C, eperm, flips)
+            D = _aut_cycle_matrices(C, eperm, flips)
             if corrupt == "entry":
                 D[5, 0, forest_edge] += 1  # D[a] leaves the row space of C
             elif corrupt == "scale":
@@ -827,35 +959,108 @@ class TestSweepEngine:
         shear[0, 1] = 1
         assert rational_det(shear.tolist()) == 1  # a det check alone would pass it
 
-        monkeypatch.setattr(graphs, "_aut_cycle_matrices", corrupted)
-        graphs._certificate.cache_clear()  # certify afresh
         match = {"entry": "does not act", "scale": "its inverse's is not I",
                  "shear": "its inverse's is not I"}[corrupt]
+        rows = _signed_rows(automorphisms(G))
+        with pytest.raises(ArithmeticError, match=match):
+            _array_certificate(*graphs._topology(G), *rows, tensor=corrupted)
+        assert _array_certificate(*graphs._topology(G), *rows).tolist() == [
+            list(row) for row in graphs._certified_cycle_matrix(G)]
+
+    @pytest.mark.parametrize("corrupt", ["flip", "class", "repeat", "identity", "partition",
+                                         "boundary", "columns", "rows"])
+    def test_corrupted_certificate_raises(self, monkeypatch, corrupt):
+        # the per-option certificate refuses an option that is not a
+        # bijective chain map, a walk without the identity or with classes
+        # that are not those of the parallel edges, and a C whose rows are
+        # not the fundamental cycles
+        G = SWEEP_GRAPHS["theta-theta"]  # classes (0, 1, 2) and (3, 4, 5)
+        walk, cycles_of = graphs._class_options, graphs.fundamental_cycles
+
+        def corrupted_options(n, ends):
+            for k, (vperm, per_class) in enumerate(walk(n, ends)):
+                (src, opts), rest = per_class[0], per_class[1:]
+                (assign, flips), others = opts[0], opts[1:]
+                if corrupt == "flip" and k == 3:  # a non-loop edge reversed
+                    opts = [(assign, (not flips[0],) + flips[1:])] + others
+                elif corrupt == "class" and k == 3:  # edge 0 into the other class
+                    opts = [((per_class[1][1][0][0][0],) + assign[1:], flips)] + others
+                elif corrupt == "repeat" and k == 3:  # two edges onto one
+                    opts = [((assign[0],) + assign[:-1], flips)] + others
+                elif corrupt == "identity" and k == 0:
+                    opts = others
+                elif corrupt == "partition" and k == 3:  # a class split in two
+                    rest = [(src[1:], [(a[1:], f[1:]) for a, f in opts])] + rest
+                    src, opts = src[:1], [(a[:1], f[:1]) for a, f in opts]
+                yield vperm, [(src, opts)] + rest
+
+        def corrupted_cycles(G):
+            nonforest, cycles = cycles_of(G)
+            first = dict(cycles[0])
+            if corrupt == "boundary":  # a forest edge added alone
+                first[min(set(range(len(G.edges))) - set(nonforest))] = 1
+            elif corrupt == "columns":  # the sum of two cycles, still a cycle
+                for e, c in cycles[1].items():
+                    first[e] = first.get(e, 0) + c
+            elif corrupt == "rows":  # one cycle and its edge dropped
+                return nonforest[1:], cycles[1:]
+            return nonforest, [first] + cycles[1:]
+
+        monkeypatch.setattr(graphs, "_class_options", corrupted_options)
+        monkeypatch.setattr(graphs, "fundamental_cycles", corrupted_cycles)
+        match = {"flip": "not a bijective chain map", "class": "not a bijective chain map",
+                 "repeat": "not a bijective chain map", "identity": "identity is not among",
+                 "partition": "not the classes of parallel edges",
+                 "boundary": "row 0 of C has nonzero boundary",
+                 "columns": "not the identity on the non-forest columns",
+                 "rows": "C has 3 rows for 3 non-forest edges, not b1 = 4"}[corrupt]
+        graphs._certificate.cache_clear()  # certify afresh
         with pytest.raises(ArithmeticError, match=match):
             liftres_sweep(G, 2)
-        assert graphs._certificate.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert liftres_sweep(G, 2) == (64, 0)
 
     def test_certificate_checked_once_per_topology(self, monkeypatch):
         calls = []
-        tensor = graphs._aut_cycle_matrices
+        walk = graphs._class_options
 
-        def counted(C, eperm, flips):
-            calls.append(len(eperm))
-            return tensor(C, eperm, flips)
+        def counted(n, ends):
+            calls.append(n)
+            return walk(n, ends)
 
-        monkeypatch.setattr(graphs, "_aut_cycle_matrices", counted)
+        monkeypatch.setattr(graphs, "_class_options", counted)
         graphs._certificate.cache_clear()
         G = SWEEP_GRAPHS["theta-theta"]
         for p in (2, 3, 4):
             assert liftres_sweep(G, p) == (p ** 6, 0)
         assert liftres_sweep(G.with_beads([1, 2, 3, 4, 5, 6]), 5, max_cases=50) == (50, 0)
-        assert calls == [len(automorphisms(G))]
+        assert calls == [4]
         C = graphs._certified_cycle_matrix(G)
         assert graphs._certified_cycle_matrix(BeadedGraph.from_json(G.to_json())) is C
-        with pytest.raises(ValueError):
-            C[0, 0] = 7  # read-only: no caller can corrupt the kept certificate
+        # tuple rows: no caller can corrupt the kept certificate
+        assert type(C) is tuple and all(type(row) is tuple for row in C)
+        with pytest.raises(TypeError):
+            C[0][0] = 7
+        with pytest.raises(TypeError):
+            C[0] = (7,) * 6
         assert liftres_sweep(THETA, 3) == (27, 0)
-        assert len(calls) == 2 and graphs._certificate.cache_info().currsize == 2
+        assert calls == [4, 2] and graphs._certificate.cache_info().currsize == 2
+
+    def test_theta4_is_decided_without_the_group(self, monkeypatch):
+        # at the vertex cap, theta^4 has 497,664 automorphisms: the
+        # certificate walks their class options and builds none of them
+        G = disjoint_union(THETA, THETA, THETA, THETA)
+        key = graphs._topology(G)
+        assert G.n_vertices == graphs._VERTEX_CAP
+        assert sum(prod(len(opts) for _, opts in per_class)
+                   for _, per_class in graphs._class_options(*key)) == 497664
+
+        def refused(n, ends):
+            raise AssertionError("the automorphisms were built")
+
+        monkeypatch.setattr(graphs, "_automorphisms", refused)
+        graphs._certificate.cache_clear()
+        assert liftres_sweep(G, 2) == (2 ** 12, 0)
 
     def test_no_per_tuple_graphs_or_lift_counts(self, monkeypatch):
         counts = {"count_admissible": 0, "BeadedGraph": 0}

@@ -439,18 +439,13 @@ def test_package_exports_the_union_of_the_module_lists():
     assert not hasattr(knotcovers, "__all__")
 
 
-def test_graphs_reads_the_automorphism_arrays():
-    # the GraphAut tuples are built for the public automorphisms() alone;
-    # the certificate and the pulled cycles read the int8 arrays
+def test_graphs_imports_no_numpy_and_builds_automorphisms_once():
+    # the certificate checks the class options in plain Python, so graphs
+    # imports numpy nowhere (also not inside a function), and the GraphAut
+    # tuples are built in one function alone
     tree = ast.parse((SRC / "graphs.py").read_text(encoding="utf-8"))
-
-    def readers(name):
-        return sorted(fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
-                      and any(isinstance(node, ast.Name) and node.id == name
-                              for node in ast.walk(fn)))
-
-    assert readers("_automorphisms") == ["automorphisms"]
-    assert readers("_aut_arrays") == ["_automorphisms", "_certificate", "_pulled_cycles"]
+    imported = [m for node in ast.walk(tree) for m in _imported_modules(node)]
+    assert [m for m in imported if m.split(".")[0] == "numpy"] == []
     built = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
              for node in ast.walk(fn) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "GraphAut"]
@@ -459,7 +454,7 @@ def test_graphs_reads_the_automorphism_arrays():
 
 def test_graphs_draws_in_blocks_without_lambdamat():
     # liftres decides every bead tuple from the topology, so graphs draws
-    # no random tuple, and the certificate is by finite order, not Bareiss
+    # no random tuple, and the certificate is by chain maps, not Bareiss
     tree = ast.parse((SRC / "graphs.py").read_text(encoding="utf-8"))
     calls = [node.lineno for node in ast.walk(tree)
              if isinstance(node, (ast.Attribute, ast.Name))
@@ -488,6 +483,7 @@ def test_no_module_imports_numpy_at_module_scope():
     assert found == []
 
 
+_THETA3 = {"vertices": 6, "edges": [{"from": a, "to": a + 1} for a in (0, 0, 0, 2, 2, 2, 4, 4, 4)]}
 _POLY_CLASS = json.loads((SRC / "corpus" / "trefoil.json").read_text("utf-8"))["q2loop"]
 _GENUS_2 = [[-1, 1, 0, 0], [0, -1, 0, 0], [0, 0, 1, 1], [0, 0, 0, -1]]  # trefoil # figure-eight
 
@@ -498,17 +494,23 @@ _GENUS_2 = [[-1, 1, 0, 0], [0, -1, 0, 0], [0, 0, 1, 1], [0, 0, 0, -1]]  # trefoi
     ["branched", "--file", "{knot}", "--q", "{q}", "--p", "2..20", "--format", "json"],
     ["signature", "--knot", "trefoil", "--p", "7"],
     ["residue", "--q", "{q}", "--p", "2..12"],
-], ids=["import", "branched", "branched-q-json", "signature", "residue"])
+    ["liftres", "--graph", "theta-theta", "--p", "2..6", "--format", "json"],
+    ["liftres", "--graph", "theta-eyes", "--p", "7", "--max-cases", "10000", "--seed", "17",
+     "--format", "json"],
+    ["liftres", "--file", "{theta3}", "--p", "7"],
+], ids=["import", "branched", "branched-q-json", "signature", "residue", "liftres",
+        "liftres-sampled", "liftres-theta3-file"])
 def test_exact_commands_never_load_numpy(argv, tmp_path):
     # in a fresh interpreter, the CLI import and every command whose numbers
     # are all exact (a polynomial class's torus average included) leave
     # numpy unloaded: they do not move its import into their first call.
     # dataclasses stays unloaded too: it imports inspect, ast, dis and
     # tokenize, about 11 ms of every start
-    knot, q = tmp_path / "knot.json", tmp_path / "q.json"
+    knot, q, theta3 = tmp_path / "knot.json", tmp_path / "q.json", tmp_path / "theta3.json"
     knot.write_text(json.dumps(_GENUS_2))
     q.write_text(json.dumps(_POLY_CLASS))
-    argv = [a.format(knot=knot, q=q) for a in argv]
+    theta3.write_text(json.dumps(_THETA3))
+    argv = [a.format(knot=knot, q=q, theta3=theta3) for a in argv]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = ("import sys, knotcovers.cli; argv = %r; "
@@ -518,19 +520,6 @@ def test_exact_commands_never_load_numpy(argv, tmp_path):
                          timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "0 False False"
-
-
-def test_sampled_liftres_leaves_numpy_random_unloaded():
-    # importing numpy.random costs milliseconds the CLI does not need
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys; from knotcovers.cli import main; "
-            "rc = main(['liftres', '--graph', 'theta-eyes', '--p', '7', '--max-cases', '500']); "
-            "print(rc, 'numpy.random' in sys.modules)")
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "0 False"
 
 
 def test_well_formed_calls_never_load_argparse(tmp_path):
