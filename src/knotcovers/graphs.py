@@ -26,18 +26,18 @@ Two quantities are attached for each p >= 1:
 
 The automorphisms of a topology are one choice of one option per class of
 parallel edges under each admissible vertex permutation
-(``_class_options``).  ``liftres_check`` verifies that the two quantities
-agree -- exactly, term by term -- on one beaded graph, and
-``liftres_sweep`` decides it for every bead tuple in {0..p-1}^(#edges) and
-every p at once, from the topology alone.  Its residue side rests on one
-certificate per topology, checked on the class options without building
-the group: every option is a chain map, so every automorphism acts on the
-cycle lattice by an integral matrix with an integral inverse, all of them
-share the kernel of the fundamental-cycle matrix C mod p, and the average
-over the group is the one condition C x = 0 mod p.  Its lift side replays
-``count_admissible``'s coloring plan (``_coloring_plan``, the one walk of
-the graph, which also gives the fundamental cycles) on linear forms in the
-beads: each non-forest edge's check is +- that edge's row of C.
+(``_class_options``); ``phi_R`` reads them, and liftres does not.
+``liftres_check`` verifies that the two quantities agree -- exactly, term
+by term -- on one beaded graph, and ``liftres_sweep`` decides it for every
+bead tuple in {0..p-1}^(#edges) and every p at once, from the topology
+alone.  Its residue side rests on the fundamental-cycle matrix C being a
+basis of the cycle lattice (``_cycle_basis``): every automorphism is a
+chain isomorphism, so it acts on that lattice by an integral matrix with
+an integral inverse, and the average over the group is the one condition
+C x = 0 mod p.  Its lift side replays ``count_admissible``'s coloring plan
+(``_coloring_plan``, the one walk of the graph, which also gives the
+fundamental cycles) on linear forms in the beads: each non-forest edge's
+check is +- that edge's row of C.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ _VERTEX_CAP = 8
 
 
 class TooLarge(ValueError):
-    """Brute-force automorphism search is capped at a small vertex count."""
+    """Brute-force automorphism search, and liftres, are capped at a small
+    vertex count (``_check_vertex_cap``)."""
 
 
 class Edge(NamedTuple):
@@ -251,6 +252,14 @@ def automorphisms(G: BeadedGraph) -> tuple[GraphAut, ...]:
     return _automorphisms(*_topology(G))
 
 
+def _check_vertex_cap(n: int) -> None:
+    """TooLarge past ``_VERTEX_CAP`` vertices.  The automorphism search
+    walks n! vertex permutations; liftres keeps C (b1 x E) and the plan's
+    forms (n x E) dense, so its cost grows as n^2."""
+    if n > _VERTEX_CAP:
+        raise TooLarge("automorphism search capped at %d vertices" % _VERTEX_CAP)
+
+
 def _topology(G: BeadedGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The cache key of per-topology data: vertex count and edge endpoints."""
     return G.n_vertices, tuple((e.tail, e.head) for e in G.edges)
@@ -264,9 +273,11 @@ def _class_options(n: int, ends: tuple[tuple[int, int], ...]):
     ``permutations`` order) and one flip per edge: a loop either way round
     (in ``product`` order under each bijection), any other edge reversed
     exactly when the image of its tail is not its image's tail.  The
-    automorphisms under vperm are every choice of one option per class."""
-    if n > _VERTEX_CAP:
-        raise TooLarge("automorphism search capped at %d vertices" % _VERTEX_CAP)
+    automorphisms under vperm are every choice of one option per class.
+    Only ``_automorphisms`` reads them; the tests check that every option
+    is a bijective chain map and that the identity is among them, which
+    checks this enumeration, not liftres (``_cycle_basis``)."""
+    _check_vertex_cap(n)
     classes: dict[tuple[int, int], list[int]] = {}
     for idx, (tail, head) in enumerate(ends):
         classes.setdefault((min(tail, head), max(tail, head)), []).append(idx)
@@ -465,42 +476,25 @@ def _coloring_plan(G: BeadedGraph) -> _Plan:
     return _Plan(n, sets, checks, comps)
 
 
-def _certified_cycle_matrix(G: BeadedGraph) -> tuple[tuple[int, ...], ...]:
-    """The fundamental-cycle matrix C (b1 x E, one tuple per row), once
-    every automorphism a is shown to act on the cycle lattice by an
-    integral matrix U_a with an integral inverse (``_certificate``).  Then
-    D[a] x = 0 mod p iff C x = 0 mod p, for every p, D[a] being C's rows
-    pulled back through a, and phi_R's average over the group is the
-    single test C x = 0 mod p.  Certified once per topology, like the
-    automorphisms, and kept as tuples, so no caller can change it."""
-    return _certificate(*_topology(G))
-
-
 @lru_cache(maxsize=64)
-def _certificate(n: int, ends: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
-    """``_certified_cycle_matrix`` of a topology key, checked on the class
-    options of ``_class_options``; the group they multiply out to is never
-    built.  ArithmeticError, naming what failed, unless:
+def _cycle_basis(n: int, ends: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
+    """The fundamental-cycle matrix C of a topology key (b1 x E, one tuple
+    per row, so no caller can change the kept copy), read off
+    ``fundamental_cycles``.  ArithmeticError, naming what failed, unless C
+    has b1 rows, each of zero boundary, and C is the identity on the
+    non-forest columns.
 
-    1. C has b1 rows, each of zero boundary, and is the identity on the
-       non-forest columns: the forest columns hold no cycle, so the rows of
-       C are a basis of the integer cycle lattice;
-    2. the identity of the vertices, with every edge kept in place and
-       unflipped, is among the options, so the group is not empty;
-    3. every option of every class is a bijective chain map on its edges:
-       edge e = (t, h) sent to edge f with flip x has (vperm[t], vperm[h])
-       equal to ends[f], reversed when x is set; and under each vertex
-       permutation the classes are the classes of parallel edges.
-
-    Why this proves it.  An automorphism a is one option per class, and the
-    chain-map condition holds edge by edge, so a is a chain map.  The rows
-    of D[a], the rows of C pulled back through a, are then integer cycles,
-    and by 1 each is the combination of C's rows read off its non-forest
-    entries: D[a] = U_a C, U_a being D[a] on the non-forest columns.  The
-    inverse a^-1 is a chain map too, and pulling back through a and then
-    a^-1 is the identity, so U_a U_(a^-1) = I: U_a has an integral inverse.
-    Hence D[a] x = 0 mod p exactly when C x = 0 mod p, for every
-    automorphism a and every p."""
+    Why these checks are all that liftres' residue side needs.  The rows of
+    C are then a basis of the cycle lattice Z_1(G) = H_1(G; Z): the forest
+    holds no cycle, so a cycle is the combination of C's rows read off its
+    non-forest entries.  An automorphism a maps vertices bijectively, and
+    maps edges bijectively while respecting incidence up to a flip, so a is
+    a chain isomorphism, and so is a^-1.  Hence D[a] = U_a C, D[a] being
+    C's rows pulled back through a and U_a being D[a] on the non-forest
+    columns, and U_a U_(a^-1) = I.  So D[a] x = 0 mod p exactly when
+    C x = 0 mod p, for every automorphism a and every p, whether
+    enumerated or not, and phi_R's average over the group is the single
+    test C x = 0 mod p."""
     E = len(ends)
     G = _beadless(n, ends)
     nonforest, cycles = fundamental_cycles(G)
@@ -517,26 +511,6 @@ def _certificate(n: int, ends: tuple[tuple[int, int], ...]) -> tuple[tuple[int, 
             raise ArithmeticError("row %d of C has nonzero boundary" % i)
         if [row[f] for f in nonforest] != [int(j == i) for j in range(len(C))]:
             raise ArithmeticError("C is not the identity on the non-forest columns")
-    classes: dict[frozenset[int], list[int]] = {}
-    for idx, (tail, head) in enumerate(ends):
-        classes.setdefault(frozenset((tail, head)), []).append(idx)
-    partition, identity, found = sorted(classes.values()), tuple(range(n)), False
-    for vperm, per_class in _class_options(n, ends):
-        if sorted(vperm) != list(identity) or sorted(src for src, _ in per_class) != partition:
-            raise ArithmeticError("the classes under vertex permutation %r are not the classes"
-                                  " of parallel edges" % (vperm,))
-        for src, opts in per_class:
-            for assign, flips in opts:
-                if not len(set(assign)) == len(src) == len(flips) or any(
-                        (vperm[ends[e][0]], vperm[ends[e][1]]) != (ends[f][::-1] if x else ends[f])
-                        for e, f, x in zip(src, assign, flips)):
-                    raise ArithmeticError(
-                        "an option of edges %r under vertex permutation %r is not a bijective"
-                        " chain map" % (src, vperm))
-        found = found or vperm == identity and all(
-            (tuple(src), (False,) * len(src)) in opts for src, opts in per_class)
-    if not found:
-        raise ArithmeticError("the identity is not among the automorphisms")
     return C
 
 
@@ -544,8 +518,8 @@ def liftres_sweep(G: BeadedGraph, p: int, max_cases: int | None = None) -> tuple
     """Decide lift count = residue for every bead tuple in {0..p-1}^E at once.
 
     On a tuple x both sides are 0 or p^b0: the residue when C x = 0 mod p,
-    for the certified cycle matrix C (``_certified_cycle_matrix``), and the
-    lift count when every check of the coloring plan holds
+    for the cycle basis C (``_cycle_basis``), which needs no automorphism,
+    and the lift count when every check of the coloring plan holds
     (``count_admissible``).  The plan's ``sets``, replayed on integer linear
     forms in the beads, make each check a row; when the plan visits the b0
     components and the check of each non-forest edge is +- that edge's row
@@ -553,14 +527,17 @@ def liftres_sweep(G: BeadedGraph, p: int, max_cases: int | None = None) -> tuple
     (cases, 0), cases being p^E, or min(max_cases, p^E) when max_cases is
     given.
 
-    ValueError for p or max_cases below 1; ArithmeticError, naming the
-    topology, if the checks are not the rows of C.
+    ValueError for p or max_cases below 1; TooLarge past ``_VERTEX_CAP``
+    vertices; ArithmeticError, naming the topology, if the checks are not
+    the rows of C.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
     if max_cases is not None and max_cases < 1:
         raise ValueError("max_cases (--max-cases) must be at least 1, got %d" % max_cases)
-    C = _certified_cycle_matrix(G)
+    _check_vertex_cap(G.n_vertices)
+    key = _topology(G)
+    C = _cycle_basis(*key)
     plan = _coloring_plan(G)
     E = len(G.edges)
     forms = [[0] * E for _ in range(plan.n_vertices)]
@@ -579,6 +556,6 @@ def liftres_sweep(G: BeadedGraph, p: int, max_cases: int | None = None) -> tuple
             e != f or check not in (row, [-c for c in row])
             for (e, check), (f, row) in zip(checks, rows)):
         raise ArithmeticError("the coloring plan's checks are not +-the fundamental cycles of"
-                              " topology %r" % (_topology(G),))
+                              " topology %r" % (key,))
     total = p ** E
     return (total if max_cases is None else min(max_cases, total)), 0

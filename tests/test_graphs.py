@@ -130,8 +130,8 @@ def _aut_cycle_matrices(C, eperm, flips):
 
 
 def _array_certificate(n, ends, eperm, flips, tensor=_aut_cycle_matrices):
-    """Oracle for ``_certificate``: the array route it replaced, over the
-    whole group.  With C (int64) the fundamental cycles of the topology and
+    """The tests' instance of ``_cycle_basis``'s theorem, over the whole
+    group.  With C (int64) the fundamental cycles of the topology and
     D = tensor(C, eperm, flips), it checks D[a] == U_a C for U_a the
     non-forest columns of D[a], and U_a U_b = I for the inverse b of a,
     found among the same rows by a key lookup: an integral inverse, hence
@@ -558,6 +558,44 @@ def _automorphisms_by_choice(n, ends):
     return out
 
 
+def _check_class_options(n, ends):
+    """Check of ``_class_options``, the enumeration behind
+    ``_automorphisms`` and ``phi_R`` (liftres reads none of it).
+    ArithmeticError, naming what failed, unless:
+
+    1. under each vertex permutation the classes are the classes of
+       parallel edges;
+    2. every option of every class is a bijective chain map on its edges:
+       edge e = (t, h) sent to edge f with flip x has (vperm[t], vperm[h])
+       equal to ends[f], reversed when x is set;
+    3. the identity of the vertices, with every edge kept in place and
+       unflipped, is among the options.
+
+    An automorphism is one option per class, so by 2 each is a chain map;
+    the walk is read off the module at call time, so a test can corrupt
+    it."""
+    classes = {}
+    for idx, (tail, head) in enumerate(ends):
+        classes.setdefault(frozenset((tail, head)), []).append(idx)
+    partition, identity, found = sorted(classes.values()), tuple(range(n)), False
+    for vperm, per_class in graphs._class_options(n, ends):
+        if sorted(vperm) != list(identity) or sorted(src for src, _ in per_class) != partition:
+            raise ArithmeticError("the classes under vertex permutation %r are not the classes"
+                                  " of parallel edges" % (vperm,))
+        for src, opts in per_class:
+            for assign, flips in opts:
+                if not len(set(assign)) == len(src) == len(flips) or any(
+                        (vperm[ends[e][0]], vperm[ends[e][1]]) != (ends[f][::-1] if x else ends[f])
+                        for e, f, x in zip(src, assign, flips)):
+                    raise ArithmeticError(
+                        "an option of edges %r under vertex permutation %r is not a bijective"
+                        " chain map" % (src, vperm))
+        found = found or vperm == identity and all(
+            (tuple(src), (False,) * len(src)) in opts for src, opts in per_class)
+    if not found:
+        raise ArithmeticError("the identity is not among the automorphisms")
+
+
 CUBE = BeadedGraph(8, [(0, 1, 0), (1, 3, 0), (3, 2, 0), (2, 0, 0), (4, 5, 0), (5, 7, 0),
                        (7, 6, 0), (6, 4, 0), (0, 4, 0), (1, 5, 0), (2, 6, 0), (3, 7, 0)])
 # topology keys (vertex count, edge ends); the last two are not trivalent,
@@ -605,15 +643,55 @@ class TestAutomorphismArrays:
     @pytest.mark.parametrize("name", sorted(ORACLE_TOPOLOGIES))
     def test_certificate_matches_the_array_oracle(self, name):
         # _automorphisms equals the array oracle row for row, and the array
-        # certificate over the whole group passes wherever the per-option
-        # certificate does, with the same C
+        # certificate over the whole group (D = U C, U U^-1 = I) passes with
+        # the C that _cycle_basis checks as a basis alone
         n, ends = ORACLE_TOPOLOGIES[name]
         auts = graphs._automorphisms(n, ends)
         arrays = [a.tolist() for a in _aut_arrays(n, ends)]
         assert arrays == [[list(a.vperm) for a in auts], [list(a.eperm) for a in auts],
                           [[int(x) for x in a.flips] for a in auts]]
-        C = graphs._certificate(n, ends)
+        C = graphs._cycle_basis(n, ends)
         assert _array_certificate(n, ends, *_signed_rows(auts)).tolist() == [list(r) for r in C]
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_TOPOLOGIES) + ["theta4"])
+    def test_class_options_are_bijective_chain_maps(self, name):
+        key = ORACLE_TOPOLOGIES.get(name) or graphs._topology(
+            disjoint_union(THETA, THETA, THETA, THETA))
+        _check_class_options(*key)
+
+    @pytest.mark.parametrize("corrupt", ["flip", "class", "repeat", "identity", "partition"])
+    def test_corrupted_class_options_raise(self, monkeypatch, corrupt):
+        # the check refuses an option that is not a bijective chain map, a
+        # walk without the identity or with classes that are not those of
+        # the parallel edges
+        key = graphs._topology(SWEEP_GRAPHS["theta-theta"])  # classes (0, 1, 2) and (3, 4, 5)
+        walk = graphs._class_options
+
+        def corrupted_options(n, ends):
+            for k, (vperm, per_class) in enumerate(walk(n, ends)):
+                (src, opts), rest = per_class[0], per_class[1:]
+                (assign, flips), others = opts[0], opts[1:]
+                if corrupt == "flip" and k == 3:  # a non-loop edge reversed
+                    opts = [(assign, (not flips[0],) + flips[1:])] + others
+                elif corrupt == "class" and k == 3:  # edge 0 into the other class
+                    opts = [((per_class[1][1][0][0][0],) + assign[1:], flips)] + others
+                elif corrupt == "repeat" and k == 3:  # two edges onto one
+                    opts = [((assign[0],) + assign[:-1], flips)] + others
+                elif corrupt == "identity" and k == 0:
+                    opts = others
+                elif corrupt == "partition" and k == 3:  # a class split in two
+                    rest = [(src[1:], [(a[1:], f[1:]) for a, f in opts])] + rest
+                    src, opts = src[:1], [(a[:1], f[:1]) for a, f in opts]
+                yield vperm, [(src, opts)] + rest
+
+        monkeypatch.setattr(graphs, "_class_options", corrupted_options)
+        match = {"flip": "not a bijective chain map", "class": "not a bijective chain map",
+                 "repeat": "not a bijective chain map", "identity": "identity is not among",
+                 "partition": "not the classes of parallel edges"}[corrupt]
+        with pytest.raises(ArithmeticError, match=match):
+            _check_class_options(*key)
+        monkeypatch.undo()
+        _check_class_options(*key)
 
     def test_cube_is_searched_at_the_vertex_cap(self):
         assert CUBE.n_vertices == graphs._VERTEX_CAP
@@ -768,7 +846,7 @@ class TestSweepEngine:
     def test_automorphism_tensor_matches_loop(self, name):
         G = SWEEP_GRAPHS[name]
         auts = automorphisms(G)
-        C = np.array(graphs._certified_cycle_matrix(G))
+        C = np.array(graphs._cycle_basis(*graphs._topology(G)))
         _, cycles = fundamental_cycles(G)
         want = _loop_cycle_matrices(G, cycles, auts)
         assert np.array_equal(_aut_cycle_matrices(C, *_signed_rows(auts)), want)
@@ -777,7 +855,7 @@ class TestSweepEngine:
     def test_residue_side_matches_per_automorphism_loop(self, name):
         G = SWEEP_GRAPHS[name]
         naut = len(automorphisms(G))
-        C = graphs._certified_cycle_matrix(G)
+        C = graphs._cycle_basis(*graphs._topology(G))
         for p in range(1, 6):
             tuples = _all_tuples(G, p)
             hits = _per_automorphism_hits(G, tuples, p)
@@ -841,7 +919,7 @@ class TestSweepEngine:
         # of a, found by powers of the signed permutation matrix
         G = SWEEP_GRAPHS.get(name) or disjoint_union(THETA, THETA, THETA)
         nonforest, _ = fundamental_cycles(G)
-        C = np.array(graphs._certified_cycle_matrix(G))
+        C = np.array(graphs._cycle_basis(*graphs._topology(G)))
         auts = automorphisms(G)
         U = _aut_cycle_matrices(C, *_signed_rows(auts))[:, :, nonforest]
         step = max(1, len(auts) // 200)  # theta^3 has 10,368: every 52nd
@@ -856,7 +934,7 @@ class TestSweepEngine:
         G = disjoint_union(THETA, THETA, THETA)
         tuples = _all_tuples(G, 3).T
         lifts = _colorable(graphs._coloring_plan(G), tuples, 3)
-        assert np.array_equal(lifts, _cycles_vanish(graphs._certified_cycle_matrix(G), tuples, 3))
+        assert np.array_equal(lifts, _cycles_vanish(graphs._cycle_basis(*graphs._topology(G)), tuples, 3))
         assert liftres_sweep(G, 3) == (19683, 0)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS) + ["theta3"])
@@ -900,7 +978,7 @@ class TestSweepEngine:
         tree = {e for _, _, e, _ in plan.sets}
         cotree = sorted(set(range(len(G.edges))) - tree)
         assert len(cotree) == G.b1
-        C, tuples = graphs._certified_cycle_matrix(G), _all_tuples(G, 4).T
+        C, tuples = graphs._cycle_basis(*graphs._topology(G)), _all_tuples(G, 4).T
         for k in cotree:
             # the decision refuses a plan short of b1 checks, and the oracles
             # tell its lift side from the residue side
@@ -919,7 +997,7 @@ class TestSweepEngine:
         # same row, so the decision stands and the oracles agree
         G = ORACLE_GRAPHS.get(name) or disjoint_union(THETA, THETA, THETA)
         plan = graphs._coloring_plan(G)
-        C, tuples = graphs._certified_cycle_matrix(G), _all_tuples(G, 4).T
+        C, tuples = graphs._cycle_basis(*graphs._topology(G)), _all_tuples(G, 4).T
         for k, (w, v, e, s) in enumerate(plan.checks):
             flipped = plan._replace(checks=plan.checks[:k] + [(w, v, e, -s)] + plan.checks[k + 1:])
             monkeypatch.setattr(graphs, "_coloring_plan", lambda G, flipped=flipped: flipped)
@@ -965,34 +1043,15 @@ class TestSweepEngine:
         with pytest.raises(ArithmeticError, match=match):
             _array_certificate(*graphs._topology(G), *rows, tensor=corrupted)
         assert _array_certificate(*graphs._topology(G), *rows).tolist() == [
-            list(row) for row in graphs._certified_cycle_matrix(G)]
+            list(row) for row in graphs._cycle_basis(*graphs._topology(G))]
 
-    @pytest.mark.parametrize("corrupt", ["flip", "class", "repeat", "identity", "partition",
-                                         "boundary", "columns", "rows"])
+    @pytest.mark.parametrize("corrupt", ["boundary", "columns", "rows"])
     def test_corrupted_certificate_raises(self, monkeypatch, corrupt):
-        # the per-option certificate refuses an option that is not a
-        # bijective chain map, a walk without the identity or with classes
-        # that are not those of the parallel edges, and a C whose rows are
-        # not the fundamental cycles
-        G = SWEEP_GRAPHS["theta-theta"]  # classes (0, 1, 2) and (3, 4, 5)
-        walk, cycles_of = graphs._class_options, graphs.fundamental_cycles
-
-        def corrupted_options(n, ends):
-            for k, (vperm, per_class) in enumerate(walk(n, ends)):
-                (src, opts), rest = per_class[0], per_class[1:]
-                (assign, flips), others = opts[0], opts[1:]
-                if corrupt == "flip" and k == 3:  # a non-loop edge reversed
-                    opts = [(assign, (not flips[0],) + flips[1:])] + others
-                elif corrupt == "class" and k == 3:  # edge 0 into the other class
-                    opts = [((per_class[1][1][0][0][0],) + assign[1:], flips)] + others
-                elif corrupt == "repeat" and k == 3:  # two edges onto one
-                    opts = [((assign[0],) + assign[:-1], flips)] + others
-                elif corrupt == "identity" and k == 0:
-                    opts = others
-                elif corrupt == "partition" and k == 3:  # a class split in two
-                    rest = [(src[1:], [(a[1:], f[1:]) for a, f in opts])] + rest
-                    src, opts = src[:1], [(a[:1], f[:1]) for a, f in opts]
-                yield vperm, [(src, opts)] + rest
+        # liftres_sweep refuses a C whose rows are not the fundamental
+        # cycles: not cycles, not the identity on the non-forest columns,
+        # or short of b1 of them
+        G = SWEEP_GRAPHS["theta-theta"]
+        cycles_of = graphs.fundamental_cycles
 
         def corrupted_cycles(G):
             nonforest, cycles = cycles_of(G)
@@ -1006,60 +1065,73 @@ class TestSweepEngine:
                 return nonforest[1:], cycles[1:]
             return nonforest, [first] + cycles[1:]
 
-        monkeypatch.setattr(graphs, "_class_options", corrupted_options)
         monkeypatch.setattr(graphs, "fundamental_cycles", corrupted_cycles)
-        match = {"flip": "not a bijective chain map", "class": "not a bijective chain map",
-                 "repeat": "not a bijective chain map", "identity": "identity is not among",
-                 "partition": "not the classes of parallel edges",
-                 "boundary": "row 0 of C has nonzero boundary",
+        match = {"boundary": "row 0 of C has nonzero boundary",
                  "columns": "not the identity on the non-forest columns",
                  "rows": "C has 3 rows for 3 non-forest edges, not b1 = 4"}[corrupt]
-        graphs._certificate.cache_clear()  # certify afresh
+        graphs._cycle_basis.cache_clear()  # check afresh
         with pytest.raises(ArithmeticError, match=match):
             liftres_sweep(G, 2)
         monkeypatch.undo()
         assert liftres_sweep(G, 2) == (64, 0)
 
-    def test_certificate_checked_once_per_topology(self, monkeypatch):
+    def test_cycle_basis_checked_once_per_topology(self, monkeypatch):
+        # the basis is read off fundamental_cycles once per topology, and
+        # liftres_sweep never walks the class options
         calls = []
-        walk = graphs._class_options
+        cycles_of = graphs.fundamental_cycles
 
-        def counted(n, ends):
-            calls.append(n)
-            return walk(n, ends)
+        def counted(G):
+            calls.append(G.n_vertices)
+            return cycles_of(G)
 
-        monkeypatch.setattr(graphs, "_class_options", counted)
-        graphs._certificate.cache_clear()
+        def refused(n, ends):
+            raise AssertionError("liftres_sweep walked the class options")
+
+        monkeypatch.setattr(graphs, "fundamental_cycles", counted)
+        monkeypatch.setattr(graphs, "_class_options", refused)
+        graphs._cycle_basis.cache_clear()
         G = SWEEP_GRAPHS["theta-theta"]
         for p in (2, 3, 4):
             assert liftres_sweep(G, p) == (p ** 6, 0)
         assert liftres_sweep(G.with_beads([1, 2, 3, 4, 5, 6]), 5, max_cases=50) == (50, 0)
         assert calls == [4]
-        C = graphs._certified_cycle_matrix(G)
-        assert graphs._certified_cycle_matrix(BeadedGraph.from_json(G.to_json())) is C
-        # tuple rows: no caller can corrupt the kept certificate
+        C = graphs._cycle_basis(*graphs._topology(G))
+        assert graphs._cycle_basis(*graphs._topology(BeadedGraph.from_json(G.to_json()))) is C
+        # tuple rows: no caller can corrupt the kept basis
         assert type(C) is tuple and all(type(row) is tuple for row in C)
         with pytest.raises(TypeError):
             C[0][0] = 7
         with pytest.raises(TypeError):
             C[0] = (7,) * 6
         assert liftres_sweep(THETA, 3) == (27, 0)
-        assert calls == [4, 2] and graphs._certificate.cache_info().currsize == 2
+        assert calls == [4, 2] and graphs._cycle_basis.cache_info().currsize == 2
+
+    @staticmethod
+    def _forbid_automorphisms(monkeypatch):
+        def refused(*args):
+            raise AssertionError("liftres_sweep reached the automorphisms")
+
+        for fn in ("_class_options", "_automorphisms", "automorphisms"):
+            monkeypatch.setattr(graphs, fn, refused)
+        graphs._cycle_basis.cache_clear()
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS) + ["theta3"])
+    def test_decided_without_the_automorphisms(self, monkeypatch, name):
+        G = SWEEP_GRAPHS.get(name) or disjoint_union(THETA, THETA, THETA)
+        self._forbid_automorphisms(monkeypatch)
+        for p in (2, 3, 7):
+            assert liftres_sweep(G, p) == (p ** len(G.edges), 0)
 
     def test_theta4_is_decided_without_the_group(self, monkeypatch):
-        # at the vertex cap, theta^4 has 497,664 automorphisms: the
-        # certificate walks their class options and builds none of them
+        # at the vertex cap, theta^4 has 497,664 automorphisms: liftres
+        # walks none of their class options and builds none of them
         G = disjoint_union(THETA, THETA, THETA, THETA)
         key = graphs._topology(G)
         assert G.n_vertices == graphs._VERTEX_CAP
         assert sum(prod(len(opts) for _, opts in per_class)
                    for _, per_class in graphs._class_options(*key)) == 497664
-
-        def refused(n, ends):
-            raise AssertionError("the automorphisms were built")
-
-        monkeypatch.setattr(graphs, "_automorphisms", refused)
-        graphs._certificate.cache_clear()
+        self._forbid_automorphisms(monkeypatch)
         assert liftres_sweep(G, 2) == (2 ** 12, 0)
 
     def test_no_per_tuple_graphs_or_lift_counts(self, monkeypatch):

@@ -342,6 +342,32 @@ def test_too_many_degrees_exit_2_up_front(argv, message):
     assert "Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["branched", "--knot", "trefoil", "--p", "5..2"], 2, "error: empty range '5..2'"),
+    (["branched", "--knot", "trefoil", "--p", ","], 2, "error: no p values in ','"),
+    (["branched", "--p", "2"], 2, "error: pass --knot NAME or --file SEIFERT.json"),
+    (["liftres", "--p", "2"], 2, "error: pass --graph NAME or --file GRAPH.json"),
+    (["signature", "--knot", "trefoil", "--p", str(MAX_DEGREES + 2)], 2,
+     "error: signature at p = 1000002 has 1000001 rows, more than 1000000"),
+    (["signature", "--knot", "trefoil", "--p", "1"], 1,
+     "domain: p = 1 has no interior roots of unity"),
+    (["growth", "--knot", "trefoil", "--ps", "6,12"], 1,
+     "domain: no regular p in the requested range"),
+    (["residue", "--q", "", "--p", "2"], 2, "error: residue needs --q FILE"),
+    (["branched", "--file", "SEIFERT", "--p", "2"], 2,
+     "error: Seifert matrix entries must be ints"),
+    (["liftres", "--file", "GRAPH", "--p", "2"], 2, "error: edge endpoint out of range"),
+], ids=["empty-range", "no-p", "no-knot", "no-graph", "signature-rows", "signature-p-1",
+        "growth-irregular", "residue-no-q", "seifert-float", "graph-endpoint"])
+def test_refusals_print_one_line_and_nothing_on_stdout(capsys, tmp_path, argv, code, message):
+    seifert, graph = tmp_path / "seifert.json", tmp_path / "graph.json"
+    seifert.write_text(json.dumps([[0.5, 1], [0, -1]]))
+    graph.write_text(json.dumps({"vertices": 2, "edges": [
+        {"from": 0, "to": 5}, {"from": 0, "to": 1}, {"from": 1, "to": 0}]}))
+    argv = [{"SEIFERT": str(seifert), "GRAPH": str(graph)}.get(a, a) for a in argv]
+    assert run(capsys, *argv) == (code, "", message + "\n")
+
+
 def test_degree_cap_counts_the_range():
     assert _parse_ps("%d..%d" % (5, 4 + MAX_DEGREES))[-1] == 4 + MAX_DEGREES
     with pytest.raises(ValueError, match="more than 1000000"):

@@ -535,6 +535,44 @@ def test_torus_knots_match_theory(a, b):
     assert ps and [knot.beta(p) for p in ps] == [1] * len(ps)
 
 
+def _litherland_sigma_p(a, b, p):
+    """sigma_p of T(a, b) by Litherland's count (1979): over k = 1..p-1,
+    the lattice values x = i/a + j/b (1 <= i < a, 1 <= j < b) outside
+    (k/p, k/p + 1) less those inside, compared in integers as x p a b
+    against k a b and (k + p) a b.  None when a k/p or k/p + 1 meets a
+    lattice value (a root of Delta at a p-th root of unity)."""
+    values = [(i * b + j * a) * p for i in range(1, a) for j in range(1, b)]
+    total = 0
+    for k in range(1, p):
+        lo, hi = k * a * b, (k + p) * a * b
+        for x in values:
+            if x in (lo, hi):
+                return None
+            total += -1 if lo < x < hi else 1
+    return total
+
+
+@pytest.mark.parametrize("a, b", [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (4, 5), (5, 6)])
+def test_torus_sigma_p_matches_litherland(a, b):
+    # theory-frozen: the count is independent of the package; its sign is
+    # pinned by sigma(-1) = -2 for the trefoil
+    assert _litherland_sigma_p(2, 3, 2) == -2
+    knot = Knot(torus_seifert(a, b))
+    checked = 0
+    for p in [*range(2, 60), 97, 1009]:
+        want = _litherland_sigma_p(a, b, p)
+        if want is not None:
+            assert knot.sigma_p(p) == want, (a, b, p)
+            checked += 1
+    assert checked >= 40
+
+
+def test_trefoil_sigma_p_is_minus_8k_at_6k_plus_minus_1():
+    knot = Knot(torus_seifert(2, 3))
+    for p in (5, 7, 97, 1009, 100003):
+        assert knot.sigma_p(p) == -8 * round(p / 6), p
+
+
 @pytest.mark.parametrize("a", range(2, 10))
 def test_torus_charpoly_matches_faddeev_leverrier(a):
     # Gamma of T(a, a + 1), n = a (a - 1) from 2 to 72: the determinant of

@@ -440,21 +440,32 @@ def test_package_exports_the_union_of_the_module_lists():
 
 
 def test_graphs_imports_no_numpy_and_builds_automorphisms_once():
-    # the certificate checks the class options in plain Python, so graphs
-    # imports numpy nowhere (also not inside a function), and the GraphAut
-    # tuples are built in one function alone
+    # graphs imports numpy nowhere (also not inside a function); the
+    # GraphAut tuples are built, and the class options walked, in one
+    # function alone, which serves phi_R; liftres reads the cycle basis and
+    # the coloring plan and names no automorphism route
     tree = ast.parse((SRC / "graphs.py").read_text(encoding="utf-8"))
     imported = [m for node in ast.walk(tree) for m in _imported_modules(node)]
     assert [m for m in imported if m.split(".")[0] == "numpy"] == []
-    built = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
-             for node in ast.walk(fn) if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Name) and node.func.id == "GraphAut"]
-    assert built == ["_automorphisms"]
+
+    def callers(name):
+        return [getattr(top, "name", "<module>") for top in tree.body
+                for node in ast.walk(top) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == name]
+
+    assert callers("GraphAut") == ["_automorphisms"]
+    assert callers("_class_options") == ["_automorphisms"]
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    for fn in ("liftres_sweep", "_cycle_basis"):
+        named = {node.id for node in ast.walk(functions[fn]) if isinstance(node, ast.Name)}
+        assert named & {"_class_options", "_automorphisms", "automorphisms",
+                        "_pulled_cycles"} == set(), fn
 
 
 def test_graphs_draws_in_blocks_without_lambdamat():
     # liftres decides every bead tuple from the topology, so graphs draws
-    # no random tuple, and the certificate is by chain maps, not Bareiss
+    # no random tuple, and the cycle basis is checked by its boundaries and
+    # its non-forest columns, not by a Bareiss determinant
     tree = ast.parse((SRC / "graphs.py").read_text(encoding="utf-8"))
     calls = [node.lineno for node in ast.walk(tree)
              if isinstance(node, (ast.Attribute, ast.Name))
@@ -462,6 +473,41 @@ def test_graphs_draws_in_blocks_without_lambdamat():
     assert calls == []
     imported = [m for node in ast.walk(tree) for m in _imported_modules(node)]
     assert not [m for m in imported if m.split(".")[-1] == "lambdamat"]
+
+
+def _p_refusal_calls():
+    """One call per library function that takes a degree p, with p left
+    open, on small valid inputs."""
+    t, one = knotcovers.LaurentPoly.t(), knotcovers.LaurentPoly.one()
+    trefoil = [[-1, 1], [0, -1]]
+    theta = knotcovers.theta_graph()
+    return {
+        "cyclotomic_norm": lambda p: knotcovers.cyclotomic_norm(t - one - t ** -1, p),
+        "res_p_graph": lambda p: knotcovers.res_p_graph(knotcovers.phi_R(theta), theta, p),
+        "twisted_cycle_matrix": knotcovers.twisted_cycle_matrix,
+        "subst_cycle": lambda p: knotcovers.subst_cycle(knotcovers.clover_matrix(trefoil), p),
+        "subst_twisted": lambda p: knotcovers.subst_twisted(knotcovers.clover_matrix(trefoil), p),
+        "signature_function": lambda p: knotcovers.signature_function(trefoil, 1, p),
+        "denominator_to_tp": lambda p: knotcovers.denominator_to_tp(
+            knotcovers.RatFun(one, t - 2 * one), p),
+        "res_p_theta": lambda p: knotcovers.res_p_theta(knotcovers.ThetaClass(
+            [(knotcovers.RatFun(t), knotcovers.RatFun(t), knotcovers.RatFun(t), Fraction(1))]), p),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_p_refusal_calls()) + ["res_p_graph-arity"])
+def test_library_refuses_p_below_one(name):
+    # every library function that takes p refuses p < 1 by name, before
+    # any work; res_p_graph also refuses a symbol of the wrong arity
+    if name == "res_p_graph-arity":
+        with pytest.raises(ValueError, match="^symbol arity does not match b1 of the graph$"):
+            knotcovers.res_p_graph({(0,): Fraction(1)}, knotcovers.theta_graph(), 3)
+        return
+    call = _p_refusal_calls()[name]
+    call(3)  # the inputs are valid
+    for p in (0, -2):
+        with pytest.raises(ValueError, match="^p must be a positive integer$"):
+            call(p)
 
 
 def test_no_module_imports_numpy_at_module_scope():
