@@ -30,14 +30,15 @@ parallel edges under each admissible vertex permutation
 ``liftres_check`` verifies that the two quantities agree -- exactly, term
 by term -- on one beaded graph, and ``liftres_sweep`` decides it for every
 bead tuple in {0..p-1}^(#edges) and every p at once, from the topology
-alone.  Its residue side rests on the fundamental-cycle matrix C being a
-basis of the cycle lattice (``_cycle_basis``): every automorphism is a
+alone, by reading the cycle basis C (``_cycle_basis``), built and checked
+once per topology.  That is the one replay of ``count_admissible``'s
+coloring plan (``_coloring_plan``, the one walk of the graph) on linear
+forms in the beads: each check of the plan, times its sign, is the row
+of C for its edge, so the lift side's condition is C x = 0 mod p.  C is
+checked to be a basis of the cycle lattice; every automorphism is a
 chain isomorphism, so it acts on that lattice by an integral matrix with
-an integral inverse, and the average over the group is the one condition
-C x = 0 mod p.  Its lift side replays ``count_admissible``'s coloring plan
-(``_coloring_plan``, the one walk of the graph, which also gives the
-fundamental cycles) on linear forms in the beads: each non-forest edge's
-check is +- that edge's row of C.
+an integral inverse, and the residue side's average over the group is
+the same condition.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ _VERTEX_CAP = 8
 
 class TooLarge(ValueError):
     """Brute-force automorphism search, and liftres, are capped at a small
-    vertex count (``_check_vertex_cap``)."""
+    vertex count (``_check_vertex_cap``); the message names the graph's."""
 
 
 class Edge(NamedTuple):
@@ -257,7 +258,8 @@ def _check_vertex_cap(n: int) -> None:
     walks n! vertex permutations; liftres keeps C (b1 x E) and the plan's
     forms (n x E) dense, so its cost grows as n^2."""
     if n > _VERTEX_CAP:
-        raise TooLarge("automorphism search capped at %d vertices" % _VERTEX_CAP)
+        raise TooLarge("graph has %d vertices; automorphisms and liftres are capped at %d"
+                       % (n, _VERTEX_CAP))
 
 
 def _topology(G: BeadedGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -326,26 +328,14 @@ def fundamental_cycles(G: BeadedGraph) -> tuple[list[int], list[dict[int, int]]]
 
     The cycle of a non-forest edge e = (a -> b) is e followed by the
     forest path from b back to a; the vector maps edge index to its
-    signed multiplicity (+1 when traversed tail to head).  The signed
-    forest path from its component's root to each vertex is read off the
-    plan's walk, which sets a vertex after the vertex it is reached from.
+    signed multiplicity (+1 when traversed tail to head).  The vectors are
+    the rows of the topology's ``_cycle_basis``.  The forest is read off
+    the plan, as C alone does not fix it: a forest edge on one cycle,
+    traversed with it, has the same column as that cycle's own edge.
     """
-    sets = _coloring_plan(G).sets
-    path: list[dict[int, int]] = [{} for _ in range(G.n_vertices)]
-    for w, v, e, s in sets:
-        path[w] = {**path[v], e: s}
-    forest = {e for _, _, e, _ in sets}
-    nonforest = [i for i in range(len(G.edges)) if i not in forest]
-    cycles = []
-    for idx in nonforest:
-        e = G.edges[idx]
-        vec: dict[int, int] = {idx: 1}
-        for k, s in path[e.tail].items():
-            vec[k] = vec.get(k, 0) + s
-        for k, s in path[e.head].items():
-            vec[k] = vec.get(k, 0) - s
-        cycles.append({k: s for k, s in vec.items() if s})
-    return nonforest, cycles
+    forest = {e for _, _, e, _ in _coloring_plan(G).sets}
+    return ([e for e in range(len(G.edges)) if e not in forest],
+            [{e: c for e, c in enumerate(row) if c} for row in _cycle_basis(*_topology(G))])
 
 
 def _beadless(n: int, ends: tuple[tuple[int, int], ...]) -> BeadedGraph:
@@ -429,8 +419,8 @@ def liftres_check(G: BeadedGraph, p: int) -> bool:
 
 class _Plan(NamedTuple):
     """The coloring propagation over G with the beads left open, the one
-    walk behind ``count_admissible``, ``fundamental_cycles`` and
-    ``liftres_sweep``'s check rows.
+    walk behind ``count_admissible`` and, replayed once per topology on
+    linear forms in the beads, the cycle basis (``_cycle_basis``).
     A step (w, v, edge, sign) reads color[w] = color[v] + sign * bead[edge]
     mod p: ``sets`` fill in the colors in traversal order, ``checks`` hold
     every other edge once (b1 of them), and ``comps`` counts the
@@ -479,14 +469,20 @@ def _coloring_plan(G: BeadedGraph) -> _Plan:
 @lru_cache(maxsize=64)
 def _cycle_basis(n: int, ends: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
     """The fundamental-cycle matrix C of a topology key (b1 x E, one tuple
-    per row, so no caller can change the kept copy), read off
-    ``fundamental_cycles``.  ArithmeticError, naming what failed, unless C
-    has b1 rows, each of zero boundary, and C is the identity on the
-    non-forest columns.
+    per row, so no caller can change the kept copy), read off the coloring
+    plan's checks.  The plan's ``sets``, replayed on integer linear forms in
+    the beads, give each vertex its color as a form; a check (w, v, e, s)
+    holds on beads x when the form forms[v] - forms[w] + s delta_e is 0 at
+    x mod p, the condition ``count_admissible`` tests, and s times that
+    form is the row of C for edge e: e, plus the forest path to its tail,
+    minus the path to its head.  Rows are in edge order.  ArithmeticError, naming the topology
+    and what failed, unless the plan visits the b0 components, C has b1
+    rows, one per non-forest edge, each of zero boundary, and C is the
+    identity on the non-forest columns.
 
-    Why these checks are all that liftres' residue side needs.  The rows of
-    C are then a basis of the cycle lattice Z_1(G) = H_1(G; Z): the forest
-    holds no cycle, so a cycle is the combination of C's rows read off its
+    Why these checks are all that liftres needs.  The rows of C are then a
+    basis of the cycle lattice Z_1(G) = H_1(G; Z): the forest holds no
+    cycle, so a cycle is the combination of C's rows read off its
     non-forest entries.  An automorphism a maps vertices bijectively, and
     maps edges bijectively while respecting incidence up to a flip, so a is
     a chain isomorphism, and so is a^-1.  Hence D[a] = U_a C, D[a] being
@@ -494,53 +490,12 @@ def _cycle_basis(n: int, ends: tuple[tuple[int, int], ...]) -> tuple[tuple[int, 
     columns, and U_a U_(a^-1) = I.  So D[a] x = 0 mod p exactly when
     C x = 0 mod p, for every automorphism a and every p, whether
     enumerated or not, and phi_R's average over the group is the single
-    test C x = 0 mod p."""
-    E = len(ends)
+    test C x = 0 mod p.  C is, up to sign, the lift side's own checks, so
+    lift count = residue on every tuple and every p."""
+    E, key = len(ends), (n, ends)
     G = _beadless(n, ends)
-    nonforest, cycles = fundamental_cycles(G)
-    C = tuple(tuple(cyc.get(e, 0) for e in range(E)) for cyc in cycles)
-    if not len(C) == len(nonforest) == G.b1:
-        raise ArithmeticError("C has %d rows for %d non-forest edges, not b1 = %d"
-                              % (len(C), len(nonforest), G.b1))
-    for i, row in enumerate(C):
-        boundary = [0] * n
-        for (tail, head), c in zip(ends, row):
-            boundary[tail] -= c
-            boundary[head] += c
-        if any(boundary):
-            raise ArithmeticError("row %d of C has nonzero boundary" % i)
-        if [row[f] for f in nonforest] != [int(j == i) for j in range(len(C))]:
-            raise ArithmeticError("C is not the identity on the non-forest columns")
-    return C
-
-
-def liftres_sweep(G: BeadedGraph, p: int, max_cases: int | None = None) -> tuple[int, int]:
-    """Decide lift count = residue for every bead tuple in {0..p-1}^E at once.
-
-    On a tuple x both sides are 0 or p^b0: the residue when C x = 0 mod p,
-    for the cycle basis C (``_cycle_basis``), which needs no automorphism,
-    and the lift count when every check of the coloring plan holds
-    (``count_admissible``).  The plan's ``sets``, replayed on integer linear
-    forms in the beads, make each check a row; when the plan visits the b0
-    components and the check of each non-forest edge is +- that edge's row
-    of C, the two conditions are one, for every x and every p.  Returns
-    (cases, 0), cases being p^E, or min(max_cases, p^E) when max_cases is
-    given.
-
-    ValueError for p or max_cases below 1; TooLarge past ``_VERTEX_CAP``
-    vertices; ArithmeticError, naming the topology, if the checks are not
-    the rows of C.
-    """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    if max_cases is not None and max_cases < 1:
-        raise ValueError("max_cases (--max-cases) must be at least 1, got %d" % max_cases)
-    _check_vertex_cap(G.n_vertices)
-    key = _topology(G)
-    C = _cycle_basis(*key)
     plan = _coloring_plan(G)
-    E = len(G.edges)
-    forms = [[0] * E for _ in range(plan.n_vertices)]
+    forms = [[0] * E for _ in range(n)]
     for w, v, e, s in plan.sets:
         forms[w] = forms[v][:]
         forms[w][e] += s
@@ -548,14 +503,48 @@ def liftres_sweep(G: BeadedGraph, p: int, max_cases: int | None = None) -> tuple
     for w, v, e, s in plan.checks:
         row = [a - b for a, b in zip(forms[v], forms[w])]
         row[e] += s
-        checks.append((e, row))
-    checks.sort()
+        checks.append((e, tuple(s * c for c in row)))
+    C = tuple(row for _, row in sorted(checks))
     forest = {e for _, _, e, _ in plan.sets}
-    rows = list(zip([e for e in range(E) if e not in forest], map(list, C)))
-    if plan.comps != G.b0 or not len(checks) == len(rows) == len(C) or any(
-            e != f or check not in (row, [-c for c in row])
-            for (e, check), (f, row) in zip(checks, rows)):
-        raise ArithmeticError("the coloring plan's checks are not +-the fundamental cycles of"
-                              " topology %r" % (key,))
-    total = p ** E
+    nonforest = [e for e in range(E) if e not in forest]
+    if plan.comps != G.b0:
+        raise ArithmeticError("topology %r: the coloring plan visits %d components, not b0 = %d"
+                              % (key, plan.comps, G.b0))
+    if not len(C) == len(nonforest) == G.b1:
+        raise ArithmeticError("topology %r: C has %d rows for %d non-forest edges, not b1 = %d"
+                              % (key, len(C), len(nonforest), G.b1))
+    for i, row in enumerate(C):
+        boundary = [0] * n
+        for (tail, head), c in zip(ends, row):
+            boundary[tail] -= c
+            boundary[head] += c
+        if any(boundary):
+            raise ArithmeticError("topology %r: row %d of C has nonzero boundary" % (key, i))
+        if [row[f] for f in nonforest] != [int(j == i) for j in range(len(C))]:
+            raise ArithmeticError("topology %r: C is not the identity on the non-forest columns"
+                                  % (key,))
+    return C
+
+
+def liftres_sweep(G: BeadedGraph, p: int, max_cases: int | None = None) -> tuple[int, int]:
+    """Decide lift count = residue for every bead tuple in {0..p-1}^E at once.
+
+    On a tuple x both sides are 0 or p^b0: the lift count when every check
+    of the coloring plan holds (``count_admissible``), and the residue when
+    C x = 0 mod p, for the cycle basis C (``_cycle_basis``), which needs no
+    automorphism.  C's rows are the plan's checks up to sign, so the two
+    conditions are one, for every x and every p, once C passes its checks.
+    Returns (cases, 0), cases being p^E, or min(max_cases, p^E) when
+    max_cases is given.
+
+    ValueError for p or max_cases below 1; TooLarge past ``_VERTEX_CAP``
+    vertices; ArithmeticError, naming the topology, if C fails its checks.
+    """
+    if p < 1:
+        raise ValueError("p must be a positive integer")
+    if max_cases is not None and max_cases < 1:
+        raise ValueError("max_cases (--max-cases) must be at least 1, got %d" % max_cases)
+    _check_vertex_cap(G.n_vertices)
+    _cycle_basis(*_topology(G))
+    total = p ** len(G.edges)
     return (total if max_cases is None else min(max_cases, total)), 0

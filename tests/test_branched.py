@@ -537,6 +537,32 @@ class TestMahlerOfRepeatedRoots:
         assert mahler_measure(alexander(trefoil) ** power) == pytest.approx(0.0, abs=1e-12)
 
 
+class TestSliceAndAmphichiral:
+    """Signatures that theory fixes: a slice knot's signature function
+    vanishes off the roots of Delta, and so does an amphichiral knot's."""
+
+    def test_k_sum_minus_k(self, rng):
+        # -K has Seifert matrix -A^T, and K # -K is slice: Delta = Delta_K^2,
+        # beta_p = beta_p(K)^2, and sigma_p = 0 at every regular p, so the
+        # signature average is 0 too
+        ps = (*range(2, 61), 97, 1009)
+        for _ in range(150):
+            A = random_seifert(rng.randint(1, 3), rng)
+            K, S = Knot(A), Knot(block_sum(A, [[-x for x in col] for col in zip(*A)]))
+            assert alexander(S) == alexander(K) ** 2
+            for p in ps:
+                assert is_p_regular(S, p) == is_p_regular(K, p), (A, p)
+                if is_p_regular(K, p):
+                    assert torsion_order(S, p) == torsion_order(K, p) ** 2, (A, p)
+                    assert total_sigma_p(S, p) == 0, (A, p)
+            assert signature_average(S) == 0, A
+
+    def test_figure8_sigma_p_vanishes(self, figure8):
+        # the figure-eight is amphichiral and regular at every p
+        K = Knot(figure8)
+        assert [p for p in range(2, 2000) if total_sigma_p(K, p) != 0] == []
+
+
 class TestCassonWalker:
     def test_trefoil_with_zero_two_loop_part(self, trefoil):
         val = casson_walker(trefoil, ThetaClass.zero(), 2)

@@ -957,18 +957,23 @@ class TestSweepEngine:
         with pytest.raises(ArithmeticError, match="inverse is missing"):
             _array_certificate(*graphs._topology(G), *kept)
 
+    @staticmethod
+    def _use_plan(monkeypatch, plan):
+        # the cycle basis is kept per topology: walk the given plan afresh
+        monkeypatch.setattr(graphs, "_coloring_plan", lambda G: plan)
+        graphs._cycle_basis.cache_clear()
+
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS) + ["theta3"])
     def test_a_plan_with_a_repeated_check_is_refused(self, monkeypatch, name):
         G = ORACLE_GRAPHS.get(name) or disjoint_union(THETA, THETA, THETA)
         plan = graphs._coloring_plan(G)
-        doubled = plan._replace(checks=plan.checks + plan.checks[:1])
-        monkeypatch.setattr(graphs, "_coloring_plan", lambda G: doubled)
-        topology = re.escape("fundamental cycles of topology %r" % (graphs._topology(G),))
-        with pytest.raises(ArithmeticError, match=topology):
+        self._use_plan(monkeypatch, plan._replace(checks=plan.checks + plan.checks[:1]))
+        refusal = re.escape("topology %r: C has %d rows for %d non-forest edges"
+                            % (graphs._topology(G), G.b1 + 1, G.b1))
+        with pytest.raises(ArithmeticError, match=refusal):
             liftres_sweep(G, 2)
         # the same checks in another order are the same plan
-        reordered = plan._replace(checks=plan.checks[::-1])
-        monkeypatch.setattr(graphs, "_coloring_plan", lambda G: reordered)
+        self._use_plan(monkeypatch, plan._replace(checks=plan.checks[::-1]))
         assert liftres_sweep(G, 2) == (2 ** len(G.edges), 0)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS) + ["theta3"])
@@ -983,8 +988,10 @@ class TestSweepEngine:
             # the decision refuses a plan short of b1 checks, and the oracles
             # tell its lift side from the residue side
             partial = plan._replace(checks=[c for c in plan.checks if c[2] != k])
-            monkeypatch.setattr(graphs, "_coloring_plan", lambda G, partial=partial: partial)
-            with pytest.raises(ArithmeticError, match="fundamental cycles"):
+            self._use_plan(monkeypatch, partial)
+            refusal = re.escape("topology %r: C has %d rows for %d non-forest edges"
+                                % (graphs._topology(G), G.b1 - 1, G.b1))
+            with pytest.raises(ArithmeticError, match=refusal):
                 liftres_sweep(G, 4)
             lifts = _colorable(partial, tuples, 4)
             assert (lifts != _cycles_vanish(C, tuples, 4)).any(), k
@@ -992,21 +999,24 @@ class TestSweepEngine:
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS) + ["theta3"])
     def test_a_flipped_check_is_detected(self, monkeypatch, name):
         # a check read the other way round (bead subtracted where it is
-        # added) is not +- its row of C, and the oracles tell it apart; on
-        # a loop the check is its bead alone, and the flip is -1 times the
-        # same row, so the decision stands and the oracles agree
+        # added) makes a row that is not a cycle, and the oracles tell it
+        # apart; on a loop the check is its bead alone, and the flip is -1
+        # times the same row, so the decision stands and the oracles agree
         G = ORACLE_GRAPHS.get(name) or disjoint_union(THETA, THETA, THETA)
         plan = graphs._coloring_plan(G)
         C, tuples = graphs._cycle_basis(*graphs._topology(G)), _all_tuples(G, 4).T
+        nonforest, _ = fundamental_cycles(G)
         for k, (w, v, e, s) in enumerate(plan.checks):
             flipped = plan._replace(checks=plan.checks[:k] + [(w, v, e, -s)] + plan.checks[k + 1:])
-            monkeypatch.setattr(graphs, "_coloring_plan", lambda G, flipped=flipped: flipped)
+            self._use_plan(monkeypatch, flipped)
             lifts = _colorable(flipped, tuples, 4)
             if w == v:
                 assert liftres_sweep(G, 4) == (4 ** len(G.edges), 0)
                 assert np.array_equal(lifts, _cycles_vanish(C, tuples, 4)), k
                 continue
-            with pytest.raises(ArithmeticError, match="fundamental cycles"):
+            refusal = re.escape("topology %r: row %d of C has nonzero boundary"
+                                % (graphs._topology(G), nonforest.index(e)))
+            with pytest.raises(ArithmeticError, match=refusal):
                 liftres_sweep(G, 4)
             assert (lifts != _cycles_vanish(C, tuples, 4)).any(), k
 
@@ -1045,50 +1055,46 @@ class TestSweepEngine:
         assert _array_certificate(*graphs._topology(G), *rows).tolist() == [
             list(row) for row in graphs._cycle_basis(*graphs._topology(G))]
 
-    @pytest.mark.parametrize("corrupt", ["boundary", "columns", "rows"])
+    @pytest.mark.parametrize("corrupt", ["boundary", "columns", "rows", "components"])
     def test_corrupted_certificate_raises(self, monkeypatch, corrupt):
-        # liftres_sweep refuses a C whose rows are not the fundamental
-        # cycles: not cycles, not the identity on the non-forest columns,
-        # or short of b1 of them
+        # liftres_sweep refuses a plan whose checks are not the fundamental
+        # cycles: a row that is not a cycle, a row that is not the identity
+        # on the non-forest columns, short of b1 rows, or a plan whose
+        # components are not the graph's (its lift count would be p^3)
         G = SWEEP_GRAPHS["theta-theta"]
-        cycles_of = graphs.fundamental_cycles
-
-        def corrupted_cycles(G):
-            nonforest, cycles = cycles_of(G)
-            first = dict(cycles[0])
-            if corrupt == "boundary":  # a forest edge added alone
-                first[min(set(range(len(G.edges))) - set(nonforest))] = 1
-            elif corrupt == "columns":  # the sum of two cycles, still a cycle
-                for e, c in cycles[1].items():
-                    first[e] = first.get(e, 0) + c
-            elif corrupt == "rows":  # one cycle and its edge dropped
-                return nonforest[1:], cycles[1:]
-            return nonforest, [first] + cycles[1:]
-
-        monkeypatch.setattr(graphs, "fundamental_cycles", corrupted_cycles)
+        plan = graphs._coloring_plan(G)
+        (w, v, e, s), rest = plan.checks[0], plan.checks[1:]
+        assert w != v and e == 1  # theta's second edge, the first check
+        checks = {"boundary": [(w, v, e, -s)] + rest,  # a non-loop check flipped
+                  "columns": plan.sets[:1] + rest,  # edge 0 sets a color and is checked
+                  "rows": rest,  # a check dropped
+                  "components": plan.checks}[corrupt]
+        self._use_plan(monkeypatch, plan._replace(checks=checks,
+                                                  comps=plan.comps + (corrupt == "components")))
         match = {"boundary": "row 0 of C has nonzero boundary",
                  "columns": "not the identity on the non-forest columns",
-                 "rows": "C has 3 rows for 3 non-forest edges, not b1 = 4"}[corrupt]
-        graphs._cycle_basis.cache_clear()  # check afresh
+                 "rows": "C has 3 rows for 4 non-forest edges, not b1 = 4",
+                 "components": "the coloring plan visits 3 components, not b0 = 2"}[corrupt]
         with pytest.raises(ArithmeticError, match=match):
             liftres_sweep(G, 2)
         monkeypatch.undo()
+        graphs._cycle_basis.cache_clear()
         assert liftres_sweep(G, 2) == (64, 0)
 
     def test_cycle_basis_checked_once_per_topology(self, monkeypatch):
-        # the basis is read off fundamental_cycles once per topology, and
+        # the plan is walked once per topology, by _cycle_basis, and
         # liftres_sweep never walks the class options
         calls = []
-        cycles_of = graphs.fundamental_cycles
+        walk = graphs._coloring_plan
 
         def counted(G):
             calls.append(G.n_vertices)
-            return cycles_of(G)
+            return walk(G)
 
         def refused(n, ends):
             raise AssertionError("liftres_sweep walked the class options")
 
-        monkeypatch.setattr(graphs, "fundamental_cycles", counted)
+        monkeypatch.setattr(graphs, "_coloring_plan", counted)
         monkeypatch.setattr(graphs, "_class_options", refused)
         graphs._cycle_basis.cache_clear()
         G = SWEEP_GRAPHS["theta-theta"]
@@ -1192,6 +1198,19 @@ class TestSweepLimits:
         argv = ["liftres", "--graph", "theta", "--p", str(p), "--max-cases", "10", "--format", "json"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["rows"] == [[p, 3, 10, 0]]
+
+    def test_cli_refuses_past_the_vertex_cap(self, capsys, tmp_path):
+        # theta^5 has 10 vertices: one line naming the count, for
+        # automorphisms and liftres alike, and nothing on stdout
+        f = tmp_path / "theta5.json"
+        f.write_text(json.dumps(disjoint_union(*[THETA] * 5).to_json()))
+        assert main(["liftres", "--file", str(f), "--p", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: graph has 10 vertices; automorphisms and liftres are" \
+                               " capped at 8\n"
+        with pytest.raises(graphs.TooLarge, match="^graph has 10 vertices;"):
+            automorphisms(disjoint_union(*[THETA] * 5))
 
     def test_cli_sweeps_the_edgeless_graph(self, capsys, tmp_path):
         # no edges: one empty bead tuple per p, lift count 1 = residue 1

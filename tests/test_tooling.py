@@ -442,8 +442,11 @@ def test_package_exports_the_union_of_the_module_lists():
 def test_graphs_imports_no_numpy_and_builds_automorphisms_once():
     # graphs imports numpy nowhere (also not inside a function); the
     # GraphAut tuples are built, and the class options walked, in one
-    # function alone, which serves phi_R; liftres reads the cycle basis and
-    # the coloring plan and names no automorphism route
+    # function alone, which serves phi_R.  The coloring plan's checks are
+    # replayed on beads by count_admissible and on linear forms by
+    # _cycle_basis alone; fundamental_cycles reads only the plan's forest,
+    # and liftres reads the cycle basis and names no plan and no
+    # automorphism route
     tree = ast.parse((SRC / "graphs.py").read_text(encoding="utf-8"))
     imported = [m for node in ast.walk(tree) for m in _imported_modules(node)]
     assert [m for m in imported if m.split(".")[0] == "numpy"] == []
@@ -455,17 +458,24 @@ def test_graphs_imports_no_numpy_and_builds_automorphisms_once():
 
     assert callers("GraphAut") == ["_automorphisms"]
     assert callers("_class_options") == ["_automorphisms"]
+    assert callers("_coloring_plan") == ["count_admissible", "fundamental_cycles", "_cycle_basis"]
+    assert [top.name for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr == "checks"] == [
+        "count_admissible", "_cycle_basis"]
     functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
     for fn in ("liftres_sweep", "_cycle_basis"):
         named = {node.id for node in ast.walk(functions[fn]) if isinstance(node, ast.Name)}
         assert named & {"_class_options", "_automorphisms", "automorphisms",
                         "_pulled_cycles"} == set(), fn
+    named = {node.id for node in ast.walk(functions["liftres_sweep"]) if isinstance(node, ast.Name)}
+    assert "_coloring_plan" not in named
 
 
 def test_graphs_draws_in_blocks_without_lambdamat():
     # liftres decides every bead tuple from the topology, so graphs draws
-    # no random tuple, and the cycle basis is checked by its boundaries and
-    # its non-forest columns, not by a Bareiss determinant
+    # no random tuple; the cycle basis, the plan's check rows, is checked
+    # by its boundaries and its non-forest columns, not by a Bareiss
+    # determinant
     tree = ast.parse((SRC / "graphs.py").read_text(encoding="utf-8"))
     calls = [node.lineno for node in ast.walk(tree)
              if isinstance(node, (ast.Attribute, ast.Name))
