@@ -24,13 +24,13 @@ from typing import Callable
 from .exactalg import (
     LaurentPoly,
     RatFun,
+    SingularEvaluation,
     cyclotomic_norm,
     mahler_measure,
     wheels_coefficients,
 )
 from .lambdamat import (
     LambdaMatrix,
-    SingularEvaluation,
     normalized_determinant,
     rational_det,
     root_of_unity,

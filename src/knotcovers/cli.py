@@ -38,8 +38,8 @@ import types
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .exactalg import mahler_measure
-from .lambdamat import AtOne, NotHermitian, SingularEvaluation, normalized_determinant
+from .exactalg import SingularEvaluation, mahler_measure
+from .lambdamat import AtOne, NotHermitian, normalized_determinant
 from .seifert import KnotRecord, corpus_record, signature_function
 from .branched import (
     branched_report,

@@ -51,7 +51,6 @@ from .exactalg import LaurentPoly, SingularAtOne, SingularEvaluation, _frac, _po
 
 __all__ = [
     "NotHermitian",
-    "SingularEvaluation",
     "AtOne",
     "LambdaMatrix",
     "signature_exact",
@@ -224,10 +223,10 @@ class LambdaMatrix:
     coefficient matrices: ``coeffs`` maps each exponent e to C_e, a tuple
     of n rows of exact scalars (an int when integral, else a Fraction),
     in ascending e with zero matrices dropped, so that == is structural.
-    Keeps, once computed, whether it is Hermitian, sigma(W(+-1)) and its
-    float coefficient tensor."""
+    It keeps nothing else: whether W is Hermitian, sigma(W(+-1)) and its
+    float coefficient tensor are computed where they are read."""
 
-    __slots__ = ("n", "coeffs", "_hermitian", "_sigma_exact", "_float_coeffs")
+    __slots__ = ("n", "coeffs")
 
     def __init__(self, rows: Sequence[Sequence]):
         """From rows of LaurentPoly, int or Fraction entries."""
@@ -243,9 +242,6 @@ class LambdaMatrix:
         self.coeffs = {e: tuple(map(tuple, C)) if _all_int(C) else
                        tuple(tuple(map(_frac, row)) for row in C)
                        for e, C in sorted(coeffs.items()) if any(map(any, C))}
-        self._hermitian: bool | None = None
-        self._sigma_exact: dict[int, int | None] = {}  # w = +-1 -> sigma(W(w)), None if singular
-        self._float_coeffs: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_coeffs(cls, coeffs: Mapping[int, Sequence[Sequence]], n: int) -> "LambdaMatrix":
@@ -315,10 +311,8 @@ class LambdaMatrix:
     @property
     def is_hermitian(self) -> bool:
         """C_-e is the transpose of C_e for every e."""
-        if self._hermitian is None:
-            C = self.coeffs
-            self._hermitian = all(C.get(-e) == tuple(zip(*M)) for e, M in C.items())
-        return self._hermitian
+        C = self.coeffs
+        return all(C.get(-e) == tuple(zip(*M)) for e, M in C.items())
 
     def det(self) -> LaurentPoly:
         """Exact determinant by Kronecker substitution into ``_bareiss``.
@@ -380,16 +374,13 @@ class LambdaMatrix:
         return out
 
     def eval_complex(self, z: "complex | np.ndarray") -> np.ndarray:
-        """W(z) = sum_e C_e z^e from the float tensor C[e, i, j], built once
-        (stored with i, j flattened): one n x n matrix for a scalar z, a
-        stack of shape z.shape + (n, n) for an array of z."""
+        """W(z) = sum_e C_e z^e from the float tensor C[e, i, j] (with i, j
+        flattened): one n x n matrix for a scalar z, a stack of shape
+        z.shape + (n, n) for an array of z."""
         import numpy as np
 
-        if self._float_coeffs is None:
-            exps = list(self.coeffs)
-            C = np.array(list(self.coeffs.values()), dtype=float)
-            self._float_coeffs = (np.array(exps, dtype=int), C.reshape(len(exps), self.n ** 2))
-        exps, C = self._float_coeffs
+        exps = np.array(list(self.coeffs), dtype=int)
+        C = np.array(list(self.coeffs.values()), dtype=float).reshape(len(exps), self.n ** 2)
         z = np.asarray(z, dtype=complex)
         return (z[..., None] ** exps @ C).reshape(z.shape + (self.n, self.n))
 
@@ -499,16 +490,13 @@ def complex_signature(H: np.ndarray) -> "int | np.ndarray":
 
 
 def _sigma_exact_at(W: LambdaMatrix, w: int) -> int:
-    """sigma(W(w)) at w = +-1 by exact inertia, kept on W (a singular W(w)
-    too, so that every call raises SingularEvaluation).  W(1) sums the
-    coefficient matrices, W(-1) sums them with alternating signs."""
-    if w not in W._sigma_exact:
-        plus, minus, null = signature_exact(W._at_sign(w))
-        W._sigma_exact[w] = None if null else plus - minus
-    sig = W._sigma_exact[w]
-    if sig is None:
+    """sigma(W(w)) at w = +-1 by exact inertia; SingularEvaluation when
+    W(w) is singular.  W(1) sums the coefficient matrices, W(-1) sums them
+    with alternating signs."""
+    plus, minus, null = signature_exact(W._at_sign(w))
+    if null:
         raise SingularEvaluation("W(%d) is singular" % w)
-    return sig
+    return plus - minus
 
 
 def root_of_unity(k: "int | np.ndarray", p: "int | np.ndarray") -> "complex | np.ndarray":

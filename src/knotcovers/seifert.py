@@ -53,13 +53,12 @@ from importlib import resources
 from itertools import zip_longest
 from typing import Sequence
 
-from .exactalg import (LaurentPoly, _json_object, _mul_rows, _poly_divmod, _poly_mul, _power,
-                       _trace_poly, circle_roots)
+from .exactalg import (LaurentPoly, SingularEvaluation, _json_object, _mul_rows, _poly_divmod,
+                       _poly_mul, _power, _trace_poly, circle_roots)
 from .lambdamat import (
     AtOne,
     LambdaMatrix,
     NotHermitian,
-    SingularEvaluation,
     _bareiss,
     _inertia,
     complex_signature,
@@ -442,19 +441,18 @@ def random_seifert(g: int, rng: random.Random) -> list[list[int]]:
 class KnotRecord:
     """A named knot presented by a Seifert matrix, with an optional
     2-loop class used by the Casson-Walker computations.  The matrix is
-    validated once, into ``knot``, whose normalized rows ``seifert`` then
-    holds."""
+    validated once, into ``knot``, which holds its normalized rows as
+    ``knot.seifert``."""
 
     def __init__(self, name: str, seifert: list[list[int]],
                  q2loop: "ThetaClass | None" = None, provenance: str | None = None):
         self.name = name
         self.knot = Knot(seifert)
-        self.seifert = self.knot.seifert
         self.q2loop = q2loop
         self.provenance = provenance
 
     def to_json(self) -> dict:
-        obj: dict = {"name": self.name, "seifert": self.seifert}
+        obj: dict = {"name": self.name, "seifert": self.knot.seifert}
         if self.q2loop is not None:
             obj["q2loop"] = self.q2loop.to_json()
         if self.provenance is not None:

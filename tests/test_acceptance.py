@@ -216,7 +216,7 @@ def test_wrong_root_fails_criteria_2_and_3_under_python_O():
 
 
 def test_signature_criteria_pass_under_python_O():
-    # the cached Hermitian checks, sigma(W(+-1)), the stacked eigensolves
+    # the Hermitian checks, sigma(W(+-1)), the stacked eigensolves
     # and the integer kernels (Bareiss inertia and determinants, exact
     # division, beta_p's residues mod chi) raise explicitly, so these
     # criteria still check under -O

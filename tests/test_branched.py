@@ -24,10 +24,9 @@ from knotcovers.branched import (
     total_sigma_p,
 )
 from knotcovers.cli import main
-from knotcovers.exactalg import circle_roots, cyclotomic_norm, mahler_measure
+from knotcovers.exactalg import SingularEvaluation, circle_roots, cyclotomic_norm, mahler_measure
 from knotcovers.lambdamat import (
     LambdaMatrix,
-    SingularEvaluation,
     rational_det,
     root_of_unity,
     subst_cycle,
@@ -150,7 +149,7 @@ class TestTotalSignature:
         for rec in corpus_records():
             if rec.knot.genus == 0:
                 continue
-            p = 64 // len(rec.seifert)
+            p = 64 // len(rec.knot.seifert)
             while not is_p_regular(rec.knot, p):
                 p -= 1
             assert total_sigma_p(rec.knot, p) == varsigma_p(rec.knot.clover, p), rec.name
@@ -301,7 +300,7 @@ class TestArcTable:
         # arc 0, from t = 1 to the first circle root, is 0 by theory; the
         # exact inertia at its simplest point (w = -1 with no circle root)
         # agrees on the corpus, on torus knots and on random knots
-        knots = [rec.seifert for rec in corpus_records()]
+        knots = [rec.knot.seifert for rec in corpus_records()]
         knots += [torus_seifert(a, b) for a, b in ((2, 3), (3, 4), (2, 7), (4, 5))]
         rng = random.Random(31)
         knots += [random_seifert(rng.randint(1, 6), rng) for _ in range(200)]
@@ -409,7 +408,7 @@ class TestDerivedOnce:
         monkeypatch.setattr(knotcovers.lambdamat, "signature_exact", counted_exact)
         irregular = {"trefoil": [6, 12, 18], "random-g3-a": []}
         for rec in recs:
-            n = len(rec.seifert)
+            n = len(rec.knot.seifert)
             dets.clear()
             bdets.clear()
             rows = branched_report(rec.knot, range(2, 21))
@@ -467,7 +466,7 @@ class TestDerivedOnce:
         if "--knot" not in argv:
             (rec,) = [r for r in corpus_records() if r.name == "random-g3-a"]
             f = tmp_path / "knot.json"
-            f.write_text(json.dumps(rec.seifert))
+            f.write_text(json.dumps(rec.knot.seifert))
             argv = argv + ["--file", str(f)]
         calls = []
         validate = knotcovers.seifert.validate_seifert

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 import knotcovers.lambdamat as lambdamat
-from knotcovers.exactalg import LaurentPoly
+from knotcovers.exactalg import LaurentPoly, SingularEvaluation
 from knotcovers.lambdamat import (
     LambdaMatrix,
     NotHermitian,
-    SingularEvaluation,
     _inertia,
     complex_signature,
     normalized_determinant,
@@ -733,7 +732,7 @@ class TestLambdaMatrix:
                 scale = max(1.0, np.abs(want).max(initial=0.0))
                 assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
 
-    def test_cached_hermitian_check_stays_false(self):
+    def test_non_hermitian_reads_false_on_every_read(self):
         W = LambdaMatrix([[one, t], [t, one]])
         for _ in range(2):
             assert W.is_hermitian is False
@@ -741,6 +740,36 @@ class TestLambdaMatrix:
             with pytest.raises(NotHermitian):
                 varsigma_at(W, 1, 3)
         assert LambdaMatrix([[one, t], [t.bar(), one]]).is_hermitian is True
+
+
+class TestCoefficientsAlone:
+    """A LambdaMatrix is its size and its coefficient matrices: every
+    derived fact is computed where it is read, and no read writes to W."""
+
+    def test_slots_are_the_size_and_the_coefficients(self):
+        assert LambdaMatrix.__slots__ == ("n", "coeffs")
+        assert not hasattr(LambdaMatrix.identity(2), "__dict__")
+
+    def test_reads_leave_both_slots_as_they_were(self, trefoil):
+        W = clover_matrix(trefoil)
+        n, coeffs = W.n, W.coeffs
+        reads = [
+            lambda: W.is_hermitian,
+            W.eval_at_one,
+            W.det,
+            lambda: W.eval_complex(np.array([1j, -1.0])).tolist(),
+            lambda: varsigma_at(W, 1, 2),  # w = -1, exact
+            lambda: varsigma_at(W, 0, 5),  # w = 1
+            lambda: varsigma_at(W, np.arange(5), 5).tolist(),  # numeric roots
+            lambda: varsigma_p(W, 3),
+            lambda: subst_cycle(W, 4),
+            lambda: normalized_determinant(W),
+        ]
+        for read in reads:
+            first = read()
+            assert W.n is n and W.coeffs is coeffs
+            assert W == LambdaMatrix.from_coeffs(W.coeffs, W.n)
+            assert read() == first  # recomputed, and the same
 
 
 def _random_hermitian_stack(np_rng, m, n):
@@ -846,9 +875,12 @@ class TestSignaturesOfCloverForms:
 
     def test_singular_one_raises_on_every_call(self):
         W = LambdaMatrix([[2 * one - t - t.bar()]])  # 0 at t = 1
-        for k, p in ((1, 3), (1, 2), (1, 3)):
+        for k, p in ((1, 3), (1, 2), (1, 3), (2, 5), (1, 2)):
             with pytest.raises(SingularEvaluation):
                 varsigma_at(W, k, p)
+        with pytest.raises(SingularEvaluation):
+            varsigma_at(W, np.array([1, 2]), np.array([3, 4]))
+        assert varsigma_at(W, 0, 3) == 0  # w = 1 itself reads no signature
 
     def test_array_equals_scalar_root_by_root(self, rng):
         # mixed p = 2..12 in one call, k = 0 mod p and 2k = p included

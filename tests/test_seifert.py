@@ -9,12 +9,12 @@ import pytest
 
 import knotcovers.seifert
 from knotcovers.branched import total_sigma_p
-from knotcovers.exactalg import LaurentPoly, _mul_rows, _powmod, circle_roots, cyclotomic_norm
+from knotcovers.exactalg import (LaurentPoly, SingularEvaluation, _mul_rows, _powmod, circle_roots,
+                                 cyclotomic_norm)
 from knotcovers.lambdamat import (
     AtOne,
     LambdaMatrix,
     NotHermitian,
-    SingularEvaluation,
     _bareiss,
     rational_det,
     root_of_unity,
@@ -338,7 +338,7 @@ class TestBetaFromTheory:
         assert [knot.beta(p) for p in self.PS] == [(1, 3, 4, 3, 1, 0)[(p - 1) % 6] for p in self.PS]
 
     def test_plans_squares(self, rng):
-        mats = [r.seifert for r in corpus_records()]
+        mats = [r.knot.seifert for r in corpus_records()]
         mats += [random_seifert(g, rng) for g in range(1, 6) for _ in range(2)]
         mats += [conjugate(random_seifert(2, rng), random_unimodular(4, rng))]
         for A in mats:
@@ -375,7 +375,7 @@ class TestHalfNorm:
             assert (0 in got) == (A not in ([], [[0, 1], [0, 0]]))
 
     def test_large_p_on_random_g3_a(self):
-        (A,) = [r.seifert for r in corpus_records() if r.name == "random-g3-a"]
+        (A,) = [r.knot.seifert for r in corpus_records() if r.name == "random-g3-a"]
         assert Knot(A).beta(10007) == chi_beta(A, 10007)
 
     def test_every_ladder_state(self, trefoil, rng):
@@ -387,7 +387,8 @@ class TestHalfNorm:
 
     def test_half_charpoly_halves_chi(self, rng):
         # chi(x) = (-1)^g E(x - x^2): Gamma's eigenvalues pair as lambda, 1 - lambda
-        for A in [r.seifert for r in corpus_records()] + [[[0, 1], [0, 0]], random_seifert(4, rng)]:
+        extra = [[[0, 1], [0, 0]], random_seifert(4, rng)]
+        for A in [r.knot.seifert for r in corpus_records()] + extra:
             knot = Knot(A)
             E, g = knot.half_charpoly, knot.genus
             assert len(E) == g + 1 and E[-1] == 1
@@ -461,7 +462,7 @@ class TestDeltaFromGamma:
 
     def test_matches_bareiss_on_corpus(self):
         for rec in corpus_records():
-            self._check(rec.seifert)
+            self._check(rec.knot.seifert)
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
     def test_matches_bareiss_on_random_banded(self, g, rng):
@@ -494,7 +495,7 @@ class TestDeltaFromGamma:
             assert Knot(A).delta == one
 
     def test_gamma_is_an_integer_solution(self, rng):
-        mats = [rec.seifert for rec in corpus_records()]
+        mats = [rec.knot.seifert for rec in corpus_records()]
         mats += [conjugate(A, random_unimodular(len(A), rng))
                  for A in (random_seifert(g, rng) for g in (1, 2, 3))]
         for A in mats:
@@ -514,7 +515,7 @@ class TestDeltaFromGamma:
             return det(M)
 
         monkeypatch.setattr(LambdaMatrix, "det", counted_det)
-        mats = [rec.seifert for rec in corpus_records()] + [torus_seifert(3, 4)]
+        mats = [rec.knot.seifert for rec in corpus_records()] + [torus_seifert(3, 4)]
         for A in mats:
             knot = Knot(A)
             knot.delta
@@ -698,15 +699,16 @@ class TestRecordsAndCorpus:
 
     def test_every_corpus_record_is_valid(self):
         for rec in corpus_records():
-            validate_seifert(rec.seifert)
-            assert alexander(rec.seifert).eval_one() == 1
+            validate_seifert(rec.knot.seifert)
+            assert alexander(rec.knot.seifert).eval_one() == 1
 
     def test_record_roundtrip(self, trefoil, tmp_path):
         rec = KnotRecord(name="test", seifert=trefoil)
         blob = json.dumps(rec.to_json())
         back = KnotRecord.from_json(json.loads(blob))
         assert back.name == "test"
-        assert back.seifert == trefoil
+        assert back.knot.seifert == trefoil
+        assert not hasattr(back, "seifert")  # the normalized rows live on the knot alone
         assert back.q2loop is None
 
     def test_record_validates_matrix(self):

@@ -208,7 +208,7 @@ def test_delta_and_arcs_build_no_fraction(monkeypatch, rng):
     # Delta is one integer determinant of the Seifert pencil, and the arc
     # table reads integer Sturm chains, integer cross products for its
     # tangents and integer inertia: neither constructs a Fraction
-    from knotcovers.lambdamat import SingularEvaluation
+    from knotcovers.exactalg import SingularEvaluation
     from knotcovers.seifert import Knot, corpus_records, random_seifert
     from test_seifert import torus_seifert
 
@@ -432,6 +432,9 @@ def test_package_exports_the_union_of_the_module_lists():
     for modname in modules:
         module = importlib.import_module("knotcovers." + modname)
         assert [n for n in module.__all__ if not hasattr(module, n)] == [], modname
+        # and lists only names it defines: a re-export would be an alias
+        assert [n for n in module.__all__
+                if getattr(module, n).__module__ != module.__name__] == [], modname
         union.update(module.__all__)
     public = {n for n, v in vars(knotcovers).items()
               if not n.startswith("_") and not isinstance(v, type(knotcovers))}
