@@ -15,9 +15,11 @@ unity):
 * ``torsion_order(A, p)`` -- the order of the first homology of the
   branched cover, ``Knot.beta(p)``: |det(Gamma^p - (Gamma - I)^p)| from
   Seifert's integer presentation, 0 exactly when p is irregular, a square
-  or beta_2 times one (Plans), read off a g x g norm.  Tests check it
-  against the matrix powers, the norm in Z[x]/chi, the resultant and
-  |det| of the substituted clover form.
+  or beta_2 times one (Plans), read off a g x g norm, or on an ascending
+  ladder to genus 3 off one step of an integer linear recurrence of order
+  2^g.  Tests
+  check it against the matrix powers, the norm in Z[x]/chi, the resultant
+  and |det| of the substituted clover form.
 * ``casson_walker(A, Q, p)`` -- (1/3) res_p(Q) + (1/8) total_sigma_p, an
   exact Fraction for every 2-loop class.
 
@@ -88,10 +90,12 @@ def torsion_growth(A: KnotLike, ps: Iterable[int]) -> list[tuple[int, int, float
     """Rows (p, torsion order, log(order)/p) for the regular p in ``ps``.
 
     Irregular p are skipped; log(order)/p converges to the Mahler measure
-    of the Alexander polynomial.  ``Knot.beta`` advances x^p from the
-    previous p, so an ascending ladder costs one linear step (one shift
-    and one reduction in Z[s]/E) and one g x g determinant per p, and one
-    more determinant for beta_2.
+    of the Alexander polynomial.  ``Knot.beta`` steps from the previous p:
+    one linear step (one shift and one reduction in Z[s]/E) and one g x g
+    norm per p, and one more norm for beta_2; within its genus rule (g <= 3)
+    a ladder that runs past 2^g pays the seed's other 2^g norms there, then
+    one step of an order 2^g recurrence (two dot products of length 2^g)
+    and no norm per p.
     """
     knot = Knot.of(A)
     rows = []

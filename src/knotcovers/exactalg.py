@@ -14,7 +14,9 @@ Everything an abelian knot invariant needs downstream lives here:
   pseudo-remainders (gcds, resultants, Sturm chains); ``_power``, the one
   square and multiply, behind powers of ``LaurentPoly``, of Lambda-matrices,
   modulo a monic polynomial (``_powmod``, shared by cyclotomic norms and
-  ``theta.denominator_to_tp``) and in ``Knot.beta``; the matrix of
+  ``theta.denominator_to_tp``) and in ``Knot.beta``; the one reduction by
+  a monic modulus, in ints when its input is (``_monic_mod``, behind
+  ``_powmod`` and ``Knot.beta``); the matrix of
   multiplication in Q[x]/m (``_mul_rows``, shared by the last two, whose
   characteristic polynomial ``theta.denominator_to_tp`` takes from the one
   determinant kernel, ``LambdaMatrix.det``); cyclotomic norms
@@ -550,9 +552,21 @@ def resultant(f, g) -> Fraction:
 # cyclotomic norms and unit-circle evaluation
 
 
+def _monic_mod(a: Sequence, modulus: Sequence) -> list:
+    """a mod the monic modulus, trimmed: each coefficient past its degree,
+    top down, cleared by one multiple of the modulus, with no division."""
+    d = len(modulus) - 1
+    r = list(a)
+    for k in range(len(r) - 1, d - 1, -1):
+        c = r[k]
+        if c:
+            r[k - d:k] = [x - c * m for x, m in zip(r[k - d:k], modulus)]
+    return _trim(r[:d])
+
+
 def _mulmod(a: Sequence, b: Sequence, modulus: Sequence) -> list:
-    """a b mod modulus, trimmed."""
-    return _poly_divmod(_poly_mul(a, b), modulus)[1]
+    """a b mod the monic modulus, trimmed."""
+    return _monic_mod(_poly_mul(a, b), modulus)
 
 
 def _powmod(base: Sequence, p: int, modulus: Sequence) -> list:
@@ -562,8 +576,8 @@ def _powmod(base: Sequence, p: int, modulus: Sequence) -> list:
         raise ValueError("modulus must be monic")
     if p < 0:
         raise ValueError("negative power not supported")
-    return _power(_poly_divmod(base, modulus)[1], p, lambda a, b: _mulmod(a, b, modulus),
-                  _poly_divmod([1], modulus)[1])
+    return _power(_monic_mod(base, modulus), p, lambda a, b: _mulmod(a, b, modulus),
+                  _monic_mod([1], modulus))
 
 
 def _mulx_mod(a: list, modulus: Sequence) -> list:

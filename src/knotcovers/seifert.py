@@ -33,9 +33,11 @@ Each function above takes a raw matrix or a ``Knot``, which validates it
 once and derives Delta and the clover form once, Delta by integer
 arithmetic alone.  ``Knot.beta(p)``, |H_1| of the p-fold branched cover, is
 |det| of Seifert's presentation Gamma^p - (Gamma - I)^p, Gamma = A (A -
-A^T)^-1, read as a square of a norm in Z[s]/E, E of degree g from Delta;
-its oracles in the tests are the matrix powers of Gamma, the norm in
-Z[x]/chi for chi = det(xI - Gamma) and the resultant.
+A^T)^-1, read as a square of a norm in Z[s]/E, E of degree g from Delta,
+a norm that an ascending ladder up to genus 3 replaces by one step of an
+integer linear recurrence of order 2^g per knot; its oracles in the tests
+are the matrix powers of Gamma, the norm in Z[x]/chi for
+chi = det(xI - Gamma) and the resultant.
 
 Knot records (name + Seifert matrix + optional 2-loop class) are the JSON
 interchange format; a small bundled corpus ships with the package.
@@ -46,6 +48,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import cached_property
@@ -53,7 +56,7 @@ from importlib import resources
 from itertools import zip_longest
 from typing import Sequence
 
-from .exactalg import (LaurentPoly, SingularEvaluation, _json_object, _mul_rows, _poly_divmod,
+from .exactalg import (LaurentPoly, SingularEvaluation, _json_object, _monic_mod, _mul_rows,
                        _poly_mul, _power, _trace_poly, circle_roots)
 from .lambdamat import (
     AtOne,
@@ -82,6 +85,7 @@ __all__ = [
 
 _RANDOM_BOUND = 3  # random_seifert's symmetric entries lie in -3..3
 _TURN_SLACK = 2.0 ** -48  # relative widening of a root's turns: 2^5 x their rounding
+_RECURRENCE_GENUS = 3  # Knot.beta steps by its order 2^g recurrence up to this genus
 
 
 class OddSize(ValueError):
@@ -120,12 +124,15 @@ class Knot:
     read from it, each derived on first use and kept: the Alexander
     polynomial ``delta`` and its ``half_charpoly`` behind ``beta``, the clover
     form ``clover``, the signature function's table ``arcs`` (or its
-    refusal) and the last p with its residue pair behind ``beta(p)``.
+    refusal), and behind ``beta(p)`` the last p with its residue pair or
+    window, and the seed and coefficients of its recurrence.
     Functions taking a matrix coerce it with ``Knot.of``."""
 
     def __init__(self, A: Sequence[Sequence[int]]):
         self.seifert = validate_seifert(A)
-        # (p, x^p as its two residues a, b mod E, beta_p), and beta_2 once known
+        # (p, x^p as its two residues a, b mod E or None, beta_p, the window of
+        # beta's u and z at p - 2^g + 1..p, oldest first, on the recurrence or
+        # None), and beta_2
         self._ladder: tuple | None = None
         self._beta2 = 0
         self._arcs_refusal: SingularEvaluation | None = None
@@ -244,51 +251,128 @@ class Knot:
         branched cover (Seifert 1935; Rolfsen, *Knots and Links*, ch. 8), in
         any basis; 0 exactly when p is irregular.
 
-        A square, or beta_2 times one (Plans 1953), from the norm N of Z[s]/E,
-        E = ``half_charpoly``: x^p = a + b x in (Z[s]/E)[x]/(x^2 - x + s),
+        A square, or beta_2 times one (Plans 1953), from the signed norm N of
+        Z[s]/E, E = ``half_charpoly``: x^p = a + b x in (Z[s]/E)[x]/(x^2 - x + s),
         whose x is lambda or 1 - lambda over each root s, so x^p - (x - 1)^p
         is 2a + b for odd p and b (2x - 1) for even p, (2x - 1)^2 = 1 - 4s:
-        beta_p = N(2a + b)^2 or beta_2 N(b)^2, beta_2 = |N(1 - 4s)| per knot.
-        The last p, x^p and beta_p are kept.  Since x^2 = x - s, a step to
-        p + 1 is the linear map (a, b) -> (-s b, a + b), its multiplication
-        by s one shift and one reduction of the top term by the monic E; any
-        other p takes a square and multiply of general products."""
+        beta_p = u_p^2 or beta_2 z_p^2, u_p = N(2a + b), z_p = N(b) and
+        beta_2 = |N(1 - 4s)| per knot.
+
+        u_p is the power sum over S of mu_S^p, mu_S the product of lambda_i
+        over i in S and of 1 - lambda_i over the rest, and z_p a fixed
+        combination of the same powers, so both obey one linear recurrence of
+        order n = 2^g (``_recurrence``; Pierce 1916, Hillar 2005).  The last
+        p is kept, with x^p or, on the recurrence, the last n pairs (u, z):
+
+        * p = last + 1 on the recurrence, or p = n + 1 from n: one recurrence
+          step, two dot products of length n and no norm;
+        * p = last + 1 otherwise: the linear step (a, b) -> (-s b, a + b),
+          its multiplication by s one shift and one reduction of the top term
+          by the monic E, and one norm;
+        * any other p: a square and multiply of general products, one norm.
+
+        The norm at p <= n goes into the seed, u_j and z_j for j = 1..n, and
+        the first step past n fills in the rest: a ladder through the seed
+        pays 2n norms in all, a shorter one a norm per p, and a ladder that
+        starts past n stays on the linear step.  Past genus
+        _RECURRENCE_GENUS = 3 no seed is built: at genus 4 the ladder
+        p = 2..20 would pay 33 norms, beta_2's included, where a norm per p
+        pays 20 (a rule on genus alone)."""
         if p < 1:
             raise ValueError("p must be a positive integer")
         if not self.genus:
             return 1
-        E, last, g = self.half_charpoly, self._ladder, self.genus
-
-        def mul(u, v):  # (ac - s bd) + ((a + b)(c + d) - ac) x
-            (a, b), (c, d) = u, v
-            ac, bd = _poly_mul(a, c), _poly_mul(b, d)
-            cross = _poly_mul(_padd(a, b), _padd(c, d))
-            return (_poly_divmod(_padd(ac, [0] + [-y for y in bd]), E)[1],
-                    _poly_divmod(_padd(cross, [-y for y in ac]), E)[1])
-
-        def minus_s(f):  # -s f mod E, f of degree < g
-            f = f + [0] * (g - len(f))
-            top = f[-1]
-            return [top * E[0]] + [top * e - c for c, e in zip(f, E[1:-1])]
-
-        def norm(f):  # |det| of multiplication by f on Z[s]/E, one g x g Bareiss
-            return abs(_bareiss(_mul_rows(f if len(f) <= g else _poly_divmod(f, E)[1], E)))
-
+        E, last = self.half_charpoly, self._ladder
         if last and last[0] == p:
             return last[2]
-        if last and p - last[0] == 1:
-            a, b = last[1]
-            xp = (minus_s(b), _padd(a, b))
+        n = 2 ** self.genus if self.genus <= _RECURRENCE_GENUS else 0
+        step, half = last is not None and p - last[0] == 1, 1 - p % 2
+        xp = window = None
+        if step and (last[3] or p == n + 1):
+            coeffs = self._recurrence
+            window = last[3] or tuple(map(list, self._full_seed()))
+            for seq in window:
+                seq.append(sum(map(operator.mul, coeffs, seq)))
+                del seq[0]
+            w = window[half][-1]
         else:
-            xp = _power(([], [1]), p, mul, ([1], []))
-        a, b = xp
-        if p % 2:
-            beta = norm(_padd(a, a, b)) ** 2
+            xp = _xstep(last[1], E) if step else _power(
+                ([], [1]), p, lambda u, v: _xmul(u, v, E), ([1], []))
+            w = _norm(_uz(xp)[half], E)
+            if p <= n:
+                self._seed[half][p - 1] = w
+        if half:
+            self._beta2 = self._beta2 or abs(_norm([1, -4], E))  # odd, so never 0
+            beta = self._beta2 * w ** 2
         else:
-            self._beta2 = self._beta2 or norm([1, -4])  # odd, so never 0
-            beta = self._beta2 * norm(b) ** 2
-        self._ladder = (p, xp, beta)
+            beta = w ** 2
+        self._ladder = (p, xp, beta, window)
         return beta
+
+    @cached_property
+    def _seed(self) -> tuple[list, list]:
+        """u_j and z_j of ``beta`` for j = 1..2^g, each None until computed."""
+        n = 2 ** self.genus
+        return [None] * n, [None] * n
+
+    def _full_seed(self) -> tuple[list[int], list[int]]:
+        """The seed with each None filled in: x^j by the linear step, and
+        one norm per missing value."""
+        E, xp = self.half_charpoly, ([1], [])
+        for j in range(2 ** self.genus):
+            xp = _xstep(xp, E)
+            for seq, f in zip(self._seed, _uz(xp)):
+                if seq[j] is None:
+                    seq[j] = _norm(f, E)
+        return self._seed
+
+    @cached_property
+    def _recurrence(self) -> list[int]:
+        """c_n, ..., c_1 of w_p = sum_k c_k w_(p-k), which u and z of ``beta``
+        obey: the characteristic polynomial X^n - sum_k c_k X^(n-k) has the
+        n = 2^g values mu_S as its roots, whose power sums are u_1..u_n, so
+        Newton's identities give k c_k = u_k - sum_(j<k) c_j u_(k-j), each
+        division exact.  Reversed for a dot product with the window, oldest
+        first."""
+        us = self._full_seed()[0]
+        coeffs: list[int] = []
+        for k, u in enumerate(us, 1):
+            c, r = divmod(u - sum(map(operator.mul, coeffs, reversed(us[:k - 1]))), k)
+            if r:
+                raise ArithmeticError("Newton's identities must divide exactly")
+            coeffs.append(c)
+        return coeffs[::-1]
+
+
+def _xmul(u: tuple, v: tuple, E: list) -> tuple:
+    """(a + b x)(c + d x) in (Z[s]/E)[x]/(x^2 - x + s): (ac - s bd) +
+    ((a + b)(c + d) - ac) x."""
+    (a, b), (c, d) = u, v
+    ac, bd = _poly_mul(a, c), _poly_mul(b, d)
+    cross = _poly_mul(_padd(a, b), _padd(c, d))
+    return (_monic_mod(_padd(ac, [0] + [-y for y in bd]), E),
+            _monic_mod(_padd(cross, [-y for y in ac]), E))
+
+
+def _xstep(xp: tuple, E: list) -> tuple:
+    """x (a + b x) = -s b + (a + b) x, -s b mod E by one shift and one
+    reduction of the top term."""
+    a, b = xp
+    b = b + [0] * (len(E) - 1 - len(b))
+    top = b[-1]
+    return [top * E[0]] + [top * e - c for c, e in zip(b, E[1:-1])], _padd(a, b)
+
+
+def _uz(xp: tuple) -> tuple[list, list]:
+    """2a + b and b, whose norms are u_p and z_p of ``Knot.beta``."""
+    a, b = xp
+    return _padd(a, a, b), b
+
+
+def _norm(f: list, E: list) -> int:
+    """The signed norm of f in Z[s]/E: det of multiplication by f, one
+    g x g integer Bareiss."""
+    return _bareiss(_mul_rows(_monic_mod(f, E), E))
 
 
 def _padd(*polys: list) -> list:

@@ -377,8 +377,11 @@ def torus_average(Q: ThetaClass):
     float (the limit is irrational in general): the N-point trapezoid rule,
     the same sum over FFT coefficients mod N, with N doubled from 64 until
     each slot's coefficients at |r| >= N/4 are below _TAIL_RATIO of its
-    largest.  The distinct denominator roots, found once
-    per slot (``_roots_by_part``), decide two SingularOnTorus refusals before
+    largest.  A term whose polynomial slots share no exponent has no
+    diagonal and contributes exactly 0, so it is skipped before the FFT
+    (its poles still refuse); a class of such terms alone averages to an
+    exact Fraction 0.  The distinct denominator roots, found once per slot
+    (``_roots_by_part``), decide two SingularOnTorus refusals before
     any FFT: a pole within ``_ON_CIRCLE`` of |t| = 1 is on it, and a pole of
     modulus r whose tail rho^(N/4), rho = min(r, 1/r), would outlast
     _REFUSE_MARGIN * _GRID_CAP points (within about 1.4e-5 of it) is too
@@ -397,6 +400,10 @@ def torus_average(Q: ThetaClass):
     if rho ** (_REFUSE_MARGIN * _GRID_CAP / 4) > _TAIL_RATIO:
         raise SingularOnTorus("a slot pole lies within %.1e of |t| = 1: its coefficients "
                               "would not decay within %d points" % (1 - rho, _GRID_CAP))
+    terms = [t for t in Q.terms if _shares_an_exponent(t)]
+    if not terms:
+        return Fraction(0)
+    slots = {slot for t in terms for slot in (t.f, t.g, t.h)}
     N = 64
     while True:
         w = np.exp(2j * np.pi * np.arange(N) / N)
@@ -408,5 +415,12 @@ def torus_average(Q: ThetaClass):
         if N > _GRID_CAP:
             raise SingularOnTorus("slot coefficients do not decay within %d points: "
                                   "a pole (nearly) on |t| = 1" % _GRID_CAP)
-    total = sum(float(t.c) * np.sum(coeffs[t.f] * coeffs[t.g] * coeffs[t.h]) for t in Q.terms)
+    total = sum(float(t.c) * np.sum(coeffs[t.f] * coeffs[t.g] * coeffs[t.h]) for t in terms)
     return float(total.real)
+
+
+def _shares_an_exponent(t: ThetaTerm) -> bool:
+    """False when the term's polynomial slots have no exponent in common:
+    then no r has f_r g_r h_r != 0 and the term averages to exactly 0."""
+    exps = [slot.num._c.keys() for slot in t[:3] if slot.is_polynomial]
+    return not exps or bool(set(exps[0]).intersection(*exps[1:]))

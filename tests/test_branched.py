@@ -417,11 +417,13 @@ class TestDerivedOnce:
             # beta_p comes from Delta's trace polynomial, and Delta from one
             # Kronecker determinant of the 2g x 2g Seifert pencil A - t A^T
             assert dets == [n], rec.name
-            # one g x g integer determinant per p, regular or not, plus one
-            # for beta_2 per knot, and no characteristic polynomial; sigma_p
-            # is read off the arc table, so neither the clover form nor exact
-            # inertia runs
-            assert bdets == [n // 2] * 20, rec.name
+            # the seed: u_k and z_k of Knot.beta for k = 1..2^g, 2^(g+1) g x g
+            # integer norms, one per p <= 2^g and the rest at the first p
+            # past it; one more for beta_2 per knot; every later p one
+            # recurrence step and no norm; and no
+            # characteristic polynomial; sigma_p is read off the arc table,
+            # so neither the clover form nor exact inertia runs
+            assert bdets == [n // 2] * (2 ** (n // 2 + 1) + 1), rec.name
             assert rdets == [] and exact == []
         for name in ("_mat_pow", "_mat_mul", "_charpoly"):
             assert not hasattr(knotcovers.seifert, name), name
@@ -430,6 +432,20 @@ class TestDerivedOnce:
         for module in (knotcovers.seifert, knotcovers.branched):
             assert not hasattr(module, "cyclotomic_norm")
         assert norms == []
+
+    def test_past_the_genus_rule_one_norm_per_p_and_no_seed(self, monkeypatch):
+        # T(9, 10) has genus 36: an order 2^36 recurrence is past the rule,
+        # so a ladder builds no seed and pays one g x g norm per p, regular
+        # or not, plus one for beta_2
+        knot = Knot(torus_seifert(9, 10))
+        knot.half_charpoly
+        bdets, bareiss = [], knotcovers.seifert._bareiss
+        monkeypatch.setattr(knotcovers.seifert, "_bareiss", lambda M: bdets.append(len(M)) or bareiss(M))
+        rows = torsion_growth(knot, range(2, 21))
+        # Delta's roots are the 90th roots of unity of orders 6, 15, 18, 30, 45 and 90
+        assert [r[0] for r in rows] == [p for p in range(2, 21) if p not in (6, 12, 15, 18)]
+        assert bdets == [36] * 20
+        assert "_seed" not in vars(knot) and "_recurrence" not in vars(knot)
 
     def test_report_reads_each_beta_once(self, monkeypatch):
         # beta_p decides regularity and fills its column: one read per p,

@@ -388,6 +388,17 @@ class TestResidueCommand:
         assert payload["rows"] == [[2, "3"], [3, "9/2"], [4, "6"]]
         assert payload["torus_average"] == "3/2"
 
+    def test_an_average_with_no_diagonal_prints_an_exact_zero(self, capsys, tmp_path):
+        # g = t and h = t^-1 share no exponent: the average is exactly 0,
+        # printed as the Fraction 0 a polynomial class would give
+        f = tmp_path / "q.json"
+        f.write_text(json.dumps({"terms": [{"f": {"num": {"0": "1"}, "den": {"0": "2", "2": "1"}},
+                                            "g": {"1": "1"}, "h": {"-1": "1"}, "c": "1"}]}))
+        code, out, _ = run(capsys, "residue", "--q", str(f), "--p", "2..5")
+        assert code == 0 and out.splitlines()[-1] == "torus_average = 0"
+        code, out, _ = run(capsys, "residue", "--q", str(f), "--p", "2..3", "--format", "json")
+        assert code == 0 and json.loads(out)["torus_average"] == "0"
+
     def test_all_singular_is_domain_error(self, capsys, tmp_path):
         f = tmp_path / "q.json"
         q = {

@@ -305,6 +305,116 @@ class TestSeifertPresentation:
             Knot(trefoil).beta(0)
 
 
+
+class TestRecurrence:
+    """Knot.beta's ascending ladder steps by one integer recurrence of order
+    2^g up to genus _RECURRENCE_GENUS, and one g x g norm per p past it,
+    against the matrix power, chi and resultant oracles."""
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_ladders_match_the_oracles(self, g, rng, monkeypatch):
+        # ladders past 2^g + 40: from p = 1 and p = 2 through the seed, after
+        # a jump, out of order and with repeats
+        A = random_seifert(g, rng)
+        n = 2 ** g
+        top = n + 41
+        # every p to genus 5, three oracles in turn to genus 4; past that the
+        # seed's ends, the first steps past it and every 16th p, by chi_beta,
+        # the fastest oracle there
+        checked = range(1, top + 1) if g <= 5 else sorted(
+            {1, 2, 3, n - 1, n, n + 1, n + 2, top - 1, top, *range(n + 16, top, 16)})
+        oracles = (chi_beta, matrix_beta, resultant_beta) if g <= 4 else (chi_beta,)
+        want = {p: oracles[p % len(oracles)](A, p) for p in checked}
+        ladders = {
+            "from p = 1": range(1, top + 1),
+            "from p = 2": range(2, top + 1),
+            "after a jump": range(n + 1, top + 1),
+            "out of order": [top, 2, n, n + 1, 1, n + 2, n - 1, n, n + 1, n + 2, n + 3, 3],
+            "repeated": [n + 1, n + 1, n + 2, n + 2, n + 2, top, top, 2, 2, 3, 3],
+        }
+        got = {}
+        # the recurrence at every genus to 7, past the rule as well, and a
+        # norm per p at every genus
+        for rule in (g, 0) if g <= 7 else (0,):
+            monkeypatch.setattr(knotcovers.seifert, "_RECURRENCE_GENUS", rule)
+            for name, ps in ladders.items():
+                knot = Knot(A)
+                for p in ps:
+                    beta = knot.beta(p)
+                    assert got.setdefault(p, beta) == beta, (g, rule, name, p)
+                    assert want.get(p, beta) == beta, (g, rule, name, p)
+
+    def test_irregular_trefoil_and_a_zero_root(self, trefoil):
+        # the trefoil's beta_p has period 6 and is 0 at p = 6k, where z_p = 0
+        # enters the window; from p = 1, after a jump and out of order
+        period = [1, 3, 4, 3, 1, 0]
+        for ps in (range(1, 201), range(97, 201), [120, 7, 8, 9, 6, 200, 12, 12, 2]):
+            knot = Knot(trefoil)
+            assert [knot.beta(p) for p in ps] == [period[(p - 1) % 6] for p in ps]
+        assert [chi_beta(trefoil, p) for p in (6, 60, 198)] == [0, 0, 0]
+        assert knot._recurrence == [-1, 1]  # mu = (1 + - sqrt(-3)) / 2: w_p = w_(p-1) - w_(p-2)
+        # the genus-1 unknot surface: E(0) = 0, so s = 0 is a root and mu_S
+        # takes the values 1 and 0; c_2 = 0 drops the older term
+        for ps in (range(1, 60), range(40, 60), [7, 2, 3, 1, 1, 50, 51]):
+            knot = Knot([[0, 1], [0, 0]])
+            assert [knot.beta(p) for p in ps] == [1] * len(ps)
+        assert knot.half_charpoly == [0, 1] and knot._recurrence == [0, 1]
+        assert [matrix_beta(knot.seifert, p) for p in (2, 51)] == [1, 1]
+
+    @staticmethod
+    def _norms(monkeypatch):
+        bdets = []
+        monkeypatch.setattr(knotcovers.seifert, "_bareiss", lambda M: bdets.append(len(M)) or _bareiss(M))
+        return bdets
+
+    def test_a_ladder_through_the_seed_pays_2_to_the_g_plus_1_norms(self, rng, monkeypatch):
+        # up to 2^g one norm per p, as a norm per p pays; the first step past
+        # 2^g fills in the seed's other half, u_1 among it for a ladder from
+        # p = 2; beta_2 once; no norm after
+        A, n = random_seifert(3, rng), 8
+        for ps in (range(2, n + 1), range(2, 21), range(1, n + 41)):
+            knot, bdets = Knot(A), self._norms(monkeypatch)
+            got = [knot.beta(p) for p in ps]
+            past = ps[-1] > n
+            assert bdets == [3] * ((2 * n if past else len(ps)) + 1), ps
+            assert ("_recurrence" in vars(knot)) == past
+            assert (None in knot._seed[0] + knot._seed[1]) == (not past)
+            assert [got[0], got[-1]] == [chi_beta(A, ps[0]), chi_beta(A, ps[-1])]
+
+    def test_a_ladder_after_a_jump_stays_on_the_linear_step(self, rng, monkeypatch):
+        # a ladder that starts past 2^g pays one norm per p and never the
+        # seed: beta_2 is known from p = 2, which is the seed's one value
+        A, n = random_seifert(3, rng), 8
+        knot = Knot(A)
+        assert knot.beta(2) == chi_beta(A, 2)
+        bdets = self._norms(monkeypatch)
+        ps = range(100, 100 + n + 20)
+        got = [knot.beta(p) for p in ps]
+        assert bdets == [3] * len(ps) and "_recurrence" not in vars(knot)
+        assert [x is None for x in knot._seed[1]] == [j != 2 for j in range(1, n + 1)]
+        assert not any(knot._seed[0])
+        assert [got[0], got[n], got[-1]] == [chi_beta(A, p) for p in (100, 100 + n, ps[-1])]
+
+    @pytest.mark.parametrize("side", ["within", "past"])
+    def test_both_sides_of_the_genus_rule(self, side, rng, monkeypatch):
+        # within the rule a ladder costs the seed's 2^(g+1) norms, one more
+        # for beta_2, and no norm past the seed; past it, one norm per p, no
+        # seed and no recurrence
+        g = knotcovers.seifert._RECURRENCE_GENUS + (side == "past")
+        A = random_seifert(g, rng)
+        n, bdets = 2 ** g, self._norms(monkeypatch)
+        knot = Knot(A)
+        ps = range(1, n + 11) if side == "within" else range(1, 21)
+        got = [knot.beta(p) for p in ps]
+        for p in (1, 2, ps[-2], ps[-1]):
+            assert got[p - 1] == chi_beta(A, p), p
+        if side == "within":
+            assert bdets == [g] * (2 * n + 1) and len(knot._recurrence) == n
+        else:
+            assert bdets == [g] * (len(ps) + 1)
+            assert "_recurrence" not in vars(knot) and "_seed" not in vars(knot)
+
+
 def lucas_fibonacci(n):
     """Lucas and Fibonacci numbers L_0..L_n and F_0..F_n."""
     L, F = [2, 1], [0, 1]

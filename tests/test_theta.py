@@ -440,6 +440,22 @@ class TestTorusAverage:
                              Fraction(c))])
             assert torus_average(Q) == pytest.approx(c * g1 * h1 / 9, rel=1e-12)
 
+    def test_slots_sharing_no_exponent_average_to_an_exact_zero(self, monkeypatch):
+        # f = 1/(2 + t^2), g = t, h = t^-1: g and h share no exponent, so no
+        # r has f_r g_r h_r != 0 and the average is exactly 0, the Fraction a
+        # polynomial class's diagonal sum gives, with no FFT rounding
+        calls = []
+        fourier = theta._fourier
+        monkeypatch.setattr(theta, "_fourier", lambda *a: calls.append(1) or fourier(*a))
+        Q = ThetaClass([(RatFun(one, 2 * one + t ** 2), RatFun(t), RatFun(t ** -1), Fraction(1))])
+        got = torus_average(Q)
+        assert got == 0 and type(got) is type(torus_average(_mono(1, 1, 1))) is Fraction
+        assert calls == [] and [res_p_theta(Q, p) for p in range(3, 9)] == [0] * 6
+        # beside a live term the dead one is skipped: the live term's value,
+        # bit for bit, from the live term's slots alone
+        live = ThetaClass([(RatFun(one, 3 * one - t), RatFun(2 * t), RatFun(3 * t), Fraction(1))])
+        assert torus_average(Q + live) == torus_average(live) == pytest.approx(6 / 9, rel=1e-12)
+
     def test_poles_on_torus_rejected(self):
         f = RatFun(one, t ** 2 + t + one)
         Q = ThetaClass([(f, f, f, Fraction(1))])

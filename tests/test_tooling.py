@@ -235,6 +235,39 @@ def test_delta_and_arcs_build_no_fraction(monkeypatch, rng):
     assert made == [(1, 3)]
 
 
+def test_beta_builds_no_fraction_and_feeds_bareiss_ints(monkeypatch, rng):
+    # Knot.beta reduces by the monic E in ints: the seed, the recurrence,
+    # the linear step and a jump's square and multiply construct no
+    # Fraction, and every matrix reaching _bareiss holds plain ints
+    import knotcovers.seifert
+    from knotcovers.seifert import Knot, corpus_records, random_seifert
+
+    knots = [rec.knot for rec in corpus_records()]
+    knots += [Knot(random_seifert(g, rng)) for g in range(1, 9)]
+    for knot in knots:
+        knot.half_charpoly
+    made, new, types = [], Fraction.__new__, set()
+    bareiss = knotcovers.seifert._bareiss
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    def typed(M):
+        types.update(type(x) for row in M for x in row)
+        return bareiss(M)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    monkeypatch.setattr(knotcovers.seifert, "_bareiss", typed)
+    for knot in knots:
+        n = 2 ** knot.genus
+        # a ladder from p = 1, on to the recurrence to genus 3 and a norm per
+        # p past it, a jump and a step after it, a small p, a far jump
+        for p in [*range(1, min(n, 40) + 12), 3 * n + 7, 3 * n + 8, 2, 1001]:
+            knot.beta(p)
+    assert made == [] and types == {int}
+
+
 def test_one_determinant_kernel_for_the_rewrite(monkeypatch):
     # denominator_to_tp takes its norm polynomial det(sI - M) from
     # LambdaMatrix.det, the Kronecker determinant behind Delta: the package
