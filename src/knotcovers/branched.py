@@ -15,11 +15,11 @@ unity):
 * ``torsion_order(A, p)`` -- the order of the first homology of the
   branched cover, ``Knot.beta(p)``: |det(Gamma^p - (Gamma - I)^p)| from
   Seifert's integer presentation, 0 exactly when p is irregular, a square
-  or beta_2 times one (Plans), read off a g x g norm, or on an ascending
-  ladder to genus 3 off one step of an integer linear recurrence of order
-  2^g.  Tests
-  check it against the matrix powers, the norm in Z[x]/chi, the resultant
-  and |det| of the substituted clover form.
+  or beta_2 times one (Plans), read off a g x g norm, or within a run of at
+  least 3 2^g consecutive p (``Knot.betas``) off one step of an integer
+  linear recurrence of order 2^g.  Tests check it against the matrix
+  powers, the norm in Z[x]/chi, the resultant and |det| of the substituted
+  clover form.
 * ``casson_walker(A, Q, p)`` -- (1/3) res_p(Q) + (1/8) total_sigma_p, an
   exact Fraction for every 2-loop class.
 
@@ -90,21 +90,15 @@ def torsion_growth(A: KnotLike, ps: Iterable[int]) -> list[tuple[int, int, float
     """Rows (p, torsion order, log(order)/p) for the regular p in ``ps``.
 
     Irregular p are skipped; log(order)/p converges to the Mahler measure
-    of the Alexander polynomial.  ``Knot.beta`` steps from the previous p:
-    one linear step (one shift and one reduction in Z[s]/E) and one g x g
-    norm per p, and one more norm for beta_2; within its genus rule (g <= 3)
-    a ladder that runs past 2^g pays the seed's other 2^g norms there, then
-    one step of an order 2^g recurrence (two dot products of length 2^g)
-    and no norm per p.
+    of the Alexander polynomial.  Every p goes to one ``Knot.betas`` walk,
+    which sees where each run of consecutive p ends: a run shorter than
+    3 2^g pays one linear step (one shift and one reduction in Z[s]/E) and
+    one g x g norm per p, a longer one at most 3 2^g norms in all (2 2^g
+    from p = 1) and then one step of an order 2^g recurrence (two dot
+    products of length 2^g) per p; one more norm for beta_2.
     """
-    knot = Knot.of(A)
-    rows = []
-    for p in ps:
-        beta = knot.beta(p)
-        if beta == 0:
-            continue
-        rows.append((p, beta, math.log(beta) / p))
-    return rows
+    ps = list(ps)
+    return [(p, beta, math.log(beta) / p) for p, beta in zip(ps, Knot.of(A).betas(ps)) if beta]
 
 
 def signature_average(A: KnotLike) -> float:
@@ -151,13 +145,12 @@ def branched_report(
     A: KnotLike, ps: Sequence[int], Q: ThetaClass | None = None
 ) -> list[BranchedReport]:
     """One row per requested p; irregular p yield a flagged empty row.
-    Each row reads beta_p once: it decides regularity and is the torsion
-    order, and sigma_p is then read off the arc table without a second
-    test."""
+    Every beta_p comes from one ``Knot.betas`` walk over ps, read once per
+    row: it decides regularity and is the torsion order, and sigma_p is then
+    read off the arc table without a second test."""
     knot = Knot.of(A)
     out = []
-    for p in ps:
-        beta = knot.beta(p)
+    for p, beta in zip(ps, knot.betas(ps)):
         if beta == 0:
             out.append(BranchedReport(p=p, regular=False))
             continue

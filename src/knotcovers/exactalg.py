@@ -14,12 +14,13 @@ Everything an abelian knot invariant needs downstream lives here:
   pseudo-remainders (gcds, resultants, Sturm chains); ``_power``, the one
   square and multiply, behind powers of ``LaurentPoly``, of Lambda-matrices,
   modulo a monic polynomial (``_powmod``, shared by cyclotomic norms and
-  ``theta.denominator_to_tp``) and in ``Knot.beta``; the one reduction by
+  ``theta.denominator_to_tp``) and in ``Knot.betas``; the one reduction by
   a monic modulus, in ints when its input is (``_monic_mod``, behind
-  ``_powmod`` and ``Knot.beta``); the matrix of
-  multiplication in Q[x]/m (``_mul_rows``, shared by the last two, whose
-  characteristic polynomial ``theta.denominator_to_tp`` takes from the one
-  determinant kernel, ``LambdaMatrix.det``); cyclotomic norms
+  ``_powmod`` and ``Knot.betas``, and its one-shift case ``_mulx_mod``,
+  behind ``_mul_rows`` and the linear step of ``Knot.betas``); the matrix of
+  multiplication in Q[x]/m (``_mul_rows``, shared by ``Knot.betas`` and
+  ``theta.denominator_to_tp``, which takes its characteristic polynomial
+  from the one determinant kernel, ``LambdaMatrix.det``); cyclotomic norms
   prod_{w^p=1} f(w), Mahler measures, and the coefficients of the wheels
   generating series (1/2) log(sinh(x/2)/(x/2)) from Bernoulli numbers.
 

@@ -31,13 +31,13 @@ is missing.
 
 Each function above takes a raw matrix or a ``Knot``, which validates it
 once and derives Delta and the clover form once, Delta by integer
-arithmetic alone.  ``Knot.beta(p)``, |H_1| of the p-fold branched cover, is
-|det| of Seifert's presentation Gamma^p - (Gamma - I)^p, Gamma = A (A -
+arithmetic alone.  ``Knot.betas(ps)``, |H_1| of the p-fold branched covers,
+is |det| of Seifert's presentation Gamma^p - (Gamma - I)^p, Gamma = A (A -
 A^T)^-1, read as a square of a norm in Z[s]/E, E of degree g from Delta,
-a norm that an ascending ladder up to genus 3 replaces by one step of an
-integer linear recurrence of order 2^g per knot; its oracles in the tests
-are the matrix powers of Gamma, the norm in Z[x]/chi for
-chi = det(xI - Gamma) and the resultant.
+a norm that a run of at least 3 2^g consecutive p replaces by one step of
+an integer linear recurrence of order 2^g per knot; its
+oracles in the tests are the matrix powers of Gamma, the norm in Z[x]/chi
+for chi = det(xI - Gamma) and the resultant.
 
 Knot records (name + Seifert matrix + optional 2-loop class) are the JSON
 interchange format; a small bundled corpus ships with the package.
@@ -53,11 +53,11 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
-from itertools import zip_longest
-from typing import Sequence
+from itertools import groupby, islice, zip_longest
+from typing import Iterable, Iterator, Sequence
 
 from .exactalg import (LaurentPoly, SingularEvaluation, _json_object, _monic_mod, _mul_rows,
-                       _poly_mul, _power, _trace_poly, circle_roots)
+                       _mulx_mod, _poly_mul, _power, _trace_poly, circle_roots)
 from .lambdamat import (
     AtOne,
     LambdaMatrix,
@@ -85,7 +85,6 @@ __all__ = [
 
 _RANDOM_BOUND = 3  # random_seifert's symmetric entries lie in -3..3
 _TURN_SLACK = 2.0 ** -48  # relative widening of a root's turns: 2^5 x their rounding
-_RECURRENCE_GENUS = 3  # Knot.beta steps by its order 2^g recurrence up to this genus
 
 
 class OddSize(ValueError):
@@ -122,19 +121,14 @@ def validate_seifert(A: Sequence[Sequence[int]]) -> list[list[int]]:
 class Knot:
     """A validated Seifert matrix with the values the per-cover invariants
     read from it, each derived on first use and kept: the Alexander
-    polynomial ``delta`` and its ``half_charpoly`` behind ``beta``, the clover
-    form ``clover``, the signature function's table ``arcs`` (or its
-    refusal), and behind ``beta(p)`` the last p with its residue pair or
-    window, and the seed and coefficients of its recurrence.
+    polynomial ``delta`` and its ``half_charpoly`` behind ``betas``, the
+    clover form ``clover``, the signature function's table ``arcs`` (or its
+    refusal), and beta_2, the power sums and the recurrence of ``betas``.
+    Nothing else is kept: ``betas`` holds no state between calls.
     Functions taking a matrix coerce it with ``Knot.of``."""
 
     def __init__(self, A: Sequence[Sequence[int]]):
         self.seifert = validate_seifert(A)
-        # (p, x^p as its two residues a, b mod E or None, beta_p, the window of
-        # beta's u and z at p - 2^g + 1..p, oldest first, on the recurrence or
-        # None), and beta_2
-        self._ladder: tuple | None = None
-        self._beta2 = 0
         self._arcs_refusal: SingularEvaluation | None = None
 
     @classmethod
@@ -247,9 +241,13 @@ class Knot:
         return E
 
     def beta(self, p: int) -> int:
-        """|det(Gamma^p - (Gamma - I)^p)|, the order of H_1 of the p-fold
-        branched cover (Seifert 1935; Rolfsen, *Knots and Links*, ch. 8), in
-        any basis; 0 exactly when p is irregular.
+        """beta_p alone: ``betas`` on the one degree p, a jump."""
+        return self.betas([p])[0]
+
+    def betas(self, ps: Iterable[int]) -> list[int]:
+        """|det(Gamma^p - (Gamma - I)^p)| for each p in ps, the order of H_1
+        of the p-fold branched cover (Seifert 1935; Rolfsen, *Knots and
+        Links*, ch. 8), in any basis; 0 exactly when p is irregular.
 
         A square, or beta_2 times one (Plans 1953), from the signed norm N of
         Z[s]/E, E = ``half_charpoly``: x^p = a + b x in (Z[s]/E)[x]/(x^2 - x + s),
@@ -261,81 +259,69 @@ class Knot:
         u_p is the power sum over S of mu_S^p, mu_S the product of lambda_i
         over i in S and of 1 - lambda_i over the rest, and z_p a fixed
         combination of the same powers, so both obey one linear recurrence of
-        order n = 2^g (``_recurrence``; Pierce 1916, Hillar 2005).  The last
-        p is kept, with x^p or, on the recurrence, the last n pairs (u, z):
+        order n = 2^g (``_recurrence``; Pierce 1916, Hillar 2005).  The
+        distinct degrees are walked once, ascending, in runs of consecutive p:
 
-        * p = last + 1 on the recurrence, or p = n + 1 from n: one recurrence
-          step, two dot products of length n and no norm;
-        * p = last + 1 otherwise: the linear step (a, b) -> (-s b, a + b),
-          its multiplication by s one shift and one reduction of the top term
-          by the monic E, and one norm;
-        * any other p: a square and multiply of general products, one norm.
+        * a run's first p is a jump, a square and multiply of general
+          products; each later p the linear step (a, b) -> (-s b, a + b);
+        * a run shorter than 3n pays one g x g norm per p;
+        * a run of at least 3n degrees seeds a window, u and z at its first
+          n degrees, and takes each later p by one recurrence step, two dot
+          products of length n and no norm.  The window reads u_p for p <= n
+          from ``_powersums``, the n norms behind ``_recurrence``, and pays
+          one norm for each other value: with them a run from p = 1 pays 2n
+          norms in all, one from p = 2 pays 2n + 1, one from past n 3n.
 
-        The norm at p <= n goes into the seed, u_j and z_j for j = 1..n, and
-        the first step past n fills in the rest: a ladder through the seed
-        pays 2n norms in all, a shorter one a norm per p, and a ladder that
-        starts past n stays on the linear step.  Past genus
-        _RECURRENCE_GENUS = 3 no seed is built: at genus 4 the ladder
-        p = 2..20 would pay 33 norms, beta_2's included, where a norm per p
-        pays 20 (a rule on genus alone)."""
-        if p < 1:
+        At 3n degrees a norm per p took 0.90-1.54x as long as the
+        recurrence at genus 1-6, from p = 2 and from p = 1000 (README), so
+        3n is about their break-even there, and the rule does not look at
+        the genus.  Past genus 6 it is untested: at genus 8, on one knot's
+        p = 1..768, a norm per p took 0.83-0.87x as long.  One more norm,
+        for beta_2, on any even p."""
+        ps = list(ps)
+        if any(p < 1 for p in ps):
             raise ValueError("p must be a positive integer")
         if not self.genus:
-            return 1
-        E, last = self.half_charpoly, self._ladder
-        if last and last[0] == p:
-            return last[2]
-        n = 2 ** self.genus if self.genus <= _RECURRENCE_GENUS else 0
-        step, half = last is not None and p - last[0] == 1, 1 - p % 2
-        xp = window = None
-        if step and (last[3] or p == n + 1):
-            coeffs = self._recurrence
-            window = last[3] or tuple(map(list, self._full_seed()))
-            for seq in window:
-                seq.append(sum(map(operator.mul, coeffs, seq)))
-                del seq[0]
-            w = window[half][-1]
-        else:
-            xp = _xstep(last[1], E) if step else _power(
-                ([], [1]), p, lambda u, v: _xmul(u, v, E), ([1], []))
-            w = _norm(_uz(xp)[half], E)
-            if p <= n:
-                self._seed[half][p - 1] = w
-        if half:
-            self._beta2 = self._beta2 or abs(_norm([1, -4], E))  # odd, so never 0
-            beta = self._beta2 * w ** 2
-        else:
-            beta = w ** 2
-        self._ladder = (p, xp, beta, window)
-        return beta
+            return [1] * len(ps)
+        E, n, got = self.half_charpoly, 2 ** self.genus, {}
+        for _, run in groupby(enumerate(sorted(set(ps))), lambda ip: ip[1] - ip[0]):
+            run = [p for _, p in run]
+            steps = zip(run, _uzs(run[0], E))
+            if len(run) < 3 * n:
+                ws = [_norm(uz[1 - p % 2], E) for p, uz in steps]
+            else:
+                us, zs = [], []
+                for p, (u, z) in islice(steps, n):
+                    us.append(self._powersums[p - 1] if p <= n else _norm(u, E))
+                    zs.append(_norm(z, E))
+                for _ in run[n:]:
+                    for seq in (us, zs):
+                        seq.append(sum(map(operator.mul, self._recurrence, seq[-n:])))
+                ws = [z if p % 2 == 0 else u for p, u, z in zip(run, us, zs)]
+            got.update((p, self._beta2 * w ** 2 if p % 2 == 0 else w ** 2) for p, w in zip(run, ws))
+        return [got[p] for p in ps]
 
     @cached_property
-    def _seed(self) -> tuple[list, list]:
-        """u_j and z_j of ``beta`` for j = 1..2^g, each None until computed."""
-        n = 2 ** self.genus
-        return [None] * n, [None] * n
+    def _beta2(self) -> int:
+        """beta_2 = |N(1 - 4s)| of ``betas``: odd, so never 0."""
+        return abs(_norm([1, -4], self.half_charpoly))
 
-    def _full_seed(self) -> tuple[list[int], list[int]]:
-        """The seed with each None filled in: x^j by the linear step, and
-        one norm per missing value."""
-        E, xp = self.half_charpoly, ([1], [])
-        for j in range(2 ** self.genus):
-            xp = _xstep(xp, E)
-            for seq, f in zip(self._seed, _uz(xp)):
-                if seq[j] is None:
-                    seq[j] = _norm(f, E)
-        return self._seed
+    @cached_property
+    def _powersums(self) -> list[int]:
+        """u_1..u_n of ``betas``, n = 2^g, one norm each: the power sums of
+        the n values mu_S."""
+        E = self.half_charpoly
+        return [_norm(u, E) for u, _ in islice(_uzs(1, E), 2 ** self.genus)]
 
     @cached_property
     def _recurrence(self) -> list[int]:
-        """c_n, ..., c_1 of w_p = sum_k c_k w_(p-k), which u and z of ``beta``
+        """c_n, ..., c_1 of w_p = sum_k c_k w_(p-k), which u and z of ``betas``
         obey: the characteristic polynomial X^n - sum_k c_k X^(n-k) has the
-        n = 2^g values mu_S as its roots, whose power sums are u_1..u_n, so
-        Newton's identities give k c_k = u_k - sum_(j<k) c_j u_(k-j), each
-        division exact.  Reversed for a dot product with the window, oldest
-        first."""
-        us = self._full_seed()[0]
-        coeffs: list[int] = []
+        n = 2^g values mu_S as its roots, whose power sums are u_1..u_n
+        (``_powersums``), so Newton's identities give k c_k = u_k -
+        sum_(j<k) c_j u_(k-j), each division exact.  Reversed for a dot
+        product with the window, oldest first."""
+        us, coeffs = self._powersums, []
         for k, u in enumerate(us, 1):
             c, r = divmod(u - sum(map(operator.mul, coeffs, reversed(us[:k - 1]))), k)
             if r:
@@ -355,18 +341,19 @@ def _xmul(u: tuple, v: tuple, E: list) -> tuple:
 
 
 def _xstep(xp: tuple, E: list) -> tuple:
-    """x (a + b x) = -s b + (a + b) x, -s b mod E by one shift and one
-    reduction of the top term."""
+    """x (a + b x) = -s b + (a + b) x, s b mod E by ``_mulx_mod``."""
     a, b = xp
     b = b + [0] * (len(E) - 1 - len(b))
-    top = b[-1]
-    return [top * E[0]] + [top * e - c for c, e in zip(b, E[1:-1])], _padd(a, b)
+    return [-c for c in _mulx_mod(b, E)], _padd(a, b)
 
 
-def _uz(xp: tuple) -> tuple[list, list]:
-    """2a + b and b, whose norms are u_p and z_p of ``Knot.beta``."""
-    a, b = xp
-    return _padd(a, a, b), b
+def _uzs(p: int, E: list) -> Iterator[tuple[list, list]]:
+    """2a + b and b of x^q = a + b x for q = p, p + 1, ..., whose norms are
+    u_q and z_q of ``Knot.betas``: a jump to x^(p-1), then the linear step."""
+    xp = _power(([], [1]), p - 1, lambda u, v: _xmul(u, v, E), ([1], []))
+    while True:
+        a, b = xp = _xstep(xp, E)
+        yield _padd(a, a, b), b
 
 
 def _norm(f: list, E: list) -> int:

@@ -417,13 +417,15 @@ class TestDerivedOnce:
             # beta_p comes from Delta's trace polynomial, and Delta from one
             # Kronecker determinant of the 2g x 2g Seifert pencil A - t A^T
             assert dets == [n], rec.name
-            # the seed: u_k and z_k of Knot.beta for k = 1..2^g, 2^(g+1) g x g
-            # integer norms, one per p <= 2^g and the rest at the first p
-            # past it; one more for beta_2 per knot; every later p one
-            # recurrence step and no norm; and no
+            # the run p = 2..20 is 19 degrees: at genus 1, past 3 2^g = 6, the
+            # recurrence's u_1, u_2 and the window's u_3, z_2 and z_3 (u_2
+            # read from the recurrence's), 2 2^g + 1 g x g integer norms, then
+            # one recurrence step and no norm per p; at genus 3, short of
+            # 3 2^g = 24, one norm per p; one more for beta_2 per knot; and no
             # characteristic polynomial; sigma_p is read off the arc table,
             # so neither the clover form nor exact inertia runs
-            assert bdets == [n // 2] * (2 ** (n // 2 + 1) + 1), rec.name
+            paid = {"trefoil": 2 * 2 + 1, "random-g3-a": 19}[rec.name]
+            assert bdets == [n // 2] * (paid + 1), rec.name
             assert rdets == [] and exact == []
         for name in ("_mat_pow", "_mat_mul", "_charpoly"):
             assert not hasattr(knotcovers.seifert, name), name
@@ -433,10 +435,10 @@ class TestDerivedOnce:
             assert not hasattr(module, "cyclotomic_norm")
         assert norms == []
 
-    def test_past_the_genus_rule_one_norm_per_p_and_no_seed(self, monkeypatch):
-        # T(9, 10) has genus 36: an order 2^36 recurrence is past the rule,
-        # so a ladder builds no seed and pays one g x g norm per p, regular
-        # or not, plus one for beta_2
+    def test_a_run_short_of_3_2_to_the_g_one_norm_per_p(self, monkeypatch):
+        # T(9, 10) has genus 36: the run p = 2..20 is far short of 3 2^36
+        # degrees, so it builds no recurrence and pays one g x g norm per p,
+        # regular or not, plus one for beta_2
         knot = Knot(torus_seifert(9, 10))
         knot.half_charpoly
         bdets, bareiss = [], knotcovers.seifert._bareiss
@@ -445,29 +447,35 @@ class TestDerivedOnce:
         # Delta's roots are the 90th roots of unity of orders 6, 15, 18, 30, 45 and 90
         assert [r[0] for r in rows] == [p for p in range(2, 21) if p not in (6, 12, 15, 18)]
         assert bdets == [36] * 20
-        assert "_seed" not in vars(knot) and "_recurrence" not in vars(knot)
+        assert "_recurrence" not in vars(knot)
 
     def test_report_reads_each_beta_once(self, monkeypatch):
-        # beta_p decides regularity and fills its column: one read per p,
-        # and none of the public wrappers that would each read it again
+        # beta_p decides regularity and fills its column: one walk over every
+        # p, and none of the public wrappers or single degrees that would each
+        # read it again
         recs = [r for r in corpus_records() if r.name in ("trefoil", "random-g3-a")]
-        beta, calls = Knot.beta, []
+        betas, calls = Knot.betas, []
 
-        def counted_beta(self, p):
-            calls.append(p)
-            return beta(self, p)
+        def counted_betas(self, ps):
+            calls.append(list(ps))
+            return betas(self, ps)
 
         def refused(*args):
             raise AssertionError("branched_report went through a wrapper")
 
-        monkeypatch.setattr(Knot, "beta", counted_beta)
+        monkeypatch.setattr(Knot, "betas", counted_betas)
+        monkeypatch.setattr(Knot, "beta", refused)
         for name in ("is_p_regular", "total_sigma_p", "torsion_order"):
             monkeypatch.setattr(knotcovers.branched, name, refused)
         for rec in recs:
             calls.clear()
             rows = branched_report(rec.knot, range(2, 21), Q=rec.q2loop)
-            assert calls == list(range(2, 21)), rec.name
+            assert calls == [list(range(2, 21))], rec.name
             assert [r.regular for r in rows] == [r.beta_p is not None for r in rows]
+            calls.clear()
+            assert [r[0] for r in torsion_growth(rec.knot, range(2, 21))] == [
+                r.p for r in rows if r.regular]
+            assert calls == [list(range(2, 21))], rec.name
 
     @pytest.mark.parametrize(
         "argv",

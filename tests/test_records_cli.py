@@ -172,6 +172,7 @@ class TestSignatureCommand:
             raise AssertionError("beta_%d computed" % p)
 
         monkeypatch.setattr(knotcovers.seifert.Knot, "beta", no_beta)
+        monkeypatch.setattr(knotcovers.seifert.Knot, "betas", no_beta)
         for name, total in (("figure8", 0), ("trefoil", -8)):
             code, out, _ = run(capsys, "signature", "--knot", name, "--p", "7", "--format", "json")
             payload = json.loads(out)

@@ -231,22 +231,23 @@ class TestSeifertPresentation:
             assert want[2] == resultant_beta(A, 2) and want[1] == 1
             for name, ps in LADDERS.items():
                 for M in (A, B):
-                    knot = Knot(M)
-                    assert [knot.beta(p) for p in ps] == [want[p] for p in ps], (g, name)
+                    assert Knot(M).betas(ps) == [want[p] for p in ps], (g, name)
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_linear_steps_match_the_norm_in_z_x_mod_chi(self, g, rng):
         # p + 1 is the linear map (a, b) -> (-s b, a + b); steps of 2 and 3
-        # and descending p take the square and multiply, from which the next
-        # steps start again
+        # take the square and multiply, from which the next steps start
+        # again; descending p are walked ascending; one p at a time, each p
+        # is a jump
         ladders = [list(range(1, 31)), [1, 3, 6, 8, 11, 13, 16, 18, 21, 23],
                    list(range(30, 0, -1)), [2, 4, 7, 9, 12, 14, 17, 15, 13, 16, 18]]
         for _ in range(3):
             A = random_seifert(g, rng)
             want = {p: chi_beta(A, p) for ps in ladders for p in ps}
             for ps in ladders:
-                knot = Knot(A)
-                assert [knot.beta(p) for p in ps] == [want[p] for p in ps], (A, ps)
+                assert Knot(A).betas(ps) == [want[p] for p in ps], (A, ps)
+            knot = Knot(A)
+            assert [knot.beta(p) for p in ladders[1]] == [want[p] for p in ladders[1]], A
 
     def test_delta_and_beta_share_one_determinant(self, figure8, monkeypatch):
         calls = []
@@ -259,7 +260,7 @@ class TestSeifertPresentation:
         monkeypatch.setattr(LambdaMatrix, "det", counted)
         knot = Knot(figure8)
         ps = (3, 2, 40, 41)
-        assert [knot.beta(p) for p in ps] == [matrix_beta(figure8, p) for p in ps]
+        assert knot.betas(ps) == [matrix_beta(figure8, p) for p in ps]
         assert calls == [2]  # the pencil's, for Delta behind beta
         assert knot.delta == alexander(figure8) == chi_delta(figure8)
         assert seifert_charpoly(figure8) == [-1, -1, 1]
@@ -275,11 +276,12 @@ class TestSeifertPresentation:
         with pytest.raises(NotHermitian):
             clover_matrix(B)
         knot = Knot(B)
-        assert [knot.beta(p) for p in range(1, 16)] == [resultant_beta(A, p) for p in range(1, 16)]
+        betas = knot.betas(range(1, 16))
+        assert betas == [resultant_beta(A, p) for p in range(1, 16)]
         # sigma_p needs no banded basis either: the exact oracle on A's clover form
         W = clover_matrix(A)
-        for p in range(1, 16):
-            if knot.beta(p):
+        for p, beta in zip(range(1, 16), betas):
+            if beta:
                 assert total_sigma_p(knot, p) == varsigma_p(W, p), p
 
     def test_large_p_on_genus_three(self, rng):
@@ -288,11 +290,12 @@ class TestSeifertPresentation:
         for p in (257, 1000):
             assert knot.beta(p) == resultant_beta(A, p)
 
-    def test_ladder_restarts_out_of_order_and_repeats(self, trefoil, figure8, rng):
+    def test_out_of_order_and_repeated_degrees(self, trefoil, figure8, rng):
         for A in (trefoil, figure8, random_seifert(2, rng)):
             knot = Knot(A)
             ps = [5, 9, 9, 3, 12, 12, 1, 7, 2, 30]
-            assert [knot.beta(p) for p in ps] == [resultant_beta(A, p) for p in ps]
+            want = [resultant_beta(A, p) for p in ps]
+            assert knot.betas(ps) == want == [knot.beta(p) for p in ps]
 
     def test_unknot_and_p_one(self, trefoil):
         assert [Knot([]).beta(p) for p in (1, 2, 7)] == [1, 1, 1]
@@ -301,118 +304,102 @@ class TestSeifertPresentation:
         assert seifert_charpoly(knot.seifert) == [0, -1, 1]
         assert [knot.beta(p) for p in (1, 2, 50, 51, 7)] == [1] * 5
         assert Knot(trefoil).beta(1) == 1
+        assert Knot([]).betas([]) == [] == Knot(trefoil).betas(range(0))
         with pytest.raises(ValueError):
             Knot(trefoil).beta(0)
+        with pytest.raises(ValueError):
+            Knot(trefoil).betas(range(-1, 20))
 
 
 
 class TestRecurrence:
-    """Knot.beta's ascending ladder steps by one integer recurrence of order
-    2^g up to genus _RECURRENCE_GENUS, and one g x g norm per p past it,
-    against the matrix power, chi and resultant oracles."""
+    """Knot.betas walks each run of consecutive p once: one g x g norm per p
+    on a run shorter than 3 2^g, the recurrence of order 2^g on a longer
+    one; against the matrix power, chi and resultant oracles."""
 
     @pytest.mark.parametrize("g", range(1, 9))
-    def test_ladders_match_the_oracles(self, g, rng, monkeypatch):
-        # ladders past 2^g + 40: from p = 1 and p = 2 through the seed, after
-        # a jump, out of order and with repeats
+    def test_runs_match_the_oracles(self, g, rng):
+        # runs past 3 2^g from p = 1 and p = 2 take the recurrence; one
+        # degree short of it from p = 1, a norm per p; after a jump, out of
+        # order and with repeats.  At genus 8 a run of 3 2^g degrees takes
+        # seconds, so every run stops at 2^g + 41 and takes a norm per p
         A = random_seifert(g, rng)
         n = 2 ** g
-        top = n + 41
+        top = 3 * n + 8 if g < 8 else n + 41
         # every p to genus 5, three oracles in turn to genus 4; past that the
-        # seed's ends, the first steps past it and every 16th p, by chi_beta,
-        # the fastest oracle there
-        checked = range(1, top + 1) if g <= 5 else sorted(
-            {1, 2, 3, n - 1, n, n + 1, n + 2, top - 1, top, *range(n + 16, top, 16)})
+        # window's ends, the rule's, the first steps past 2^g and every 16th
+        # p, by chi_beta, the fastest oracle there
+        checked = range(1, top + 1) if g <= 5 else sorted(p for p in {
+            1, 2, 3, n - 1, n, n + 1, n + 2, 3 * n - 1, 3 * n, top - 1, top,
+            *range(n + 16, top, 16)} if p <= top)
         oracles = (chi_beta, matrix_beta, resultant_beta) if g <= 4 else (chi_beta,)
         want = {p: oracles[p % len(oracles)](A, p) for p in checked}
-        ladders = {
+        runs = {
             "from p = 1": range(1, top + 1),
             "from p = 2": range(2, top + 1),
+            "short of the rule": range(1, min(3 * n, top)),
             "after a jump": range(n + 1, top + 1),
             "out of order": [top, 2, n, n + 1, 1, n + 2, n - 1, n, n + 1, n + 2, n + 3, 3],
             "repeated": [n + 1, n + 1, n + 2, n + 2, n + 2, top, top, 2, 2, 3, 3],
         }
         got = {}
-        # the recurrence at every genus to 7, past the rule as well, and a
-        # norm per p at every genus
-        for rule in (g, 0) if g <= 7 else (0,):
-            monkeypatch.setattr(knotcovers.seifert, "_RECURRENCE_GENUS", rule)
-            for name, ps in ladders.items():
-                knot = Knot(A)
-                for p in ps:
-                    beta = knot.beta(p)
-                    assert got.setdefault(p, beta) == beta, (g, rule, name, p)
-                    assert want.get(p, beta) == beta, (g, rule, name, p)
+        for name, ps in runs.items():
+            for p, beta in zip(ps, Knot(A).betas(ps)):
+                # the recurrence and the norm per p meet on every p < 3 2^g
+                assert got.setdefault(p, beta) == beta, (g, name, p)
+                assert want.get(p, beta) == beta, (g, name, p)
 
     def test_irregular_trefoil_and_a_zero_root(self, trefoil):
         # the trefoil's beta_p has period 6 and is 0 at p = 6k, where z_p = 0
-        # enters the window; from p = 1, after a jump and out of order
+        # enters the window; from p = 1, a run from p = 97 and out of order
         period = [1, 3, 4, 3, 1, 0]
         for ps in (range(1, 201), range(97, 201), [120, 7, 8, 9, 6, 200, 12, 12, 2]):
             knot = Knot(trefoil)
-            assert [knot.beta(p) for p in ps] == [period[(p - 1) % 6] for p in ps]
+            assert knot.betas(ps) == [period[(p - 1) % 6] for p in ps]
         assert [chi_beta(trefoil, p) for p in (6, 60, 198)] == [0, 0, 0]
         assert knot._recurrence == [-1, 1]  # mu = (1 + - sqrt(-3)) / 2: w_p = w_(p-1) - w_(p-2)
         # the genus-1 unknot surface: E(0) = 0, so s = 0 is a root and mu_S
         # takes the values 1 and 0; c_2 = 0 drops the older term
         for ps in (range(1, 60), range(40, 60), [7, 2, 3, 1, 1, 50, 51]):
             knot = Knot([[0, 1], [0, 0]])
-            assert [knot.beta(p) for p in ps] == [1] * len(ps)
+            assert knot.betas(ps) == [1] * len(ps)
         assert knot.half_charpoly == [0, 1] and knot._recurrence == [0, 1]
         assert [matrix_beta(knot.seifert, p) for p in (2, 51)] == [1, 1]
 
-    @staticmethod
-    def _norms(monkeypatch):
+    def test_newtons_identities_must_divide_exactly(self, trefoil, monkeypatch):
+        # u_1 = 1 and u_2 = 2 are no power sums of the roots of an integer
+        # X^2 - c_1 X - c_2: 2 c_2 = u_2 - c_1 u_1 = 1
+        values = iter([1, 2])
+        monkeypatch.setattr(knotcovers.seifert, "_norm", lambda f, E: next(values))
+        with pytest.raises(ArithmeticError, match="Newton"):
+            Knot(trefoil)._recurrence
+
+    @pytest.mark.parametrize("start", [1, 2, 1000])
+    @pytest.mark.parametrize("g", range(1, 7))
+    def test_both_sides_of_the_run_length_rule(self, g, start, rng, monkeypatch):
+        # a run of 3 2^g - 1 degrees pays one norm per p; a run of 3 2^g
+        # pays 2^g norms for the recurrence's u_1..u_(2^g), 2^g for the
+        # window's z at its first 2^g degrees, one for each of the window's
+        # u past 2^g (none from p = 1, one from p = 2, 2^g from p = 1000) and
+        # none after; both one more for beta_2.  The two runs agree on every
+        # p they share, and the oracles check the window's ends and the
+        # run's last p
+        A, n = random_seifert(g, rng), 2 ** g
         bdets = []
         monkeypatch.setattr(knotcovers.seifert, "_bareiss", lambda M: bdets.append(len(M)) or _bareiss(M))
-        return bdets
-
-    def test_a_ladder_through_the_seed_pays_2_to_the_g_plus_1_norms(self, rng, monkeypatch):
-        # up to 2^g one norm per p, as a norm per p pays; the first step past
-        # 2^g fills in the seed's other half, u_1 among it for a ladder from
-        # p = 2; beta_2 once; no norm after
-        A, n = random_seifert(3, rng), 8
-        for ps in (range(2, n + 1), range(2, 21), range(1, n + 41)):
-            knot, bdets = Knot(A), self._norms(monkeypatch)
-            got = [knot.beta(p) for p in ps]
-            past = ps[-1] > n
-            assert bdets == [3] * ((2 * n if past else len(ps)) + 1), ps
-            assert ("_recurrence" in vars(knot)) == past
-            assert (None in knot._seed[0] + knot._seed[1]) == (not past)
-            assert [got[0], got[-1]] == [chi_beta(A, ps[0]), chi_beta(A, ps[-1])]
-
-    def test_a_ladder_after_a_jump_stays_on_the_linear_step(self, rng, monkeypatch):
-        # a ladder that starts past 2^g pays one norm per p and never the
-        # seed: beta_2 is known from p = 2, which is the seed's one value
-        A, n = random_seifert(3, rng), 8
-        knot = Knot(A)
-        assert knot.beta(2) == chi_beta(A, 2)
-        bdets = self._norms(monkeypatch)
-        ps = range(100, 100 + n + 20)
-        got = [knot.beta(p) for p in ps]
-        assert bdets == [3] * len(ps) and "_recurrence" not in vars(knot)
-        assert [x is None for x in knot._seed[1]] == [j != 2 for j in range(1, n + 1)]
-        assert not any(knot._seed[0])
-        assert [got[0], got[n], got[-1]] == [chi_beta(A, p) for p in (100, 100 + n, ps[-1])]
-
-    @pytest.mark.parametrize("side", ["within", "past"])
-    def test_both_sides_of_the_genus_rule(self, side, rng, monkeypatch):
-        # within the rule a ladder costs the seed's 2^(g+1) norms, one more
-        # for beta_2, and no norm past the seed; past it, one norm per p, no
-        # seed and no recurrence
-        g = knotcovers.seifert._RECURRENCE_GENUS + (side == "past")
-        A = random_seifert(g, rng)
-        n, bdets = 2 ** g, self._norms(monkeypatch)
-        knot = Knot(A)
-        ps = range(1, n + 11) if side == "within" else range(1, 21)
-        got = [knot.beta(p) for p in ps]
-        for p in (1, 2, ps[-2], ps[-1]):
-            assert got[p - 1] == chi_beta(A, p), p
-        if side == "within":
-            assert bdets == [g] * (2 * n + 1) and len(knot._recurrence) == n
-        else:
-            assert bdets == [g] * (len(ps) + 1)
-            assert "_recurrence" not in vars(knot) and "_seed" not in vars(knot)
+        got = {}
+        window_us = {1: 0, 2: 1, 1000: n}[start]
+        for length, norms in ((3 * n - 1, 3 * n - 1), (3 * n, 2 * n + window_us)):
+            knot, ps = Knot(A), range(start, start + length)
+            knot.half_charpoly
+            del bdets[:]
+            for p, beta in zip(ps, knot.betas(ps)):
+                assert got.setdefault(p, beta) == beta, (length, p)
+            assert bdets == [g] * (norms + 1), length
+            assert ("_recurrence" in vars(knot)) == (length == 3 * n)
+        oracle = resultant_beta if start + 3 * n < 100 else chi_beta
+        for p in {start, start + n - 1, start + n, start + 3 * n - 2, start + 3 * n - 1}:
+            assert got[p] == oracle(A, p), p
 
 
 def lucas_fibonacci(n):
@@ -439,23 +426,20 @@ class TestBetaFromTheory:
 
     def test_figure8_is_lucas_squared_or_five_fibonacci_squared(self, figure8):
         L, F = lucas_fibonacci(1002)
-        knot = Knot(figure8)
         want = [L[p] ** 2 if p % 2 else 5 * F[p] ** 2 for p in self.PS]
-        assert [knot.beta(p) for p in self.PS] == want
+        assert Knot(figure8).betas(self.PS) == want
 
     def test_trefoil_repeats_with_period_six(self, trefoil):
-        knot = Knot(trefoil)
-        assert [knot.beta(p) for p in self.PS] == [(1, 3, 4, 3, 1, 0)[(p - 1) % 6] for p in self.PS]
+        assert Knot(trefoil).betas(self.PS) == [(1, 3, 4, 3, 1, 0)[(p - 1) % 6] for p in self.PS]
 
     def test_plans_squares(self, rng):
         mats = [r.knot.seifert for r in corpus_records()]
         mats += [random_seifert(g, rng) for g in range(1, 6) for _ in range(2)]
         mats += [conjugate(random_seifert(2, rng), random_unimodular(4, rng))]
         for A in mats:
-            knot = Knot(A)
-            beta2 = knot.beta(2)
-            for p in range(1, 61):
-                beta = knot.beta(p)
+            betas = Knot(A).betas(range(1, 61))
+            beta2 = betas[1]
+            for p, beta in zip(range(1, 61), betas):
                 if p % 2:
                     assert is_square(beta), (A, p)
                 else:
@@ -469,8 +453,7 @@ class TestHalfNorm:
     def test_matches_the_chi_norm(self, g, rng):
         for A in (random_seifert(g, rng), conjugate(random_seifert(g, rng),
                                                     random_unimodular(2 * g, rng))):
-            knot = Knot(A)
-            assert [knot.beta(p) for p in range(1, 61)] == [chi_beta(A, p) for p in range(1, 61)]
+            assert Knot(A).betas(range(1, 61)) == [chi_beta(A, p) for p in range(1, 61)]
 
     def test_every_oracle_at_irregular_p_and_genus_zero(self, trefoil, figure8):
         # Delta of degree < g ([[0, 1], [0, 0]]: E = s), repeated circle roots
@@ -478,8 +461,7 @@ class TestHalfNorm:
         # every knot with a trefoil summand
         for A in ([], [[0, 1], [0, 0]], trefoil, block_sum(trefoil, trefoil),
                   block_sum(trefoil, figure8)):
-            knot = Knot(A)
-            got = [knot.beta(p) for p in range(1, 31)]
+            got = Knot(A).betas(range(1, 31))
             for oracle in (chi_beta, matrix_beta, resultant_beta):
                 assert got == [oracle(A, p) for p in range(1, 31)], (A, oracle.__name__)
             assert (0 in got) == (A not in ([], [[0, 1], [0, 0]]))
@@ -488,11 +470,14 @@ class TestHalfNorm:
         (A,) = [r.knot.seifert for r in corpus_records() if r.name == "random-g3-a"]
         assert Knot(A).beta(10007) == chi_beta(A, 10007)
 
-    def test_every_ladder_state(self, trefoil, rng):
+    def test_every_ladder_walked_once_or_a_degree_at_a_time(self, trefoil, rng):
+        # one walk over each ladder, and one p at a time on a knot already
+        # holding beta_2 and its recurrence: betas keeps no state between calls
         for A in (trefoil, [[0, 1], [0, 0]], random_seifert(2, rng), random_seifert(3, rng)):
             want = {p: chi_beta(A, p) for ps in LADDERS.values() for p in ps}
+            knot = Knot(A)
             for name, ps in LADDERS.items():
-                knot = Knot(A)
+                assert knot.betas(ps) == [want[p] for p in ps], name
                 assert [knot.beta(p) for p in ps] == [want[p] for p in ps], name
 
     def test_half_charpoly_halves_chi(self, rng):

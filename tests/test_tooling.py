@@ -148,12 +148,13 @@ def test_branched_and_cli_read_the_arc_table():
 
 
 def test_beta_has_one_route_in_the_half_ring():
-    # Knot.beta reads beta_p off Z[s]/E, E of degree g from Delta's trace
+    # Knot.betas reads beta_p off Z[s]/E, E of degree g from Delta's trace
     # polynomial; the 2g x 2g ladder in Z[x]/chi is a test oracle
-    # (test_seifert.chi_beta), and importing its residue steps again would
-    # fork a second production route beside the first
-    for name in ("_powmod", "_mulx_mod"):
-        assert not hasattr(knotcovers.seifert, name), name
+    # (test_seifert.chi_beta), and importing its power again would fork a
+    # second production route beside the first.  The linear step's
+    # multiplication by s is the one reduction by a monic modulus, shared
+    assert not hasattr(knotcovers.seifert, "_powmod")
+    assert knotcovers.seifert._mulx_mod is knotcovers.exactalg._mulx_mod
     # the one trace polynomial, shared with circle_roots
     assert knotcovers.seifert._trace_poly is knotcovers.exactalg._trace_poly
 
@@ -236,7 +237,7 @@ def test_delta_and_arcs_build_no_fraction(monkeypatch, rng):
 
 
 def test_beta_builds_no_fraction_and_feeds_bareiss_ints(monkeypatch, rng):
-    # Knot.beta reduces by the monic E in ints: the seed, the recurrence,
+    # Knot.betas reduces by the monic E in ints: the window, the recurrence,
     # the linear step and a jump's square and multiply construct no
     # Fraction, and every matrix reaching _bareiss holds plain ints
     import knotcovers.seifert
@@ -261,11 +262,35 @@ def test_beta_builds_no_fraction_and_feeds_bareiss_ints(monkeypatch, rng):
     monkeypatch.setattr(knotcovers.seifert, "_bareiss", typed)
     for knot in knots:
         n = 2 ** knot.genus
-        # a ladder from p = 1, on to the recurrence to genus 3 and a norm per
-        # p past it, a jump and a step after it, a small p, a far jump
-        for p in [*range(1, min(n, 40) + 12), 3 * n + 7, 3 * n + 8, 2, 1001]:
-            knot.beta(p)
+        # a run from p = 1 on to the recurrence to genus 4 and a norm per p
+        # past it, then a jump and a step, a far jump; and one p alone
+        knot.betas([*range(1, min(3 * n, 48) + 8), 3 * n + 7, 3 * n + 8, 1001])
+        knot.beta(2)
     assert made == [] and types == {int}
+
+
+def test_beta_keeps_no_state_but_cached_properties(rng):
+    # betas walks the requested degrees and keeps nothing between calls but
+    # what a cached property derives once per knot (beta_2, the power sums,
+    # the recurrence, E); no module constant of seifert picks a beta_p route
+    from functools import cached_property
+
+    import knotcovers.seifert
+    from knotcovers.seifert import Knot, random_seifert
+
+    cached = {name for name, v in vars(Knot).items() if isinstance(v, cached_property)}
+    for g in (1, 2, 3):
+        knot = Knot(random_seifert(g, rng))
+        before = dict(vars(knot))
+        knot.betas(range(1, 3 * 2 ** g + 5))
+        knot.beta(7)
+        knot.betas([100, 3, 101, 3])
+        added = set(vars(knot)) - set(before)
+        assert {"_beta2", "_powersums", "_recurrence"} <= added <= cached, added
+        assert {name: vars(knot)[name] for name in before} == before
+    constants = {name for name, v in vars(knotcovers.seifert).items()
+                 if name.lstrip("_").isupper() and isinstance(v, (int, float))}
+    assert constants == {"_RANDOM_BOUND", "_TURN_SLACK"}  # random entries, the arcs' slack
 
 
 def test_one_determinant_kernel_for_the_rewrite(monkeypatch):
