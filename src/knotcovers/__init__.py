@@ -10,15 +10,17 @@ trivalent graphs machine-checks the compatibility of lifting diagrams to
 cyclic covers with taking residues of their rational symbols.
 
 Exact arithmetic everywhere a theorem is checked; floating point only in
-clearly flagged numeric paths (root finding, the FFT torus average of a
-rational 2-loop class) and in oracles (eigenvalues at irrational points
-of the unit circle, which every signature also gets exactly).
+clearly flagged numeric paths (root finding, the closed-form torus
+average of a rational 2-loop class) and in oracles (eigenvalues at
+irrational points of the unit circle, which every signature also gets
+exactly).
 
 numpy is imported only inside the functions that use it, never at module
 scope: importing the package or its CLI loads no numpy, and neither do
 ``branched``, ``signature``, ``liftres`` and ``residue`` on a polynomial
-class.  The Mahler measure (``alexander``, ``growth``), the FFT torus
-average of a rational class and ``selftest`` load it at first use.
+class.  The Mahler measure (``alexander``, ``growth``), the pole finder
+of a rational class's torus average and ``selftest`` load it at first
+use; nothing loads ``numpy.fft``.
 """
 
 # each module's __all__ is the one list of its public names

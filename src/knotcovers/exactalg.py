@@ -26,12 +26,14 @@ Everything an abelian knot invariant needs downstream lives here:
 
 All core arithmetic is exact (int, and Fraction where it must be).
 Floating point enters only in clearly named numeric helpers: unit-circle
-evaluation at irrational angles, and ``_roots_by_part``, the package's one
-numeric root finder (the Mahler measure and the poles of 2-loop slots,
-with its one unit-circle test ``_ON_CIRCLE``).  ``circle_roots`` isolates
-the roots of Delta on the unit circle exactly, in float brackets: Sturm
-counts and sign bisection of the trace polynomial, in integers.
-``_roots_by_part`` is also the module's one numpy user and imports it
+evaluation at irrational angles, and ``_simple_roots``, the package's one
+numeric root finder, on square-free polynomials only (by part in
+``_roots_by_part`` for the Mahler measure, by exact multiplicity for the
+poles of 2-loop slots), with its one unit-circle test ``_ON_CIRCLE``.
+``circle_roots`` isolates the roots of Delta on the unit circle exactly,
+in float brackets: Sturm counts and sign bisection of the trace
+polynomial, in integers.
+``_simple_roots`` is also the module's one numpy user and imports it
 itself: nothing else here needs numpy, and ``_frac`` refuses a numpy bool
 only once numpy is loaded, the only way such a value can exist.
 """
@@ -767,9 +769,15 @@ def _roots_by_part(f: "LaurentPoly | Sequence[Scalar]") -> list[np.ndarray]:
     entry j holds the roots of multiplicity > j, once each, so entry 0 the
     distinct roots.  A repeated root would split off by about eps^(1/m);
     here every root is simple."""
+    return [_simple_roots(part) for part in _squarefree_parts(f)]
+
+
+def _simple_roots(s: Sequence[Scalar]) -> np.ndarray:
+    """numpy roots of a polynomial s (ascending) whose roots are simple:
+    a square-free part, or a factor of one."""
     import numpy as np
 
-    return [np.roots([float(c) for c in reversed(part)]) for part in _squarefree_parts(f)]
+    return np.roots([float(c) for c in reversed(s)])
 
 
 _U_WIDTH = 2.0 ** -51  # circle_roots bisects to this width in u, 2 ulp of u in [1, 2)

@@ -27,7 +27,9 @@ The two quantities consumed downstream:
   determinant of a pencil by ``LambdaMatrix.det``, the package's one
   determinant kernel.
 * ``torus_average(Q)`` -- the limiting average over the 2-torus, exact
-  diagonal-coefficient sum for polynomial slots, FFT trapezoid otherwise.
+  diagonal-coefficient sum for polynomial slots, otherwise a float in
+  closed form from the residues at the slots' poles: partial fractions,
+  one geometric sum per triple of poles on each side of the circle.
 
 For polynomial slots res_p/p is not only a limit: once p exceeds the
 spread of the slot exponents no two of them are congruent mod p, and
@@ -39,13 +41,17 @@ the distance of the poles from the circle.
 from __future__ import annotations
 
 import math
+import operator
+import sys
+from decimal import Decimal, DecimalException, getcontext, localcontext
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import permutations, product
 from typing import Mapping, NamedTuple, Sequence
 
 from .exactalg import (_ON_CIRCLE, LaurentPoly, RatFun, _frac, _json_object, _mul_rows,
-                       _powmod, _qdiv, _roots_by_part, _trim)
+                       _poly_divmod, _power, _powmod, _qdiv, _simple_roots, _squarefree_parts,
+                       _trim)
 from .lambdamat import LambdaMatrix
 
 __all__ = [
@@ -58,12 +64,11 @@ __all__ = [
 ]
 
 
-_TAIL_RATIO = 1e-13  # torus_average: Fourier tail at |r| >= N/4 vs the largest coefficient
-_GRID_CAP = 2 ** 20  # torus_average: the largest trapezoid grid tried
-# torus_average refuses up front a pole whose geometric tail would still be
-# above _TAIL_RATIO on a grid this many times _GRID_CAP; the margin covers a
-# pole with a small residue, whose tail is that much smaller than rho alone says
-_REFUSE_MARGIN = 8
+# torus_average refuses a pole with rho = min(|alpha|, 1/|alpha|) above 1
+# minus this: the window that its earlier FFT quadrature refused up front,
+# rho^(2^21) > 1e-13, that is 1 - rho below 1.4273e-5, so that no class
+# refused before is answered now
+_NEAR_CIRCLE = 1.43e-5
 
 
 class QSingularAtP(ValueError):
@@ -353,17 +358,239 @@ def res_p_theta(Q: ThetaClass, p: int) -> Fraction:
     return Fraction(p * _weighted_diagonal(terms), D)
 
 
-def _fourier(slot: RatFun, w: np.ndarray) -> np.ndarray:
-    """Laurent coefficients of the slot on |t| = 1 from its values at the
-    N-th roots of unity w, aliased mod N: entry k is the sum of the
-    coefficients of t^r over r = k mod N."""
-    import numpy as np
+class _Complex:
+    """re + i im in Decimals, rounded to the current decimal context: the
+    closed form's number.  The partial fractions of clustered poles cancel
+    (about 10^5 on a slot with three triple poles 0.3 apart, 10^8 on a
+    product of two), so ``torus_average`` works at as many digits as its
+    measured cancellation asks and rounds once, at the end.  An operand may
+    also be an int, a Fraction or a complex."""
 
-    N = len(w)
-    asc, m = slot.num._ascending()
-    num = np.polyval([float(c) for c in reversed(asc)], w) * w[(np.arange(N) * m) % N]
-    den = np.polyval([float(c) for c in reversed(slot.den._ascending()[0])], w)  # q(0) != 0
-    return np.fft.fft(num / den) / N
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Decimal, im: Decimal = Decimal(0)):
+        self.re, self.im = re, im
+
+    @staticmethod
+    def of(x) -> "_Complex":
+        if isinstance(x, _Complex):
+            return x
+        if isinstance(x, Fraction):
+            return _Complex(Decimal(x.numerator) / x.denominator)
+        if isinstance(x, complex):
+            return _Complex(Decimal(x.real), Decimal(x.imag))
+        return _Complex(Decimal(x))
+
+    def __add__(self, other) -> "_Complex":
+        other = _Complex.of(other)
+        return _Complex(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_Complex":
+        return _Complex(-self.re, -self.im)
+
+    def __sub__(self, other) -> "_Complex":
+        return self + -_Complex.of(other)
+
+    def __rsub__(self, other) -> "_Complex":
+        return _Complex.of(other) + -self
+
+    def __mul__(self, other) -> "_Complex":
+        o = _Complex.of(other)
+        return _Complex(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "_Complex":
+        o = _Complex.of(other)
+        d = o.re * o.re + o.im * o.im
+        return _Complex((self.re * o.re + self.im * o.im) / d,
+                        (self.im * o.re - self.re * o.im) / d)
+
+    def __rtruediv__(self, other) -> "_Complex":
+        return _Complex.of(other) / self
+
+    def __pow__(self, n: int) -> "_Complex":
+        x = self if n >= 0 else 1 / self
+        return _power(x, abs(n), operator.mul, _Complex(Decimal(1)))
+
+    def __abs__(self) -> Decimal:
+        return abs(self.re) + abs(self.im)  # within a factor sqrt 2 of the modulus
+
+
+def _poles(den: LaurentPoly) -> list[tuple[int, list, np.ndarray]]:
+    """(m, s, the roots of s) for the square-free factor s = s_(m-1) / s_m
+    of a slot denominator's parts (``_squarefree_parts``; the last part is
+    its own factor), an exact quotient whose roots, by ``_simple_roots``
+    or exactly for a linear s, are the poles of exact multiplicity m, once
+    each."""
+    parts = _squarefree_parts(den)
+    factors = [_poly_divmod(s, nxt)[0] for s, nxt in zip(parts, parts[1:])] + parts[-1:]
+    return [(m, s, [-s[0] / s[1]] if len(s) == 2 else _simple_roots(s))
+            for m, s in enumerate(factors, 1) if len(s) > 1]
+
+
+def _taylor(p: Sequence, z: _Complex, n: int) -> list[_Complex]:
+    """The first n Taylor coefficients of p (ascending) at z, p(z + x) =
+    sum c_i x^i, by repeated synthetic division by x - z (0 past deg p)."""
+    out, p = [], [_Complex.of(c) for c in reversed(p)]
+    for _ in range(n):
+        acc, quo = 0, []
+        for c in p:
+            acc = acc * z + c
+            quo.append(acc)
+        out.append(quo.pop() if quo else _Complex.of(0))
+        p = quo
+    return out
+
+
+def _refined(s: Sequence, roots) -> tuple[list[_Complex], float]:
+    """The roots of the square-free s (ascending, degree n), refined from
+    its float roots together by Weierstrass (Durand-Kerner) iteration at
+    the working precision, and the overlap of their inclusion disks.
+
+    With W_i = s(z_i) / (lc prod over j != i of (z_i - z_j)), s is lc times
+    the characteristic polynomial of diag(z) - W 1^T, so by Gerschgorin its
+    roots lie in the disks about z_i - W_i of radius (n - 1)|W_i|, as many
+    in each connected union as it has disks; the radii here also take in
+    the rounding of s(z_i).  The overlap is the largest
+    ratio of two disks' radii to the distance between their centres, and of
+    a disk's radius to its centre's distance from |t| = 1: below 1 the disks
+    are disjoint and off the circle, so each holds one pole, on a known side.
+    The centres are returned.  The float roots are nudged apart first, by
+    sqrt(eps) relative: np.roots may return two poles nearer than that as
+    one value or as a conjugate pair, which the iteration would keep
+    together.  It stops once the disks are disjoint and every s(z_i) is
+    within Horner's rounding bound, 4n ulp sum |s_k| |z_i|^k, of 0, so no
+    step can bring the points nearer; the overlap is infinite when it
+    never gets there.  A linear s has its root exactly, -s_0 / s_1."""
+    if len(s) == 2:
+        return [_Complex.of(-Fraction(s[0]) / s[1])], 0.0
+    n, lc = len(s) - 1, _Complex.of(s[-1])
+    sizes = [abs(_Complex.of(c).re) for c in s]
+    nudge = math.sqrt(sys.float_info.epsilon) * (1 + 1j)
+    z = [_Complex.of(complex(x) * (1 + nudge * i)) for i, x in enumerate(roots, 1)]
+    floor = 4 * n * Decimal(10) ** (1 - getcontext().prec)
+    try:
+        for _ in range(4 * getcontext().prec):  # a cluster halves its step
+            values = [_taylor(s, zi, 1)[0] for zi in z]
+            noise = [floor * sum(a * abs(zi) ** k for k, a in enumerate(sizes)) for zi in z]
+            dens = [lc * math.prod((zi - zj for zj in z if zj is not zi), start=1) for zi in z]
+            centres = [zi - v / d for zi, v, d in zip(z, values, dens)]
+            # radii from |s(z_i)| and its rounding, in the norm |re| + |im|,
+            # within a factor sqrt 2 of the modulus: the factors 2 below
+            # cover it
+            radii = [(n - 1) * (abs(v) + e) / abs(d) for v, e, d in zip(values, noise, dens)]
+            overlap = max([2 * (radii[i] + radii[j]) / abs(centres[i] - centres[j])
+                           for i in range(n) for j in range(i)]
+                          + [2 * r / abs(_modulus(c) - 1) for c, r in zip(centres, radii)])
+            if overlap < 1 and all(abs(v) <= e for v, e in zip(values, noise)):
+                return centres, float(overlap)
+            z = centres
+    except DecimalException:  # coincident points or centres
+        pass
+    return z, math.inf
+
+
+class _Tails(NamedTuple):
+    """A rational slot's Laurent coefficients on |t| = 1: the polynomial
+    part t^a P(t), ``window`` by exponent, plus one sequence per pole alpha
+    of multiplicity m on each side.  Right, |alpha| > 1, on r >= a:
+    sum_k B_k C(j + k - 1, k - 1) X^j at j = r - a, X = 1/alpha; left,
+    |alpha| < 1, on r < a: sum_k B_k C(j, k - 1) X^j at j = a - 1 - r,
+    X = alpha.  A tail is (X, [B_1 .. B_m])."""
+
+    a: int
+    top: int  # the window's top exponent, a - 1 when P = 0
+    window: dict[int, Fraction]
+    right: list[tuple[_Complex, list[_Complex]]]
+    left: list[tuple[_Complex, list[_Complex]]]
+
+
+def _tails(slot: RatFun, poles: list[tuple[int, _Complex]]) -> _Tails:
+    """Split n/q exactly into t^a P + t^a R/q, deg R < deg q, and R/q into
+    sum A_(alpha,k) (t - alpha)^-k over its (multiplicity, pole) pairs: with
+    q(alpha + x) = x^m u(x), the A for k = 1..m are the coefficients of
+    x^(m-k) in the Taylor series of R/u at alpha, one series division.
+    (t - alpha)^-k is (-X)^k sum_j C(j + k - 1, k - 1) X^j t^j outside
+    (X = 1/alpha) and alpha^(1-k) sum_j C(j, k - 1) alpha^j t^(-1-j) inside."""
+    N, a = slot.num._ascending()
+    q = slot.den._ascending()[0]
+    P, R = _poly_divmod(N, q)
+    right, left = [], []
+    for m, z in poles:
+        r, u = _taylor(R, z, m), _taylor(q, z, 2 * m)[m:]
+        v = []
+        for i in range(m):
+            v.append((r[i] - sum(u[k] * v[i - k] for k in range(1, i + 1))) / u[0])
+        if z.re * z.re + z.im * z.im > 1:
+            X = 1 / z
+            right.append((X, [v[m - k] * (-X) ** k for k in range(1, m + 1)]))
+        else:
+            left.append((z, [v[m - k] * z ** (1 - k) for k in range(1, m + 1)]))
+    window = {a + i: c for i, c in enumerate(P) if c}
+    return _Tails(a, a + len(P) - 1, window, right, left)
+
+
+def _tail_poly(B: Sequence[_Complex], j: int, right: bool) -> _Complex:
+    """A tail's coefficient at j over X^j: sum_k B_k C(j + k - 1, k - 1) on
+    the right, sum_k B_k C(j, k - 1) on the left."""
+    return sum(b * math.comb(j + k if right else j, k) for k, b in enumerate(B))
+
+
+def _coefficient(slot: RatFun, tails: dict, r: int):
+    """The slot's Laurent coefficient of t^r on |t| = 1."""
+    if slot.is_polynomial:
+        return slot.num._c.get(r, 0)
+    T = tails[slot]
+    if r >= T.a:
+        j = r - T.a
+        return T.window.get(r, 0) + sum(X ** j * _tail_poly(B, j, True) for X, B in T.right)
+    j = T.a - 1 - r
+    return sum(X ** j * _tail_poly(B, j, False) for X, B in T.left)
+
+
+def _geometric_sum(factors: Sequence[tuple], right: bool) -> _Complex:
+    """sum over j >= 0 of the product over the factors ((X, B), o) of the
+    tail's coefficient at j + o: P(j) X^j, X the product of the tails' X
+    and P of degree D, the multiplicities' sum less 3, in closed form
+    sum_i Delta^i P(0) X^i / (1 - X)^(i + 1) from P(0) .. P(D)."""
+    D = sum(len(B) - 1 for (_, B), _ in factors)
+    X = math.prod(X for (X, _), _ in factors)
+    scale = math.prod(X ** o for (X, _), o in factors)
+    values = [scale * math.prod(_tail_poly(B, j + o, right) for (_, B), o in factors)
+              for j in range(D + 1)]
+    total = 0
+    for i in range(D + 1):
+        total += values[0] * X ** i / (1 - X) ** (i + 1)
+        values = [b - a for a, b in zip(values, values[1:])]
+    return total
+
+
+def _term_diagonal(t: ThetaTerm, tails: dict) -> _Complex:
+    """sum over r of f_r g_r h_r: over the exponents that the polynomial
+    slots share (``_shared_exponents``) when there is one, else over the
+    window where some polynomial part lives, plus on each side one
+    ``_geometric_sum`` per triple of poles there."""
+    slots, shared = t[:3], _shared_exponents(t)
+    if shared is not None:
+        return sum(math.prod(_coefficient(s, tails, r) for s in slots) for r in sorted(shared))
+    T = [tails[s] for s in slots]
+    lo, hi = min(x.a for x in T), max(x.top for x in T)
+    total = sum(math.prod(_coefficient(s, tails, r) for s in slots) for r in range(lo, hi + 1))
+    for right in (True, False):
+        offsets = [hi + 1 - x.a if right else x.a - lo for x in T]
+        for triple in product(*(x.right if right else x.left for x in T)):
+            total += _geometric_sum(list(zip(triple, offsets)), right)
+    return total
+
+
+def _closed_form(terms: Sequence[ThetaTerm], poles: dict) -> Decimal:
+    """The class's diagonal sum at the working precision, from each
+    rational slot's (multiplicity, pole) pairs."""
+    tails = {slot: _tails(slot, found) for slot, found in poles.items()}
+    return _Complex.of(sum(t.c * _term_diagonal(t, tails) for t in terms)).re
 
 
 def torus_average(Q: ThetaClass):
@@ -374,53 +601,116 @@ def torus_average(Q: ThetaClass):
     coefficients.  Polynomial slots: that sum as an exact Fraction, kept on
     the class, which is also res_p / p at every p past the spread of the
     slot exponents, since no p-th root aliases two of them.  Otherwise a
-    float (the limit is irrational in general): the N-point trapezoid rule,
-    the same sum over FFT coefficients mod N, with N doubled from 64 until
-    each slot's coefficients at |r| >= N/4 are below _TAIL_RATIO of its
-    largest.  A term whose polynomial slots share no exponent has no
-    diagonal and contributes exactly 0, so it is skipped before the FFT
-    (its poles still refuse); a class of such terms alone averages to an
-    exact Fraction 0.  The distinct denominator roots, found once per slot
-    (``_roots_by_part``), decide two SingularOnTorus refusals before
-    any FFT: a pole within ``_ON_CIRCLE`` of |t| = 1 is on it, and a pole of
-    modulus r whose tail rho^(N/4), rho = min(r, 1/r), would outlast
-    _REFUSE_MARGIN * _GRID_CAP points (within about 1.4e-5 of it) is too
-    near it.  A grid past _GRID_CAP raises SingularOnTorus as well.
+    float (the limit is irrational in general), in closed form from the
+    slots' partial fractions (``_tails``): a finite sum where a polynomial
+    part lives and a geometric sum per triple of poles on each tail
+    (``_term_diagonal``).  A term whose polynomial slots share no exponent
+    has no diagonal and contributes exactly 0, so it is skipped (its poles
+    still refuse); a class of such terms alone averages to an exact
+    Fraction 0.  The distinct poles, found once per slot (``_poles``),
+    decide two SingularOnTorus refusals before any expansion: a pole
+    within ``_ON_CIRCLE`` of |t| = 1 is on it, and one with
+    rho = min(|alpha|, 1/|alpha|) above 1 - ``_NEAR_CIRCLE`` is too near it.
+
+    The precision is measured, not fixed: the partial fractions of nearby
+    poles are large and cancel.  Each round refines the poles at 2d decimal
+    digits (``_refined``) and sums the closed form at d and at 2d; the gap
+    between the two is the d-digit sum's error, and the 2d-digit sum's is
+    about 10^-d of it.  The 2d-digit sum is returned once the d-digit one
+    kept three digits.  It is also returned when it lies within the last
+    round's error of 0 and its own error is 10^-d of that: an average that
+    is 0 (by symmetry, or by a residue sum) never keeps a digit.  Otherwise
+    d grows to the digits the d-digit sum lost, four more, and at least
+    doubles; pole disks that still overlap double it too.  d starts at 17,
+    a float's round trip.  Disks that still overlap past the digits of
+    Mahler's separation bound (``_separating_digits``), or a round that
+    does not shrink the error, raise ValueError.
     """
     if Q.is_polynomial:
         return Q._diagonal_sum()
-    import numpy as np
-
-    slots = {slot for t in Q.terms for slot in (t.f, t.g, t.h)}
-    moduli = np.abs(np.concatenate([_roots_by_part(slot.den)[0]
-                                    for slot in slots if not slot.is_polynomial]))
-    if np.any(np.abs(moduli - 1.0) < _ON_CIRCLE):
+    slots = {slot for t in Q.terms for slot in (t.f, t.g, t.h) if not slot.is_polynomial}
+    poles = {slot: _poles(slot.den) for slot in slots}
+    moduli = [abs(z) for found in poles.values() for *_, roots in found for z in roots]
+    if any(abs(r - 1.0) < _ON_CIRCLE for r in moduli):
         raise SingularOnTorus("slot denominator vanishes on |t| = 1")
-    rho = np.minimum(moduli, 1 / moduli).max(initial=0.0)  # q(0) != 0: no zero root
-    if rho ** (_REFUSE_MARGIN * _GRID_CAP / 4) > _TAIL_RATIO:
-        raise SingularOnTorus("a slot pole lies within %.1e of |t| = 1: its coefficients "
-                              "would not decay within %d points" % (1 - rho, _GRID_CAP))
-    terms = [t for t in Q.terms if _shares_an_exponent(t)]
+    _refuse_near(moduli)
+    terms = [t for t in Q.terms if _shared_exponents(t) != set()]
     if not terms:
         return Fraction(0)
-    slots = {slot for t in terms for slot in (t.f, t.g, t.h)}
-    N = 64
-    while True:
-        w = np.exp(2j * np.pi * np.arange(N) / N)
-        coeffs = {slot: _fourier(slot, w) for slot in slots}
-        mags = [np.abs(c) for c in coeffs.values()]
-        if all(a[N // 4 : 3 * N // 4 + 1].max() <= _TAIL_RATIO * a.max() for a in mags):
-            break
-        N *= 2
-        if N > _GRID_CAP:
-            raise SingularOnTorus("slot coefficients do not decay within %d points: "
-                                  "a pole (nearly) on |t| = 1" % _GRID_CAP)
-    total = sum(float(t.c) * np.sum(coeffs[t.f] * coeffs[t.g] * coeffs[t.h]) for t in terms)
-    return float(total.real)
+    live = {s for t in terms for s in t[:3]} & slots
+    enough = max((_separating_digits(s) for slot in live for _, s, _ in poles[slot]), default=0)
+    digits, error = sys.float_info.dig + 2, None
+    with localcontext() as context:
+        while True:
+            sums, worst = [], 0.0
+            for context.prec in (2 * digits, digits):
+                found, overlap = _located(live, poles)
+                worst = max(worst, overlap)
+                sums.append(_closed_form(terms, found) if overlap < 1 else None)
+            if worst >= 1:
+                if digits > enough:
+                    raise ValueError("torus_average: the slot poles do not separate at"
+                                     " %d digits" % (2 * digits))
+                digits *= 2
+                continue
+            high, low = sums
+            gap = abs(low - high)
+            if gap * 1000 <= abs(high):
+                return float(high)
+            if error is not None:
+                if abs(high) <= error and gap <= error:  # 10^-d of the last error
+                    return float(high)
+                if gap.scaleb(-digits) >= error:
+                    raise ValueError("torus_average: the closed form does not settle with"
+                                     " more digits (%d)" % (2 * digits))
+            error = gap.scaleb(-digits)
+            lost = digits + (gap / abs(high)).log10() if high else 2 * digits
+            digits = max(2 * digits, math.ceil(lost) + 4)
 
 
-def _shares_an_exponent(t: ThetaTerm) -> bool:
-    """False when the term's polynomial slots have no exponent in common:
-    then no r has f_r g_r h_r != 0 and the term averages to exactly 0."""
+def _separating_digits(s: Sequence) -> float:
+    """Digits past which refining the roots of the square-free s cannot
+    help: by Mahler's bound its roots are at least
+    sqrt(3) n^(-(n+2)/2) |S|^(1-n) apart, S its integer multiple, so n
+    times that many digits, plus |S|'s own, resolve each root within a
+    fraction of the distance, with a float's digits to spare."""
+    n, d = len(s) - 1, math.lcm(*(Fraction(c).denominator for c in s))
+    size = math.log10(sum((Fraction(c) * d) ** 2 for c in s)) / 2
+    apart = (n + 2) / 2 * math.log10(n) + (n - 1) * size
+    return n * apart + size + sys.float_info.dig + 2
+
+
+def _located(slots, poles: dict) -> tuple[dict, float]:
+    """Each slot's (multiplicity, pole) pairs at the working precision
+    (``_refined``), and the largest overlap of their disks; the
+    ``_NEAR_CIRCLE`` refusal again, on the refined moduli."""
+    found, worst = {}, 0.0
+    for slot in slots:
+        found[slot] = []
+        for m, s, roots in poles[slot]:
+            centres, overlap = _refined(s, roots)
+            found[slot] += [(m, z) for z in centres]
+            worst = max(worst, overlap)
+    _refuse_near([float(_modulus(z)) for pairs in found.values() for _, z in pairs])
+    return found, worst
+
+
+def _modulus(z: _Complex) -> Decimal:
+    return (z.re * z.re + z.im * z.im).sqrt()
+
+
+def _refuse_near(moduli: Sequence[float]) -> None:
+    """SingularOnTorus when some pole's rho = min(|alpha|, 1/|alpha|) is
+    above 1 - ``_NEAR_CIRCLE``; q(0) != 0, so no modulus is 0."""
+    rho = max((min(r, 1 / r) for r in moduli), default=0.0)
+    if rho > 1 - _NEAR_CIRCLE:
+        raise SingularOnTorus("a slot pole lies within %.1e of |t| = 1, nearer than %.1e"
+                              % (1 - rho, _NEAR_CIRCLE))
+
+
+def _shared_exponents(t: ThetaTerm) -> set[int] | None:
+    """The exponents that the term's polynomial slots share, None when it
+    has none: f_r g_r h_r != 0 only there, and an empty set averages to
+    exactly 0."""
     exps = [slot.num._c.keys() for slot in t[:3] if slot.is_polynomial]
-    return not exps or bool(set(exps[0]).intersection(*exps[1:]))
+    return set(exps[0]).intersection(*exps[1:]) if exps else None

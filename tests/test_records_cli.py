@@ -581,8 +581,8 @@ class TestQFileBoundary:
         assert err == "error: a 2-loop term is missing key %r\n" % key
 
 
-# a slot pole within _ON_CIRCLE of |t| = 1, and one just outside it but too
-# near for the FFT grid: both are refused as SingularOnTorus
+# a slot pole within _ON_CIRCLE of |t| = 1, and one 1e-6 outside it, within
+# _NEAR_CIRCLE: both are refused as SingularOnTorus
 _TORUS_REFUSALS = [("1000000001/1000000000", "vanishes on |t| = 1"),
                    ("1000001/1000000", "a slot pole lies within")]
 

@@ -1,6 +1,7 @@
 """2-loop classes: canonical form, symmetry, residues, torus averages."""
 
 import cmath
+import contextlib
 from fractions import Fraction
 from itertools import permutations
 
@@ -378,21 +379,101 @@ class TestTorusAverage:
             assert isinstance(got, Fraction)
             assert got == _diagonal_sum(Q)
 
-    def test_quadrature_matches_exact(self):
-        # rational slots take the FFT trapezoid path; a direct trapezoid
-        # grid is an independent oracle (exponentially accurate on smooth
-        # integrands)
+    def test_closed_form_matches_a_direct_grid(self):
+        # a direct trapezoid grid is an independent oracle (exponentially
+        # accurate on smooth integrands)
         for name, terms in RATIONAL_CLASSES.items():
             Q = ThetaClass(terms)
             assert torus_average(Q) == pytest.approx(_grid_average(Q), abs=1e-12), name
 
-    @pytest.mark.parametrize("a", [Fraction(2), Fraction(11, 10), Fraction(101, 100)])
+    def test_matches_the_fft_oracle_on_the_fixtures(self):
+        for name, terms in RATIONAL_CLASSES.items():
+            Q = ThetaClass(terms)
+            assert torus_average(Q) == pytest.approx(_fft_average(Q), rel=1e-12, abs=0), name
+
+    def test_matches_the_fft_oracle_on_random_classes(self, rng):
+        # repeated poles, complex pole pairs, pairs of simple poles 1e-3 to
+        # 1e-10 apart, poles 1e-3 to 0.1 off the circle, negative exponents,
+        # terms with three rational slots and poles on both sides: every
+        # class is answered.  The oracle rounds to about eps times the
+        # Hoelder bound sum |c| prod ||slot||_2 on any diagonal sum, so where
+        # that bound is at most 1e3 |want| the closed form must be within
+        # 1e-12 of the oracle relative to want; the rest, a sum that cancels
+        # or a dead term's FFT noise where the closed form gives 0, within
+        # 1e-12 of the bound.  With this seed 90 of the 300 are of the rest
+        # (51 of them average to 0, where the oracle reads under 1e-15 of
+        # the bound), and the largest bound / |want| among the others is 810.
+        cancelling, largest = 0, 0.0
+        for _ in range(300):
+            Q = _random_rational_class(rng)
+            want, bound = _fft_average(Q, bound=True)
+            got = torus_average(Q)
+            if bound <= 1e3 * abs(want):
+                largest = max(largest, bound / abs(want))
+                assert got == pytest.approx(want, rel=1e-12, abs=0), Q.terms
+            else:
+                cancelling += 1
+                assert abs(got - want) <= 1e-12 * bound, Q.terms
+        assert (cancelling, round(largest)) == (90, 810)
+
+    @pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(2)])
+    @pytest.mark.parametrize("split", [10, 30])
+    def test_two_simple_poles_nearer_than_np_roots_resolves(self, a, split):
+        # (t - a)^2 - 10^(-2 split): poles a +- 10^-split, inside or outside
+        # the circle.  np.roots returns one float twice or a conjugate pair;
+        # the refinement separates them (at more digits for 1e-30), and the
+        # partial fractions, about 10^split times the coefficients they sum
+        # to, cancel to the oracle's value
+        import numpy as np
+
+        den = (t - a * one) ** 2 - Fraction(1, 10 ** (2 * split)) * one
+        floats = np.roots([float(c) for c in reversed(den._ascending()[0])])
+        assert abs(floats[0] - floats[1]) < 1e-7
+        f = RatFun(t ** 3 - 2 * one, den)
+        for Q in (ThetaClass([(f, RatFun(one), RatFun(one), Fraction(1))]),
+                  ThetaClass([(f, f, RatFun(t ** 2 + one), Fraction(1))]),
+                  ThetaClass([(f, f, f, Fraction(1))])):
+            assert torus_average(Q) == pytest.approx(_fft_average(Q), rel=1e-12, abs=0)
+
+    def test_refined_roots_are_distinct_and_certified(self):
+        # from one float twice, Weierstrass iteration at 34 digits finds the
+        # two roots 1/2 +- 1e-10, each once, with disjoint inclusion disks;
+        # at 17 digits it cannot tell them apart and says so
+        from decimal import Decimal, localcontext
+
+        s = [Fraction(1, 4) - Fraction(1, 10 ** 20), Fraction(-1), Fraction(1)]
+        with localcontext() as context:
+            context.prec = 34
+            (z1, z2), overlap = theta._refined(s, [0.5, 0.5])
+            assert overlap < 1
+            got = sorted(float((z.re - Decimal("0.5")).scaleb(10)) for z in (z1, z2))
+            assert got == pytest.approx([-1, 1], rel=1e-12)
+            assert abs(z1.im) + abs(z2.im) < 1e-30
+            context.prec = 17
+            assert theta._refined(s, [0.5, 0.5])[1] >= 1
+
+    def test_clustered_repeated_poles(self):
+        # three triple poles 0.3 apart, inside the circle: their partial
+        # fractions are about 10^5 times the coefficients they sum to, and
+        # in floats the average of two such slots came out 3e-8 off
+        f = RatFun(t ** 4 - 5 * t ** -1,
+                   ((t ** 2 + Fraction(14, 27) * t + Fraction(1, 7) * one)
+                    * (t + Fraction(2, 7) * one)) ** 3)
+        g = RatFun(one + t ** 2, (t - Fraction(1, 3) * one) ** 2 * (t + Fraction(1, 4) * one) ** 3)
+        for Q in (ThetaClass([(f, g, RatFun(t ** -2 - 2 * t ** -6), Fraction(1))]),
+                  ThetaClass([(f, g, f, Fraction(1))])):
+            want, bound = _fft_average(Q, bound=True)
+            assert abs(torus_average(Q) - want) <= 1e-13 * max(abs(want), bound)
+
+    @pytest.mark.parametrize("a", [Fraction(2), Fraction(11, 10), Fraction(101, 100),
+                                   Fraction(1001, 1000), Fraction(10001, 10000)])
     def test_closed_form_for_a_simple_pole(self, a):
         # f = g = h = 1/(t - a) has coefficients -a^-(r+1) for r >= 0, so the
-        # diagonal sum is -sum_r a^(-3(r+1)) = -1/(a^3 - 1)
+        # diagonal sum is -sum_r a^(-3(r+1)) = -1/(a^3 - 1), here exact, also
+        # at 1e-3 and 1e-4 off the circle, where 1 - a^-3 cancels 3 and 4 digits
         f = RatFun(one, t - a * one)
         Q = ThetaClass([(f, f, f, Fraction(1))])
-        assert torus_average(Q) == pytest.approx(-1 / (float(a) ** 3 - 1), rel=1e-12, abs=0)
+        assert torus_average(Q) == pytest.approx(float(-1 / (a ** 3 - 1)), rel=1e-14, abs=0)
 
     def test_pole_too_near_the_circle_rejected(self):
         f = RatFun(one, t - Fraction(1000001, 1000000) * one)
@@ -401,35 +482,43 @@ class TestTorusAverage:
             torus_average(Q)
 
     def test_near_pole_refused_before_any_fft(self, monkeypatch):
-        # at 1e-6 from the circle the tail would need about 1.2e8 points;
-        # the doubling loop used to reach 2^20 (160 MB) before giving up
+        # a pole 1e-6 off the circle, on either side, is refused from its
+        # modulus alone: no slot is expanded and no grid is built
         calls = []
-        fourier = theta._fourier
-        monkeypatch.setattr(theta, "_fourier", lambda *a: calls.append(1) or fourier(*a))
-        for a in (Fraction(1000001, 1000000), Fraction(1000000, 1000001)):
-            f = RatFun(one, t - a * one)
-            Q = ThetaClass([(f, f, f, Fraction(1))])
-            with pytest.raises(SingularOnTorus, match="pole lies within"):
-                torus_average(Q)
+        monkeypatch.setattr(theta, "_tails", lambda *a: calls.append(a))
+        with _no_fft(monkeypatch):
+            for a in (Fraction(1000001, 1000000), Fraction(1000000, 1000001)):
+                f = RatFun(one, t - a * one)
+                Q = ThetaClass([(f, f, f, Fraction(1))])
+                with pytest.raises(SingularOnTorus, match="pole lies within"):
+                    torus_average(Q)
         assert calls == []
-        # a pole 1e-3 off the circle still converges, through the FFT
-        f = RatFun(one, t - Fraction(1001, 1000) * one)
-        Q = ThetaClass([(f, f, f, Fraction(1))])
-        assert torus_average(Q) == pytest.approx(-1 / (1.001 ** 3 - 1), rel=1e-9)
-        assert calls
 
-    def test_a_pole_past_the_up_front_rule_is_refused_by_the_grid_cap(self, monkeypatch):
-        # 1/(10001 - 10000 t) has its pole at modulus 1.0001: far enough for
-        # the up-front rule, too near for the doubling loop, which gives up
-        # past _GRID_CAP points
-        sizes = []
-        fourier = theta._fourier
-        monkeypatch.setattr(theta, "_fourier", lambda s, w: sizes.append(len(w)) or fourier(s, w))
-        f = RatFun(one, 10001 * one - 10000 * t)
+    @pytest.mark.parametrize("a", [Fraction(10001, 10000), Fraction(100002, 100000),
+                                   Fraction(100025, 100000), Fraction(1000, 1001)])
+    def test_a_pole_past_the_refusal_window_is_answered(self, a):
+        # 1/(10001 - 10000 t) with g = h = 1 averages to its t^0 coefficient
+        # 1/10001: the FFT loop refused poles 1.00002 .. 1.00025 off the
+        # circle only after 2^20 points; a pole inside leaves t^0 empty
+        f = RatFun(one, a.numerator * one - a.denominator * t)
         Q = ThetaClass([(f, RatFun(one), RatFun(one), Fraction(1))])
-        with pytest.raises(SingularOnTorus, match="do not decay within 1048576 points"):
-            torus_average(Q)
-        assert sizes[0] == 64 and sizes[-1] == theta._GRID_CAP
+        want = 1 / a.numerator if a > 1 else 0.0
+        assert torus_average(Q) == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+    def test_a_pole_at_the_edge_of_the_refusal_window(self):
+        # the FFT's up-front rule refused rho above 1 - 1.4273e-5, and one
+        # just past it only at 2^20 points; the closed form refuses the
+        # first and answers the second
+        near, far = 1 - 1.42e-5, 1 - 1.44e-5
+        assert theta._NEAR_CIRCLE > 1 - near and 1 - far > theta._NEAR_CIRCLE
+        for rho, refused in ((near, True), (far, False)):
+            f = RatFun(one, Fraction(1 / rho) * one - t)
+            Q = ThetaClass([(f, RatFun(one), RatFun(one), Fraction(1))])
+            if refused:
+                with pytest.raises(SingularOnTorus, match="pole lies within"):
+                    torus_average(Q)
+            else:
+                assert torus_average(Q) == pytest.approx(rho, rel=1e-12)
 
     def test_rational_class_of_the_growth_benchmark(self):
         # f = 1/(3 - t) has coefficients 3^-(r+1) for r >= 0; g and h share
@@ -443,14 +532,12 @@ class TestTorusAverage:
     def test_slots_sharing_no_exponent_average_to_an_exact_zero(self, monkeypatch):
         # f = 1/(2 + t^2), g = t, h = t^-1: g and h share no exponent, so no
         # r has f_r g_r h_r != 0 and the average is exactly 0, the Fraction a
-        # polynomial class's diagonal sum gives, with no FFT rounding
-        calls = []
-        fourier = theta._fourier
-        monkeypatch.setattr(theta, "_fourier", lambda *a: calls.append(1) or fourier(*a))
+        # polynomial class's diagonal sum gives, with no rounding and no grid
         Q = ThetaClass([(RatFun(one, 2 * one + t ** 2), RatFun(t), RatFun(t ** -1), Fraction(1))])
-        got = torus_average(Q)
+        with _no_fft(monkeypatch):
+            got = torus_average(Q)
         assert got == 0 and type(got) is type(torus_average(_mono(1, 1, 1))) is Fraction
-        assert calls == [] and [res_p_theta(Q, p) for p in range(3, 9)] == [0] * 6
+        assert [res_p_theta(Q, p) for p in range(3, 9)] == [0] * 6
         # beside a live term the dead one is skipped: the live term's value,
         # bit for bit, from the live term's slots alone
         live = ThetaClass([(RatFun(one, 3 * one - t), RatFun(2 * t), RatFun(3 * t), Fraction(1))])
@@ -480,6 +567,102 @@ def _grid_average(Q, n=128):
             z2 = cmath.exp(2j * cmath.pi * b / n)
             total += _evaluate_raw(Q, z1, z2).real
     return total / n ** 2
+
+
+# the FFT route that torus_average took before its closed form, kept as the
+# oracle: the N-point trapezoid rule, N doubled from 64 until each slot's
+# Fourier coefficients at |r| >= N/4 are below _TAIL_RATIO of its largest
+_TAIL_RATIO = 1e-13
+_GRID_CAP = 2 ** 20
+
+
+def _fourier(slot, w):
+    """Laurent coefficients of the slot on |t| = 1 from its values at the
+    N-th roots of unity w, aliased mod N: entry k is the sum of the
+    coefficients of t^r over r = k mod N."""
+    import numpy as np
+
+    N = len(w)
+    asc, m = slot.num._ascending()
+    num = np.polyval([float(c) for c in reversed(asc)], w) * w[(np.arange(N) * m) % N]
+    den = np.polyval([float(c) for c in reversed(slot.den._ascending()[0])], w)  # q(0) != 0
+    return np.fft.fft(num / den) / N
+
+
+def _fft_average(Q, bound=False):
+    """The FFT trapezoid torus average, or None when some slot's tail has
+    not decayed within _GRID_CAP points; with bound, also sum |c| times the
+    product of the slots' coefficient 2-norms, a bound on every diagonal
+    sum of the class's slots (Hoelder) that scales the oracle's rounding."""
+    import numpy as np
+
+    slots = {slot for term in Q.terms for slot in (term.f, term.g, term.h)}
+    N = 64
+    while True:
+        w = np.exp(2j * np.pi * np.arange(N) / N)
+        coeffs = {slot: _fourier(slot, w) for slot in slots}
+        mags = [np.abs(c) for c in coeffs.values()]
+        if all(a[N // 4 : 3 * N // 4 + 1].max() <= _TAIL_RATIO * a.max() for a in mags):
+            break
+        N *= 2
+        if N > _GRID_CAP:
+            return None
+    total = sum(float(term.c) * np.sum(coeffs[term.f] * coeffs[term.g] * coeffs[term.h])
+                for term in Q.terms)
+    if not bound:
+        return float(total.real)
+    norms = {slot: float(np.linalg.norm(c)) for slot, c in coeffs.items()}
+    return float(total.real), sum(abs(float(term.c)) * norms[term.f] * norms[term.g] * norms[term.h]
+                                  for term in Q.terms)
+
+
+@contextlib.contextmanager
+def _no_fft(monkeypatch):
+    """Fail any numpy FFT called inside the block: no grid is built."""
+    import numpy as np
+
+    with monkeypatch.context() as m:
+        m.setattr(np.fft, "fft", lambda *a, **k: pytest.fail("an FFT grid was built"))
+        yield
+
+
+def _random_pole(rng):
+    """A real pole or a conjugate pair, at modulus 1.3 .. 4 or its inverse;
+    or a real pole at modulus 1.01 .. 1.1 or its inverse; or two real simple
+    poles 1e-3 .. 1e-10 apart.  Also the powers it may be raised to: the
+    last two only to the first, beyond which the FFT oracle's tails often
+    fail to reach its _TAIL_RATIO within _GRID_CAP points."""
+    r, u = Fraction(rng.randint(13, 40), 10) ** rng.choice([1, -1]), rng.random()
+    if u < 0.1:
+        near = Fraction(rng.randint(101, 110), 100) ** rng.choice([1, -1])
+        return t - rng.choice([1, -1]) * near * one, [1]
+    if u < 0.2:
+        r = rng.choice([1, -1]) * r
+        return (t - r * one) * (t - r * (1 + Fraction(1, 10 ** rng.randint(3, 10))) * one), [1]
+    if rng.random() < 0.6:
+        return t - rng.choice([1, -1]) * r * one, [1, 1, 2, 3]
+    c = Fraction(rng.randint(-9, 9), 10)  # the real part over the modulus
+    return t ** 2 - 2 * c * r * t + r * r * one, [1, 1, 2, 3]
+
+
+def _random_slot(rng):
+    num = _random_poly(rng) or LaurentPoly.monomial(rng.randint(-3, 3))
+    if rng.random() < 0.35:
+        return RatFun(num)
+    den = one
+    for _ in range(rng.randint(1, 2)):
+        factor, powers = _random_pole(rng)
+        den = den * factor ** rng.choice(powers)
+    return RatFun(num, den)
+
+
+def _random_rational_class(rng):
+    terms = [(_random_slot(rng), _random_slot(rng), _random_slot(rng),
+              Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)))
+             for _ in range(rng.randint(1, 3))]
+    f = RatFun(one, _random_pole(rng)[0])  # at least one rational slot
+    terms[0] = (f,) + terms[0][1:]
+    return ThetaClass(terms)
 
 
 class TestSerialization:

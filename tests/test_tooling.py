@@ -49,9 +49,9 @@ def test_no_tolerance_parameters():
 
 
 def test_numpy_roots_only_in_exactalg():
-    # exactalg._roots_by_part is the one numeric root finder (the Mahler
-    # measure and the 2-loop poles), with the one unit-circle test
-    # _ON_CIRCLE; a second np.roots would fork both
+    # exactalg._simple_roots is the one numeric root finder (the Mahler
+    # measure by square-free part, the 2-loop poles by exact multiplicity),
+    # with the one unit-circle test _ON_CIRCLE; a second np.roots would fork both
     found = [
         "%s:%d" % (path.name, node.lineno)
         for path in sorted(SRC.glob("*.py"))
@@ -93,8 +93,8 @@ def test_circle_roots_call_no_numpy():
                     root = root.value
                 if isinstance(root, ast.Name) and root.id in ("np", "numpy"):
                     found.append("%s:%d" % (name, node.lineno))
-            if isinstance(node, ast.Name) and node.id == "_roots_by_part":
-                found.append("%s:%d _roots_by_part" % (name, node.lineno))
+            if isinstance(node, ast.Name) and node.id in ("_roots_by_part", "_simple_roots"):
+                found.append("%s:%d %s" % (name, node.lineno, node.id))
     assert {"_sturm", "_sign_at", "_trace_poly", "_poly_divmod"} <= reached
     assert found == []
 
@@ -116,9 +116,9 @@ def _root_of_unity_exps(tree):
 def test_roots_of_unity_only_in_the_helper():
     # lambdamat.root_of_unity is the one float e^(2 pi i k/p): signature
     # rows, the branched sum and selftest's per-root oracles must agree to
-    # the bit (theta's FFT grid is a separate decision and is not scanned)
+    # the bit (theta, which builds no grid any more, is scanned too)
     found = []
-    for name in ("seifert", "branched", "lambdamat", "acceptance"):
+    for name in ("seifert", "branched", "lambdamat", "acceptance", "theta"):
         tree = ast.parse((SRC / (name + ".py")).read_text(encoding="utf-8"))
         helper = [node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "root_of_unity"]
@@ -637,6 +637,48 @@ def test_exact_commands_never_load_numpy(argv, tmp_path):
                          timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "0 False False"
+
+
+_RATIONAL_CLASS = {"terms": [
+    {"f": {"num": {"0": "1"}, "den": {"0": "3", "1": "-1"}}, "g": {"1": "2", "2": "-3"},
+     "h": {"-2": "-1", "1": "3"}, "c": "2"},
+    {"f": {"num": {"0": "1"}, "den": {"0": "-2", "1": "1"}}, "g": {"num": {"0": "1"}, "den": {
+        "0": "1", "1": "-3"}}, "h": {"num": {"1": "1"}, "den": {"0": "9", "1": "-6", "2": "1"}},
+     "c": "-1/2"},
+]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["growth", "--knot", "trefoil", "--pmax", "20", "--q", "{q}"],
+    ["residue", "--q", "{q}", "--p", "2..7"],
+], ids=["growth", "residue"])
+def test_rational_torus_averages_never_load_the_fft(argv, tmp_path):
+    # a rational class's torus average is a closed form over its slots'
+    # poles: in a fresh interpreter, the commands that print one leave
+    # numpy.fft unloaded
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps(_RATIONAL_CLASS))
+    argv = [a.format(q=q) for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, knotcovers.cli; rc = knotcovers.cli.main(%r); "
+            "print(rc, 'numpy.fft' in sys.modules)" % argv)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    *out, last = run.stdout.splitlines()
+    assert re.fullmatch(r"(casson_growth|torus_average) = -?\d\S*", out[-1]), out[-1]
+    assert last == "0 False"
+
+
+def test_theta_keeps_no_quadrature():
+    # the FFT doubling loop, its grid and its tail heuristic live only in
+    # the tests, as the oracle of the closed form
+    import knotcovers.theta as theta
+
+    left = [name for name in ("_fourier", "_TAIL_RATIO", "_GRID_CAP", "_REFUSE_MARGIN")
+            if hasattr(theta, name)]
+    assert left == []
 
 
 def test_well_formed_calls_never_load_argparse(tmp_path):
